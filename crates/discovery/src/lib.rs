@@ -21,10 +21,10 @@
 //!   token index (JOSIE-shaped, without the cost-based posting-list
 //!   scheduling that internet-scale lakes need — documented simplification).
 //! * [`MetadataDiscovery`] — **metadata-aware** search over column headers
-//!   (cf. TableNet): header tokens are interned in a shared [`StringPool`]
-//!   behind an inverted header-token index, answering "find tables
+//!   (cf. TableNet): an inverted header-token index answers "find tables
 //!   annotated like this" probes with the same best-bound-first capped
-//!   retrieval contract as the SANTOS leg. Off by default; enabled through
+//!   retrieval as the SANTOS leg — the two legs share one bounded top-k
+//!   kernel and one token posting index. Off by default; enabled through
 //!   [`LakeIndexConfig::metadata`].
 //! * [`SimilarityDiscovery`] — the user-defined extension point of paper
 //!   Fig. 4: any `Fn(&Table, &Table) -> f64` becomes a discovery algorithm.
@@ -33,12 +33,12 @@
 //! mirroring the demo's "persist the set of tables found by all techniques
 //! to form an integration set".
 //!
-//! For *mutable* lakes, [`LakeIndex`] wraps the SANTOS-style and LSH
-//! Ensemble engines behind one churn-safe maintenance point: it follows
-//! the lake changelog (`DataLake::events_since`) and applies each
-//! add/replace/remove with `O(changed tables)` work instead of rebuilding,
-//! staying exactly equivalent to a fresh build (see
-//! `tests/incremental_oracle.rs`).
+//! For *mutable* lakes, [`LakeIndex`] wraps three legs — the SANTOS-style,
+//! LSH Ensemble and (when configured) metadata engines — behind one
+//! churn-safe maintenance point: it follows the lake changelog
+//! (`DataLake::events_since`) and applies each add/replace/remove with
+//! `O(changed tables)` work instead of rebuilding, staying exactly
+//! equivalent to a fresh build (see `tests/incremental_oracle.rs`).
 //!
 //! The discovery hot path is served by [`TopKPlanner`], the budgeted top-k
 //! query engine over the LSH index: cached query-column signatures, a
@@ -75,6 +75,7 @@ mod lshe;
 mod metadata;
 mod overlap;
 mod pool;
+mod retrieval;
 mod santos;
 mod serving;
 mod shard;

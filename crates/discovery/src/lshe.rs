@@ -126,47 +126,7 @@ impl LshEnsembleDiscovery {
         config: LshEnsembleConfig,
         scope: ShardScope,
     ) -> LshEnsembleDiscovery {
-        let mut builder = LshEnsembleBuilder::new(config.num_perm, config.seed);
-        let mut domains: HashMap<DomainKey, HashSet<u32>> = HashMap::new();
-        let mut table_names = HashMap::new();
-        let mut cols_of: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut pool = StringPool::new();
-        let mut postings: HashMap<u32, Vec<DomainKey>> = HashMap::new();
-        let mut live_weight = 0usize;
-        for (t, table) in lake.entries_routed(scope.shard(), scope.of()) {
-            table_names.insert(t, table.name().to_string());
-            for c in 0..table.column_count() {
-                let tokens = table.column_token_set(c);
-                if tokens.is_empty() {
-                    continue;
-                }
-                let key: DomainKey = (t, c as u32);
-                builder.insert_tokens(key, tokens.iter().map(String::as_str));
-                let ids: HashSet<u32> = tokens.iter().map(|tok| pool.intern(tok)).collect();
-                for &id in &ids {
-                    postings.entry(id).or_default().push(key);
-                }
-                live_weight += ids.len();
-                domains.insert(key, ids);
-                cols_of.entry(t).or_default().push(c as u32);
-            }
-        }
-        let hasher = builder.hasher().clone();
-        let mut ensemble = builder.build(config.num_partitions);
-        ensemble.set_rebalance_threshold(config.rebalance_dirtiness);
-        LshEnsembleDiscovery {
-            config,
-            hasher,
-            ensemble,
-            domains,
-            table_names,
-            cols_of,
-            pool,
-            postings,
-            live_weight,
-            retired_weight: 0,
-            pool_generation: 0,
-        }
+        LshEnsembleDiscovery::build_reusing(lake, config, scope, &HashMap::new())
     }
 
     /// Like [`LshEnsembleDiscovery::build_scoped`], but reuse persisted
@@ -189,11 +149,24 @@ impl LshEnsembleDiscovery {
         if !sketches.matches_family(config.num_perm, config.seed) {
             return LshEnsembleDiscovery::build_scoped(lake, config, scope);
         }
-        let by_key: HashMap<DomainKey, (usize, &Signature)> = sketches
+        let reusable: HashMap<DomainKey, (usize, &Signature)> = sketches
             .domains
             .iter()
             .map(|(key, size, sig)| (*key, (*size, sig)))
             .collect();
+        LshEnsembleDiscovery::build_reusing(lake, config, scope, &reusable)
+    }
+
+    /// The one build loop: index every domain of the stripe, taking a
+    /// domain's signature from `reusable` when its recorded size matches
+    /// and hashing it otherwise. A cold build is this with nothing
+    /// reusable.
+    fn build_reusing(
+        lake: &DataLake,
+        config: LshEnsembleConfig,
+        scope: ShardScope,
+        reusable: &HashMap<DomainKey, (usize, &Signature)>,
+    ) -> LshEnsembleDiscovery {
         let mut builder = LshEnsembleBuilder::new(config.num_perm, config.seed);
         let mut domains: HashMap<DomainKey, HashSet<u32>> = HashMap::new();
         let mut table_names = HashMap::new();
@@ -209,7 +182,7 @@ impl LshEnsembleDiscovery {
                     continue;
                 }
                 let key: DomainKey = (t, c as u32);
-                match by_key.get(&key) {
+                match reusable.get(&key) {
                     Some(&(size, sig)) if size == tokens.len() => {
                         builder.insert_signature(key, size, sig.clone());
                     }

@@ -7,10 +7,10 @@
 //! engine answers exactly that query mode:
 //!
 //! 1. **Index.** For every lake table, tokenize each column header with
-//!    [`dialite_text::word_tokens`] and intern the tokens in a shared
-//!    [`StringPool`]. An inverted index `header token → tables` provides
-//!    candidate retrieval; the same retire/compact machinery as the SANTOS
-//!    leg's synthesized-signal postings keeps long-churn memory bounded.
+//!    [`dialite_text::word_tokens`]. An inverted index `header token →
+//!    tables` — the same token posting index, with the same retire/compact
+//!    machinery, as the SANTOS leg's synthesized signal — provides
+//!    candidate retrieval.
 //! 2. **Query.** Tokenize the query table's headers the same way (query
 //!    tokens resolve through the pool, never intern — the query is not
 //!    part of the lake).
@@ -25,15 +25,14 @@
 //! full-header-scan oracle path the bounded path is pinned against
 //! (`tests/metadata_oracle.rs`).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use dialite_table::{DataLake, Table};
 use dialite_text::{jaccard, word_tokens};
 
-use crate::pool::StringPool;
-use crate::santos::{kth_best, push_topk, POOL_COMPACT_MIN};
+use crate::retrieval::{bounded_top_k, score_all, Named, Report, TokenPostings};
 use crate::shard::ShardScope;
-use crate::types::{top_k, Discovered, Discovery, TableQuery};
+use crate::types::{Discovered, Discovery, TableQuery};
 
 /// Configuration of the metadata (header-match) engine.
 #[derive(Debug, Clone)]
@@ -75,10 +74,12 @@ struct TableMeta {
     name: String,
     /// Per-column header token sets (the unit the score compares).
     columns: Vec<HashSet<String>>,
-    /// The table's distinct header tokens interned in the engine's shared
-    /// pool — the keys of its posting entries, kept so removal retires
-    /// exactly those postings.
-    header_ids: Vec<u32>,
+}
+
+impl Named for TableMeta {
+    fn name(&self) -> &str {
+        &self.name
+    }
 }
 
 /// The metadata-aware discovery engine. Build once per lake, then either
@@ -92,17 +93,8 @@ pub struct MetadataDiscovery {
     /// Per-table metadata, keyed by the lake's stable slot index. A
     /// `BTreeMap` keeps the full-scan oracle deterministic.
     tables: BTreeMap<u32, TableMeta>,
-    /// Header-token dictionary (same [`StringPool`] machinery the other
-    /// legs intern through).
-    pool: StringPool,
-    /// Inverted index: header token id → table slots whose headers contain
-    /// the token.
-    header_postings: HashMap<u32, Vec<u32>>,
-    /// Σ distinct header tokens over live tables (with multiplicity across
-    /// tables).
-    live_weight: usize,
-    /// Header-token weight retired since the last pool compaction.
-    retired_weight: usize,
+    /// Inverted index: header token → table slots whose headers contain it.
+    headers: TokenPostings,
 }
 
 impl MetadataDiscovery {
@@ -123,10 +115,7 @@ impl MetadataDiscovery {
         let mut engine = MetadataDiscovery {
             config,
             tables: BTreeMap::new(),
-            pool: StringPool::new(),
-            header_postings: HashMap::new(),
-            live_weight: 0,
-            retired_weight: 0,
+            headers: TokenPostings::default(),
         };
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
@@ -138,84 +127,22 @@ impl MetadataDiscovery {
     /// `O(that table's schema)` — row data is never touched.
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
-        let columns: Vec<HashSet<String>> = table
-            .schema()
-            .columns()
-            .iter()
-            .map(|col| word_tokens(&col.name).into_iter().collect())
-            .collect();
-        let ids: HashSet<u32> = columns
-            .iter()
-            .flat_map(|col| col.iter())
-            .map(|tok| self.pool.intern(tok))
-            .collect();
-        for &id in &ids {
-            self.header_postings.entry(id).or_default().push(slot);
-        }
-        self.live_weight += ids.len();
+        let columns = header_tokens(table);
+        self.headers
+            .insert(slot, columns.iter().flatten().map(String::as_str));
         self.tables.insert(
             slot,
             TableMeta {
                 name: table.name().to_string(),
                 columns,
-                header_ids: ids.into_iter().collect(),
             },
         );
     }
 
     /// Drop the header metadata of the table occupying a lake slot.
     pub fn remove_table(&mut self, slot: u32) {
-        let Some(meta) = self.tables.remove(&slot) else {
-            return;
-        };
-        for id in &meta.header_ids {
-            if let Some(list) = self.header_postings.get_mut(id) {
-                if let Some(pos) = list.iter().position(|s| *s == slot) {
-                    list.swap_remove(pos);
-                }
-                if list.is_empty() {
-                    self.header_postings.remove(id);
-                }
-            }
-        }
-        self.live_weight -= meta.header_ids.len();
-        self.retired_weight += meta.header_ids.len();
-        self.maybe_compact_pool();
-    }
-
-    /// Compact the header-token pool once dead weight overtakes live
-    /// weight (and the [`POOL_COMPACT_MIN`] floor), remapping every stored
-    /// token id — the same overtake rule the other legs use, so long-churn
-    /// memory stays bounded.
-    fn maybe_compact_pool(&mut self) {
-        if self.retired_weight <= self.live_weight.max(POOL_COMPACT_MIN) {
-            return;
-        }
-        let live: HashSet<u32> = self
-            .tables
-            .values()
-            .flat_map(|meta| meta.header_ids.iter().copied())
-            .collect();
-        let remap = self.pool.compact(&live);
-        for meta in self.tables.values_mut() {
-            for id in &mut meta.header_ids {
-                *id = remap[*id as usize];
-            }
-        }
-        self.header_postings = std::mem::take(&mut self.header_postings)
-            .into_iter()
-            .map(|(id, list)| (remap[id as usize], list))
-            .collect();
-        self.retired_weight = 0;
-    }
-
-    /// `(distinct interned header tokens, total posting entries)` — the
-    /// latter always equals the summed live per-table header weights.
-    pub fn header_posting_stats(&self) -> (usize, usize) {
-        (
-            self.pool.len(),
-            self.header_postings.values().map(Vec::len).sum(),
-        )
+        self.tables.remove(&slot);
+        self.headers.remove(slot);
     }
 
     /// Number of indexed tables.
@@ -278,127 +205,57 @@ impl MetadataDiscovery {
         k: usize,
         cap: usize,
     ) -> (Vec<Discovered>, MetadataStats) {
-        let mut stats = MetadataStats::default();
-        let q_cols: Vec<HashSet<String>> = query
-            .table
-            .schema()
-            .columns()
-            .iter()
-            .map(|col| word_tokens(&col.name).into_iter().collect())
-            .collect();
+        let q_cols = header_tokens(&query.table);
         if q_cols.is_empty() || k == 0 {
-            return (Vec::new(), stats);
+            return (Vec::new(), MetadataStats::default());
         }
-
-        if cap == usize::MAX {
-            // Exhaustive full header scan — the oracle path the bounded
-            // retrieval is measured against.
-            stats.full_scan = true;
-            stats.candidates_retrieved = self.tables.len();
-            let mut scored = Vec::with_capacity(self.tables.len());
-            for cand in self.tables.values() {
-                if cand.name == query.table.name() {
-                    continue; // the query itself, if it lives in the lake
-                }
-                stats.candidates_scored += 1;
-                let score = self.score_candidate(&q_cols, cand);
-                if score >= self.config.min_score && score > 0.0 {
-                    scored.push(Discovered {
-                        table: cand.name.clone(),
-                        score,
-                    });
-                }
-            }
-            return (top_k(scored, k), stats);
-        }
-
-        // Table-level header overlap |Q ∩ T| via the posting index. Query
-        // tokens resolve through `get` (never interned: the query is not
-        // part of the lake); unknown tokens occur in no table and drop out.
-        let q_ids: HashSet<u32> = q_cols
-            .iter()
-            .flat_map(|col| col.iter())
-            .filter_map(|tok| self.pool.get(tok))
-            .collect();
-        let mut overlap: HashMap<u32, usize> = HashMap::new();
-        for id in &q_ids {
-            if let Some(list) = self.header_postings.get(id) {
-                for &slot in list {
-                    *overlap.entry(slot).or_insert(0) += 1;
-                }
-            }
-        }
-
-        let col_bound = |j: usize, ov: usize| -> f64 {
-            let qn = q_cols[j].len();
-            if qn == 0 {
-                // jaccard(∅, ∅) == 1: an empty candidate header matches an
-                // empty query header perfectly, overlap or not.
-                1.0
-            } else {
-                (ov as f64 / qn as f64).min(1.0)
-            }
+        let report = Report {
+            k,
+            min_score: self.config.min_score,
+            exclude: query.table.name(),
         };
-        let bound_for = |ov: usize| -> f64 {
-            let total: f64 = (0..q_cols.len()).map(|j| col_bound(j, ov)).sum();
-            total / q_cols.len() as f64
-        };
-
-        let mut ranked: Vec<(u32, f64)> = overlap
-            .iter()
-            .map(|(&slot, &ov)| (slot, bound_for(ov)))
-            .collect();
-        // Zero-overlap candidates can still score — through empty-column
-        // jaccard — so they enter the ranking whenever their shared bound
-        // could clear the reporting filter (`score >= min_score &&
-        // score > 0`).
-        let base_bound = bound_for(0);
-        if base_bound > 0.0 && base_bound >= self.config.min_score {
-            for &slot in self.tables.keys() {
-                if !overlap.contains_key(&slot) {
-                    ranked.push((slot, base_bound));
-                }
-            }
-        }
-        // Best bound first; slot index breaks ties so the scored prefix is
-        // deterministic even when the cap cuts inside a tie group.
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        stats.candidates_retrieved = ranked.len();
-
-        let mut scored: Vec<Discovered> = Vec::new();
-        let mut kept: Vec<f64> = Vec::new();
-        for (pos, &(slot, bound)) in ranked.iter().enumerate() {
-            // Optimality bound: strictly `>` so bound ties with the k-th
-            // score are still scored and tie-breaks match the full scan
-            // exactly.
-            if let Some(kth) = kth_best(&kept, k) {
-                if kth > bound {
-                    stats.bound_pruned = ranked.len() - pos;
-                    break;
-                }
-            }
-            if stats.candidates_scored >= cap {
-                stats.cap_hit = true;
-                break;
-            }
-            let Some(cand) = self.tables.get(&slot) else {
-                continue;
+        let score = |cand: &TableMeta| self.score_candidate(&q_cols, cand);
+        let (hits, run) = if cap == usize::MAX {
+            score_all(self.tables.values(), report, score)
+        } else {
+            let bound = |ov: usize| {
+                let total: f64 = q_cols
+                    .iter()
+                    .map(|qc| {
+                        if qc.is_empty() {
+                            // jaccard(∅, ∅) == 1: an empty candidate header
+                            // matches an empty query header, overlap or not.
+                            1.0
+                        } else {
+                            (ov as f64 / qc.len() as f64).min(1.0)
+                        }
+                    })
+                    .sum();
+                total / q_cols.len() as f64
             };
-            if cand.name == query.table.name() {
-                continue; // the query itself, if it lives in the lake
-            }
-            stats.candidates_scored += 1;
-            let score = self.score_candidate(&q_cols, cand);
-            if score >= self.config.min_score && score > 0.0 {
-                push_topk(&mut kept, score, k);
-                scored.push(Discovered {
-                    table: cand.name.clone(),
-                    score,
-                });
-            }
-        }
-        (top_k(scored, k), stats)
+            let q_tokens = q_cols.iter().flatten().map(String::as_str);
+            let ranked = self.headers.ranked(q_tokens, self.config.min_score, bound);
+            bounded_top_k(&self.tables, ranked, cap, report, score)
+        };
+        let stats = MetadataStats {
+            candidates_retrieved: run.retrieved,
+            candidates_scored: run.scored,
+            bound_pruned: run.pruned,
+            cap_hit: run.cap_hit,
+            full_scan: cap == usize::MAX,
+        };
+        (hits, stats)
     }
+}
+
+/// Per-column header token sets of a table.
+fn header_tokens(table: &Table) -> Vec<HashSet<String>> {
+    table
+        .schema()
+        .columns()
+        .iter()
+        .map(|col| word_tokens(&col.name).into_iter().collect())
+        .collect()
 }
 
 impl Discovery for MetadataDiscovery {
@@ -537,8 +394,8 @@ mod tests {
 
         let fresh = MetadataDiscovery::build(&lake, MetadataConfig::default());
         assert_eq!(engine.len(), fresh.len());
-        let (pool_len, entries) = engine.header_posting_stats();
-        let (_, fresh_entries) = fresh.header_posting_stats();
+        let (pool_len, entries) = engine.headers.posting_stats();
+        let (_, fresh_entries) = fresh.headers.posting_stats();
         assert_eq!(entries, fresh_entries, "retired postings must be gone");
         assert!(pool_len < 3000, "the pool must have compacted");
         assert_eq!(

@@ -1,0 +1,450 @@
+//! Bounded retrieval for the slot-keyed legs (SANTOS typed and typeless,
+//! metadata): one kernel and one token posting index.
+//!
+//! * **The kernel.** [`bounded_top_k`] takes `(slot, bound)` candidates
+//!   whose bound is a sound ceiling on the exact score, scores them best
+//!   bound first (slot breaks ties) and stops at the candidate cap, or as
+//!   soon as the k-th kept score strictly beats every remaining bound.
+//!   Tables it never scores can therefore never enter the top-k, and a
+//!   bound that *ties* the k-th score is still scored, so name tie-breaks
+//!   match the exhaustive output: any finite cap covering the candidates
+//!   returns exactly what [`score_all`] — the exhaustive oracle path legs
+//!   run at `cap == usize::MAX` — returns.
+//! * **The posting index.** [`TokenPostings`] interns each table's
+//!   distinct tokens, keeps `token id → slots` postings, and counts the
+//!   table-level overlap `|Q ∩ T|` a leg turns into bounds.
+//!
+//! A leg keeps only what is its own: annotation, the bound formula and the
+//! score function.
+
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+use crate::pool::StringPool;
+use crate::types::{score_cmp, top_k, Discovered};
+
+/// Per-table state a slot-keyed leg scores. The kernel needs only its
+/// name: to skip the query's own table and to report hits.
+pub(crate) trait Named {
+    fn name(&self) -> &str;
+}
+
+/// The reporting rule both retrieval paths apply.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Report<'q> {
+    /// Hits returned, best first.
+    pub k: usize,
+    /// A score is kept only when `score >= min_score && score > 0`.
+    pub min_score: f64,
+    /// The query's own table, should it live in the lake: never scored,
+    /// counted or reported.
+    pub exclude: &'q str,
+}
+
+impl Report<'_> {
+    fn keeps(&self, score: f64) -> bool {
+        score >= self.min_score && score > 0.0
+    }
+}
+
+/// What one retrieval did; each leg copies it into its public stats.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Retrieval {
+    /// Candidates handed to the kernel.
+    pub retrieved: usize,
+    /// Candidates run through the exact score.
+    pub scored: usize,
+    /// Candidates left unscored because the k-th kept score strictly beat
+    /// their bound.
+    pub pruned: usize,
+    /// Retrieval stopped at the candidate cap.
+    pub cap_hit: bool,
+}
+
+/// Exhaustive retrieval: score every candidate, no ranking, no pruning.
+pub(crate) fn score_all<'t, T: Named + 't>(
+    candidates: impl IntoIterator<Item = &'t T>,
+    report: Report,
+    mut score: impl FnMut(&T) -> f64,
+) -> (Vec<Discovered>, Retrieval) {
+    let mut run = Retrieval::default();
+    let mut hits = Vec::new();
+    for cand in candidates {
+        run.retrieved += 1;
+        if cand.name() == report.exclude {
+            continue;
+        }
+        run.scored += 1;
+        let s = score(cand);
+        if report.keeps(s) {
+            hits.push(Discovered {
+                table: cand.name().to_string(),
+                score: s,
+            });
+        }
+    }
+    (top_k(hits, report.k), run)
+}
+
+/// Bounded retrieval: score `ranked` best bound first over `tables`,
+/// stopping after `cap` scored candidates or once the k-th kept score
+/// strictly beats every remaining bound. Every `bound` must be at least
+/// its table's `score`.
+pub(crate) fn bounded_top_k<T: Named>(
+    tables: &BTreeMap<u32, T>,
+    mut ranked: Vec<(u32, f64)>,
+    cap: usize,
+    report: Report,
+    mut score: impl FnMut(&T) -> f64,
+) -> (Vec<Discovered>, Retrieval) {
+    // Slot breaks bound ties so the scored prefix is deterministic even
+    // when the cap cuts inside a tie group.
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let mut run = Retrieval {
+        retrieved: ranked.len(),
+        ..Retrieval::default()
+    };
+    let mut hits = Vec::new();
+    // The best `k` kept scores, descending.
+    let mut kept: Vec<f64> = Vec::new();
+    for (pos, &(slot, bound)) in ranked.iter().enumerate() {
+        let kth = report.k.checked_sub(1).and_then(|i| kept.get(i));
+        if kth.is_some_and(|&kth| kth > bound) {
+            run.pruned = ranked.len() - pos;
+            break;
+        }
+        if run.scored >= cap {
+            run.cap_hit = true;
+            break;
+        }
+        let Some(cand) = tables.get(&slot) else {
+            continue;
+        };
+        if cand.name() == report.exclude {
+            continue;
+        }
+        run.scored += 1;
+        let s = score(cand);
+        if report.keeps(s) {
+            let at = kept.partition_point(|&x| score_cmp(x, s) == Ordering::Greater);
+            kept.insert(at, s);
+            kept.truncate(report.k);
+            hits.push(Discovered {
+                table: cand.name().to_string(),
+                score: s,
+            });
+        }
+    }
+    (top_k(hits, report.k), run)
+}
+
+/// Floor on the retired-token weight before a removal may compact the
+/// pool; keeps tiny lakes from compacting on every remove.
+const POOL_COMPACT_MIN: usize = 1024;
+
+/// A token → table-slot inverted index over one [`StringPool`]. Every
+/// indexed slot is known, even one with no tokens, so zero-overlap
+/// candidates can still be ranked. Removed tables' tokens are reclaimed
+/// once retired weight overtakes live weight (and [`POOL_COMPACT_MIN`]),
+/// the same overtake rule the joinable engine uses, so long-churn memory
+/// stays bounded.
+#[derive(Default)]
+pub(crate) struct TokenPostings {
+    pool: StringPool,
+    /// Token id → slots whose token set contains it.
+    postings: HashMap<u32, Vec<u32>>,
+    /// Slot → its distinct token ids: the posting entries removal retires.
+    ids_of: HashMap<u32, Vec<u32>>,
+    /// Σ distinct tokens over indexed slots.
+    live_weight: usize,
+    /// Token weight retired since the last compaction.
+    retired_weight: usize,
+}
+
+impl TokenPostings {
+    /// Index `slot`'s tokens (duplicates collapse). The slot must not be
+    /// indexed already: callers [`remove`](Self::remove) it first.
+    pub(crate) fn insert<'a>(&mut self, slot: u32, tokens: impl IntoIterator<Item = &'a str>) {
+        let ids: HashSet<u32> = tokens
+            .into_iter()
+            .map(|tok| self.pool.intern(tok))
+            .collect();
+        for &id in &ids {
+            self.postings.entry(id).or_default().push(slot);
+        }
+        self.live_weight += ids.len();
+        self.ids_of.insert(slot, ids.into_iter().collect());
+    }
+
+    /// Retire `slot`'s postings; a no-op for an unindexed slot.
+    pub(crate) fn remove(&mut self, slot: u32) {
+        let Some(ids) = self.ids_of.remove(&slot) else {
+            return;
+        };
+        for id in &ids {
+            if let Some(list) = self.postings.get_mut(id) {
+                if let Some(pos) = list.iter().position(|s| *s == slot) {
+                    list.swap_remove(pos);
+                }
+                if list.is_empty() {
+                    self.postings.remove(id);
+                }
+            }
+        }
+        self.live_weight -= ids.len();
+        self.retired_weight += ids.len();
+        if self.retired_weight > self.live_weight.max(POOL_COMPACT_MIN) {
+            self.compact();
+        }
+    }
+
+    /// Drop every token no slot references and rewrite all stored ids
+    /// through the pool's remap.
+    fn compact(&mut self) {
+        let live: HashSet<u32> = self.ids_of.values().flatten().copied().collect();
+        let remap = self.pool.compact(&live);
+        for ids in self.ids_of.values_mut() {
+            for id in ids {
+                *id = remap[*id as usize];
+            }
+        }
+        self.postings = std::mem::take(&mut self.postings)
+            .into_iter()
+            .map(|(id, list)| (remap[id as usize], list))
+            .collect();
+        self.retired_weight = 0;
+    }
+
+    /// Candidates for a query: every slot sharing a token with it, at
+    /// `bound(|Q ∩ T|)`, plus — when the zero-overlap bound could pass the
+    /// reporting filter (`> 0` and `>= min_score`) — every other indexed
+    /// slot at `bound(0)`. Below that filter a zero-overlap table's true
+    /// score fails it too, so leaving it out loses nothing. Query tokens
+    /// resolve through `get`, never interning: the query is not part of
+    /// the lake, and a token the pool never saw occurs in no table.
+    pub(crate) fn ranked<'a>(
+        &self,
+        query: impl IntoIterator<Item = &'a str>,
+        min_score: f64,
+        bound: impl Fn(usize) -> f64,
+    ) -> Vec<(u32, f64)> {
+        let q_ids: HashSet<u32> = query
+            .into_iter()
+            .filter_map(|tok| self.pool.get(tok))
+            .collect();
+        let mut overlap: HashMap<u32, usize> = HashMap::new();
+        for id in &q_ids {
+            if let Some(list) = self.postings.get(id) {
+                for &slot in list {
+                    *overlap.entry(slot).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut ranked: Vec<(u32, f64)> = overlap
+            .iter()
+            .map(|(&slot, &ov)| (slot, bound(ov)))
+            .collect();
+        let base = bound(0);
+        if base > 0.0 && base >= min_score {
+            for &slot in self.ids_of.keys() {
+                if !overlap.contains_key(&slot) {
+                    ranked.push((slot, base));
+                }
+            }
+        }
+        ranked
+    }
+
+    /// `(distinct interned tokens, total posting entries)`.
+    #[cfg(test)]
+    pub(crate) fn posting_stats(&self) -> (usize, usize) {
+        (self.pool.len(), self.postings.values().map(Vec::len).sum())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The kernel against brute force: the one place the strict-`>`
+    //! termination and the slot tie-break are tested directly. Scores and
+    //! bounds are multiples of 0.25 so score ties, bound ties and
+    //! bound == k-th score all occur.
+
+    use super::*;
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+
+    #[derive(Debug)]
+    struct Cand {
+        name: String,
+        score: f64,
+    }
+
+    impl Named for Cand {
+        fn name(&self) -> &str {
+            &self.name
+        }
+    }
+
+    /// A lake of `(slot, bound)`-ranked candidates plus what brute force
+    /// answers: the top `k` of every non-excluded candidate passing the
+    /// reporting rule.
+    struct Case {
+        tables: BTreeMap<u32, Cand>,
+        ranked: Vec<(u32, f64)>,
+        exclude: String,
+        min_score: f64,
+    }
+
+    impl Case {
+        fn new(cands: &[(u8, u8)], rot: usize, exclude: usize, min_score: u8) -> Case {
+            let mut tables = BTreeMap::new();
+            let mut ranked = Vec::new();
+            for (i, &(score, slack)) in cands.iter().enumerate() {
+                // Name order and slot order disagree, so the slot
+                // tie-break and the name tie-break are distinct rules.
+                let slot = (i * 7 + rot) as u32 % 24;
+                let score = f64::from(score) * 0.25;
+                let name = format!("t{i:02}");
+                tables.insert(slot, Cand { name, score });
+                ranked.push((slot, score + f64::from(slack) * 0.25));
+            }
+            Case {
+                tables,
+                ranked,
+                exclude: format!("t{exclude:02}"),
+                min_score: f64::from(min_score) * 0.25,
+            }
+        }
+
+        fn report(&self, k: usize) -> Report<'_> {
+            Report {
+                k,
+                min_score: self.min_score,
+                exclude: &self.exclude,
+            }
+        }
+
+        /// Candidates other than the query's own table.
+        fn eligible(&self) -> usize {
+            self.tables
+                .values()
+                .filter(|c| c.name != self.exclude)
+                .count()
+        }
+
+        fn brute_force(&self, k: usize) -> Vec<Discovered> {
+            let report = self.report(k);
+            let passing = self
+                .tables
+                .values()
+                .filter(|c| c.name != self.exclude && report.keeps(c.score))
+                .map(|c| Discovered {
+                    table: c.name.clone(),
+                    score: c.score,
+                })
+                .collect();
+            top_k(passing, k)
+        }
+
+        /// Run the kernel, recording every table it scores.
+        fn bounded(&self, k: usize, cap: usize) -> (Vec<Discovered>, Retrieval, Vec<String>) {
+            let seen = RefCell::new(Vec::new());
+            let (hits, run) = bounded_top_k(
+                &self.tables,
+                self.ranked.clone(),
+                cap,
+                self.report(k),
+                |c| {
+                    seen.borrow_mut().push(c.name.clone());
+                    c.score
+                },
+            );
+            (hits, run, seen.into_inner())
+        }
+    }
+
+    fn cands() -> impl Strategy<Value = Vec<(u8, u8)>> {
+        prop::collection::vec((0u8..6, 0u8..3), 0..24)
+    }
+
+    fn k_of(n: usize, pick: usize) -> usize {
+        if pick > n + 2 {
+            usize::MAX
+        } else {
+            pick
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A finite cap covering every candidate equals brute force byte
+        /// for byte, and so does the exhaustive `score_all`.
+        #[test]
+        fn covering_cap_equals_brute_force(
+            cands in cands(),
+            rot in 0usize..24,
+            exclude in 0usize..26,
+            min_score in 0u8..5,
+            pick in 0usize..28,
+            extra in 0usize..3,
+        ) {
+            let case = Case::new(&cands, rot, exclude, min_score);
+            let k = k_of(cands.len(), pick);
+            let truth = case.brute_force(k);
+            let (hits, run, _) = case.bounded(k, cands.len() + extra);
+            prop_assert_eq!(&hits, &truth);
+            prop_assert!(!run.cap_hit, "{:?}", run);
+            prop_assert_eq!(run.retrieved, cands.len());
+            let (all, all_run) = score_all(case.tables.values(), case.report(k), |c| c.score);
+            prop_assert_eq!(&all, &truth);
+            prop_assert_eq!(all_run.scored, case.eligible());
+        }
+
+        /// Any cap yields a sound subset at identical scores, never scores
+        /// more than `cap` candidates, raises `cap_hit` only when the cap
+        /// stopped the loop, never counts the excluded table, and equals
+        /// brute force whenever the cap did not bind.
+        #[test]
+        fn any_cap_is_a_sound_subset(
+            cands in cands(),
+            rot in 0usize..24,
+            exclude in 0usize..26,
+            min_score in 0u8..5,
+            pick in 0usize..28,
+            cap in 0usize..26,
+        ) {
+            let case = Case::new(&cands, rot, exclude, min_score);
+            let k = k_of(cands.len(), pick);
+            let truth = case.brute_force(k.max(cands.len()));
+            let (hits, run, seen) = case.bounded(k, cap);
+            for hit in &hits {
+                prop_assert!(truth.contains(hit), "{:?} not in {:?}", hit, truth);
+            }
+            prop_assert!(run.scored <= cap, "{:?}", run);
+            prop_assert_eq!(run.scored, seen.len());
+            prop_assert!(seen.iter().all(|name| *name != case.exclude));
+            if run.cap_hit {
+                prop_assert_eq!(run.scored, cap);
+                prop_assert!(run.scored < run.retrieved, "{:?}", run);
+                prop_assert_eq!(run.pruned, 0);
+            } else {
+                prop_assert_eq!(&hits, &case.brute_force(k));
+            }
+        }
+    }
+
+    #[test]
+    fn a_bound_tying_the_kth_score_is_still_scored() {
+        // Slot 0 ("t01") ranks first on the slot tie-break; "t00" ties it
+        // on both score and bound and wins on name, so pruning it at
+        // `bound == kth` would report the wrong table.
+        let case = Case::new(&[(2, 0), (2, 0)], 17, 99, 0);
+        assert_eq!(case.ranked, vec![(17, 0.5), (0, 0.5)]);
+        let (hits, run, seen) = case.bounded(1, 10);
+        assert_eq!(seen, ["t01", "t00"]);
+        assert_eq!(hits, case.brute_force(1));
+        assert_eq!(hits[0].table, "t00");
+        assert_eq!(run.pruned, 0);
+    }
+}

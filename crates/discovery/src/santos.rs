@@ -26,15 +26,9 @@ use dialite_kb::{Direction, KnowledgeBase, RelationId, TypeId};
 use dialite_table::{DataLake, Table};
 use dialite_text::jaccard;
 
-use crate::pool::StringPool;
+use crate::retrieval::{bounded_top_k, score_all, Named, Report, TokenPostings};
 use crate::shard::ShardScope;
-use crate::types::{score_cmp, top_k, Discovered, Discovery, TableQuery};
-
-/// Floor on the retired-token weight before table removal may trigger
-/// compaction of the synthesized-signal token pool; keeps tiny lakes from
-/// compacting on every remove. Shared with the metadata engine, which runs
-/// the same overtake rule over its header-token pool.
-pub(crate) const POOL_COMPACT_MIN: usize = 1024;
+use crate::types::{score_cmp, Discovered, Discovery, TableQuery};
 
 /// Configuration of the SANTOS-style engine.
 #[derive(Debug, Clone)]
@@ -83,12 +77,12 @@ struct TableSemantics {
     /// signal against *typed* query columns too, so the capped-retrieval
     /// upper bound must keep the `synth_weight` ceiling open for it.
     has_untyped_column: bool,
-    /// The table's distinct value tokens (union over columns) interned in
-    /// the engine's shared pool — the keys of its synthesized-signal
-    /// posting entries, kept so removal retires exactly those postings.
-    /// Empty until the engine indexes the semantics (query-side
-    /// annotations never intern).
-    token_ids: Vec<u32>,
+}
+
+impl Named for TableSemantics {
+    fn name(&self) -> &str {
+        &self.name
+    }
 }
 
 /// What one capped SANTOS query actually did — the observability half of
@@ -129,19 +123,10 @@ pub struct SantosDiscovery {
     tables: BTreeMap<u32, TableSemantics>,
     /// Inverted index: type → table slots exhibiting it on some column.
     by_type: HashMap<TypeId, HashSet<u32>>,
-    /// Token dictionary of the synthesized-signal postings (same
-    /// [`StringPool`] machinery the joinable engine interns through).
-    pool: StringPool,
-    /// Synthesized-signal inverted index: token id → table slots whose
-    /// value domain (union over columns) contains the token. Gives
-    /// typeless (KB-poor) queries best-bound-first retrieval where only
-    /// the full scan existed before.
-    token_postings: HashMap<u32, Vec<u32>>,
-    /// Σ distinct tokens over live tables (with multiplicity across
-    /// tables).
-    live_weight: usize,
-    /// Token weight retired since the last pool compaction.
-    retired_weight: usize,
+    /// Synthesized-signal inverted index: value token → table slots whose
+    /// value domain (union over columns) contains it. Gives typeless
+    /// (KB-poor) queries best-bound-first retrieval.
+    tokens: TokenPostings,
 }
 
 impl SantosDiscovery {
@@ -165,10 +150,7 @@ impl SantosDiscovery {
             config,
             tables: BTreeMap::new(),
             by_type: HashMap::new(),
-            pool: StringPool::new(),
-            token_postings: HashMap::new(),
-            live_weight: 0,
-            retired_weight: 0,
+            tokens: TokenPostings::default(),
         };
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
@@ -180,23 +162,13 @@ impl SantosDiscovery {
     /// `O(that table)`.
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
-        let mut sem = annotate_table(&self.kb, table, &self.config);
+        let sem = annotate_table(&self.kb, table, &self.config);
         for col in &sem.columns {
             for (t, _) in &col.types {
                 self.by_type.entry(*t).or_default().insert(slot);
             }
         }
-        let ids: HashSet<u32> = sem
-            .columns
-            .iter()
-            .flat_map(|col| col.tokens.iter())
-            .map(|tok| self.pool.intern(tok))
-            .collect();
-        for &id in &ids {
-            self.token_postings.entry(id).or_default().push(slot);
-        }
-        self.live_weight += ids.len();
-        sem.token_ids = ids.into_iter().collect();
+        self.tokens.insert(slot, value_tokens(&sem));
         self.tables.insert(slot, sem);
     }
 
@@ -215,55 +187,7 @@ impl SantosDiscovery {
                 }
             }
         }
-        for id in &sem.token_ids {
-            if let Some(list) = self.token_postings.get_mut(id) {
-                if let Some(pos) = list.iter().position(|s| *s == slot) {
-                    list.swap_remove(pos);
-                }
-                if list.is_empty() {
-                    self.token_postings.remove(id);
-                }
-            }
-        }
-        self.live_weight -= sem.token_ids.len();
-        self.retired_weight += sem.token_ids.len();
-        self.maybe_compact_pool();
-    }
-
-    /// Compact the synthesized-signal token pool once dead weight
-    /// overtakes live weight (and the [`POOL_COMPACT_MIN`] floor),
-    /// remapping every stored token id — the same overtake rule the
-    /// joinable engine uses, so long-churn memory stays bounded.
-    fn maybe_compact_pool(&mut self) {
-        if self.retired_weight <= self.live_weight.max(POOL_COMPACT_MIN) {
-            return;
-        }
-        let live: HashSet<u32> = self
-            .tables
-            .values()
-            .flat_map(|sem| sem.token_ids.iter().copied())
-            .collect();
-        let remap = self.pool.compact(&live);
-        for sem in self.tables.values_mut() {
-            for id in &mut sem.token_ids {
-                *id = remap[*id as usize];
-            }
-        }
-        self.token_postings = std::mem::take(&mut self.token_postings)
-            .into_iter()
-            .map(|(id, list)| (remap[id as usize], list))
-            .collect();
-        self.retired_weight = 0;
-    }
-
-    /// `(distinct interned tokens, total synthesized-signal posting
-    /// entries)` — the latter always equals the summed live per-table
-    /// token weights.
-    pub fn token_posting_stats(&self) -> (usize, usize) {
-        (
-            self.pool.len(),
-            self.token_postings.values().map(Vec::len).sum(),
-        )
+        self.tokens.remove(slot);
     }
 
     /// Number of indexed tables.
@@ -370,8 +294,15 @@ fn annotate_table(kb: &KnowledgeBase, table: &Table, config: &SantosConfig) -> T
         columns,
         pairs,
         has_untyped_column,
-        token_ids: Vec::new(),
     }
+}
+
+/// A table's distinct value tokens, union over columns — the keys of the
+/// synthesized-signal postings.
+fn value_tokens(sem: &TableSemantics) -> impl Iterator<Item = &str> {
+    sem.columns
+        .iter()
+        .flat_map(|col| col.tokens.iter().map(String::as_str))
 }
 
 /// Relationship of the ordered pair `(a, b)` normalized to "a plays subject".
@@ -399,18 +330,50 @@ impl Discovery for SantosDiscovery {
     }
 }
 
-/// The k-th best kept score once at least `k` candidates kept; `None`
-/// before that (no pruning is provable yet).
-pub(crate) fn kth_best(kept: &[f64], k: usize) -> Option<f64> {
-    (kept.len() >= k).then(|| kept[k - 1])
+/// The query-side half of the capped-retrieval bounds. `score_candidate`
+/// averages the intent column's similarity with, per other query column
+/// `j`, `(1 - edge_weight) * node + edge_weight * edge`; given a sound
+/// ceiling `ub(j)` on each column's best similarity, [`GraphBound::of`]
+/// mirrors that normalization exactly, with edge agreement at most the
+/// query's own pair confidence, so `bound >= score` always holds.
+struct GraphBound {
+    intent: usize,
+    node_w: f64,
+    edge_w: f64,
+    /// Per query column: its pair confidence with the intent column (0 for
+    /// the intent itself).
+    edge_conf: Vec<f64>,
 }
 
-/// Insert a score into a descending top-k window (kept sorted, length
-/// capped at `k`).
-pub(crate) fn push_topk(kept: &mut Vec<f64>, score: f64, k: usize) {
-    let pos = kept.partition_point(|s| score_cmp(*s, score) == std::cmp::Ordering::Greater);
-    kept.insert(pos, score);
-    kept.truncate(k);
+impl GraphBound {
+    fn new(config: &SantosConfig, q: &TableSemantics, intent: usize) -> GraphBound {
+        let edge_conf = (0..q.columns.len())
+            .map(|j| {
+                if j == intent {
+                    return 0.0;
+                }
+                pair_rel(q, intent, j).map(|(_, _, c)| c).unwrap_or(0.0)
+            })
+            .collect();
+        GraphBound {
+            intent,
+            node_w: (1.0 - config.edge_weight).max(0.0),
+            edge_w: config.edge_weight.max(0.0),
+            edge_conf,
+        }
+    }
+
+    fn of(&self, ub: impl Fn(usize) -> f64) -> f64 {
+        let qcols = self.edge_conf.len();
+        if qcols == 1 {
+            return ub(self.intent);
+        }
+        let rest: f64 = (0..qcols)
+            .filter(|&j| j != self.intent)
+            .map(|j| self.node_w * ub(j) + self.edge_w * self.edge_conf[j])
+            .sum();
+        (ub(self.intent) + rest) / qcols as f64
+    }
 }
 
 impl SantosDiscovery {
@@ -434,91 +397,76 @@ impl SantosDiscovery {
     /// Queries with no usable annotations (typeless, KB-poor) rank
     /// candidates by a synthesized-signal upper bound from the token →
     /// table posting index instead: under any finite `cap` they get the
-    /// same best-bound-first shape as typed queries, while
-    /// `cap == usize::MAX` keeps the exhaustive full scan as the typeless
-    /// oracle path (`full_scan` in the stats).
+    /// same best-bound-first shape as typed queries (`typeless_pruned` in
+    /// the stats), while `cap == usize::MAX` keeps the exhaustive full
+    /// scan as the typeless oracle path (`full_scan` in the stats), pinned
+    /// by `tests/cost_oracle.rs`.
     pub fn discover_capped(
         &self,
         query: &TableQuery,
         k: usize,
         cap: usize,
     ) -> (Vec<Discovered>, SantosStats) {
-        let mut stats = SantosStats::default();
         let q_sem = annotate_table(&self.kb, &query.table, &self.config);
         if q_sem.columns.is_empty() || k == 0 {
-            return (Vec::new(), stats);
+            return (Vec::new(), SantosStats::default());
         }
         let intent = query
             .effective_column()
             .min(q_sem.columns.len().saturating_sub(1));
-
-        let qcols = q_sem.columns.len();
-        let any_types = q_sem.columns.iter().any(|c| !c.types.is_empty());
-        if !any_types {
-            if cap == usize::MAX {
-                // Exhaustive typeless full scan — the oracle path the
-                // bounded typeless retrieval is measured against.
-                stats.full_scan = true;
-                stats.candidates_retrieved = self.tables.len();
-                let mut scored = Vec::with_capacity(self.tables.len());
-                for cand in self.tables.values() {
-                    if cand.name == query.table.name() {
-                        continue; // the query itself, if it lives in the lake
-                    }
-                    stats.candidates_scored += 1;
-                    let score = self.score_candidate(&q_sem, intent, cand);
-                    if score >= self.config.min_score && score > 0.0 {
-                        scored.push(Discovered {
-                            table: cand.name.clone(),
-                            score,
-                        });
-                    }
-                }
-                return (top_k(scored, k), stats);
+        let typeless = q_sem.columns.iter().all(|c| c.types.is_empty());
+        let report = Report {
+            k,
+            min_score: self.config.min_score,
+            exclude: query.table.name(),
+        };
+        let score = |cand: &TableSemantics| self.score_candidate(&q_sem, intent, cand);
+        let (hits, run) = if cap == usize::MAX {
+            if typeless {
+                score_all(self.tables.values(), report, score)
+            } else {
+                let candidates: HashSet<u32> = q_sem
+                    .columns
+                    .iter()
+                    .flat_map(|col| &col.types)
+                    .filter_map(|(t, _)| self.by_type.get(t))
+                    .flatten()
+                    .copied()
+                    .collect();
+                let tables = candidates.iter().filter_map(|slot| self.tables.get(slot));
+                score_all(tables, report, score)
             }
-            return self.discover_typeless_capped(query, &q_sem, intent, k, cap, stats);
-        }
+        } else {
+            let ranked = if typeless {
+                self.typeless_ranked(&q_sem, intent)
+            } else {
+                self.typed_ranked(&q_sem, intent)
+            };
+            bounded_top_k(&self.tables, ranked, cap, report, score)
+        };
+        let pruned = |on: bool| if on { run.pruned } else { 0 };
+        let stats = SantosStats {
+            candidates_retrieved: run.retrieved,
+            candidates_scored: run.scored,
+            bound_pruned: pruned(!typeless),
+            cap_hit: run.cap_hit,
+            full_scan: typeless && cap == usize::MAX,
+            typeless_pruned: pruned(typeless),
+        };
+        (hits, stats)
+    }
 
-        if cap == usize::MAX {
-            // Exhaustive oracle path: retrieve candidate slots only (no
-            // per-candidate bound rows — the trait `discover` path stays
-            // allocation-light) and score every one of them, exactly the
-            // pre-cap engine. Iteration order is irrelevant to the output
-            // (top_k sorts fully).
-            let mut candidates: HashSet<u32> = HashSet::new();
-            for col in &q_sem.columns {
-                for (t, _) in &col.types {
-                    if let Some(set) = self.by_type.get(t) {
-                        candidates.extend(set.iter().copied());
-                    }
-                }
-            }
-            stats.candidates_retrieved = candidates.len();
-            let mut scored = Vec::with_capacity(candidates.len());
-            for slot in candidates {
-                let Some(cand) = self.tables.get(&slot) else {
-                    continue;
-                };
-                if cand.name == query.table.name() {
-                    continue; // the query itself, if it lives in the lake
-                }
-                stats.candidates_scored += 1;
-                let score = self.score_candidate(&q_sem, intent, cand);
-                if score >= self.config.min_score && score > 0.0 {
-                    scored.push(Discovered {
-                        table: cand.name.clone(),
-                        score,
-                    });
-                }
-            }
-            return (top_k(scored, k), stats);
-        }
-
-        // Finite cap: retrieval remembers per (query column, candidate)
-        // the best confidence of a shared type — the raw material of the
-        // bound.
+    /// Type-index candidates with their type-overlap bound. Per query
+    /// column `j` the best candidate-column similarity is at most the best
+    /// shared-type confidence; the synthesized fallback (≤ synth_weight)
+    /// stays reachable when the query column is untyped or the candidate
+    /// has an untyped column.
+    fn typed_ranked(&self, q: &TableSemantics, intent: usize) -> Vec<(u32, f64)> {
+        let qcols = q.columns.len();
+        // Per (candidate, query column): the best confidence of a shared
+        // type.
         let mut type_bounds: HashMap<u32, Vec<f64>> = HashMap::new();
-        for (j, col) in q_sem.columns.iter().enumerate() {
+        for (j, col) in q.columns.iter().enumerate() {
             for (t, qconf) in &col.types {
                 if let Some(set) = self.by_type.get(t) {
                     for &slot in set {
@@ -530,227 +478,47 @@ impl SantosDiscovery {
                 }
             }
         }
-
-        // Upper-bound each candidate's achievable score. Per query column
-        // `j` the best candidate-column similarity is at most the best
-        // shared-type confidence; the synthesized fallback (≤ synth_weight)
-        // stays reachable when the query column is untyped or the
-        // candidate has an untyped column. Edge agreement is at most the
-        // query's own pair confidence. Mirrors `score_candidate`'s
-        // normalization exactly, so `bound >= score` always holds.
         let synth = self.config.synth_weight.max(0.0);
-        let edge_w = self.config.edge_weight.max(0.0);
-        let node_w = (1.0 - self.config.edge_weight).max(0.0);
-        let edge_conf: Vec<f64> = (0..qcols)
-            .map(|j| {
-                if j == intent {
-                    return 0.0;
-                }
-                pair_rel(&q_sem, intent, j)
-                    .map(|(_, _, c)| c)
-                    .unwrap_or(0.0)
-            })
-            .collect();
-        let mut ranked: Vec<(u32, f64)> = type_bounds
+        let bound = GraphBound::new(&self.config, q, intent);
+        type_bounds
             .into_iter()
             .filter_map(|(slot, per_col)| {
                 let cand = self.tables.get(&slot)?;
-                let ub = |j: usize| {
-                    if q_sem.columns[j].types.is_empty() || cand.has_untyped_column {
+                let b = bound.of(|j| {
+                    if q.columns[j].types.is_empty() || cand.has_untyped_column {
                         per_col[j].max(synth)
                     } else {
                         per_col[j]
                     }
-                };
-                let bound = if qcols == 1 {
-                    ub(intent)
-                } else {
-                    let rest: f64 = (0..qcols)
-                        .filter(|&j| j != intent)
-                        .map(|j| node_w * ub(j) + edge_w * edge_conf[j])
-                        .sum();
-                    (ub(intent) + rest) / qcols as f64
-                };
-                Some((slot, bound))
-            })
-            .collect();
-        // Best bound first; slot index breaks ties so the scored prefix is
-        // deterministic even when the cap cuts inside a tie group.
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        stats.candidates_retrieved = ranked.len();
-
-        let mut scored: Vec<Discovered> = Vec::new();
-        let mut kept: Vec<f64> = Vec::new();
-        for (pos, &(slot, bound)) in ranked.iter().enumerate() {
-            // Optimality bound: strictly `>` so bound ties with the k-th
-            // score are still scored and tie-breaks match the uncapped
-            // output exactly.
-            if let Some(kth) = kth_best(&kept, k) {
-                if kth > bound {
-                    stats.bound_pruned = ranked.len() - pos;
-                    break;
-                }
-            }
-            if stats.candidates_scored >= cap {
-                stats.cap_hit = true;
-                break;
-            }
-            let Some(cand) = self.tables.get(&slot) else {
-                continue;
-            };
-            if cand.name == query.table.name() {
-                continue; // the query itself, if it lives in the lake
-            }
-            stats.candidates_scored += 1;
-            let score = self.score_candidate(&q_sem, intent, cand);
-            if score >= self.config.min_score && score > 0.0 {
-                push_topk(&mut kept, score, k);
-                scored.push(Discovered {
-                    table: cand.name.clone(),
-                    score,
                 });
-            }
-        }
-        (top_k(scored, k), stats)
+                Some((slot, b))
+            })
+            .collect()
     }
 
-    /// Bounded retrieval for typeless queries: candidates are ranked by a
-    /// synthesized-signal upper bound computed from the token → table
-    /// posting index and scored best-bound-first, stopping at the cap or
-    /// when the k-th best kept score provably (strictly) beats every
-    /// remaining bound.
-    ///
-    /// The bound mirrors `score_candidate`'s normalization with each
-    /// column similarity replaced by its ceiling: a typeless query column
-    /// always scores through `synth_weight * jaccard`, and
-    /// `jaccard(Qj, C) <= min(1, |Q ∩ T| / |Qj|)` where `|Q ∩ T|` is the
-    /// table-level token overlap the postings count (an empty query
-    /// column can reach `jaccard == 1` against an empty candidate column,
-    /// so its ceiling stays the full `synth_weight`). Edge agreement is at
-    /// most the query's own pair confidence. Candidates the postings never
-    /// saw share the zero-overlap bound and are ranked only when that
-    /// bound could clear the reporting filter at all — otherwise their
-    /// true score fails the same filter. Any finite `cap >= lake size`
-    /// therefore equals the full-scan oracle exactly (order and
-    /// tie-breaks included), pinned by `tests/cost_oracle.rs`.
-    fn discover_typeless_capped(
-        &self,
-        query: &TableQuery,
-        q_sem: &TableSemantics,
-        intent: usize,
-        k: usize,
-        cap: usize,
-        mut stats: SantosStats,
-    ) -> (Vec<Discovered>, SantosStats) {
-        let qcols = q_sem.columns.len();
+    /// Token-posting candidates with their synthesized-signal bound. A
+    /// typeless query column always scores through
+    /// `synth_weight * jaccard`, and `jaccard(Qj, C) <= min(1, |Q ∩ T| /
+    /// |Qj|)` where `|Q ∩ T|` is the table-level token overlap the
+    /// postings count; an empty query column can reach `jaccard == 1`
+    /// against an empty candidate column, so its ceiling stays the full
+    /// `synth_weight`. Zero-overlap candidates can still score — through
+    /// pair-edge agreement or empty-column jaccard — so they are ranked at
+    /// the zero-overlap bound whenever it could pass the reporting filter.
+    fn typeless_ranked(&self, q: &TableSemantics, intent: usize) -> Vec<(u32, f64)> {
         let synth = self.config.synth_weight.max(0.0);
-        let edge_w = self.config.edge_weight.max(0.0);
-        let node_w = (1.0 - self.config.edge_weight).max(0.0);
-        let edge_conf: Vec<f64> = (0..qcols)
-            .map(|j| {
-                if j == intent {
-                    return 0.0;
-                }
-                pair_rel(q_sem, intent, j).map(|(_, _, c)| c).unwrap_or(0.0)
+        let bound = GraphBound::new(&self.config, q, intent);
+        self.tokens
+            .ranked(value_tokens(q), self.config.min_score, |ov| {
+                bound.of(|j| {
+                    let qn = q.columns[j].tokens.len();
+                    if qn == 0 {
+                        synth
+                    } else {
+                        synth * (ov as f64 / qn as f64).min(1.0)
+                    }
+                })
             })
-            .collect();
-
-        // Table-level token overlap |Q ∩ T| via the posting index. Query
-        // tokens resolve through `get` (never interned: the query is not
-        // part of the lake); unknown tokens occur in no table and drop out.
-        let q_ids: HashSet<u32> = q_sem
-            .columns
-            .iter()
-            .flat_map(|col| col.tokens.iter())
-            .filter_map(|tok| self.pool.get(tok))
-            .collect();
-        let mut overlap: HashMap<u32, usize> = HashMap::new();
-        for id in &q_ids {
-            if let Some(list) = self.token_postings.get(id) {
-                for &slot in list {
-                    *overlap.entry(slot).or_insert(0) += 1;
-                }
-            }
-        }
-
-        let col_bound = |j: usize, ov: usize| -> f64 {
-            let qn = q_sem.columns[j].tokens.len();
-            if qn == 0 {
-                // jaccard(∅, ∅) == 1: an empty candidate column matches an
-                // empty query column perfectly, overlap or not.
-                synth
-            } else {
-                synth * (ov as f64 / qn as f64).min(1.0)
-            }
-        };
-        let bound_for = |ov: usize| -> f64 {
-            if qcols == 1 {
-                col_bound(intent, ov)
-            } else {
-                let rest: f64 = (0..qcols)
-                    .filter(|&j| j != intent)
-                    .map(|j| node_w * col_bound(j, ov) + edge_w * edge_conf[j])
-                    .sum();
-                (col_bound(intent, ov) + rest) / qcols as f64
-            }
-        };
-
-        let mut ranked: Vec<(u32, f64)> = overlap
-            .iter()
-            .map(|(&slot, &ov)| (slot, bound_for(ov)))
-            .collect();
-        // Zero-overlap candidates can still score — through pair-edge
-        // agreement, or empty-column jaccard — so they enter the ranking
-        // whenever their shared bound could clear the reporting filter
-        // (`score >= min_score && score > 0`). Below it, their true score
-        // fails the same filter and they are exactly the candidates the
-        // full scan would drop too.
-        let base_bound = bound_for(0);
-        if base_bound > 0.0 && base_bound >= self.config.min_score {
-            for &slot in self.tables.keys() {
-                if !overlap.contains_key(&slot) {
-                    ranked.push((slot, base_bound));
-                }
-            }
-        }
-        // Best bound first; slot index breaks ties so the scored prefix is
-        // deterministic even when the cap cuts inside a tie group.
-        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        stats.candidates_retrieved = ranked.len();
-
-        let mut scored: Vec<Discovered> = Vec::new();
-        let mut kept: Vec<f64> = Vec::new();
-        for (pos, &(slot, bound)) in ranked.iter().enumerate() {
-            // Optimality bound: strictly `>` so bound ties with the k-th
-            // score are still scored and tie-breaks match the full scan
-            // exactly.
-            if let Some(kth) = kth_best(&kept, k) {
-                if kth > bound {
-                    stats.typeless_pruned = ranked.len() - pos;
-                    break;
-                }
-            }
-            if stats.candidates_scored >= cap {
-                stats.cap_hit = true;
-                break;
-            }
-            let Some(cand) = self.tables.get(&slot) else {
-                continue;
-            };
-            if cand.name == query.table.name() {
-                continue; // the query itself, if it lives in the lake
-            }
-            stats.candidates_scored += 1;
-            let score = self.score_candidate(q_sem, intent, cand);
-            if score >= self.config.min_score && score > 0.0 {
-                push_topk(&mut kept, score, k);
-                scored.push(Discovered {
-                    table: cand.name.clone(),
-                    score,
-                });
-            }
-        }
-        (top_k(scored, k), stats)
     }
 
     fn score_candidate(&self, q: &TableSemantics, intent: usize, cand: &TableSemantics) -> f64 {
@@ -1087,7 +855,7 @@ mod tests {
         let mut lake = typeless_lake(3);
         let kb = Arc::new(covid_kb());
         let mut engine = SantosDiscovery::build(&lake, kb.clone(), SantosConfig::default());
-        let (_, entries) = engine.token_posting_stats();
+        let (_, entries) = engine.tokens.posting_stats();
         let live: usize = 3 + (1 + 2 + 3) + 3 * 3; // fillers + shared + noise
         assert_eq!(entries, live);
 
@@ -1103,7 +871,7 @@ mod tests {
         lake.remove_table("big").unwrap();
         engine.remove_table(slot);
 
-        let (pool_len, entries) = engine.token_posting_stats();
+        let (pool_len, entries) = engine.tokens.posting_stats();
         assert_eq!(entries, live, "retired postings must be gone");
         assert!(
             pool_len < 5000,
