@@ -523,15 +523,11 @@ impl Discovery for LshEnsembleDiscovery {
                 .0
         } else {
             let sig = self.hasher.signature(q_tokens.iter().map(String::as_str));
-            let mut cands: HashSet<DomainKey> = self
+            // The candidates include every domain staged since the last
+            // rebalance, so fresh churn is never an LSH false negative.
+            let cands = self
                 .ensemble
-                .query(&sig, q_tokens.len(), self.config.threshold)
-                .into_iter()
-                .collect();
-            // Domains staged since the last rebalance sit in best-effort
-            // partitions; scan them exactly so fresh churn is never an LSH
-            // false negative.
-            cands.extend(self.ensemble.staged_keys().copied());
+                .query(&sig, q_tokens.len(), self.config.threshold);
             let mut best = HashMap::new();
             self.verify_candidates(cands, &q_ids, q_tokens.len(), query.table.name(), &mut best);
             best

@@ -3,14 +3,19 @@
 //!
 //! Domains (column value sets) are partitioned by set size (equi-depth).
 //! Each partition materializes banding tables for every power-of-two row
-//! count `r ≤ num_perm`. A containment query converts its threshold into a
-//! per-partition Jaccard threshold using the partition's upper size bound,
-//! picks the (near-)optimal `(b, r)` for that threshold among the
-//! materialized `r` values, and probes `b` bands.
+//! count `r ≤ num_perm`, built once: each band is one array of
+//! `(band hash, domain)` pairs sorted by hash, probed by binary search. A
+//! containment query converts its threshold into a per-partition Jaccard
+//! threshold using the partition's upper size bound, picks the
+//! (near-)optimal `(b, r)` for that threshold among the materialized `r`
+//! values — searched once per distinct threshold and memoised — and
+//! probes `b` bands.
 //!
 //! **Mutation.** The built index supports churn without O(lake) rebuilds:
-//! [`LshEnsemble::insert`] stages a new domain into the best-fitting
-//! existing partition (stretching its size bound when needed), and
+//! [`LshEnsemble::insert`] stages a new domain without banding it: the
+//! best-fitting existing partition stretches its bound, and the domain is
+//! verified via [`LshEnsemble::staged_keys`] (and returned by every
+//! [`LshEnsemble::query`]) until the next rebalance bands it.
 //! [`LshEnsemble::remove`] tombstones a key — dead postings stay in the
 //! banding tables but are filtered out of query results. Both operations
 //! are `O(changed domain)`. Because staged inserts and stretched bounds
@@ -28,8 +33,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-
-use dialite_text::fnv1a64;
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::hasher::{MinHasher, Signature};
 use crate::params::{containment_to_jaccard, optimal_params_restricted};
@@ -38,98 +44,108 @@ use crate::params::{containment_to_jaccard, optimal_params_restricted};
 /// tombstoned) before a mutation triggers re-partitioning.
 pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 0.25;
 
+/// 64-bit FNV-1a over the little-endian bytes of `r`, `band_idx` and the
+/// band's signature slots, streamed so that hashing allocates nothing. The
+/// bytes — and so the hashes — are those of `fnv1a64` over the
+/// concatenation (pinned by a test).
 fn band_hash(r: usize, band_idx: usize, slots: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(16 + slots.len() * 8);
-    bytes.extend_from_slice(&(r as u64).to_le_bytes());
-    bytes.extend_from_slice(&(band_idx as u64).to_le_bytes());
-    for s in slots {
-        bytes.extend_from_slice(&s.to_le_bytes());
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    for word in [r as u64, band_idx as u64].iter().chain(slots) {
+        for byte in word.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
+        }
     }
-    fnv1a64(&bytes)
+    h
 }
 
-struct REntry {
-    r: usize,
-    /// `num_perm / r` hash tables, one per band.
-    tables: Vec<HashMap<u64, Vec<u32>>>,
-}
-
+/// One size partition. Its banding tables are built once, when the
+/// partition is: with `n = keys.len()`, band `g` of the partition's
+/// flattened bands (row counts ascending, bands in order within a row
+/// count) is `hashes[g·n .. (g+1)·n]`, sorted ascending, with `ids` the
+/// parallel indices into `keys` — every key has exactly one entry per band.
 struct Partition<K> {
     /// Maximum domain size in this partition (the `u` of the containment →
     /// Jaccard conversion).
     upper: usize,
     lower: usize,
     keys: Vec<K>,
-    r_entries: Vec<REntry>,
+    hashes: Vec<u64>,
+    ids: Vec<u32>,
 }
 
 impl<K: Clone + Eq + Hash> Partition<K> {
-    fn empty(lower: usize, upper: usize, num_perm: usize, rs: &[usize]) -> Partition<K> {
-        Partition {
-            upper,
-            lower,
-            keys: Vec::new(),
-            r_entries: rs
-                .iter()
-                .map(|&r| REntry {
-                    r,
-                    tables: vec![HashMap::new(); num_perm / r],
-                })
-                .collect(),
-        }
-    }
-
-    fn insert(&mut self, key: K, sig: &Signature) {
-        let id = self.keys.len() as u32;
-        self.keys.push(key);
-        for re in &mut self.r_entries {
-            for (band, table) in re.tables.iter_mut().enumerate() {
-                let lo = band * re.r;
-                let h = band_hash(re.r, band, &sig.0[lo..lo + re.r]);
-                table.entry(h).or_default().push(id);
+    /// Band a `(size, key)`-sorted chunk: one sort per band.
+    fn build(chunk: &[(&K, usize, &Signature)], num_perm: usize, rs: &[usize]) -> Partition<K> {
+        let n = chunk.len();
+        let bands: usize = rs.iter().map(|&r| num_perm / r).sum();
+        let mut hashes = Vec::with_capacity(bands * n);
+        let mut ids = Vec::with_capacity(bands * n);
+        let mut band_entries: Vec<(u64, u32)> = Vec::with_capacity(n);
+        for &r in rs {
+            for band in 0..num_perm / r {
+                let lo = band * r;
+                band_entries.clear();
+                band_entries.extend(
+                    chunk
+                        .iter()
+                        .zip(0u32..)
+                        .map(|((_, _, sig), id)| (band_hash(r, band, &sig.0[lo..lo + r]), id)),
+                );
+                band_entries.sort_unstable();
+                hashes.extend(band_entries.iter().map(|&(h, _)| h));
+                ids.extend(band_entries.iter().map(|&(_, id)| id));
             }
         }
+        Partition {
+            lower: chunk.first().map_or(0, |e| e.1),
+            upper: chunk.last().map_or(0, |e| e.1),
+            keys: chunk.iter().map(|e| e.0.clone()).collect(),
+            hashes,
+            ids,
+        }
     }
 
-    fn query(&self, sig: &Signature, b: usize, r: usize, hits: &mut HashSet<K>) {
-        let Some(re) = self.r_entries.iter().find(|re| re.r == r) else {
-            return;
-        };
-        for band in 0..b.min(re.tables.len()) {
+    /// Probe `b` bands of row count `r`, whose first band is flattened band
+    /// `first_band`: per band, a binary search plus an equal-range scan.
+    fn query(&self, sig: &Signature, b: usize, r: usize, first_band: usize, hits: &mut HashSet<K>) {
+        let n = self.keys.len();
+        for band in 0..b {
             let lo = band * r;
             let h = band_hash(r, band, &sig.0[lo..lo + r]);
-            if let Some(ids) = re.tables[band].get(&h) {
-                hits.extend(ids.iter().map(|&id| self.keys[id as usize].clone()));
-            }
+            let start = (first_band + band) * n;
+            let band_hashes = &self.hashes[start..start + n];
+            let from = band_hashes.partition_point(|&x| x < h);
+            let to = from + band_hashes[from..].partition_point(|&x| x == h);
+            hits.extend(
+                self.ids[start + from..start + to]
+                    .iter()
+                    .map(|&id| self.keys[id as usize].clone()),
+            );
         }
     }
 }
 
-/// Equi-depth partitioning over `(key, size, signature)` entries sorted by
-/// `(size, key)` — shared by the builder and by incremental rebalances so
-/// both produce the identical canonical layout.
-fn partition_entries<K: Clone + Eq + Hash>(
-    entries: &[(K, usize, Signature)],
+/// Equi-depth partitioning over `(key, size, signature)` entries, sorted
+/// here by `(size, key)` — shared by the builder and by incremental
+/// rebalances so both produce the identical canonical layout.
+fn partition_entries<'a, K: Clone + Eq + Hash + Ord + 'a>(
+    entries: impl Iterator<Item = (&'a K, usize, &'a Signature)>,
     num_partitions: usize,
     num_perm: usize,
     rs: &[usize],
 ) -> Vec<Partition<K>> {
-    let n = entries.len();
-    let mut partitions = Vec::new();
-    if n > 0 {
-        let per = n.div_ceil(num_partitions.max(1));
-        for chunk in entries.chunks(per) {
-            let lower = chunk.first().map(|e| e.1).unwrap_or(0);
-            let upper = chunk.last().map(|e| e.1).unwrap_or(0);
-            let mut p = Partition::empty(lower, upper, num_perm, rs);
-            p.keys.reserve(chunk.len());
-            for (key, _, sig) in chunk {
-                p.insert(key.clone(), sig);
-            }
-            partitions.push(p);
-        }
+    let mut sorted: Vec<(&K, usize, &Signature)> = entries.collect();
+    sorted.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(b.0)));
+    if sorted.is_empty() {
+        return Vec::new();
     }
-    partitions
+    let per = sorted.len().div_ceil(num_partitions.max(1));
+    sorted
+        .chunks(per)
+        .map(|chunk| Partition::build(chunk, num_perm, rs))
+        .collect()
 }
 
 /// Accumulates domains before partitioning. `K` is the domain key type.
@@ -179,14 +195,17 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
     }
 
     /// Partition (equi-depth by size) and build the banding tables.
-    pub fn build(mut self, num_partitions: usize) -> LshEnsemble<K> {
+    pub fn build(self, num_partitions: usize) -> LshEnsemble<K> {
         let num_partitions = num_partitions.max(1);
-        self.entries
-            .sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
         let rs: Vec<usize> = std::iter::successors(Some(1usize), |r| Some(r * 2))
             .take_while(|&r| r <= self.num_perm)
             .collect();
-        let partitions = partition_entries(&self.entries, num_partitions, self.num_perm, &rs);
+        let partitions = partition_entries(
+            self.entries.iter().map(|(k, size, sig)| (k, *size, sig)),
+            num_partitions,
+            self.num_perm,
+            &rs,
+        );
         LshEnsemble {
             num_perm: self.num_perm,
             allowed_r: rs,
@@ -200,6 +219,9 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
             staged: HashSet::new(),
             tombstones: HashSet::new(),
             rebalance_threshold: DEFAULT_REBALANCE_THRESHOLD,
+            banding: Mutex::new(HashMap::new()),
+            #[cfg(test)]
+            banding_searches: AtomicUsize::new(0),
         }
     }
 }
@@ -216,15 +238,24 @@ pub struct LshEnsemble<K = String> {
     /// Live domains: `key → (size, signature)`. Retained so a rebalance can
     /// re-partition without the caller replaying anything.
     entries: HashMap<K, (usize, Signature)>,
-    /// Keys inserted since the last (re)build. Their partition placement is
-    /// best-effort, so recall-critical callers should verify them exactly —
-    /// [`LshEnsemble::staged_keys`] exposes the set.
+    /// Keys inserted since the last (re)build. They are not banded: every
+    /// [`LshEnsemble::query`] returns them, and recall-critical callers
+    /// verify them exactly — [`LshEnsemble::staged_keys`] exposes the set.
     staged: HashSet<K>,
     /// Keys removed since the last (re)build whose postings still sit in
     /// the banding tables; filtered out of every query result.
     tombstones: HashSet<K>,
     /// Dirtiness fraction that triggers re-partitioning.
     rebalance_threshold: f64,
+    /// The chosen `(b, r)` per converted Jaccard threshold, keyed on its
+    /// bits. `num_perm` and `allowed_r` are fixed per ensemble, so the
+    /// threshold alone decides `(b, r)` and a memoised answer is exact.
+    /// Cleared by [`LshEnsemble::rebalance`], which bounds it by the
+    /// distinct (query size, partition bound) pairs probed since.
+    banding: Mutex<HashMap<u64, (usize, usize)>>,
+    /// Parameter searches run (memo misses), for tests.
+    #[cfg(test)]
+    banding_searches: AtomicUsize,
 }
 
 /// One partition's entry in a query's probe schedule: which partition to
@@ -252,12 +283,19 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     /// Candidate keys whose domains likely contain at least `threshold` of
     /// the query set. Candidates are *probabilistic* — callers verify exact
     /// containment against the real token sets (the discovery layer does).
+    /// Every staged key is a candidate.
     pub fn query(&self, sig: &Signature, query_size: usize, threshold: f64) -> Vec<K> {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
         let mut hits = HashSet::new();
         for idx in 0..self.partitions.len() {
             self.probe_partition_into(idx, sig, query_size, threshold, &mut hits);
         }
+        hits.extend(self.staged.iter().cloned());
+        self.live_sorted(hits)
+    }
+
+    /// Drop tombstoned keys and sort, for deterministic output.
+    fn live_sorted(&self, mut hits: HashSet<K>) -> Vec<K> {
         if !self.tombstones.is_empty() {
             hits.retain(|k| !self.tombstones.contains(k));
         }
@@ -274,8 +312,9 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     /// Probing in this order lets a top-k scheduler stop as soon as its
     /// k-th best *verified* score is provably unbeatable by any unprobed
     /// partition — the candidate-cap lever that turns a probe-all scan into
-    /// a budgeted search. Probing all scheduled partitions (and filtering
-    /// tombstones) is exactly equivalent to [`LshEnsemble::query`].
+    /// a budgeted search. The candidates of all scheduled partitions
+    /// ([`LshEnsemble::query_partition`]) together with
+    /// [`LshEnsemble::staged_keys`] are exactly [`LshEnsemble::query`]'s.
     pub fn probe_plan(&self, query_size: usize) -> Vec<PartitionProbe> {
         let q = query_size.max(1) as f64;
         let mut plan: Vec<PartitionProbe> = self
@@ -297,10 +336,11 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     }
 
     /// Probe a single partition (by [`PartitionProbe::partition`] index)
-    /// and return its candidate keys, tombstone-filtered and sorted for
-    /// determinism. The `(b, r)` banding parameters are chosen exactly as
-    /// [`LshEnsemble::query`] chooses them for this partition, so the union
-    /// of all partitions' candidates equals the probe-all result.
+    /// and return its banded candidate keys, tombstone-filtered and sorted
+    /// for determinism. The `(b, r)` banding parameters are chosen exactly
+    /// as [`LshEnsemble::query`] chooses them for this partition. Staged
+    /// keys are not banded, so the union of all partitions' candidates and
+    /// [`LshEnsemble::staged_keys`] equals the probe-all result.
     pub fn query_partition(
         &self,
         partition: usize,
@@ -311,12 +351,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
         let mut hits = HashSet::new();
         self.probe_partition_into(partition, sig, query_size, threshold, &mut hits);
-        if !self.tombstones.is_empty() {
-            hits.retain(|k| !self.tombstones.contains(k));
-        }
-        let mut out: Vec<K> = hits.into_iter().collect();
-        out.sort();
-        out
+        self.live_sorted(hits)
     }
 
     /// Shared per-partition probe: threshold → per-partition Jaccard via
@@ -333,25 +368,50 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
             return;
         };
         let j = containment_to_jaccard(threshold, query_size, p.upper);
-        let (b, r) = optimal_params_restricted(j, self.num_perm, &self.allowed_r);
-        p.query(sig, b, r, hits);
+        let (b, r) = self.banding_for(j);
+        // Bands are flattened by ascending `r`: skip the smaller row counts'.
+        let Some(pos) = self.allowed_r.iter().position(|&x| x == r) else {
+            return;
+        };
+        let first_band = self.allowed_r[..pos]
+            .iter()
+            .map(|&x| self.num_perm / x)
+            .sum();
+        p.query(sig, b.min(self.num_perm / r), r, first_band, hits);
     }
 
-    /// Insert (or replace) a domain in the live index. The entry lands in
-    /// the best-fitting existing partition — stretching that partition's
-    /// size bounds when the size falls outside every bound — and is marked
-    /// *staged* until the next rebalance. `O(1)` partitions touched.
+    /// The `(b, r)` for converted Jaccard threshold `j`: searched on the
+    /// first probe at `j`, memoised after. The memo only ever holds
+    /// finished answers, so a poisoned lock still guards valid data.
+    fn banding_for(&self, j: f64) -> (usize, usize) {
+        let memo = || self.banding.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&br) = memo().get(&j.to_bits()) {
+            return br;
+        }
+        #[cfg(test)]
+        self.banding_searches.fetch_add(1, Ordering::Relaxed);
+        // Searched outside the lock: concurrent probes must not queue
+        // behind it.
+        let br = optimal_params_restricted(j, self.num_perm, &self.allowed_r);
+        memo().insert(j.to_bits(), br);
+        br
+    }
+
+    /// Insert (or replace) a domain in the live index. The domain is marked
+    /// *staged* and is not banded until the next rebalance; the
+    /// best-fitting existing partition stretches its size bounds when the
+    /// size falls outside every bound. `O(1)` partitions touched.
     pub fn insert(&mut self, key: K, size: usize, sig: Signature) {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
         if self.entries.contains_key(&key) {
             self.remove(&key);
         }
-        self.entries.insert(key.clone(), (size, sig.clone()));
-        self.staged.insert(key.clone());
+        self.entries.insert(key.clone(), (size, sig));
         // A re-inserted key must not stay suppressed by its own tombstone.
         // Postings of the *old* version may resurface as candidates until
         // the next rebalance — recall-safe, callers verify exactly.
         self.tombstones.remove(&key);
+        self.staged.insert(key);
         if self.partitions.is_empty() {
             self.rebalance();
             return;
@@ -367,7 +427,6 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         let p = &mut self.partitions[idx];
         p.upper = p.upper.max(size);
         p.lower = p.lower.min(size);
-        p.insert(key, &sig);
         self.maybe_rebalance();
     }
 
@@ -386,9 +445,9 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         true
     }
 
-    /// Keys inserted since the last rebalance. Their partition placement is
-    /// best-effort; exact-verification layers scan them explicitly so a
-    /// freshly added domain can never be an LSH false negative.
+    /// Keys inserted since the last rebalance. They are not banded;
+    /// exact-verification layers scan them explicitly so a freshly added
+    /// domain can never be an LSH false negative.
     pub fn staged_keys(&self) -> impl Iterator<Item = &K> {
         self.staged.iter()
     }
@@ -415,22 +474,20 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
 
     /// Re-partition the live entries into the canonical equi-depth layout
     /// (identical to a fresh build over the same entries), clearing all
-    /// staged/tombstone state. `O(live domains)`.
+    /// staged/tombstone state and the `(b, r)` memo. `O(live domains)`.
     pub fn rebalance(&mut self) {
-        let mut entries: Vec<(K, usize, Signature)> = self
-            .entries
-            .iter()
-            .map(|(k, (size, sig))| (k.clone(), *size, sig.clone()))
-            .collect();
-        entries.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
         self.partitions = partition_entries(
-            &entries,
+            self.entries.iter().map(|(k, (size, sig))| (k, *size, sig)),
             self.num_partitions,
             self.num_perm,
             &self.allowed_r,
         );
         self.staged.clear();
         self.tombstones.clear();
+        self.banding
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
     }
 
     /// Number of partitions actually built.
@@ -780,6 +837,7 @@ mod tests {
                 .probe_plan(q.len())
                 .iter()
                 .flat_map(|p| index.query_partition(p.partition, &sig, q.len(), threshold))
+                .chain(index.staged_keys().cloned())
                 .collect();
             union.sort();
             union.dedup();
@@ -813,5 +871,143 @@ mod tests {
         assert_eq!(index.len(), 1);
         let qsig = hasher.signature(d.iter().map(String::as_str));
         assert_eq!(index.query(&qsig, d.len(), 0.5), vec!["only".to_string()]);
+    }
+
+    #[test]
+    fn band_hash_is_fnv1a_of_the_concatenated_bytes() {
+        let sig = MinHasher::new(64, 9).signature(["a", "b", "c"]);
+        for r in [1usize, 2, 8, 64] {
+            for band in [0, 32 / r, 64 / r - 1] {
+                let slots = &sig.0[band * r..(band + 1) * r];
+                let mut bytes = Vec::new();
+                bytes.extend_from_slice(&(r as u64).to_le_bytes());
+                bytes.extend_from_slice(&(band as u64).to_le_bytes());
+                for s in slots {
+                    bytes.extend_from_slice(&s.to_le_bytes());
+                }
+                assert_eq!(band_hash(r, band, slots), dialite_text::fnv1a64(&bytes));
+            }
+        }
+    }
+
+    /// Every `(threshold, query size, partition bound)` the grid converts,
+    /// probed twice and again after a rebalance.
+    fn jaccard_grid() -> Vec<f64> {
+        let mut grid = Vec::new();
+        for t in [0.0, 0.3, 0.5, 0.8, 1.0] {
+            for q in [1usize, 7, 50, 300] {
+                for u in [1usize, 10, 50, 199, 5000] {
+                    grid.push(containment_to_jaccard(t, q, u));
+                }
+            }
+        }
+        grid
+    }
+
+    #[test]
+    fn memoised_banding_equals_a_fresh_search() {
+        let (mut index, _) = build_demo();
+        let check = |index: &LshEnsemble<String>| {
+            for j in jaccard_grid() {
+                assert_eq!(
+                    index.banding_for(j),
+                    optimal_params_restricted(j, 256, &index.allowed_r),
+                    "j = {j}"
+                );
+            }
+        };
+        check(&index);
+        check(&index);
+        index.rebalance();
+        check(&index);
+    }
+
+    #[test]
+    fn repeated_probes_run_no_new_parameter_search() {
+        let (mut index, hasher) = build_demo();
+        let q = toks("q", 0..50);
+        let sig = hasher.signature(q.iter().map(String::as_str));
+        let searches = |index: &LshEnsemble<String>| index.banding_searches.load(Ordering::Relaxed);
+        let probe_all = |index: &LshEnsemble<String>| {
+            for p in index.probe_plan(q.len()) {
+                index.query_partition(p.partition, &sig, q.len(), 0.5);
+            }
+        };
+        probe_all(&index);
+        let first = searches(&index);
+        assert!(first >= 1 && first <= index.partition_count());
+        probe_all(&index);
+        index.query(&sig, q.len(), 0.5);
+        assert_eq!(searches(&index), first, "a repeated probe searched again");
+        // A rebalance forgets the memo: the next probe searches afresh.
+        index.rebalance();
+        probe_all(&index);
+        assert_eq!(searches(&index), 2 * first);
+    }
+
+    #[test]
+    fn insert_leaves_band_tables_untouched_until_rebalance() {
+        let (mut index, hasher) = build_demo();
+        index.set_rebalance_threshold(f64::INFINITY);
+        let entries = |index: &LshEnsemble<String>| -> Vec<usize> {
+            index.partitions.iter().map(|p| p.hashes.len()).collect()
+        };
+        let before = entries(&index);
+        for i in 0..3 {
+            let d = toks(&format!("ins{i}_"), 0..(20 + 200 * i));
+            let sig = hasher.signature(d.iter().map(String::as_str));
+            index.insert(format!("ins{i}"), d.len(), sig);
+        }
+        assert_eq!(index.dirtiness(), 3);
+        assert_eq!(
+            entries(&index),
+            before,
+            "a staged insert wrote a band table"
+        );
+        // 256 permutations materialise 256 + 128 + … + 1 = 511 bands.
+        index.rebalance();
+        let total: usize = entries(&index).iter().sum();
+        assert_eq!(total, 511 * index.len());
+    }
+
+    #[test]
+    fn concurrent_probes_agree_with_single_threaded() {
+        let (index, hasher) = build_demo();
+        let queries: Vec<(Signature, usize)> = [(0, 50), (0, 25), (10, 90), (0, 200)]
+            .iter()
+            .map(|&(lo, hi)| {
+                let q = toks("q", lo..hi);
+                (hasher.signature(q.iter().map(String::as_str)), q.len())
+            })
+            .collect();
+        let answers = |index: &LshEnsemble<String>| -> Vec<Vec<String>> {
+            let mut out = Vec::new();
+            for (sig, q) in &queries {
+                for t in [0.3, 0.5, 0.8] {
+                    out.push(index.query(sig, *q, t));
+                    for p in index.probe_plan(*q) {
+                        out.push(index.query_partition(p.partition, sig, *q, t));
+                    }
+                }
+            }
+            out
+        };
+        let fresh = build_demo().0;
+        let expected = answers(&fresh);
+        let threads = 4;
+        let barrier = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        answers(&index)
+                    })
+                })
+                .collect();
+            for h in handles {
+                assert_eq!(h.join().expect("probe thread panicked"), expected);
+            }
+        });
     }
 }

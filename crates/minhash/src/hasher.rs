@@ -59,14 +59,6 @@ impl MinHasher {
         self.work.load(Ordering::Relaxed)
     }
 
-    #[inline]
-    fn perm(&self, i: usize, x: u64) -> u64 {
-        // (a*x + b) mod p with p = 2^61-1 via 128-bit arithmetic.
-        let v = (u128::from(self.a[i]) * u128::from(x) + u128::from(self.b[i]))
-            % u128::from(MERSENNE_61);
-        v as u64
-    }
-
     /// Compute the signature of a set of string tokens.
     ///
     /// An empty set yields the all-`u64::MAX` signature, which estimates
@@ -75,9 +67,9 @@ impl MinHasher {
         self.work.fetch_add(1, Ordering::Relaxed);
         let mut mins = vec![u64::MAX; self.a.len()];
         for tok in tokens {
-            let x = fnv1a64(tok.as_bytes());
-            for (i, m) in mins.iter_mut().enumerate() {
-                let h = self.perm(i, x);
+            let x = mod_mersenne(u128::from(fnv1a64(tok.as_bytes())));
+            for ((m, &a), &b) in mins.iter_mut().zip(&self.a).zip(&self.b) {
+                let h = mod_mersenne(u128::from(a) * u128::from(x) + u128::from(b));
                 if h < *m {
                     *m = h;
                 }
@@ -85,6 +77,24 @@ impl MinHasher {
         }
         Signature(mins)
     }
+}
+
+/// `v mod (2^61 − 1)` for `v < 2^122` without a 128-bit division: since
+/// `2^61 ≡ 1`, adding the bits above 61 to the low 61 bits keeps the
+/// residue and leaves a sum `≤ 2p`, which at most two subtractions of `p`
+/// reduce. Every universal hash `(a·x + b) mod p` with `a, b, x < p` stays
+/// below `p²` — `x` itself reduced from a `u64` first — so signatures are
+/// bit-identical to the `%` they replace.
+#[inline]
+fn mod_mersenne(v: u128) -> u64 {
+    let mut r = (v as u64 & MERSENNE_61) + (v >> 61) as u64;
+    if r >= MERSENNE_61 {
+        r -= MERSENNE_61;
+    }
+    if r >= MERSENNE_61 {
+        r -= MERSENNE_61;
+    }
+    r
 }
 
 impl Signature {
@@ -205,6 +215,28 @@ mod tests {
         let a = Signature(vec![1, 2]);
         let b = Signature(vec![1]);
         let _ = a.estimate_jaccard(&b);
+    }
+
+    #[test]
+    fn mersenne_fold_matches_u128_remainder() {
+        const P: u64 = MERSENNE_61;
+        let check = |a: u64, b: u64, x: u64| {
+            let expect = (u128::from(a) * u128::from(x) + u128::from(b)) % u128::from(P);
+            let x = mod_mersenne(u128::from(x));
+            let got = mod_mersenne(u128::from(a) * u128::from(x) + u128::from(b));
+            assert_eq!(u128::from(got), expect, "a={a} b={b} x={x}");
+        };
+        for a in [1, P - 1] {
+            for b in [1, P - 1] {
+                for x in [0, P - 1, P, P + 1, 2 * P, u64::MAX] {
+                    check(a, b, x);
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(61);
+        for _ in 0..100_000 {
+            check(rng.gen_range(1..P), rng.gen_range(0..P), rng.gen::<u64>());
+        }
     }
 
     #[test]

@@ -13,12 +13,15 @@
 //!   Mersenne prime `2^61 - 1`. Signatures estimate Jaccard similarity.
 //! * [`LshIndex`] — classic banded LSH for a fixed Jaccard threshold.
 //! * [`LshEnsemble`] — the containment-search index: indexed domains are
-//!   partitioned by set size; each partition keeps banding tables for every
-//!   power-of-two row count, and at query time the containment threshold is
-//!   converted to a per-partition Jaccard threshold for which (near-)optimal
-//!   `(b, r)` parameters are chosen by minimizing the sum of false-positive
-//!   and false-negative probability integrals — the same construction as the
-//!   paper's optimal-parameter tuning.
+//!   partitioned by set size; each partition keeps, for every power-of-two
+//!   row count, one hash-sorted `(band hash, domain)` array per band, built
+//!   once; at query time the containment threshold is converted to a
+//!   per-partition Jaccard threshold for which (near-)optimal `(b, r)`
+//!   parameters are chosen by minimizing the sum of false-positive and
+//!   false-negative probability integrals — the same construction as the
+//!   paper's optimal-parameter tuning — and memoised per threshold. Domains
+//!   inserted after the build are staged unbanded and returned by every
+//!   query until a rebalance bands them.
 
 #![deny(missing_docs)]
 
