@@ -1,5 +1,10 @@
 //! Constrained average-linkage agglomerative clustering and a silhouette
 //! criterion — the machinery behind ALITE's integration-ID assignment.
+//!
+//! The cut threshold never changes *which* pair average linkage merges
+//! next, only where merging stops. So a silhouette sweep runs the merge
+//! sequence once, down to its lowest cut, and reads every cut's clustering
+//! off a prefix of that one sequence ([`average_linkage_sweep`]).
 
 /// Average-linkage agglomerative clustering with cannot-link groups.
 ///
@@ -11,6 +16,55 @@
 ///
 /// Returns compact cluster labels `0..k` in first-appearance order.
 pub fn average_linkage_cluster(sim: &[Vec<f64>], groups: &[usize], threshold: f64) -> Vec<u32> {
+    labels_after(sim.len(), &merge_sequence(sim, groups, threshold))
+}
+
+/// [`average_linkage_cluster`] at every threshold of `cuts`, in `cuts`
+/// order, from one merge sequence: cut `t` keeps every merge before the
+/// first whose similarity is not `>= t`.
+///
+/// ```
+/// use dialite_align::{average_linkage_cluster, average_linkage_sweep};
+/// let sim = vec![
+///     vec![1.0, 0.9, 0.2],
+///     vec![0.9, 1.0, 0.4],
+///     vec![0.2, 0.4, 1.0],
+/// ];
+/// let groups = [0, 1, 2];
+/// let cuts = [0.95, 0.5, 0.1];
+/// let swept = average_linkage_sweep(&sim, &groups, &cuts);
+/// assert_eq!(swept, vec![vec![0, 1, 2], vec![0, 0, 1], vec![0, 0, 0]]);
+/// for (labels, &t) in swept.iter().zip(&cuts) {
+///     assert_eq!(labels, &average_linkage_cluster(&sim, &groups, t));
+/// }
+/// ```
+pub fn average_linkage_sweep(sim: &[Vec<f64>], groups: &[usize], cuts: &[f64]) -> Vec<Vec<u32>> {
+    if cuts.is_empty() {
+        return Vec::new();
+    }
+    // `f64::min` skips NaN cuts; they keep no merge whatever the floor.
+    let floor = cuts.iter().copied().fold(f64::INFINITY, f64::min);
+    let merges = merge_sequence(sim, groups, floor);
+    cuts.iter()
+        .map(|&t| {
+            let kept = merges.iter().take_while(|m| m.sim >= t).count();
+            labels_after(sim.len(), &merges[..kept])
+        })
+        .collect()
+}
+
+/// One step of the merge sequence: cluster `absorbed` joins cluster `kept`
+/// at average similarity `sim`. A cluster is named by its smallest member,
+/// and `kept < absorbed`.
+struct Merge {
+    kept: usize,
+    absorbed: usize,
+    sim: f64,
+}
+
+/// The average-linkage merge sequence, stopped at the first best merge
+/// whose similarity is not `>= floor`.
+fn merge_sequence(sim: &[Vec<f64>], groups: &[usize], floor: f64) -> Vec<Merge> {
     let n = sim.len();
     assert_eq!(groups.len(), n, "one group id per item");
     for row in sim {
@@ -19,10 +73,8 @@ pub fn average_linkage_cluster(sim: &[Vec<f64>], groups: &[usize], threshold: f6
     // Each cluster: member list + set of groups represented.
     let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
     let mut cluster_groups: Vec<Vec<usize>> = (0..n).map(|i| vec![groups[i]]).collect();
-    let mut active: Vec<bool> = vec![true; n.max(1)];
-    if n == 0 {
-        return Vec::new();
-    }
+    let mut active: Vec<bool> = vec![true; n];
+    let mut merges = Vec::new();
 
     let avg_sim = |a: &[usize], b: &[usize]| -> f64 {
         let mut acc = 0.0;
@@ -58,7 +110,7 @@ pub fn average_linkage_cluster(sim: &[Vec<f64>], groups: &[usize], threshold: f6
             }
         }
         match best {
-            Some((i, j, s)) if s >= threshold => {
+            Some((i, j, s)) if s >= floor => {
                 let (mj, gj) = (
                     std::mem::take(&mut members[j]),
                     std::mem::take(&mut cluster_groups[j]),
@@ -66,26 +118,41 @@ pub fn average_linkage_cluster(sim: &[Vec<f64>], groups: &[usize], threshold: f6
                 members[i].extend(mj);
                 cluster_groups[i].extend(gj);
                 active[j] = false;
+                merges.push(Merge {
+                    kept: i,
+                    absorbed: j,
+                    sim: s,
+                });
             }
             _ => break,
         }
     }
+    merges
+}
 
-    let mut labels = vec![0u32; n];
-    let mut order: Vec<&Vec<usize>> = members
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| active[*i])
-        .map(|(_, m)| m)
-        .collect();
-    // Deterministic label order: by smallest member index.
-    order.sort_by_key(|m| *m.iter().min().unwrap());
-    for (next, m) in order.into_iter().enumerate() {
-        for &item in m {
-            labels[item] = next as u32;
+/// Labels of `n` items after replaying `merges`: compact, in order of each
+/// cluster's smallest member.
+fn labels_after(n: usize, merges: &[Merge]) -> Vec<u32> {
+    // `cluster[x]` names x's cluster by its smallest member, so the first
+    // item seen of each cluster is the one that names it.
+    let mut cluster: Vec<usize> = (0..n).collect();
+    for m in merges {
+        for c in cluster.iter_mut().filter(|c| **c == m.absorbed) {
+            *c = m.kept;
         }
     }
-    labels
+    let mut label_of = vec![u32::MAX; n];
+    let mut next = 0u32;
+    cluster
+        .iter()
+        .map(|&c| {
+            if label_of[c] == u32::MAX {
+                label_of[c] = next;
+                next += 1;
+            }
+            label_of[c]
+        })
+        .collect()
 }
 
 /// Mean silhouette score of a clustering, computed on `1 − sim` distances.
@@ -102,35 +169,30 @@ pub fn silhouette_score(sim: &[Vec<f64>], labels: &[u32]) -> f64 {
     if k <= 1 || k == n {
         return 0.0;
     }
+    let mut size = vec![0usize; k];
+    for &l in labels {
+        size[l as usize] += 1;
+    }
+    // Per item, one pass sums its distance to every cluster; each cluster's
+    // sum still adds its members in index order.
+    let mut dist = vec![0.0f64; k];
     let mut total = 0.0;
     for i in 0..n {
-        let own = labels[i];
-        let own_size = labels.iter().filter(|&&l| l == own).count();
-        if own_size == 1 {
+        let own = labels[i] as usize;
+        if size[own] == 1 {
             continue; // silhouette 0
         }
-        let mut a = 0.0;
+        dist.iter_mut().for_each(|d| *d = 0.0);
         for j in 0..n {
-            if j != i && labels[j] == own {
-                a += 1.0 - sim[i][j];
+            if j != i {
+                dist[labels[j] as usize] += 1.0 - sim[i][j];
             }
         }
-        a /= (own_size - 1) as f64;
+        let a = dist[own] / (size[own] - 1) as f64;
         let mut b = f64::INFINITY;
-        for other in 0..k as u32 {
-            if other == own {
-                continue;
-            }
-            let mut d = 0.0;
-            let mut cnt = 0usize;
-            for j in 0..n {
-                if labels[j] == other {
-                    d += 1.0 - sim[i][j];
-                    cnt += 1;
-                }
-            }
-            if cnt > 0 {
-                b = b.min(d / cnt as f64);
+        for other in 0..k {
+            if other != own && size[other] > 0 {
+                b = b.min(dist[other] / size[other] as f64);
             }
         }
         let denom = a.max(b);

@@ -21,7 +21,8 @@
 //!    **cannot-link constraint** — two columns of the *same* table are never
 //!    co-clustered (a table does not say the same thing twice);
 //! 4. the cut threshold is either fixed or chosen by a silhouette sweep,
-//!    mirroring ALITE's cluster-count selection.
+//!    mirroring ALITE's cluster-count selection; the sweep reads every
+//!    cut off one merge sequence ([`average_linkage_sweep`]).
 //!
 //! Each resulting cluster is an integration ID. [`Alignment`] also offers
 //! the naive header-equality baseline ([`Alignment::by_headers`]) used by
@@ -34,7 +35,7 @@ mod semantic;
 mod signature;
 
 pub use alignment::Alignment;
-pub use cluster::{average_linkage_cluster, silhouette_score};
+pub use cluster::{average_linkage_cluster, average_linkage_sweep, silhouette_score};
 pub use matcher::{HolisticMatcher, MatcherConfig};
 pub use semantic::{semantic_cosine, KbAnnotator, SemanticAnnotator};
 pub use signature::{column_signature, column_signature_with, ColumnRef, ColumnSignature};

@@ -5,12 +5,35 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dialite_table::Table;
-use dialite_text::{cosine_dense, jaccard, levenshtein_sim, NgramEmbedder};
+use dialite_text::{
+    cosine_dense_normed, dense_norm, jaccard, levenshtein_sim_chars, NgramEmbedder,
+};
 
 use crate::alignment::Alignment;
-use crate::cluster::{average_linkage_cluster, silhouette_score};
-use crate::semantic::{semantic_cosine, SemanticAnnotator};
+use crate::cluster::{average_linkage_cluster, average_linkage_sweep, silhouette_score};
+use crate::semantic::{SemanticAnnotator, SemanticVector};
 use crate::signature::{column_signature_with, ColumnSignature};
+
+/// The parts of [`HolisticMatcher::similarity`] that depend on one column
+/// only, computed once per column instead of once per pair.
+struct Prepared<'a> {
+    sig: &'a ColumnSignature,
+    embedding_norm: f64,
+    /// Lowercased header characters.
+    header: Vec<char>,
+    semantics: SemanticVector<'a>,
+}
+
+impl<'a> Prepared<'a> {
+    fn new(sig: &'a ColumnSignature) -> Prepared<'a> {
+        Prepared {
+            sig,
+            embedding_norm: dense_norm(&sig.embedding),
+            header: sig.header.to_lowercase().chars().collect(),
+            semantics: SemanticVector::new(&sig.semantics),
+        }
+    }
+}
 
 /// Weights and cut policy of the holistic matcher.
 #[derive(Debug, Clone)]
@@ -104,13 +127,26 @@ impl HolisticMatcher {
     /// (empty token sets, missing annotations, non-numeric pairs) drop out
     /// of both numerator and denominator.
     pub fn similarity(&self, a: &ColumnSignature, b: &ColumnSignature) -> f64 {
+        self.similarity_of(&Prepared::new(a), &Prepared::new(b))
+    }
+
+    /// [`HolisticMatcher::similarity`] over signatures with their per-column
+    /// parts already computed.
+    fn similarity_of(&self, pa: &Prepared, pb: &Prepared) -> f64 {
+        let (a, b) = (pa.sig, pb.sig);
         let c = &self.config;
         let both_numeric = a.ctype.is_numeric() && b.ctype.is_numeric();
 
         let mut score = 0.0;
         let mut weight = 0.0;
 
-        let e = cosine_dense(&a.embedding, &b.embedding).max(0.0);
+        let e = cosine_dense_normed(
+            &a.embedding,
+            pa.embedding_norm,
+            &b.embedding,
+            pb.embedding_norm,
+        )
+        .max(0.0);
         score += c.embedding_weight * e;
         weight += c.embedding_weight;
 
@@ -122,7 +158,7 @@ impl HolisticMatcher {
         }
 
         if !a.semantics.is_empty() && !b.semantics.is_empty() {
-            score += c.semantic_weight * semantic_cosine(&a.semantics, &b.semantics);
+            score += c.semantic_weight * pa.semantics.cosine(&pb.semantics);
             weight += c.semantic_weight;
         }
 
@@ -132,7 +168,7 @@ impl HolisticMatcher {
         }
 
         if c.header_weight > 0.0 && !a.header.is_empty() && !b.header.is_empty() {
-            score += c.header_weight * levenshtein_sim(&a.header, &b.header);
+            score += c.header_weight * levenshtein_sim_chars(&pa.header, &pb.header);
             weight += c.header_weight;
         }
 
@@ -167,6 +203,7 @@ impl HolisticMatcher {
         let sigs = self.signatures(tables);
         let n = sigs.len();
         let groups: Vec<usize> = sigs.iter().map(|s| s.col.table).collect();
+        let prepared: Vec<Prepared> = sigs.iter().map(Prepared::new).collect();
 
         let mut sim = vec![vec![0.0f64; n]; n];
         for i in 0..n {
@@ -175,7 +212,7 @@ impl HolisticMatcher {
                 let s = if groups[i] == groups[j] {
                     0.0 // never merged anyway; keep the matrix cheap
                 } else {
-                    self.similarity(&sigs[i], &sigs[j])
+                    self.similarity_of(&prepared[i], &prepared[j])
                 };
                 sim[i][j] = s;
                 sim[j][i] = s;
@@ -188,20 +225,23 @@ impl HolisticMatcher {
                 // Silhouette sweep (ALITE's cut selection): evaluate each
                 // candidate cut, keep the best-scoring clustering; fall back
                 // to the middle candidate when no cut produces structure.
-                let mut best: Option<(f64, Vec<u32>)> = None;
-                for &t in &self.config.sweep {
-                    let labels = average_linkage_cluster(&sim, &groups, t);
-                    let score = silhouette_score(&sim, &labels);
-                    if best.as_ref().is_none_or(|(bs, _)| score > *bs) {
-                        best = Some((score, labels));
+                let mut cuts = average_linkage_sweep(&sim, &groups, &self.config.sweep);
+                let mut best: Option<(f64, usize)> = None;
+                for (i, labels) in cuts.iter().enumerate() {
+                    // A clustering an earlier cut produced scores the same
+                    // and so cannot strictly beat the best.
+                    if cuts[..i].contains(labels) {
+                        continue;
+                    }
+                    let score = silhouette_score(&sim, labels);
+                    if best.is_none_or(|(bs, _)| score > bs) {
+                        best = Some((score, i));
                     }
                 }
                 match best {
-                    Some((score, labels)) if score > 0.0 => labels,
-                    _ => {
-                        let mid = self.config.sweep.get(self.config.sweep.len() / 2);
-                        average_linkage_cluster(&sim, &groups, *mid.unwrap_or(&0.5))
-                    }
+                    Some((score, i)) if score > 0.0 => cuts.swap_remove(i),
+                    _ if !cuts.is_empty() => cuts.swap_remove(cuts.len() / 2),
+                    _ => average_linkage_cluster(&sim, &groups, 0.5),
                 }
             }
         };

@@ -24,21 +24,50 @@ pub trait SemanticAnnotator: Send + Sync {
     fn annotate(&self, tokens: &HashSet<String>) -> HashMap<String, f64>;
 }
 
-/// Cosine similarity of two `label → confidence` distributions.
+/// Cosine similarity of two `label → confidence` distributions. Every sum
+/// runs in label order, so the result does not depend on either map's
+/// iteration order.
 pub fn semantic_cosine(a: &HashMap<String, f64>, b: &HashMap<String, f64>) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 0.0;
+    SemanticVector::new(a).cosine(&SemanticVector::new(b))
+}
+
+/// A `label → confidence` distribution sorted by label, with its norm: the
+/// per-column half of [`semantic_cosine`], built once per column by the
+/// matcher.
+pub(crate) struct SemanticVector<'a> {
+    entries: Vec<(&'a str, f64)>,
+    norm: f64,
+}
+
+impl<'a> SemanticVector<'a> {
+    pub(crate) fn new(dist: &'a HashMap<String, f64>) -> SemanticVector<'a> {
+        let mut entries: Vec<(&str, f64)> = dist.iter().map(|(k, &v)| (k.as_str(), v)).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let norm = entries.iter().map(|(_, v)| v * v).sum::<f64>().sqrt();
+        SemanticVector { entries, norm }
     }
-    let dot: f64 = a
-        .iter()
-        .filter_map(|(k, va)| b.get(k).map(|vb| va * vb))
-        .sum();
-    let na: f64 = a.values().map(|v| v * v).sum::<f64>().sqrt();
-    let nb: f64 = b.values().map(|v| v * v).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
+
+    fn get(&self, label: &str) -> Option<f64> {
+        self.entries
+            .binary_search_by(|(k, _)| (*k).cmp(label))
+            .ok()
+            .map(|i| self.entries[i].1)
+    }
+
+    pub(crate) fn cosine(&self, other: &SemanticVector) -> f64 {
+        if self.entries.is_empty() || other.entries.is_empty() {
+            return 0.0;
+        }
+        let dot: f64 = self
+            .entries
+            .iter()
+            .filter_map(|&(k, va)| other.get(k).map(|vb| va * vb))
+            .sum();
+        if self.norm == 0.0 || other.norm == 0.0 {
+            0.0
+        } else {
+            dot / (self.norm * other.norm)
+        }
     }
 }
 
@@ -149,6 +178,27 @@ mod tests {
         assert_eq!(semantic_cosine(&a, &b), 0.0);
         assert!((semantic_cosine(&a, &a) - 1.0).abs() < 1e-12);
         assert_eq!(semantic_cosine(&a, &HashMap::new()), 0.0);
+    }
+
+    #[test]
+    fn semantic_cosine_ignores_map_iteration_order() {
+        // Every HashMap draws its own hash seed, so these maps iterate in
+        // different orders; labels and confidences chosen so that a sum in
+        // a different order rounds differently.
+        let dist = || -> HashMap<String, f64> {
+            (0..24)
+                .map(|i| (format!("type{i}"), 1.0 / f64::from(i + 3)))
+                .collect()
+        };
+        let other: HashMap<String, f64> = (0..24)
+            .map(|i| (format!("type{}", i * 2), 0.1 * f64::from(i + 1)))
+            .collect();
+        let forth = semantic_cosine(&dist(), &other).to_bits();
+        let back = semantic_cosine(&other, &dist()).to_bits();
+        for _ in 0..32 {
+            assert_eq!(semantic_cosine(&dist(), &other).to_bits(), forth);
+            assert_eq!(semantic_cosine(&other, &dist()).to_bits(), back);
+        }
     }
 
     #[test]

@@ -64,7 +64,11 @@ pub fn column_signature_with(
 ) -> ColumnSignature {
     let t = tables[table];
     let tokens = t.column_token_set(column);
-    let embedding = embedder.embed_bag(tokens.iter().map(String::as_str));
+    // Sorted, not `HashSet` order: the centroid's float sums then do not
+    // depend on the set's per-instance hash seed.
+    let mut sorted: Vec<&str> = tokens.iter().map(String::as_str).collect();
+    sorted.sort_unstable();
+    let embedding = embedder.embed_bag(sorted);
     let semantics = annotator.map(|a| a.annotate(&tokens)).unwrap_or_default();
     let numerics: Vec<f64> = t.column_values(column).filter_map(|v| v.as_f64()).collect();
     let non_null = t.column_values(column).filter(|v| !v.is_null()).count();

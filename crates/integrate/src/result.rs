@@ -1,6 +1,7 @@
 //! The output of an integration operator: an integrated table plus
 //! per-tuple provenance.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -24,24 +25,36 @@ impl IntegratedTable {
     /// (value) order for deterministic output. This is the boundary where
     /// ids leave the integration core — everything downstream is
     /// `Value`-typed.
+    ///
+    /// Tuples are sorted while still ids, and each is resolved once, after.
+    /// The order is exactly that of sorting resolved rows by `Vec<Value>`
+    /// then provenance: equal ids are the same interned `Value`, so only
+    /// the first pair of differing ids needs resolving — and where those
+    /// two values still compare equal (the two null kinds), the next pair.
     pub fn from_tuples(
         name: &str,
         columns: &[String],
-        tuples: Vec<AlignedTuple>,
+        mut tuples: Vec<AlignedTuple>,
         interner: &ValueInterner,
     ) -> IntegratedTable {
-        let mut rows: Vec<(Vec<dialite_table::Value>, BTreeSet<Tid>)> = tuples
-            .into_iter()
-            .map(|t| (t.resolve(interner), t.tids))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        tuples.sort_by(|a, b| {
+            a.values
+                .iter()
+                .zip(&b.values)
+                .filter(|(x, y)| x != y)
+                .map(|(&x, &y)| interner.resolve(x).cmp(interner.resolve(y)))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| a.values.len().cmp(&b.values.len()))
+                .then_with(|| a.tids.cmp(&b.tids))
+        });
         let mut table = Table::new(name, columns).expect("integration IDs are unique");
-        let mut provenance = Vec::with_capacity(rows.len());
-        for (values, tids) in rows {
+        let mut provenance = Vec::with_capacity(tuples.len());
+        for t in tuples {
             table
-                .push_row(values)
+                .push_row(t.resolve(interner))
                 .expect("aligned tuples have schema arity");
-            provenance.push(tids);
+            provenance.push(t.tids);
         }
         table.infer_types();
         IntegratedTable { table, provenance }

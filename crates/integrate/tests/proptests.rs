@@ -2,9 +2,13 @@
 //! engines must agree with the reference on arbitrary small integration
 //! sets, and FD invariants must hold.
 
+use std::collections::BTreeSet;
+
 use dialite_align::Alignment;
-use dialite_integrate::{AliteFd, Integrator, NaiveFd, OuterUnionIntegrator, ParallelFd};
-use dialite_table::{Table, Value};
+use dialite_integrate::{
+    AlignedTuple, AliteFd, IntegratedTable, Integrator, NaiveFd, OuterUnionIntegrator, ParallelFd,
+};
+use dialite_table::{Table, Tid, Value, ValueInterner};
 use proptest::prelude::*;
 
 /// Small value domain so that joins actually happen.
@@ -40,6 +44,41 @@ fn arb_integration_set() -> impl Strategy<Value = Vec<Table>> {
             })
             .collect();
         strategies
+    })
+}
+
+/// Cells that stress `Value::cmp` against value-id equality: both null
+/// kinds (ids differ, values compare equal), `-0.0`/`0.0` and two NaNs
+/// (one id each pair, different bits), and every non-null type.
+fn arb_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::null_missing()),
+        Just(Value::null_produced()),
+        (0i64..3).prop_map(Value::Int),
+        (0u32..2).prop_map(|b| Value::Bool(b == 1)),
+        "[ab]{0,2}".prop_map(Value::Text),
+        Just(Value::Float(0.0)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(-f64::NAN)),
+        Just(Value::Float(-1.5)),
+    ]
+}
+
+/// A row's cells and its witnesses as `(table, row)` pairs.
+type RawRow = (Vec<Value>, Vec<(u32, u32)>);
+
+/// Rows of one width with small witness sets, so value ties are common
+/// and provenance decides them.
+fn arb_rows() -> impl Strategy<Value = Vec<RawRow>> {
+    (1usize..4).prop_flat_map(|width| {
+        prop::collection::vec(
+            (
+                prop::collection::vec(arb_cell(), width),
+                prop::collection::vec((0u32..2, 0u32..2), 1..3),
+            ),
+            0..14,
+        )
     })
 }
 
@@ -135,6 +174,36 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// `from_tuples` sorts ids and resolves once; its rows and provenance
+    /// must come out exactly as resolving every tuple first and sorting by
+    /// `(Vec<Value>, tids)` orders them.
+    #[test]
+    fn from_tuples_orders_like_sorting_resolved_rows(rows in arb_rows()) {
+        let mut interner = ValueInterner::new();
+        let tuples: Vec<AlignedTuple> = rows
+            .iter()
+            .map(|(values, tids)| AlignedTuple {
+                values: values.iter().map(|v| interner.intern(v)).collect(),
+                tids: tids.iter().map(|&(t, r)| Tid::new(t, r)).collect(),
+            })
+            .collect();
+        let mut expected: Vec<(Vec<Value>, BTreeSet<Tid>)> = tuples
+            .iter()
+            .map(|t| (t.resolve(&interner), t.tids.clone()))
+            .collect();
+        expected.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+
+        let width = rows.first().map_or(1, |(values, _)| values.len());
+        let columns: Vec<String> = (0..width).map(|c| format!("c{c}")).collect();
+        let it = IntegratedTable::from_tuples("r", &columns, tuples, &interner);
+        // `{:?}` tells apart what `Value`'s `==` does not: null kinds, -0.0.
+        let got: Vec<String> = it.table().rows().map(|r| format!("{r:?}")).collect();
+        let want: Vec<String> = expected.iter().map(|(r, _)| format!("{r:?}")).collect();
+        prop_assert_eq!(got, want);
+        let want_tids: Vec<BTreeSet<Tid>> = expected.into_iter().map(|(_, t)| t).collect();
+        prop_assert_eq!(it.provenances(), &want_tids[..]);
     }
 
     #[test]

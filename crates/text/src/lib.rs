@@ -20,8 +20,8 @@ mod vector;
 
 pub use embed::{column_embedding, NgramEmbedder};
 pub use sim::{
-    acronym_of, containment, cosine_dense, dice, jaccard, levenshtein, levenshtein_sim,
-    overlap_coefficient,
+    acronym_of, containment, cosine_dense, cosine_dense_normed, dense_norm, dice, jaccard,
+    levenshtein, levenshtein_sim, levenshtein_sim_chars, overlap_coefficient,
 };
 pub use tfidf::TfIdf;
 pub use tokenize::{char_ngrams, fnv1a64, qgrams_padded, word_tokens};

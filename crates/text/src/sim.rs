@@ -48,11 +48,11 @@ pub fn dice(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
 pub fn levenshtein(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
-    let (short, long) = if a.len() <= b.len() {
-        (&a, &b)
-    } else {
-        (&b, &a)
-    };
+    edit_distance(&a, &b)
+}
+
+fn edit_distance(a: &[char], b: &[char]) -> usize {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     if short.is_empty() {
         return long.len();
     }
@@ -72,13 +72,19 @@ pub fn levenshtein(a: &str, b: &str) -> usize {
 /// Normalized Levenshtein similarity in [0, 1]: `1 - dist / max_len`,
 /// case-insensitive. Two empty strings are 1.
 pub fn levenshtein_sim(a: &str, b: &str) -> f64 {
-    let la = a.to_lowercase();
-    let lb = b.to_lowercase();
-    let max = la.chars().count().max(lb.chars().count());
+    let la: Vec<char> = a.to_lowercase().chars().collect();
+    let lb: Vec<char> = b.to_lowercase().chars().collect();
+    levenshtein_sim_chars(&la, &lb)
+}
+
+/// [`levenshtein_sim`] of two strings already lowercased into characters —
+/// for callers that compare one string against many.
+pub fn levenshtein_sim_chars(a: &[char], b: &[char]) -> f64 {
+    let max = a.len().max(b.len());
     if max == 0 {
         return 1.0;
     }
-    1.0 - levenshtein(&la, &lb) as f64 / max as f64
+    1.0 - edit_distance(a, b) as f64 / max as f64
 }
 
 /// Does `short` read as an acronym/initialism of `long`?
@@ -114,20 +120,31 @@ pub fn acronym_of(short: &str, long: &str) -> bool {
 
 /// Cosine similarity of two dense vectors; 0 when either has zero norm.
 pub fn cosine_dense(a: &[f32], b: &[f32]) -> f64 {
+    cosine_dense_normed(a, dense_norm(a), b, dense_norm(b))
+}
+
+/// Euclidean norm of a dense vector, accumulated in `f64` — the per-vector
+/// half of [`cosine_dense`].
+pub fn dense_norm(v: &[f32]) -> f64 {
+    let mut sq = 0.0f64;
+    for &x in v {
+        sq += f64::from(x) * f64::from(x);
+    }
+    sq.sqrt()
+}
+
+/// [`cosine_dense`] with both norms precomputed by [`dense_norm`] — for
+/// callers that compare one vector against many.
+pub fn cosine_dense_normed(a: &[f32], norm_a: f64, b: &[f32], norm_b: f64) -> f64 {
     debug_assert_eq!(a.len(), b.len());
+    if norm_a == 0.0 || norm_b == 0.0 {
+        return 0.0;
+    }
     let mut dot = 0.0f64;
-    let mut na = 0.0f64;
-    let mut nb = 0.0f64;
     for (&x, &y) in a.iter().zip(b.iter()) {
         dot += f64::from(x) * f64::from(y);
-        na += f64::from(x) * f64::from(x);
-        nb += f64::from(y) * f64::from(y);
     }
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na.sqrt() * nb.sqrt())
-    }
+    dot / (norm_a * norm_b)
 }
 
 #[cfg(test)]
@@ -188,6 +205,53 @@ mod tests {
         assert!(!acronym_of("UK", "United States"));
         assert!(!acronym_of("U", "United")); // too short
         assert!(!acronym_of("USA", "USA")); // long side must be multi-word
+    }
+
+    #[test]
+    fn precomputed_parts_match_the_one_pass_forms_bit_for_bit() {
+        // The single-loop cosine the split form replaced.
+        fn one_pass(a: &[f32], b: &[f32]) -> f64 {
+            let (mut dot, mut na, mut nb) = (0.0f64, 0.0f64, 0.0f64);
+            for (&x, &y) in a.iter().zip(b) {
+                dot += f64::from(x) * f64::from(y);
+                na += f64::from(x) * f64::from(x);
+                nb += f64::from(y) * f64::from(y);
+            }
+            if na == 0.0 || nb == 0.0 {
+                0.0
+            } else {
+                dot / (na.sqrt() * nb.sqrt())
+            }
+        }
+        let vecs: [&[f32]; 4] = [
+            &[0.0, 0.0, 0.0],
+            &[0.1, -0.7, 0.3],
+            &[1e-20, 3.5, -2.25],
+            &[0.577, 0.577, 0.577],
+        ];
+        for a in vecs {
+            for b in vecs {
+                assert_eq!(cosine_dense(a, b).to_bits(), one_pass(a, b).to_bits());
+            }
+        }
+        let words = ["", "JnJ", "J&J", "ΣΑΣ", "İstanbul", "Vaccination Rate"];
+        for a in words {
+            for b in words {
+                let la: Vec<char> = a.to_lowercase().chars().collect();
+                let lb: Vec<char> = b.to_lowercase().chars().collect();
+                let max = la.len().max(lb.len());
+                let expected = if max == 0 {
+                    1.0
+                } else {
+                    1.0 - levenshtein(&a.to_lowercase(), &b.to_lowercase()) as f64 / max as f64
+                };
+                assert_eq!(
+                    levenshtein_sim_chars(&la, &lb).to_bits(),
+                    expected.to_bits()
+                );
+                assert_eq!(levenshtein_sim(a, b).to_bits(), expected.to_bits());
+            }
+        }
     }
 
     #[test]

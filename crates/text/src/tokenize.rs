@@ -1,18 +1,22 @@
 //! Tokenizers and the FNV-1a hash used throughout the workspace for
 //! deterministic, dependency-free feature hashing.
 
+/// FNV-1a state before any byte: `fnv1a64(b"")`.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold one byte into an FNV-1a state, so callers can hash bytes they
+/// never gather into one slice.
+#[inline]
+pub(crate) fn fnv_byte(h: u64, b: u8) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    (h ^ u64::from(b)).wrapping_mul(PRIME)
+}
+
 /// 64-bit FNV-1a hash. Deterministic across runs and platforms, which
 /// matters for reproducible indexes and embeddings.
 #[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_byte(h, b))
 }
 
 /// Lower-cased alphanumeric word tokens. Everything that is not

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Paired base-vs-head comparison on the pipeline benchmark (BENCHMARK.json).
 #
-#   scripts/bench_compare.sh BASE_REV [WORKLOAD] [PAIRS]
+#   scripts/bench_compare.sh BASE_REV [WORKLOAD] [PAIRS] [--layers]
 #
 # Extracts BASE_REV (any git revision) under benchmark/out/compare/ and
 # alternates single untraced `benchmark/run.sh` runs of it and of this
@@ -17,10 +17,22 @@
 # worse than base's by more than the metric's bound in BENCHMARK.json, or
 # when head failed more ops than base. Raw run logs and a TSV of every
 # value stay in benchmark/out/compare/.
+#
+# With --layers, after the pairs it also makes one traced run
+# (`--trace 1`, seed 1) per side and workload, and prints every per-layer
+# metric of BENCHMARK.json whose value differs between the two runs as
+# base, head and head ÷ base. One run per side is no statistic: the
+# per-layer table never affects the exit status.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
-base_rev="${1:?usage: scripts/bench_compare.sh BASE_REV [WORKLOAD] [PAIRS]}"
+layers=0
+positional=()
+for arg in "$@"; do
+  if [ "$arg" = --layers ]; then layers=1; else positional+=("$arg"); fi
+done
+set -- "${positional[@]}"
+base_rev="${1:?usage: scripts/bench_compare.sh BASE_REV [WORKLOAD] [PAIRS] [--layers]}"
 workloads="${2:-}"
 pairs="${3:-10}"
 
@@ -48,33 +60,50 @@ for side in base head; do
   CARGO_TARGET_DIR="$dir/benchmark/target" bash "$dir/benchmark/run.sh" --manifest > /dev/null
 done
 
-runs="$out/runs-$sha-$(date +%Y%m%d-%H%M%S).tsv"
+stamp="$(date +%Y%m%d-%H%M%S)"
+runs="$out/runs-$sha-$stamp.tsv"
+traced="$out/layers-$sha-$stamp.tsv"
 : > "$runs"
-# One untraced run; appends `workload side pair metric value` rows to $runs.
+: > "$traced"
+# One run at `--trace TRACE`; appends `workload side pair metric value`
+# rows to TSV (pair is -1 for the traced run).
 run_one() {
-  local side=$1 w=$2 pair=$3 dir log
+  local side=$1 w=$2 pair=$3 trace=$4 tsv=$5 dir log seed
   dir="$(side_dir "$side")"
-  log="$out/$side-$w-$pair.log"
-  echo "$w pair $pair: $side" >&2
+  if [ "$trace" = 1 ]; then
+    seed=1
+    log="$out/$side-$w-traced.log"
+  else
+    seed=$((pair + 1))
+    log="$out/$side-$w-$pair.log"
+  fi
+  echo "$w pair $pair trace $trace: $side" >&2
   CARGO_TARGET_DIR="$dir/benchmark/target" \
-    bash "$dir/benchmark/run.sh" --workload "$w" --seed "$((pair + 1))" --trace 0 > "$log"
+    bash "$dir/benchmark/run.sh" --workload "$w" --seed "$seed" --trace "$trace" > "$log"
   awk -v w="$w" -v s="$side" -v p="$pair" '
     $1 == w && NF == 4 { print w "\t" s "\t" p "\t" $2 "\t" $3 }
     $1 == "#" && $2 == w && $3 == "attempted" { print w "\t" s "\t" p "\tfailed\t" $6 }
-  ' "$log" >> "$runs"
+  ' "$log" >> "$tsv"
 }
 
 for w in $workloads; do
   for ((pair = 0; pair < pairs; pair++)); do
     if ((pair % 2 == 0)); then order="base head"; else order="head base"; fi
     for side in $order; do
-      run_one "$side" "$w" "$pair"
+      run_one "$side" "$w" "$pair" 0 "$runs"
     done
   done
 done
+if ((layers)); then
+  for w in $workloads; do
+    for side in base head; do
+      run_one "$side" "$w" -1 1 "$traced"
+    done
+  done
+fi
 
 echo "runs: $runs" >&2
-python3 - "$root/BENCHMARK.json" "$runs" <<'EOF'
+python3 - "$root/BENCHMARK.json" "$runs" "$traced" <<'EOF'
 import json
 import statistics
 import sys
@@ -84,6 +113,10 @@ values = {}  # (workload, metric) -> side -> pair -> value
 for line in open(sys.argv[2]):
     w, side, pair, metric, value = line.rstrip("\n").split("\t")
     values.setdefault((w, metric), {}).setdefault(side, {})[int(pair)] = float(value)
+layers = {}  # (workload, metric) -> side -> value of the traced run
+for line in open(sys.argv[3]):
+    w, side, _, metric, value = line.rstrip("\n").split("\t")
+    layers.setdefault((w, metric), {})[side] = float(value)
 
 
 def quartiles(v):
@@ -120,6 +153,16 @@ for w in sorted({w for w, _ in values}, key=order.index):
               f"  head wins {wins}/{len(paired)}"
               f"  |Δmedian| > base IQR: {'yes' if abs(hm - bm) > b3 - b1 else 'no'}"
               f"{'  WORSE than bound ' + str(m['bound']) if bad else ''}")
+for w in [w for w in order if any(lw == w for lw, _ in layers)]:
+    print(f"{w}: per-layer metrics that differ (one traced run per side, seed 1)")
+    for m in bench["per_layer"]:
+        sides = layers.get((w, m["name"]), {})
+        if "base" not in sides or "head" not in sides or sides["base"] == sides["head"]:
+            continue
+        b, h = sides["base"], sides["head"]
+        ratio = f"{h / b:7.3f}" if b else "      -"
+        print(f"  {m['name']:34} base {b:10.4g}  head {h:10.4g}  head/base {ratio}"
+              f"  ({m['unit']}, {m['better']} is better)")
 if worse:
     print("worse than bound: " + ", ".join(worse))
     sys.exit(1)
