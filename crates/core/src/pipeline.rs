@@ -126,7 +126,7 @@ impl PipelineRun {
 /// single shard the execution layer is a byte-for-byte passthrough over
 /// one `LakeIndex` (no threads, no budget splits, no re-rank); with
 /// [`PipelineBuilder::shards`]` > 1` the lake is striped across shards and
-/// queries fan out in parallel.
+/// each query probes them in order on the caller's thread.
 struct IndexedDiscovery {
     kb: Arc<KnowledgeBase>,
     config: LakeIndexConfig,
@@ -228,10 +228,11 @@ impl PipelineBuilder {
     }
 
     /// Number of index shards the maintained discovery stage stripes the
-    /// lake across (clamped to at least 1; default 1). Queries fan out
-    /// across shards on scoped threads with per-shard
-    /// [`QueryBudget::split`] slices and merge under the pipeline's one
+    /// lake across (clamped to at least 1; default 1). A query probes the
+    /// shards in order on the caller's thread with per-shard
+    /// [`QueryBudget::split`] slices and merges under the pipeline's one
     /// ordering rule; `shards(1)` is byte-for-byte the unsharded index.
+    /// Sharding buys write-lock granularity under churn, not read speed.
     /// Only meaningful together with
     /// [`PipelineBuilder::indexed_discovery`]; plain engines are never
     /// sharded.

@@ -60,8 +60,9 @@
 //!
 //! At lake scale the index itself shards: [`ShardedLakeIndex`] stripes
 //! the slot space across N scoped [`LakeIndex`] shards (routing in
-//! [`ShardRouter`]), fans queries out on scoped threads with per-shard
-//! [`QueryBudget::split`] budget slices, re-ranks per-shard top-k with
+//! [`ShardRouter`]), probes the shards in order on the caller's thread
+//! with per-shard [`QueryBudget::split`] budget slices (sharding buys
+//! write-lock granularity, not read speed), re-ranks per-shard top-k with
 //! [`top_k_discovered`] and merges per-shard telemetry with
 //! [`DiscoveryTelemetry::merge`] — `shards == 1` stays byte-for-byte the
 //! single index (see `tests/shard_oracle.rs`).

@@ -79,6 +79,15 @@ impl Default for LshEnsembleConfig {
 /// A column domain's identity in the index: `(table slot index, column)`.
 pub(crate) type DomainKey = (u32, u32);
 
+/// Intern one domain's tokens in sorted order, so pool ids — and the exact
+/// path's `(list length, token id)` schedule that breaks ties by them —
+/// depend on the lake alone, not on `HashSet` iteration order.
+fn intern_sorted(pool: &mut StringPool, tokens: &HashSet<String>) -> HashSet<u32> {
+    let mut sorted: Vec<&str> = tokens.iter().map(String::as_str).collect();
+    sorted.sort_unstable();
+    sorted.into_iter().map(|tok| pool.intern(tok)).collect()
+}
+
 /// Joinable-table discovery: find lake tables with a column whose domain
 /// contains (most of) the query column's domain.
 pub struct LshEnsembleDiscovery {
@@ -188,7 +197,7 @@ impl LshEnsembleDiscovery {
                     }
                     _ => builder.insert_tokens(key, tokens.iter().map(String::as_str)),
                 }
-                let ids: HashSet<u32> = tokens.iter().map(|tok| pool.intern(tok)).collect();
+                let ids = intern_sorted(&mut pool, &tokens);
                 for &id in &ids {
                     postings.entry(id).or_default().push(key);
                 }
@@ -244,7 +253,7 @@ impl LshEnsembleDiscovery {
             let key: DomainKey = (slot, c as u32);
             let sig = self.hasher.signature(tokens.iter().map(String::as_str));
             self.ensemble.insert(key, tokens.len(), sig);
-            let ids: HashSet<u32> = tokens.iter().map(|tok| self.pool.intern(tok)).collect();
+            let ids = intern_sorted(&mut self.pool, &tokens);
             for &id in &ids {
                 self.postings.entry(id).or_default().push(key);
             }
@@ -630,6 +639,25 @@ mod tests {
             "family mismatch must rebuild every sketch"
         );
         assert_eq!(warm.discover(&query(), 5), cold.discover(&query(), 5));
+    }
+
+    #[test]
+    fn pool_ids_depend_on_the_lake_alone() {
+        let mut lake = demo_lake();
+        let mut builds: Vec<LshEnsembleDiscovery> = (0..2)
+            .map(|_| LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default()))
+            .collect();
+        let rows = (0..24).map(|i| vec![dialite_table::Value::Text(format!("tok{i}"))]);
+        let fresh = Table::from_rows("fresh", &["k"], rows.collect()).unwrap();
+        let slot = lake.add_table(fresh.clone()).unwrap();
+        for engine in &mut builds {
+            engine.upsert_table(slot, &fresh);
+        }
+        let (a, b) = (&builds[0], &builds[1]);
+        assert_eq!(a.pool_len(), b.pool_len());
+        for id in 0..a.pool_len() as u32 {
+            assert_eq!(a.pool.resolve(id), b.pool.resolve(id), "pool id {id}");
+        }
     }
 
     #[test]

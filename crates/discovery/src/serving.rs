@@ -252,8 +252,10 @@ impl DiscoveryService {
     }
 
     /// [`DiscoveryService::new`] with the lake striped across `shards`
-    /// index shards (0 is clamped to 1): queries fan out in parallel, and
-    /// mutations write-lock one shard at a time instead of the world.
+    /// index shards (0 is clamped to 1): a query probes the shards in
+    /// order on its own thread, and mutations write-lock one shard at a
+    /// time instead of the world — sharding buys write-lock granularity,
+    /// not read speed.
     pub fn with_shards(
         lake: DataLake,
         kb: Arc<KnowledgeBase>,

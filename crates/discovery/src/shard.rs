@@ -11,12 +11,16 @@
 //!   telemetry window), maintained through the same incremental
 //!   [`sync`](LakeIndex::sync) contract — replaying only the changelog
 //!   events its stripe admits.
-//! * **Execution layer.** A [`ShardedLakeIndex`] fans each query out
-//!   across the shards on std scoped threads, hands every shard an even
+//! * **Execution layer.** A [`ShardedLakeIndex`] probes the shards in
+//!   order on the caller's thread, hands every shard an even
 //!   [`QueryBudget::split`] slice of the caller's budget, re-ranks the
 //!   concatenated per-shard top-k with the one ordering rule
 //!   ([`top_k_discovered`]), and merges per-shard telemetry with
-//!   [`DiscoveryTelemetry::merge`].
+//!   [`DiscoveryTelemetry::merge`]. Sharding buys write-lock granularity,
+//!   not read speed: on a 2-CPU host a 2-shard query takes ≈ 1.3× as long
+//!   as a 1-shard query over the same lake (benchmark `shard.fanout_ratio`),
+//!   because bounded retrieval's per-query work does not halve with the
+//!   stripe.
 //!
 //! Routing is **slot-striped** (`slot % shards`) rather than
 //! hash-of-name: [`LakeEvent::Removed`](dialite_table::LakeEvent) carries
@@ -27,9 +31,8 @@
 //!
 //! Contracts, pinned by `tests/shard_oracle.rs`:
 //!
-//! * `shards == 1` is byte-for-byte the single `LakeIndex` — queries run
-//!   inline on the caller thread, the budget split is the identity, and
-//!   results pass through without a re-rank.
+//! * `shards == 1` is byte-for-byte the single `LakeIndex` — the budget
+//!   split is the identity and results pass through without a re-rank.
 //! * Under the exact-verification config, every discovery surface
 //!   (probe-all, budgeted stage, planned top-k) returns byte-identical
 //!   output for any shard count, because per-table scores are independent
@@ -155,10 +158,11 @@ impl ShardRouter {
     }
 }
 
-/// The execution layer over N storage shards: fans queries out across
-/// per-shard [`LakeIndex`]es in parallel, merges per-shard top-k with the
-/// one ordering rule, and merges per-shard telemetry windows (routing
-/// and consistency invariants are laid out in the module-level docs).
+/// The execution layer over N storage shards: probes the per-shard
+/// [`LakeIndex`]es in shard order on the caller's thread, merges
+/// per-shard top-k with the one ordering rule, and merges per-shard
+/// telemetry windows (routing and consistency invariants are laid out in
+/// the module-level docs).
 ///
 /// Writers go through [`sync`](ShardedLakeIndex::sync), which holds the
 /// churn lock and write-locks **one shard at a time** — concurrent
@@ -333,37 +337,19 @@ impl ShardedLakeIndex {
         }
     }
 
-    /// Run `f` against every shard and collect `(version, result)` pairs
-    /// in shard order. With one shard the call runs inline on the caller
-    /// thread; otherwise shards `1..` run on scoped threads while the
-    /// caller computes shard 0.
-    fn fan_out<R, F>(&self, f: &F) -> Vec<(u64, R)>
-    where
-        R: Send,
-        F: Fn(&LakeIndex) -> R + Sync,
-    {
-        let probe = |shard: &RwLock<LakeIndex>| {
-            let guard = shard.read().expect("shard lock");
-            (guard.version(), f(&guard))
-        };
-        if self.shards.len() == 1 {
-            return vec![probe(&self.shards[0])];
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self.shards[1..]
-                .iter()
-                .map(|shard| scope.spawn(move || probe(shard)))
-                .collect();
-            let mut out = Vec::with_capacity(self.shards.len());
-            out.push(probe(&self.shards[0]));
-            // Joining in spawn order keeps the collection deterministic.
-            out.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard fan-out")),
-            );
-            out
-        })
+    /// Run `f` against every shard, one after another on the caller's
+    /// thread, and collect `(version, result)` pairs in shard order.
+    /// Inline on purpose: a thread spawn and join costs more than a
+    /// typical shard probe (≈ 0.1 ms), so concurrency comes from
+    /// concurrent callers, not from inside one query.
+    fn fan_out<R>(&self, f: &impl Fn(&LakeIndex) -> R) -> Vec<(u64, R)> {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let guard = shard.read().expect("shard lock");
+                (guard.version(), f(&guard))
+            })
+            .collect()
     }
 
     /// [`fan_out`](Self::fan_out) with snapshot consistency: accept a
@@ -371,11 +357,7 @@ impl ShardedLakeIndex {
     /// versions imply one fully synced state — mid-sync, caught-up and
     /// lagging stripes disagree). After [`CONSISTENT_RETRIES`] losing
     /// races, serialize against sync on the churn lock instead.
-    fn fan_out_consistent<R, F>(&self, f: &F) -> (u64, Vec<R>)
-    where
-        R: Send,
-        F: Fn(&LakeIndex) -> R + Sync,
-    {
+    fn fan_out_consistent<R>(&self, f: &impl Fn(&LakeIndex) -> R) -> (u64, Vec<R>) {
         let unzip = |rounds: Vec<(u64, R)>| {
             let version = rounds[0].0;
             (version, rounds.into_iter().map(|(_, r)| r).collect())
@@ -587,6 +569,20 @@ mod tests {
             .map(|s| s.read().unwrap().santos().len())
             .sum();
         assert_eq!(total, lake.len());
+    }
+
+    #[test]
+    fn fan_out_probes_every_shard_on_the_callers_thread() {
+        let index = ShardedLakeIndex::build(
+            &lake_of(9),
+            Arc::new(covid_kb()),
+            LakeIndexConfig::default(),
+            3,
+        );
+        let caller = std::thread::current().id();
+        let probes = index.fan_out(&|_: &LakeIndex| std::thread::current().id());
+        assert_eq!(probes.len(), 3);
+        assert!(probes.iter().all(|(_, id)| *id == caller), "{probes:?}");
     }
 
     #[test]

@@ -51,12 +51,12 @@ fn exact_config() -> LakeIndexConfig {
     }
 }
 
-fn service_over(trace: &ServingTrace, serving: ServingConfig) -> DiscoveryService {
+fn service_over(trace: &ServingTrace, serving: ServingConfig, shards: usize) -> DiscoveryService {
     let mut lake = DataLake::new();
     for t in &trace.initial {
         lake.add(t.clone()).expect("unique initial names");
     }
-    DiscoveryService::new(lake, Arc::new(covid_kb()), exact_config(), serving)
+    DiscoveryService::with_shards(lake, Arc::new(covid_kb()), exact_config(), serving, shards)
 }
 
 /// One concurrently served response, as the replay needs it.
@@ -123,11 +123,15 @@ proptest! {
     /// responses must match a *fresh* `LakeIndex::build` over exactly one
     /// state of the serialized replay — states advance monotonically with
     /// versions, so the walk never rewinds; a response matching no state
-    /// is a linearization violation.
+    /// is a linearization violation. The service runs at 1–3 shards, so
+    /// the consistent-snapshot fan-out (version-mismatch retry, churn-lock
+    /// fallback) is pinned under a concurrent writer: with the exact
+    /// config every shard count answers like the single `LakeIndex`.
     #[test]
     fn concurrent_serving_equals_single_threaded_linearization(
         seed in any::<u64>(),
         ops in 16usize..40,
+        shards in 1usize..4,
     ) {
         let trace = ServingWorkload {
             tables: 8,
@@ -143,7 +147,7 @@ proptest! {
             seed,
         }
         .generate();
-        let service = service_over(&trace, ServingConfig::default());
+        let service = service_over(&trace, ServingConfig::default(), shards);
         let queries: Vec<TableQuery> = trace
             .pool
             .iter()
@@ -210,7 +214,7 @@ fn readers_are_not_starved_by_a_churning_writer() {
         seed: 71,
     }
     .generate();
-    let service = service_over(&trace, ServingConfig::default());
+    let service = service_over(&trace, ServingConfig::default(), 1);
     let queries: Vec<TableQuery> = trace
         .pool
         .iter()
@@ -279,7 +283,7 @@ fn zero_capacity_always_rejects_without_deadlock() {
         ..ServingWorkload::default()
     }
     .generate();
-    let service = service_over(&trace, ServingConfig::default().with_max_in_flight(0));
+    let service = service_over(&trace, ServingConfig::default().with_max_in_flight(0), 1);
     let query = TableQuery::with_column(trace.pool[0].clone(), 0);
     for _ in 0..16 {
         assert_eq!(
@@ -313,7 +317,7 @@ fn over_capacity_storm_yields_busy_and_capacity_recovers() {
         seed: 79,
     }
     .generate();
-    let service = service_over(&trace, ServingConfig::default().with_max_in_flight(2));
+    let service = service_over(&trace, ServingConfig::default().with_max_in_flight(2), 1);
     let queries: Vec<TableQuery> = trace
         .pool
         .iter()

@@ -13,9 +13,12 @@
 # Per workload and end-to-end metric it prints each side's median and
 # quartiles (as Python's statistics.quantiles(n=4) cuts them), head ÷ base,
 # in how many pairs head beat base, and whether the medians differ by more
-# than base's interquartile distance. It exits 1 when a head median is
-# worse than base's by more than the metric's bound in BENCHMARK.json, or
-# when head failed more ops than base. Raw run logs and a TSV of every
+# than base's interquartile distance. A metric whose base interquartile
+# distance exceeds its bound (as a fraction of base's median) is marked
+# `unresolved` unless every head run beats every base run; that mark is a
+# report only and never changes the exit status. It exits 1 when a head
+# median is worse than base's by more than the metric's bound in
+# BENCHMARK.json, or when head failed more ops than base. Raw run logs and a TSV of every
 # value stay in benchmark/out/compare/.
 #
 # With --layers, after the pairs it also makes one traced run
@@ -148,10 +151,17 @@ for w in sorted({w for w, _ in values}, key=order.index):
         if bad:
             worse.append(f"{w} {m['name']}")
         ratio = f"{hm / bm:6.3f}" if bm else "     -"
+        # Base spread wider than the bound cannot tell a change from noise
+        # unless head's runs all beat base's (choosing-metrics §6.5).
+        spread = (b3 - b1) / bm if bm else 0.0
+        clear = min(head.values()) > max(base.values()) if higher \
+            else max(head.values()) < min(base.values())
+        unresolved = spread > m["bound"] and not clear
         print(f"  {m['name']:13} base {bm:10.4g} [{b1:.4g}, {b3:.4g}]"
               f"  head {hm:10.4g} [{h1:.4g}, {h3:.4g}]  head/base {ratio}"
               f"  head wins {wins}/{len(paired)}"
               f"  |Δmedian| > base IQR: {'yes' if abs(hm - bm) > b3 - b1 else 'no'}"
+              f"{f'  unresolved (base IQR/median {spread:.3f} > bound)' if unresolved else ''}"
               f"{'  WORSE than bound ' + str(m['bound']) if bad else ''}")
 for w in [w for w in order if any(lw == w for lw, _ in layers)]:
     print(f"{w}: per-layer metrics that differ (one traced run per side, seed 1)")

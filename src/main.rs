@@ -14,8 +14,9 @@
 //! ```
 //!
 //! `--shards N` stripes the maintained discovery index across N shards
-//! (queries fan out in parallel and merge; `--shards 1`, the default, is
-//! byte-for-byte the single index). `telemetry` replays the query and
+//! (each query probes the shards in order and merges; `--shards 1`, the
+//! default, is byte-for-byte the single index; more shards buy write-lock
+//! granularity, not read speed). `telemetry` replays the query and
 //! dumps the merged discovery telemetry window as one JSON object.
 //!
 //! `--max-postings P` caps the posting entries the exact top-k path may
