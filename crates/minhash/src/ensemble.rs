@@ -4,7 +4,11 @@
 //! Domains (column value sets) are partitioned by set size (equi-depth).
 //! Each partition materializes banding tables for every power-of-two row
 //! count `r ≤ num_perm`, built once: each band is one array of
-//! `(band hash, domain)` pairs sorted by hash, probed by binary search. A
+//! `(band hash, domain)` pairs sorted by hash, probed by binary search.
+//! Bands are tree-hashed bottom-up: a one-row band's hash is its slot, and
+//! each wider band costs one 64-bit combine of its two halves' hashes, so a
+//! 256-slot domain's 511 bands take 255 combines. Band tables are never
+//! persisted, so the hash can change without touching a snapshot. A
 //! containment query converts its threshold into a per-partition Jaccard
 //! threshold using the partition's upper size bound, picks the
 //! (near-)optimal `(b, r)` for that threshold among the materialized `r`
@@ -44,27 +48,37 @@ use crate::params::{containment_to_jaccard, optimal_params_restricted};
 /// tombstoned) before a mutation triggers re-partitioning.
 pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 0.25;
 
-/// 64-bit FNV-1a over the little-endian bytes of `r`, `band_idx` and the
-/// band's signature slots, streamed so that hashing allocates nothing. The
-/// bytes — and so the hashes — are those of `fnv1a64` over the
-/// concatenation (pinned by a test).
-fn band_hash(r: usize, band_idx: usize, slots: &[u64]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for word in [r as u64, band_idx as u64].iter().chain(slots) {
-        for byte in word.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
+/// Hash of a band from the hashes of its two halves: an odd-multiplier xor,
+/// then the SplitMix64 finaliser.
+fn combine(left: u64, right: u64) -> u64 {
+    let mut z = left.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ right;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Tree hash of a band (a run of signature slots): a one-row band hashes
+/// to its slot, a longer one to the [`combine`] of its halves split at
+/// `len / 2`. Equal runs hash equal; unequal runs of one length collide
+/// with probability ≈ 2⁻⁶⁴. The row count and band index are not hashed:
+/// every band has its own table.
+pub(crate) fn band_hash(slots: &[u64]) -> u64 {
+    match slots {
+        [] => 0,
+        [slot] => *slot,
+        _ => {
+            let (left, right) = slots.split_at(slots.len() / 2);
+            combine(band_hash(left), band_hash(right))
         }
     }
-    h
 }
 
 /// One size partition. Its banding tables are built once, when the
 /// partition is: with `n = keys.len()`, band `g` of the partition's
 /// flattened bands (row counts ascending, bands in order within a row
-/// count) is `hashes[g·n .. (g+1)·n]`, sorted ascending, with `ids` the
-/// parallel indices into `keys` — every key has exactly one entry per band.
+/// count) is `hashes[g·n .. (g+1)·n]`, sorted ascending by hash, with `ids`
+/// the parallel indices into `keys` — every key has exactly one entry per
+/// band.
 struct Partition<K> {
     /// Maximum domain size in this partition (the `u` of the containment →
     /// Jaccard conversion).
@@ -76,24 +90,36 @@ struct Partition<K> {
 }
 
 impl<K: Clone + Eq + Hash> Partition<K> {
-    /// Band a `(size, key)`-sorted chunk: one sort per band.
+    /// Band a non-empty `(size, key)`-sorted chunk whose power-of-two row
+    /// counts `rs` ascend: band hashes bottom-up, one [`combine`] per band
+    /// of `r > 1` rows, then one sort per band.
     fn build(chunk: &[(&K, usize, &Signature)], num_perm: usize, rs: &[usize]) -> Partition<K> {
         let n = chunk.len();
         let bands: usize = rs.iter().map(|&r| num_perm / r).sum();
         let mut hashes = Vec::with_capacity(bands * n);
         let mut ids = Vec::with_capacity(bands * n);
         let mut band_entries: Vec<(u64, u32)> = Vec::with_capacity(n);
+        // `level[band·n + id]`: the hash of band `band` of domain `id` at
+        // `width` rows per band — at one row, the slots themselves.
+        let mut level: Vec<u64> = (0..num_perm)
+            .flat_map(|slot| chunk.iter().map(move |e| e.2 .0[slot]))
+            .collect();
+        let mut width = 1;
         for &r in rs {
-            for band in 0..num_perm / r {
-                let lo = band * r;
+            while width < r {
+                width *= 2;
+                level = level
+                    .chunks_exact(2 * n)
+                    .flat_map(|pair| {
+                        let (left, right) = pair.split_at(n);
+                        left.iter().zip(right).map(|(&a, &b)| combine(a, b))
+                    })
+                    .collect();
+            }
+            for band in level.chunks_exact(n) {
                 band_entries.clear();
-                band_entries.extend(
-                    chunk
-                        .iter()
-                        .zip(0u32..)
-                        .map(|((_, _, sig), id)| (band_hash(r, band, &sig.0[lo..lo + r]), id)),
-                );
-                band_entries.sort_unstable();
+                band_entries.extend(band.iter().copied().zip(0u32..));
+                band_entries.sort_unstable_by_key(|e| e.0);
                 hashes.extend(band_entries.iter().map(|&(h, _)| h));
                 ids.extend(band_entries.iter().map(|&(_, id)| id));
             }
@@ -113,7 +139,7 @@ impl<K: Clone + Eq + Hash> Partition<K> {
         let n = self.keys.len();
         for band in 0..b {
             let lo = band * r;
-            let h = band_hash(r, band, &sig.0[lo..lo + r]);
+            let h = band_hash(&sig.0[lo..lo + r]);
             let start = (first_band + band) * n;
             let band_hashes = &self.hashes[start..start + n];
             let from = band_hashes.partition_point(|&x| x < h);
@@ -530,6 +556,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn toks(prefix: &str, range: std::ops::Range<usize>) -> Vec<String> {
         range.map(|i| format!("{prefix}{i}")).collect()
@@ -874,18 +901,112 @@ mod tests {
     }
 
     #[test]
-    fn band_hash_is_fnv1a_of_the_concatenated_bytes() {
-        let sig = MinHasher::new(64, 9).signature(["a", "b", "c"]);
-        for r in [1usize, 2, 8, 64] {
-            for band in [0, 32 / r, 64 / r - 1] {
-                let slots = &sig.0[band * r..(band + 1) * r];
-                let mut bytes = Vec::new();
-                bytes.extend_from_slice(&(r as u64).to_le_bytes());
-                bytes.extend_from_slice(&(band as u64).to_le_bytes());
-                for s in slots {
-                    bytes.extend_from_slice(&s.to_le_bytes());
+    fn bottom_up_band_hashes_equal_the_recursive_definition() {
+        for num_perm in [64usize, 48] {
+            let hasher = MinHasher::new(num_perm, 9);
+            let sigs: Vec<Signature> = (0..5)
+                .map(|i| hasher.signature(toks("v", i..i * 7 + 3).iter().map(String::as_str)))
+                .collect();
+            let keys: Vec<usize> = (0..sigs.len()).collect();
+            let chunk: Vec<(&usize, usize, &Signature)> =
+                keys.iter().zip(&sigs).map(|(k, sig)| (k, 1, sig)).collect();
+            let rs: Vec<usize> = [1, 2, 4, 8, 16, 32, 64]
+                .into_iter()
+                .filter(|&r| r <= num_perm)
+                .collect();
+            let p = Partition::build(&chunk, num_perm, &rs);
+            let n = sigs.len();
+            let mut g = 0;
+            for &r in &rs {
+                for band in 0..num_perm / r {
+                    let span = g * n..(g + 1) * n;
+                    let mut seen: Vec<u32> = p.ids[span.clone()].to_vec();
+                    for (&h, &id) in p.hashes[span.clone()].iter().zip(&p.ids[span]) {
+                        let slots = &sigs[id as usize].0[band * r..(band + 1) * r];
+                        assert_eq!(
+                            h,
+                            band_hash(slots),
+                            "num_perm {num_perm}, r {r}, band {band}"
+                        );
+                    }
+                    seen.sort_unstable();
+                    assert_eq!(seen, (0..n as u32).collect::<Vec<_>>());
+                    g += 1;
                 }
-                assert_eq!(band_hash(r, band, slots), dialite_text::fnv1a64(&bytes));
+            }
+            assert_eq!(g * n, p.hashes.len());
+        }
+        let slots = [3u64, 5, 7, 11];
+        assert_eq!(band_hash(&slots[..1]), 3);
+        assert_eq!(
+            band_hash(&slots),
+            combine(combine(3, 5), combine(7, 11)),
+            "a band combines its halves"
+        );
+    }
+
+    /// Domains over a small token universe, so bands genuinely collide.
+    fn small_domains() -> impl Strategy<Value = Vec<HashSet<u32>>> {
+        prop::collection::vec(prop::collection::hash_set(0u32..24, 1..16), 1..14)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every partition's candidates are exactly its live keys whose
+        /// `r`-slot run equals the query's in one of the first `b` bands —
+        /// the band hash is exact on equality — after a fresh build and
+        /// after staged inserts plus removes followed by a rebalance.
+        #[test]
+        fn candidates_are_exactly_the_slot_run_matches(
+            num_perm in prop_oneof![Just(48usize), Just(64usize)],
+            domains in small_domains(),
+            staged in small_domains(),
+            removes in prop::collection::vec(0usize..28, 0..6),
+            query in prop::collection::hash_set(0u32..24, 1..16),
+            parts in 1usize..5,
+            t in 0.0f64..1.0,
+        ) {
+            let hasher = MinHasher::new(num_perm, 7);
+            let sig_of = |d: &HashSet<u32>| {
+                let tokens: Vec<String> = d.iter().map(|i| format!("t{i}")).collect();
+                hasher.signature(tokens.iter().map(String::as_str))
+            };
+            let build = || {
+                let mut b = LshEnsembleBuilder::<usize>::new(num_perm, 7);
+                for (key, d) in domains.iter().enumerate() {
+                    b.insert_signature(key, d.len(), sig_of(d));
+                }
+                b.build(parts)
+            };
+            let fresh = build();
+            let mut churned = build();
+            churned.set_rebalance_threshold(f64::INFINITY);
+            for (key, d) in staged.iter().enumerate() {
+                churned.insert(domains.len() + key, d.len(), sig_of(d));
+            }
+            for key in &removes {
+                churned.remove(key);
+            }
+            churned.rebalance();
+            let qsig = sig_of(&query);
+            let q = query.len();
+            for index in [&fresh, &churned] {
+                for (idx, p) in index.partitions.iter().enumerate() {
+                    let j = containment_to_jaccard(t, q, p.upper);
+                    let (b, r) = optimal_params_restricted(j, num_perm, &index.allowed_r);
+                    let runs_match = |sig: &Signature| {
+                        (0..b).any(|band| sig.0[band * r..(band + 1) * r] == qsig.0[band * r..(band + 1) * r])
+                    };
+                    let mut expect: Vec<usize> = p
+                        .keys
+                        .iter()
+                        .filter(|k| index.entries.get(k).is_some_and(|(_, sig)| runs_match(sig)))
+                        .copied()
+                        .collect();
+                    expect.sort_unstable();
+                    prop_assert_eq!(index.query_partition(idx, &qsig, q, t), expect);
+                }
             }
         }
     }

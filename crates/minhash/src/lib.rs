@@ -15,13 +15,17 @@
 //! * [`LshEnsemble`] — the containment-search index: indexed domains are
 //!   partitioned by set size; each partition keeps, for every power-of-two
 //!   row count, one hash-sorted `(band hash, domain)` array per band, built
-//!   once; at query time the containment threshold is converted to a
-//!   per-partition Jaccard threshold for which (near-)optimal `(b, r)`
-//!   parameters are chosen by minimizing the sum of false-positive and
-//!   false-negative probability integrals — the same construction as the
-//!   paper's optimal-parameter tuning — and memoised per threshold. Domains
-//!   inserted after the build are staged unbanded and returned by every
-//!   query until a rebalance bands them.
+//!   once. Band hashes are tree hashes computed bottom-up — a one-row band
+//!   hashes to its slot, every wider band is one 64-bit combine of its two
+//!   halves — and are never persisted (snapshots keep only signatures);
+//!   [`LshIndex`] hashes its bands the same way. At query time the
+//!   containment threshold is converted to a per-partition Jaccard
+//!   threshold for which (near-)optimal `(b, r)` parameters are chosen by
+//!   minimizing the sum of false-positive and false-negative probability
+//!   integrals — the same construction as the paper's optimal-parameter
+//!   tuning — and memoised per threshold. Domains inserted after the build
+//!   are staged unbanded and returned by every query until a rebalance
+//!   bands them.
 
 #![deny(missing_docs)]
 

@@ -3,20 +3,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dialite_text::fnv1a64;
-
+use crate::ensemble::band_hash;
 use crate::hasher::Signature;
 use crate::params::optimal_params;
-
-/// Hash of one band (a contiguous slice of signature slots).
-fn band_hash(band_idx: usize, slots: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(8 + slots.len() * 8);
-    bytes.extend_from_slice(&(band_idx as u64).to_le_bytes());
-    for s in slots {
-        bytes.extend_from_slice(&s.to_le_bytes());
-    }
-    fnv1a64(&bytes)
-}
 
 /// A banded LSH index mapping string keys to MinHash signatures, tuned for
 /// one Jaccard threshold at construction time.
@@ -69,7 +58,7 @@ impl LshIndex {
         self.keys.push(key.to_string());
         for band in 0..self.bands {
             let lo = band * self.rows;
-            let h = band_hash(band, &sig.0[lo..lo + self.rows]);
+            let h = band_hash(&sig.0[lo..lo + self.rows]);
             self.tables[band].entry(h).or_default().push(id);
         }
     }
@@ -80,7 +69,7 @@ impl LshIndex {
         let mut hits: HashSet<u32> = HashSet::new();
         for band in 0..self.bands {
             let lo = band * self.rows;
-            let h = band_hash(band, &sig.0[lo..lo + self.rows]);
+            let h = band_hash(&sig.0[lo..lo + self.rows]);
             if let Some(ids) = self.tables[band].get(&h) {
                 hits.extend(ids.iter().copied());
             }
