@@ -42,6 +42,7 @@
 use std::collections::HashMap;
 
 use crate::lshe::{DomainKey, LshEnsembleDiscovery};
+use crate::pool::intersect_count;
 
 /// What one cost-bounded exact search actually did — folded into
 /// [`TopKStats`](crate::TopKStats) by the planner's exact path.
@@ -192,7 +193,7 @@ pub(crate) fn exact_search<'a>(
             continue;
         };
         stats.verified += 1;
-        let hits = q_ids.iter().filter(|id| domain.contains(id)).count();
+        let hits = intersect_count(q_ids, domain);
         fold(
             engine,
             key,

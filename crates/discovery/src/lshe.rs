@@ -3,10 +3,11 @@
 //! through `datasketch` (paper §2.1, §3.1).
 //!
 //! Column domains are identified by `(table slot, col)` pairs — the stable
-//! slot indices of the mutable [`DataLake`] — and stored as token-**id**
-//! sets over a shared [`StringPool`], so verification probes `u32` sets
-//! instead of re-hashing strings, and table names never need to be embedded
-//! in (collision-prone) composite string keys.
+//! slot indices of the mutable [`DataLake`] — and stored as sorted
+//! token-**id** runs over a shared [`StringPool`], so verification merges
+//! `u32` runs ([`intersect_count`]) instead of re-hashing strings, and
+//! table names never need to be embedded in (collision-prone) composite
+//! string keys.
 //!
 //! Alongside the sketch index the engine maintains **exact token posting
 //! lists** (token id → the `(slot, col)` domains containing it). They
@@ -32,7 +33,7 @@ use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature, Ske
 use dialite_table::{DataLake, Table};
 
 use crate::cost::{self, ExactSearchStats};
-use crate::pool::{StringPool, POOL_ID_DROPPED};
+use crate::pool::{intersect_count, Run, StringPool, POOL_ID_DROPPED};
 use crate::shard::ShardScope;
 use crate::types::{top_k, Discovered, Discovery, TableQuery};
 
@@ -81,11 +82,14 @@ pub(crate) type DomainKey = (u32, u32);
 
 /// Intern one domain's tokens in sorted order, so pool ids — and the exact
 /// path's `(list length, token id)` schedule that breaks ties by them —
-/// depend on the lake alone, not on `HashSet` iteration order.
-fn intern_sorted(pool: &mut StringPool, tokens: &HashSet<String>) -> HashSet<u32> {
+/// depend on the lake alone, not on `HashSet` iteration order. Returns the
+/// domain's run.
+fn intern_sorted(pool: &mut StringPool, tokens: &HashSet<String>) -> Run {
     let mut sorted: Vec<&str> = tokens.iter().map(String::as_str).collect();
     sorted.sort_unstable();
-    sorted.into_iter().map(|tok| pool.intern(tok)).collect()
+    let mut run: Vec<u32> = sorted.into_iter().map(|tok| pool.intern(tok)).collect();
+    run.sort_unstable();
+    run.into_boxed_slice()
 }
 
 /// Joinable-table discovery: find lake tables with a column whose domain
@@ -94,8 +98,8 @@ pub struct LshEnsembleDiscovery {
     pub(crate) config: LshEnsembleConfig,
     pub(crate) hasher: MinHasher,
     pub(crate) ensemble: LshEnsemble<DomainKey>,
-    /// `(table slot, col)` → interned token-id set, for exact verification.
-    pub(crate) domains: HashMap<DomainKey, HashSet<u32>>,
+    /// `(table slot, col)` → sorted token-id run, for exact verification.
+    pub(crate) domains: HashMap<DomainKey, Run>,
     /// Lake table names by slot index (live tables only).
     pub(crate) table_names: HashMap<u32, String>,
     /// Indexed column indices per slot, so retiring a table touches only
@@ -177,7 +181,7 @@ impl LshEnsembleDiscovery {
         reusable: &HashMap<DomainKey, (usize, &Signature)>,
     ) -> LshEnsembleDiscovery {
         let mut builder = LshEnsembleBuilder::new(config.num_perm, config.seed);
-        let mut domains: HashMap<DomainKey, HashSet<u32>> = HashMap::new();
+        let mut domains: HashMap<DomainKey, Run> = HashMap::new();
         let mut table_names = HashMap::new();
         let mut cols_of: HashMap<u32, Vec<u32>> = HashMap::new();
         let mut pool = StringPool::new();
@@ -332,17 +336,15 @@ impl LshEnsembleDiscovery {
     }
 
     /// Drop every token no live domain references, re-densify ids, and
-    /// rewrite all domain sets and posting lists through the remap.
+    /// rewrite all domain runs (in place: the remap is monotone, so they
+    /// stay sorted) and posting lists through the remap.
     /// `O(live tokens + pool)`.
     fn compact_pool(&mut self) {
         let live: HashSet<u32> = self.domains.values().flatten().copied().collect();
         let remap = self.pool.compact(&live);
-        for ids in self.domains.values_mut() {
-            *ids = ids
-                .iter()
-                .map(|&id| remap[id as usize])
-                .inspect(|&id| debug_assert_ne!(id, POOL_ID_DROPPED, "live id dropped"))
-                .collect();
+        for id in self.domains.values_mut().flat_map(|d| d.iter_mut()) {
+            *id = remap[*id as usize];
+            debug_assert_ne!(*id, POOL_ID_DROPPED, "live id dropped");
         }
         self.postings = std::mem::take(&mut self.postings)
             .into_iter()
@@ -352,11 +354,13 @@ impl LshEnsembleDiscovery {
         self.pool_generation += 1;
     }
 
-    /// Resolve the query's tokens through the shared pool. Tokens the pool
-    /// has never seen occur in no domain and drop out (the containment
-    /// denominator stays the full query size).
+    /// Resolve the query's tokens through the shared pool into a sorted
+    /// run. Tokens the pool has never seen occur in no domain and drop out
+    /// (the containment denominator stays the full query size).
     pub(crate) fn query_token_ids(&self, q_tokens: &HashSet<String>) -> Vec<u32> {
-        q_tokens.iter().filter_map(|t| self.pool.get(t)).collect()
+        let mut ids: Vec<u32> = q_tokens.iter().filter_map(|t| self.pool.get(t)).collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// The exact (sketch-free) answer for small-to-mid queries: the
@@ -471,10 +475,10 @@ impl LshEnsembleDiscovery {
         )
     }
 
-    /// Verify candidate domains exactly against their stored token-id sets,
+    /// Verify candidate domains exactly against their stored token-id runs,
     /// folding each verified containment into the per-table best map.
-    /// Containment is `|Q ∩ X| / |Q|` over interned ids; scores below the
-    /// configured threshold (LSH false positives) are dropped.
+    /// Containment is `|Q ∩ X| / |Q|` over the sorted query ids; scores
+    /// below the configured threshold (LSH false positives) are dropped.
     pub(crate) fn verify_candidates<'a, I: IntoIterator<Item = DomainKey>>(
         &'a self,
         candidates: I,
@@ -489,7 +493,7 @@ impl LshEnsembleDiscovery {
                 continue;
             };
             verified += 1;
-            let hits = q_ids.iter().filter(|id| domain.contains(id)).count();
+            let hits = intersect_count(q_ids, domain);
             let c = hits as f64 / q_len as f64;
             if c + 1e-12 < self.config.threshold {
                 continue; // LSH false positive
@@ -785,7 +789,7 @@ mod tests {
         let lake = demo_lake();
         let mut engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
         let weight = |e: &LshEnsembleDiscovery| -> usize {
-            e.domains.values().map(HashSet::len).sum::<usize>()
+            e.domains.values().map(|d| d.len()).sum::<usize>()
         };
         let (_, total) = engine.posting_stats();
         assert_eq!(total, weight(&engine));

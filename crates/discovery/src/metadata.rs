@@ -7,10 +7,10 @@
 //! engine answers exactly that query mode:
 //!
 //! 1. **Index.** For every lake table, tokenize each column header with
-//!    [`dialite_text::word_tokens`]. An inverted index `header token →
-//!    tables` — the same token posting index, with the same retire/compact
-//!    machinery, as the SANTOS leg's synthesized signal — provides
-//!    candidate retrieval.
+//!    [`dialite_text::word_tokens`] and keep it as a sorted id run. An
+//!    inverted index `header token → tables` — the same token posting
+//!    index, with the same runs and retire/compact machinery, as the
+//!    SANTOS leg's synthesized signal — provides candidate retrieval.
 //! 2. **Query.** Tokenize the query table's headers the same way (query
 //!    tokens resolve through the pool, never intern — the query is not
 //!    part of the lake).
@@ -28,9 +28,10 @@
 use std::collections::{BTreeMap, HashSet};
 
 use dialite_table::{DataLake, Table};
-use dialite_text::{jaccard, word_tokens};
+use dialite_text::word_tokens;
 
-use crate::retrieval::{bounded_top_k, score_all, Named, Report, TokenPostings};
+use crate::pool::{QueryColumn, Run};
+use crate::retrieval::{bounded_top_k, score_all, Report, TokenPostings};
 use crate::shard::ShardScope;
 use crate::types::{Discovered, Discovery, TableQuery};
 
@@ -69,19 +70,6 @@ pub struct MetadataStats {
     pub full_scan: bool,
 }
 
-/// Per-table header metadata kept in the index.
-struct TableMeta {
-    name: String,
-    /// Per-column header token sets (the unit the score compares).
-    columns: Vec<HashSet<String>>,
-}
-
-impl Named for TableMeta {
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 /// The metadata-aware discovery engine. Build once per lake, then either
 /// query as-is or keep it warm across churn with
 /// [`MetadataDiscovery::upsert_table`] /
@@ -90,10 +78,11 @@ impl Named for TableMeta {
 /// build.
 pub struct MetadataDiscovery {
     config: MetadataConfig,
-    /// Per-table metadata, keyed by the lake's stable slot index. A
-    /// `BTreeMap` keeps the full-scan oracle deterministic.
-    tables: BTreeMap<u32, TableMeta>,
-    /// Inverted index: header token → table slots whose headers contain it.
+    /// Table names, keyed by the lake's stable slot index. A `BTreeMap`
+    /// keeps the full-scan oracle deterministic.
+    tables: BTreeMap<u32, String>,
+    /// Per-table header-token runs (one per column, the unit the score
+    /// compares), and header token → table slots whose headers contain it.
     headers: TokenPostings,
 }
 
@@ -127,16 +116,8 @@ impl MetadataDiscovery {
     /// `O(that table's schema)` — row data is never touched.
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
-        let columns = header_tokens(table);
-        self.headers
-            .insert(slot, columns.iter().flatten().map(String::as_str));
-        self.tables.insert(
-            slot,
-            TableMeta {
-                name: table.name().to_string(),
-                columns,
-            },
-        );
+        self.headers.insert(slot, &header_tokens(table));
+        self.tables.insert(slot, table.name().to_string());
     }
 
     /// Drop the header metadata of the table occupying a lake slot.
@@ -156,19 +137,14 @@ impl MetadataDiscovery {
     }
 
     /// Header similarity: mean over query columns of the best Jaccard
-    /// against any candidate column's header tokens.
-    fn score_candidate(&self, q_cols: &[HashSet<String>], cand: &TableMeta) -> f64 {
-        if q_cols.is_empty() || cand.columns.is_empty() {
+    /// against any candidate column's header-token run.
+    fn score_candidate(&self, q_cols: &[QueryColumn], c_runs: &[Run]) -> f64 {
+        if q_cols.is_empty() || c_runs.is_empty() {
             return 0.0;
         }
         let total: f64 = q_cols
             .iter()
-            .map(|qc| {
-                cand.columns
-                    .iter()
-                    .map(|cc| jaccard(qc, cc))
-                    .fold(0.0, f64::max)
-            })
+            .map(|qc| c_runs.iter().map(|cc| qc.jaccard(cc)).fold(0.0, f64::max))
             .sum();
         total / q_cols.len() as f64
     }
@@ -205,7 +181,7 @@ impl MetadataDiscovery {
         k: usize,
         cap: usize,
     ) -> (Vec<Discovered>, MetadataStats) {
-        let q_cols = header_tokens(&query.table);
+        let q_cols = self.headers.resolve(&header_tokens(&query.table));
         if q_cols.is_empty() || k == 0 {
             return (Vec::new(), MetadataStats::default());
         }
@@ -214,27 +190,26 @@ impl MetadataDiscovery {
             min_score: self.config.min_score,
             exclude: query.table.name(),
         };
-        let score = |cand: &TableMeta| self.score_candidate(&q_cols, cand);
+        let score = |slot: u32, _: &String| self.score_candidate(&q_cols, self.headers.runs(slot));
         let (hits, run) = if cap == usize::MAX {
-            score_all(self.tables.values(), report, score)
+            score_all(&self.tables, report, score)
         } else {
             let bound = |ov: usize| {
                 let total: f64 = q_cols
                     .iter()
                     .map(|qc| {
-                        if qc.is_empty() {
+                        if qc.len == 0 {
                             // jaccard(∅, ∅) == 1: an empty candidate header
                             // matches an empty query header, overlap or not.
                             1.0
                         } else {
-                            (ov as f64 / qc.len() as f64).min(1.0)
+                            (ov as f64 / qc.len as f64).min(1.0)
                         }
                     })
                     .sum();
                 total / q_cols.len() as f64
             };
-            let q_tokens = q_cols.iter().flatten().map(String::as_str);
-            let ranked = self.headers.ranked(q_tokens, self.config.min_score, bound);
+            let ranked = self.headers.ranked(&q_cols, self.config.min_score, bound);
             bounded_top_k(&self.tables, ranked, cap, report, score)
         };
         let stats = MetadataStats {

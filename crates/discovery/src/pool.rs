@@ -1,16 +1,21 @@
-//! A shared string pool: dense `u32` ids for overlap tokens.
+//! A shared string pool: dense `u32` ids for overlap tokens, and the one
+//! routine that counts overlaps over them.
 //!
-//! Discovery engines compare *sets of tokens*. Storing each column's domain
-//! as `HashSet<String>` re-hashes the same strings for every (query,
-//! candidate) pair; interning tokens once at index-build time turns the
-//! exact-containment verification into `u32` set probes — the same
-//! dictionary-encoding move the integrate crate applies to cell values.
+//! Discovery engines compare *sets of tokens*. Every discovery leg stores
+//! each column's token domain as a **run**: the sorted, deduplicated ids
+//! of its tokens in the pool that leg keeps. Overlap is then a merge of
+//! two runs ([`intersect_count`]), and Jaccard ([`QueryColumn::jaccard`]) and
+//! containment follow from the same integer count — no string is hashed
+//! per (query, candidate) pair. Query columns resolve through
+//! [`StringPool::get`], never interning; a token the pool never saw is in
+//! no run but still counts in the query's size.
 //!
 //! Under lake churn the pool would grow without bound: tokens of removed
 //! tables stay interned (dead dictionary weight). [`StringPool::compact`]
 //! supports the discovery layer's generation-based compaction — keep only
 //! the ids a caller proves live, reassign dense ids, and hand back the
-//! old→new remap so callers can rewrite their stored id sets.
+//! old→new remap so callers can rewrite their stored runs. The remap is
+//! monotone, so a rewritten run stays sorted.
 
 use std::collections::{HashMap, HashSet};
 
@@ -91,9 +96,121 @@ impl StringPool {
     }
 }
 
+/// A column token domain: the sorted, deduplicated pool ids of its tokens.
+pub(crate) type Run = Box<[u32]>;
+
+/// `|A ∩ B|` for two runs, by one merge. Both inputs must be runs —
+/// sorted and deduplicated — or the count comes out short.
+pub(crate) fn intersect_count(a: &[u32], b: &[u32]) -> usize {
+    debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "unsorted run");
+    debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "unsorted run");
+    let (mut i, mut j, mut hits) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        hits += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    hits
+}
+
+/// A query column resolved against a leg's pool, never interned.
+pub(crate) struct QueryColumn {
+    /// The run of the column's tokens the pool knows.
+    pub ids: Vec<u32>,
+    /// Distinct tokens in the column, unseen ones included.
+    pub len: usize,
+}
+
+impl QueryColumn {
+    /// Jaccard against a lake column's run, bit for bit
+    /// `dialite_text::jaccard` over their token sets: a token the pool
+    /// never saw is in no run but counts in `len`, and `∅` against `∅`
+    /// is 1.
+    pub(crate) fn jaccard(&self, run: &[u32]) -> f64 {
+        if self.len == 0 && run.is_empty() {
+            return 1.0;
+        }
+        let inter = intersect_count(&self.ids, run);
+        let union = self.len + run.len() - inter;
+        inter as f64 / union as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retrieval::TokenPostings;
+    use proptest::prelude::*;
+
+    fn strings(prefix: &str, ns: &HashSet<u16>) -> HashSet<String> {
+        ns.iter().map(|n| format!("{prefix}{n}")).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The run routines equal the set definitions bit for bit: a lake
+        /// column `C` interned by `TokenPostings` beside another column,
+        /// a query column `Q` that may carry tokens the pool never saw,
+        /// either side possibly empty, sizes from equal to far apart —
+        /// before and after a churned-out table forces the pool to
+        /// compact.
+        #[test]
+        fn run_routines_equal_the_set_definitions(
+            lake in prop::collection::hash_set(0u16..400, 0..320),
+            other in prop::collection::hash_set(0u16..400, 0..40),
+            query in prop::collection::hash_set(0u16..400, 0..40),
+            unseen in prop::collection::hash_set(0u16..8, 0..3),
+            swap in any::<bool>(),
+        ) {
+            let (lake, query) = if swap { (query, lake) } else { (lake, query) };
+            let c = strings("t", &lake);
+            let mut q = strings("t", &query);
+            q.extend(strings("unseen", &unseen));
+            let truth = q.intersection(&c).count();
+            let jaccard_bits = dialite_text::jaccard(&q, &c).to_bits();
+
+            let mut postings = TokenPostings::default();
+            postings.insert(0, &[strings("t", &other), c.clone()]);
+            let dead: HashSet<String> = (0..1100).map(|i| format!("dead{i}")).collect();
+            postings.insert(1, &[dead]);
+            let (before, _) = postings.posting_stats();
+            for compacted in [false, true] {
+                if compacted {
+                    postings.remove(1);
+                    let (after, _) = postings.posting_stats();
+                    prop_assert!(after < before, "removing slot 1 must compact the pool");
+                }
+                let run = &postings.runs(0)[1];
+                prop_assert!(run.windows(2).all(|w| w[0] < w[1]), "runs stay sorted");
+                let col = &postings.resolve(std::slice::from_ref(&q))[0];
+                prop_assert_eq!(col.len, q.len());
+                prop_assert_eq!(intersect_count(&col.ids, run), truth);
+                prop_assert_eq!(intersect_count(run, &col.ids), truth);
+                prop_assert_eq!(col.jaccard(run).to_bits(), jaccard_bits);
+            }
+        }
+    }
+
+    #[test]
+    fn intersection_counts_shared_ids_at_any_length_ratio() {
+        let long: Vec<u32> = (0..64).map(|i| i * 2).collect();
+        for short in [
+            vec![0, 3, 64, 126, 200],
+            vec![],
+            vec![1, 2, 4, 6, 8, 9, 126, 127],
+            long.clone(),
+        ] {
+            let truth = short.iter().filter(|id| long.contains(id)).count();
+            assert_eq!(intersect_count(&short, &long), truth);
+            assert_eq!(intersect_count(&long, &short), truth);
+        }
+        let empty = |len| QueryColumn { ids: vec![], len };
+        assert_eq!(empty(0).jaccard(&[]), 1.0);
+        assert_eq!(empty(2).jaccard(&[]), 0.0);
+        assert_eq!(empty(0).jaccard(&[7]), 0.0);
+    }
 
     #[test]
     fn interning_is_stable_and_dense() {

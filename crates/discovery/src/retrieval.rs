@@ -10,23 +10,33 @@
 //!   match the exhaustive output: any finite cap covering the candidates
 //!   returns exactly what [`score_all`] — the exhaustive oracle path legs
 //!   run at `cap == usize::MAX` — returns.
-//! * **The posting index.** [`TokenPostings`] interns each table's
-//!   distinct tokens, keeps `token id → slots` postings, and counts the
-//!   table-level overlap `|Q ∩ T|` a leg turns into bounds.
+//! * **The posting index.** [`TokenPostings`] owns a leg's id space: it
+//!   interns each column of a table into a sorted id run, keeps
+//!   `token id → slots` postings over the union of a table's runs,
+//!   resolves query columns against its pool, and counts the table-level
+//!   overlap `|Q ∩ T|` a leg turns into bounds. It alone rewrites ids on
+//!   compaction; legs read runs by slot and never see a remap.
 //!
 //! A leg keeps only what is its own: annotation, the bound formula and the
-//! score function.
+//! score function, which compares runs with [`QueryColumn::jaccard`].
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::pool::StringPool;
+use crate::pool::{QueryColumn, Run, StringPool};
 use crate::types::{score_cmp, top_k, Discovered};
 
 /// Per-table state a slot-keyed leg scores. The kernel needs only its
 /// name: to skip the query's own table and to report hits.
 pub(crate) trait Named {
     fn name(&self) -> &str;
+}
+
+/// A leg that keeps nothing per table but its name.
+impl Named for String {
+    fn name(&self) -> &str {
+        self
+    }
 }
 
 /// The reporting rule both retrieval paths apply.
@@ -61,21 +71,22 @@ pub(crate) struct Retrieval {
     pub cap_hit: bool,
 }
 
-/// Exhaustive retrieval: score every candidate, no ranking, no pruning.
+/// Exhaustive retrieval: score every `(slot, table)` candidate, no
+/// ranking, no pruning.
 pub(crate) fn score_all<'t, T: Named + 't>(
-    candidates: impl IntoIterator<Item = &'t T>,
+    candidates: impl IntoIterator<Item = (&'t u32, &'t T)>,
     report: Report,
-    mut score: impl FnMut(&T) -> f64,
+    mut score: impl FnMut(u32, &T) -> f64,
 ) -> (Vec<Discovered>, Retrieval) {
     let mut run = Retrieval::default();
     let mut hits = Vec::new();
-    for cand in candidates {
+    for (&slot, cand) in candidates {
         run.retrieved += 1;
         if cand.name() == report.exclude {
             continue;
         }
         run.scored += 1;
-        let s = score(cand);
+        let s = score(slot, cand);
         if report.keeps(s) {
             hits.push(Discovered {
                 table: cand.name().to_string(),
@@ -95,7 +106,7 @@ pub(crate) fn bounded_top_k<T: Named>(
     mut ranked: Vec<(u32, f64)>,
     cap: usize,
     report: Report,
-    mut score: impl FnMut(&T) -> f64,
+    mut score: impl FnMut(u32, &T) -> f64,
 ) -> (Vec<Discovered>, Retrieval) {
     // Slot breaks bound ties so the scored prefix is deterministic even
     // when the cap cuts inside a tie group.
@@ -124,7 +135,7 @@ pub(crate) fn bounded_top_k<T: Named>(
             continue;
         }
         run.scored += 1;
-        let s = score(cand);
+        let s = score(slot, cand);
         if report.keeps(s) {
             let at = kept.partition_point(|&x| score_cmp(x, s) == Ordering::Greater);
             kept.insert(at, s);
@@ -142,19 +153,32 @@ pub(crate) fn bounded_top_k<T: Named>(
 /// pool; keeps tiny lakes from compacting on every remove.
 const POOL_COMPACT_MIN: usize = 1024;
 
-/// A token → table-slot inverted index over one [`StringPool`]. Every
-/// indexed slot is known, even one with no tokens, so zero-overlap
-/// candidates can still be ranked. Removed tables' tokens are reclaimed
-/// once retired weight overtakes live weight (and [`POOL_COMPACT_MIN`]),
-/// the same overtake rule the joinable engine uses, so long-churn memory
-/// stays bounded.
+/// Sorted, deduplicated union of runs: a table's (or a query's) distinct
+/// token ids.
+fn union(runs: impl IntoIterator<Item = impl AsRef<[u32]>>) -> Vec<u32> {
+    let mut ids: Vec<u32> = Vec::new();
+    for run in runs {
+        ids.extend_from_slice(run.as_ref());
+    }
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// A token → table-slot inverted index over one [`StringPool`], owning
+/// each indexed slot's per-column token runs. Every indexed slot is
+/// known, even one with no tokens, so zero-overlap candidates can still
+/// be ranked. Removed tables' tokens are reclaimed once retired weight
+/// overtakes live weight (and [`POOL_COMPACT_MIN`]), the same overtake
+/// rule the joinable engine uses, so long-churn memory stays bounded.
 #[derive(Default)]
 pub(crate) struct TokenPostings {
     pool: StringPool,
     /// Token id → slots whose token set contains it.
     postings: HashMap<u32, Vec<u32>>,
-    /// Slot → its distinct token ids: the posting entries removal retires.
-    ids_of: HashMap<u32, Vec<u32>>,
+    /// Slot → one sorted id run per column; the slot's distinct ids, the
+    /// posting entries removal retires, are their union.
+    runs: HashMap<u32, Vec<Run>>,
     /// Σ distinct tokens over indexed slots.
     live_weight: usize,
     /// Token weight retired since the last compaction.
@@ -162,25 +186,33 @@ pub(crate) struct TokenPostings {
 }
 
 impl TokenPostings {
-    /// Index `slot`'s tokens (duplicates collapse). The slot must not be
-    /// indexed already: callers [`remove`](Self::remove) it first.
-    pub(crate) fn insert<'a>(&mut self, slot: u32, tokens: impl IntoIterator<Item = &'a str>) {
-        let ids: HashSet<u32> = tokens
-            .into_iter()
-            .map(|tok| self.pool.intern(tok))
+    /// Index `slot`'s columns, each a token set, as one run per column.
+    /// Tokens intern in arrival order; no id value orders anything a leg
+    /// reports. The slot must not be indexed already: callers
+    /// [`remove`](Self::remove) it first.
+    pub(crate) fn insert(&mut self, slot: u32, columns: &[HashSet<String>]) {
+        let runs: Vec<Run> = columns
+            .iter()
+            .map(|col| {
+                let mut run: Vec<u32> = col.iter().map(|tok| self.pool.intern(tok)).collect();
+                run.sort_unstable();
+                run.into_boxed_slice()
+            })
             .collect();
+        let ids = union(&runs);
         for &id in &ids {
             self.postings.entry(id).or_default().push(slot);
         }
         self.live_weight += ids.len();
-        self.ids_of.insert(slot, ids.into_iter().collect());
+        self.runs.insert(slot, runs);
     }
 
     /// Retire `slot`'s postings; a no-op for an unindexed slot.
     pub(crate) fn remove(&mut self, slot: u32) {
-        let Some(ids) = self.ids_of.remove(&slot) else {
+        let Some(runs) = self.runs.remove(&slot) else {
             return;
         };
+        let ids = union(&runs);
         for id in &ids {
             if let Some(list) = self.postings.get_mut(id) {
                 if let Some(pos) = list.iter().position(|s| *s == slot) {
@@ -199,14 +231,13 @@ impl TokenPostings {
     }
 
     /// Drop every token no slot references and rewrite all stored ids
-    /// through the pool's remap.
+    /// through the pool's remap, in place: the remap is monotone, so runs
+    /// stay sorted.
     fn compact(&mut self) {
-        let live: HashSet<u32> = self.ids_of.values().flatten().copied().collect();
+        let live: HashSet<u32> = self.runs.values().flatten().flatten().copied().collect();
         let remap = self.pool.compact(&live);
-        for ids in self.ids_of.values_mut() {
-            for id in ids {
-                *id = remap[*id as usize];
-            }
+        for id in self.runs.values_mut().flatten().flatten() {
+            *id = remap[*id as usize];
         }
         self.postings = std::mem::take(&mut self.postings)
             .into_iter()
@@ -215,26 +246,43 @@ impl TokenPostings {
         self.retired_weight = 0;
     }
 
+    /// `slot`'s per-column runs, in column order; empty for an unindexed
+    /// slot.
+    pub(crate) fn runs(&self, slot: u32) -> &[Run] {
+        self.runs.get(&slot).map_or(&[], Vec::as_slice)
+    }
+
+    /// Resolve query columns through `get`, never interning: the query is
+    /// not part of the lake, and a token the pool never saw occurs in no
+    /// run.
+    pub(crate) fn resolve(&self, columns: &[HashSet<String>]) -> Vec<QueryColumn> {
+        columns
+            .iter()
+            .map(|col| {
+                let mut ids: Vec<u32> = col.iter().filter_map(|tok| self.pool.get(tok)).collect();
+                ids.sort_unstable();
+                QueryColumn {
+                    ids,
+                    len: col.len(),
+                }
+            })
+            .collect()
+    }
+
     /// Candidates for a query: every slot sharing a token with it, at
     /// `bound(|Q ∩ T|)`, plus — when the zero-overlap bound could pass the
     /// reporting filter (`> 0` and `>= min_score`) — every other indexed
     /// slot at `bound(0)`. Below that filter a zero-overlap table's true
-    /// score fails it too, so leaving it out loses nothing. Query tokens
-    /// resolve through `get`, never interning: the query is not part of
-    /// the lake, and a token the pool never saw occurs in no table.
-    pub(crate) fn ranked<'a>(
+    /// score fails it too, so leaving it out loses nothing.
+    pub(crate) fn ranked(
         &self,
-        query: impl IntoIterator<Item = &'a str>,
+        query: &[QueryColumn],
         min_score: f64,
         bound: impl Fn(usize) -> f64,
     ) -> Vec<(u32, f64)> {
-        let q_ids: HashSet<u32> = query
-            .into_iter()
-            .filter_map(|tok| self.pool.get(tok))
-            .collect();
         let mut overlap: HashMap<u32, usize> = HashMap::new();
-        for id in &q_ids {
-            if let Some(list) = self.postings.get(id) {
+        for id in union(query.iter().map(|col| &col.ids)) {
+            if let Some(list) = self.postings.get(&id) {
                 for &slot in list {
                     *overlap.entry(slot).or_insert(0) += 1;
                 }
@@ -246,7 +294,7 @@ impl TokenPostings {
             .collect();
         let base = bound(0);
         if base > 0.0 && base >= min_score {
-            for &slot in self.ids_of.keys() {
+            for &slot in self.runs.keys() {
                 if !overlap.contains_key(&slot) {
                     ranked.push((slot, base));
                 }
@@ -354,7 +402,7 @@ mod tests {
                 self.ranked.clone(),
                 cap,
                 self.report(k),
-                |c| {
+                |_, c| {
                     seen.borrow_mut().push(c.name.clone());
                     c.score
                 },
@@ -396,7 +444,7 @@ mod tests {
             prop_assert_eq!(&hits, &truth);
             prop_assert!(!run.cap_hit, "{:?}", run);
             prop_assert_eq!(run.retrieved, cands.len());
-            let (all, all_run) = score_all(case.tables.values(), case.report(k), |c| c.score);
+            let (all, all_run) = score_all(case.tables.iter(), case.report(k), |_, c| c.score);
             prop_assert_eq!(&all, &truth);
             prop_assert_eq!(all_run.scored, case.eligible());
         }

@@ -17,15 +17,17 @@
 //!    Scores are normalized to `[0, 1]`.
 //! 4. **Synthesized signal.** Where the KB knows neither domain, direct
 //!    value overlap (Jaccard) between the columns substitutes — the
-//!    laptop-scale stand-in for SANTOS's data-lake-synthesized KB.
+//!    laptop-scale stand-in for SANTOS's data-lake-synthesized KB. Column
+//!    value domains are sorted id runs kept by the leg's
+//!    [`TokenPostings`], compared by merging runs.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use dialite_kb::{Direction, KnowledgeBase, RelationId, TypeId};
 use dialite_table::{DataLake, Table};
-use dialite_text::jaccard;
 
+use crate::pool::{QueryColumn, Run};
 use crate::retrieval::{bounded_top_k, score_all, Named, Report, TokenPostings};
 use crate::shard::ShardScope;
 use crate::types::{score_cmp, Discovered, Discovery, TableQuery};
@@ -56,13 +58,13 @@ impl Default for SantosConfig {
     }
 }
 
-/// Per-column annotation kept in the index.
+/// Per-column annotation kept in the index. The column's value tokens
+/// (for the synthesized signal) live as an id run in the engine's
+/// [`TokenPostings`], under the table's slot.
 #[derive(Debug, Clone, Default)]
 struct ColumnSemantics {
     /// `(type, confidence)` above the confidence floor, best first.
     types: Vec<(TypeId, f64)>,
-    /// Distinct value tokens (for the synthesized signal).
-    tokens: HashSet<String>,
 }
 
 /// Per-table annotation kept in the index.
@@ -123,9 +125,10 @@ pub struct SantosDiscovery {
     tables: BTreeMap<u32, TableSemantics>,
     /// Inverted index: type → table slots exhibiting it on some column.
     by_type: HashMap<TypeId, HashSet<u32>>,
-    /// Synthesized-signal inverted index: value token → table slots whose
-    /// value domain (union over columns) contains it. Gives typeless
-    /// (KB-poor) queries best-bound-first retrieval.
+    /// Synthesized-signal index: each table's per-column value-token runs,
+    /// and value token → table slots whose value domain (union over
+    /// columns) contains it. Gives typeless (KB-poor) queries
+    /// best-bound-first retrieval.
     tokens: TokenPostings,
 }
 
@@ -162,13 +165,13 @@ impl SantosDiscovery {
     /// `O(that table)`.
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
-        let sem = annotate_table(&self.kb, table, &self.config);
+        let (sem, token_sets) = annotate_table(&self.kb, table, &self.config);
         for col in &sem.columns {
             for (t, _) in &col.types {
                 self.by_type.entry(*t).or_default().insert(slot);
             }
         }
-        self.tokens.insert(slot, value_tokens(&sem));
+        self.tokens.insert(slot, &token_sets);
         self.tables.insert(slot, sem);
     }
 
@@ -202,8 +205,12 @@ impl SantosDiscovery {
 
     /// Similarity of two annotated columns: semantic type agreement when
     /// available on both sides, otherwise the synthesized value-overlap
-    /// signal.
-    fn column_sim(&self, q: &ColumnSemantics, c: &ColumnSemantics) -> f64 {
+    /// signal over the query column's tokens and the candidate's run.
+    fn column_sim(
+        &self,
+        (q, q_tokens): (&ColumnSemantics, &QueryColumn),
+        (c, c_run): (&ColumnSemantics, &[u32]),
+    ) -> f64 {
         if !q.types.is_empty() && !c.types.is_empty() {
             let mut best = 0.0f64;
             for (qt, qconf) in &q.types {
@@ -215,7 +222,7 @@ impl SantosDiscovery {
             }
             best
         } else {
-            self.config.synth_weight * jaccard(&q.tokens, &c.tokens)
+            self.config.synth_weight * q_tokens.jaccard(c_run)
         }
     }
 }
@@ -261,14 +268,21 @@ fn annotate_column_specific(
     types
 }
 
-fn annotate_table(kb: &KnowledgeBase, table: &Table, config: &SantosConfig) -> TableSemantics {
+/// Annotate a table; also returns its per-column value-token sets, which
+/// the caller interns (lake tables) or resolves (queries) into runs.
+fn annotate_table(
+    kb: &KnowledgeBase,
+    table: &Table,
+    config: &SantosConfig,
+) -> (TableSemantics, Vec<HashSet<String>>) {
     let ncols = table.column_count();
-    let mut columns = Vec::with_capacity(ncols);
-    for c in 0..ncols {
-        let tokens = table.column_token_set(c);
-        let types = annotate_column_specific(kb, &tokens, config.min_confidence);
-        columns.push(ColumnSemantics { types, tokens });
-    }
+    let token_sets: Vec<HashSet<String>> = (0..ncols).map(|c| table.column_token_set(c)).collect();
+    let columns: Vec<ColumnSemantics> = token_sets
+        .iter()
+        .map(|tokens| ColumnSemantics {
+            types: annotate_column_specific(kb, tokens, config.min_confidence),
+        })
+        .collect();
     let mut pairs = HashMap::new();
     for a in 0..ncols {
         for b in (a + 1)..ncols {
@@ -289,20 +303,13 @@ fn annotate_table(kb: &KnowledgeBase, table: &Table, config: &SantosConfig) -> T
         }
     }
     let has_untyped_column = columns.iter().any(|c| c.types.is_empty());
-    TableSemantics {
+    let sem = TableSemantics {
         name: table.name().to_string(),
         columns,
         pairs,
         has_untyped_column,
-    }
-}
-
-/// A table's distinct value tokens, union over columns — the keys of the
-/// synthesized-signal postings.
-fn value_tokens(sem: &TableSemantics) -> impl Iterator<Item = &str> {
-    sem.columns
-        .iter()
-        .flat_map(|col| col.tokens.iter().map(String::as_str))
+    };
+    (sem, token_sets)
 }
 
 /// Relationship of the ordered pair `(a, b)` normalized to "a plays subject".
@@ -407,10 +414,11 @@ impl SantosDiscovery {
         k: usize,
         cap: usize,
     ) -> (Vec<Discovered>, SantosStats) {
-        let q_sem = annotate_table(&self.kb, &query.table, &self.config);
+        let (q_sem, q_sets) = annotate_table(&self.kb, &query.table, &self.config);
         if q_sem.columns.is_empty() || k == 0 {
             return (Vec::new(), SantosStats::default());
         }
+        let q_tokens = self.tokens.resolve(&q_sets);
         let intent = query
             .effective_column()
             .min(q_sem.columns.len().saturating_sub(1));
@@ -420,10 +428,12 @@ impl SantosDiscovery {
             min_score: self.config.min_score,
             exclude: query.table.name(),
         };
-        let score = |cand: &TableSemantics| self.score_candidate(&q_sem, intent, cand);
+        let score = |slot: u32, cand: &TableSemantics| {
+            self.score_candidate((&q_sem, &q_tokens), intent, (cand, self.tokens.runs(slot)))
+        };
         let (hits, run) = if cap == usize::MAX {
             if typeless {
-                score_all(self.tables.values(), report, score)
+                score_all(&self.tables, report, score)
             } else {
                 let candidates: HashSet<u32> = q_sem
                     .columns
@@ -433,12 +443,14 @@ impl SantosDiscovery {
                     .flatten()
                     .copied()
                     .collect();
-                let tables = candidates.iter().filter_map(|slot| self.tables.get(slot));
+                let tables = candidates
+                    .iter()
+                    .filter_map(|slot| self.tables.get_key_value(slot));
                 score_all(tables, report, score)
             }
         } else {
             let ranked = if typeless {
-                self.typeless_ranked(&q_sem, intent)
+                self.typeless_ranked(&q_sem, &q_tokens, intent)
             } else {
                 self.typed_ranked(&q_sem, intent)
             };
@@ -505,33 +517,43 @@ impl SantosDiscovery {
     /// `synth_weight`. Zero-overlap candidates can still score — through
     /// pair-edge agreement or empty-column jaccard — so they are ranked at
     /// the zero-overlap bound whenever it could pass the reporting filter.
-    fn typeless_ranked(&self, q: &TableSemantics, intent: usize) -> Vec<(u32, f64)> {
+    fn typeless_ranked(
+        &self,
+        q: &TableSemantics,
+        q_tokens: &[QueryColumn],
+        intent: usize,
+    ) -> Vec<(u32, f64)> {
         let synth = self.config.synth_weight.max(0.0);
         let bound = GraphBound::new(&self.config, q, intent);
-        self.tokens
-            .ranked(value_tokens(q), self.config.min_score, |ov| {
-                bound.of(|j| {
-                    let qn = q.columns[j].tokens.len();
-                    if qn == 0 {
-                        synth
-                    } else {
-                        synth * (ov as f64 / qn as f64).min(1.0)
-                    }
-                })
+        self.tokens.ranked(q_tokens, self.config.min_score, |ov| {
+            bound.of(|j| {
+                let qn = q_tokens[j].len;
+                if qn == 0 {
+                    synth
+                } else {
+                    synth * (ov as f64 / qn as f64).min(1.0)
+                }
             })
+        })
     }
 
-    fn score_candidate(&self, q: &TableSemantics, intent: usize, cand: &TableSemantics) -> f64 {
+    /// The graph-matching score of a candidate: the query with its
+    /// resolved columns, the candidate with its runs.
+    fn score_candidate(
+        &self,
+        (q, q_tokens): (&TableSemantics, &[QueryColumn]),
+        intent: usize,
+        (cand, c_runs): (&TableSemantics, &[Run]),
+    ) -> f64 {
         let qcols = q.columns.len();
         if qcols == 0 || cand.columns.is_empty() {
             return 0.0;
         }
+        let q_col = |j: usize| (&q.columns[j], &q_tokens[j]);
+        let c_col = |i: usize| (&cand.columns[i], &*c_runs[i]);
         // Choose the candidate column best matching the intent column.
-        let (best_intent_col, intent_sim) = cand
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (i, self.column_sim(&q.columns[intent], c)))
+        let (best_intent_col, intent_sim) = (0..cand.columns.len())
+            .map(|i| (i, self.column_sim(q_col(intent), c_col(i))))
             .max_by(|a, b| score_cmp(a.1, b.1))
             .unwrap();
 
@@ -542,17 +564,17 @@ impl SantosDiscovery {
         // For every other query column: best candidate column by node type
         // plus edge agreement with the intent relationship.
         let mut rest = 0.0;
-        for (j, qcol) in q.columns.iter().enumerate() {
+        for j in 0..qcols {
             if j == intent {
                 continue;
             }
             let q_edge = pair_rel(q, intent, j);
             let mut best = 0.0f64;
-            for (cj, ccol) in cand.columns.iter().enumerate() {
+            for cj in 0..cand.columns.len() {
                 if cj == best_intent_col {
                     continue;
                 }
-                let node = self.column_sim(qcol, ccol);
+                let node = self.column_sim(q_col(j), c_col(cj));
                 let edge = match (q_edge, pair_rel(cand, best_intent_col, cj)) {
                     (Some((qr, qd, qc)), Some((cr, cd, cc))) if qr == cr && qd == cd => qc.min(cc),
                     _ => 0.0,
