@@ -40,7 +40,7 @@ impl Alignment {
 
     /// The header-equality baseline: columns match iff their (trimmed,
     /// lower-cased) headers are identical. This is the naive matcher the
-    /// holistic matcher is evaluated against (experiment E8).
+    /// holistic matcher is evaluated against.
     pub fn by_headers(tables: &[&Table]) -> Alignment {
         let mut ids: HashMap<String, u32> = HashMap::new();
         let mut names: Vec<String> = Vec::new();

@@ -25,8 +25,8 @@
 //!    cut off one merge sequence ([`average_linkage_sweep`]).
 //!
 //! Each resulting cluster is an integration ID. [`Alignment`] also offers
-//! the naive header-equality baseline ([`Alignment::by_headers`]) used by
-//! experiment E8.
+//! the naive header-equality baseline ([`Alignment::by_headers`]) the
+//! holistic matcher is evaluated against.
 
 mod alignment;
 mod cluster;

@@ -346,7 +346,7 @@ fn consolidate(table: &Table, cluster: &[usize]) -> Vec<Value> {
 }
 
 /// Pairwise precision/recall/F1 of predicted clusters against ground-truth
-/// entity labels — the quality metric of experiment E10.
+/// entity labels — the standard ER quality metric.
 pub fn pairwise_f1(clusters: &[Vec<usize>], truth: &[usize]) -> (f64, f64, f64) {
     let mut predicted: HashSet<(usize, usize)> = HashSet::new();
     for c in clusters {

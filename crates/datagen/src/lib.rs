@@ -13,14 +13,14 @@
 //!   scrambled headers. The truth records which fragments are unionable /
 //!   joinable with which, the integration class of every column, and a
 //!   synthetic KB typed over the universe domains — enabling
-//!   precision/recall evaluation of discovery (E7) and alignment (E8).
-//! * [`workloads`] — parameterized workloads for the FD scaling bench (E6),
-//!   the ER-quality experiment (E10), the lake-churn trace
-//!   ([`workloads::ChurnWorkload`]) behind the incremental-discovery bench
-//!   and oracle tests, and the corpus-scale streamed lakes: the uniform
-//!   [`workloads::StreamedLakeWorkload`] grid and the open-data-shaped
+//!   precision/recall evaluation of discovery and alignment.
+//! * [`workloads`] — parameterized workloads for the FD equivalence tests,
+//!   the lake-churn trace ([`workloads::ChurnWorkload`]) behind the
+//!   incremental-discovery oracle tests, the skewed top-k, SANTOS and
+//!   serving traces, and the corpus-scale open-data-shaped
 //!   [`HeterogeneousLakeWorkload`] (Zipf table sizes, dirty/sparse cells,
-//!   overlapping topical clusters with shared header vocabulary).
+//!   overlapping topical clusters with shared header vocabulary) the
+//!   benchmark streams.
 //! * [`metrics`] — precision/recall@k and pair-based alignment scoring.
 
 pub mod lake;

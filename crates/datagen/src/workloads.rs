@@ -7,7 +7,8 @@ use rand::{Rng, SeedableRng};
 use dialite_kb::{KbBuilder, KnowledgeBase};
 use dialite_table::{DataLake, Table, Value};
 
-/// Parameters of the FD scaling workload (experiment E6).
+/// Parameters of the FD workload: key-sharing tables with nulls, the
+/// input of the FD engine equivalence tests.
 #[derive(Debug, Clone)]
 pub struct FdWorkload {
     /// Number of tables in the integration set.
@@ -59,114 +60,6 @@ impl FdWorkload {
             out.push(Table::from_rows(&format!("W{t}"), &cols, rows).expect("fixed arity"));
         }
         out
-    }
-}
-
-/// Parameters of the ER-quality workload (experiment E10): one table of
-/// entity mentions with duplicates under typo/whitespace dirt, plus
-/// ground-truth entity labels. Entity names, codes and locations are drawn
-/// from random letter pools so that *distinct* entities are lexically far
-/// apart (as real organization names are) while a mention's dirt keeps it
-/// close to its own entity.
-#[derive(Debug, Clone)]
-pub struct ErWorkload {
-    /// Number of distinct entities.
-    pub entities: usize,
-    /// Mentions per entity (≥ 1; duplicates beyond the first are dirtied).
-    pub mentions_per_entity: usize,
-    /// Probability a duplicate drops code/location to null — mimicking the
-    /// incomplete tuples outer join produces.
-    pub null_rate: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ErWorkload {
-    fn default() -> Self {
-        ErWorkload {
-            entities: 50,
-            mentions_per_entity: 3,
-            null_rate: 0.2,
-            seed: 13,
-        }
-    }
-}
-
-fn rand_word(rng: &mut StdRng, len: usize) -> String {
-    (0..len)
-        .map(|_| (b'a' + rng.gen_range(0..26u8)) as char)
-        .collect()
-}
-
-/// Swap two adjacent characters (a typo).
-fn typo(rng: &mut StdRng, s: &str) -> String {
-    let mut chars: Vec<char> = s.chars().collect();
-    if chars.len() >= 2 {
-        let i = rng.gen_range(0..chars.len() - 1);
-        chars.swap(i, i + 1);
-    }
-    chars.into_iter().collect()
-}
-
-/// One synthetic entity: a distinctive name, code and location.
-#[derive(Debug, Clone)]
-pub struct ErEntity {
-    /// Multi-word organization-like name.
-    pub name: String,
-    /// Short unique code.
-    pub code: String,
-    /// Distinctive location string (secondary key).
-    pub location: String,
-}
-
-/// Generate the entity roster of the workload (shared by E10.1 and E10.2).
-pub fn er_entities(count: usize, seed: u64) -> Vec<ErEntity> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..count)
-        .map(|e| ErEntity {
-            name: format!(
-                "{} {} {}",
-                rand_word(&mut rng, 7),
-                rand_word(&mut rng, 6),
-                rand_word(&mut rng, 5)
-            ),
-            code: format!("{}{e:03}", rand_word(&mut rng, 4).to_uppercase()),
-            location: format!("{} city", rand_word(&mut rng, 7)),
-        })
-        .collect()
-}
-
-impl ErWorkload {
-    /// Generate `(mention table, ground-truth entity label per row)`.
-    pub fn generate(&self) -> (Table, Vec<usize>) {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let entities = er_entities(self.entities, self.seed.wrapping_add(1));
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for (e, ent) in entities.iter().enumerate() {
-            for m in 0..self.mentions_per_entity.max(1) {
-                let mention_name = match m % 3 {
-                    0 => ent.name.clone(),
-                    1 => typo(&mut rng, &ent.name),
-                    _ => ent.name.replace(' ', "  "), // whitespace dirt
-                };
-                let code_v = if m > 0 && rng.gen_bool(self.null_rate) {
-                    Value::null_missing()
-                } else {
-                    Value::Text(ent.code.clone())
-                };
-                let city_v = if m > 0 && rng.gen_bool(self.null_rate) {
-                    Value::null_missing()
-                } else {
-                    Value::Text(ent.location.clone())
-                };
-                rows.push(vec![Value::Text(mention_name), code_v, city_v]);
-                labels.push(e);
-            }
-        }
-        let table =
-            Table::from_rows("mentions", &["name", "code", "city"], rows).expect("fixed arity");
-        (table, labels)
     }
 }
 
@@ -632,7 +525,8 @@ impl SantosWorkload {
 
 /// Parameters of the **serving workload**: a mixed read/churn request
 /// trace over a skewed ([`TopKWorkload`]-shaped) lake, the input of the
-/// concurrent load harness (`dialite-bench::load`).
+/// serving linearization oracle (`serving_oracle.rs` in
+/// `dialite-discovery`).
 ///
 /// Reads draw from a fixed pool of distinct query tables under a zipfian
 /// rank distribution — a few hot queries dominate, a long tail trickles —
@@ -770,9 +664,8 @@ impl ServingWorkload {
     /// Generate the initial lake, the query pool and the request trace.
     /// Same spec + seed → identical output.
     pub fn generate(&self) -> ServingTrace {
-        // The lake and query pool reuse the skewed top-k generator so
-        // serving numbers stay comparable to the single-caller top-k
-        // trajectory (BENCH_topk.json).
+        // The lake and query pool reuse the skewed top-k generator, so
+        // the served lake has the same hub/tail shape as a `TopKWorkload`.
         let base = TopKWorkload {
             tables: self.tables,
             hub_tables: self.hub_tables,
@@ -845,118 +738,6 @@ impl ServingWorkload {
     }
 }
 
-/// Parameters of the sharded-index scale workload: a lake *streamed*
-/// table-by-table — table `i` is a pure function of the spec and
-/// `seed + i` ([`StreamedLakeWorkload::table`]), so a 100k-table lake is
-/// generated with O(1) generator state, any slot stripe can be
-/// re-generated independently, and two processes streaming the same spec
-/// agree byte-for-byte without ever holding a shared `Vec<Table>`.
-///
-/// Tables are tiny (a `key` token column drawn from a contiguous vocab
-/// window, plus an integer `val` column): the workload measures index
-/// *fan-out* — how per-shard scored/verified work scales with shard
-/// count — not per-table cost. Key tokens are synthetic (`w<j>`),
-/// unknown to any curated KB, so queries hit the SANTOS leg's *typeless*
-/// path. Under a finite candidate cap that path runs capped
-/// posting-index retrieval (best-bound-first, so per-shard work depends
-/// on overlap, not shard size); under an **unlimited** stage budget —
-/// what the `sharded` bench group queries with — it takes the exhaustive
-/// typeless full scan and scores exactly the tables its shard owns: the
-/// cleanest near-linear work signal a sharded bench can gate on.
-#[derive(Debug, Clone)]
-pub struct StreamedLakeWorkload {
-    /// Total tables streamed into the lake.
-    pub tables: usize,
-    /// Distinct key tokens per table.
-    pub rows_per_table: usize,
-    /// Shared token universe. Each table draws its keys from a random
-    /// contiguous window, so overlapping windows yield the full spectrum
-    /// of containment relations (as in [`ChurnWorkload`]).
-    pub vocab: usize,
-    /// Query tables, drawn as key-subsets of evenly spaced lake tables so
-    /// every query has a containment-1.0 match somewhere in the lake.
-    pub queries: usize,
-    /// Distinct keys per query table.
-    pub query_rows: usize,
-    /// Base RNG seed; table `i` derives its own stream from `seed`
-    /// and `i`, the query set from `seed` alone.
-    pub seed: u64,
-}
-
-impl Default for StreamedLakeWorkload {
-    fn default() -> Self {
-        StreamedLakeWorkload {
-            tables: 100_000,
-            rows_per_table: 4,
-            vocab: 50_000,
-            queries: 8,
-            query_rows: 16,
-            seed: 71,
-        }
-    }
-}
-
-impl StreamedLakeWorkload {
-    /// The `i`-th lake table (`streamed_t<i>`), generated from its own
-    /// seeded stream: same spec + same `i` → identical table, regardless
-    /// of which other tables were ever materialized.
-    pub fn table(&self, i: usize) -> Table {
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1 + i as u64));
-        let vocab = self.vocab.max(2);
-        let rows = self.rows_per_table.clamp(1, vocab);
-        let span = (rows * 2).min(vocab);
-        let start = rng.gen_range(0..=(vocab - span));
-        let mut pool: Vec<usize> = (start..start + span).collect();
-        pool.shuffle(&mut rng);
-        pool.truncate(rows);
-        pool.sort_unstable();
-        let rows: Vec<Vec<Value>> = pool
-            .into_iter()
-            .map(|j| {
-                vec![
-                    Value::Text(format!("w{j}")),
-                    Value::Int(rng.gen_range(0..1_000_i64)),
-                ]
-            })
-            .collect();
-        Table::from_rows(&format!("streamed_t{i}"), &["key", "val"], rows).expect("fixed arity")
-    }
-
-    /// Stream every lake table in slot order, one at a time.
-    pub fn stream(&self) -> impl Iterator<Item = Table> + '_ {
-        (0..self.tables).map(|i| self.table(i))
-    }
-
-    /// Stream the whole workload into a fresh [`DataLake`] (slot `i`
-    /// holds [`StreamedLakeWorkload::table`]`(i)`).
-    pub fn lake(&self) -> DataLake {
-        let mut lake = DataLake::new();
-        for t in self.stream() {
-            lake.add_table(t).expect("streamed names are unique");
-        }
-        lake
-    }
-
-    /// The query set: query `q` keeps a random `query_rows`-subset of the
-    /// keys of an evenly spaced lake table, so a containment-1.0 match
-    /// always exists and queries spread across every slot stripe.
-    pub fn queries(&self) -> Vec<Table> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let stride = (self.tables / self.queries.max(1)).max(1);
-        let mut out = Vec::with_capacity(self.queries);
-        for q in 0..self.queries {
-            let source = self.table((q * stride) % self.tables.max(1));
-            let mut rows: Vec<Vec<Value>> = source.rows().map(|r| vec![r[0].clone()]).collect();
-            rows.shuffle(&mut rng);
-            rows.truncate(self.query_rows.max(1));
-            out.push(
-                Table::from_rows(&format!("streamed_q{q}"), &["key"], rows).expect("fixed arity"),
-            );
-        }
-        out
-    }
-}
-
 /// Boilerplate header vocabulary every topical cluster mixes in —
 /// the `id`/`name`/`year` columns that show up across a whole open-data
 /// corpus regardless of topic.
@@ -966,10 +747,10 @@ const GLOBAL_HEADERS: &[&str] = &[
 ];
 
 /// Parameters of the **heterogeneous corpus-scale lake workload**: a lake
-/// *streamed* table-by-table under the same O(1)-state contract as
-/// [`StreamedLakeWorkload`] — table `i` is a pure function of the spec and
-/// `seed + i` ([`HeterogeneousLakeWorkload::table`]) — but shaped like a
-/// real open-data corpus instead of a uniform grid:
+/// *streamed* table-by-table with O(1) generator state — table `i` is a
+/// pure function of the spec and `seed + i`
+/// ([`HeterogeneousLakeWorkload::table`]), so a 100k-table lake never
+/// needs a shared `Vec<Table>` — shaped like a real open-data corpus:
 ///
 /// * **Zipf-distributed table sizes**: row counts double across Zipf-ranked
 ///   size classes, so most tables sit at the 2-row floor while a thin head
@@ -1626,135 +1407,6 @@ mod tests {
     }
 
     #[test]
-    fn er_workload_labels_align_with_rows() {
-        let (t, labels) = ErWorkload::default().generate();
-        assert_eq!(t.row_count(), labels.len());
-        assert_eq!(t.row_count(), 150);
-        // Each entity has its mentions_per_entity rows.
-        assert_eq!(labels.iter().filter(|&&l| l == 0).count(), 3);
-    }
-
-    #[test]
-    fn er_entities_are_lexically_distinct() {
-        use dialite_text::levenshtein_sim;
-        let ents = er_entities(20, 3);
-        for (i, a) in ents.iter().enumerate() {
-            for b in ents.iter().skip(i + 1) {
-                assert!(
-                    levenshtein_sim(&a.name, &b.name) < 0.8,
-                    "{} too close to {}",
-                    a.name,
-                    b.name
-                );
-                assert_ne!(a.code, b.code);
-            }
-        }
-    }
-
-    #[test]
-    fn er_workload_dirt_stays_close_to_its_entity() {
-        use dialite_text::levenshtein_sim;
-        let (t, labels) = ErWorkload {
-            entities: 5,
-            mentions_per_entity: 3,
-            null_rate: 0.0,
-            seed: 2,
-        }
-        .generate();
-        // Mentions of the same entity have highly similar names.
-        for e in 0..5 {
-            let names: Vec<&str> = t
-                .rows()
-                .zip(&labels)
-                .filter(|(_, &l)| l == e)
-                .filter_map(|(r, _)| r[0].as_text())
-                .collect();
-            for pair in names.windows(2) {
-                assert!(
-                    levenshtein_sim(pair[0], pair[1]) > 0.8,
-                    "{} vs {}",
-                    pair[0],
-                    pair[1]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn streamed_table_is_a_pure_function_of_spec_and_index() {
-        let spec = StreamedLakeWorkload {
-            tables: 64,
-            ..StreamedLakeWorkload::default()
-        };
-        // Re-generating any table in isolation matches the stream.
-        let streamed: Vec<Table> = spec.stream().collect();
-        for i in [0usize, 7, 63] {
-            assert_eq!(spec.table(i), streamed[i]);
-        }
-        assert_eq!(spec.table(7), spec.table(7));
-        assert_ne!(
-            spec.table(7),
-            spec.table(8),
-            "indices seed distinct streams"
-        );
-        assert_eq!(streamed.len(), 64);
-    }
-
-    #[test]
-    fn streamed_lake_slots_follow_stream_order() {
-        let spec = StreamedLakeWorkload {
-            tables: 20,
-            rows_per_table: 3,
-            vocab: 200,
-            queries: 4,
-            query_rows: 2,
-            seed: 9,
-        };
-        let lake = spec.lake();
-        assert_eq!(lake.len(), 20);
-        for (i, t) in spec.stream().enumerate() {
-            assert_eq!(
-                lake.get(t.name()).expect("streamed table is live").as_ref(),
-                &t,
-                "slot {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn streamed_queries_are_subsets_of_their_source_tables() {
-        let spec = StreamedLakeWorkload {
-            tables: 40,
-            rows_per_table: 6,
-            vocab: 300,
-            queries: 4,
-            query_rows: 3,
-            seed: 5,
-        };
-        let queries = spec.queries();
-        assert_eq!(queries.len(), 4);
-        let stride = 40 / 4;
-        for (q, query) in queries.iter().enumerate() {
-            let source = spec.table(q * stride);
-            let keys: std::collections::HashSet<String> = source
-                .rows()
-                .filter_map(|r| r[0].as_text().map(str::to_string))
-                .collect();
-            assert!(query.row_count() >= 1 && query.row_count() <= 3);
-            for row in query.rows() {
-                let k = row[0].as_text().expect("text key");
-                assert!(keys.contains(k), "query key {k} not in source table");
-            }
-        }
-        assert_eq!(queries, spec.queries(), "query set is deterministic");
-    }
-
-    /// Same spec + same seed → identical lakes and queries, table for
-    /// table and value for value. The equality-gated benches and the
-    /// cost/shard oracles all compare engine output across independently
-    /// generated copies of a workload; a nondeterministic generator would
-    /// let those gates diverge silently across hosts or reruns.
-    #[test]
     fn topk_workload_same_seed_generates_identical_traces() {
         let spec = TopKWorkload {
             tables: 30,
@@ -1796,35 +1448,6 @@ mod tests {
         }
         .generate();
         assert_ne!(a.tables, other.tables, "the seed must actually matter");
-    }
-
-    #[test]
-    fn streamed_workload_same_seed_generates_identical_tables_and_queries() {
-        let spec = StreamedLakeWorkload {
-            tables: 50,
-            rows_per_table: 5,
-            vocab: 400,
-            queries: 4,
-            query_rows: 3,
-            seed: 99,
-        };
-        for i in [0usize, 7, 49] {
-            assert_eq!(
-                spec.table(i),
-                spec.table(i),
-                "streamed table {i} must be a pure function of (spec, i)"
-            );
-        }
-        let a: Vec<Table> = spec.stream().collect();
-        let b: Vec<Table> = spec.stream().collect();
-        assert_eq!(a, b, "streamed lake must be reproducible");
-        assert_eq!(spec.queries(), spec.queries());
-        let other = StreamedLakeWorkload { seed: 100, ..spec };
-        assert_ne!(
-            spec.table(0),
-            other.table(0),
-            "the seed must actually matter"
-        );
     }
 
     fn small_hetero() -> HeterogeneousLakeWorkload {

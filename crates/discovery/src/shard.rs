@@ -460,7 +460,7 @@ impl ShardedLakeIndex {
     }
 
     /// Each shard's own telemetry window, in shard order — the
-    /// per-stripe work breakdown the `sharded` bench group reports.
+    /// per-stripe work breakdown.
     pub fn telemetry_per_shard(&self) -> Vec<DiscoveryTelemetry> {
         self.shards
             .iter()
@@ -583,6 +583,36 @@ mod tests {
         let probes = index.fan_out(&|_: &LakeIndex| std::thread::current().id());
         assert_eq!(probes.len(), 3);
         assert!(probes.iter().all(|(_, id)| *id == caller), "{probes:?}");
+    }
+
+    #[test]
+    fn typeless_full_scan_work_splits_by_stripe() {
+        // At an unlimited budget a KB-typeless query takes SANTOS's full
+        // scan, which scores every table its shard owns: per-shard work is
+        // the stripe, so it falls linearly with the shard count.
+        let lake = lake_of(12);
+        let kb = Arc::new(covid_kb());
+        let query = TableQuery::with_column(table! { "q"; ["city"]; ["city_0"], ["city_1"] }, 0);
+        let budget = DiscoveryBudget::unlimited();
+        let single = ShardedLakeIndex::build(&lake, kb.clone(), LakeIndexConfig::default(), 1);
+        let _ = single.discover_all_budgeted(&query, 5, &budget);
+        let whole = single.telemetry().santos;
+        assert_eq!(whole.full_scans, 1, "the query must be typeless");
+        assert_eq!(whole.candidates_scored, lake.len() as u64);
+        for shards in [2usize, 3, 4] {
+            let index =
+                ShardedLakeIndex::build(&lake, kb.clone(), LakeIndexConfig::default(), shards);
+            let _ = index.discover_all_budgeted(&query, 5, &budget);
+            let scored: Vec<u64> = index
+                .telemetry_per_shard()
+                .iter()
+                .map(|w| w.santos.candidates_scored)
+                .collect();
+            assert_eq!(
+                scored,
+                vec![whole.candidates_scored / shards as u64; shards]
+            );
+        }
     }
 
     #[test]

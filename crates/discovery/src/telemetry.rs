@@ -177,8 +177,8 @@ impl LatencyHistogram {
 }
 
 /// Exported tail-latency summary of one [`LatencyHistogram`] window —
-/// what a serving dashboard or `BENCH_serving.json` row holds. All
-/// percentile fields are `None` on an empty window (never `0` / `NaN`).
+/// what a serving dashboard reads. All percentile fields are `None` on an
+/// empty window (never `0` / `NaN`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyPercentiles {
     /// Samples the window holds.
@@ -601,8 +601,8 @@ impl DiscoveryTelemetry {
         *self = DiscoveryTelemetry::default();
     }
 
-    /// A compact human-readable report, the form the CLI and
-    /// `exp_pipeline` print.
+    /// A compact human-readable report, the form `dialite demo` and
+    /// `dialite discover` print.
     pub fn summary(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

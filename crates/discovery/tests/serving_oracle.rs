@@ -126,12 +126,15 @@ proptest! {
     /// is a linearization violation. The service runs at 1–3 shards, so
     /// the consistent-snapshot fan-out (version-mismatch retry, churn-lock
     /// fallback) is pinned under a concurrent writer: with the exact
-    /// config every shard count answers like the single `LakeIndex`.
+    /// config every shard count answers like the single `LakeIndex`. It is
+    /// driven by 2, 4 or 8 client threads, and the default admission
+    /// capacity must admit every one of them (`drive` expects no `Busy`).
     #[test]
     fn concurrent_serving_equals_single_threaded_linearization(
         seed in any::<u64>(),
         ops in 16usize..40,
         shards in 1usize..4,
+        threads in prop_oneof![Just(2usize), Just(4), Just(8)],
     ) {
         let trace = ServingWorkload {
             tables: 8,
@@ -154,7 +157,7 @@ proptest! {
             .map(|t| TableQuery::with_column(t.clone(), 0))
             .collect();
         let budget = DiscoveryBudget::unlimited();
-        let (log, mut answered) = drive(&service, &trace, &queries, 4, 6, &budget);
+        let (log, mut answered) = drive(&service, &trace, &queries, threads, 6, &budget);
         prop_assert!(!answered.is_empty(), "trace served no queries");
 
         answered.sort_by_key(|a| a.version);

@@ -1,7 +1,7 @@
 //! Subsumption removal: dropping output tuples that add no information.
 //!
-//! Two variants share semantics and differ in cost, which experiment E6
-//! ablates: a quadratic reference scan and ALITE's index-accelerated pass.
+//! Two variants share semantics and differ in cost: a quadratic reference
+//! scan and ALITE's index-accelerated pass.
 //! Both operate on dictionary-encoded tuples: content dedup keys on
 //! `Vec<u32>` value-ids and the inverted index on packed `(col, id)` words,
 //! so neither pass touches a [`dialite_table::Value`].

@@ -62,7 +62,7 @@ fn combine(left: u64, right: u64) -> u64 {
 /// `len / 2`. Equal runs hash equal; unequal runs of one length collide
 /// with probability ≈ 2⁻⁶⁴. The row count and band index are not hashed:
 /// every band has its own table.
-pub(crate) fn band_hash(slots: &[u64]) -> u64 {
+fn band_hash(slots: &[u64]) -> u64 {
     match slots {
         [] => 0,
         [slot] => *slot,

@@ -8,7 +8,7 @@ use dialite::analyze::{pearson_columns, EntityResolver, GroupBy};
 use dialite::discovery::TableQuery;
 use dialite::pipeline::Pipeline;
 use dialite::table::fixtures;
-use dialite::table::{read_csv_str, CsvOptions, DataLake, Value};
+use dialite::table::{read_csv_str, table, CsvOptions, DataLake, Value};
 use dialite_align::Alignment;
 use dialite_integrate::{AliteFd, Integrator, OuterJoinIntegrator};
 
@@ -78,6 +78,30 @@ fn fig8_contrast_end_to_end() {
 
     assert_eq!(fd_er.entity_count(), 2, "Fig. 8(d)");
     assert_eq!(oj_er.table.row_count(), 4, "Fig. 8(c)");
+    // Fig. 8(c) and (d) cell for cell, from the tables the integrators
+    // actually produce (ER's own tests feed it copies of Fig. 8(a)/(b)).
+    let expected_c = table! {
+        "ER(OJ)"; ["Vaccine", "Approver", "Country"];
+        ["Pfizer", "FDA", "United States"],
+        ["JnJ", Value::null_missing(), Value::null_produced()],
+        [Value::null_produced(), Value::null_missing(), "USA"],
+        ["J&J", Value::null_produced(), "United States"],
+    };
+    let expected_d = table! {
+        "ER(FD)"; ["Vaccine", "Approver", "Country"];
+        ["Pfizer", "FDA", "United States"],
+        ["J&J", "FDA", "United States"],
+    };
+    assert!(
+        oj_er.table.same_content(&expected_c),
+        "Fig. 8(c): got\n{}",
+        oj_er.table
+    );
+    assert!(
+        fd_er.table.same_content(&expected_d),
+        "Fig. 8(d): got\n{}",
+        fd_er.table
+    );
 
     // The J&J entity is complete only on the FD side.
     let jj_complete = |t: &dialite::table::Table| {
