@@ -5,7 +5,7 @@
 //! demonstrates:
 //!
 //! * any number of [`Discovery`] engines (SANTOS-style, LSH Ensemble,
-//!   exact overlap, user-defined closures — Fig. 4);
+//!   metadata, user-defined closures — Fig. 4);
 //! * a configurable holistic matcher for alignment;
 //! * a primary [`Integrator`] (ALITE's FD by default) plus alternative
 //!   operators for comparison (outer join — Fig. 6);

@@ -522,21 +522,13 @@ impl Pipeline {
             // where they still match — then replay the commitlog tail as
             // an ordinary changelog delta: the restored snapshot lake's
             // log floor makes `sync` see exactly the replayed records.
-            let index = match &recovery.sketches {
-                Some(sketches) => ShardedLakeIndex::build_warm(
-                    &recovery.snapshot,
-                    guard.kb.clone(),
-                    guard.config.clone(),
-                    guard.shards,
-                    sketches,
-                ),
-                None => ShardedLakeIndex::build(
-                    &recovery.snapshot,
-                    guard.kb.clone(),
-                    guard.config.clone(),
-                    guard.shards,
-                ),
-            };
+            let index = ShardedLakeIndex::build_reusing(
+                &recovery.snapshot,
+                guard.kb.clone(),
+                guard.config.clone(),
+                guard.shards,
+                recovery.sketches.as_ref(),
+            );
             index.sync(&recovery.lake);
             guard.index = Some(index);
         }
@@ -581,21 +573,14 @@ impl Pipeline {
             .with_max_in_flight(max_in_flight)
             .with_budget(self.budget)
             .with_k(self.top_k);
-        let index = match guard.current(&lake) {
-            Some(current) => {
-                let sketches = current.export_sketches();
-                ShardedLakeIndex::build_warm(
-                    &lake,
-                    guard.kb.clone(),
-                    guard.config.clone(),
-                    guard.shards,
-                    &sketches,
-                )
-            }
-            None => {
-                ShardedLakeIndex::build(&lake, guard.kb.clone(), guard.config.clone(), guard.shards)
-            }
-        };
+        let sketches = guard.current(&lake).map(ShardedLakeIndex::export_sketches);
+        let index = ShardedLakeIndex::build_reusing(
+            &lake,
+            guard.kb.clone(),
+            guard.config.clone(),
+            guard.shards,
+            sketches.as_ref(),
+        );
         let service = DiscoveryService::with_prebuilt(lake, index, serving);
         Some(crate::durable::DurableService::new(service, durable))
     }

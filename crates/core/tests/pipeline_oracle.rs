@@ -1,9 +1,9 @@
 //! End-to-end equivalence oracle for the planner-routed discovery stage:
 //! `Pipeline::run` with [`DiscoveryBudget::unlimited`] must produce
 //! **byte-identical** `Discovered` sets — per-engine lists, order and
-//! tie-breaks included — to the pre-routing probe-all path
-//! (`LakeIndex::discover_all`, scan-then-truncate), across churned and
-//! freshly built indexes.
+//! tie-breaks included — to the pre-routing probe-all path (each engine's
+//! own scan-then-truncate `discover`), across churned and freshly built
+//! indexes.
 //!
 //! This is the contract that lets the routing ship at all: the budgeted
 //! machinery (signature cache, partition scheduling, posting-list
@@ -17,16 +17,17 @@ use dialite_core::Pipeline;
 use dialite_datagen::lake::{LakeSpec, SyntheticLake};
 use dialite_datagen::workloads::{ChurnOp, ChurnWorkload};
 use dialite_discovery::{
-    Discovered, DiscoveryBudget, LakeIndex, LakeIndexConfig, LshEnsembleConfig, SantosConfig,
-    TableQuery,
+    Discovered, Discovery, DiscoveryBudget, LakeIndex, LakeIndexConfig, LshEnsembleConfig,
+    SantosConfig, TableQuery,
 };
 use dialite_kb::curated::covid_kb;
 use dialite_kb::KnowledgeBase;
 use dialite_table::DataLake;
 use proptest::prelude::*;
 
-/// The legacy scan-then-truncate discovery stage: a freshly built
-/// probe-all `LakeIndex` with no planner, no caps and no telemetry.
+/// The legacy scan-then-truncate discovery stage: each engine of a freshly
+/// built `LakeIndex` probed with its own `discover`, in the stage's engine
+/// order — no planner, no caps and no telemetry.
 fn legacy_stage(
     lake: &DataLake,
     kb: Arc<KnowledgeBase>,
@@ -34,7 +35,12 @@ fn legacy_stage(
     query: &TableQuery,
     k: usize,
 ) -> Vec<(String, Vec<Discovered>)> {
-    LakeIndex::build(lake, kb, config.clone()).discover_all(query, k)
+    let index = LakeIndex::build(lake, kb, config.clone());
+    let mut legs: Vec<&dyn Discovery> = vec![index.santos(), index.lshe()];
+    legs.extend(index.metadata().map(|m| m as &dyn Discovery));
+    legs.into_iter()
+        .map(|leg| (leg.name().to_string(), leg.discover(query, k)))
+        .collect()
 }
 
 fn configs() -> Vec<LakeIndexConfig> {

@@ -62,38 +62,15 @@ pub(crate) struct ExactSearchStats {
 /// The k-th best verified table score, once at least `k` tables scored.
 /// Shared by the partition planner and the cost-bounded exact search —
 /// both prune on "the k-th verified score strictly beats the bound".
+/// `None` at `k == 0`: there is no k-th score to prune against.
 pub(crate) fn kth_best(best: &HashMap<&str, f64>, k: usize) -> Option<f64> {
+    let i = k.checked_sub(1)?;
     if best.len() < k {
         return None;
     }
     let mut scores: Vec<f64> = best.values().copied().collect();
     scores.sort_by(|a, b| b.total_cmp(a));
-    scores.get(k - 1).copied()
-}
-
-/// Fold one exactly-resolved containment into the per-table best map,
-/// applying the same threshold / liveness / self-exclusion filters as the
-/// exhaustive merge.
-fn fold<'a>(
-    engine: &'a LshEnsembleDiscovery,
-    key: DomainKey,
-    c: f64,
-    exclude_table: &str,
-    best: &mut HashMap<&'a str, f64>,
-) {
-    if c + 1e-12 < engine.config.threshold {
-        return;
-    }
-    let Some(table) = engine.table_names.get(&key.0) else {
-        return;
-    };
-    if table == exclude_table {
-        return;
-    }
-    let entry = best.entry(table.as_str()).or_insert(0.0);
-    if c > *entry {
-        *entry = c;
-    }
+    scores.get(i).copied()
 }
 
 /// Cost-bounded exact top-k over the engine's posting lists (module docs
@@ -153,13 +130,7 @@ pub(crate) fn exact_search<'a>(
         // posting merge verbatim.
         stats.verified = overlap.len();
         for (key, hits) in overlap {
-            fold(
-                engine,
-                key,
-                hits as f64 / q_len as f64,
-                exclude_table,
-                &mut best,
-            );
+            engine.fold_best(key, hits as f64 / q_len as f64, exclude_table, &mut best);
         }
         return (best, stats);
     }
@@ -194,13 +165,7 @@ pub(crate) fn exact_search<'a>(
         };
         stats.verified += 1;
         let hits = intersect_count(q_ids, domain);
-        fold(
-            engine,
-            key,
-            hits as f64 / q_len as f64,
-            exclude_table,
-            &mut best,
-        );
+        engine.fold_best(key, hits as f64 / q_len as f64, exclude_table, &mut best);
     }
     (best, stats)
 }
@@ -209,7 +174,7 @@ pub(crate) fn exact_search<'a>(
 mod tests {
     use super::*;
     use crate::lshe::LshEnsembleConfig;
-    use crate::types::TableQuery;
+    use crate::types::{Discovery, TableQuery};
     use dialite_table::{DataLake, Table, Value};
 
     /// A skewed lake with hub tokens shared by every table: the shape
@@ -302,6 +267,26 @@ mod tests {
         assert!(got.is_empty());
         assert!(stats.budget_exhausted);
         assert_eq!(stats.verified, 0);
+    }
+
+    #[test]
+    fn zero_k_is_an_empty_answer_not_an_underflow() {
+        // The threshold stop truncates this merge, so verification asks
+        // for the k-th best score: at k = 0 there is none to ask for.
+        let lake = hub_lake(12);
+        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let q = query_over(&lake, "t3", 10);
+        assert!(engine.discover(&q, 0).is_empty());
+        let (ids, q_len, name) = exact_args(&engine, &q);
+        let (got, stats) = exact_search(&engine, &ids, q_len, &name, 0, usize::MAX);
+        assert!(
+            stats.postings_skipped > 0,
+            "the merge must truncate: {stats:?}"
+        );
+        let (oracle, _) = engine.exact_best_per_table(&ids, q_len, &name);
+        for (table, score) in &got {
+            assert_eq!(oracle.get(table), Some(score));
+        }
     }
 
     #[test]

@@ -3,24 +3,25 @@
 //! Discovery engines are expensive to build (annotate every table, hash
 //! every column domain) but open-data lakes churn: tables are added,
 //! corrected and withdrawn while query traffic keeps flowing. A
-//! [`LakeIndex`] wraps the SANTOS-style and LSH Ensemble engines behind
-//! one maintenance point: [`LakeIndex::sync`] reads the lake changelog
-//! ([`DataLake::events_since`]) and applies each delta with
-//! `O(changed tables)` work — interning new tokens into the existing
-//! `StringPool`, retiring dead `(table_slot, col)` domain keys, staging
-//! ensemble inserts — falling back to a full rebuild only when the index
-//! is further behind than the bounded changelog reaches (or when handed an
-//! older lineage of the lake).
+//! [`LakeIndex`] owns the SANTOS-style, LSH Ensemble and optional
+//! metadata engines behind one maintenance point: [`LakeIndex::sync`]
+//! reads the lake changelog ([`DataLake::events_since`]) and applies each
+//! delta with `O(changed tables)` work — interning new tokens into the
+//! existing `StringPool`, retiring dead `(table_slot, col)` domain keys,
+//! staging ensemble inserts — falling back to a full rebuild only when
+//! the index is further behind than the bounded changelog reaches (or
+//! when handed an older lineage of the lake).
 //!
 //! Consistency contract, pinned by `tests/incremental_oracle.rs`: after
 //! `sync`, discovery output is equivalent to a fresh build over the lake's
-//! current state — exactly equal for the SANTOS engine and for the LSH
-//! engine's exact-verification semantics; the sketch candidate path
-//! additionally guarantees that domains staged since the last partition
-//! rebalance are exact-scanned, so fresh churn is never a false negative.
+//! current state — exactly equal for the SANTOS and metadata engines and
+//! for the LSH engine's exact-verification semantics; the sketch
+//! candidate path additionally guarantees that domains staged since the
+//! last partition rebalance are exact-scanned, so fresh churn is never a
+//! false negative.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dialite_kb::KnowledgeBase;
 use dialite_minhash::SketchSnapshot;
@@ -32,7 +33,7 @@ use crate::santos::{SantosConfig, SantosDiscovery};
 use crate::shard::ShardScope;
 use crate::telemetry::{DiscoveryTelemetry, ShardedTelemetry};
 use crate::topk::{DiscoveryBudget, QueryBudget, TopKPlanner, TopKStats};
-use crate::types::{top_k, Discovered, Discovery, TableQuery};
+use crate::types::{merge_best_scores, top_k, Discovered, Discovery, TableQuery};
 
 /// Configuration of the wrapped engines.
 #[derive(Debug, Clone, Default)]
@@ -98,59 +99,32 @@ pub struct LakeIndex {
 }
 
 impl LakeIndex {
-    /// Build both engines over the lake's current state.
+    /// Build every configured engine over the lake's current state.
     pub fn build(lake: &DataLake, kb: Arc<KnowledgeBase>, config: LakeIndexConfig) -> LakeIndex {
-        LakeIndex::build_scoped(lake, kb, config, ShardScope::all())
+        LakeIndex::build_scoped(lake, kb, config, ShardScope::all(), None)
     }
 
-    /// Build both engines over one shard's stripe of the lake. The index
-    /// behaves exactly like [`LakeIndex::build`] over a lake containing
-    /// only the admitted slots: [`sync`](LakeIndex::sync) replays the
-    /// changelog filtered to the stripe (and a forced rebuild re-applies
-    /// the same scope), so the incremental contract carries over per
-    /// shard. [`ShardScope::all`] reproduces the unscoped build.
+    /// Build every configured engine over one shard's stripe of the lake.
+    /// The index behaves exactly like [`LakeIndex::build`] over a lake
+    /// containing only the admitted slots: [`sync`](LakeIndex::sync)
+    /// replays the changelog filtered to the stripe (and a forced rebuild
+    /// re-applies the same scope), so the incremental contract carries
+    /// over per shard. [`ShardScope::all`] reproduces the unscoped build.
+    ///
+    /// `sketches` warm-starts the LSH engine from persisted MinHash
+    /// sketches (see [`LshEnsembleDiscovery::build_scoped`]); the SANTOS
+    /// and metadata engines and the exact verification structures are
+    /// always rebuilt from the lake.
     pub fn build_scoped(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
         config: LakeIndexConfig,
         scope: ShardScope,
+        sketches: Option<&SketchSnapshot>,
     ) -> LakeIndex {
         LakeIndex {
             santos: SantosDiscovery::build_scoped(lake, kb.clone(), config.santos.clone(), scope),
-            lshe: LshEnsembleDiscovery::build_scoped(lake, config.lshe.clone(), scope),
-            metadata: config
-                .metadata
-                .clone()
-                .map(|mc| MetadataDiscovery::build_scoped(lake, mc, scope)),
-            planner: TopKPlanner::new(),
-            telemetry: ShardedTelemetry::default(),
-            kb,
-            config,
-            scope,
-            synced: lake.version(),
-        }
-    }
-
-    /// Like [`LakeIndex::build_scoped`], but warm-start the LSH engine
-    /// from persisted MinHash sketches (see
-    /// [`LshEnsembleDiscovery::build_scoped_warm`]). The SANTOS engine and
-    /// the exact verification structures are always rebuilt from the lake;
-    /// only the MinHash pass is skipped where the snapshot covers it.
-    pub fn build_scoped_warm(
-        lake: &DataLake,
-        kb: Arc<KnowledgeBase>,
-        config: LakeIndexConfig,
-        scope: ShardScope,
-        sketches: &SketchSnapshot,
-    ) -> LakeIndex {
-        LakeIndex {
-            santos: SantosDiscovery::build_scoped(lake, kb.clone(), config.santos.clone(), scope),
-            lshe: LshEnsembleDiscovery::build_scoped_warm(
-                lake,
-                config.lshe.clone(),
-                scope,
-                sketches,
-            ),
+            lshe: LshEnsembleDiscovery::build_scoped(lake, config.lshe.clone(), scope, sketches),
             metadata: config
                 .metadata
                 .clone()
@@ -192,7 +166,7 @@ impl LakeIndex {
         Arc::clone(&self.kb)
     }
 
-    /// The configuration both engines were built with.
+    /// The configuration the engines were built with.
     pub fn config(&self) -> &LakeIndexConfig {
         &self.config
     }
@@ -220,7 +194,13 @@ impl LakeIndex {
             // reason to lose the observation history).
             let planner = std::mem::take(&mut self.planner);
             let telemetry = self.telemetry.snapshot();
-            *self = LakeIndex::build_scoped(lake, self.kb.clone(), self.config.clone(), self.scope);
+            *self = LakeIndex::build_scoped(
+                lake,
+                self.kb.clone(),
+                self.config.clone(),
+                self.scope,
+                None,
+            );
             self.planner = planner;
             self.telemetry.restore(telemetry);
             return;
@@ -254,63 +234,37 @@ impl LakeIndex {
         self.synced = lake.version();
     }
 
-    /// Per-engine discovery results, in the pipeline's engine order —
-    /// the same shape `Pipeline` reports for independently built engines.
-    ///
-    /// This is the legacy **probe-all** stage: no planner, no caps, no
-    /// telemetry. It survives as the equivalence oracle the budgeted path
-    /// is pinned against (`crates/core/tests/pipeline_oracle.rs`);
-    /// production callers go through
-    /// [`LakeIndex::discover_all_budgeted`].
-    pub fn discover_all(&self, query: &TableQuery, k: usize) -> Vec<(String, Vec<Discovered>)> {
-        let mut legs = vec![
-            (
-                self.santos.name().to_string(),
-                self.santos.discover(query, k),
-            ),
-            (self.lshe.name().to_string(), self.lshe.discover(query, k)),
-        ];
-        if let Some(metadata) = &self.metadata {
-            legs.push((metadata.name().to_string(), metadata.discover(query, k)));
-        }
-        legs
-    }
-
-    /// The budgeted discovery stage: the SANTOS leg under the budget's
-    /// candidate cap, the joinable leg through the [`TopKPlanner`] under
-    /// the budget's [`QueryBudget`], and — when enabled — the metadata
-    /// leg under its own candidate cap. Same per-engine shape and order as
-    /// [`LakeIndex::discover_all`], and byte-identical output to it under
-    /// [`DiscoveryBudget::unlimited`]. Every call folds its per-query
-    /// stats and latency into the index's [`DiscoveryTelemetry`].
+    /// The budgeted discovery stage — the index's one query path. Returns
+    /// `(engine name, hits)` per leg in the pipeline's engine order: the
+    /// SANTOS leg under the budget's candidate cap, the joinable leg
+    /// through the [`TopKPlanner`] under the budget's [`QueryBudget`], and
+    /// — when enabled — the metadata leg under its own candidate cap.
+    /// Under [`DiscoveryBudget::unlimited`] every leg is byte-identical to
+    /// its engine's probe-all [`Discovery::discover`] (pinned by
+    /// `crates/core/tests/pipeline_oracle.rs`). Every call folds its
+    /// per-query stats and latency into the index's
+    /// [`DiscoveryTelemetry`].
     pub fn discover_all_budgeted(
         &self,
         query: &TableQuery,
         k: usize,
         budget: &DiscoveryBudget,
     ) -> Vec<(String, Vec<Discovered>)> {
-        let santos_t0 = Instant::now();
-        let (santos_hits, santos_stats) =
+        let ((santos_hits, stats), elapsed) = timed(|| {
             self.santos
-                .discover_capped(query, k, budget.santos_candidates);
-        let santos_elapsed = santos_t0.elapsed();
-        let join_t0 = Instant::now();
-        let (join_hits, join_stats) =
-            self.planner
-                .discover_top_k_with_stats(&self.lshe, query, k, &budget.joinable);
-        let join_elapsed = join_t0.elapsed();
-        self.telemetry.record_santos(&santos_stats, santos_elapsed);
-        self.telemetry.record_topk(&join_stats, join_elapsed);
+                .discover_capped(query, k, budget.santos_candidates)
+        });
+        self.telemetry.record(|t| t.record_santos(&stats, elapsed));
+        let (join_hits, _) = self.discover_top_k_with_stats(query, k, &budget.joinable);
         let mut legs = vec![
             (self.santos.name().to_string(), santos_hits),
             (self.lshe.name().to_string(), join_hits),
         ];
         if let Some(metadata) = &self.metadata {
-            let meta_t0 = Instant::now();
-            let (meta_hits, meta_stats) =
-                metadata.discover_capped(query, k, budget.metadata_candidates);
+            let ((meta_hits, stats), elapsed) =
+                timed(|| metadata.discover_capped(query, k, budget.metadata_candidates));
             self.telemetry
-                .record_metadata(&meta_stats, meta_t0.elapsed());
+                .record(|t| t.record_metadata(&stats, elapsed));
             legs.push((metadata.name().to_string(), meta_hits));
         }
         legs
@@ -365,26 +319,20 @@ impl LakeIndex {
         k: usize,
         budget: &QueryBudget,
     ) -> (Vec<Discovered>, TopKStats) {
-        let t0 = Instant::now();
-        let (hits, stats) = self
-            .planner
-            .discover_top_k_with_stats(&self.lshe, query, k, budget);
-        self.telemetry.record_topk(&stats, t0.elapsed());
+        let ((hits, stats), elapsed) = timed(|| {
+            self.planner
+                .discover_top_k_with_stats(&self.lshe, query, k, budget)
+        });
+        self.telemetry.record(|t| t.record_topk(&stats, elapsed));
         (hits, stats)
     }
 
-    /// The planner (and its signature cache) behind
-    /// [`LakeIndex::discover_top_k`].
-    pub fn planner(&self) -> &TopKPlanner {
-        &self.planner
-    }
-
-    /// The wrapped SANTOS-style engine.
+    /// The SANTOS-style engine.
     pub fn santos(&self) -> &SantosDiscovery {
         &self.santos
     }
 
-    /// The wrapped LSH Ensemble engine.
+    /// The LSH Ensemble engine.
     pub fn lshe(&self) -> &LshEnsembleDiscovery {
         &self.lshe
     }
@@ -396,18 +344,28 @@ impl LakeIndex {
     }
 }
 
+/// Run `f`, returning its result and how long it took.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    let t0 = Instant::now();
+    let out = f();
+    (out, t0.elapsed())
+}
+
 impl Discovery for LakeIndex {
     fn name(&self) -> &str {
         "lake-index"
     }
 
-    /// Union of both engines' results; a table found by both keeps its
-    /// best score (NaN-safe: a degenerate score propagates rather than
-    /// being replaced by an invented one).
+    /// Union of every leg's results from
+    /// [`discover_all_budgeted`](LakeIndex::discover_all_budgeted) at
+    /// [`DiscoveryBudget::unlimited`]; a table found by several legs keeps
+    /// its best score (NaN-safe: a degenerate score propagates rather than
+    /// being replaced by an invented one). Like every query through the
+    /// index, it folds its per-leg stats into the index's telemetry.
     fn discover(&self, query: &TableQuery, k: usize) -> Vec<Discovered> {
         let mut best: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-        for (_, hits) in self.discover_all(query, k) {
-            crate::types::merge_best_scores(&mut best, hits);
+        for (_, hits) in self.discover_all_budgeted(query, k, &DiscoveryBudget::unlimited()) {
+            merge_best_scores(&mut best, hits);
         }
         top_k(
             best.into_iter()
@@ -457,7 +415,7 @@ mod tests {
         let lake = demo_lake();
         let index = build(&lake);
         assert!(index.is_current(&lake));
-        let all = index.discover_all(&query(), 5);
+        let all = index.discover_all_budgeted(&query(), 5, &DiscoveryBudget::unlimited());
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].0, "santos");
         assert_eq!(all[1].0, "lsh-ensemble");
@@ -473,17 +431,19 @@ mod tests {
         };
         let mut index = LakeIndex::build(&lake, Arc::new(covid_kb()), config.clone());
         let q = TableQuery::new(table! { "HQ"; ["city", "rate"]; ["x", 1] });
-        let all = index.discover_all(&q, 5);
+        let unlimited = DiscoveryBudget::unlimited();
+        let all = index.discover_all_budgeted(&q, 5, &unlimited);
         assert_eq!(all.len(), 3, "metadata appends a third leg");
         assert_eq!(all[2].0, "metadata");
         assert!(all[2].1.iter().any(|d| d.table == "cases_by_city"));
+        index.reset_telemetry();
 
         // Churn flows through sync into the metadata leg too.
         lake.add(table! { "city_pop"; ["city", "rate"]; ["lima", 9] })
             .unwrap();
         lake.remove("cases_by_city").unwrap();
         index.sync(&lake);
-        let budgeted = index.discover_all_budgeted(&q, 5, &DiscoveryBudget::unlimited());
+        let budgeted = index.discover_all_budgeted(&q, 5, &unlimited);
         assert_eq!(budgeted[2].0, "metadata");
         assert!(budgeted[2].1.iter().any(|d| d.table == "city_pop"));
         assert!(budgeted[2].1.iter().all(|d| d.table != "cases_by_city"));
@@ -494,8 +454,8 @@ mod tests {
         // survive it (the config carries across).
         let fresh = LakeIndex::build(&lake, Arc::new(covid_kb()), config);
         assert_eq!(
-            fresh.discover_all(&q, 5),
-            index.discover_all(&q, 5),
+            fresh.discover_all_budgeted(&q, 5, &unlimited),
+            index.discover_all_budgeted(&q, 5, &unlimited),
             "synced metadata leg must answer like a rebuild"
         );
         assert!(index.metadata().is_some());

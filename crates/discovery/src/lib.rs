@@ -4,7 +4,7 @@
 //! and a data lake `D`, find tables that are *unionable*, *joinable* or
 //! simply similar to `Q`, returning an integration set for ALITE.
 //!
-//! Five search engines implement the common [`Discovery`] trait:
+//! Four search engines implement the common [`Discovery`] trait:
 //!
 //! * [`SantosDiscovery`] — semantic **union** search in the style of SANTOS
 //!   (Khatiwada et al., SIGMOD 2023): columns are annotated with semantic
@@ -16,10 +16,11 @@
 //!   (DESIGN.md §1).
 //! * [`LshEnsembleDiscovery`] — **joinable** search over MinHash sketches
 //!   using the LSH Ensemble containment index (Zhu et al., VLDB 2016), with
-//!   exact containment verification of candidates.
-//! * [`ExactOverlapDiscovery`] — exact top-k overlap search over an inverted
-//!   token index (JOSIE-shaped, without the cost-based posting-list
-//!   scheduling that internet-scale lakes need — documented simplification).
+//!   exact containment verification of candidates. Small queries skip the
+//!   sketch and are answered exactly by a JOSIE-style cost-bounded merge
+//!   over token posting lists; configured with a vanishing `threshold` and
+//!   `exact_fallback_below = usize::MAX` the engine is an exact top-k
+//!   overlap (containment) search for every query.
 //! * [`MetadataDiscovery`] — **metadata-aware** search over column headers
 //!   (cf. TableNet): an inverted header-token index answers "find tables
 //!   annotated like this" probes with the same best-bound-first capped
@@ -33,7 +34,7 @@
 //! mirroring the demo's "persist the set of tables found by all techniques
 //! to form an integration set".
 //!
-//! For *mutable* lakes, [`LakeIndex`] wraps three legs — the SANTOS-style,
+//! For *mutable* lakes, [`LakeIndex`] owns three legs — the SANTOS-style,
 //! LSH Ensemble and (when configured) metadata engines — behind one
 //! churn-safe maintenance point: it follows the lake changelog
 //! (`DataLake::events_since`) and applies each add/replace/remove with
@@ -48,15 +49,20 @@
 //! when the residual lists provably cannot lift any unseen candidate past
 //! the k-th verified score, under the [`QueryBudget`] `postings` cap.
 //! [`LakeIndex::discover_top_k`] exposes it, and with an unlimited
-//! [`QueryBudget`] it returns exactly the probe-all results.
+//! [`QueryBudget`] it returns exactly what the probe-all
+//! [`LshEnsembleDiscovery`] `discover` returns.
 //!
 //! The whole discovery *stage* is budgeted through [`DiscoveryBudget`]:
 //! [`LakeIndex::discover_all_budgeted`] routes the joinable leg through
-//! the planner and the SANTOS leg through its capped, bound-ranked
-//! candidate retrieval ([`SantosDiscovery::discover_capped`]), and every
-//! budgeted query folds its stats into the index's rolling
-//! [`DiscoveryTelemetry`] (cache hit rate, partitions pruned,
-//! verifications, budget-exhaustion rate, per-engine latency buckets).
+//! the planner and the SANTOS and metadata legs through their capped,
+//! bound-ranked candidate retrieval ([`SantosDiscovery::discover_capped`],
+//! [`MetadataDiscovery::discover_capped`]), and every budgeted query folds
+//! its stats into the index's rolling [`DiscoveryTelemetry`] (cache hit
+//! rate, partitions pruned, verifications, budget-exhaustion rate,
+//! per-engine latency buckets). It is the index's one query path: the
+//! index's [`Discovery::discover`] runs it at
+//! [`DiscoveryBudget::unlimited`], where every leg equals its engine's
+//! probe-all `discover`.
 //!
 //! At lake scale the index itself shards: [`ShardedLakeIndex`] stripes
 //! the slot space across N scoped [`LakeIndex`] shards (routing in
@@ -74,7 +80,6 @@ mod custom;
 mod index;
 mod lshe;
 mod metadata;
-mod overlap;
 mod pool;
 mod retrieval;
 mod santos;
@@ -87,19 +92,19 @@ mod types;
 pub use custom::SimilarityDiscovery;
 pub use index::{LakeIndex, LakeIndexConfig};
 pub use lshe::{LshEnsembleConfig, LshEnsembleDiscovery};
-pub use metadata::{MetadataConfig, MetadataDiscovery, MetadataStats};
-pub use overlap::ExactOverlapDiscovery;
+pub use metadata::{MetadataConfig, MetadataDiscovery};
 pub use pool::{StringPool, POOL_ID_DROPPED};
-pub use santos::{SantosConfig, SantosDiscovery, SantosStats};
+pub use retrieval::RetrievalStats;
+pub use santos::{SantosConfig, SantosDiscovery};
 pub use serving::{
     DiscoveryService, ServingConfig, ServingError, ServingResponse, ServingTelemetry,
 };
 pub use shard::{ShardRouter, ShardScope, ShardedLakeIndex};
 pub use telemetry::{
-    DiscoveryTelemetry, LatencyHistogram, LatencyPercentiles, MetadataCounters, SantosCounters,
-    ShardedTelemetry, TopKCounters, LATENCY_BUCKET_BOUNDS_US,
+    DiscoveryTelemetry, LatencyHistogram, LatencyPercentiles, RetrievalCounters, TopKCounters,
+    LATENCY_BUCKET_BOUNDS_US,
 };
-pub use topk::{DiscoveryBudget, QueryBudget, TopKPlanner, TopKStats, DEFAULT_SIGNATURE_CACHE};
+pub use topk::{DiscoveryBudget, QueryBudget, TopKPlanner, TopKStats};
 pub use types::{
     merge_best_scores, top_k_discovered, union_integration_set, Discovered, Discovery, TableQuery,
 };

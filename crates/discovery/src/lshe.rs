@@ -125,7 +125,7 @@ pub struct LshEnsembleDiscovery {
 impl LshEnsembleDiscovery {
     /// Index every column of every lake table.
     pub fn build(lake: &DataLake, config: LshEnsembleConfig) -> LshEnsembleDiscovery {
-        LshEnsembleDiscovery::build_scoped(lake, config, ShardScope::all())
+        LshEnsembleDiscovery::build_scoped(lake, config, ShardScope::all(), None)
     }
 
     /// Index one shard's stripe of the lake (the slots `scope`
@@ -134,52 +134,31 @@ impl LshEnsembleDiscovery {
     /// stripe alone, exactly as [`LshEnsembleDiscovery::build`] computes
     /// them over the whole lake. [`ShardScope::all`] reproduces the
     /// unscoped build.
+    ///
+    /// `sketches` warm-starts the build from a durable snapshot: a
+    /// persisted MinHash signature is reused instead of re-hashing its
+    /// column domain only when its hash-family identity (`num_perm`,
+    /// `seed`) matches the config **and** its recorded domain size equals
+    /// the live domain's token count — anything else is hashed fresh, so a
+    /// stale or foreign snapshot can slow a warm start but never corrupt
+    /// it. Token interning, posting lists and exact verification sets are
+    /// always rebuilt from the lake (they are cheap `u32` work); only the
+    /// `O(num_perm × tokens)` MinHash pass is skipped.
     pub fn build_scoped(
         lake: &DataLake,
         config: LshEnsembleConfig,
         scope: ShardScope,
+        sketches: Option<&SketchSnapshot>,
     ) -> LshEnsembleDiscovery {
-        LshEnsembleDiscovery::build_reusing(lake, config, scope, &HashMap::new())
-    }
-
-    /// Like [`LshEnsembleDiscovery::build_scoped`], but reuse persisted
-    /// MinHash signatures from a durable snapshot instead of re-hashing
-    /// every column domain. A sketch is reused only when its hash-family
-    /// identity (`num_perm`, `seed`) matches the config **and** its
-    /// recorded domain size equals the live domain's token count —
-    /// anything else falls back to hashing that domain fresh, so a stale
-    /// or foreign snapshot can slow a warm start but never corrupt it.
-    ///
-    /// Token interning, posting lists and exact verification sets are
-    /// always rebuilt from the lake (they are cheap `u32` work); only the
-    /// `O(num_perm × tokens)` MinHash pass is skipped.
-    pub fn build_scoped_warm(
-        lake: &DataLake,
-        config: LshEnsembleConfig,
-        scope: ShardScope,
-        sketches: &SketchSnapshot,
-    ) -> LshEnsembleDiscovery {
-        if !sketches.matches_family(config.num_perm, config.seed) {
-            return LshEnsembleDiscovery::build_scoped(lake, config, scope);
-        }
         let reusable: HashMap<DomainKey, (usize, &Signature)> = sketches
-            .domains
-            .iter()
-            .map(|(key, size, sig)| (*key, (*size, sig)))
-            .collect();
-        LshEnsembleDiscovery::build_reusing(lake, config, scope, &reusable)
-    }
-
-    /// The one build loop: index every domain of the stripe, taking a
-    /// domain's signature from `reusable` when its recorded size matches
-    /// and hashing it otherwise. A cold build is this with nothing
-    /// reusable.
-    fn build_reusing(
-        lake: &DataLake,
-        config: LshEnsembleConfig,
-        scope: ShardScope,
-        reusable: &HashMap<DomainKey, (usize, &Signature)>,
-    ) -> LshEnsembleDiscovery {
+            .filter(|s| s.matches_family(config.num_perm, config.seed))
+            .map(|s| {
+                s.domains
+                    .iter()
+                    .map(|(key, size, sig)| (*key, (*size, sig)))
+                    .collect()
+            })
+            .unwrap_or_default();
         let mut builder = LshEnsembleBuilder::new(config.num_perm, config.seed);
         let mut domains: HashMap<DomainKey, Run> = HashMap::new();
         let mut table_names = HashMap::new();
@@ -428,20 +407,7 @@ impl LshEnsembleDiscovery {
         let scored = overlap.len();
         let mut best: HashMap<&str, f64> = HashMap::new();
         for (key, hits) in overlap {
-            let c = hits as f64 / q_len as f64;
-            if c + 1e-12 < self.config.threshold {
-                continue;
-            }
-            let Some(table) = self.table_names.get(&key.0) else {
-                continue;
-            };
-            if table == exclude_table {
-                continue;
-            }
-            let entry = best.entry(table.as_str()).or_insert(0.0);
-            if c > *entry {
-                *entry = c;
-            }
+            self.fold_best(key, hits as f64 / q_len as f64, exclude_table, &mut best);
         }
         (best, scored)
     }
@@ -476,9 +442,8 @@ impl LshEnsembleDiscovery {
     }
 
     /// Verify candidate domains exactly against their stored token-id runs,
-    /// folding each verified containment into the per-table best map.
-    /// Containment is `|Q ∩ X| / |Q|` over the sorted query ids; scores
-    /// below the configured threshold (LSH false positives) are dropped.
+    /// folding each verified containment `|Q ∩ X| / |Q|` into the
+    /// per-table best map with [`Self::fold_best`].
     pub(crate) fn verify_candidates<'a, I: IntoIterator<Item = DomainKey>>(
         &'a self,
         candidates: I,
@@ -494,22 +459,36 @@ impl LshEnsembleDiscovery {
             };
             verified += 1;
             let hits = intersect_count(q_ids, domain);
-            let c = hits as f64 / q_len as f64;
-            if c + 1e-12 < self.config.threshold {
-                continue; // LSH false positive
-            }
-            let Some(table) = self.table_names.get(&key.0) else {
-                continue;
-            };
-            if table == exclude_table {
-                continue;
-            }
-            let entry = best.entry(table.as_str()).or_insert(0.0);
-            if c > *entry {
-                *entry = c;
-            }
+            self.fold_best(key, hits as f64 / q_len as f64, exclude_table, best);
         }
         verified
+    }
+
+    /// Fold one exactly computed containment `c` of domain `key` into the
+    /// per-table best map — the one reporting filter every exact path
+    /// applies: `c` must reach the threshold (so LSH false positives drop
+    /// out), the table must be live, and the query's own table is never
+    /// reported.
+    pub(crate) fn fold_best<'a>(
+        &'a self,
+        key: DomainKey,
+        c: f64,
+        exclude_table: &str,
+        best: &mut HashMap<&'a str, f64>,
+    ) {
+        if c + 1e-12 < self.config.threshold {
+            return;
+        }
+        let Some(table) = self.table_names.get(&key.0) else {
+            return;
+        };
+        if table == exclude_table {
+            return;
+        }
+        let entry = best.entry(table.as_str()).or_insert(0.0);
+        if c > *entry {
+            *entry = c;
+        }
     }
 }
 
@@ -520,7 +499,7 @@ impl Discovery for LshEnsembleDiscovery {
 
     fn discover(&self, query: &TableQuery, k: usize) -> Vec<Discovered> {
         let col = query.effective_column();
-        if col >= query.table.column_count() {
+        if col >= query.table.column_count() || k == 0 {
             return Vec::new();
         }
         let q_tokens = query.table.column_token_set(col);
@@ -609,11 +588,11 @@ mod tests {
         let sketches = cold.export_sketches();
         assert_eq!(sketches.domains.len(), cold.indexed_domains());
 
-        let warm = LshEnsembleDiscovery::build_scoped_warm(
+        let warm = LshEnsembleDiscovery::build_scoped(
             &lake,
             LshEnsembleConfig::default(),
             ShardScope::all(),
-            &sketches,
+            Some(&sketches),
         );
         assert_eq!(
             warm.sketch_work(),
@@ -631,11 +610,11 @@ mod tests {
         let cold = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
         let mut sketches = cold.export_sketches();
         sketches.seed ^= 1; // pretend the snapshot came from another family
-        let warm = LshEnsembleDiscovery::build_scoped_warm(
+        let warm = LshEnsembleDiscovery::build_scoped(
             &lake,
             LshEnsembleConfig::default(),
             ShardScope::all(),
-            &sketches,
+            Some(&sketches),
         );
         assert_eq!(
             warm.sketch_work(),

@@ -31,7 +31,7 @@ use dialite_table::{DataLake, Table};
 use dialite_text::word_tokens;
 
 use crate::pool::{QueryColumn, Run};
-use crate::retrieval::{bounded_top_k, score_all, Report, TokenPostings};
+use crate::retrieval::{bounded_top_k, score_all, Report, RetrievalStats, TokenPostings};
 use crate::shard::ShardScope;
 use crate::types::{Discovered, Discovery, TableQuery};
 
@@ -48,26 +48,6 @@ impl Default for MetadataConfig {
     fn default() -> Self {
         MetadataConfig { min_score: 0.2 }
     }
-}
-
-/// What one capped metadata query actually did — the observability half of
-/// the candidate-cap contract, returned by
-/// [`MetadataDiscovery::discover_capped`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetadataStats {
-    /// Candidate tables surfaced by the header-token inverted index (or by
-    /// the full header scan).
-    pub candidates_retrieved: usize,
-    /// Candidates actually run through the full header-similarity score.
-    pub candidates_scored: usize,
-    /// Candidates skipped because the k-th best verified score provably
-    /// beats their header-overlap upper bound.
-    pub bound_pruned: usize,
-    /// Retrieval stopped at the candidate cap (results are best-effort).
-    pub cap_hit: bool,
-    /// The cap was unlimited, so retrieval ran the exhaustive full header
-    /// scan — the oracle path of this leg.
-    pub full_scan: bool,
 }
 
 /// The metadata-aware discovery engine. Build once per lake, then either
@@ -180,10 +160,10 @@ impl MetadataDiscovery {
         query: &TableQuery,
         k: usize,
         cap: usize,
-    ) -> (Vec<Discovered>, MetadataStats) {
+    ) -> (Vec<Discovered>, RetrievalStats) {
         let q_cols = self.headers.resolve(&header_tokens(&query.table));
         if q_cols.is_empty() || k == 0 {
-            return (Vec::new(), MetadataStats::default());
+            return (Vec::new(), RetrievalStats::default());
         }
         let report = Report {
             k,
@@ -191,7 +171,7 @@ impl MetadataDiscovery {
             exclude: query.table.name(),
         };
         let score = |slot: u32, _: &String| self.score_candidate(&q_cols, self.headers.runs(slot));
-        let (hits, run) = if cap == usize::MAX {
+        let (hits, mut stats) = if cap == usize::MAX {
             score_all(&self.tables, report, score)
         } else {
             let bound = |ov: usize| {
@@ -212,13 +192,7 @@ impl MetadataDiscovery {
             let ranked = self.headers.ranked(&q_cols, self.config.min_score, bound);
             bounded_top_k(&self.tables, ranked, cap, report, score)
         };
-        let stats = MetadataStats {
-            candidates_retrieved: run.retrieved,
-            candidates_scored: run.scored,
-            bound_pruned: run.pruned,
-            cap_hit: run.cap_hit,
-            full_scan: cap == usize::MAX,
-        };
+        stats.full_scan = cap == usize::MAX;
         (hits, stats)
     }
 }

@@ -57,18 +57,31 @@ impl Report<'_> {
     }
 }
 
-/// What one retrieval did; each leg copies it into its public stats.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Retrieval {
-    /// Candidates handed to the kernel.
-    pub retrieved: usize,
-    /// Candidates run through the exact score.
-    pub scored: usize,
-    /// Candidates left unscored because the k-th kept score strictly beat
-    /// their bound.
-    pub pruned: usize,
-    /// Retrieval stopped at the candidate cap.
+/// What one capped retrieval did — the observability half of the
+/// candidate-cap contract, returned by
+/// [`SantosDiscovery::discover_capped`](crate::SantosDiscovery::discover_capped)
+/// and [`MetadataDiscovery::discover_capped`](crate::MetadataDiscovery::discover_capped).
+/// The kernel fills the counts; each leg sets the flags it owns.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetrievalStats {
+    /// Candidate tables handed to the kernel: surfaced by the leg's
+    /// inverted index, or every table on a full scan.
+    pub candidates_retrieved: usize,
+    /// Candidates actually run through the leg's exact score.
+    pub candidates_scored: usize,
+    /// Candidates left unscored because the k-th best kept score provably
+    /// beats their upper bound (type overlap for typed SANTOS queries,
+    /// header overlap for metadata).
+    pub bound_pruned: usize,
+    /// Retrieval stopped at the candidate cap (results are best-effort).
     pub cap_hit: bool,
+    /// The cap was unlimited and retrieval scored every table — the
+    /// leg's exhaustive oracle path (for SANTOS, typeless queries only).
+    pub full_scan: bool,
+    /// SANTOS only (always 0 for metadata): typeless candidates left
+    /// unscored because the k-th best kept score provably beats their
+    /// synthesized-signal (token-overlap) upper bound.
+    pub typeless_pruned: usize,
 }
 
 /// Exhaustive retrieval: score every `(slot, table)` candidate, no
@@ -77,15 +90,15 @@ pub(crate) fn score_all<'t, T: Named + 't>(
     candidates: impl IntoIterator<Item = (&'t u32, &'t T)>,
     report: Report,
     mut score: impl FnMut(u32, &T) -> f64,
-) -> (Vec<Discovered>, Retrieval) {
-    let mut run = Retrieval::default();
+) -> (Vec<Discovered>, RetrievalStats) {
+    let mut run = RetrievalStats::default();
     let mut hits = Vec::new();
     for (&slot, cand) in candidates {
-        run.retrieved += 1;
+        run.candidates_retrieved += 1;
         if cand.name() == report.exclude {
             continue;
         }
-        run.scored += 1;
+        run.candidates_scored += 1;
         let s = score(slot, cand);
         if report.keeps(s) {
             hits.push(Discovered {
@@ -107,13 +120,13 @@ pub(crate) fn bounded_top_k<T: Named>(
     cap: usize,
     report: Report,
     mut score: impl FnMut(u32, &T) -> f64,
-) -> (Vec<Discovered>, Retrieval) {
+) -> (Vec<Discovered>, RetrievalStats) {
     // Slot breaks bound ties so the scored prefix is deterministic even
     // when the cap cuts inside a tie group.
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut run = Retrieval {
-        retrieved: ranked.len(),
-        ..Retrieval::default()
+    let mut run = RetrievalStats {
+        candidates_retrieved: ranked.len(),
+        ..RetrievalStats::default()
     };
     let mut hits = Vec::new();
     // The best `k` kept scores, descending.
@@ -121,10 +134,10 @@ pub(crate) fn bounded_top_k<T: Named>(
     for (pos, &(slot, bound)) in ranked.iter().enumerate() {
         let kth = report.k.checked_sub(1).and_then(|i| kept.get(i));
         if kth.is_some_and(|&kth| kth > bound) {
-            run.pruned = ranked.len() - pos;
+            run.bound_pruned = ranked.len() - pos;
             break;
         }
-        if run.scored >= cap {
+        if run.candidates_scored >= cap {
             run.cap_hit = true;
             break;
         }
@@ -134,7 +147,7 @@ pub(crate) fn bounded_top_k<T: Named>(
         if cand.name() == report.exclude {
             continue;
         }
-        run.scored += 1;
+        run.candidates_scored += 1;
         let s = score(slot, cand);
         if report.keeps(s) {
             let at = kept.partition_point(|&x| score_cmp(x, s) == Ordering::Greater);
@@ -395,7 +408,7 @@ mod tests {
         }
 
         /// Run the kernel, recording every table it scores.
-        fn bounded(&self, k: usize, cap: usize) -> (Vec<Discovered>, Retrieval, Vec<String>) {
+        fn bounded(&self, k: usize, cap: usize) -> (Vec<Discovered>, RetrievalStats, Vec<String>) {
             let seen = RefCell::new(Vec::new());
             let (hits, run) = bounded_top_k(
                 &self.tables,
@@ -443,10 +456,10 @@ mod tests {
             let (hits, run, _) = case.bounded(k, cands.len() + extra);
             prop_assert_eq!(&hits, &truth);
             prop_assert!(!run.cap_hit, "{:?}", run);
-            prop_assert_eq!(run.retrieved, cands.len());
+            prop_assert_eq!(run.candidates_retrieved, cands.len());
             let (all, all_run) = score_all(case.tables.iter(), case.report(k), |_, c| c.score);
             prop_assert_eq!(&all, &truth);
-            prop_assert_eq!(all_run.scored, case.eligible());
+            prop_assert_eq!(all_run.candidates_scored, case.eligible());
         }
 
         /// Any cap yields a sound subset at identical scores, never scores
@@ -469,13 +482,13 @@ mod tests {
             for hit in &hits {
                 prop_assert!(truth.contains(hit), "{:?} not in {:?}", hit, truth);
             }
-            prop_assert!(run.scored <= cap, "{:?}", run);
-            prop_assert_eq!(run.scored, seen.len());
+            prop_assert!(run.candidates_scored <= cap, "{:?}", run);
+            prop_assert_eq!(run.candidates_scored, seen.len());
             prop_assert!(seen.iter().all(|name| *name != case.exclude));
             if run.cap_hit {
-                prop_assert_eq!(run.scored, cap);
-                prop_assert!(run.scored < run.retrieved, "{:?}", run);
-                prop_assert_eq!(run.pruned, 0);
+                prop_assert_eq!(run.candidates_scored, cap);
+                prop_assert!(run.candidates_scored < run.candidates_retrieved, "{:?}", run);
+                prop_assert_eq!(run.bound_pruned, 0);
             } else {
                 prop_assert_eq!(&hits, &case.brute_force(k));
             }
@@ -493,6 +506,6 @@ mod tests {
         assert_eq!(seen, ["t01", "t00"]);
         assert_eq!(hits, case.brute_force(1));
         assert_eq!(hits[0].table, "t00");
-        assert_eq!(run.pruned, 0);
+        assert_eq!(run.bound_pruned, 0);
     }
 }

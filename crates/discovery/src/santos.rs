@@ -28,7 +28,7 @@ use dialite_kb::{Direction, KnowledgeBase, RelationId, TypeId};
 use dialite_table::{DataLake, Table};
 
 use crate::pool::{QueryColumn, Run};
-use crate::retrieval::{bounded_top_k, score_all, Named, Report, TokenPostings};
+use crate::retrieval::{bounded_top_k, score_all, Named, Report, RetrievalStats, TokenPostings};
 use crate::shard::ShardScope;
 use crate::types::{score_cmp, Discovered, Discovery, TableQuery};
 
@@ -85,31 +85,6 @@ impl Named for TableSemantics {
     fn name(&self) -> &str {
         &self.name
     }
-}
-
-/// What one capped SANTOS query actually did — the observability half of
-/// the candidate-cap contract, returned by
-/// [`SantosDiscovery::discover_capped`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SantosStats {
-    /// Candidate tables surfaced by the type inverted index (or by the
-    /// typeless full scan).
-    pub candidates_retrieved: usize,
-    /// Candidates actually run through the full graph-matching score.
-    pub candidates_scored: usize,
-    /// Candidates skipped because the k-th best verified score provably
-    /// beats their type-overlap upper bound.
-    pub bound_pruned: usize,
-    /// Retrieval stopped at the candidate cap (results are best-effort).
-    pub cap_hit: bool,
-    /// The query carried no usable annotations *and* the cap was
-    /// unlimited, so retrieval ran the exhaustive typeless full scan
-    /// (synthesized signal only) — the oracle path of the typeless leg.
-    pub full_scan: bool,
-    /// Typeless candidates skipped because the k-th best verified score
-    /// provably beats their synthesized-signal (token-overlap) upper
-    /// bound. Always 0 on typed queries and on the full-scan oracle path.
-    pub typeless_pruned: usize,
 }
 
 /// The SANTOS-style discovery engine. Build once per lake, then either
@@ -413,10 +388,10 @@ impl SantosDiscovery {
         query: &TableQuery,
         k: usize,
         cap: usize,
-    ) -> (Vec<Discovered>, SantosStats) {
+    ) -> (Vec<Discovered>, RetrievalStats) {
         let (q_sem, q_sets) = annotate_table(&self.kb, &query.table, &self.config);
         if q_sem.columns.is_empty() || k == 0 {
-            return (Vec::new(), SantosStats::default());
+            return (Vec::new(), RetrievalStats::default());
         }
         let q_tokens = self.tokens.resolve(&q_sets);
         let intent = query
@@ -431,7 +406,7 @@ impl SantosDiscovery {
         let score = |slot: u32, cand: &TableSemantics| {
             self.score_candidate((&q_sem, &q_tokens), intent, (cand, self.tokens.runs(slot)))
         };
-        let (hits, run) = if cap == usize::MAX {
+        let (hits, mut stats) = if cap == usize::MAX {
             if typeless {
                 score_all(&self.tables, report, score)
             } else {
@@ -456,15 +431,10 @@ impl SantosDiscovery {
             };
             bounded_top_k(&self.tables, ranked, cap, report, score)
         };
-        let pruned = |on: bool| if on { run.pruned } else { 0 };
-        let stats = SantosStats {
-            candidates_retrieved: run.retrieved,
-            candidates_scored: run.scored,
-            bound_pruned: pruned(!typeless),
-            cap_hit: run.cap_hit,
-            full_scan: typeless && cap == usize::MAX,
-            typeless_pruned: pruned(typeless),
-        };
+        stats.full_scan = typeless && cap == usize::MAX;
+        if typeless {
+            stats.typeless_pruned = std::mem::take(&mut stats.bound_pruned);
+        }
         (hits, stats)
     }
 

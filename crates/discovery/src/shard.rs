@@ -34,7 +34,7 @@
 //! * `shards == 1` is byte-for-byte the single `LakeIndex` — the budget
 //!   split is the identity and results pass through without a re-rank.
 //! * Under the exact-verification config, every discovery surface
-//!   (probe-all, budgeted stage, planned top-k) returns byte-identical
+//!   (budgeted stage at any budget, planned top-k) returns byte-identical
 //!   output for any shard count, because per-table scores are independent
 //!   of co-resident tables and the stripes partition the lake exactly.
 //! * Snapshot consistency: a concurrent query never observes some shards
@@ -52,7 +52,7 @@ use dialite_table::DataLake;
 use crate::index::{LakeIndex, LakeIndexConfig};
 use crate::telemetry::DiscoveryTelemetry;
 use crate::topk::{DiscoveryBudget, QueryBudget};
-use crate::types::{top_k_discovered, Discovered, Discovery, TableQuery};
+use crate::types::{top_k_discovered, Discovered, TableQuery};
 
 /// Optimistic consistent-snapshot rounds before a fan-out falls back to
 /// serializing against [`ShardedLakeIndex::sync`] on the churn lock.
@@ -212,41 +212,26 @@ impl ShardedLakeIndex {
         config: LakeIndexConfig,
         shards: usize,
     ) -> ShardedLakeIndex {
-        let router = ShardRouter::new(shards);
-        let shards = (0..router.shards())
-            .map(|i| {
-                RwLock::new(LakeIndex::build_scoped(
-                    lake,
-                    kb.clone(),
-                    config.clone(),
-                    router.scope(i),
-                ))
-            })
-            .collect();
-        ShardedLakeIndex {
-            router,
-            shards,
-            churn: Mutex::new(()),
-        }
+        ShardedLakeIndex::build_reusing(lake, kb, config, shards, None)
     }
 
-    /// Like [`ShardedLakeIndex::build`], but warm-start every shard's LSH
-    /// engine from one lake-wide sketch snapshot. Each scoped build only
-    /// picks up the sketches for slots its stripe admits (domain keys are
-    /// slot-addressed, so the shards' subsets are disjoint); sketches the
-    /// snapshot lacks — or whose family/size no longer match — are hashed
-    /// fresh, exactly as in [`LakeIndex::build_scoped_warm`].
-    pub fn build_warm(
+    /// [`ShardedLakeIndex::build`], warm-starting every shard's LSH engine
+    /// from one lake-wide sketch snapshot when `sketches` is given. Each
+    /// scoped build only picks up the sketches for slots its stripe admits
+    /// (domain keys are slot-addressed, so the shards' subsets are
+    /// disjoint); sketches the snapshot lacks — or whose family/size no
+    /// longer match — are hashed fresh (see [`LakeIndex::build_scoped`]).
+    pub fn build_reusing(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
         config: LakeIndexConfig,
         shards: usize,
-        sketches: &SketchSnapshot,
+        sketches: Option<&SketchSnapshot>,
     ) -> ShardedLakeIndex {
         let router = ShardRouter::new(shards);
         let shards = (0..router.shards())
             .map(|i| {
-                RwLock::new(LakeIndex::build_scoped_warm(
+                RwLock::new(LakeIndex::build_scoped(
                     lake,
                     kb.clone(),
                     config.clone(),
@@ -394,14 +379,6 @@ impl ShardedLakeIndex {
         merged
     }
 
-    /// Per-engine probe-all discovery fanned out across the shards —
-    /// the sharded form of [`LakeIndex::discover_all`], same leg shape
-    /// and order.
-    pub fn discover_all(&self, query: &TableQuery, k: usize) -> Vec<(String, Vec<Discovered>)> {
-        let (_, per_shard) = self.fan_out_consistent(&|ix: &LakeIndex| ix.discover_all(query, k));
-        Self::merge_legs(per_shard, k)
-    }
-
     /// The budgeted discovery stage fanned out across the shards — the
     /// sharded form of [`LakeIndex::discover_all_budgeted`]. Each shard
     /// works under an even [`DiscoveryBudget::split`] slice and folds its
@@ -473,28 +450,6 @@ impl ShardedLakeIndex {
         for shard in &self.shards {
             shard.read().expect("shard lock").reset_telemetry();
         }
-    }
-}
-
-impl Discovery for ShardedLakeIndex {
-    fn name(&self) -> &str {
-        "sharded-lake-index"
-    }
-
-    /// Union of both engines' results across all shards; a table found by
-    /// both engines keeps its best score (NaN-safe), exactly like
-    /// [`LakeIndex`]'s union.
-    fn discover(&self, query: &TableQuery, k: usize) -> Vec<Discovered> {
-        let mut best: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
-        for (_, hits) in self.discover_all(query, k) {
-            crate::types::merge_best_scores(&mut best, hits);
-        }
-        top_k_discovered(
-            best.into_iter()
-                .map(|(table, score)| Discovered { table, score })
-                .collect(),
-            k,
-        )
     }
 }
 

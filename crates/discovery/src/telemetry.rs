@@ -2,11 +2,12 @@
 //! pipeline.
 //!
 //! `TopKPlanner` returns per-query [`TopKStats`](crate::TopKStats) and the
-//! capped SANTOS engine returns per-query [`SantosStats`](crate::SantosStats),
-//! but one query's numbers are weather, not climate: production tuning
-//! needs the *rates* — how often the signature cache hits, how many
-//! partitions the planner proves irrelevant, how often a budget cap (not
-//! the optimality bound) ends a search. [`DiscoveryTelemetry`] is that
+//! capped SANTOS and metadata engines return per-query
+//! [`RetrievalStats`](crate::RetrievalStats), but one query's numbers are
+//! weather, not climate: production tuning needs the *rates* — how often
+//! the signature cache hits, how many partitions the planner proves
+//! irrelevant, how often a budget cap (not the optimality bound) ends a
+//! search. [`DiscoveryTelemetry`] is that
 //! aggregate: counter blocks per engine leg plus coarse per-engine latency
 //! histograms, owned by `LakeIndex` (every budgeted query folds its stats
 //! in) and surfaced through `Pipeline::telemetry()`.
@@ -22,8 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use crate::metadata::MetadataStats;
-use crate::santos::SantosStats;
+use crate::retrieval::RetrievalStats;
 use crate::topk::TopKStats;
 
 /// Upper bounds (exclusive, in microseconds) of the latency buckets; the
@@ -264,53 +264,32 @@ pub(crate) fn telemetry_shard() -> usize {
     SHARD.with(|s| *s)
 }
 
-/// Sharded [`DiscoveryTelemetry`] accumulator — the hot-path fix for the
-/// single telemetry `Mutex` every budgeted query used to serialize on.
-/// Each thread records into its own shard (a handful of counter adds under
-/// an uncontended lock); [`ShardedTelemetry::snapshot`] merges the shards
-/// into one window on demand. Counter sums and histogram merges are
-/// order-independent, so a snapshot equals the single-`Mutex` window
-/// exactly — pinned by the concurrent lockstep test in
-/// `tests/incremental_oracle.rs` and the thread-churn merge property in
-/// `tests/shard_oracle.rs`.
+/// Sharded [`DiscoveryTelemetry`] accumulator, so concurrent queries do
+/// not serialize on one telemetry `Mutex`. Each thread records into its
+/// own shard (a handful of counter adds under an uncontended lock);
+/// [`ShardedTelemetry::snapshot`] merges the shards into one window on
+/// demand. Counter sums and histogram merges are order-independent, so a
+/// snapshot equals a single-`Mutex` window exactly — pinned by the
+/// concurrent lockstep test in `tests/incremental_oracle.rs` and the
+/// thread-churn merge property below.
 #[derive(Debug, Default)]
-pub struct ShardedTelemetry {
+pub(crate) struct ShardedTelemetry {
     shards: [Mutex<DiscoveryTelemetry>; TELEMETRY_SHARDS],
 }
 
 impl ShardedTelemetry {
-    fn shard(&self) -> &Mutex<DiscoveryTelemetry> {
-        &self.shards[telemetry_shard()]
-    }
-
-    /// Fold one planned joinable query into the calling thread's shard.
-    pub fn record_topk(&self, stats: &TopKStats, latency: Duration) {
-        self.shard()
+    /// Fold one query into the calling thread's shard: `f` applies one of
+    /// the [`DiscoveryTelemetry`] `record_*` methods to it.
+    pub(crate) fn record(&self, f: impl FnOnce(&mut DiscoveryTelemetry)) {
+        f(&mut self.shards[telemetry_shard()]
             .lock()
-            .expect("telemetry shard")
-            .record_topk(stats, latency);
-    }
-
-    /// Fold one capped SANTOS query into the calling thread's shard.
-    pub fn record_santos(&self, stats: &SantosStats, latency: Duration) {
-        self.shard()
-            .lock()
-            .expect("telemetry shard")
-            .record_santos(stats, latency);
-    }
-
-    /// Fold one capped metadata query into the calling thread's shard.
-    pub fn record_metadata(&self, stats: &MetadataStats, latency: Duration) {
-        self.shard()
-            .lock()
-            .expect("telemetry shard")
-            .record_metadata(stats, latency);
+            .expect("telemetry shard"));
     }
 
     /// Merge every shard into one window. Counter sums and histogram
     /// merges are order-independent, so the snapshot equals a
     /// single-threaded fold of the same recordings in any order.
-    pub fn snapshot(&self) -> DiscoveryTelemetry {
+    pub(crate) fn snapshot(&self) -> DiscoveryTelemetry {
         let mut out = DiscoveryTelemetry::default();
         for shard in &self.shards {
             out.merge(&shard.lock().expect("telemetry shard"));
@@ -319,7 +298,7 @@ impl ShardedTelemetry {
     }
 
     /// Zero every shard.
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         for shard in &self.shards {
             shard.lock().expect("telemetry shard").reset();
         }
@@ -425,33 +404,35 @@ impl TopKCounters {
     }
 }
 
-/// Aggregated counters of the capped SANTOS leg — the rolling sum of every
-/// [`SantosStats`](crate::SantosStats) folded in.
+/// Aggregated counters of one capped leg (SANTOS or metadata) — the
+/// rolling sum of every [`RetrievalStats`](crate::RetrievalStats) folded
+/// in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SantosCounters {
+pub struct RetrievalCounters {
     /// Capped-retrieval queries recorded.
     pub queries: u64,
-    /// Candidate tables surfaced by the type inverted index (or the full
+    /// Candidate tables surfaced by the leg's inverted index (or the full
     /// scan), summed.
     pub candidates_retrieved: u64,
     /// Candidates actually scored, summed.
     pub candidates_scored: u64,
     /// Candidates skipped because the k-th score provably beat their
-    /// type-overlap upper bound, summed.
+    /// upper bound, summed.
     pub bound_pruned: u64,
     /// Queries whose retrieval stopped at the candidate cap.
     pub cap_hits: u64,
-    /// Queries that ran the exhaustive typeless full scan (the typeless
-    /// oracle path, taken only at an unlimited cap).
+    /// Queries that ran the leg's exhaustive full scan (its oracle path,
+    /// taken only at an unlimited cap).
     pub full_scans: u64,
-    /// Typeless candidates skipped because the k-th score provably beat
-    /// their synthesized-signal upper bound, summed.
+    /// SANTOS only (always 0 for metadata): typeless candidates skipped
+    /// because the k-th score provably beat their synthesized-signal upper
+    /// bound, summed.
     pub typeless_pruned: u64,
 }
 
-impl SantosCounters {
+impl RetrievalCounters {
     /// Fold one query's stats in.
-    pub fn record(&mut self, stats: &SantosStats) {
+    pub fn record(&mut self, stats: &RetrievalStats) {
         self.queries += 1;
         self.candidates_retrieved += stats.candidates_retrieved as u64;
         self.candidates_scored += stats.candidates_scored as u64;
@@ -466,7 +447,7 @@ impl SantosCounters {
     }
 
     /// Add another window's counters into this one.
-    pub fn merge(&mut self, other: &SantosCounters) {
+    pub fn merge(&mut self, other: &RetrievalCounters) {
         self.queries += other.queries;
         self.candidates_retrieved += other.candidates_retrieved;
         self.candidates_scored += other.candidates_scored;
@@ -475,52 +456,39 @@ impl SantosCounters {
         self.full_scans += other.full_scans;
         self.typeless_pruned += other.typeless_pruned;
     }
-}
 
-/// Aggregated counters of the capped metadata (header-match) leg — the
-/// rolling sum of every [`MetadataStats`](crate::MetadataStats) folded in.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetadataCounters {
-    /// Capped-retrieval queries recorded.
-    pub queries: u64,
-    /// Candidate tables surfaced by the header-token inverted index (or
-    /// the full header scan), summed.
-    pub candidates_retrieved: u64,
-    /// Candidates actually scored, summed.
-    pub candidates_scored: u64,
-    /// Candidates skipped because the k-th score provably beat their
-    /// header-overlap upper bound, summed.
-    pub bound_pruned: u64,
-    /// Queries whose retrieval stopped at the candidate cap.
-    pub cap_hits: u64,
-    /// Queries that ran the exhaustive full header scan (the oracle path,
-    /// taken only at an unlimited cap).
-    pub full_scans: u64,
-}
-
-impl MetadataCounters {
-    /// Fold one query's stats in.
-    pub fn record(&mut self, stats: &MetadataStats) {
-        self.queries += 1;
-        self.candidates_retrieved += stats.candidates_retrieved as u64;
-        self.candidates_scored += stats.candidates_scored as u64;
-        self.bound_pruned += stats.bound_pruned as u64;
-        if stats.cap_hit {
-            self.cap_hits += 1;
-        }
-        if stats.full_scan {
-            self.full_scans += 1;
-        }
+    /// The leg's block of [`DiscoveryTelemetry::summary`]: one counter
+    /// line and one latency line.
+    fn summary(&self, leg: &str, latency: &LatencyHistogram) -> String {
+        format!(
+            "{leg}: {} queries ({} full-scan), candidates {} retrieved / \
+             {} scored / {} bound-pruned / {} typeless-pruned, {} cap-hits\n  \
+             latency: {} (mean {:.0}us)",
+            self.queries,
+            self.full_scans,
+            self.candidates_retrieved,
+            self.candidates_scored,
+            self.bound_pruned,
+            self.typeless_pruned,
+            self.cap_hits,
+            latency.render(),
+            latency.mean_micros(),
+        )
     }
 
-    /// Add another window's counters into this one.
-    pub fn merge(&mut self, other: &MetadataCounters) {
-        self.queries += other.queries;
-        self.candidates_retrieved += other.candidates_retrieved;
-        self.candidates_scored += other.candidates_scored;
-        self.bound_pruned += other.bound_pruned;
-        self.cap_hits += other.cap_hits;
-        self.full_scans += other.full_scans;
+    /// The leg's object in [`DiscoveryTelemetry::to_json`].
+    fn to_json(self) -> String {
+        format!(
+            "{{\"queries\":{},\"candidates_retrieved\":{},\"candidates_scored\":{},\
+             \"bound_pruned\":{},\"cap_hits\":{},\"full_scans\":{},\"typeless_pruned\":{}}}",
+            self.queries,
+            self.candidates_retrieved,
+            self.candidates_scored,
+            self.bound_pruned,
+            self.cap_hits,
+            self.full_scans,
+            self.typeless_pruned,
+        )
     }
 }
 
@@ -553,10 +521,10 @@ pub struct DiscoveryTelemetry {
     /// Planned joinable-leg counters.
     pub topk: TopKCounters,
     /// Capped SANTOS-leg counters.
-    pub santos: SantosCounters,
+    pub santos: RetrievalCounters,
     /// Capped metadata-leg counters (all zero unless the optional
     /// metadata leg is enabled).
-    pub metadata: MetadataCounters,
+    pub metadata: RetrievalCounters,
     /// Joinable-leg query latency.
     pub joinable_latency: LatencyHistogram,
     /// SANTOS-leg query latency.
@@ -573,13 +541,13 @@ impl DiscoveryTelemetry {
     }
 
     /// Fold one capped SANTOS query in.
-    pub fn record_santos(&mut self, stats: &SantosStats, latency: Duration) {
+    pub fn record_santos(&mut self, stats: &RetrievalStats, latency: Duration) {
         self.santos.record(stats);
         self.santos_latency.record(latency);
     }
 
     /// Fold one capped metadata query in.
-    pub fn record_metadata(&mut self, stats: &MetadataStats, latency: Duration) {
+    pub fn record_metadata(&mut self, stats: &RetrievalStats, latency: Duration) {
         self.metadata.record(stats);
         self.metadata_latency.record(latency);
     }
@@ -625,38 +593,10 @@ impl DiscoveryTelemetry {
             self.joinable_latency.render(),
             self.joinable_latency.mean_micros(),
         ));
-        out.push_str(&format!(
-            "santos: {} queries ({} full-scan), candidates {} retrieved / \
-             {} scored / {} bound-pruned / {} typeless-pruned, {} cap-hits\n",
-            self.santos.queries,
-            self.santos.full_scans,
-            self.santos.candidates_retrieved,
-            self.santos.candidates_scored,
-            self.santos.bound_pruned,
-            self.santos.typeless_pruned,
-            self.santos.cap_hits,
-        ));
-        out.push_str(&format!(
-            "  latency: {} (mean {:.0}us)",
-            self.santos_latency.render(),
-            self.santos_latency.mean_micros(),
-        ));
+        out.push_str(&self.santos.summary("santos", &self.santos_latency));
         if self.metadata.queries > 0 {
-            out.push_str(&format!(
-                "\nmetadata: {} queries ({} full-scan), candidates {} retrieved / \
-                 {} scored / {} bound-pruned, {} cap-hits\n",
-                self.metadata.queries,
-                self.metadata.full_scans,
-                self.metadata.candidates_retrieved,
-                self.metadata.candidates_scored,
-                self.metadata.bound_pruned,
-                self.metadata.cap_hits,
-            ));
-            out.push_str(&format!(
-                "  latency: {} (mean {:.0}us)",
-                self.metadata_latency.render(),
-                self.metadata_latency.mean_micros(),
-            ));
+            out.push('\n');
+            out.push_str(&self.metadata.summary("metadata", &self.metadata_latency));
         }
         out
     }
@@ -673,12 +613,7 @@ impl DiscoveryTelemetry {
              \"exact_path\":{},\"partitions_probed\":{},\"partitions_pruned\":{},\
              \"candidates_verified\":{},\"terminated_early\":{},\
              \"budget_exhausted\":{},\"postings_skipped\":{}}},\
-             \"santos\":{{\"queries\":{},\"candidates_retrieved\":{},\
-             \"candidates_scored\":{},\"bound_pruned\":{},\"cap_hits\":{},\
-             \"full_scans\":{},\"typeless_pruned\":{}}},\
-             \"metadata\":{{\"queries\":{},\"candidates_retrieved\":{},\
-             \"candidates_scored\":{},\"bound_pruned\":{},\"cap_hits\":{},\
-             \"full_scans\":{}}},\
+             \"santos\":{},\"metadata\":{},\
              \"joinable_latency\":{},\"santos_latency\":{},\
              \"metadata_latency\":{}}}",
             self.topk.queries,
@@ -691,19 +626,8 @@ impl DiscoveryTelemetry {
             self.topk.terminated_early,
             self.topk.budget_exhausted,
             self.topk.postings_skipped,
-            self.santos.queries,
-            self.santos.candidates_retrieved,
-            self.santos.candidates_scored,
-            self.santos.bound_pruned,
-            self.santos.cap_hits,
-            self.santos.full_scans,
-            self.santos.typeless_pruned,
-            self.metadata.queries,
-            self.metadata.candidates_retrieved,
-            self.metadata.candidates_scored,
-            self.metadata.bound_pruned,
-            self.metadata.cap_hits,
-            self.metadata.full_scans,
+            self.santos.to_json(),
+            self.metadata.to_json(),
             self.joinable_latency.percentiles().to_json(),
             self.santos_latency.percentiles().to_json(),
             self.metadata_latency.percentiles().to_json(),
@@ -714,6 +638,7 @@ impl DiscoveryTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn topk_stats(probed: usize, verified: usize) -> TopKStats {
         TopKStats {
@@ -776,7 +701,7 @@ mod tests {
         let mut a = DiscoveryTelemetry::default();
         a.record_topk(&topk_stats(3, 7), Duration::from_micros(30));
         a.record_santos(
-            &SantosStats {
+            &RetrievalStats {
                 candidates_retrieved: 10,
                 candidates_scored: 4,
                 bound_pruned: 6,
@@ -811,7 +736,7 @@ mod tests {
     fn reset_opens_a_fresh_window() {
         let mut t = DiscoveryTelemetry::default();
         t.record_topk(&topk_stats(2, 5), Duration::from_micros(10));
-        t.record_santos(&SantosStats::default(), Duration::from_micros(10));
+        t.record_santos(&RetrievalStats::default(), Duration::from_micros(10));
         assert_ne!(t, DiscoveryTelemetry::default());
         t.reset();
         assert_eq!(t, DiscoveryTelemetry::default());
@@ -953,11 +878,11 @@ mod tests {
         let mut serial = DiscoveryTelemetry::default();
         for i in 0..20 {
             let stats = topk_stats(i % 3, i % 5);
-            sharded.record_topk(&stats, Duration::from_micros(i as u64));
+            sharded.record(|t| t.record_topk(&stats, Duration::from_micros(i as u64)));
             serial.record_topk(&stats, Duration::from_micros(i as u64));
         }
-        sharded.record_santos(&SantosStats::default(), Duration::from_micros(7));
-        serial.record_santos(&SantosStats::default(), Duration::from_micros(7));
+        sharded.record(|t| t.record_santos(&RetrievalStats::default(), Duration::from_micros(7)));
+        serial.record_santos(&RetrievalStats::default(), Duration::from_micros(7));
         assert_eq!(sharded.snapshot(), serial);
         sharded.reset();
         assert_eq!(sharded.snapshot(), DiscoveryTelemetry::default());
@@ -967,17 +892,18 @@ mod tests {
     fn metadata_leg_records_merges_and_exports() {
         let mut a = DiscoveryTelemetry::default();
         a.record_metadata(
-            &MetadataStats {
+            &RetrievalStats {
                 candidates_retrieved: 12,
                 candidates_scored: 5,
                 bound_pruned: 7,
                 cap_hit: true,
                 full_scan: false,
+                typeless_pruned: 0,
             },
             Duration::from_micros(40),
         );
         let mut b = DiscoveryTelemetry::default();
-        b.record_metadata(&MetadataStats::default(), Duration::from_micros(60));
+        b.record_metadata(&RetrievalStats::default(), Duration::from_micros(60));
         a.merge(&b);
         assert_eq!(a.metadata.queries, 2);
         assert_eq!(a.metadata.candidates_retrieved, 12);
@@ -997,7 +923,7 @@ mod tests {
         );
         // The sharded accumulator routes the metadata leg too.
         let sharded = ShardedTelemetry::default();
-        sharded.record_metadata(&MetadataStats::default(), Duration::from_micros(9));
+        sharded.record(|t| t.record_metadata(&RetrievalStats::default(), Duration::from_micros(9)));
         assert_eq!(sharded.snapshot().metadata.queries, 1);
     }
 
@@ -1034,6 +960,88 @@ mod tests {
         let s = t.summary();
         for needle in ["cache hit rate", "pruned", "budget exhaustion", "santos"] {
             assert!(s.contains(needle), "summary missing {needle}:\n{s}");
+        }
+    }
+
+    proptest! {
+        /// Thread-churn merge property: however the recordings are spread
+        /// over concurrent threads, the sharded snapshot equals the
+        /// single-threaded fold of the exact same recordings. Durations are
+        /// whole microseconds, so even the histograms' f64 mean accumulation
+        /// is exact and the windows compare equal as a whole.
+        #[test]
+        fn sharded_telemetry_snapshot_equals_single_threaded_fold(
+            seed in any::<u64>(),
+            threads in 1usize..9,
+            per_thread in 1usize..24,
+        ) {
+            // Deterministic per-(thread, i) recordings derived from the seed.
+            let stats_at = |t: usize, i: usize| {
+                let x = seed
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add((t * 1_000 + i) as u64);
+                let topk = TopKStats {
+                    cache_hit: x & 1 == 0,
+                    exact_path: x & 2 == 0,
+                    partitions_probed: (x % 7) as usize,
+                    partitions_pruned: (x % 5) as usize,
+                    candidates_verified: (x % 97) as usize,
+                    terminated_early: x & 4 == 0,
+                    budget_exhausted: x & 8 == 0,
+                    postings_skipped: (x % 31) as usize,
+                };
+                let santos = RetrievalStats {
+                    candidates_retrieved: (x % 211) as usize,
+                    candidates_scored: (x % 89) as usize,
+                    bound_pruned: (x % 13) as usize,
+                    cap_hit: x & 16 == 0,
+                    full_scan: x & 32 == 0,
+                    typeless_pruned: (x % 17) as usize,
+                };
+                let metadata = RetrievalStats {
+                    candidates_retrieved: (x % 151) as usize,
+                    candidates_scored: (x % 67) as usize,
+                    bound_pruned: (x % 11) as usize,
+                    cap_hit: x & 64 == 0,
+                    full_scan: x & 128 == 0,
+                    typeless_pruned: 0,
+                };
+                let latency = Duration::from_micros(x % 2_000_000);
+                (topk, santos, metadata, latency)
+            };
+
+            let mut expected = DiscoveryTelemetry::default();
+            for t in 0..threads {
+                for i in 0..per_thread {
+                    let (topk, santos, metadata, latency) = stats_at(t, i);
+                    expected.record_topk(&topk, latency);
+                    expected.record_santos(&santos, latency);
+                    expected.record_metadata(&metadata, latency);
+                }
+            }
+
+            let sharded = ShardedTelemetry::default();
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let sharded = &sharded;
+                    scope.spawn(move || {
+                        for i in 0..per_thread {
+                            let (topk, santos, metadata, latency) = stats_at(t, i);
+                            sharded.record(|w| {
+                                w.record_topk(&topk, latency);
+                                w.record_santos(&santos, latency);
+                                w.record_metadata(&metadata, latency);
+                            });
+                        }
+                    });
+                }
+            });
+
+            prop_assert_eq!(sharded.snapshot(), expected);
+
+            // Reset zeroes every shard, whichever threads recorded into them.
+            sharded.reset();
+            prop_assert_eq!(sharded.snapshot(), DiscoveryTelemetry::default());
         }
     }
 }

@@ -339,39 +339,29 @@ struct SigEntry {
     last_used: u64,
 }
 
+/// Number of cached query-column signatures: a working set of
+/// interactive queries.
+const SIGNATURE_CACHE: usize = 64;
+
+#[derive(Default)]
 struct SigCache {
-    capacity: usize,
     tick: u64,
     entries: HashMap<SigKey, SigEntry>,
-    hits: u64,
-    misses: u64,
 }
 
 impl SigCache {
     fn get(&mut self, key: &SigKey) -> Option<Signature> {
         self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                e.last_used = tick;
-                self.hits += 1;
-                Some(e.sig.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let e = self.entries.get_mut(key)?;
+        e.last_used = self.tick;
+        Some(e.sig.clone())
     }
 
     fn insert(&mut self, key: SigKey, sig: Signature) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            // Evict the least-recently-used entry; capacity is small (a
-            // working set of interactive queries), so the O(n) scan is
-            // cheaper than an ordered structure's constant overhead.
+        if self.entries.len() >= SIGNATURE_CACHE && !self.entries.contains_key(&key) {
+            // Evict the least-recently-used entry; the cache is small, so
+            // the O(n) scan is cheaper than an ordered structure's
+            // constant overhead.
             if let Some(lru) = self
                 .entries
                 .iter()
@@ -391,9 +381,6 @@ impl SigCache {
         );
     }
 }
-
-/// Default number of cached query-column signatures.
-pub const DEFAULT_SIGNATURE_CACHE: usize = 64;
 
 /// The budgeted top-k query engine over [`LshEnsembleDiscovery`]: cached
 /// query signatures, best-bound-first partition probing with provable
@@ -419,58 +406,15 @@ pub const DEFAULT_SIGNATURE_CACHE: usize = 64;
 /// let hits = planner.discover_top_k(&engine, &query, 3, &QueryBudget::unlimited());
 /// assert_eq!(hits[0].table, "T3");
 /// ```
+#[derive(Default)]
 pub struct TopKPlanner {
     cache: Mutex<SigCache>,
 }
 
-impl Default for TopKPlanner {
-    fn default() -> Self {
-        TopKPlanner::new()
-    }
-}
-
 impl TopKPlanner {
-    /// Planner with the default signature-cache capacity
-    /// ([`DEFAULT_SIGNATURE_CACHE`]).
+    /// Planner with an empty signature cache.
     pub fn new() -> TopKPlanner {
-        TopKPlanner::with_cache_capacity(DEFAULT_SIGNATURE_CACHE)
-    }
-
-    /// Planner with an explicit cache capacity (`0` disables caching).
-    pub fn with_cache_capacity(capacity: usize) -> TopKPlanner {
-        TopKPlanner {
-            cache: Mutex::new(SigCache {
-                capacity,
-                tick: 0,
-                entries: HashMap::new(),
-                hits: 0,
-                misses: 0,
-            }),
-        }
-    }
-
-    /// Number of signatures currently cached.
-    pub fn cached_signatures(&self) -> usize {
-        self.cache
-            .lock()
-            .expect("signature cache lock")
-            .entries
-            .len()
-    }
-
-    /// `(hits, misses)` of the signature cache since construction (or the
-    /// last [`TopKPlanner::clear_cache`]).
-    pub fn cache_stats(&self) -> (u64, u64) {
-        let c = self.cache.lock().expect("signature cache lock");
-        (c.hits, c.misses)
-    }
-
-    /// Drop every cached signature and reset the hit/miss counters.
-    pub fn clear_cache(&self) {
-        let mut c = self.cache.lock().expect("signature cache lock");
-        c.entries.clear();
-        c.hits = 0;
-        c.misses = 0;
+        TopKPlanner::default()
     }
 
     /// The top-`k` joinable tables for the query under a work budget.
@@ -700,7 +644,6 @@ mod tests {
         assert!(!s1.cache_hit);
         let (_, s2) = planner.discover_top_k_with_stats(&engine, &q, 3, &QueryBudget::unlimited());
         assert!(s2.cache_hit, "repeat query must reuse the signature");
-        assert_eq!(planner.cache_stats().0, 1);
 
         // Same table name + column, different tokens → fingerprint differs.
         let changed_rows: Vec<Vec<Value>> = (0..60)
@@ -711,33 +654,42 @@ mod tests {
         let (_, s3) =
             planner.discover_top_k_with_stats(&engine, &changed, 3, &QueryBudget::unlimited());
         assert!(!s3.cache_hit, "changed content must not hit the cache");
-        assert_eq!(planner.cached_signatures(), 2);
-        planner.clear_cache();
-        assert_eq!(planner.cached_signatures(), 0);
+        assert_eq!(cached(&planner), 2);
+        let (_, s4) = planner.discover_top_k_with_stats(&engine, &q, 3, &QueryBudget::unlimited());
+        assert!(s4.cache_hit, "the original content keeps its own entry");
+    }
+
+    fn cached(planner: &TopKPlanner) -> usize {
+        planner.cache.lock().unwrap().entries.len()
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let (lake, _) = skewed_lake(4);
         let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
-        let planner = TopKPlanner::with_cache_capacity(2);
-        let mk = |name: &str, salt: usize| {
+        let planner = TopKPlanner::new();
+        let mk = |salt: usize| {
             let rows: Vec<Vec<Value>> = (0..40)
                 .map(|i| vec![Value::Text(format!("{salt}_{i}"))])
                 .collect();
-            TableQuery::with_column(Table::from_rows(name, &["k"], rows).unwrap(), 0)
+            TableQuery::with_column(
+                Table::from_rows(&format!("q{salt}"), &["k"], rows).unwrap(),
+                0,
+            )
         };
-        let (a, b, c) = (mk("qa", 1), mk("qb", 2), mk("qc", 3));
         let budget = QueryBudget::unlimited();
-        planner.discover_top_k(&engine, &a, 1, &budget); // cache: a
-        planner.discover_top_k(&engine, &b, 1, &budget); // cache: a b
-        planner.discover_top_k(&engine, &a, 1, &budget); // touch a
-        planner.discover_top_k(&engine, &c, 1, &budget); // evicts b
-        assert_eq!(planner.cached_signatures(), 2);
-        let (_, sa) = planner.discover_top_k_with_stats(&engine, &a, 1, &budget);
-        assert!(sa.cache_hit, "a was touched, must survive");
-        let (_, sb) = planner.discover_top_k_with_stats(&engine, &b, 1, &budget);
-        assert!(!sb.cache_hit, "b was the LRU victim");
+        // Fill the cache: query 0 first, then queries 1..SIGNATURE_CACHE.
+        for salt in 0..SIGNATURE_CACHE {
+            planner.discover_top_k(&engine, &mk(salt), 1, &budget);
+        }
+        assert_eq!(cached(&planner), SIGNATURE_CACHE);
+        planner.discover_top_k(&engine, &mk(0), 1, &budget); // touch 0
+        planner.discover_top_k(&engine, &mk(SIGNATURE_CACHE), 1, &budget); // evicts 1
+        assert_eq!(cached(&planner), SIGNATURE_CACHE);
+        let (_, s0) = planner.discover_top_k_with_stats(&engine, &mk(0), 1, &budget);
+        assert!(s0.cache_hit, "0 was touched, must survive");
+        let (_, s1) = planner.discover_top_k_with_stats(&engine, &mk(1), 1, &budget);
+        assert!(!s1.cache_hit, "1 was the LRU victim");
     }
 
     #[test]

@@ -17,13 +17,15 @@
 //!   staged since the last rebalance — must never be a false negative for
 //!   a query it fully contains.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use dialite_datagen::workloads::{ChurnOp, ChurnWorkload};
 use dialite_discovery::{
-    Discovery, DiscoveryBudget, DiscoveryTelemetry, LakeIndex, LakeIndexConfig, LshEnsembleConfig,
-    QueryBudget, SantosConfig, TableQuery,
+    merge_best_scores, top_k_discovered, Discovered, Discovery, DiscoveryBudget,
+    DiscoveryTelemetry, LakeIndex, LakeIndexConfig, LshEnsembleConfig, QueryBudget, SantosConfig,
+    TableQuery,
 };
 use dialite_kb::curated::covid_kb;
 use dialite_table::{DataLake, Table};
@@ -52,6 +54,17 @@ fn exact_config() -> LakeIndexConfig {
     }
 }
 
+/// The probe-all reference of the discovery stage: each of the index's
+/// engines queried with its own scan-then-truncate `discover`, in the
+/// stage's engine order — no planner, no caps, no telemetry.
+fn probe_all(index: &LakeIndex, query: &TableQuery, k: usize) -> Vec<(String, Vec<Discovered>)> {
+    let mut legs: Vec<&dyn Discovery> = vec![index.santos(), index.lshe()];
+    legs.extend(index.metadata().map(|m| m as &dyn Discovery));
+    legs.into_iter()
+        .map(|leg| (leg.name().to_string(), leg.discover(query, k)))
+        .collect()
+}
+
 proptest! {
     /// The main oracle: `sync` after every mutation, and at every query
     /// point the incrementally maintained index and a fresh build of the
@@ -77,14 +90,72 @@ proptest! {
                 prop_assert!(index.is_current(&lake));
                 let fresh = LakeIndex::build(&lake, kb.clone(), config.clone());
                 let query = TableQuery::with_column(q.clone(), 0);
-                let got = index.discover_all(&query, 6);
-                let want = fresh.discover_all(&query, 6);
+                let got = probe_all(&index, &query, 6);
+                let want = probe_all(&fresh, &query, 6);
                 prop_assert_eq!(
                     got,
                     want,
                     "incremental index diverged from rebuild at op {}",
                     compared
                 );
+                compared += 1;
+            } else {
+                op.apply(&mut lake);
+            }
+        }
+        prop_assert!(compared > 0, "trace contained no queries");
+    }
+
+    /// `LakeIndex`'s own `Discovery::discover` — the budgeted stage at an
+    /// unlimited budget, legs unioned at their best score — equals the
+    /// best-score union of the per-leg probe-all references at every
+    /// query point of a churn trace, and folds exactly one query per leg
+    /// into the index's telemetry.
+    #[test]
+    fn lake_index_discover_is_the_union_of_probe_all_legs(
+        seed in any::<u64>(),
+        ops in 12usize..28,
+    ) {
+        let trace = ChurnWorkload {
+            initial_tables: 8,
+            rows_per_table: 12,
+            vocab: 150,
+            ops,
+            seed,
+        }
+        .generate();
+        let kb = Arc::new(covid_kb());
+        let mut lake = DataLake::from_tables(trace.initial).unwrap();
+        let mut index = LakeIndex::build(&lake, kb, exact_config());
+        let mut compared = 0usize;
+        for op in trace.ops {
+            if let ChurnOp::Query(q) = &op {
+                index.sync(&lake);
+                let query = TableQuery::with_column(q.clone(), 0);
+                for k in [1, 6] {
+                    let mut best = HashMap::new();
+                    for (_, hits) in probe_all(&index, &query, k) {
+                        merge_best_scores(&mut best, hits);
+                    }
+                    let want = top_k_discovered(
+                        best.into_iter()
+                            .map(|(table, score)| Discovered { table, score })
+                            .collect(),
+                        k,
+                    );
+                    let before = index.telemetry();
+                    prop_assert_eq!(
+                        index.discover(&query, k),
+                        want,
+                        "union diverged from the probe-all legs at query {}, k={}",
+                        compared,
+                        k
+                    );
+                    let after = index.telemetry();
+                    prop_assert_eq!(after.santos.queries, before.santos.queries + 1);
+                    prop_assert_eq!(after.topk.queries, before.topk.queries + 1);
+                    prop_assert_eq!(after.metadata.queries, before.metadata.queries + 1);
+                }
                 compared += 1;
             } else {
                 op.apply(&mut lake);
@@ -174,7 +245,7 @@ proptest! {
 
     /// Telemetry lockstep under churn: the index's rolling
     /// `DiscoveryTelemetry` counters must equal an independently
-    /// accumulated sum of the per-query `TopKStats` / `SantosStats` the
+    /// accumulated sum of the per-query `TopKStats` / `RetrievalStats` the
     /// same calls returned — across syncs, forced `StringPool`
     /// compactions, and even a full rebuild (which must carry the window
     /// over, not zero it). Latency histograms are checked for sample
@@ -466,8 +537,8 @@ fn tombstone_triggered_rebalance_matches_rebuild() {
     let fresh = LakeIndex::build(&lake, kb, config);
     let probe = TableQuery::with_column(trace.initial[7].clone(), 0);
     assert_eq!(
-        index.discover_all(&probe, 8),
-        fresh.discover_all(&probe, 8),
+        probe_all(&index, &probe, 8),
+        probe_all(&fresh, &probe, 8),
         "index after tombstone-triggered rebalances must match a rebuild"
     );
 }

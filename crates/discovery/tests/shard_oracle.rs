@@ -13,20 +13,16 @@
 //!   the full two-leg stage and on the joinable top-k leg alone.
 //! * **Telemetry lockstep**: the merged window equals the fold of the
 //!   per-shard windows, counter for counter, at every query point.
-//! * **Merge under thread churn**: a [`ShardedTelemetry`] recorded into
-//!   from any number of concurrent threads snapshots to exactly the
-//!   single-threaded fold of the same recordings — counters and latency
-//!   histograms both (sums are order-independent; whole-microsecond
-//!   durations keep the f64 mean accumulation exact).
+//!
+//! The per-thread accumulator behind each shard's window is pinned by its
+//! own thread-churn merge property in `src/telemetry.rs`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use dialite_datagen::workloads::{ChurnOp, ChurnWorkload};
 use dialite_discovery::{
     DiscoveryBudget, DiscoveryTelemetry, LakeIndexConfig, LshEnsembleConfig, MetadataConfig,
-    MetadataStats, QueryBudget, SantosConfig, SantosStats, ShardedLakeIndex, ShardedTelemetry,
-    TableQuery, TopKStats,
+    QueryBudget, SantosConfig, ShardedLakeIndex, TableQuery,
 };
 use dialite_kb::curated::covid_kb;
 use dialite_table::DataLake;
@@ -142,82 +138,5 @@ proptest! {
             }
         }
         prop_assert!(compared > 0, "trace contained no queries");
-    }
-
-    /// Thread-churn merge property: however the recordings are spread
-    /// over concurrent threads, the sharded snapshot equals the
-    /// single-threaded fold of the exact same recordings. Durations are
-    /// whole microseconds, so even the histograms' f64 mean accumulation
-    /// is exact and the windows compare equal as a whole.
-    #[test]
-    fn sharded_telemetry_snapshot_equals_single_threaded_fold(
-        seed in any::<u64>(),
-        threads in 1usize..9,
-        per_thread in 1usize..24,
-    ) {
-        // Deterministic per-(thread, i) recordings derived from the seed.
-        let stats_at = |t: usize, i: usize| {
-            let x = seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add((t * 1_000 + i) as u64);
-            let topk = TopKStats {
-                cache_hit: x & 1 == 0,
-                exact_path: x & 2 == 0,
-                partitions_probed: (x % 7) as usize,
-                partitions_pruned: (x % 5) as usize,
-                candidates_verified: (x % 97) as usize,
-                terminated_early: x & 4 == 0,
-                budget_exhausted: x & 8 == 0,
-                postings_skipped: (x % 31) as usize,
-            };
-            let santos = SantosStats {
-                candidates_retrieved: (x % 211) as usize,
-                candidates_scored: (x % 89) as usize,
-                bound_pruned: (x % 13) as usize,
-                cap_hit: x & 16 == 0,
-                full_scan: x & 32 == 0,
-                typeless_pruned: (x % 17) as usize,
-            };
-            let metadata = MetadataStats {
-                candidates_retrieved: (x % 151) as usize,
-                candidates_scored: (x % 67) as usize,
-                bound_pruned: (x % 11) as usize,
-                cap_hit: x & 64 == 0,
-                full_scan: x & 128 == 0,
-            };
-            let latency = Duration::from_micros(x % 2_000_000);
-            (topk, santos, metadata, latency)
-        };
-
-        let mut expected = DiscoveryTelemetry::default();
-        for t in 0..threads {
-            for i in 0..per_thread {
-                let (topk, santos, metadata, latency) = stats_at(t, i);
-                expected.record_topk(&topk, latency);
-                expected.record_santos(&santos, latency);
-                expected.record_metadata(&metadata, latency);
-            }
-        }
-
-        let sharded = ShardedTelemetry::default();
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let sharded = &sharded;
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        let (topk, santos, metadata, latency) = stats_at(t, i);
-                        sharded.record_topk(&topk, latency);
-                        sharded.record_santos(&santos, latency);
-                        sharded.record_metadata(&metadata, latency);
-                    }
-                });
-            }
-        });
-
-        prop_assert_eq!(sharded.snapshot(), expected);
-
-        // Reset zeroes every shard, whichever threads recorded into them.
-        sharded.reset();
-        prop_assert_eq!(sharded.snapshot(), DiscoveryTelemetry::default());
     }
 }

@@ -14,8 +14,7 @@ use dialite::datagen::{
     metrics::{alignment_pair_f1, precision_recall_at_k},
 };
 use dialite::discovery::{
-    Discovery, ExactOverlapDiscovery, LshEnsembleConfig, LshEnsembleDiscovery, SantosConfig,
-    SantosDiscovery, TableQuery,
+    Discovery, LshEnsembleConfig, LshEnsembleDiscovery, SantosConfig, SantosDiscovery, TableQuery,
 };
 use dialite::table::Table;
 
@@ -42,7 +41,16 @@ fn main() {
     let kb = Arc::new(synth.truth.kb.clone());
     let santos = SantosDiscovery::build(&synth.lake, kb.clone(), SantosConfig::default());
     let lshe = LshEnsembleDiscovery::build(&synth.lake, LshEnsembleConfig::default());
-    let overlap = ExactOverlapDiscovery::build(&synth.lake, true);
+    // Exact top-k overlap: a vanishing threshold admits any shared token,
+    // and routing every query to the exact posting path skips the sketch.
+    let overlap = LshEnsembleDiscovery::build(
+        &synth.lake,
+        LshEnsembleConfig {
+            threshold: f64::MIN_POSITIVE,
+            exact_fallback_below: usize::MAX,
+            ..LshEnsembleConfig::default()
+        },
+    );
 
     let k = 6;
     let engines: Vec<(&str, &dyn Discovery)> = vec![

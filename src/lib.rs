@@ -11,7 +11,7 @@
 //! * [`kb`] — the mini knowledge base used by semantic discovery;
 //! * [`minhash`] — MinHash signatures and the LSH Ensemble index;
 //! * [`discovery`] — unionable/joinable table search (SANTOS-style, LSH
-//!   Ensemble, exact overlap, user-defined);
+//!   Ensemble, metadata, user-defined);
 //! * [`align`] — ALITE's holistic schema matching (integration IDs);
 //! * [`integrate`] — full disjunction engines and baseline operators;
 //! * [`analyze`] — null-aware analytics and entity resolution;

@@ -33,6 +33,9 @@ fn benchmark_api_paths_resolve() {
     let _ = Pipeline::snapshot;
     let _ = Pipeline::telemetry;
     let _ = Pipeline::sketch_work;
+    let _ = Pipeline::set_top_k;
+    let _ = Pipeline::set_discovery_budget;
+    let _ = Pipeline::serve;
     let _ = |run: PipelineRun| run.alternatives;
     let _: Option<PipelineError> = None;
     let _ = demo::covid_lake;
@@ -42,19 +45,58 @@ fn benchmark_api_paths_resolve() {
     let _ = LakeIndex::discover_top_k_with_stats;
     let _ = LakeIndex::discover_all_budgeted;
     let _ = LakeIndex::sketch_work;
+    let _ = LakeIndex::discover_top_k;
+    let _ = LakeIndex::santos;
+    let _ = LakeIndex::lshe;
+    let _ = LakeIndex::metadata;
+    let _ = LakeIndex::telemetry;
     let _ = ShardedLakeIndex::build;
     let _ = ShardedLakeIndex::discover_all_budgeted;
     let _ = ShardedLakeIndex::sketch_work;
+    let _ = ShardedLakeIndex::kb;
+    let _ = ShardedLakeIndex::config;
     let _ = SantosDiscovery::build;
     let _ = SantosDiscovery::discover_capped;
     let _ = MetadataDiscovery::build;
     let _ = MetadataDiscovery::discover_capped;
     let _ = <LakeIndex as Discovery>::discover;
     let _ = DiscoveryService::query_default;
+    let _ = DiscoveryService::telemetry;
+    let _ = DiscoveryService::discovery_telemetry;
     let _ = union_integration_set;
     let _ = DiscoveryBudget::unlimited;
     let _ = TableQuery::with_column;
     let _: Option<(Discovered, DiscoveryTelemetry)> = None;
+
+    // Telemetry: the per-leg record paths a harness-owned window folds
+    // into, and every field its per-leg metrics read.
+    let _ = DiscoveryTelemetry::record_topk;
+    let _ = DiscoveryTelemetry::record_santos;
+    let _ = DiscoveryTelemetry::record_metadata;
+    let _ = |t: &DiscoveryTelemetry| {
+        let latency = [&t.joinable_latency, &t.santos_latency, &t.metadata_latency];
+        let _ = latency.map(|h| (h.total_micros, h.samples));
+        let _ = (
+            t.topk.queries,
+            t.topk.candidates_verified,
+            t.topk.partitions_probed,
+            t.topk.partitions_pruned,
+            t.topk.postings_skipped,
+            t.topk.cache_hits,
+            t.topk.cache_misses,
+            t.topk.exact_path,
+            t.topk.budget_exhausted,
+        );
+        let _ = [&t.santos, &t.metadata].map(|leg| {
+            (
+                leg.queries,
+                leg.candidates_retrieved,
+                leg.candidates_scored,
+                leg.bound_pruned,
+                leg.cap_hits,
+            )
+        });
+    };
     let _ = (
         LakeIndexConfig::default,
         MetadataConfig::default,

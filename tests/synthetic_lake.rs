@@ -8,9 +8,7 @@ use std::sync::Arc;
 use dialite::align::{Alignment, HolisticMatcher, KbAnnotator};
 use dialite::datagen::lake::{LakeSpec, SyntheticLake};
 use dialite::datagen::metrics::{alignment_pair_f1, precision_recall_at_k};
-use dialite::discovery::{
-    Discovery, ExactOverlapDiscovery, LshEnsembleConfig, LshEnsembleDiscovery, TableQuery,
-};
+use dialite::discovery::{Discovery, LshEnsembleConfig, LshEnsembleDiscovery, TableQuery};
 use dialite::table::Table;
 use dialite_integrate::{AliteFd, Integrator};
 
@@ -31,7 +29,16 @@ fn spec(scramble: bool) -> LakeSpec {
 #[test]
 fn exact_overlap_discovery_finds_relatives() {
     let synth = SyntheticLake::generate(&spec(false));
-    let engine = ExactOverlapDiscovery::build(&synth.lake, true);
+    // The joinable engine as an exact top-k overlap search: any shared
+    // token passes the threshold, and every query takes the exact path.
+    let engine = LshEnsembleDiscovery::build(
+        &synth.lake,
+        LshEnsembleConfig {
+            threshold: f64::MIN_POSITIVE,
+            exact_fallback_below: usize::MAX,
+            ..LshEnsembleConfig::default()
+        },
+    );
     let mut recall_sum = 0.0;
     let mut n = 0usize;
     for table in synth.lake.tables() {
