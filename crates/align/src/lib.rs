@@ -12,7 +12,7 @@
 //!
 //! 1. every column gets a *signature*: a hashed n-gram embedding centroid of
 //!    its values (this reproduction's stand-in for pretrained embeddings —
-//!    DESIGN.md §1), its distinct-value token set, numeric statistics and
+//!    ARCHITECTURE.md § Substitutions), its distinct-value token set, numeric statistics and
 //!    (optionally, low weight) its header;
 //! 2. pairwise column similarities combine embedding cosine, value-overlap
 //!    Jaccard, numeric-distribution proximity and header similarity, gated

@@ -9,8 +9,8 @@
 //! domain to a distribution over semantic type labels. The KB-backed
 //! implementation ([`KbAnnotator`]) uses the mini knowledge base
 //! (`dialite-kb`); when no annotator is configured the matcher degrades
-//! gracefully to its lexical signals (DESIGN.md §1 documents the
-//! substitution).
+//! gracefully to its lexical signals (ARCHITECTURE.md § Substitutions
+//! documents the substitution).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

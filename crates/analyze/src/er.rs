@@ -19,7 +19,8 @@ use dialite_text::{acronym_of, jaccard, levenshtein_sim, word_tokens};
 
 /// A synonym dictionary mapping aliases to canonical forms, applied after
 /// whitespace/case normalization. The stand-in for the synonymy a trained
-/// py_entitymatching matcher learns from labeled pairs (DESIGN.md §1).
+/// py_entitymatching matcher learns from labeled pairs (ARCHITECTURE.md
+/// § Substitutions).
 #[derive(Debug, Clone, Default)]
 pub struct Gazetteer {
     canon: HashMap<String, String>,

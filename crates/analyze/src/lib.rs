@@ -13,7 +13,7 @@
 //!   features (exact, Levenshtein, token Jaccard, acronym, synonym
 //!   gazetteer), an agree/conflict rule matcher, union-find clustering and
 //!   null-preferring consolidation. This is the reproduction's substitute
-//!   for `py_entitymatching` (DESIGN.md §1): the learned matcher is
+//!   for `py_entitymatching` (ARCHITECTURE.md § Substitutions): the learned matcher is
 //!   replaced by a deterministic feature-weighted rule matcher plus a
 //!   gazetteer carrying the synonymy ("JnJ" ≈ "J&J", "USA" ≈ "United
 //!   States") that the paper's demo resolves via training data.

@@ -5,8 +5,8 @@
 //! * [`TableSynth`] — the GPT-3 substitute of paper Fig. 5: a seeded,
 //!   template-grammar query-table generator ("generate a query table about
 //!   COVID-19 cases with 5 columns and 5 rows"). Deterministic by seed, so
-//!   experiments are reproducible (DESIGN.md §1 documents the substitution
-//!   for the closed OpenAI API).
+//!   experiments are reproducible (ARCHITECTURE.md § Substitutions
+//!   documents the substitution for the closed OpenAI API).
 //! * [`SyntheticLake`] — a benchmark data lake with **ground truth**: base
 //!   *universe* relations are sliced into overlapping vertical/horizontal
 //!   fragments with injected nulls, dirtied values and (optionally)

@@ -41,8 +41,9 @@
 
 use std::collections::HashMap;
 
-use crate::lshe::{DomainKey, LshEnsembleDiscovery};
+use crate::lshe::LshEnsembleDiscovery;
 use crate::pool::intersect_count;
+use crate::retrieval::DomainKey;
 
 /// What one cost-bounded exact search actually did — folded into
 /// [`TopKStats`](crate::TopKStats) by the planner's exact path.
@@ -94,9 +95,9 @@ pub(crate) fn exact_search<'a>(
     let mut best: HashMap<&str, f64> = HashMap::new();
 
     // Cheapest-first schedule; (length, token id) keys make it total.
-    let mut lists: Vec<(u32, &Vec<DomainKey>)> = q_ids
+    let mut lists: Vec<(u32, &[DomainKey])> = q_ids
         .iter()
-        .filter_map(|id| engine.postings.get(id).map(|list| (*id, list)))
+        .filter_map(|&id| engine.tokens.posting(id).map(|list| (id, list)))
         .collect();
     lists.sort_unstable_by_key(|(id, list)| (list.len(), *id));
     let total_lists = lists.len();
@@ -146,7 +147,7 @@ pub(crate) fn exact_search<'a>(
     let mut ranked: Vec<(DomainKey, f64)> = overlap
         .into_iter()
         .filter_map(|(key, partial)| {
-            let dom_len = engine.domains.get(&key).map_or(partial, |d| d.len());
+            let dom_len = engine.tokens.run(key).map_or(partial, <[u32]>::len);
             let bound = (partial + remaining).min(dom_len) as f64 / q_len as f64;
             (bound + 1e-12 >= engine.config.threshold).then_some((key, bound))
         })
@@ -160,7 +161,7 @@ pub(crate) fn exact_search<'a>(
                 break;
             }
         }
-        let Some(domain) = engine.domains.get(&key) else {
+        let Some(domain) = engine.tokens.run(key) else {
             continue;
         };
         stats.verified += 1;

@@ -6,8 +6,8 @@
 //! [`LakeIndex`] owns the SANTOS-style, LSH Ensemble and optional
 //! metadata engines behind one maintenance point: [`LakeIndex::sync`]
 //! reads the lake changelog ([`DataLake::events_since`]) and applies each
-//! delta with `O(changed tables)` work — interning new tokens into the
-//! existing `StringPool`, retiring dead `(table_slot, col)` domain keys,
+//! delta with `O(changed tables)` work — interning new tokens into each
+//! leg's existing token store, retiring dead `(table_slot, col)` domain keys,
 //! staging ensemble inserts — falling back to a full rebuild only when
 //! the index is further behind than the bounded changelog reaches (or
 //! when handed an older lineage of the lake).

@@ -13,7 +13,7 @@
 //!   against indexed tables. When KB coverage is thin, a synthesized signal
 //!   (direct domain overlap mined from the lake itself) fills in — the
 //!   reproduction's laptop-scale stand-in for SANTOS's synthesized KB
-//!   (DESIGN.md §1).
+//!   (ARCHITECTURE.md § Substitutions).
 //! * [`LshEnsembleDiscovery`] — **joinable** search over MinHash sketches
 //!   using the LSH Ensemble containment index (Zhu et al., VLDB 2016), with
 //!   exact containment verification of candidates. Small queries skip the
@@ -93,7 +93,6 @@ pub use custom::SimilarityDiscovery;
 pub use index::{LakeIndex, LakeIndexConfig};
 pub use lshe::{LshEnsembleConfig, LshEnsembleDiscovery};
 pub use metadata::{MetadataConfig, MetadataDiscovery};
-pub use pool::{StringPool, POOL_ID_DROPPED};
 pub use retrieval::RetrievalStats;
 pub use santos::{SantosConfig, SantosDiscovery};
 pub use serving::{

@@ -4,12 +4,12 @@
 //!
 //! Column domains are identified by `(table slot, col)` pairs — the stable
 //! slot indices of the mutable [`DataLake`] — and stored as sorted
-//! token-**id** runs over a shared [`StringPool`], so verification merges
-//! `u32` runs ([`intersect_count`]) instead of re-hashing strings, and
-//! table names never need to be embedded in (collision-prone) composite
-//! string keys.
+//! token-**id** runs in the engine's [`TokenPostings`], the token store
+//! every discovery leg keeps, so verification merges `u32` runs
+//! ([`intersect_count`]) instead of re-hashing strings, and table names
+//! never need to be embedded in (collision-prone) composite string keys.
 //!
-//! Alongside the sketch index the engine maintains **exact token posting
+//! Alongside the sketch index the store keeps **exact token posting
 //! lists** (token id → the `(slot, col)` domains containing it). They
 //! answer small queries exactly without touching the sketch path (a
 //! JOSIE-style merge over the query's postings), and they are what the
@@ -22,10 +22,10 @@
 //! postings) instead of rebuilding over the whole lake — `LakeIndex` drives
 //! these from the lake changelog. Staged (not-yet-rebalanced) domains are
 //! exact-scanned at query time, so a freshly added table is discoverable
-//! immediately, never an LSH false negative. Removed tables' tokens are
-//! reclaimed by generation-based pool compaction (see
-//! [`LshEnsembleDiscovery::pool_generation`]) once the retired token weight
-//! overtakes the live weight, so long-churn memory stays bounded.
+//! immediately, never an LSH false negative. The store reclaims removed
+//! tables' tokens by pool compaction once the retired token weight
+//! overtakes the live weight (and [`LshEnsembleConfig::pool_compact_min`]),
+//! so long-churn memory stays bounded.
 
 use std::collections::{HashMap, HashSet};
 
@@ -33,7 +33,8 @@ use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature, Ske
 use dialite_table::{DataLake, Table};
 
 use crate::cost::{self, ExactSearchStats};
-use crate::pool::{intersect_count, Run, StringPool, POOL_ID_DROPPED};
+use crate::pool::intersect_count;
+use crate::retrieval::{column_token_sets, DomainKey, TokenPostings, POOL_COMPACT_MIN};
 use crate::shard::ShardScope;
 use crate::types::{top_k, Discovered, Discovery, TableQuery};
 
@@ -72,24 +73,9 @@ impl Default for LshEnsembleConfig {
             seed: 0x1517,
             exact_fallback_below: 16,
             rebalance_dirtiness: 0.25,
-            pool_compact_min: 1024,
+            pool_compact_min: POOL_COMPACT_MIN,
         }
     }
-}
-
-/// A column domain's identity in the index: `(table slot index, column)`.
-pub(crate) type DomainKey = (u32, u32);
-
-/// Intern one domain's tokens in sorted order, so pool ids — and the exact
-/// path's `(list length, token id)` schedule that breaks ties by them —
-/// depend on the lake alone, not on `HashSet` iteration order. Returns the
-/// domain's run.
-fn intern_sorted(pool: &mut StringPool, tokens: &HashSet<String>) -> Run {
-    let mut sorted: Vec<&str> = tokens.iter().map(String::as_str).collect();
-    sorted.sort_unstable();
-    let mut run: Vec<u32> = sorted.into_iter().map(|tok| pool.intern(tok)).collect();
-    run.sort_unstable();
-    run.into_boxed_slice()
 }
 
 /// Joinable-table discovery: find lake tables with a column whose domain
@@ -98,28 +84,12 @@ pub struct LshEnsembleDiscovery {
     pub(crate) config: LshEnsembleConfig,
     pub(crate) hasher: MinHasher,
     pub(crate) ensemble: LshEnsemble<DomainKey>,
-    /// `(table slot, col)` → sorted token-id run, for exact verification.
-    pub(crate) domains: HashMap<DomainKey, Run>,
     /// Lake table names by slot index (live tables only).
     pub(crate) table_names: HashMap<u32, String>,
-    /// Indexed column indices per slot, so retiring a table touches only
-    /// its own domains.
-    cols_of: HashMap<u32, Vec<u32>>,
-    /// The token dictionary shared by all indexed domains. Compacted once
-    /// retired weight overtakes live weight (generation-based), so removed
-    /// tables' tokens do not accumulate forever.
-    pub(crate) pool: StringPool,
-    /// Exact inverted index: token id → the domains containing the token.
-    /// Maintained through every upsert/remove, in lockstep with `domains`.
-    pub(crate) postings: HashMap<u32, Vec<DomainKey>>,
-    /// Σ |domain| over live domains (token occurrences, with multiplicity
-    /// across domains).
-    live_weight: usize,
-    /// Token occurrences retired since the last compaction / full build.
-    retired_weight: usize,
-    /// Bumped on every pool compaction; lets callers observe that ids from
-    /// an older generation are no longer meaningful.
-    pool_generation: u64,
+    /// Every column's sorted token-id run, for exact verification, and the
+    /// exact posting lists over them. Maintained through every
+    /// upsert/remove, in lockstep with `ensemble`.
+    pub(crate) tokens: TokenPostings,
 }
 
 impl LshEnsembleDiscovery {
@@ -129,8 +99,8 @@ impl LshEnsembleDiscovery {
     }
 
     /// Index one shard's stripe of the lake (the slots `scope`
-    /// [`admits`](ShardScope::admits)): the shard's `StringPool`, posting
-    /// lists and equi-depth ensemble partitions are computed over the
+    /// [`admits`](ShardScope::admits)): the shard's token store and
+    /// equi-depth ensemble partitions are computed over the
     /// stripe alone, exactly as [`LshEnsembleDiscovery::build`] computes
     /// them over the whole lake. [`ShardScope::all`] reproduces the
     /// unscoped build.
@@ -160,34 +130,24 @@ impl LshEnsembleDiscovery {
             })
             .unwrap_or_default();
         let mut builder = LshEnsembleBuilder::new(config.num_perm, config.seed);
-        let mut domains: HashMap<DomainKey, Run> = HashMap::new();
         let mut table_names = HashMap::new();
-        let mut cols_of: HashMap<u32, Vec<u32>> = HashMap::new();
-        let mut pool = StringPool::new();
-        let mut postings: HashMap<u32, Vec<DomainKey>> = HashMap::new();
-        let mut live_weight = 0usize;
+        let mut tokens = TokenPostings::new(config.pool_compact_min);
         for (t, table) in lake.entries_routed(scope.shard(), scope.of()) {
             table_names.insert(t, table.name().to_string());
-            for c in 0..table.column_count() {
-                let tokens = table.column_token_set(c);
-                if tokens.is_empty() {
+            let columns = column_token_sets(table);
+            for (c, col) in columns.iter().enumerate() {
+                if col.is_empty() {
                     continue;
                 }
                 let key: DomainKey = (t, c as u32);
                 match reusable.get(&key) {
-                    Some(&(size, sig)) if size == tokens.len() => {
+                    Some(&(size, sig)) if size == col.len() => {
                         builder.insert_signature(key, size, sig.clone());
                     }
-                    _ => builder.insert_tokens(key, tokens.iter().map(String::as_str)),
+                    _ => builder.insert_tokens(key, col.iter().map(String::as_str)),
                 }
-                let ids = intern_sorted(&mut pool, &tokens);
-                for &id in &ids {
-                    postings.entry(id).or_default().push(key);
-                }
-                live_weight += ids.len();
-                domains.insert(key, ids);
-                cols_of.entry(t).or_default().push(c as u32);
             }
+            tokens.insert(t, &columns);
         }
         let hasher = builder.hasher().clone();
         let mut ensemble = builder.build(config.num_partitions);
@@ -196,14 +156,8 @@ impl LshEnsembleDiscovery {
             config,
             hasher,
             ensemble,
-            domains,
             table_names,
-            cols_of,
-            pool,
-            postings,
-            live_weight,
-            retired_weight: 0,
-            pool_generation: 0,
+            tokens,
         }
     }
 
@@ -228,23 +182,15 @@ impl LshEnsembleDiscovery {
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
         self.table_names.insert(slot, table.name().to_string());
-        for c in 0..table.column_count() {
-            let tokens = table.column_token_set(c);
-            if tokens.is_empty() {
+        let columns = column_token_sets(table);
+        for (c, col) in columns.iter().enumerate() {
+            if col.is_empty() {
                 continue;
             }
-            let key: DomainKey = (slot, c as u32);
-            let sig = self.hasher.signature(tokens.iter().map(String::as_str));
-            self.ensemble.insert(key, tokens.len(), sig);
-            let ids = intern_sorted(&mut self.pool, &tokens);
-            for &id in &ids {
-                self.postings.entry(id).or_default().push(key);
-            }
-            self.live_weight += ids.len();
-            self.domains.insert(key, ids);
-            self.cols_of.entry(slot).or_default().push(c as u32);
+            let sig = self.hasher.signature(col.iter().map(String::as_str));
+            self.ensemble.insert((slot, c as u32), col.len(), sig);
         }
-        self.maybe_compact_pool();
+        self.tokens.insert(slot, &columns);
     }
 
     /// Retire every domain of the table occupying a lake slot.
@@ -253,93 +199,35 @@ impl LshEnsembleDiscovery {
         if self.table_names.remove(&slot).is_none() {
             return;
         }
-        for c in self.cols_of.remove(&slot).unwrap_or_default() {
-            let key: DomainKey = (slot, c);
-            if let Some(ids) = self.domains.remove(&key) {
-                for id in &ids {
-                    if let Some(list) = self.postings.get_mut(id) {
-                        if let Some(pos) = list.iter().position(|k| k == &key) {
-                            list.swap_remove(pos);
-                        }
-                        if list.is_empty() {
-                            self.postings.remove(id);
-                        }
-                    }
-                }
-                self.live_weight -= ids.len();
-                self.retired_weight += ids.len();
-            }
+        for key in self.tokens.domains_of(slot) {
             self.ensemble.remove(&key);
         }
-        self.maybe_compact_pool();
+        self.tokens.remove(slot);
     }
 
     /// Number of indexed column domains.
     pub fn indexed_domains(&self) -> usize {
-        self.domains.len()
+        self.tokens.domains().count()
     }
 
     /// Number of distinct tokens currently interned (live + not-yet-
     /// compacted dead weight).
     pub fn pool_len(&self) -> usize {
-        self.pool.len()
+        self.tokens.pool_len()
     }
 
     /// `(distinct tokens with postings, total posting entries)` — the
     /// latter always equals the summed live domain sizes, an invariant the
     /// incremental oracle pins under churn.
     pub fn posting_stats(&self) -> (usize, usize) {
-        (
-            self.postings.len(),
-            self.postings.values().map(Vec::len).sum(),
-        )
+        self.tokens.posting_stats()
     }
 
-    /// How many times the token pool has been compacted. Compactions remap
-    /// every stored token id, so the count doubles as a cheap "ids from an
-    /// earlier epoch are invalid" witness in tests.
-    pub fn pool_generation(&self) -> u64 {
-        self.pool_generation
-    }
-
-    /// Compact once dead dictionary weight overtakes live weight (and the
-    /// configured floor). The floor keeps small or rarely-churning lakes
-    /// from paying the O(pool) rewrite for negligible savings; the
-    /// overtake rule bounds the pool at roughly twice the live token
-    /// weight regardless of how long churn runs (pinned by
-    /// `tests/pool_props.rs`).
-    fn maybe_compact_pool(&mut self) {
-        if self.retired_weight > self.live_weight.max(self.config.pool_compact_min) {
-            self.compact_pool();
-        }
-    }
-
-    /// Drop every token no live domain references, re-densify ids, and
-    /// rewrite all domain runs (in place: the remap is monotone, so they
-    /// stay sorted) and posting lists through the remap.
-    /// `O(live tokens + pool)`.
-    fn compact_pool(&mut self) {
-        let live: HashSet<u32> = self.domains.values().flatten().copied().collect();
-        let remap = self.pool.compact(&live);
-        for id in self.domains.values_mut().flat_map(|d| d.iter_mut()) {
-            *id = remap[*id as usize];
-            debug_assert_ne!(*id, POOL_ID_DROPPED, "live id dropped");
-        }
-        self.postings = std::mem::take(&mut self.postings)
-            .into_iter()
-            .map(|(id, list)| (remap[id as usize], list))
-            .collect();
-        self.retired_weight = 0;
-        self.pool_generation += 1;
-    }
-
-    /// Resolve the query's tokens through the shared pool into a sorted
-    /// run. Tokens the pool has never seen occur in no domain and drop out
-    /// (the containment denominator stays the full query size).
+    /// Resolve the query's tokens through the store into a sorted run.
+    /// Tokens the pool has never seen occur in no domain and drop out (the
+    /// containment denominator stays the full query size).
     pub(crate) fn query_token_ids(&self, q_tokens: &HashSet<String>) -> Vec<u32> {
-        let mut ids: Vec<u32> = q_tokens.iter().filter_map(|t| self.pool.get(t)).collect();
-        ids.sort_unstable();
-        ids
+        self.tokens.resolve(q_tokens).ids
     }
 
     /// The exact (sketch-free) answer for small-to-mid queries: the
@@ -368,7 +256,7 @@ impl LshEnsembleDiscovery {
         } else {
             let mut best = HashMap::new();
             let verified = self.verify_candidates(
-                self.domains.keys().copied(),
+                self.tokens.domains(),
                 q_ids,
                 q_len,
                 exclude_table,
@@ -397,11 +285,9 @@ impl LshEnsembleDiscovery {
         exclude_table: &str,
     ) -> (HashMap<&str, f64>, usize) {
         let mut overlap: HashMap<DomainKey, usize> = HashMap::new();
-        for id in q_ids {
-            if let Some(list) = self.postings.get(id) {
-                for key in list {
-                    *overlap.entry(*key).or_insert(0) += 1;
-                }
+        for &id in q_ids {
+            for key in self.tokens.posting(id).unwrap_or_default() {
+                *overlap.entry(*key).or_insert(0) += 1;
             }
         }
         let scored = overlap.len();
@@ -454,7 +340,7 @@ impl LshEnsembleDiscovery {
     ) -> usize {
         let mut verified = 0usize;
         for key in candidates {
-            let Some(domain) = self.domains.get(&key) else {
+            let Some(domain) = self.tokens.run(key) else {
                 continue;
             };
             verified += 1;
@@ -639,7 +525,7 @@ mod tests {
         let (a, b) = (&builds[0], &builds[1]);
         assert_eq!(a.pool_len(), b.pool_len());
         for id in 0..a.pool_len() as u32 {
-            assert_eq!(a.pool.resolve(id), b.pool.resolve(id), "pool id {id}");
+            assert_eq!(a.tokens.token(id), b.tokens.token(id), "pool id {id}");
         }
     }
 
@@ -768,7 +654,10 @@ mod tests {
         let lake = demo_lake();
         let mut engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
         let weight = |e: &LshEnsembleDiscovery| -> usize {
-            e.domains.values().map(|d| d.len()).sum::<usize>()
+            e.tokens
+                .domains()
+                .map(|key| e.tokens.run(key).unwrap().len())
+                .sum::<usize>()
         };
         let (_, total) = engine.posting_stats();
         assert_eq!(total, weight(&engine));
@@ -803,16 +692,14 @@ mod tests {
         let b_slot = lake.add_table(big.clone()).unwrap();
         let mut engine = LshEnsembleDiscovery::build(&lake, config);
         assert!(engine.pool_len() >= 202);
-        assert_eq!(engine.pool_generation(), 0);
 
         lake.remove_table("big").unwrap();
         engine.remove_table(b_slot);
         assert_eq!(
-            engine.pool_generation(),
-            1,
-            "200 dead vs 2 live tokens must trigger compaction"
+            engine.pool_len(),
+            2,
+            "200 dead vs 2 live tokens must compact to the keeper's tokens"
         );
-        assert_eq!(engine.pool_len(), 2, "only the keeper's tokens survive");
 
         // Post-compaction queries still verify correctly over remapped ids.
         let q = TableQuery::with_column(table! { "q"; ["k"]; ["stay1"], ["stay2"] }, 0);
@@ -842,7 +729,7 @@ mod tests {
         assert!(scored >= merged.len(), "scored counts every merged domain");
         let mut scanned = HashMap::new();
         engine.verify_candidates(
-            engine.domains.keys().copied(),
+            engine.tokens.domains(),
             &q_ids,
             q_tokens.len(),
             q.table.name(),

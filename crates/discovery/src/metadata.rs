@@ -31,7 +31,9 @@ use dialite_table::{DataLake, Table};
 use dialite_text::word_tokens;
 
 use crate::pool::{QueryColumn, Run};
-use crate::retrieval::{bounded_top_k, score_all, Report, RetrievalStats, TokenPostings};
+use crate::retrieval::{
+    bounded_top_k, score_all, Report, RetrievalStats, TokenPostings, POOL_COMPACT_MIN,
+};
 use crate::shard::ShardScope;
 use crate::types::{Discovered, Discovery, TableQuery};
 
@@ -84,7 +86,7 @@ impl MetadataDiscovery {
         let mut engine = MetadataDiscovery {
             config,
             tables: BTreeMap::new(),
-            headers: TokenPostings::default(),
+            headers: TokenPostings::new(POOL_COMPACT_MIN),
         };
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
@@ -161,7 +163,10 @@ impl MetadataDiscovery {
         k: usize,
         cap: usize,
     ) -> (Vec<Discovered>, RetrievalStats) {
-        let q_cols = self.headers.resolve(&header_tokens(&query.table));
+        let q_cols: Vec<QueryColumn> = header_tokens(&query.table)
+            .iter()
+            .map(|col| self.headers.resolve(col))
+            .collect();
         if q_cols.is_empty() || k == 0 {
             return (Vec::new(), RetrievalStats::default());
         }
@@ -343,7 +348,8 @@ mod tests {
 
         let fresh = MetadataDiscovery::build(&lake, MetadataConfig::default());
         assert_eq!(engine.len(), fresh.len());
-        let (pool_len, entries) = engine.headers.posting_stats();
+        let (_, entries) = engine.headers.posting_stats();
+        let pool_len = engine.headers.pool_len();
         let (_, fresh_entries) = fresh.headers.posting_stats();
         assert_eq!(entries, fresh_entries, "retired postings must be gone");
         assert!(pool_len < 3000, "the pool must have compacted");

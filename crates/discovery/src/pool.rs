@@ -1,10 +1,12 @@
-//! A shared string pool: dense `u32` ids for overlap tokens, and the one
-//! routine that counts overlaps over them.
+//! The string pool behind the discovery token store: dense `u32` ids for
+//! overlap tokens, and the one routine that counts overlaps over them.
 //!
-//! Discovery engines compare *sets of tokens*. Every discovery leg stores
-//! each column's token domain as a **run**: the sorted, deduplicated ids
-//! of its tokens in the pool that leg keeps. Overlap is then a merge of
-//! two runs ([`intersect_count`]), and Jaccard ([`QueryColumn::jaccard`]) and
+//! Discovery engines compare *sets of tokens*. Every discovery leg keeps
+//! its column token domains in a
+//! [`TokenPostings`](crate::retrieval::TokenPostings), the pool's only
+//! user, as **runs**: the sorted, deduplicated ids of a column's tokens in
+//! the store's pool. Overlap is then a merge of two runs
+//! ([`intersect_count`]), and Jaccard ([`QueryColumn::jaccard`]) and
 //! containment follow from the same integer count — no string is hashed
 //! per (query, candidate) pair. Query columns resolve through
 //! [`StringPool::get`], never interning; a token the pool never saw is in
@@ -12,16 +14,16 @@
 //!
 //! Under lake churn the pool would grow without bound: tokens of removed
 //! tables stay interned (dead dictionary weight). [`StringPool::compact`]
-//! supports the discovery layer's generation-based compaction — keep only
-//! the ids a caller proves live, reassign dense ids, and hand back the
-//! old→new remap so callers can rewrite their stored runs. The remap is
-//! monotone, so a rewritten run stays sorted.
+//! supports the store's compaction — keep only the ids the store proves
+//! live, reassign dense ids, and hand back the old→new remap so the store
+//! can rewrite its runs and postings. The remap is monotone, so a
+//! rewritten run stays sorted.
 
 use std::collections::{HashMap, HashSet};
 
 /// Interns strings to dense `u32` ids. Ids are assigned in first-seen order.
 #[derive(Debug, Clone, Default)]
-pub struct StringPool {
+pub(crate) struct StringPool {
     ids: HashMap<String, u32>,
     /// Reverse map, `id as usize → string`; always the same length as
     /// `ids`. Needed so compaction can re-intern survivors without the
@@ -31,16 +33,16 @@ pub struct StringPool {
 
 /// Sentinel in the remap returned by [`StringPool::compact`]: the old id
 /// was dropped (its token was dead).
-pub const POOL_ID_DROPPED: u32 = u32::MAX;
+pub(crate) const POOL_ID_DROPPED: u32 = u32::MAX;
 
 impl StringPool {
     /// An empty pool.
-    pub fn new() -> StringPool {
+    pub(crate) fn new() -> StringPool {
         StringPool::default()
     }
 
     /// Intern `s`, assigning a fresh id the first time it is seen.
-    pub fn intern(&mut self, s: &str) -> u32 {
+    pub(crate) fn intern(&mut self, s: &str) -> u32 {
         match self.ids.get(s) {
             Some(&id) => id,
             None => {
@@ -54,23 +56,19 @@ impl StringPool {
 
     /// Id of an already-interned string, if any. A miss means the token
     /// occurs nowhere in the indexed corpus.
-    pub fn get(&self, s: &str) -> Option<u32> {
+    pub(crate) fn get(&self, s: &str) -> Option<u32> {
         self.ids.get(s).copied()
     }
 
     /// The string behind an id, if the id was ever assigned.
-    pub fn resolve(&self, id: u32) -> Option<&str> {
+    #[cfg(test)]
+    pub(crate) fn resolve(&self, id: u32) -> Option<&str> {
         self.strings.get(id as usize).map(String::as_str)
     }
 
     /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ids.len()
-    }
-
-    /// `true` when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
     }
 
     /// Drop every id not in `live` and reassign the survivors dense ids
@@ -78,7 +76,7 @@ impl StringPool {
     /// old→new remap, indexed by old id; dropped ids map to
     /// [`POOL_ID_DROPPED`]. Callers must rewrite every stored id through
     /// the remap — ids from before the compaction are otherwise dangling.
-    pub fn compact(&mut self, live: &HashSet<u32>) -> Vec<u32> {
+    pub(crate) fn compact(&mut self, live: &HashSet<u32>) -> Vec<u32> {
         let mut remap = vec![POOL_ID_DROPPED; self.strings.len()];
         let mut strings = Vec::with_capacity(live.len());
         let mut ids = HashMap::with_capacity(live.len());
@@ -140,8 +138,12 @@ impl QueryColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retrieval::TokenPostings;
+    use crate::retrieval::{TokenPostings, POOL_COMPACT_MIN};
     use proptest::prelude::*;
+
+    fn arb_token() -> impl Strategy<Value = String> {
+        "[a-z]{1,6}"
+    }
 
     fn strings(prefix: &str, ns: &HashSet<u16>) -> HashSet<String> {
         ns.iter().map(|n| format!("{prefix}{n}")).collect()
@@ -171,25 +173,83 @@ mod tests {
             let truth = q.intersection(&c).count();
             let jaccard_bits = dialite_text::jaccard(&q, &c).to_bits();
 
-            let mut postings = TokenPostings::default();
+            let mut postings = TokenPostings::new(POOL_COMPACT_MIN);
             postings.insert(0, &[strings("t", &other), c.clone()]);
             let dead: HashSet<String> = (0..1100).map(|i| format!("dead{i}")).collect();
             postings.insert(1, &[dead]);
-            let (before, _) = postings.posting_stats();
+            let before = postings.pool_len();
             for compacted in [false, true] {
                 if compacted {
                     postings.remove(1);
-                    let (after, _) = postings.posting_stats();
+                    let after = postings.pool_len();
                     prop_assert!(after < before, "removing slot 1 must compact the pool");
                 }
                 let run = &postings.runs(0)[1];
                 prop_assert!(run.windows(2).all(|w| w[0] < w[1]), "runs stay sorted");
-                let col = &postings.resolve(std::slice::from_ref(&q))[0];
+                let col = &postings.resolve(&q);
                 prop_assert_eq!(col.len, q.len());
                 prop_assert_eq!(intersect_count(&col.ids, run), truth);
                 prop_assert_eq!(intersect_count(run, &col.ids), truth);
                 prop_assert_eq!(col.jaccard(run).to_bits(), jaccard_bits);
             }
+        }
+
+        /// Interleave several logical insert streams (as concurrent indexers
+        /// would) round-robin: first-seen ids never change, re-interns are
+        /// hits, ids stay dense, and growth equals the number of distinct
+        /// tokens regardless of interleaving.
+        #[test]
+        fn interleaved_streams_agree_on_stable_dense_ids(
+            streams in prop::collection::vec(prop::collection::vec(arb_token(), 0..30), 1..5)
+        ) {
+            let mut pool = StringPool::new();
+            let mut oracle: HashMap<String, u32> = HashMap::new();
+            let depth = streams.iter().map(Vec::len).max().unwrap_or(0);
+            for round in 0..depth {
+                for stream in &streams {
+                    let Some(tok) = stream.get(round) else { continue };
+                    let id = pool.intern(tok);
+                    match oracle.get(tok) {
+                        Some(&known) => prop_assert_eq!(id, known, "id drifted for {}", tok),
+                        None => {
+                            // Fresh tokens take the next dense id.
+                            prop_assert_eq!(id as usize, oracle.len(), "ids must stay dense");
+                            oracle.insert(tok.clone(), id);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(pool.len(), oracle.len());
+            // Lookup without insertion agrees for every token ever seen…
+            for (tok, &id) in &oracle {
+                prop_assert_eq!(pool.get(tok), Some(id));
+            }
+            // …and ids are a bijection.
+            let distinct: HashSet<u32> = oracle.values().copied().collect();
+            prop_assert_eq!(distinct.len(), oracle.len());
+        }
+
+        /// The same token multiset interned in any stream order yields the
+        /// same final pool size, and `get` never inserts.
+        #[test]
+        fn pool_growth_is_order_independent(tokens in prop::collection::vec(arb_token(), 0..60)) {
+            let mut forward = StringPool::new();
+            for t in &tokens {
+                forward.intern(t);
+            }
+            let mut backward = StringPool::new();
+            for t in tokens.iter().rev() {
+                backward.intern(t);
+            }
+            let distinct: HashSet<&String> = tokens.iter().collect();
+            prop_assert_eq!(forward.len(), distinct.len());
+            prop_assert_eq!(backward.len(), distinct.len());
+            // `get` on a fresh pool inserts nothing.
+            let probe = StringPool::new();
+            for t in &tokens {
+                prop_assert_eq!(probe.get(t), None);
+            }
+            prop_assert_eq!(probe.len(), 0);
         }
     }
 
@@ -226,7 +286,7 @@ mod tests {
     fn get_does_not_insert() {
         let mut p = StringPool::new();
         assert_eq!(p.get("x"), None);
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
         let id = p.intern("x");
         assert_eq!(p.get("x"), Some(id));
     }

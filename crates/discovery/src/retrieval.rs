@@ -1,5 +1,5 @@
 //! Bounded retrieval for the slot-keyed legs (SANTOS typed and typeless,
-//! metadata): one kernel and one token posting index.
+//! metadata), and the one token store every discovery leg keeps.
 //!
 //! * **The kernel.** [`bounded_top_k`] takes `(slot, bound)` candidates
 //!   whose bound is a sound ceiling on the exact score, scores them best
@@ -10,20 +10,25 @@
 //!   match the exhaustive output: any finite cap covering the candidates
 //!   returns exactly what [`score_all`] — the exhaustive oracle path legs
 //!   run at `cap == usize::MAX` — returns.
-//! * **The posting index.** [`TokenPostings`] owns a leg's id space: it
+//! * **The token store.** [`TokenPostings`] owns a leg's id space: it
 //!   interns each column of a table into a sorted id run, keeps
-//!   `token id → slots` postings over the union of a table's runs,
-//!   resolves query columns against its pool, and counts the table-level
-//!   overlap `|Q ∩ T|` a leg turns into bounds. It alone rewrites ids on
-//!   compaction; legs read runs by slot and never see a remap.
+//!   `token id → (slot, column)` postings over those runs, resolves query
+//!   columns against its pool, and counts the table-level overlap
+//!   `|Q ∩ T|` the slot-keyed legs turn into bounds. The joinable leg
+//!   reads the same runs and postings per column domain for its exact
+//!   verification and posting merge. The store alone rewrites ids on
+//!   compaction; legs read runs by slot or domain and never see a remap.
 //!
-//! A leg keeps only what is its own: annotation, the bound formula and the
-//! score function, which compares runs with [`QueryColumn::jaccard`].
+//! A slot-keyed leg keeps only what is its own: annotation, the bound
+//! formula and the score function, which compares runs with
+//! [`QueryColumn::jaccard`].
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::pool::{QueryColumn, Run, StringPool};
+use dialite_table::Table;
+
+use crate::pool::{QueryColumn, Run, StringPool, POOL_ID_DROPPED};
 use crate::types::{score_cmp, top_k, Discovered};
 
 /// Per-table state a slot-keyed leg scores. The kernel needs only its
@@ -163,11 +168,23 @@ pub(crate) fn bounded_top_k<T: Named>(
 }
 
 /// Floor on the retired-token weight before a removal may compact the
-/// pool; keeps tiny lakes from compacting on every remove.
-const POOL_COMPACT_MIN: usize = 1024;
+/// pool of the slot-keyed legs (SANTOS, metadata); the default
+/// [`LshEnsembleConfig::pool_compact_min`](crate::LshEnsembleConfig::pool_compact_min)
+/// of the joinable leg.
+pub(crate) const POOL_COMPACT_MIN: usize = 1024;
 
-/// Sorted, deduplicated union of runs: a table's (or a query's) distinct
-/// token ids.
+/// A column domain's identity: `(table slot, column)`.
+pub(crate) type DomainKey = (u32, u32);
+
+/// Every column's value token set, in column order: what the value legs
+/// (SANTOS, joinable) hand [`TokenPostings::insert`].
+pub(crate) fn column_token_sets(table: &Table) -> Vec<HashSet<String>> {
+    (0..table.column_count())
+        .map(|c| table.column_token_set(c))
+        .collect()
+}
+
+/// Sorted, deduplicated union of runs: a query's distinct token ids.
 fn union(runs: impl IntoIterator<Item = impl AsRef<[u32]>>) -> Vec<u32> {
     let mut ids: Vec<u32> = Vec::new();
     for run in runs {
@@ -178,79 +195,103 @@ fn union(runs: impl IntoIterator<Item = impl AsRef<[u32]>>) -> Vec<u32> {
     ids
 }
 
-/// A token → table-slot inverted index over one [`StringPool`], owning
-/// each indexed slot's per-column token runs. Every indexed slot is
-/// known, even one with no tokens, so zero-overlap candidates can still
-/// be ranked. Removed tables' tokens are reclaimed once retired weight
-/// overtakes live weight (and [`POOL_COMPACT_MIN`]), the same overtake
-/// rule the joinable engine uses, so long-churn memory stays bounded.
-#[derive(Default)]
+/// The token store of every discovery leg: one [`StringPool`], each
+/// indexed slot's per-column token runs, and `token id → column domains`
+/// postings over them. Every indexed slot is known, even one with no
+/// tokens, so zero-overlap candidates can still be ranked; a column
+/// domain exists for every non-empty run. Removed tables' tokens are
+/// reclaimed once the retired weight (posting entries) overtakes the live
+/// weight and the store's compaction floor, so long-churn memory stays
+/// bounded.
 pub(crate) struct TokenPostings {
     pool: StringPool,
-    /// Token id → slots whose token set contains it.
-    postings: HashMap<u32, Vec<u32>>,
-    /// Slot → one sorted id run per column; the slot's distinct ids, the
-    /// posting entries removal retires, are their union.
+    /// Token id → the column domains whose run contains it.
+    postings: HashMap<u32, Vec<DomainKey>>,
+    /// Slot → one sorted id run per column, in column order.
     runs: HashMap<u32, Vec<Run>>,
-    /// Σ distinct tokens over indexed slots.
+    /// Σ run lengths over indexed slots: the live posting entries.
     live_weight: usize,
-    /// Token weight retired since the last compaction.
+    /// Posting entries retired since the last compaction.
     retired_weight: usize,
+    /// Retired weight a removal must exceed before it may compact.
+    compact_min: usize,
 }
 
 impl TokenPostings {
-    /// Index `slot`'s columns, each a token set, as one run per column.
-    /// Tokens intern in arrival order; no id value orders anything a leg
-    /// reports. The slot must not be indexed already: callers
-    /// [`remove`](Self::remove) it first.
-    pub(crate) fn insert(&mut self, slot: u32, columns: &[HashSet<String>]) {
-        let runs: Vec<Run> = columns
-            .iter()
-            .map(|col| {
-                let mut run: Vec<u32> = col.iter().map(|tok| self.pool.intern(tok)).collect();
-                run.sort_unstable();
-                run.into_boxed_slice()
-            })
-            .collect();
-        let ids = union(&runs);
-        for &id in &ids {
-            self.postings.entry(id).or_default().push(slot);
+    /// An empty store that compacts only once the retired weight exceeds
+    /// `compact_min` as well as the live weight.
+    pub(crate) fn new(compact_min: usize) -> TokenPostings {
+        TokenPostings {
+            pool: StringPool::new(),
+            postings: HashMap::new(),
+            runs: HashMap::new(),
+            live_weight: 0,
+            retired_weight: 0,
+            compact_min,
         }
-        self.live_weight += ids.len();
+    }
+
+    /// Index `slot`'s columns, each a token set, as one run per column.
+    /// Each column interns its tokens in sorted order, so pool ids — and
+    /// anything ordered by them, like the joinable exact path's
+    /// `(list length, token id)` schedule — depend on the lake alone, not
+    /// on `HashSet` iteration order. The slot must not be indexed
+    /// already: callers [`remove`](Self::remove) it first.
+    pub(crate) fn insert(&mut self, slot: u32, columns: &[HashSet<String>]) {
+        let mut runs = Vec::with_capacity(columns.len());
+        for (col, tokens) in columns.iter().enumerate() {
+            let mut sorted: Vec<&str> = tokens.iter().map(String::as_str).collect();
+            sorted.sort_unstable();
+            let mut run: Vec<u32> = sorted.into_iter().map(|t| self.pool.intern(t)).collect();
+            run.sort_unstable();
+            for &id in &run {
+                self.postings
+                    .entry(id)
+                    .or_default()
+                    .push((slot, col as u32));
+            }
+            self.live_weight += run.len();
+            runs.push(run.into_boxed_slice());
+        }
         self.runs.insert(slot, runs);
     }
 
-    /// Retire `slot`'s postings; a no-op for an unindexed slot.
+    /// Retire `slot`'s runs and postings, compacting the pool once the
+    /// retired weight overtakes the live weight and the floor; a no-op for
+    /// an unindexed slot.
     pub(crate) fn remove(&mut self, slot: u32) {
         let Some(runs) = self.runs.remove(&slot) else {
             return;
         };
-        let ids = union(&runs);
-        for id in &ids {
-            if let Some(list) = self.postings.get_mut(id) {
-                if let Some(pos) = list.iter().position(|s| *s == slot) {
-                    list.swap_remove(pos);
-                }
-                if list.is_empty() {
-                    self.postings.remove(id);
+        for (col, run) in runs.iter().enumerate() {
+            let key: DomainKey = (slot, col as u32);
+            for id in run.iter() {
+                if let Some(list) = self.postings.get_mut(id) {
+                    if let Some(pos) = list.iter().position(|k| *k == key) {
+                        list.swap_remove(pos);
+                    }
+                    if list.is_empty() {
+                        self.postings.remove(id);
+                    }
                 }
             }
+            self.live_weight -= run.len();
+            self.retired_weight += run.len();
         }
-        self.live_weight -= ids.len();
-        self.retired_weight += ids.len();
-        if self.retired_weight > self.live_weight.max(POOL_COMPACT_MIN) {
+        if self.retired_weight > self.live_weight.max(self.compact_min) {
             self.compact();
         }
     }
 
-    /// Drop every token no slot references and rewrite all stored ids
+    /// Drop every token no run references and rewrite all stored ids
     /// through the pool's remap, in place: the remap is monotone, so runs
-    /// stay sorted.
+    /// stay sorted. `O(live tokens + pool)`.
     fn compact(&mut self) {
         let live: HashSet<u32> = self.runs.values().flatten().flatten().copied().collect();
         let remap = self.pool.compact(&live);
         for id in self.runs.values_mut().flatten().flatten() {
             *id = remap[*id as usize];
+            debug_assert_ne!(*id, POOL_ID_DROPPED, "live id dropped");
         }
         self.postings = std::mem::take(&mut self.postings)
             .into_iter()
@@ -265,45 +306,69 @@ impl TokenPostings {
         self.runs.get(&slot).map_or(&[], Vec::as_slice)
     }
 
-    /// Resolve query columns through `get`, never interning: the query is
-    /// not part of the lake, and a token the pool never saw occurs in no
-    /// run.
-    pub(crate) fn resolve(&self, columns: &[HashSet<String>]) -> Vec<QueryColumn> {
-        columns
-            .iter()
-            .map(|col| {
-                let mut ids: Vec<u32> = col.iter().filter_map(|tok| self.pool.get(tok)).collect();
-                ids.sort_unstable();
-                QueryColumn {
-                    ids,
-                    len: col.len(),
-                }
-            })
-            .collect()
+    /// The run of one column domain; `None` unless it is indexed and
+    /// non-empty.
+    pub(crate) fn run(&self, (slot, col): DomainKey) -> Option<&[u32]> {
+        let run = self.runs(slot).get(col as usize)?;
+        (!run.is_empty()).then_some(&**run)
+    }
+
+    /// `slot`'s column domains: its non-empty columns.
+    pub(crate) fn domains_of(&self, slot: u32) -> impl Iterator<Item = DomainKey> + '_ {
+        let runs = self.runs(slot).iter().enumerate();
+        runs.filter(|(_, run)| !run.is_empty())
+            .map(move |(col, _)| (slot, col as u32))
+    }
+
+    /// Every indexed column domain, in no particular order.
+    pub(crate) fn domains(&self) -> impl Iterator<Item = DomainKey> + '_ {
+        self.runs.keys().flat_map(|&slot| self.domains_of(slot))
+    }
+
+    /// The column domains holding token `id`; `None` when none does.
+    pub(crate) fn posting(&self, id: u32) -> Option<&[DomainKey]> {
+        self.postings.get(&id).map(Vec::as_slice)
+    }
+
+    /// Resolve a query column through the pool, never interning: the
+    /// query is not part of the lake, and a token the pool never saw
+    /// occurs in no run.
+    pub(crate) fn resolve(&self, column: &HashSet<String>) -> QueryColumn {
+        let mut ids: Vec<u32> = column.iter().filter_map(|t| self.pool.get(t)).collect();
+        ids.sort_unstable();
+        QueryColumn {
+            ids,
+            len: column.len(),
+        }
     }
 
     /// Candidates for a query: every slot sharing a token with it, at
     /// `bound(|Q ∩ T|)`, plus — when the zero-overlap bound could pass the
     /// reporting filter (`> 0` and `>= min_score`) — every other indexed
     /// slot at `bound(0)`. Below that filter a zero-overlap table's true
-    /// score fails it too, so leaving it out loses nothing.
+    /// score fails it too, so leaving it out loses nothing. `|Q ∩ T|` is
+    /// table-level: a query token counts once for a slot however many of
+    /// its columns hold it.
     pub(crate) fn ranked(
         &self,
         query: &[QueryColumn],
         min_score: f64,
         bound: impl Fn(usize) -> f64,
     ) -> Vec<(u32, f64)> {
-        let mut overlap: HashMap<u32, usize> = HashMap::new();
+        // Slot → (overlap, the last query token it counted).
+        let mut overlap: HashMap<u32, (usize, u32)> = HashMap::new();
         for id in union(query.iter().map(|col| &col.ids)) {
-            if let Some(list) = self.postings.get(&id) {
-                for &slot in list {
-                    *overlap.entry(slot).or_insert(0) += 1;
+            for &(slot, _) in self.posting(id).unwrap_or_default() {
+                let (ov, last) = overlap.entry(slot).or_insert((0, POOL_ID_DROPPED));
+                if *last != id {
+                    *ov += 1;
+                    *last = id;
                 }
             }
         }
         let mut ranked: Vec<(u32, f64)> = overlap
             .iter()
-            .map(|(&slot, &ov)| (slot, bound(ov)))
+            .map(|(&slot, &(ov, _))| (slot, bound(ov)))
             .collect();
         let base = bound(0);
         if base > 0.0 && base >= min_score {
@@ -316,10 +381,25 @@ impl TokenPostings {
         ranked
     }
 
-    /// `(distinct interned tokens, total posting entries)`.
-    #[cfg(test)]
+    /// Distinct tokens interned: live ones plus not-yet-compacted dead
+    /// weight.
+    pub(crate) fn pool_len(&self) -> usize {
+        self.pool.len()
+    }
+
+    /// `(distinct tokens with postings, total posting entries)`; the
+    /// latter always equals the summed run lengths.
     pub(crate) fn posting_stats(&self) -> (usize, usize) {
-        (self.pool.len(), self.postings.values().map(Vec::len).sum())
+        (
+            self.postings.len(),
+            self.postings.values().map(Vec::len).sum(),
+        )
+    }
+
+    /// The token behind a pool id.
+    #[cfg(test)]
+    pub(crate) fn token(&self, id: u32) -> Option<&str> {
+        self.pool.resolve(id)
     }
 }
 
@@ -493,6 +573,20 @@ mod tests {
                 prop_assert_eq!(&hits, &case.brute_force(k));
             }
         }
+    }
+
+    #[test]
+    fn ranked_counts_a_token_once_per_slot() {
+        let set = |toks: &[&str]| toks.iter().map(|t| t.to_string()).collect::<HashSet<_>>();
+        let mut store = TokenPostings::new(POOL_COMPACT_MIN);
+        // Slot 3 holds "a" in both columns; slot 5 holds it once.
+        store.insert(3, &[set(&["a", "b"]), set(&["a", "c"])]);
+        store.insert(5, &[set(&["a"]), set(&[])]);
+        assert_eq!(store.posting_stats(), (3, 5));
+        let query = [store.resolve(&set(&["a", "b", "zz"]))];
+        let mut ranked = store.ranked(&query, 0.0, |ov| ov as f64);
+        ranked.sort_by_key(|&(slot, _)| slot);
+        assert_eq!(ranked, vec![(3, 2.0), (5, 1.0)]);
     }
 
     #[test]

@@ -28,7 +28,10 @@ use dialite_kb::{Direction, KnowledgeBase, RelationId, TypeId};
 use dialite_table::{DataLake, Table};
 
 use crate::pool::{QueryColumn, Run};
-use crate::retrieval::{bounded_top_k, score_all, Named, Report, RetrievalStats, TokenPostings};
+use crate::retrieval::{
+    bounded_top_k, column_token_sets, score_all, Named, Report, RetrievalStats, TokenPostings,
+    POOL_COMPACT_MIN,
+};
 use crate::shard::ShardScope;
 use crate::types::{score_cmp, Discovered, Discovery, TableQuery};
 
@@ -128,7 +131,7 @@ impl SantosDiscovery {
             config,
             tables: BTreeMap::new(),
             by_type: HashMap::new(),
-            tokens: TokenPostings::default(),
+            tokens: TokenPostings::new(POOL_COMPACT_MIN),
         };
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
@@ -251,7 +254,7 @@ fn annotate_table(
     config: &SantosConfig,
 ) -> (TableSemantics, Vec<HashSet<String>>) {
     let ncols = table.column_count();
-    let token_sets: Vec<HashSet<String>> = (0..ncols).map(|c| table.column_token_set(c)).collect();
+    let token_sets = column_token_sets(table);
     let columns: Vec<ColumnSemantics> = token_sets
         .iter()
         .map(|tokens| ColumnSemantics {
@@ -393,7 +396,8 @@ impl SantosDiscovery {
         if q_sem.columns.is_empty() || k == 0 {
             return (Vec::new(), RetrievalStats::default());
         }
-        let q_tokens = self.tokens.resolve(&q_sets);
+        let q_tokens: Vec<QueryColumn> =
+            q_sets.iter().map(|col| self.tokens.resolve(col)).collect();
         let intent = query
             .effective_column()
             .min(q_sem.columns.len().saturating_sub(1));
@@ -863,7 +867,8 @@ mod tests {
         lake.remove_table("big").unwrap();
         engine.remove_table(slot);
 
-        let (pool_len, entries) = engine.tokens.posting_stats();
+        let (_, entries) = engine.tokens.posting_stats();
+        let pool_len = engine.tokens.pool_len();
         assert_eq!(entries, live, "retired postings must be gone");
         assert!(
             pool_len < 5000,

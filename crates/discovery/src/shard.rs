@@ -1,7 +1,7 @@
 //! Sharded discovery: the storage/execution split over the [`LakeIndex`].
 //!
-//! One `LakeIndex` is a single-core monolith — one `StringPool`, one
-//! SANTOS inverted index, one LSH ensemble, and (for writers) one
+//! One `LakeIndex` is a single-core monolith — one token store per leg,
+//! one SANTOS inverted index, one LSH ensemble, and (for writers) one
 //! exclusive critical section per sync. At open-data-lake scale the
 //! storage must be partitioned. This module splits the stack in two:
 //!

@@ -45,7 +45,8 @@ use dialite_minhash::Signature;
 use dialite_text::fnv1a64;
 
 use crate::cost::kth_best;
-use crate::lshe::{DomainKey, LshEnsembleDiscovery};
+use crate::lshe::LshEnsembleDiscovery;
+use crate::retrieval::DomainKey;
 use crate::types::{top_k, Discovered, TableQuery};
 
 /// Per-query work limits for [`TopKPlanner::discover_top_k`].

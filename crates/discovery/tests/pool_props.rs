@@ -1,84 +1,15 @@
-//! Direct property coverage for [`StringPool`] (previously exercised only
-//! transitively through the LSH engine): id stability, density and growth
-//! under *interleaved* insert streams — the access pattern incremental
-//! `LakeIndex` maintenance produces, where tokens from freshly churned-in
-//! tables interleave with re-interns of long-indexed ones — plus the
-//! generation-based compaction bound: under arbitrarily long churn the
-//! engine's pool stays proportional to the *live* token weight instead of
-//! growing with everything ever interned.
-
-use std::collections::{HashMap, HashSet};
+//! The token store's compaction bound through the public joinable engine:
+//! under arbitrarily long churn the engine's pool stays proportional to
+//! the *live* token weight instead of growing with everything ever
+//! interned. (The string pool's own id stability and density properties
+//! are unit tests of the crate's `pool` module.)
 
 use dialite_datagen::workloads::{ChurnOp, ChurnWorkload};
-use dialite_discovery::{
-    Discovery, LshEnsembleConfig, LshEnsembleDiscovery, StringPool, TableQuery,
-};
+use dialite_discovery::{Discovery, LshEnsembleConfig, LshEnsembleDiscovery, TableQuery};
 use dialite_table::DataLake;
 use proptest::prelude::*;
 
-fn arb_token() -> impl Strategy<Value = String> {
-    "[a-z]{1,6}"
-}
-
 proptest! {
-    /// Interleave several logical insert streams (as concurrent indexers
-    /// would) round-robin: first-seen ids never change, re-interns are
-    /// hits, ids stay dense, and growth equals the number of distinct
-    /// tokens regardless of interleaving.
-    #[test]
-    fn interleaved_streams_agree_on_stable_dense_ids(
-        streams in prop::collection::vec(prop::collection::vec(arb_token(), 0..30), 1..5)
-    ) {
-        let mut pool = StringPool::new();
-        let mut oracle: HashMap<String, u32> = HashMap::new();
-        let depth = streams.iter().map(Vec::len).max().unwrap_or(0);
-        for round in 0..depth {
-            for stream in &streams {
-                let Some(tok) = stream.get(round) else { continue };
-                let id = pool.intern(tok);
-                match oracle.get(tok) {
-                    Some(&known) => prop_assert_eq!(id, known, "id drifted for {}", tok),
-                    None => {
-                        // Fresh tokens take the next dense id.
-                        prop_assert_eq!(id as usize, oracle.len(), "ids must stay dense");
-                        oracle.insert(tok.clone(), id);
-                    }
-                }
-            }
-        }
-        prop_assert_eq!(pool.len(), oracle.len());
-        // Lookup without insertion agrees for every token ever seen…
-        for (tok, &id) in &oracle {
-            prop_assert_eq!(pool.get(tok), Some(id));
-        }
-        // …and ids are a bijection.
-        let distinct: HashSet<u32> = oracle.values().copied().collect();
-        prop_assert_eq!(distinct.len(), oracle.len());
-    }
-
-    /// The same token multiset interned in any stream order yields the
-    /// same final pool size, and `get` never inserts.
-    #[test]
-    fn pool_growth_is_order_independent(tokens in prop::collection::vec(arb_token(), 0..60)) {
-        let mut forward = StringPool::new();
-        for t in &tokens {
-            forward.intern(t);
-        }
-        let mut backward = StringPool::new();
-        for t in tokens.iter().rev() {
-            backward.intern(t);
-        }
-        let distinct: HashSet<&String> = tokens.iter().collect();
-        prop_assert_eq!(forward.len(), distinct.len());
-        prop_assert_eq!(backward.len(), distinct.len());
-        // `get` on a fresh pool inserts nothing.
-        let probe = StringPool::new();
-        for t in &tokens {
-            prop_assert_eq!(probe.get(t), None);
-        }
-        prop_assert!(probe.is_empty());
-    }
-
     /// The compaction bound: drive an `LshEnsembleDiscovery` through a long
     /// `ChurnWorkload` trace (every mutation applied incrementally) and the
     /// pool never exceeds twice the live token weight — dead dictionary

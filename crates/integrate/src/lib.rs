@@ -32,7 +32,6 @@
 //! |---|---|
 //! | [`NaiveFd`] | reference: quadratic complementation fixpoint + pairwise subsumption scan |
 //! | [`AliteFd`] | ALITE's algorithm: outer union → hash-indexed complementation fixpoint → index-accelerated subsumption removal |
-//! | [`ParallelFd`] | ParaFD-style (Paganelli et al.) round-parallel complementation on std scoped threads |
 //! | [`OuterJoinIntegrator`] | left-to-right natural outer join (Fig. 6 / Fig. 8(a)); *not* associative, the demo's foil |
 //! | [`InnerJoinIntegrator`] | left-to-right natural inner join (Auctus-style) |
 //! | [`OuterUnionIntegrator`] | outer union with optional subsumption removal |
@@ -59,7 +58,6 @@ mod alite;
 mod engine;
 mod joins;
 mod naive;
-mod parallel;
 mod result;
 mod subsume;
 #[cfg(test)]
@@ -70,7 +68,6 @@ pub use alite::AliteFd;
 pub use engine::{IntegrateError, Integrator};
 pub use joins::{InnerJoinIntegrator, OuterJoinIntegrator, OuterUnionIntegrator};
 pub use naive::NaiveFd;
-pub use parallel::ParallelFd;
 pub use result::IntegratedTable;
 pub use subsume::{remove_subsumed_indexed, remove_subsumed_naive};
 pub use tuple::{outer_union, AlignedTuple};

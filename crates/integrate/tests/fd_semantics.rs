@@ -2,7 +2,7 @@
 //! join and Full Disjunction, and FD invariants on hand-built cases.
 
 use dialite_align::Alignment;
-use dialite_integrate::{AliteFd, Integrator, NaiveFd, OuterJoinIntegrator, ParallelFd};
+use dialite_integrate::{AliteFd, Integrator, NaiveFd, OuterJoinIntegrator};
 use dialite_table::{table, Table, Tid, Value};
 
 fn fig7_tables() -> (Table, Table, Table) {
@@ -25,11 +25,7 @@ fn fig7_tables() -> (Table, Table, Table) {
 }
 
 fn engines() -> Vec<Box<dyn Integrator>> {
-    vec![
-        Box::new(NaiveFd::default()),
-        Box::new(AliteFd::default()),
-        Box::new(ParallelFd::default()),
-    ]
+    vec![Box::new(NaiveFd::default()), Box::new(AliteFd::default())]
 }
 
 #[test]

@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use dialite_align::Alignment;
 use dialite_integrate::{
-    AlignedTuple, AliteFd, IntegratedTable, Integrator, NaiveFd, OuterUnionIntegrator, ParallelFd,
+    AlignedTuple, AliteFd, IntegratedTable, Integrator, NaiveFd, OuterUnionIntegrator,
 };
 use dialite_table::{Table, Tid, Value, ValueInterner};
 use proptest::prelude::*;
@@ -99,13 +99,6 @@ proptest! {
         let fast = fd_of(&AliteFd::default(), &tables);
         let slow = fd_of(&NaiveFd::default(), &tables);
         prop_assert!(fast.same_content(&slow), "alite:\n{fast}\nnaive:\n{slow}");
-    }
-
-    #[test]
-    fn parallel_matches_naive(tables in arb_integration_set()) {
-        let par = fd_of(&ParallelFd { threads: 3, ..ParallelFd::default() }, &tables);
-        let slow = fd_of(&NaiveFd::default(), &tables);
-        prop_assert!(par.same_content(&slow), "parallel:\n{par}\nnaive:\n{slow}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! external artifact; this KB exercises the very same code paths — entity
 //! lookup with alias normalization, type-hierarchy expansion, relationship
 //! lookup, and confidence-weighted column annotation — at laptop scale
-//! (see DESIGN.md §1). A curated COVID/geography KB ships in
+//! (see ARCHITECTURE.md § Substitutions). A curated COVID/geography KB ships in
 //! [`curated::covid_kb`] for the paper's worked examples, and synthetic KBs
 //! for benchmark lakes are generated by `dialite-datagen`.
 

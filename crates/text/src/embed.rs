@@ -1,8 +1,8 @@
 //! Deterministic hashed character n-gram embeddings.
 //!
 //! This is the reproduction's substitute for the pretrained value embeddings
-//! ALITE's holistic schema matcher feeds to its clustering step (DESIGN.md
-//! §1). Strings are decomposed into padded character n-grams; each gram is
+//! ALITE's holistic schema matcher feeds to its clustering step
+//! (ARCHITECTURE.md § Substitutions). Strings are decomposed into padded character n-grams; each gram is
 //! feature-hashed into a fixed-dimension vector with a ±1 sign hash (the
 //! "hashing trick"), and the result is L2-normalized. Bags of strings embed
 //! as the normalized centroid of their member embeddings, so two columns

@@ -10,7 +10,7 @@
 //! feature hashing of character n-grams, so that lexically similar value
 //! sets land close in cosine space. It is fully deterministic, dependency
 //! free and fast — preserving the *geometry-based clustering code path*
-//! without shipping model weights (see DESIGN.md §1).
+//! without shipping model weights (see ARCHITECTURE.md § Substitutions).
 
 mod embed;
 mod sim;

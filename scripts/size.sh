@@ -5,8 +5,10 @@
 #   bash scripts/size.sh [ROOT]      # ROOT defaults to this checkout
 #
 # * "src lines" counts, per file under `<crate>/src/`, the lines before the
-#   file's first `#[cfg(test)]` (all lines when it has none), so in-file
-#   unit tests do not count as library code.
+#   file's first `#[cfg(test)]` whose next non-blank line declares a `mod`
+#   (all lines when it has none), so in-file unit-test modules do not count
+#   as library code while a `#[cfg(test)]` on a single `use`, `fn` or field
+#   inside library code does not end the count.
 # * "pub items" counts lines matching
 #   `^\s*pub (fn|struct|enum|trait|const|static|type|mod|use)\b` in every
 #   `.rs` file of the crate (src/, tests/, examples/ alike); `pub(crate)`
@@ -24,10 +26,18 @@ pub_re='^\s*pub (fn|struct|enum|trait|const|static|type|mod|use)\b'
 # Non-test lines of every .rs file under the given directory.
 src_lines() {
     find "$1" -name '*.rs' -print0 |
-        xargs -0 -r awk 'FNR == 1 { done = 0 }
-                         /#\[cfg\(test\)\]/ { done = 1 }
-                         !done { n++ }
-                         END { print n + 0 }'
+        xargs -0 -r awk '
+            # `held` counts a `#[cfg(test)]` line and the blank lines after
+            # it until the next non-blank line shows whether a test module
+            # starts there.
+            FNR == 1 { n += held; held = 0; done = 0 }
+            done { next }
+            held && /^[[:space:]]*$/ { held++; next }
+            held && /^[[:space:]]*(pub(\([a-z]+\))? )?mod[[:space:]]/ { held = 0; done = 1; next }
+            held { n += held; held = 0 }
+            /#\[cfg\(test\)\]/ { held = 1; next }
+            { n++ }
+            END { print n + held }'
 }
 
 # Public-item lines of every .rs file under the given paths.
