@@ -2,33 +2,37 @@
 //! incrementally maintainable.
 //!
 //! Domains (column value sets) are partitioned by set size (equi-depth).
-//! Each partition materializes banding tables for every power-of-two row
-//! count `r ≤ num_perm`, built once: each band is one array of
-//! `(band hash, domain)` pairs sorted by hash, probed by binary search.
-//! Bands are tree-hashed bottom-up: a one-row band's hash is its slot, and
-//! each wider band costs one 64-bit combine of its two halves' hashes, so a
-//! 256-slot domain's 511 bands take 255 combines. Band tables are never
-//! persisted, so the hash can change without touching a snapshot. A
-//! containment query converts its threshold into a per-partition Jaccard
-//! threshold using the partition's upper size bound, picks the
-//! (near-)optimal `(b, r)` for that threshold among the materialized `r`
-//! values — searched once per distinct threshold and memoised — and
-//! probes `b` bands.
+//! Each partition bands its domains for every power-of-two row count
+//! `r ≤ num_perm`, one `(band hash, domain)` array per band, sorted by
+//! hash and probed by binary search. A band table is **built on first
+//! probe** from the signatures the partition shares with the index, and
+//! kept until the next rebalance: queries read one `(b, r)` per probed
+//! partition, and most top-k queries take the exact path and probe none.
+//! On the discover-hetero benchmark lake (12 980 domains) the bands ever
+//! probed hold 3.9 MB of the 75.9 MB an eager build laid out. Band tables
+//! are never persisted, so the band hash can change without touching a
+//! snapshot. A containment query converts its threshold into a
+//! per-partition Jaccard threshold using the partition's upper size
+//! bound, picks the (near-)optimal `(b, r)` for that threshold among the
+//! power-of-two `r` values — searched once per distinct threshold and
+//! memoised — and probes `b` bands.
 //!
 //! **Mutation.** The built index supports churn without O(lake) rebuilds:
 //! [`LshEnsemble::insert`] stages a new domain without banding it: the
 //! best-fitting existing partition stretches its bound, and the domain is
 //! verified via [`LshEnsemble::staged_keys`] (and returned by every
-//! [`LshEnsemble::query`]) until the next rebalance bands it.
+//! [`LshEnsemble::query`]) until the next rebalance partitions it.
 //! [`LshEnsemble::remove`] tombstones a key — dead postings stay in the
 //! banding tables but are filtered out of query results. Both operations
-//! are `O(changed domain)`. Because staged inserts and stretched bounds
-//! slowly degrade the equi-depth layout, the index tracks a *dirtiness*
-//! count and re-partitions from its retained `(key, size, signature)`
-//! entries once dirtiness exceeds a configurable fraction of the live
-//! domain count ([`LshEnsemble::set_rebalance_threshold`]). A rebalance
-//! produces exactly the layout a fresh build over the live entries would —
-//! the canonical form the incremental-oracle tests pin.
+//! are `O(changed domain)`; a band first built after either still holds
+//! the postings of the rebalance. Because staged inserts and stretched
+//! bounds slowly degrade the equi-depth layout, the index tracks a
+//! *dirtiness* count and re-partitions from its retained `(key, size,
+//! signature)` entries once dirtiness exceeds a configurable fraction of
+//! the live domain count ([`LshEnsemble::set_rebalance_threshold`]). A
+//! rebalance bands nothing and produces exactly the layout a fresh build
+//! over the live entries would — the canonical form the
+//! incremental-oracle tests pin.
 //!
 //! The index is generic over the domain **key type** `K` (default
 //! `String`): callers that identify domains structurally — e.g. the
@@ -39,7 +43,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::hasher::{MinHasher, Signature};
 use crate::params::{containment_to_jaccard, optimal_params_restricted};
@@ -73,79 +77,74 @@ fn band_hash(slots: &[u64]) -> u64 {
     }
 }
 
-/// One size partition. Its banding tables are built once, when the
-/// partition is: with `n = keys.len()`, band `g` of the partition's
-/// flattened bands (row counts ascending, bands in order within a row
-/// count) is `hashes[g·n .. (g+1)·n]`, sorted ascending by hash, with `ids`
-/// the parallel indices into `keys` — every key has exactly one entry per
-/// band.
+/// One band table of a partition: every member's band hash, sorted
+/// ascending, with `ids` the parallel indices into the partition's keys —
+/// each member has exactly one entry.
+struct Band {
+    hashes: Box<[u64]>,
+    ids: Box<[u32]>,
+}
+
+/// One size partition: its members and their band tables, each built on
+/// first probe. Band `g` of the flattened bands (row counts ascending,
+/// bands in order within a row count) is `bands[g]`.
 struct Partition<K> {
     /// Maximum domain size in this partition (the `u` of the containment →
     /// Jaccard conversion).
     upper: usize,
     lower: usize,
     keys: Vec<K>,
-    hashes: Vec<u64>,
-    ids: Vec<u32>,
+    /// `sigs[id]`: the signature `keys[id]` had when the partition was
+    /// built. Bands hash these, never the live entries, so a key removed
+    /// or re-inserted since is banded as it was at the rebalance.
+    sigs: Vec<Arc<Signature>>,
+    bands: Box<[OnceLock<Band>]>,
 }
 
 impl<K: Clone + Eq + Hash> Partition<K> {
-    /// Band a non-empty `(size, key)`-sorted chunk whose power-of-two row
-    /// counts `rs` ascend: band hashes bottom-up, one [`combine`] per band
-    /// of `r > 1` rows, then one sort per band.
-    fn build(chunk: &[(&K, usize, &Signature)], num_perm: usize, rs: &[usize]) -> Partition<K> {
-        let n = chunk.len();
-        let bands: usize = rs.iter().map(|&r| num_perm / r).sum();
-        let mut hashes = Vec::with_capacity(bands * n);
-        let mut ids = Vec::with_capacity(bands * n);
-        let mut band_entries: Vec<(u64, u32)> = Vec::with_capacity(n);
-        // `level[band·n + id]`: the hash of band `band` of domain `id` at
-        // `width` rows per band — at one row, the slots themselves.
-        let mut level: Vec<u64> = (0..num_perm)
-            .flat_map(|slot| chunk.iter().map(move |e| e.2 .0[slot]))
-            .collect();
-        let mut width = 1;
-        for &r in rs {
-            while width < r {
-                width *= 2;
-                level = level
-                    .chunks_exact(2 * n)
-                    .flat_map(|pair| {
-                        let (left, right) = pair.split_at(n);
-                        left.iter().zip(right).map(|(&a, &b)| combine(a, b))
-                    })
-                    .collect();
-            }
-            for band in level.chunks_exact(n) {
-                band_entries.clear();
-                band_entries.extend(band.iter().copied().zip(0u32..));
-                band_entries.sort_unstable_by_key(|e| e.0);
-                hashes.extend(band_entries.iter().map(|&(h, _)| h));
-                ids.extend(band_entries.iter().map(|&(_, id)| id));
-            }
-        }
+    /// A partition over a non-empty `(size, key)`-sorted chunk, with
+    /// `bands` band tables left to build on first probe.
+    fn build(chunk: &[(&K, usize, &Arc<Signature>)], bands: usize) -> Partition<K> {
         Partition {
             lower: chunk.first().map_or(0, |e| e.1),
             upper: chunk.last().map_or(0, |e| e.1),
             keys: chunk.iter().map(|e| e.0.clone()).collect(),
-            hashes,
-            ids,
+            sigs: chunk.iter().map(|e| Arc::clone(e.2)).collect(),
+            bands: (0..bands).map(|_| OnceLock::new()).collect(),
         }
+    }
+
+    /// Flattened band `g`, which covers slots `lo..lo + r`: built on the
+    /// first call — one [`band_hash`] per member, then one sort — and
+    /// shared by every later one. Concurrent first probes block on one
+    /// build.
+    fn band(&self, g: usize, lo: usize, r: usize) -> &Band {
+        self.bands[g].get_or_init(|| {
+            let mut entries: Vec<(u64, u32)> = self
+                .sigs
+                .iter()
+                .map(|sig| band_hash(&sig.0[lo..lo + r]))
+                .zip(0u32..)
+                .collect();
+            entries.sort_unstable_by_key(|e| e.0);
+            Band {
+                hashes: entries.iter().map(|&(h, _)| h).collect(),
+                ids: entries.iter().map(|&(_, id)| id).collect(),
+            }
+        })
     }
 
     /// Probe `b` bands of row count `r`, whose first band is flattened band
     /// `first_band`: per band, a binary search plus an equal-range scan.
     fn query(&self, sig: &Signature, b: usize, r: usize, first_band: usize, hits: &mut HashSet<K>) {
-        let n = self.keys.len();
         for band in 0..b {
             let lo = band * r;
             let h = band_hash(&sig.0[lo..lo + r]);
-            let start = (first_band + band) * n;
-            let band_hashes = &self.hashes[start..start + n];
-            let from = band_hashes.partition_point(|&x| x < h);
-            let to = from + band_hashes[from..].partition_point(|&x| x == h);
+            let table = self.band(first_band + band, lo, r);
+            let from = table.hashes.partition_point(|&x| x < h);
+            let to = from + table.hashes[from..].partition_point(|&x| x == h);
             hits.extend(
-                self.ids[start + from..start + to]
+                table.ids[from..to]
                     .iter()
                     .map(|&id| self.keys[id as usize].clone()),
             );
@@ -157,12 +156,11 @@ impl<K: Clone + Eq + Hash> Partition<K> {
 /// here by `(size, key)` — shared by the builder and by incremental
 /// rebalances so both produce the identical canonical layout.
 fn partition_entries<'a, K: Clone + Eq + Hash + Ord + 'a>(
-    entries: impl Iterator<Item = (&'a K, usize, &'a Signature)>,
+    entries: impl Iterator<Item = (&'a K, usize, &'a Arc<Signature>)>,
     num_partitions: usize,
-    num_perm: usize,
-    rs: &[usize],
+    bands: usize,
 ) -> Vec<Partition<K>> {
-    let mut sorted: Vec<(&K, usize, &Signature)> = entries.collect();
+    let mut sorted: Vec<(&K, usize, &Arc<Signature>)> = entries.collect();
     sorted.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(b.0)));
     if sorted.is_empty() {
         return Vec::new();
@@ -170,7 +168,7 @@ fn partition_entries<'a, K: Clone + Eq + Hash + Ord + 'a>(
     let per = sorted.len().div_ceil(num_partitions.max(1));
     sorted
         .chunks(per)
-        .map(|chunk| Partition::build(chunk, num_perm, rs))
+        .map(|chunk| Partition::build(chunk, bands))
         .collect()
 }
 
@@ -178,7 +176,7 @@ fn partition_entries<'a, K: Clone + Eq + Hash + Ord + 'a>(
 pub struct LshEnsembleBuilder<K = String> {
     hasher: MinHasher,
     num_perm: usize,
-    entries: Vec<(K, usize, Signature)>,
+    entries: Vec<(K, usize, Arc<Signature>)>,
 }
 
 impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
@@ -196,18 +194,19 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
         &self.hasher
     }
 
-    /// Hash and stage a domain under `key`.
+    /// Hash and stage a domain under `key`; its size is the number of
+    /// distinct tokens, the cardinality the signature is taken over.
     pub fn insert_tokens<'a, I: IntoIterator<Item = &'a str>>(&mut self, key: K, tokens: I) {
-        let toks: Vec<&str> = tokens.into_iter().collect();
+        let toks: HashSet<&str> = tokens.into_iter().collect();
         let size = toks.len();
         let sig = self.hasher.signature(toks);
-        self.entries.push((key, size, sig));
+        self.entries.push((key, size, Arc::new(sig)));
     }
 
     /// Stage a pre-computed signature (size = domain cardinality).
     pub fn insert_signature(&mut self, key: K, size: usize, sig: Signature) {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
-        self.entries.push((key, size, sig));
+        self.entries.push((key, size, Arc::new(sig)));
     }
 
     /// Number of staged domains.
@@ -220,7 +219,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
         self.entries.is_empty()
     }
 
-    /// Partition (equi-depth by size) and build the banding tables.
+    /// Partition (equi-depth by size); bands are built on first probe.
     pub fn build(self, num_partitions: usize) -> LshEnsemble<K> {
         let num_partitions = num_partitions.max(1);
         let rs: Vec<usize> = std::iter::successors(Some(1usize), |r| Some(r * 2))
@@ -229,8 +228,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
         let partitions = partition_entries(
             self.entries.iter().map(|(k, size, sig)| (k, *size, sig)),
             num_partitions,
-            self.num_perm,
-            &rs,
+            band_count(self.num_perm, &rs),
         );
         LshEnsemble {
             num_perm: self.num_perm,
@@ -252,6 +250,11 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
     }
 }
 
+/// Bands per partition: `num_perm / r` for each row count `r` in `rs`.
+fn band_count(num_perm: usize, rs: &[usize]) -> usize {
+    rs.iter().map(|&r| num_perm / r).sum()
+}
+
 /// The built containment index. Query with a signature from the builder's
 /// [`MinHasher`], the query set's cardinality, and a containment threshold.
 /// Supports incremental [`insert`](LshEnsemble::insert) /
@@ -263,7 +266,7 @@ pub struct LshEnsemble<K = String> {
     partitions: Vec<Partition<K>>,
     /// Live domains: `key → (size, signature)`. Retained so a rebalance can
     /// re-partition without the caller replaying anything.
-    entries: HashMap<K, (usize, Signature)>,
+    entries: HashMap<K, (usize, Arc<Signature>)>,
     /// Keys inserted since the last (re)build. They are not banded: every
     /// [`LshEnsemble::query`] returns them, and recall-critical callers
     /// verify them exactly — [`LshEnsemble::staged_keys`] exposes the set.
@@ -399,10 +402,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         let Some(pos) = self.allowed_r.iter().position(|&x| x == r) else {
             return;
         };
-        let first_band = self.allowed_r[..pos]
-            .iter()
-            .map(|&x| self.num_perm / x)
-            .sum();
+        let first_band = band_count(self.num_perm, &self.allowed_r[..pos]);
         p.query(sig, b.min(self.num_perm / r), r, first_band, hits);
     }
 
@@ -432,7 +432,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         if self.entries.contains_key(&key) {
             self.remove(&key);
         }
-        self.entries.insert(key.clone(), (size, sig));
+        self.entries.insert(key.clone(), (size, Arc::new(sig)));
         // A re-inserted key must not stay suppressed by its own tombstone.
         // Postings of the *old* version may resurface as candidates until
         // the next rebalance — recall-safe, callers verify exactly.
@@ -505,8 +505,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         self.partitions = partition_entries(
             self.entries.iter().map(|(k, (size, sig))| (k, *size, sig)),
             self.num_partitions,
-            self.num_perm,
-            &self.allowed_r,
+            band_count(self.num_perm, &self.allowed_r),
         );
         self.staged.clear();
         self.tombstones.clear();
@@ -546,7 +545,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         let mut entries: Vec<(K, usize, Signature)> = self
             .entries
             .iter()
-            .map(|(k, (size, sig))| (k.clone(), *size, sig.clone()))
+            .map(|(k, (size, sig))| (k.clone(), *size, Signature::clone(sig)))
             .collect();
         entries.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
         entries
@@ -675,6 +674,16 @@ mod tests {
         assert_eq!(b.len(), 2);
         let index = b.build(8);
         assert_eq!(index.len(), 2);
+    }
+
+    #[test]
+    fn token_domain_size_counts_distinct_tokens() {
+        let mut b = LshEnsembleBuilder::new(64, 1);
+        b.insert_tokens("dup", ["a", "a", "b"]);
+        let exported = b.build(1).export_entries();
+        assert_eq!(exported.len(), 1);
+        assert_eq!(exported[0].1, 2, "size of {{a, b}}");
+        assert_eq!(exported[0].2, MinHasher::new(64, 1).signature(["a", "b"]));
     }
 
     #[test]
@@ -900,28 +909,59 @@ mod tests {
         assert_eq!(index.query(&qsig, d.len(), 0.5), vec!["only".to_string()]);
     }
 
+    /// Band tables built so far, per partition.
+    fn built_bands<K>(index: &LshEnsemble<K>) -> Vec<usize> {
+        index
+            .partitions
+            .iter()
+            .map(|p| p.bands.iter().filter(|b| b.get().is_some()).count())
+            .collect()
+    }
+
+    /// Build every band table of every partition, as an index that banded
+    /// eagerly would hold them.
+    fn force_bands<K: Clone + Eq + Hash>(index: &LshEnsemble<K>) {
+        for p in &index.partitions {
+            let mut g = 0;
+            for &r in &index.allowed_r {
+                for band in 0..index.num_perm / r {
+                    p.band(g, band * r, r);
+                    g += 1;
+                }
+            }
+            assert_eq!(g, p.bands.len());
+        }
+    }
+
     #[test]
-    fn bottom_up_band_hashes_equal_the_recursive_definition() {
+    fn forced_band_tables_equal_the_recursive_band_hash() {
         for num_perm in [64usize, 48] {
             let hasher = MinHasher::new(num_perm, 9);
-            let sigs: Vec<Signature> = (0..5)
-                .map(|i| hasher.signature(toks("v", i..i * 7 + 3).iter().map(String::as_str)))
+            let sigs: Vec<Arc<Signature>> = (0..5)
+                .map(|i| {
+                    Arc::new(hasher.signature(toks("v", i..i * 7 + 3).iter().map(String::as_str)))
+                })
                 .collect();
             let keys: Vec<usize> = (0..sigs.len()).collect();
-            let chunk: Vec<(&usize, usize, &Signature)> =
+            let chunk: Vec<(&usize, usize, &Arc<Signature>)> =
                 keys.iter().zip(&sigs).map(|(k, sig)| (k, 1, sig)).collect();
             let rs: Vec<usize> = [1, 2, 4, 8, 16, 32, 64]
                 .into_iter()
                 .filter(|&r| r <= num_perm)
                 .collect();
-            let p = Partition::build(&chunk, num_perm, &rs);
+            let p = Partition::build(&chunk, band_count(num_perm, &rs));
             let n = sigs.len();
             let mut g = 0;
             for &r in &rs {
                 for band in 0..num_perm / r {
-                    let span = g * n..(g + 1) * n;
-                    let mut seen: Vec<u32> = p.ids[span.clone()].to_vec();
-                    for (&h, &id) in p.hashes[span.clone()].iter().zip(&p.ids[span]) {
+                    let table = p.band(g, band * r, r);
+                    assert_eq!(table.hashes.len(), n);
+                    assert!(
+                        table.hashes.windows(2).all(|w| w[0] <= w[1]),
+                        "unsorted band"
+                    );
+                    let mut seen: Vec<u32> = table.ids.to_vec();
+                    for (&h, &id) in table.hashes.iter().zip(table.ids.iter()) {
                         let slots = &sigs[id as usize].0[band * r..(band + 1) * r];
                         assert_eq!(
                             h,
@@ -934,7 +974,7 @@ mod tests {
                     g += 1;
                 }
             }
-            assert_eq!(g * n, p.hashes.len());
+            assert_eq!(g, p.bands.len());
         }
         let slots = [3u64, 5, 7, 11];
         assert_eq!(band_hash(&slots[..1]), 3);
@@ -943,6 +983,38 @@ mod tests {
             combine(combine(3, 5), combine(7, 11)),
             "a band combines its halves"
         );
+    }
+
+    /// A key re-inserted before the next rebalance keeps the postings of
+    /// its old signature in every band of its partition, including bands
+    /// first built after the re-insert: a cold index answers exactly like
+    /// one whose bands were all built at the rebalance.
+    #[test]
+    fn reinsert_before_rebalance_bands_the_rebalance_time_signature() {
+        let (mut cold, hasher) = build_demo();
+        let (mut forced, _) = build_demo();
+        force_bands(&forced);
+        let key = "big_superset".to_string();
+        let disjoint = toks("gone", 0..200);
+        for index in [&mut cold, &mut forced] {
+            index.set_rebalance_threshold(f64::INFINITY);
+            let sig = hasher.signature(disjoint.iter().map(String::as_str));
+            index.insert(key.clone(), disjoint.len(), sig);
+        }
+        let idx = cold
+            .partitions
+            .iter()
+            .position(|p| p.keys.contains(&key))
+            .expect("key banded at the build");
+        assert_eq!(built_bands(&cold)[idx], 0, "probed before the re-insert");
+        let q = toks("q", 0..50);
+        let sig = hasher.signature(q.iter().map(String::as_str));
+        let hits = cold.query_partition(idx, &sig, q.len(), 0.5);
+        assert!(
+            hits.contains(&key),
+            "old postings of the re-inserted key: {hits:?}"
+        );
+        assert_eq!(hits, forced.query_partition(idx, &sig, q.len(), 0.5));
     }
 
     /// Domains over a small token universe, so bands genuinely collide.
@@ -1011,6 +1083,76 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A cold index answers every `query` and `query_partition` exactly
+        /// like one whose band tables are all built after every operation
+        /// (so at every rebalance), across insert / re-insert / remove /
+        /// rebalance sequences. Answers are compared only after some
+        /// operations, so many of the cold index's bands are first built
+        /// several mutations after the rebalance that laid them out.
+        #[test]
+        fn cold_bands_answer_like_forced_bands_under_churn(
+            num_perm in prop_oneof![Just(48usize), Just(64usize)],
+            domains in small_domains(),
+            ops in prop::collection::vec(
+                (0u8..4, 0usize..20, prop::collection::hash_set(0u32..24, 1..16), 0u8..3),
+                0..24,
+            ),
+            queries in prop::collection::vec(prop::collection::hash_set(0u32..24, 1..16), 1..3),
+            parts in 1usize..5,
+            threshold in prop_oneof![Just(0.0f64), Just(0.3f64), Just(f64::INFINITY)],
+        ) {
+            let hasher = MinHasher::new(num_perm, 7);
+            let sig_of = |d: &HashSet<u32>| {
+                let tokens: Vec<String> = d.iter().map(|i| format!("t{i}")).collect();
+                hasher.signature(tokens.iter().map(String::as_str))
+            };
+            let build = || {
+                let mut b = LshEnsembleBuilder::<usize>::new(num_perm, 7);
+                for (key, d) in domains.iter().enumerate() {
+                    b.insert_signature(key, d.len(), sig_of(d));
+                }
+                let mut index = b.build(parts);
+                index.set_rebalance_threshold(threshold);
+                index
+            };
+            let mut cold = build();
+            let mut forced = build();
+            force_bands(&forced);
+            let qsigs: Vec<(Signature, usize)> = queries.iter().map(|q| (sig_of(q), q.len())).collect();
+            let last = ops.len();
+            for (step, (kind, key, d, check)) in ops.into_iter().enumerate() {
+                for index in [&mut cold, &mut forced] {
+                    match kind {
+                        0 | 1 => index.insert(key, d.len(), sig_of(&d)),
+                        2 => {
+                            index.remove(&key);
+                        }
+                        _ => index.rebalance(),
+                    }
+                }
+                force_bands(&forced);
+                prop_assert_eq!(cold.partition_bounds(), forced.partition_bounds());
+                if check != 0 && step + 1 != last {
+                    continue;
+                }
+                for (qsig, q) in &qsigs {
+                    for t in [0.2, 0.5, 0.9] {
+                        prop_assert_eq!(cold.query(qsig, *q, t), forced.query(qsig, *q, t));
+                        for idx in 0..cold.partition_count() {
+                            prop_assert_eq!(
+                                cold.query_partition(idx, qsig, *q, t),
+                                forced.query_partition(idx, qsig, *q, t)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Every `(threshold, query size, partition bound)` the grid converts,
     /// probed twice and again after a rebalance.
     fn jaccard_grid() -> Vec<f64> {
@@ -1067,33 +1209,50 @@ mod tests {
     }
 
     #[test]
-    fn insert_leaves_band_tables_untouched_until_rebalance() {
+    fn band_tables_are_built_on_first_probe_only() {
         let (mut index, hasher) = build_demo();
         index.set_rebalance_threshold(f64::INFINITY);
-        let entries = |index: &LshEnsemble<String>| -> Vec<usize> {
-            index.partitions.iter().map(|p| p.hashes.len()).collect()
-        };
-        let before = entries(&index);
+        let total = |index: &LshEnsemble<String>| built_bands(index).iter().sum::<usize>();
+        assert_eq!(total(&index), 0, "the build banded a table");
         for i in 0..3 {
             let d = toks(&format!("ins{i}_"), 0..(20 + 200 * i));
             let sig = hasher.signature(d.iter().map(String::as_str));
             index.insert(format!("ins{i}"), d.len(), sig);
         }
         assert_eq!(index.dirtiness(), 3);
-        assert_eq!(
-            entries(&index),
-            before,
-            "a staged insert wrote a band table"
-        );
-        // 256 permutations materialise 256 + 128 + … + 1 = 511 bands.
+        assert_eq!(total(&index), 0, "a staged insert built a band table");
         index.rebalance();
-        let total: usize = entries(&index).iter().sum();
-        assert_eq!(total, 511 * index.len());
+        assert_eq!(total(&index), 0, "a rebalance built a band table");
+        // One probe builds exactly the `b` bands it reads, and a repeat
+        // reuses them.
+        let q = toks("q", 0..50);
+        let sig = hasher.signature(q.iter().map(String::as_str));
+        let idx = index.probe_plan(q.len())[0].partition;
+        let j = containment_to_jaccard(0.5, q.len(), index.partitions[idx].upper);
+        let (b, r) = optimal_params_restricted(j, 256, &index.allowed_r);
+        let mut expect = vec![0; index.partition_count()];
+        expect[idx] = b.min(256 / r);
+        for _ in 0..2 {
+            index.query_partition(idx, &sig, q.len(), 0.5);
+            assert_eq!(built_bands(&index), expect);
+        }
+        // 256 permutations allow 256 + 128 + … + 1 = 511 bands.
+        force_bands(&index);
+        let entries: usize = index
+            .partitions
+            .iter()
+            .flat_map(|p| p.bands.iter())
+            .map(|band| band.get().map_or(0, |t| t.hashes.len()))
+            .sum();
+        assert_eq!(entries, 511 * index.len());
     }
 
     #[test]
     fn concurrent_probes_agree_with_single_threaded() {
+        // Cold: no band table exists when the threads start, so they race
+        // on every band's first-probe build.
         let (index, hasher) = build_demo();
+        assert_eq!(built_bands(&index).iter().sum::<usize>(), 0);
         let queries: Vec<(Signature, usize)> = [(0, 50), (0, 25), (10, 90), (0, 200)]
             .iter()
             .map(|&(lo, hi)| {

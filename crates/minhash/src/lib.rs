@@ -12,18 +12,19 @@
 //!   string token sets, using a seeded universal hash family modulo the
 //!   Mersenne prime `2^61 - 1`. Signatures estimate Jaccard similarity.
 //! * [`LshEnsemble`] — the containment-search index: indexed domains are
-//!   partitioned by set size; each partition keeps, for every power-of-two
-//!   row count, one hash-sorted `(band hash, domain)` array per band, built
-//!   once. Band hashes are tree hashes computed bottom-up — a one-row band
-//!   hashes to its slot, every wider band is one 64-bit combine of its two
-//!   halves — and are never persisted (snapshots keep only signatures).
+//!   partitioned by set size; each partition bands its domains for every
+//!   power-of-two row count, one hash-sorted `(band hash, domain)` array
+//!   per band, built on first probe — on the discover-hetero benchmark
+//!   lake (12 980 domains) 3.9 MB of the 75.9 MB an eager build laid out.
+//!   Band hashes are tree hashes of slot runs and are never persisted
+//!   (snapshots keep only signatures).
 //!   At query time the containment threshold is converted to a
 //!   per-partition Jaccard threshold for which (near-)optimal `(b, r)`
 //!   parameters are chosen by minimizing the sum of false-positive and
 //!   false-negative probability integrals — the same construction as the
 //!   paper's optimal-parameter tuning — and memoised per threshold.
 //!   Domains inserted after the build are staged unbanded and returned by
-//!   every query until a rebalance bands them.
+//!   every query until a rebalance partitions them.
 
 #![deny(missing_docs)]
 
