@@ -6,9 +6,11 @@
 //! [`LakeIndex`] owns the SANTOS-style, LSH Ensemble and optional
 //! metadata engines behind one maintenance point: [`LakeIndex::sync`]
 //! reads the lake changelog ([`DataLake::events_since`]) and applies each
-//! delta with `O(changed tables)` work — interning new tokens into each
-//! leg's existing token store, retiring dead `(table_slot, col)` domain keys,
-//! staging ensemble inserts — falling back to a full rebuild only when
+//! delta with `O(changed tables)` work — tokenising each changed table
+//! once into the shard's one value token store, which SANTOS and the
+//! joinable leg both read (metadata keeps its header store), retiring dead
+//! `(table_slot, col)` domain keys, staging ensemble inserts — falling
+//! back to a full rebuild only when
 //! the index is further behind than the bounded changelog reaches (or
 //! when handed an older lineage of the lake).
 //!
@@ -29,6 +31,7 @@ use dialite_table::{DataLake, LakeEvent};
 
 use crate::lshe::{LshEnsembleConfig, LshEnsembleDiscovery};
 use crate::metadata::{MetadataConfig, MetadataDiscovery};
+use crate::retrieval::column_token_sets;
 use crate::santos::{SantosConfig, SantosDiscovery};
 use crate::shard::ShardScope;
 use crate::telemetry::{DiscoveryTelemetry, ShardedTelemetry};
@@ -74,6 +77,7 @@ pub struct LakeIndexConfig {
 pub struct LakeIndex {
     kb: Arc<KnowledgeBase>,
     config: LakeIndexConfig,
+    /// Both hold the shard's one value token store; nothing else does.
     santos: SantosDiscovery,
     lshe: LshEnsembleDiscovery,
     /// The optional metadata (header-match) leg, present only when the
@@ -111,6 +115,10 @@ impl LakeIndex {
     /// re-applies the same scope), so the incremental contract carries
     /// over per shard. [`ShardScope::all`] reproduces the unscoped build.
     ///
+    /// There is one value store per shard, read by SANTOS and the joinable
+    /// leg; metadata keeps its header store. One pass tokenises each table
+    /// once for the store, SANTOS annotation and the ensemble builder.
+    ///
     /// `sketches` warm-starts the LSH engine from persisted MinHash
     /// sketches (see [`LshEnsembleDiscovery::build_scoped`]); the SANTOS
     /// and metadata engines and the exact verification structures are
@@ -122,9 +130,18 @@ impl LakeIndex {
         scope: ShardScope,
         sketches: Option<&SketchSnapshot>,
     ) -> LakeIndex {
+        let mut santos = SantosDiscovery::empty(kb.clone(), config.santos.clone());
+        let lshe = LshEnsembleDiscovery::build_feeding(
+            lake,
+            config.lshe.clone(),
+            scope,
+            sketches,
+            |slot, table, columns| santos.annotate(slot, table, columns),
+        );
+        santos.tokens = Arc::clone(&lshe.tokens);
         LakeIndex {
-            santos: SantosDiscovery::build_scoped(lake, kb.clone(), config.santos.clone(), scope),
-            lshe: LshEnsembleDiscovery::build_scoped(lake, config.lshe.clone(), scope, sketches),
+            santos,
+            lshe,
             metadata: config
                 .metadata
                 .clone()
@@ -205,6 +222,10 @@ impl LakeIndex {
             self.telemetry.restore(telemetry);
             return;
         };
+        // The batch owns the value store: with both legs' handles taken it
+        // is unique, so unwrapping it copies nothing.
+        drop(std::mem::take(&mut self.santos.tokens));
+        let mut store = Arc::unwrap_or_clone(std::mem::take(&mut self.lshe.tokens));
         for (_, event) in events {
             let slot = event.slot();
             // Slots outside this index's stripe belong to other shards;
@@ -212,25 +233,33 @@ impl LakeIndex {
             if !self.scope.admits(slot) {
                 continue;
             }
-            match (event, lake.table_at(slot)) {
-                // The slot's *current* content is what matters: later
-                // events for the same slot re-apply it idempotently.
-                (LakeEvent::Added(_) | LakeEvent::Replaced(_), Some(table)) => {
-                    self.santos.upsert_table(slot, table);
-                    self.lshe.upsert_table(slot, table);
-                    if let Some(metadata) = &mut self.metadata {
-                        metadata.upsert_table(slot, table);
-                    }
-                }
-                _ => {
-                    self.santos.remove_table(slot);
-                    self.lshe.remove_table(slot);
-                    if let Some(metadata) = &mut self.metadata {
-                        metadata.remove_table(slot);
-                    }
+            // The joinable leg reads the slot's old runs, so it retires
+            // its domains before the store drops them.
+            self.lshe.unsketch(slot, &store);
+            self.santos.unannotate(slot);
+            store.remove(slot);
+            // The slot's *current* content is what matters: later events
+            // for the same slot re-apply it idempotently.
+            let upserted = match event {
+                LakeEvent::Added(_) | LakeEvent::Replaced(_) => lake.table_at(slot),
+                _ => None,
+            };
+            if let Some(table) = upserted {
+                let columns = column_token_sets(table);
+                store.insert(slot, &columns);
+                self.santos.annotate(slot, table, &columns);
+                self.lshe.sketch(slot, table.name(), &columns);
+            }
+            if let Some(metadata) = &mut self.metadata {
+                match upserted {
+                    Some(table) => metadata.upsert_table(slot, table),
+                    None => metadata.remove_table(slot),
                 }
             }
         }
+        let store = Arc::new(store);
+        self.santos.tokens = Arc::clone(&store);
+        self.lshe.tokens = store;
         self.synced = lake.version();
     }
 
@@ -379,8 +408,10 @@ impl Discovery for LakeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedLakeIndex;
+    use dialite_datagen::workloads::HeterogeneousLakeWorkload;
     use dialite_kb::curated::covid_kb;
-    use dialite_table::table;
+    use dialite_table::{table, Table, Value};
 
     fn demo_lake() -> DataLake {
         DataLake::from_tables([
@@ -545,6 +576,120 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for d in &hits {
             assert!(seen.insert(d.table.clone()), "duplicate {d:?}");
+        }
+    }
+
+    /// SANTOS and the joinable leg hold the one value store of the shard
+    /// and no other handle exists; its postings and pool equal a fresh
+    /// build's over the same stripe.
+    fn assert_one_store(index: &LakeIndex, lake: &DataLake) {
+        assert!(Arc::ptr_eq(&index.santos.tokens, &index.lshe.tokens));
+        assert_eq!(Arc::strong_count(&index.lshe.tokens), 2, "a stray handle");
+        let fresh = LakeIndex::build_scoped(
+            lake,
+            index.kb(),
+            index.config().clone(),
+            index.scope(),
+            None,
+        );
+        assert_eq!(index.lshe.posting_stats(), fresh.lshe.posting_stats());
+        assert_eq!(index.lshe.pool_len(), fresh.lshe.pool_len());
+    }
+
+    #[test]
+    fn one_value_store_per_shard() {
+        let config = LakeIndexConfig {
+            lshe: LshEnsembleConfig {
+                pool_compact_min: 0,
+                ..LshEnsembleConfig::default()
+            },
+            metadata: Some(MetadataConfig::default()),
+            ..LakeIndexConfig::default()
+        };
+        let kb = Arc::new(covid_kb());
+        let mut lake = demo_lake();
+        let dead = (0..200).map(|i| vec![Value::Text(format!("dead{i}"))]);
+        lake.add(Table::from_rows("big", &["k"], dead.collect()).unwrap())
+            .unwrap();
+        let mut index = LakeIndex::build(&lake, kb.clone(), config.clone());
+        assert_one_store(&index, &lake);
+
+        // One batch adds, replaces and removes; dropping `big` retires more
+        // weight than stays live, so the batch compacts the store.
+        let pool = index.lshe.pool_len();
+        lake.add(table! { "more_cities"; ["place"]; ["berlin"], ["lima"] })
+            .unwrap();
+        lake.upsert(table! { "noise"; ["animal"]; ["emu"] });
+        lake.remove("big").unwrap();
+        index.sync(&lake);
+        assert!(index.lshe.pool_len() + 200 <= pool, "the batch compacts");
+        assert_one_store(&index, &lake);
+
+        // Past the changelog horizon the sync rebuilds.
+        for i in 0..4100 {
+            lake.upsert(table! { "noise"; ["animal"]; [format!("emu{i}")] });
+        }
+        assert!(lake.events_since(index.version()).is_none());
+        index.sync(&lake);
+        assert!(index.is_current(&lake));
+        assert_one_store(&index, &lake);
+
+        // Each shard of a sharded index, after its build and after a sync
+        // that retires nothing (so no dead weight stays uncompacted).
+        let sharded = ShardedLakeIndex::build(&lake, kb, config, 2);
+        let each_shard = |lake: &DataLake| {
+            for shard in &sharded.shards {
+                assert_one_store(&shard.read().unwrap(), lake);
+            }
+        };
+        each_shard(&lake);
+        lake.add(table! { "fresh"; ["place"]; ["berlin"], ["quito"] })
+            .unwrap();
+        sharded.sync(&lake);
+        each_shard(&lake);
+    }
+
+    #[test]
+    fn warm_start_through_the_one_pass_build() {
+        let spec = HeterogeneousLakeWorkload {
+            tables: 60,
+            max_rows: 32,
+            queries: 4,
+            ..HeterogeneousLakeWorkload::default()
+        };
+        let lake = spec.lake();
+        let kb = Arc::new(covid_kb());
+        let config = LakeIndexConfig {
+            metadata: Some(MetadataConfig::default()),
+            ..LakeIndexConfig::default()
+        };
+        let build = |sketches| {
+            LakeIndex::build_scoped(
+                &lake,
+                kb.clone(),
+                config.clone(),
+                ShardScope::all(),
+                sketches,
+            )
+        };
+        let cold = build(None);
+        let snapshot = cold.export_sketches();
+        let warm = build(Some(&snapshot));
+        assert_eq!(warm.sketch_work(), 0, "full coverage skips every hash");
+        let mut foreign = snapshot.clone();
+        foreign.seed ^= 1;
+        let rehashed = build(Some(&foreign));
+        assert_eq!(rehashed.sketch_work(), cold.sketch_work());
+
+        let queries = spec.queries().into_iter().chain(spec.header_queries());
+        for query in queries.map(TableQuery::new) {
+            for budget in [DiscoveryBudget::default(), DiscoveryBudget::unlimited()] {
+                let want = cold.discover_all_budgeted(&query, 10, &budget);
+                assert_eq!(want.len(), 3);
+                for index in [&warm, &rehashed] {
+                    assert_eq!(index.discover_all_budgeted(&query, 10, &budget), want);
+                }
+            }
         }
     }
 }

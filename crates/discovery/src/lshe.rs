@@ -4,10 +4,11 @@
 //!
 //! Column domains are identified by `(table slot, col)` pairs — the stable
 //! slot indices of the mutable [`DataLake`] — and stored as sorted
-//! token-**id** runs in the engine's [`TokenPostings`], the token store
-//! every discovery leg keeps, so verification merges `u32` runs
-//! ([`intersect_count`]) instead of re-hashing strings, and table names
-//! never need to be embedded in (collision-prone) composite string keys.
+//! token-**id** runs in a value [`TokenPostings`], so verification merges
+//! `u32` runs ([`intersect_count`]) instead of re-hashing strings, and
+//! table names never need to be embedded in (collision-prone) composite
+//! string keys. A standalone engine owns its store; a `LakeIndex` keeps
+//! one value store per shard, read by SANTOS and the joinable leg.
 //!
 //! Alongside the sketch index the store keeps **exact token posting
 //! lists** (token id → the `(slot, col)` domains containing it). They
@@ -28,6 +29,7 @@
 //! so long-churn memory stays bounded.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature, SketchSnapshot};
 use dialite_table::{DataLake, Table};
@@ -61,6 +63,7 @@ pub struct LshEnsembleConfig {
     pub rebalance_dirtiness: f64,
     /// Floor on the retired-token weight before a mutation may trigger
     /// pool compaction; keeps tiny lakes from compacting on every remove.
+    /// In a `LakeIndex` it floors the shard's shared value store.
     pub pool_compact_min: usize,
 }
 
@@ -88,8 +91,9 @@ pub struct LshEnsembleDiscovery {
     pub(crate) table_names: HashMap<u32, String>,
     /// Every column's sorted token-id run, for exact verification, and the
     /// exact posting lists over them. Maintained through every
-    /// upsert/remove, in lockstep with `ensemble`.
-    pub(crate) tokens: TokenPostings,
+    /// upsert/remove, in lockstep with `ensemble`; in a `LakeIndex` shard,
+    /// the store SANTOS reads too.
+    pub(crate) tokens: Arc<TokenPostings>,
 }
 
 impl LshEnsembleDiscovery {
@@ -120,6 +124,18 @@ impl LshEnsembleDiscovery {
         scope: ShardScope,
         sketches: Option<&SketchSnapshot>,
     ) -> LshEnsembleDiscovery {
+        LshEnsembleDiscovery::build_feeding(lake, config, scope, sketches, |_, _, _| {})
+    }
+
+    /// [`build_scoped`](Self::build_scoped), also handing each table's
+    /// column token sets to `each`: the one build pass, shared by a shard.
+    pub(crate) fn build_feeding(
+        lake: &DataLake,
+        config: LshEnsembleConfig,
+        scope: ShardScope,
+        sketches: Option<&SketchSnapshot>,
+        mut each: impl FnMut(u32, &Table, &[HashSet<String>]),
+    ) -> LshEnsembleDiscovery {
         let reusable: HashMap<DomainKey, (usize, &Signature)> = sketches
             .filter(|s| s.matches_family(config.num_perm, config.seed))
             .map(|s| {
@@ -148,6 +164,7 @@ impl LshEnsembleDiscovery {
                 }
             }
             tokens.insert(t, &columns);
+            each(t, table, &columns);
         }
         let hasher = builder.hasher().clone();
         let mut ensemble = builder.build(config.num_partitions);
@@ -157,7 +174,7 @@ impl LshEnsembleDiscovery {
             hasher,
             ensemble,
             table_names,
-            tokens,
+            tokens: Arc::new(tokens),
         }
     }
 
@@ -181,8 +198,24 @@ impl LshEnsembleDiscovery {
     /// Index (or re-index) one table under its lake slot. `O(table)`.
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
-        self.table_names.insert(slot, table.name().to_string());
         let columns = column_token_sets(table);
+        self.sketch(slot, table.name(), &columns);
+        Arc::make_mut(&mut self.tokens).insert(slot, &columns);
+    }
+
+    /// Retire every domain of the table occupying a lake slot.
+    /// `O(columns of that table + their postings)`.
+    pub fn remove_table(&mut self, slot: u32) {
+        let mut tokens = std::mem::take(&mut self.tokens);
+        self.unsketch(slot, &tokens);
+        Arc::make_mut(&mut tokens).remove(slot);
+        self.tokens = tokens;
+    }
+
+    /// The ensemble half of [`upsert_table`](Self::upsert_table), from
+    /// precomputed token sets; the slot must not be indexed.
+    pub(crate) fn sketch(&mut self, slot: u32, name: &str, columns: &[HashSet<String>]) {
+        self.table_names.insert(slot, name.to_string());
         for (c, col) in columns.iter().enumerate() {
             if col.is_empty() {
                 continue;
@@ -190,19 +223,16 @@ impl LshEnsembleDiscovery {
             let sig = self.hasher.signature(col.iter().map(String::as_str));
             self.ensemble.insert((slot, c as u32), col.len(), sig);
         }
-        self.tokens.insert(slot, &columns);
     }
 
-    /// Retire every domain of the table occupying a lake slot.
-    /// `O(columns of that table + their postings)`.
-    pub fn remove_table(&mut self, slot: u32) {
-        if self.table_names.remove(&slot).is_none() {
-            return;
+    /// The ensemble half of [`remove_table`](Self::remove_table). It reads
+    /// the slot's runs, so it must run before the store retires the slot.
+    pub(crate) fn unsketch(&mut self, slot: u32, tokens: &TokenPostings) {
+        if self.table_names.remove(&slot).is_some() {
+            for key in tokens.domains_of(slot) {
+                self.ensemble.remove(&key);
+            }
         }
-        for key in self.tokens.domains_of(slot) {
-            self.ensemble.remove(&key);
-        }
-        self.tokens.remove(slot);
     }
 
     /// Number of indexed column domains.

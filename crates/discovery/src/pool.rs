@@ -1,10 +1,10 @@
 //! The string pool behind the discovery token store: dense `u32` ids for
 //! overlap tokens, and the one routine that counts overlaps over them.
 //!
-//! Discovery engines compare *sets of tokens*. Every discovery leg keeps
-//! its column token domains in a
-//! [`TokenPostings`](crate::retrieval::TokenPostings), the pool's only
-//! user, as **runs**: the sorted, deduplicated ids of a column's tokens in
+//! Discovery engines compare *sets of tokens*. They keep column token
+//! domains in a [`TokenPostings`](crate::retrieval::TokenPostings), the
+//! pool's only user — one value store per shard, read by SANTOS and the
+//! joinable leg; metadata keeps its header store — as **runs**: the sorted, deduplicated ids of a column's tokens in
 //! the store's pool. Overlap is then a merge of two runs
 //! ([`intersect_count`]), and Jaccard ([`QueryColumn::jaccard`]) and
 //! containment follow from the same integer count — no string is hashed

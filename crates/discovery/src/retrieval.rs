@@ -1,5 +1,5 @@
 //! Bounded retrieval for the slot-keyed legs (SANTOS typed and typeless,
-//! metadata), and the one token store every discovery leg keeps.
+//! metadata), and the token store the discovery legs read.
 //!
 //! * **The kernel.** [`bounded_top_k`] takes `(slot, bound)` candidates
 //!   whose bound is a sound ceiling on the exact score, scores them best
@@ -10,13 +10,15 @@
 //!   match the exhaustive output: any finite cap covering the candidates
 //!   returns exactly what [`score_all`] — the exhaustive oracle path legs
 //!   run at `cap == usize::MAX` — returns.
-//! * **The token store.** [`TokenPostings`] owns a leg's id space: it
-//!   interns each column of a table into a sorted id run, keeps
+//! * **The token store.** [`TokenPostings`] owns an id space: it interns
+//!   each column of a table into a sorted id run, keeps
 //!   `token id → (slot, column)` postings over those runs, resolves query
 //!   columns against its pool, and counts the table-level overlap
-//!   `|Q ∩ T|` the slot-keyed legs turn into bounds. The joinable leg
-//!   reads the same runs and postings per column domain for its exact
-//!   verification and posting merge. The store alone rewrites ids on
+//!   `|Q ∩ T|` the slot-keyed legs turn into bounds. There is one value
+//!   store per shard, read by SANTOS and the joinable leg; metadata keeps
+//!   its header store. SANTOS reads the value runs by slot, the joinable
+//!   leg per column domain for its exact verification and posting merge.
+//!   The store alone rewrites ids on
 //!   compaction; legs read runs by slot or domain and never see a remap.
 //!
 //! A slot-keyed leg keeps only what is its own: annotation, the bound
@@ -168,9 +170,10 @@ pub(crate) fn bounded_top_k<T: Named>(
 }
 
 /// Floor on the retired-token weight before a removal may compact the
-/// pool of the slot-keyed legs (SANTOS, metadata); the default
-/// [`LshEnsembleConfig::pool_compact_min`](crate::LshEnsembleConfig::pool_compact_min)
-/// of the joinable leg.
+/// store of a standalone SANTOS engine and of the metadata leg; the
+/// default
+/// [`LshEnsembleConfig::pool_compact_min`](crate::LshEnsembleConfig::pool_compact_min),
+/// which floors a shard's shared value store.
 pub(crate) const POOL_COMPACT_MIN: usize = 1024;
 
 /// A column domain's identity: `(table slot, column)`.
@@ -195,14 +198,16 @@ fn union(runs: impl IntoIterator<Item = impl AsRef<[u32]>>) -> Vec<u32> {
     ids
 }
 
-/// The token store of every discovery leg: one [`StringPool`], each
+/// A discovery token store: one [`StringPool`], each
 /// indexed slot's per-column token runs, and `token id → column domains`
 /// postings over them. Every indexed slot is known, even one with no
 /// tokens, so zero-overlap candidates can still be ranked; a column
 /// domain exists for every non-empty run. Removed tables' tokens are
 /// reclaimed once the retired weight (posting entries) overtakes the live
 /// weight and the store's compaction floor, so long-churn memory stays
-/// bounded.
+/// bounded. `Default` is an empty placeholder that never compacts on its
+/// own floor; builds swap the real store in.
+#[derive(Clone, Default)]
 pub(crate) struct TokenPostings {
     pool: StringPool,
     /// Token id → the column domains whose run contains it.
@@ -235,9 +240,11 @@ impl TokenPostings {
     /// Each column interns its tokens in sorted order, so pool ids — and
     /// anything ordered by them, like the joinable exact path's
     /// `(list length, token id)` schedule — depend on the lake alone, not
-    /// on `HashSet` iteration order. The slot must not be indexed
-    /// already: callers [`remove`](Self::remove) it first.
+    /// on `HashSet` iteration order. An already indexed slot is
+    /// [`remove`](Self::remove)d first, so its old runs leave the postings
+    /// and the live weight.
     pub(crate) fn insert(&mut self, slot: u32, columns: &[HashSet<String>]) {
+        self.remove(slot);
         let mut runs = Vec::with_capacity(columns.len());
         for (col, tokens) in columns.iter().enumerate() {
             let mut sorted: Vec<&str> = tokens.iter().map(String::as_str).collect();
@@ -587,6 +594,38 @@ mod tests {
         let mut ranked = store.ranked(&query, 0.0, |ov| ov as f64);
         ranked.sort_by_key(|&(slot, _)| slot);
         assert_eq!(ranked, vec![(3, 2.0), (5, 1.0)]);
+    }
+
+    #[test]
+    fn inserting_a_slot_twice_equals_inserting_it_once() {
+        let set = |toks: &[&str]| toks.iter().map(|t| t.to_string()).collect::<HashSet<_>>();
+        let columns = [set(&["a", "b"]), set(&["a", "c"]), set(&[])];
+        for compact_min in [0, POOL_COMPACT_MIN] {
+            let (mut once, mut twice) = (
+                TokenPostings::new(compact_min),
+                TokenPostings::new(compact_min),
+            );
+            for store in [&mut once, &mut twice] {
+                store.insert(1, &[set(&["b", "d"])]);
+                store.insert(3, &columns);
+            }
+            twice.insert(3, &columns);
+            assert_eq!(twice.posting_stats(), once.posting_stats());
+            assert_eq!(twice.posting_stats(), (4, 6));
+            let summed: usize = twice.runs.values().flatten().map(|run| run.len()).sum();
+            assert_eq!(twice.live_weight, summed);
+            assert_eq!(twice.live_weight, once.live_weight);
+            // Resolved per store: at floor 0 the re-insert compacts, so the
+            // two pools may number the same tokens differently.
+            let ranked = |store: &TokenPostings| {
+                let query = [store.resolve(&set(&["a", "b", "d"]))];
+                let mut ranked = store.ranked(&query, 0.0, |ov| ov as f64);
+                ranked.sort_by_key(|&(slot, _)| slot);
+                ranked
+            };
+            assert_eq!(ranked(&twice), ranked(&once));
+            assert_eq!(ranked(&twice), vec![(1, 2.0), (3, 2.0)]);
+        }
     }
 
     #[test]

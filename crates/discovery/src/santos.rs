@@ -18,8 +18,10 @@
 //! 4. **Synthesized signal.** Where the KB knows neither domain, direct
 //!    value overlap (Jaccard) between the columns substitutes — the
 //!    laptop-scale stand-in for SANTOS's data-lake-synthesized KB. Column
-//!    value domains are sorted id runs kept by the leg's
-//!    [`TokenPostings`], compared by merging runs.
+//!    value domains are sorted id runs in a value [`TokenPostings`],
+//!    compared by merging runs. A standalone engine owns its store; a
+//!    `LakeIndex` keeps one value store per shard, read by SANTOS and the
+//!    joinable leg.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -62,7 +64,7 @@ impl Default for SantosConfig {
 }
 
 /// Per-column annotation kept in the index. The column's value tokens
-/// (for the synthesized signal) live as an id run in the engine's
+/// (for the synthesized signal) live as an id run in the value
 /// [`TokenPostings`], under the table's slot.
 #[derive(Debug, Clone, Default)]
 struct ColumnSemantics {
@@ -106,8 +108,9 @@ pub struct SantosDiscovery {
     /// Synthesized-signal index: each table's per-column value-token runs,
     /// and value token → table slots whose value domain (union over
     /// columns) contains it. Gives typeless (KB-poor) queries
-    /// best-bound-first retrieval.
-    tokens: TokenPostings,
+    /// best-bound-first retrieval. In a `LakeIndex` shard, the store the
+    /// joinable leg reads too.
+    pub(crate) tokens: Arc<TokenPostings>,
 }
 
 impl SantosDiscovery {
@@ -126,35 +129,53 @@ impl SantosDiscovery {
         config: SantosConfig,
         scope: ShardScope,
     ) -> SantosDiscovery {
-        let mut engine = SantosDiscovery {
-            kb,
-            config,
-            tables: BTreeMap::new(),
-            by_type: HashMap::new(),
-            tokens: TokenPostings::new(POOL_COMPACT_MIN),
-        };
+        let mut engine = SantosDiscovery::empty(kb, config);
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
         }
         engine
     }
 
+    /// An engine with no table annotated, over an empty store of its own.
+    pub(crate) fn empty(kb: Arc<KnowledgeBase>, config: SantosConfig) -> SantosDiscovery {
+        SantosDiscovery {
+            kb,
+            config,
+            tables: BTreeMap::new(),
+            by_type: HashMap::new(),
+            tokens: Arc::new(TokenPostings::new(POOL_COMPACT_MIN)),
+        }
+    }
+
     /// Annotate (or re-annotate) one table under its lake slot.
     /// `O(that table)`.
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
-        let (sem, token_sets) = annotate_table(&self.kb, table, &self.config);
+        let columns = column_token_sets(table);
+        self.annotate(slot, table, &columns);
+        Arc::make_mut(&mut self.tokens).insert(slot, &columns);
+    }
+
+    /// Drop the annotations of the table occupying a lake slot.
+    pub fn remove_table(&mut self, slot: u32) {
+        self.unannotate(slot);
+        Arc::make_mut(&mut self.tokens).remove(slot);
+    }
+
+    /// The annotation half of [`upsert_table`](Self::upsert_table), from
+    /// precomputed token sets; the slot must not be annotated.
+    pub(crate) fn annotate(&mut self, slot: u32, table: &Table, columns: &[HashSet<String>]) {
+        let sem = annotate_table(&self.kb, table, &self.config, columns);
         for col in &sem.columns {
             for (t, _) in &col.types {
                 self.by_type.entry(*t).or_default().insert(slot);
             }
         }
-        self.tokens.insert(slot, &token_sets);
         self.tables.insert(slot, sem);
     }
 
-    /// Drop the annotations of the table occupying a lake slot.
-    pub fn remove_table(&mut self, slot: u32) {
+    /// The annotation half of [`remove_table`](Self::remove_table).
+    pub(crate) fn unannotate(&mut self, slot: u32) {
         let Some(sem) = self.tables.remove(&slot) else {
             return;
         };
@@ -168,7 +189,6 @@ impl SantosDiscovery {
                 }
             }
         }
-        self.tokens.remove(slot);
     }
 
     /// Number of indexed tables.
@@ -246,15 +266,15 @@ fn annotate_column_specific(
     types
 }
 
-/// Annotate a table; also returns its per-column value-token sets, which
-/// the caller interns (lake tables) or resolves (queries) into runs.
+/// Annotate a table from its per-column value-token sets, which the
+/// caller also interns (lake tables) or resolves (queries) into runs.
 fn annotate_table(
     kb: &KnowledgeBase,
     table: &Table,
     config: &SantosConfig,
-) -> (TableSemantics, Vec<HashSet<String>>) {
+    token_sets: &[HashSet<String>],
+) -> TableSemantics {
     let ncols = table.column_count();
-    let token_sets = column_token_sets(table);
     let columns: Vec<ColumnSemantics> = token_sets
         .iter()
         .map(|tokens| ColumnSemantics {
@@ -281,13 +301,12 @@ fn annotate_table(
         }
     }
     let has_untyped_column = columns.iter().any(|c| c.types.is_empty());
-    let sem = TableSemantics {
+    TableSemantics {
         name: table.name().to_string(),
         columns,
         pairs,
         has_untyped_column,
-    };
-    (sem, token_sets)
+    }
 }
 
 /// Relationship of the ordered pair `(a, b)` normalized to "a plays subject".
@@ -392,7 +411,8 @@ impl SantosDiscovery {
         k: usize,
         cap: usize,
     ) -> (Vec<Discovered>, RetrievalStats) {
-        let (q_sem, q_sets) = annotate_table(&self.kb, &query.table, &self.config);
+        let q_sets = column_token_sets(&query.table);
+        let q_sem = annotate_table(&self.kb, &query.table, &self.config, &q_sets);
         if q_sem.columns.is_empty() || k == 0 {
             return (Vec::new(), RetrievalStats::default());
         }

@@ -1,6 +1,7 @@
 //! Sharded discovery: the storage/execution split over the [`LakeIndex`].
 //!
-//! One `LakeIndex` is a single-core monolith — one token store per leg,
+//! One `LakeIndex` is a single-core monolith — one value token store read
+//! by SANTOS and the joinable leg (metadata keeps its header store),
 //! one SANTOS inverted index, one LSH ensemble, and (for writers) one
 //! exclusive critical section per sync. At open-data-lake scale the
 //! storage must be partitioned. This module splits the stack in two:
@@ -196,7 +197,7 @@ pub struct ShardedLakeIndex {
     /// One scoped [`LakeIndex`] per stripe. Shard locks are only ever
     /// taken after the churn lock (never the reverse), so the order is
     /// acyclic.
-    shards: Vec<RwLock<LakeIndex>>,
+    pub(crate) shards: Vec<RwLock<LakeIndex>>,
     /// Serializes [`sync`](ShardedLakeIndex::sync) runs against each
     /// other and against the consistent-snapshot fallback of queries that
     /// keep losing the optimistic version race.
