@@ -20,6 +20,11 @@
 //!   leg per column domain for its exact verification and posting merge.
 //!   The store alone rewrites ids on
 //!   compaction; legs read runs by slot or domain and never see a remap.
+//!   Its layout is compact: the pool keeps each token's bytes once, in
+//!   one arena, and the postings are a `Vec` indexed by dense token id
+//!   whose lone posting — most tokens sit in one column — is stored
+//!   inline, with no heap list of its own. A token is live exactly when
+//!   its list is non-empty, which is all compaction needs to know.
 //!
 //! A slot-keyed leg keeps only what is its own: annotation, the bound
 //! formula and the score function, which compares runs with
@@ -198,6 +203,61 @@ fn union(runs: impl IntoIterator<Item = impl AsRef<[u32]>>) -> Vec<u32> {
     ids
 }
 
+/// The column domains holding one token, in no particular order. A lone
+/// domain is stored inline and an empty list allocates nothing, so most
+/// tokens of an open-data lake — the ones in a single column — cost no
+/// heap beyond their slot in the store's id-indexed `Vec`.
+#[derive(Clone, Debug)]
+enum Posting {
+    One(DomainKey),
+    /// Empty, or at least two domains: a list that falls to one goes
+    /// back to [`Posting::One`].
+    Many(Vec<DomainKey>),
+}
+
+impl Default for Posting {
+    fn default() -> Posting {
+        Posting::Many(Vec::new())
+    }
+}
+
+impl Posting {
+    fn is_empty(&self) -> bool {
+        matches!(self, Posting::Many(keys) if keys.is_empty())
+    }
+
+    fn as_slice(&self) -> &[DomainKey] {
+        match self {
+            Posting::One(key) => std::slice::from_ref(key),
+            Posting::Many(keys) => keys,
+        }
+    }
+
+    fn push(&mut self, key: DomainKey) {
+        match self {
+            Posting::One(first) => *self = Posting::Many(vec![*first, key]),
+            Posting::Many(keys) if keys.is_empty() => *self = Posting::One(key),
+            Posting::Many(keys) => keys.push(key),
+        }
+    }
+
+    /// Drop `key`, if present.
+    fn remove(&mut self, key: DomainKey) {
+        match self {
+            Posting::One(only) if *only == key => *self = Posting::default(),
+            Posting::One(_) => {}
+            Posting::Many(keys) => {
+                if let Some(pos) = keys.iter().position(|k| *k == key) {
+                    keys.swap_remove(pos);
+                }
+                if let [last] = keys[..] {
+                    *self = Posting::One(last);
+                }
+            }
+        }
+    }
+}
+
 /// A discovery token store: one [`StringPool`], each
 /// indexed slot's per-column token runs, and `token id → column domains`
 /// postings over them. Every indexed slot is known, even one with no
@@ -210,8 +270,9 @@ fn union(runs: impl IntoIterator<Item = impl AsRef<[u32]>>) -> Vec<u32> {
 #[derive(Clone, Default)]
 pub(crate) struct TokenPostings {
     pool: StringPool,
-    /// Token id → the column domains whose run contains it.
-    postings: HashMap<u32, Vec<DomainKey>>,
+    /// Indexed by token id, one per pool id: the column domains whose run
+    /// contains it. A token is live exactly when its list is non-empty.
+    postings: Vec<Posting>,
     /// Slot → one sorted id run per column, in column order.
     runs: HashMap<u32, Vec<Run>>,
     /// Σ run lengths over indexed slots: the live posting entries.
@@ -228,7 +289,7 @@ impl TokenPostings {
     pub(crate) fn new(compact_min: usize) -> TokenPostings {
         TokenPostings {
             pool: StringPool::new(),
-            postings: HashMap::new(),
+            postings: Vec::new(),
             runs: HashMap::new(),
             live_weight: 0,
             retired_weight: 0,
@@ -251,11 +312,9 @@ impl TokenPostings {
             sorted.sort_unstable();
             let mut run: Vec<u32> = sorted.into_iter().map(|t| self.pool.intern(t)).collect();
             run.sort_unstable();
+            self.postings.resize_with(self.pool.len(), Posting::default);
             for &id in &run {
-                self.postings
-                    .entry(id)
-                    .or_default()
-                    .push((slot, col as u32));
+                self.postings[id as usize].push((slot, col as u32));
             }
             self.live_weight += run.len();
             runs.push(run.into_boxed_slice());
@@ -272,15 +331,8 @@ impl TokenPostings {
         };
         for (col, run) in runs.iter().enumerate() {
             let key: DomainKey = (slot, col as u32);
-            for id in run.iter() {
-                if let Some(list) = self.postings.get_mut(id) {
-                    if let Some(pos) = list.iter().position(|k| *k == key) {
-                        list.swap_remove(pos);
-                    }
-                    if list.is_empty() {
-                        self.postings.remove(id);
-                    }
-                }
+            for &id in run.iter() {
+                self.postings[id as usize].remove(key);
             }
             self.live_weight -= run.len();
             self.retired_weight += run.len();
@@ -290,20 +342,19 @@ impl TokenPostings {
         }
     }
 
-    /// Drop every token no run references and rewrite all stored ids
-    /// through the pool's remap, in place: the remap is monotone, so runs
-    /// stay sorted. `O(live tokens + pool)`.
+    /// Drop every token no run references — exactly those with an empty
+    /// posting list — and rewrite all stored ids through the pool's
+    /// remap, in place: the remap is monotone, so runs stay sorted, and
+    /// the survivors' postings keep their order at their new ids.
+    /// `O(live tokens + pool)`.
     fn compact(&mut self) {
-        let live: HashSet<u32> = self.runs.values().flatten().flatten().copied().collect();
-        let remap = self.pool.compact(&live);
+        let postings = &self.postings;
+        let remap = self.pool.compact(|id| !postings[id as usize].is_empty());
         for id in self.runs.values_mut().flatten().flatten() {
             *id = remap[*id as usize];
             debug_assert_ne!(*id, POOL_ID_DROPPED, "live id dropped");
         }
-        self.postings = std::mem::take(&mut self.postings)
-            .into_iter()
-            .map(|(id, list)| (remap[id as usize], list))
-            .collect();
+        self.postings.retain(|list| !list.is_empty());
         self.retired_weight = 0;
     }
 
@@ -334,7 +385,8 @@ impl TokenPostings {
 
     /// The column domains holding token `id`; `None` when none does.
     pub(crate) fn posting(&self, id: u32) -> Option<&[DomainKey]> {
-        self.postings.get(&id).map(Vec::as_slice)
+        let list = self.postings.get(id as usize)?;
+        (!list.is_empty()).then(|| list.as_slice())
     }
 
     /// Resolve a query column through the pool, never interning: the
@@ -397,10 +449,10 @@ impl TokenPostings {
     /// `(distinct tokens with postings, total posting entries)`; the
     /// latter always equals the summed run lengths.
     pub(crate) fn posting_stats(&self) -> (usize, usize) {
-        (
-            self.postings.len(),
-            self.postings.values().map(Vec::len).sum(),
-        )
+        let lists = self.postings.iter().filter(|list| !list.is_empty());
+        lists.fold((0, 0), |(tokens, entries), list| {
+            (tokens + 1, entries + list.as_slice().len())
+        })
     }
 
     /// The token behind a pool id.
@@ -515,6 +567,84 @@ mod tests {
         prop::collection::vec((0u8..6, 0u8..3), 0..24)
     }
 
+    /// Churn steps `(slot, op, columns)`: `op == 0` removes the slot, any
+    /// other op (re-)inserts it with `columns`, each a set of token
+    /// numbers out of a vocabulary small enough that lists grow past one
+    /// domain and fall back.
+    fn churn() -> impl Strategy<Value = Vec<(u32, u8, Vec<Vec<u32>>)>> {
+        let columns = prop::collection::vec(prop::collection::vec(0u32..8, 0..4), 0..3);
+        prop::collection::vec((0u32..5, 0u8..4, columns), 0..40)
+    }
+
+    fn token_set(nums: &[u32]) -> HashSet<String> {
+        nums.iter().map(|n| format!("t{n}")).collect()
+    }
+
+    /// `store` over `tables` against the naive oracle, token number →
+    /// domain set: every posting as a set, `posting_stats`, `ranked` with
+    /// and without the zero-overlap base, and the list layout.
+    fn agrees_with_oracle(
+        store: &TokenPostings,
+        tables: &BTreeMap<u32, Vec<Vec<u32>>>,
+        query: &[Vec<u32>],
+    ) {
+        let mut oracle: HashMap<u32, HashSet<DomainKey>> = HashMap::new();
+        for (&slot, columns) in tables {
+            for (col, nums) in columns.iter().enumerate() {
+                for &n in nums {
+                    oracle.entry(n).or_default().insert((slot, col as u32));
+                }
+            }
+        }
+        for n in 0..10 {
+            let want = oracle.get(&n).cloned().unwrap_or_default();
+            let id = store.pool.get(&format!("t{n}"));
+            let got = id.and_then(|id| store.posting(id));
+            assert!(got.is_none_or(|list| !list.is_empty()));
+            let got: HashSet<DomainKey> = got.unwrap_or_default().iter().copied().collect();
+            assert_eq!(got, want, "token t{}", n);
+        }
+        let entries: usize = oracle.values().map(HashSet::len).sum();
+        assert_eq!(store.posting_stats(), (oracle.len(), entries));
+
+        let resolved: Vec<QueryColumn> = query
+            .iter()
+            .map(|nums| store.resolve(&token_set(nums)))
+            .collect();
+        let query: HashSet<u32> = query.iter().flatten().copied().collect();
+        let mut overlap: BTreeMap<u32, usize> = BTreeMap::new();
+        for n in &query {
+            let slots: HashSet<u32> = oracle.get(n).into_iter().flatten().map(|k| k.0).collect();
+            for slot in slots {
+                *overlap.entry(slot).or_default() += 1;
+            }
+        }
+        for base in [0.0, 1.0] {
+            let mut got = store.ranked(&resolved, 0.0, |ov| ov as f64 + base);
+            got.sort_by_key(|&(slot, _)| slot);
+            let want: Vec<(u32, f64)> = tables
+                .keys()
+                .filter_map(|slot| match overlap.get(slot) {
+                    Some(&ov) => Some((*slot, ov as f64 + base)),
+                    None => (base > 0.0).then_some((*slot, base)),
+                })
+                .collect();
+            assert_eq!(got, want);
+        }
+
+        assert_eq!(store.postings.len(), store.pool_len());
+        for list in &store.postings {
+            match list {
+                Posting::One(_) => {}
+                Posting::Many(keys) => assert!(
+                    keys.len() >= 2 || keys.capacity() == 0,
+                    "a lone or empty list left on the heap: {:?}",
+                    list
+                ),
+            }
+        }
+    }
+
     fn k_of(n: usize, pick: usize) -> usize {
         if pick > n + 2 {
             usize::MAX
@@ -580,6 +710,74 @@ mod tests {
                 prop_assert_eq!(&hits, &case.brute_force(k));
             }
         }
+
+        /// The store under random insert, re-insert and remove sequences
+        /// equals a naive `token → domains` oracle after every step, at
+        /// both compaction floors. Whenever no entry is retired since the
+        /// last compaction, the pool holds exactly the tokens a fresh store
+        /// over the surviving slots interns.
+        #[test]
+        fn store_equals_a_naive_oracle_under_churn(
+            ops in churn(),
+            query in prop::collection::vec(prop::collection::vec(0u32..10, 0..6), 1..3),
+        ) {
+            for compact_min in [0, POOL_COMPACT_MIN] {
+                let mut store = TokenPostings::new(compact_min);
+                let mut tables: BTreeMap<u32, Vec<Vec<u32>>> = BTreeMap::new();
+                for (slot, op, columns) in &ops {
+                    if *op == 0 {
+                        store.remove(*slot);
+                        tables.remove(slot);
+                    } else {
+                        let sets: Vec<HashSet<String>> =
+                            columns.iter().map(|nums| token_set(nums)).collect();
+                        store.insert(*slot, &sets);
+                        let mut columns = columns.clone();
+                        for nums in &mut columns {
+                            nums.sort_unstable();
+                            nums.dedup();
+                        }
+                        tables.insert(*slot, columns);
+                    }
+                    agrees_with_oracle(&store, &tables, &query);
+                    if store.retired_weight == 0 {
+                        let mut fresh = TokenPostings::new(compact_min);
+                        for (&slot, columns) in &tables {
+                            let sets: Vec<HashSet<String>> =
+                                columns.iter().map(|nums| token_set(nums)).collect();
+                            fresh.insert(slot, &sets);
+                        }
+                        prop_assert_eq!(store.pool_len(), fresh.pool_len());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_posting_list_goes_one_many_one_empty() {
+        assert_eq!(std::mem::size_of::<Posting>(), 24);
+        let mut store = TokenPostings::new(POOL_COMPACT_MIN);
+        let lone = |store: &TokenPostings| match store.postings[..] {
+            [Posting::One(key)] => Some(key),
+            _ => None,
+        };
+        store.insert(1, &[token_set(&[7])]);
+        assert_eq!(lone(&store), Some((1, 0)));
+        store.insert(2, &[token_set(&[]), token_set(&[7])]);
+        assert!(matches!(&store.postings[..], [Posting::Many(keys)] if keys.len() == 2));
+        store.remove(1);
+        assert_eq!(lone(&store), Some((2, 1)));
+        assert_eq!(store.posting(0), Some(&[(2, 1)][..]));
+        store.remove(2);
+        assert!(matches!(&store.postings[..], [Posting::Many(keys)] if keys.capacity() == 0));
+        assert_eq!(store.posting(0), None);
+        assert_eq!(store.posting_stats(), (0, 0));
+        // Still below the floor: the dead token stays interned until a
+        // compaction, and a re-insert revives its id.
+        assert_eq!(store.pool_len(), 1);
+        store.insert(3, &[token_set(&[7])]);
+        assert_eq!(lone(&store), Some((3, 0)));
     }
 
     #[test]

@@ -1,8 +1,16 @@
-//! Heap-share gate: a `LakeIndex` shard keeps one value token store, read
-//! by SANTOS and the joinable leg (metadata keeps its header store), so
-//! the three-leg index holds little more than the joinable and metadata
-//! legs built alone. A second value store would add about as much as a
-//! standalone SANTOS engine, whose store is most of its heap.
+//! Heap-share gates, two bounds on one measurement:
+//!
+//! * **One store per shard.** A `LakeIndex` shard keeps one value token
+//!   store, read by SANTOS and the joinable leg (metadata keeps its header
+//!   store), so the three-leg index holds little more than the joinable
+//!   and metadata legs built alone. A second value store would add about
+//!   as much as a standalone SANTOS engine, whose store is most of its
+//!   heap.
+//! * **A compact store.** A standalone `SantosDiscovery` — its value store
+//!   plus annotations — holds at most 1.5× the lake it indexes. The store
+//!   keeps each token's bytes once in an arena and a lone posting inline;
+//!   two `String`s per token and a heap list per posting put the engine
+//!   near 3× the lake.
 //!
 //! A counting global allocator measures each structure's live heap on a
 //! heterogeneous open-data lake and the test prints the table. It is a
@@ -103,6 +111,7 @@ fn three_leg_index_holds_one_value_store() {
     drop(index);
 
     let bound = lshe_b + metadata_b + santos_b / 4;
+    let santos_bound = lake_b + lake_b / 2;
     let mib = |bytes: usize| bytes as f64 / f64::from(1 << 20);
     println!("live heap, {} tables:", lake.len());
     for (name, bytes) in [
@@ -112,6 +121,7 @@ fn three_leg_index_holds_one_value_store() {
         ("MetadataDiscovery", metadata_b),
         ("LakeIndex (3 legs)", index_b),
         ("bound: lshe + metadata + santos/4", bound),
+        ("bound on santos: 1.5 × lake", santos_bound),
     ] {
         println!("  {name:<34} {:>8.2} MiB", mib(bytes));
     }
@@ -120,5 +130,11 @@ fn three_leg_index_holds_one_value_store() {
         "the index holds {:.2} MiB, over the one-store bound of {:.2} MiB",
         mib(index_b),
         mib(bound)
+    );
+    assert!(
+        santos_b <= santos_bound,
+        "SANTOS holds {:.2} MiB, over 1.5 × the lake's {:.2} MiB",
+        mib(santos_b),
+        mib(lake_b)
     );
 }
