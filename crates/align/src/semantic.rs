@@ -106,11 +106,11 @@ impl SemanticAnnotator for KbAnnotator {
         let mut votes: HashMap<String, usize> = HashMap::new();
         let mut known = 0usize;
         for tok in tokens {
-            let leafs = self.kb.leaf_types_of(tok);
+            let leafs = self.kb.leaf_types_of(tok).unwrap_or_default();
             if !leafs.is_empty() {
                 known += 1;
             }
-            for t in leafs {
+            for &t in leafs {
                 *votes.entry(self.kb.type_name(t).to_string()).or_insert(0) += 1;
             }
         }

@@ -7,7 +7,10 @@
 //!
 //! 1. **Index.** For every lake table, annotate each column with its top
 //!    semantic type (confidence-weighted, alias-resolved, leaf types) and
-//!    each ordered column pair with its top relationship. An inverted index
+//!    each ordered column pair with its top relationship. Relationships
+//!    are annotated only between KB-covered columns (some value resolves),
+//!    since a row votes for one only when both its values resolve; one KB
+//!    lookup per distinct token decides coverage. An inverted index
 //!    `type → tables` provides candidate retrieval.
 //! 2. **Query.** Annotate the query the same way; build its star graph
 //!    around the intent column.
@@ -230,27 +233,32 @@ impl SantosDiscovery {
 /// would make city and country columns indistinguishable through a shared
 /// distant ancestor ("place"), destroying discrimination — SANTOS likewise
 /// prefers the most specific annotation.
+///
+/// Also returns whether the column is *covered*: some token resolves in
+/// the KB, typed or not (an entity registered only by a fact has no types
+/// but carries relationships). Each token is looked up once.
 fn annotate_column_specific(
     kb: &KnowledgeBase,
     tokens: &HashSet<String>,
     min_confidence: f64,
-) -> Vec<(TypeId, f64)> {
-    if tokens.is_empty() {
-        return Vec::new();
-    }
+) -> (Vec<(TypeId, f64)>, bool) {
+    let mut covered = false;
     let mut votes: HashMap<TypeId, f64> = HashMap::new();
+    let mut token_votes: HashMap<TypeId, f64> = HashMap::new();
     for tok in tokens {
-        let leafs = kb.leaf_types_of(tok);
-        let mut token_votes: HashMap<TypeId, f64> = HashMap::new();
-        for t in &leafs {
+        let Some(leafs) = kb.leaf_types_of(tok) else {
+            continue;
+        };
+        covered = true;
+        for t in leafs {
             token_votes.insert(*t, 1.0);
         }
-        for t in &leafs {
+        for t in leafs {
             for p in kb.parent_types(*t) {
                 token_votes.entry(*p).or_insert(0.5);
             }
         }
-        for (t, w) in token_votes {
+        for (t, w) in token_votes.drain() {
             *votes.entry(t).or_insert(0.0) += w;
         }
     }
@@ -263,27 +271,49 @@ fn annotate_column_specific(
     // total_cmp: confidences can be NaN on degenerate inputs; sorting must
     // stay panic-free and deterministic.
     types.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    types
+    (types, covered)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Column pairs handed to the KB's relation vote by this thread, so
+    /// tests can pin that uncovered pairs never pay the per-row walk.
+    static KB_PAIRS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Annotate a table from its per-column value-token sets, which the
 /// caller also interns (lake tables) or resolves (queries) into runs.
+///
+/// A relationship vote needs both values of a row to resolve, and a row's
+/// values are tokens of their columns, so only pairs of covered columns
+/// are walked row by row; every other pair gets no relationship, exactly
+/// as the vote would give it.
 fn annotate_table(
     kb: &KnowledgeBase,
     table: &Table,
     config: &SantosConfig,
     token_sets: &[HashSet<String>],
 ) -> TableSemantics {
-    let ncols = table.column_count();
+    let mut covered = Vec::new();
+    // Collected from an exact-size iterator, so the `Vec` the index keeps
+    // per table has no spare capacity (`unzip` would round a one-column
+    // table up to four slots).
     let columns: Vec<ColumnSemantics> = token_sets
         .iter()
-        .map(|tokens| ColumnSemantics {
-            types: annotate_column_specific(kb, tokens, config.min_confidence),
+        .enumerate()
+        .map(|(c, tokens)| {
+            let (types, is_covered) = annotate_column_specific(kb, tokens, config.min_confidence);
+            if is_covered {
+                covered.push(c);
+            }
+            ColumnSemantics { types }
         })
         .collect();
     let mut pairs = HashMap::new();
-    for a in 0..ncols {
-        for b in (a + 1)..ncols {
+    for (i, &a) in covered.iter().enumerate() {
+        for &b in &covered[i + 1..] {
+            #[cfg(test)]
+            KB_PAIRS.with(|n| n.set(n.get() + 1));
             let pair_values: Vec<(String, String)> = table
                 .rows()
                 .filter_map(|row| {
@@ -901,6 +931,221 @@ mod tests {
             fresh.discover_capped(&q, 5, 100),
             "post-compaction bounded retrieval must answer like a rebuild"
         );
+    }
+
+    /// The relationship half of [`annotate_table`] before covered-pair
+    /// skipping: the KB's vote over *every* column pair.
+    fn every_pair_vote(
+        kb: &KnowledgeBase,
+        table: &Table,
+        config: &SantosConfig,
+    ) -> HashMap<(usize, usize), (RelationId, Direction, f64)> {
+        let ncols = table.column_count();
+        let mut pairs = HashMap::new();
+        for a in 0..ncols {
+            for b in (a + 1)..ncols {
+                let values: Vec<(String, String)> = table
+                    .rows()
+                    .filter_map(|row| Some((row[a].overlap_token()?, row[b].overlap_token()?)))
+                    .collect();
+                let ann = kb.annotate_pair(values.iter().map(|(x, y)| (x.as_str(), y.as_str())));
+                if let Some(((rel, dir), conf)) = ann.top() {
+                    if conf >= config.min_confidence {
+                        pairs.insert((a, b), (rel, dir, conf));
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    /// The column half of [`annotate_table`] as first written: every token
+    /// votes, an unknown one with no types.
+    fn reference_column_types(
+        kb: &KnowledgeBase,
+        tokens: &HashSet<String>,
+        min_confidence: f64,
+    ) -> Vec<(TypeId, f64)> {
+        let mut votes: HashMap<TypeId, f64> = HashMap::new();
+        for tok in tokens {
+            let leafs = kb.leaf_types_of(tok).unwrap_or_default();
+            let mut token_votes: HashMap<TypeId, f64> = HashMap::new();
+            for t in leafs {
+                token_votes.insert(*t, 1.0);
+            }
+            for t in leafs {
+                for p in kb.parent_types(*t) {
+                    token_votes.entry(*p).or_insert(0.5);
+                }
+            }
+            for (t, w) in token_votes {
+                *votes.entry(t).or_insert(0.0) += w;
+            }
+        }
+        let total = tokens.len() as f64;
+        let mut types: Vec<(TypeId, f64)> = votes
+            .into_iter()
+            .map(|(t, v)| (t, v / total))
+            .filter(|(_, conf)| *conf >= min_confidence)
+            .collect();
+        types.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        types
+    }
+
+    /// Value families of the differential KB. Row `r` of a subject family
+    /// relates to row `r` of its object family.
+    const FAMILIES: usize = 8;
+
+    /// Typed cities located in typed countries (aliased as `ctr <i>`),
+    /// fact-only suppliers and buyers, number facts, and an alias whose
+    /// canonical entity is unknown.
+    fn differential_kb() -> KnowledgeBase {
+        let mut b = dialite_kb::KbBuilder::new();
+        b.add_type("place", None);
+        b.add_type("city", Some("place"));
+        b.add_type("country", Some("place"));
+        for i in 0..3 {
+            b.add_entity(&format!("city {i}"), &["city"]);
+            b.add_entity(&format!("country {i}"), &["country"]);
+            b.add_alias(&format!("ctr {i}"), &format!("country {i}"));
+            b.add_fact(&format!("city {i}"), "located_in", &format!("country {i}"));
+            b.add_fact(&format!("supplier {i}"), "supplies", &format!("buyer {i}"));
+            b.add_fact(&i.to_string(), "halves", &format!("{}.5", i));
+        }
+        b.add_alias("ghost", "nowhere");
+        b.build()
+    }
+
+    /// Cell of family `family` on row `row`; `noise` picks a spelling
+    /// variant, a null or an unknown token.
+    fn differential_cell(family: usize, row: usize, noise: usize) -> Value {
+        let i = row % 3;
+        let label = match family {
+            0 => format!("city {i}"),
+            1 => format!("country {i}"),
+            2 => format!("ctr {i}"),
+            3 => format!("supplier {i}"),
+            4 => format!("buyer {i}"),
+            5 => return Value::Int(i as i64),
+            6 => return Value::Float(i as f64 + 0.5),
+            _ => format!("unknown {row}"),
+        };
+        Value::Text(match noise {
+            0 | 1 => label,
+            2 => label.to_uppercase(),
+            3 => format!("  {label} "),
+            4 => label.replace(' ', "   "),
+            5 => label.replace(' ', "\t"),
+            6 => return Value::null_missing(),
+            7 => "ghost".to_string(),
+            8 => format!("zzz {row}"),
+            _ => return Value::Int(row as i64 * 7),
+        })
+    }
+
+    fn differential_table(families: &[usize], noise: &[Vec<usize>]) -> Table {
+        let headers: Vec<String> = (0..families.len()).map(|c| format!("c{c}")).collect();
+        let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+        let rows: Vec<Vec<Value>> = noise
+            .iter()
+            .enumerate()
+            .map(|(r, cells)| {
+                families
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &f)| differential_cell(f, r, cells[c % cells.len()]))
+                    .collect()
+            })
+            .collect();
+        Table::from_rows("t", &headers, rows).unwrap()
+    }
+
+    fn assert_matches_every_pair_vote(kb: &KnowledgeBase, table: &Table) {
+        let config = SantosConfig::default();
+        let token_sets = column_token_sets(table);
+        let sem = annotate_table(kb, table, &config, &token_sets);
+        assert_eq!(sem.pairs, every_pair_vote(kb, table, &config), "{table:?}");
+        let types: Vec<Vec<(TypeId, f64)>> = token_sets
+            .iter()
+            .map(|tokens| reference_column_types(kb, tokens, config.min_confidence))
+            .collect();
+        let got: Vec<Vec<(TypeId, f64)>> = sem.columns.iter().map(|c| c.types.clone()).collect();
+        assert_eq!(got, types, "{table:?}");
+        assert_eq!(
+            sem.has_untyped_column,
+            types.iter().any(Vec::is_empty),
+            "{table:?}"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+        #[test]
+        fn covered_pair_skip_equals_the_every_pair_vote(
+            families in proptest::collection::vec(0..FAMILIES, 1..5),
+            noise in proptest::collection::vec(
+                proptest::collection::vec(0usize..12, 1..5),
+                0..9,
+            ),
+        ) {
+            let kb = differential_kb();
+            assert_matches_every_pair_vote(&kb, &differential_table(&families, &noise));
+        }
+    }
+
+    #[test]
+    fn fact_only_columns_still_get_their_relation() {
+        // Suppliers and buyers are registered only by facts: no types, yet
+        // their column pair carries `supplies`.
+        let kb = differential_kb();
+        let table = differential_table(&[3, 4], &[vec![0], vec![0], vec![0]]);
+        let sem = annotate_table(
+            &kb,
+            &table,
+            &SantosConfig::default(),
+            &column_token_sets(&table),
+        );
+        assert!(sem.columns.iter().all(|c| c.types.is_empty()));
+        let supplies = kb.relation_id("supplies").unwrap();
+        assert_eq!(sem.pairs[&(0, 1)], (supplies, Direction::Forward, 1.0));
+        assert_matches_every_pair_vote(&kb, &table);
+    }
+
+    /// Column pairs [`annotate_table`] hands the KB while `f` runs.
+    fn kb_pairs_during(f: impl FnOnce()) -> usize {
+        KB_PAIRS.with(|n| n.set(0));
+        f();
+        KB_PAIRS.with(|n| n.get())
+    }
+
+    #[test]
+    fn uncovered_pairs_never_reach_the_kb() {
+        let kb = Arc::new(covid_kb());
+        let spec = dialite_datagen::workloads::HeterogeneousLakeWorkload {
+            tables: 200,
+            ..Default::default()
+        };
+        let lake = spec.lake();
+        let built = kb_pairs_during(|| {
+            SantosDiscovery::build(&lake, kb.clone(), SantosConfig::default());
+        });
+        assert_eq!(built, 0, "no hetero-lake column resolves in the KB");
+
+        let config = SantosConfig::default();
+        let mut all_covered = 0;
+        for (_, table) in demo_lake().entries() {
+            let token_sets = column_token_sets(table);
+            let n = token_sets.len();
+            if !token_sets.iter().all(|t| t.iter().any(|tok| kb.knows(tok))) {
+                continue;
+            }
+            all_covered += 1;
+            let handed = kb_pairs_during(|| {
+                annotate_table(&kb, table, &config, &token_sets);
+            });
+            assert_eq!(handed, n * (n - 1) / 2, "{}", table.name());
+        }
+        assert!(all_covered > 0, "demo_lake has a fully covered table");
     }
 
     #[test]

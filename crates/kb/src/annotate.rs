@@ -77,7 +77,9 @@ impl KnowledgeBase {
         let mut distinct: HashMap<String, ()> = HashMap::new();
         for v in values {
             if !v.trim().is_empty() {
-                distinct.entry(crate::base::normalize(v)).or_insert(());
+                distinct
+                    .entry(crate::base::normalize(v).into_owned())
+                    .or_insert(());
             }
         }
         let total = distinct.len();
@@ -117,7 +119,10 @@ impl KnowledgeBase {
         for (a, b) in pairs {
             if !a.trim().is_empty() && !b.trim().is_empty() {
                 distinct
-                    .entry((crate::base::normalize(a), crate::base::normalize(b)))
+                    .entry((
+                        crate::base::normalize(a).into_owned(),
+                        crate::base::normalize(b).into_owned(),
+                    ))
                     .or_insert(());
             }
         }

@@ -1,5 +1,6 @@
 //! The knowledge-base storage: interned types, entities, aliases and facts.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 /// Interned identifier of a semantic type (class).
@@ -11,8 +12,13 @@ pub struct TypeId(pub u32);
 pub struct RelationId(pub u32);
 
 /// Normalize an entity mention for dictionary lookup: trim, lowercase,
-/// collapse internal whitespace.
-pub(crate) fn normalize(label: &str) -> String {
+/// collapse internal whitespace. A mention already in normal form is
+/// borrowed, not copied — the common case for lake tokens, which arrive
+/// trimmed and lower-cased.
+pub(crate) fn normalize(label: &str) -> Cow<'_, str> {
+    if is_normal(label) {
+        return Cow::Borrowed(label);
+    }
     let mut out = String::with_capacity(label.len());
     let mut last_space = true;
     for c in label.trim().chars() {
@@ -28,7 +34,34 @@ pub(crate) fn normalize(label: &str) -> String {
             last_space = false;
         }
     }
-    out
+    Cow::Owned(out)
+}
+
+/// `true` when [`normalize`] would return `label` unchanged: no leading,
+/// trailing or repeated whitespace, no whitespace but `' '`, and every
+/// character its own lowercase.
+fn is_normal(label: &str) -> bool {
+    let mut last_space = true;
+    for c in label.chars() {
+        if c.is_whitespace() {
+            if c != ' ' || last_space {
+                return false;
+            }
+            last_space = true;
+        } else {
+            let own_lowercase = if c.is_ascii() {
+                !c.is_ascii_uppercase()
+            } else {
+                let mut lower = c.to_lowercase();
+                lower.next() == Some(c) && lower.next().is_none()
+            };
+            if !own_lowercase {
+                return false;
+            }
+            last_space = false;
+        }
+    }
+    label.is_empty() || !last_space
 }
 
 /// Builder for a [`KnowledgeBase`].
@@ -39,7 +72,7 @@ pub struct KbBuilder {
     type_parents: HashMap<TypeId, Vec<TypeId>>,
     rel_names: Vec<String>,
     rel_ids: HashMap<String, RelationId>,
-    entity_types: HashMap<String, HashSet<TypeId>>,
+    entity_types: HashMap<String, Vec<TypeId>>,
     aliases: HashMap<String, String>,
     facts: HashMap<(String, String), HashSet<RelationId>>,
 }
@@ -65,7 +98,7 @@ impl KbBuilder {
     }
 
     fn intern_type(&mut self, name: &str) -> TypeId {
-        let key = normalize(name);
+        let key = normalize(name).into_owned();
         if let Some(&id) = self.type_ids.get(&key) {
             return id;
         }
@@ -76,7 +109,7 @@ impl KbBuilder {
     }
 
     fn intern_relation(&mut self, name: &str) -> RelationId {
-        let key = normalize(name);
+        let key = normalize(name).into_owned();
         if let Some(&id) = self.rel_ids.get(&key) {
             return id;
         }
@@ -88,23 +121,33 @@ impl KbBuilder {
 
     /// Register an entity with its (leaf) types. Repeated calls merge types.
     pub fn add_entity(&mut self, label: &str, types: &[&str]) {
-        let key = normalize(label);
         let ids: Vec<TypeId> = types.iter().map(|t| self.intern_type(t)).collect();
-        self.entity_types.entry(key).or_default().extend(ids);
+        let leafs = self
+            .entity_types
+            .entry(normalize(label).into_owned())
+            .or_default();
+        for id in ids {
+            if !leafs.contains(&id) {
+                leafs.push(id);
+            }
+        }
     }
 
     /// Register an alias (e.g. "USA" → "United States"). Alias resolution is
     /// one level deep, matching how gazetteer aliases work in practice.
     pub fn add_alias(&mut self, alias: &str, canonical: &str) {
-        self.aliases.insert(normalize(alias), normalize(canonical));
+        self.aliases.insert(
+            normalize(alias).into_owned(),
+            normalize(canonical).into_owned(),
+        );
     }
 
     /// Record a directed relationship fact `subject --relation--> object`.
     /// Entities are auto-registered (with no types) if unknown.
     pub fn add_fact(&mut self, subject: &str, relation: &str, object: &str) {
         let rel = self.intern_relation(relation);
-        let s = normalize(subject);
-        let o = normalize(object);
+        let s = normalize(subject).into_owned();
+        let o = normalize(object).into_owned();
         self.entity_types.entry(s.clone()).or_default();
         self.entity_types.entry(o.clone()).or_default();
         self.facts.entry((s, o)).or_default().insert(rel);
@@ -167,41 +210,47 @@ pub struct KnowledgeBase {
     type_parents: HashMap<TypeId, Vec<TypeId>>,
     rel_names: Vec<String>,
     rel_ids: HashMap<String, RelationId>,
-    entity_types: HashMap<String, HashSet<TypeId>>,
+    entity_types: HashMap<String, Vec<TypeId>>,
     aliases: HashMap<String, String>,
     facts: HashMap<(String, String), HashSet<RelationId>>,
 }
 
 impl KnowledgeBase {
+    /// The canonical key and leaf types of a mention, through
+    /// normalization and (one-level) aliasing. Allocates nothing for a
+    /// mention already in normal form.
+    pub(crate) fn entity(&self, mention: &str) -> Option<(&str, &[TypeId])> {
+        let norm = normalize(mention);
+        let (key, leafs) = match self.entity_types.get_key_value(norm.as_ref()) {
+            Some(hit) => hit,
+            None => {
+                let canonical = self.aliases.get(norm.as_ref())?;
+                self.entity_types.get_key_value(canonical.as_str())?
+            }
+        };
+        Some((key, leafs))
+    }
+
     /// Resolve a mention through normalization and (one-level) aliasing to
     /// the canonical entity key, if the entity is known.
-    pub fn resolve(&self, mention: &str) -> Option<String> {
-        let norm = normalize(mention);
-        if self.entity_types.contains_key(&norm) {
-            return Some(norm);
-        }
-        let via_alias = self.aliases.get(&norm)?;
-        self.entity_types
-            .contains_key(via_alias)
-            .then(|| via_alias.clone())
+    pub fn resolve(&self, mention: &str) -> Option<&str> {
+        self.entity(mention).map(|(key, _)| key)
     }
 
     /// `true` if the mention resolves to a known entity.
     pub fn knows(&self, mention: &str) -> bool {
-        self.resolve(mention).is_some()
+        self.entity(mention).is_some()
     }
 
     /// All types of a mention *including ancestors*; empty if unknown.
     pub fn types_of(&self, mention: &str) -> HashSet<TypeId> {
-        let Some(key) = self.resolve(mention) else {
+        let Some((_, leafs)) = self.entity(mention) else {
             return HashSet::new();
         };
         let mut out = HashSet::new();
-        if let Some(leafs) = self.entity_types.get(&key) {
-            for t in leafs {
-                if let Some(anc) = self.ancestors.get(t) {
-                    out.extend(anc.iter().copied());
-                }
+        for t in leafs {
+            if let Some(anc) = self.ancestors.get(t) {
+                out.extend(anc.iter().copied());
             }
         }
         out
@@ -210,12 +259,11 @@ impl KnowledgeBase {
     /// Only the *direct* (leaf) types of a mention, without ancestor
     /// expansion — the most specific classification. Schema matching uses
     /// these so that a shared distant ancestor ("place") does not make city
-    /// and country columns look alike.
-    pub fn leaf_types_of(&self, mention: &str) -> HashSet<TypeId> {
-        let Some(key) = self.resolve(mention) else {
-            return HashSet::new();
-        };
-        self.entity_types.get(&key).cloned().unwrap_or_default()
+    /// and country columns look alike. `None` when the mention does not
+    /// resolve; a known entity without types (one registered only by a
+    /// fact) yields an empty slice.
+    pub fn leaf_types_of(&self, mention: &str) -> Option<&[TypeId]> {
+        self.entity(mention).map(|(_, leafs)| leafs)
     }
 
     /// Direct parent types (one subclass step up); empty for roots.
@@ -228,7 +276,8 @@ impl KnowledgeBase {
         let (Some(ka), Some(kb)) = (self.resolve(a), self.resolve(b)) else {
             return HashSet::new();
         };
-        self.facts.get(&(ka, kb)).cloned().unwrap_or_default()
+        let key = (ka.to_owned(), kb.to_owned());
+        self.facts.get(&key).cloned().unwrap_or_default()
     }
 
     /// Name of a type id.
@@ -243,12 +292,12 @@ impl KnowledgeBase {
 
     /// Look up a type id by name.
     pub fn type_id(&self, name: &str) -> Option<TypeId> {
-        self.type_ids.get(&normalize(name)).copied()
+        self.type_ids.get(normalize(name).as_ref()).copied()
     }
 
     /// Look up a relationship id by name.
     pub fn relation_id(&self, name: &str) -> Option<RelationId> {
-        self.rel_ids.get(&normalize(name)).copied()
+        self.rel_ids.get(normalize(name).as_ref()).copied()
     }
 
     /// Size statistics.
@@ -311,6 +360,18 @@ mod tests {
     }
 
     #[test]
+    fn normal_forms_are_borrowed() {
+        for normal in ["", "berlin", "new delhi", "straße", "i\u{307}"] {
+            assert!(matches!(normalize(normal), Cow::Borrowed(_)), "{normal:?}");
+        }
+        for other in [
+            " a", "a ", "a  b", "a\tb", "a\u{a0}b", "Berlin", "\u{130}", "Σ",
+        ] {
+            assert!(matches!(normalize(other), Cow::Owned(_)), "{other:?}");
+        }
+    }
+
+    #[test]
     fn parent_types_are_one_step() {
         let kb = geo_kb();
         let capital = kb.type_id("capital").unwrap();
@@ -324,10 +385,10 @@ mod tests {
     #[test]
     fn leaf_types_exclude_ancestors() {
         let kb = geo_kb();
-        let leafs = kb.leaf_types_of("Berlin");
+        let leafs = kb.leaf_types_of("Berlin").unwrap();
         assert_eq!(leafs.len(), 1);
         assert!(leafs.contains(&kb.type_id("capital").unwrap()));
-        assert!(kb.leaf_types_of("Atlantis").is_empty());
+        assert!(kb.leaf_types_of("Atlantis").is_none());
         // alias resolution applies
         assert_eq!(kb.leaf_types_of("beantown"), kb.leaf_types_of("Boston"));
     }
@@ -350,6 +411,7 @@ mod tests {
         assert!(kb.knows("FDA"));
         // ... but with no types.
         assert!(kb.types_of("pfizer").is_empty());
+        assert_eq!(kb.leaf_types_of("pfizer"), Some(&[][..]));
     }
 
     #[test]
