@@ -17,8 +17,8 @@
 //! * [`LshEnsembleDiscovery`] — **joinable** search over MinHash sketches
 //!   using the LSH Ensemble containment index (Zhu et al., VLDB 2016), with
 //!   exact containment verification of candidates. Small queries skip the
-//!   sketch and are answered exactly by a JOSIE-style cost-bounded merge
-//!   over token posting lists; configured with a vanishing `threshold` and
+//!   sketch and are answered exactly by one merge over the query's token
+//!   posting lists; configured with a vanishing `threshold` and
 //!   `exact_fallback_below = usize::MAX` the engine is an exact top-k
 //!   overlap (containment) search for every query.
 //! * [`MetadataDiscovery`] — **metadata-aware** search over column headers
@@ -44,10 +44,8 @@
 //! The discovery hot path is served by [`TopKPlanner`], the budgeted top-k
 //! query engine over the LSH index: cached query-column signatures, a
 //! best-bound-first partition schedule with provable early termination,
-//! and a JOSIE-style cost-bounded posting search (`cost`) that answers
-//! small-to-mid queries exactly — cheapest posting lists first, stopping
-//! when the residual lists provably cannot lift any unseen candidate past
-//! the k-th verified score, under the [`QueryBudget`] `postings` cap.
+//! and one posting merge that answers small queries exactly — cheapest
+//! posting lists first, under the [`QueryBudget`] `postings` cap.
 //! [`LakeIndex::discover_top_k`] exposes it, and with an unlimited
 //! [`QueryBudget`] it returns exactly what the probe-all
 //! [`LshEnsembleDiscovery`] `discover` returns.
@@ -75,7 +73,6 @@
 
 #![deny(missing_docs)]
 
-mod cost;
 mod custom;
 mod index;
 mod lshe;

@@ -11,11 +11,11 @@
 //! one value store per shard, read by SANTOS and the joinable leg.
 //!
 //! Alongside the sketch index the store keeps **exact token posting
-//! lists** (token id → the `(slot, col)` domains containing it). They
-//! answer small queries exactly without touching the sketch path (a
-//! JOSIE-style merge over the query's postings), and they are what the
-//! budget-aware [`TopKPlanner`](crate::TopKPlanner) uses to verify
-//! candidates.
+//! lists** (token id → the `(slot, col)` domains containing it). Small
+//! queries skip the sketch and are answered by one budgeted merge over the
+//! query's posting lists ([`LshEnsembleDiscovery::exact_discover`]),
+//! shared by the probe-all `discover` and the budget-aware
+//! [`TopKPlanner`](crate::TopKPlanner).
 //!
 //! The engine is incrementally maintainable: [`LshEnsembleDiscovery::
 //! upsert_table`] / [`LshEnsembleDiscovery::remove_table`] apply one
@@ -34,10 +34,10 @@ use std::sync::Arc;
 use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature, SketchSnapshot};
 use dialite_table::{DataLake, Table};
 
-use crate::cost::{self, ExactSearchStats};
 use crate::pool::intersect_count;
 use crate::retrieval::{column_token_sets, DomainKey, TokenPostings, POOL_COMPACT_MIN};
 use crate::shard::ShardScope;
+use crate::topk::TopKStats;
 use crate::types::{top_k, Discovered, Discovery, TableQuery};
 
 /// Configuration of the joinable search.
@@ -260,101 +260,71 @@ impl LshEnsembleDiscovery {
         self.tokens.resolve(q_tokens).ids
     }
 
-    /// The exact (sketch-free) answer for small-to-mid queries: the
-    /// cost-bounded posting search of the `cost` module for any positive
-    /// threshold (cheapest-list-first merge, best-bound-first
-    /// verification, `max_postings` budget), a full-domain scan in the
-    /// degenerate non-positive case (where zero-overlap domains — which
-    /// postings cannot see — still pass the threshold; that scan is
-    /// exempt from the postings budget because it never touches
-    /// postings). With `k == usize::MAX` and an unlimited budget the
-    /// result is byte-identical to [`Self::exact_best_per_table`], the
-    /// exhaustive merge kept as the oracle.
+    /// The exact (sketch-free) answer for small queries: one posting merge
+    /// that accumulates `|Q ∩ X|` for every domain sharing a token with
+    /// the query. Lists are merged cheapest first, keyed `(length, token
+    /// id)` so the order is deterministic, and the merge stops before a
+    /// list would take the scanned entries past `max_postings`. A complete
+    /// merge folds its overlaps as they are; a merge the budget cut sends
+    /// the domains it saw through [`Self::verify_candidates`], so budgeted
+    /// output is a sound subset at exact scores. A non-positive threshold
+    /// admits zero-overlap domains, which postings cannot see, so that
+    /// case scans every domain instead, exempt from the budget.
     ///
     /// Both the probe-all `discover` and the `TopKPlanner` call this one
-    /// helper, so the planner's exact-parity contract cannot drift.
+    /// helper, so their exact answers cannot drift apart.
     pub(crate) fn exact_discover<'a>(
         &'a self,
         q_ids: &[u32],
         q_len: usize,
         exclude_table: &str,
-        k: usize,
         max_postings: usize,
-    ) -> (HashMap<&'a str, f64>, ExactSearchStats) {
-        if self.config.threshold > 0.0 {
-            cost::exact_search(self, q_ids, q_len, exclude_table, k, max_postings)
-        } else {
-            let mut best = HashMap::new();
-            let verified = self.verify_candidates(
+    ) -> (HashMap<&'a str, f64>, TopKStats) {
+        let mut stats = TopKStats {
+            exact_path: true,
+            ..TopKStats::default()
+        };
+        let mut best = HashMap::new();
+        if self.config.threshold <= 0.0 {
+            stats.candidates_verified = self.verify_candidates(
                 self.tokens.domains(),
                 q_ids,
                 q_len,
                 exclude_table,
                 &mut best,
             );
-            (
-                best,
-                ExactSearchStats {
-                    verified,
-                    ..ExactSearchStats::default()
-                },
-            )
+            return (best, stats);
         }
-    }
-
-    /// Exact per-table best containment via a posting-list merge: one pass
-    /// over the query tokens' postings accumulates `|Q ∩ X|` for every
-    /// domain sharing at least one token. Equivalent to brute force for any
-    /// positive threshold (a zero-overlap domain can never reach it). The
-    /// second return is the number of domains the merge scored — the exact
-    /// path's work counter, reported as `candidates_verified`.
-    pub(crate) fn exact_best_per_table(
-        &self,
-        q_ids: &[u32],
-        q_len: usize,
-        exclude_table: &str,
-    ) -> (HashMap<&str, f64>, usize) {
+        let mut lists: Vec<(u32, &[DomainKey])> = q_ids
+            .iter()
+            .filter_map(|&id| self.tokens.posting(id).map(|list| (id, list)))
+            .collect();
+        lists.sort_unstable_by_key(|(id, list)| (list.len(), *id));
         let mut overlap: HashMap<DomainKey, usize> = HashMap::new();
-        for &id in q_ids {
-            for key in self.tokens.posting(id).unwrap_or_default() {
+        let mut scanned = 0usize;
+        let mut merged = 0usize;
+        for (_, list) in &lists {
+            if scanned + list.len() > max_postings {
+                break;
+            }
+            for key in *list {
                 *overlap.entry(*key).or_insert(0) += 1;
             }
+            scanned += list.len();
+            merged += 1;
         }
-        let scored = overlap.len();
-        let mut best: HashMap<&str, f64> = HashMap::new();
-        for (key, hits) in overlap {
-            self.fold_best(key, hits as f64 / q_len as f64, exclude_table, &mut best);
+        if merged == lists.len() {
+            stats.candidates_verified = overlap.len();
+            for (key, hits) in overlap {
+                self.fold_best(key, hits as f64 / q_len as f64, exclude_table, &mut best);
+            }
+        } else {
+            stats.budget_exhausted = true;
+            stats.postings_skipped = lists[merged..].iter().map(|(_, list)| list.len()).sum();
+            stats.candidates_verified =
+                self.verify_candidates(overlap.into_keys(), q_ids, q_len, exclude_table, &mut best);
         }
-        (best, scored)
-    }
-
-    /// The **unplanned** exhaustive posting merge, end to end: merge every
-    /// posting list of the query's tokens, truncate to top-`k`. This is
-    /// the oracle (and bench baseline) the cost-bounded exact path of
-    /// the `cost` module is pinned against — with an unlimited postings
-    /// budget the planner's exact path must reproduce it byte-for-byte,
-    /// while scanning only the posting lists the cost model cannot prove
-    /// irrelevant.
-    pub fn exact_merge_oracle(&self, query: &TableQuery, k: usize) -> Vec<Discovered> {
-        let col = query.effective_column();
-        if col >= query.table.column_count() {
-            return Vec::new();
-        }
-        let q_tokens = query.table.column_token_set(col);
-        if q_tokens.is_empty() {
-            return Vec::new();
-        }
-        let q_ids = self.query_token_ids(&q_tokens);
-        let (best, _) = self.exact_best_per_table(&q_ids, q_tokens.len(), query.table.name());
-        top_k(
-            best.into_iter()
-                .map(|(t, s)| Discovered {
-                    table: t.to_string(),
-                    score: s,
-                })
-                .collect(),
-            k,
-        )
+        (best, stats)
     }
 
     /// Verify candidate domains exactly against their stored token-id runs,
@@ -427,7 +397,7 @@ impl Discovery for LshEnsembleDiscovery {
         let best_per_table: HashMap<&str, f64> = if q_tokens.len()
             < self.config.exact_fallback_below
         {
-            self.exact_discover(&q_ids, q_tokens.len(), query.table.name(), k, usize::MAX)
+            self.exact_discover(&q_ids, q_tokens.len(), query.table.name(), usize::MAX)
                 .0
         } else {
             let sig = self.hasher.signature(q_tokens.iter().map(String::as_str));
@@ -455,14 +425,13 @@ impl Discovery for LshEnsembleDiscovery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dialite_table::{table, Table};
+    use dialite_table::{table, Table, Value};
 
     fn city_table(name: &str, extra: &[&str]) -> Table {
-        let mut rows: Vec<Vec<dialite_table::Value>> =
-            ["berlin", "barcelona", "boston", "new delhi"]
-                .iter()
-                .map(|c| vec![(*c).into(), 1i64.into()])
-                .collect();
+        let mut rows: Vec<Vec<Value>> = ["berlin", "barcelona", "boston", "new delhi"]
+            .iter()
+            .map(|c| vec![(*c).into(), 1i64.into()])
+            .collect();
         for e in extra {
             rows.push(vec![(*e).into(), 2i64.into()]);
         }
@@ -546,7 +515,7 @@ mod tests {
         let mut builds: Vec<LshEnsembleDiscovery> = (0..2)
             .map(|_| LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default()))
             .collect();
-        let rows = (0..24).map(|i| vec![dialite_table::Value::Text(format!("tok{i}"))]);
+        let rows = (0..24).map(|i| vec![Value::Text(format!("tok{i}"))]);
         let fresh = Table::from_rows("fresh", &["k"], rows.collect()).unwrap();
         let slot = lake.add_table(fresh.clone()).unwrap();
         for engine in &mut builds {
@@ -627,12 +596,7 @@ mod tests {
 
         let engine = LshEnsembleDiscovery::build(&demo_lake(), LshEnsembleConfig::default());
         let empty_q = TableQuery::new(
-            Table::from_rows(
-                "e",
-                &["c"],
-                vec![vec![dialite_table::Value::null_missing()]],
-            )
-            .unwrap(),
+            Table::from_rows("e", &["c"], vec![vec![Value::null_missing()]]).unwrap(),
         );
         assert!(engine.discover(&empty_q, 5).is_empty());
     }
@@ -714,8 +678,8 @@ mod tests {
         let mut lake = DataLake::new();
         // One small long-lived table, plus a big one that gets withdrawn.
         let keeper = table! { "keeper"; ["k"]; ["stay1"], ["stay2"] };
-        let big_rows: Vec<Vec<dialite_table::Value>> = (0..200)
-            .map(|i| vec![dialite_table::Value::Text(format!("dead{i}"))])
+        let big_rows: Vec<Vec<Value>> = (0..200)
+            .map(|i| vec![Value::Text(format!("dead{i}"))])
             .collect();
         let big = Table::from_rows("big", &["k"], big_rows).unwrap();
         let k_slot = lake.add_table(keeper.clone()).unwrap();
@@ -742,7 +706,7 @@ mod tests {
 
     #[test]
     fn small_query_posting_path_matches_full_scan() {
-        // The exact fallback is a posting merge; forcing the legacy
+        // The exact fallback is a posting merge; forcing the
         // scan-everything shape via verify_candidates must agree.
         let lake = demo_lake();
         let engine = LshEnsembleDiscovery::build(
@@ -755,8 +719,12 @@ mod tests {
         let q = query();
         let q_tokens = q.table.column_token_set(0);
         let q_ids = engine.query_token_ids(&q_tokens);
-        let (merged, scored) = engine.exact_best_per_table(&q_ids, q_tokens.len(), q.table.name());
-        assert!(scored >= merged.len(), "scored counts every merged domain");
+        let (merged, stats) =
+            engine.exact_discover(&q_ids, q_tokens.len(), q.table.name(), usize::MAX);
+        assert!(
+            stats.candidates_verified >= merged.len(),
+            "verified counts every merged domain"
+        );
         let mut scanned = HashMap::new();
         engine.verify_candidates(
             engine.tokens.domains(),
@@ -766,5 +734,128 @@ mod tests {
             &mut scanned,
         );
         assert_eq!(merged, scanned);
+    }
+
+    /// A skewed lake with hub tokens shared by every table: four hub
+    /// lists of `tables` entries beside one-entry private lists.
+    fn hub_lake(tables: usize) -> DataLake {
+        let mut lake = DataLake::new();
+        for t in 0..tables {
+            let mut rows: Vec<Vec<Value>> = (0..4)
+                .map(|h| vec![Value::Text(format!("hub{h}"))])
+                .collect();
+            for i in 0..8 {
+                rows.push(vec![Value::Text(format!("t{t}_v{i}"))]);
+            }
+            lake.add(Table::from_rows(&format!("t{t}"), &["k"], rows).unwrap())
+                .unwrap();
+        }
+        lake
+    }
+
+    /// A query over the first `tokens` sorted tokens of `source`.
+    fn query_over(lake: &DataLake, source: &str, tokens: usize) -> TableQuery {
+        let table = lake.get(source).unwrap();
+        let mut toks: Vec<String> = table.column_token_set(0).into_iter().collect();
+        toks.sort();
+        toks.truncate(tokens);
+        let rows: Vec<Vec<Value>> = toks.into_iter().map(|t| vec![Value::Text(t)]).collect();
+        TableQuery::with_column(Table::from_rows("q", &["k"], rows).unwrap(), 0)
+    }
+
+    /// The exact merge of `q` under a postings budget, keyed by table name.
+    fn merge(
+        engine: &LshEnsembleDiscovery,
+        q: &TableQuery,
+        max_postings: usize,
+    ) -> (HashMap<String, f64>, TopKStats) {
+        let toks = q.table.column_token_set(0);
+        let ids = engine.query_token_ids(&toks);
+        let (best, stats) = engine.exact_discover(&ids, toks.len(), q.table.name(), max_postings);
+        let best = best.into_iter().map(|(t, s)| (t.to_string(), s)).collect();
+        (best, stats)
+    }
+
+    /// Brute-force best containment per table over the lake's own token
+    /// sets, kept at or above `threshold` like the engine's reporting
+    /// filter.
+    fn brute(lake: &DataLake, q: &TableQuery, threshold: f64) -> HashMap<String, f64> {
+        let toks = q.table.column_token_set(0);
+        let mut best = HashMap::new();
+        for t in lake.tables().filter(|t| t.name() != q.table.name()) {
+            for c in 0..t.column_count() {
+                let dom = t.column_token_set(c);
+                let hits = toks.iter().filter(|tok| dom.contains(*tok)).count();
+                let score = hits as f64 / toks.len() as f64;
+                if score + 1e-12 >= threshold {
+                    let e = best.entry(t.name().to_string()).or_insert(0.0);
+                    if score > *e {
+                        *e = score;
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn unlimited_merge_equals_brute_force() {
+        let lake = hub_lake(12);
+        for threshold in [0.5, 0.3] {
+            let config = LshEnsembleConfig {
+                threshold,
+                ..LshEnsembleConfig::default()
+            };
+            let engine = LshEnsembleDiscovery::build(&lake, config);
+            let q = query_over(&lake, "t3", 10);
+            let (got, stats) = merge(&engine, &q, usize::MAX);
+            assert_eq!(got, brute(&lake, &q, threshold), "threshold {threshold}");
+            assert!(!got.is_empty());
+            assert!(!stats.budget_exhausted);
+            assert_eq!(stats.postings_skipped, 0);
+        }
+    }
+
+    #[test]
+    fn postings_budget_yields_a_sound_subset_and_reports_exhaustion() {
+        let lake = hub_lake(12);
+        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let q = query_over(&lake, "t3", 10);
+        let full = brute(&lake, &q, engine.config.threshold);
+        let (got, stats) = merge(&engine, &q, 2);
+        assert!(stats.budget_exhausted, "{stats:?}");
+        assert!(stats.postings_skipped > 0, "{stats:?}");
+        for (table, score) in &got {
+            assert_eq!(full.get(table), Some(score), "budgeted scores stay exact");
+        }
+        // Zero budget: empty but sound, never a panic.
+        let (got, stats) = merge(&engine, &q, 0);
+        assert!(got.is_empty());
+        assert!(stats.budget_exhausted);
+        assert_eq!(stats.candidates_verified, 0);
+    }
+
+    #[test]
+    fn zero_k_is_an_empty_answer() {
+        let lake = hub_lake(12);
+        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let q = query_over(&lake, "t3", 10);
+        assert!(!engine.discover(&q, 5).is_empty());
+        assert!(engine.discover(&q, 0).is_empty());
+    }
+
+    #[test]
+    fn no_postings_is_an_empty_exact_answer() {
+        let lake = hub_lake(3);
+        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let (got, stats) = engine.exact_discover(&[], 5, "q", usize::MAX);
+        assert!(got.is_empty());
+        assert_eq!(
+            stats,
+            TopKStats {
+                exact_path: true,
+                ..TopKStats::default()
+            }
+        );
     }
 }

@@ -341,8 +341,8 @@ pub struct TopKCounters {
     pub terminated_early: u64,
     /// Queries cut short by a budget cap (best-effort results).
     pub budget_exhausted: u64,
-    /// Posting entries the exact path's cost model never scanned
-    /// (threshold bound or postings budget), summed.
+    /// Posting entries the postings budget left unscanned on the exact
+    /// path, summed.
     pub postings_skipped: u64,
 }
 

@@ -1,4 +1,4 @@
-//! Budgeted top-k query planning for joinable discovery — the JOSIE-style
+//! Budgeted top-k query planning for joinable discovery — the
 //! candidate-cap lever over the LSH Ensemble engine.
 //!
 //! The probe-all query path ([`LshEnsembleDiscovery`]'s `discover`) hashes
@@ -22,12 +22,12 @@
 //!    verified table score strictly beats the best possible score of every
 //!    unprobed partition.
 //! 3. **Posting-list verification.** Candidates are verified exactly
-//!    against interned token-id sets; small and mid-size queries skip the
-//!    sketch entirely and are answered exactly by the cost-bounded
-//!    posting search of the `cost` module (cheapest-list-first merge,
-//!    best-bound-first verification, [`QueryBudget::postings`] cap) —
-//!    raising `exact_fallback_below` trades the sketch's approximation
-//!    for exact answers wherever the cost model keeps the merge cheap.
+//!    against interned token-id sets; small queries skip the sketch
+//!    entirely and are answered exactly by one posting merge over the
+//!    query's tokens (cheapest list first, under the
+//!    [`QueryBudget::postings`] cap) — raising `exact_fallback_below`
+//!    trades the sketch's approximation for exact answers at the cost of
+//!    merging longer posting lists.
 //!
 //! With an unlimited [`QueryBudget`] the planner returns exactly what the
 //! probe-all path returns (same tables, same scores, same tie-breaks) —
@@ -44,7 +44,6 @@ use std::sync::Mutex;
 use dialite_minhash::Signature;
 use dialite_text::fnv1a64;
 
-use crate::cost::kth_best;
 use crate::lshe::LshEnsembleDiscovery;
 use crate::retrieval::DomainKey;
 use crate::types::{top_k, Discovered, TableQuery};
@@ -65,12 +64,12 @@ pub struct QueryBudget {
     /// Maximum candidate domains verified against their token-id sets.
     /// Staged (fresh-churn) domains are always verified and do not count.
     pub max_verifications: usize,
-    /// Maximum posting entries the exact path's cost-bounded merge may
-    /// scan per query (see the `cost` module). Candidates the truncated
-    /// merge already surfaced are still verified exactly, so a budgeted
-    /// exact answer is a sound subset at exact scores. The sketch path
-    /// and the degenerate non-positive-threshold scan ignore this cap —
-    /// neither retrieves through postings.
+    /// Maximum posting entries the exact path's merge may scan per query.
+    /// Lists are merged cheapest first, and the merge stops before a list
+    /// would pass the cap; the domains it already saw are verified
+    /// exactly, so a budgeted exact answer is a sound subset at exact
+    /// scores. The sketch path and the degenerate non-positive-threshold
+    /// scan ignore this cap — neither retrieves through postings.
     pub postings: usize,
 }
 
@@ -302,9 +301,8 @@ pub struct TopKStats {
     pub terminated_early: bool,
     /// A budget cap cut the search short (results are best-effort).
     pub budget_exhausted: bool,
-    /// Posting entries the exact path's cost model never scanned — lists
-    /// proven unnecessary by the threshold bound or cut by the postings
-    /// budget. Always 0 on the sketch path.
+    /// Posting entries the postings budget left unscanned on the exact
+    /// path. Always 0 on the sketch path.
     pub postings_skipped: usize,
 }
 
@@ -455,16 +453,11 @@ impl TopKPlanner {
         let threshold = engine.config.threshold;
         let exclude = query.table.name();
 
-        // Small-to-mid queries: answer exactly via the cost-bounded
-        // posting search, no sketch work at all — the same shared engine
-        // helper the probe-all path uses, so planner and probe-all cannot
-        // drift apart here.
+        // Small queries: answer exactly via the posting merge, no sketch
+        // work at all — the same shared engine helper the probe-all path
+        // uses, so planner and probe-all cannot drift apart here.
         if q_len < engine.config.exact_fallback_below {
-            stats.exact_path = true;
-            let (best, exact) = engine.exact_discover(&q_ids, q_len, exclude, k, budget.postings);
-            stats.candidates_verified += exact.verified;
-            stats.postings_skipped += exact.postings_skipped;
-            stats.budget_exhausted |= exact.budget_exhausted;
+            let (best, stats) = engine.exact_discover(&q_ids, q_len, exclude, budget.postings);
             return (finish(best, k), stats);
         }
 
@@ -557,6 +550,19 @@ impl TopKPlanner {
             .insert(key, sig.clone());
         sig
     }
+}
+
+/// The k-th best verified table score, once at least `k` tables scored —
+/// what the partition schedule's optimality bound prunes against. `None`
+/// at `k == 0`: there is no k-th score to prune against.
+fn kth_best(best: &HashMap<&str, f64>, k: usize) -> Option<f64> {
+    let i = k.checked_sub(1)?;
+    if best.len() < k {
+        return None;
+    }
+    let mut scores: Vec<f64> = best.values().copied().collect();
+    scores.sort_by(|a, b| b.total_cmp(a));
+    scores.get(i).copied()
 }
 
 fn finish(best: HashMap<&str, f64>, k: usize) -> Vec<Discovered> {
@@ -776,9 +782,8 @@ mod tests {
     #[test]
     fn raised_fallback_answers_mid_size_queries_exactly() {
         // With `exact_fallback_below` raised past the query size, the
-        // 60-token query takes the cost-bounded exact path — and must
-        // still match the probe-all answer byte-for-byte, skipping the
-        // hub posting lists the threshold bound proves unnecessary.
+        // 60-token query takes the exact posting merge — and must still
+        // match the probe-all answer byte-for-byte.
         let (lake, q) = skewed_lake(40);
         let engine = LshEnsembleDiscovery::build(
             &lake,

@@ -1,21 +1,26 @@
-//! Cost-model oracle: the bounded retrieval paths introduced for the last
-//! two exhaustive legs must collapse to their exhaustive oracles exactly
-//! whenever nothing binds, and degrade to *sound subsets at exact scores*
-//! when a budget does bind — never to approximations.
+//! Exact-route oracle: the bounded retrieval paths must collapse to
+//! brute force exactly whenever nothing binds, and degrade to *sound
+//! subsets at exact scores* when a budget does bind — never to
+//! approximations.
 //!
 //! Three properties, over random churn traces (mirroring
 //! `pipeline_oracle.rs`):
 //!
-//! * **Unlimited == full posting merge, byte-for-byte**: with the sketch
-//!   bypassed (`exact_fallback_below = usize::MAX`) the planner's
-//!   cost-bounded exact path at an unlimited — or merely *covering* —
-//!   postings budget must reproduce the unplanned full posting merge
-//!   ([`LshEnsembleDiscovery::exact_merge_oracle`]) on keys, scores,
-//!   order and tie-breaks, at every `k`.
+//! * **Unlimited == brute force, byte-for-byte**: with the sketch
+//!   bypassed (`exact_fallback_below = usize::MAX`) the planner's exact
+//!   posting merge at an unlimited — or merely *covering* — postings
+//!   budget must reproduce the brute-force containment top-k
+//!   ([`common::brute_containment`] over `Table::column_token_set`, ranked
+//!   by the shared `top_k` rule) on keys, scores, order and tie-breaks,
+//!   at every `k`.
 //! * **Finite budgets are sound**: any postings cap yields a subset of
-//!   the exhaustive answer whose scores are *exactly* the exhaustive
+//!   the brute-force answer whose scores are *exactly* the brute-force
 //!   scores (every reported containment is verified, never estimated),
-//!   ranked consistently with the oracle.
+//!   and exhaustion is reported whenever the answer differs.
+//! * **The default route is exact**: on a heterogeneous lake under the
+//!   default engine config and default joinable budget, every query the
+//!   planner routes exact equals the brute-force top-k byte-for-byte, and
+//!   the budget never binds.
 //! * **Typeless capped == full scan at covering caps**: on a KB-empty
 //!   lake the SANTOS synthesized-signal posting index at any covering
 //!   cap equals the `cap == usize::MAX` exhaustive full scan
@@ -27,18 +32,21 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use dialite_datagen::workloads::{ChurnOp, ChurnWorkload};
+use dialite_datagen::workloads::{ChurnOp, ChurnWorkload, HeterogeneousLakeWorkload};
 use dialite_discovery::{
-    Discovered, LshEnsembleConfig, LshEnsembleDiscovery, QueryBudget, SantosConfig,
-    SantosDiscovery, TableQuery, TopKPlanner,
+    top_k_discovered, Discovered, DiscoveryBudget, LshEnsembleConfig, LshEnsembleDiscovery,
+    QueryBudget, SantosConfig, SantosDiscovery, TableQuery, TopKPlanner,
 };
 use dialite_kb::KbBuilder;
-use dialite_table::DataLake;
+use dialite_table::{DataLake, Table};
 use proptest::prelude::*;
+
+mod common;
+use common::brute_containment;
 
 /// Sketch-free engine config: every query takes the exact posting path,
 /// so output is a pure function of lake state and budget — the regime
-/// where the cost model's equality contract is bit-exact.
+/// where the exact route's equality with brute force is bit-exact.
 fn exact_config() -> LshEnsembleConfig {
     LshEnsembleConfig {
         num_perm: 32,
@@ -59,21 +67,59 @@ fn churn(seed: u64, ops: usize) -> dialite_datagen::ChurnTrace {
     .generate()
 }
 
-/// Exhaustive per-table best scores: the full merge at `k = usize::MAX`
-/// (the k-bound disabled), keyed for subset checks.
-fn full_scores(engine: &LshEnsembleDiscovery, query: &TableQuery) -> HashMap<String, f64> {
-    engine
-        .exact_merge_oracle(query, usize::MAX)
+/// Brute-force per-table best scores at or above the engine threshold
+/// (the engine's reporting filter), keyed for subset checks.
+fn full_scores(lake: &DataLake, query: &Table, threshold: f64) -> HashMap<String, f64> {
+    brute_containment(lake, query)
         .into_iter()
-        .map(|d| (d.table, d.score))
+        .filter(|(_, score)| score + 1e-12 >= threshold)
         .collect()
 }
 
+/// The brute-force top-`k`: [`full_scores`] ranked like every engine.
+fn brute_top_k(lake: &DataLake, query: &Table, threshold: f64, k: usize) -> Vec<Discovered> {
+    let hits = full_scores(lake, query, threshold)
+        .into_iter()
+        .map(|(table, score)| Discovered { table, score })
+        .collect();
+    top_k_discovered(hits, k)
+}
+
+/// Every query the default config routes exact (fewer distinct tokens
+/// than `exact_fallback_below`) is answered exactly under the default
+/// joinable budget: the brute-force top-k, no posting list left unscanned.
+#[test]
+fn default_config_exact_route_equals_brute_force() {
+    let spec = HeterogeneousLakeWorkload {
+        tables: 400,
+        queries: 64,
+        ..HeterogeneousLakeWorkload::default()
+    };
+    let lake = spec.lake();
+    let config = LshEnsembleConfig::default();
+    let threshold = config.threshold;
+    let engine = LshEnsembleDiscovery::build(&lake, config);
+    let planner = TopKPlanner::new();
+    let budget = DiscoveryBudget::default().joinable;
+    let k = 10;
+    let mut exact = 0usize;
+    for q in spec.queries() {
+        let query = TableQuery::with_column(q.clone(), 0);
+        let (hits, stats) = planner.discover_top_k_with_stats(&engine, &query, k, &budget);
+        if !stats.exact_path {
+            continue;
+        }
+        exact += 1;
+        assert_eq!(hits, brute_top_k(&lake, &q, threshold, k), "{}", q.name());
+        assert_eq!(stats.postings_skipped, 0, "{}: {stats:?}", q.name());
+        assert!(!stats.budget_exhausted, "{}: {stats:?}", q.name());
+    }
+    assert!(exact > 0, "no query took the exact route");
+}
+
 proptest! {
-    /// Unlimited and covering postings budgets reproduce the unplanned
-    /// full posting merge exactly, at every query point of a churn trace
-    /// and every `k` — the contract that lets the cost model replace the
-    /// exhaustive merge at all.
+    /// Unlimited and covering postings budgets reproduce the brute-force
+    /// top-k exactly, at every query point of a churn trace and every `k`.
     #[test]
     fn unlimited_budget_equals_the_full_posting_merge(
         seed in any::<u64>(),
@@ -89,9 +135,10 @@ proptest! {
         for op in trace.ops {
             if let ChurnOp::Query(q) = op {
                 let engine = LshEnsembleDiscovery::build(&lake, exact_config());
-                let query = TableQuery::with_column(q, 0);
+                let threshold = exact_config().threshold;
+                let query = TableQuery::with_column(q.clone(), 0);
                 for k in [1usize, 6, usize::MAX] {
-                    let oracle = engine.exact_merge_oracle(&query, k);
+                    let oracle = brute_top_k(&lake, &q, threshold, k);
                     let (hits, stats) = planner.discover_top_k_with_stats(
                         &engine,
                         &query,
@@ -102,13 +149,13 @@ proptest! {
                     prop_assert!(!stats.budget_exhausted);
                     prop_assert_eq!(
                         &hits, &oracle,
-                        "unlimited cost model diverged from the full merge at k={}",
+                        "unlimited exact route diverged from brute force at k={}",
                         k
                     );
                     let budgeted = planner.discover_top_k(&engine, &query, k, &covering);
                     prop_assert_eq!(
                         &budgeted, &oracle,
-                        "covering postings budget diverged from the full merge at k={}",
+                        "covering postings budget diverged from brute force at k={}",
                         k
                     );
                 }
@@ -121,7 +168,7 @@ proptest! {
     }
 
     /// Any finite postings budget returns a sound subset: every reported
-    /// table carries its *exact* exhaustive score (subset semantics, not
+    /// table carries its *exact* brute-force score (subset semantics, not
     /// approximation), the list is within `k`, and exhaustion is reported
     /// whenever results were dropped.
     #[test]
@@ -137,10 +184,11 @@ proptest! {
         for op in trace.ops {
             if let ChurnOp::Query(q) = op {
                 let engine = LshEnsembleDiscovery::build(&lake, exact_config());
-                let query = TableQuery::with_column(q, 0);
-                let full = full_scores(&engine, &query);
+                let threshold = exact_config().threshold;
+                let full = full_scores(&lake, &q, threshold);
                 let k = 6usize;
-                let oracle = engine.exact_merge_oracle(&query, k);
+                let oracle = brute_top_k(&lake, &q, threshold, k);
+                let query = TableQuery::with_column(q, 0);
                 let (hits, stats) =
                     planner.discover_top_k_with_stats(&engine, &query, k, &budget);
                 prop_assert!(hits.len() <= k);
@@ -149,7 +197,7 @@ proptest! {
                     prop_assert_eq!(
                         exact,
                         Some(&d.score),
-                        "budgeted hit {} must carry its exact exhaustive score",
+                        "budgeted hit {} must carry its exact brute-force score",
                         d.table
                     );
                 }

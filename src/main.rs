@@ -19,10 +19,9 @@
 //! granularity, not read speed). `telemetry` replays the query and
 //! dumps the merged discovery telemetry window as one JSON object.
 //!
-//! `--max-postings P` caps the posting entries the exact top-k path may
-//! scan per query (the cost-based planner's budget knob, default 2²⁰;
-//! `unlimited` removes the cap, making the stage byte-identical to the
-//! exhaustive posting merge).
+//! `--max-postings P` caps the posting entries the exact top-k path's
+//! posting merge may scan per query (default 2²⁰; `unlimited` removes the
+//! cap, so every exact-routed query merges all of its posting lists).
 //!
 //! `--metadata` enables the third, metadata-aware discovery leg: tables
 //! are retrieved by header/annotation match (column-name token overlap)
@@ -125,9 +124,9 @@ fn index_config(args: &[String]) -> LakeIndexConfig {
 }
 
 /// Apply `--max-postings` to the pipeline's discovery budget: the cap on
-/// posting entries the cost-based exact top-k path may scan per query.
+/// posting entries the exact top-k path's merge may scan per query.
 /// Absent, the default budget (2²⁰ entries) stands; `unlimited` removes
-/// the cap so the exact path is byte-identical to the exhaustive merge.
+/// the cap so the exact path merges every posting list.
 fn apply_max_postings(args: &[String], pipeline: &mut Pipeline) -> Result<(), String> {
     let Some(raw) = flag(args, "--max-postings") else {
         return Ok(());
