@@ -1191,7 +1191,7 @@ mod tests {
             lshe: dialite_discovery::LshEnsembleConfig {
                 num_perm: 64,
                 num_partitions: 4,
-                exact_fallback_below: usize::MAX,
+                exact_mass_per_token: usize::MAX,
                 ..dialite_discovery::LshEnsembleConfig::default()
             },
             metadata: None,

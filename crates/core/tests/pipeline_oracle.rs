@@ -67,7 +67,7 @@ fn configs() -> Vec<LakeIndexConfig> {
             lshe: LshEnsembleConfig {
                 num_perm: 64,
                 num_partitions: 4,
-                exact_fallback_below: usize::MAX,
+                exact_mass_per_token: usize::MAX,
                 rebalance_dirtiness: 0.15,
                 ..LshEnsembleConfig::default()
             },
@@ -186,7 +186,7 @@ fn finite_budgets_stay_a_sound_subset_of_legacy() {
     let config = LakeIndexConfig {
         santos: SantosConfig::default(),
         lshe: LshEnsembleConfig {
-            exact_fallback_below: usize::MAX,
+            exact_mass_per_token: usize::MAX,
             ..LshEnsembleConfig::default()
         },
         metadata: None,

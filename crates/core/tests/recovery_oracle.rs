@@ -4,15 +4,15 @@
 //! and version stamps must stay strictly monotone across the simulated
 //! restart (the restart-unsafe stamp bug this PR fixes).
 //!
-//! A deterministic companion test pins the warm-start economics: reopening
-//! from a sketch-bearing snapshot re-hashes `O(events since snapshot)`
-//! column domains, not `O(lake)`.
+//! A deterministic companion test pins the warm-start economics: after
+//! reopening from a sketch-bearing snapshot, a sketch probe signs
+//! `O(events since snapshot)` column domains, not `O(lake)`.
 
 use std::path::PathBuf;
 
 use dialite_core::{DurableConfig, Pipeline};
 use dialite_datagen::workloads::{ChurnOp, ChurnWorkload};
-use dialite_discovery::TableQuery;
+use dialite_discovery::{LakeIndexConfig, LshEnsembleConfig, QueryBudget, TableQuery};
 use dialite_table::{table, DataLake};
 use proptest::prelude::*;
 
@@ -130,14 +130,36 @@ proptest! {
     }
 }
 
-/// Warm-start economics, pinned deterministically: with a sketch-bearing
-/// snapshot covering all but a tiny tail, reopening re-hashes only the
-/// tail's column domains — not the whole lake.
+/// Warm-start economics, pinned deterministically on the work a sketch
+/// probe does. Signatures are computed on a partition's first probe, so
+/// a probe that reaches every partition before the snapshot makes the
+/// snapshot carry every domain's signature. After reopening, the same
+/// probe signs only what the snapshot does not cover — the three tail
+/// domains at most, staged and so unsigned here — while on a cold build
+/// it signs the whole lake.
 #[test]
 fn warm_start_sketch_work_is_proportional_to_the_tail() {
     let dir = scratch("warm_work");
+    // Every query takes the sketch path.
+    let config = LakeIndexConfig {
+        lshe: LshEnsembleConfig {
+            exact_mass_per_token: 0,
+            ..LshEnsembleConfig::default()
+        },
+        ..LakeIndexConfig::default()
+    };
+    // A two-token query: each partition's bound `min(1, upper / 2)` reaches
+    // the threshold and no k-th score beats it, so the planner probes
+    // every partition.
+    let probe = TableQuery::with_column(table! { "probe"; ["k"]; ["tok0a"], ["tok0b"] }, 0);
+    let probe_work = |pipeline: &Pipeline, lake: &DataLake| {
+        let before = pipeline.sketch_work().expect("indexed pipeline");
+        pipeline.discover_top_k(lake, &probe, 10, &QueryBudget::unlimited());
+        pipeline.sketch_work().expect("indexed pipeline") - before
+    };
     let (pipeline, mut lake, mut durable) =
-        Pipeline::open_durable(&dir, 1, DurableConfig::default()).expect("fresh dir opens");
+        Pipeline::open_durable_configured(&dir, 1, DurableConfig::default(), config.clone())
+            .expect("fresh dir opens");
     for i in 0..40 {
         let since = lake.version();
         let name = format!("big_t{i}");
@@ -146,6 +168,8 @@ fn warm_start_sketch_work_is_proportional_to_the_tail() {
             .expect("unique names");
         durable.append_since(&lake, since).expect("append");
     }
+    // The query's signature and the 80 snapshotted domains'.
+    let snapshot_work = probe_work(&pipeline, &lake);
     pipeline.snapshot(&lake, &mut durable).expect("snapshot");
     // A three-mutation tail after the checkpoint.
     for i in 0..3 {
@@ -160,15 +184,17 @@ fn warm_start_sketch_work_is_proportional_to_the_tail() {
     drop(pipeline);
 
     let (warm, recovered, _durable) =
-        Pipeline::open_durable(&dir, 1, DurableConfig::default()).expect("reopen");
+        Pipeline::open_durable_configured(&dir, 1, DurableConfig::default(), config.clone())
+            .expect("reopen");
     assert_eq!(recovered.version(), lake.version());
-    let warm_work = warm.sketch_work().expect("indexed pipeline");
+    let warm_work = probe_work(&warm, &recovered);
 
-    let cold = Pipeline::demo_sharded(&lake, 1);
-    let cold_work = cold.sketch_work().expect("indexed pipeline");
+    let cold = Pipeline::demo_configured(&lake, 1, config);
+    let cold_work = probe_work(&cold, &lake);
 
     // The tail is 3 single-column tables; the lake is 43 tables with 83
     // column domains. Warm work must cover only the tail.
+    assert_eq!(snapshot_work, 81, "the probe missed a snapshotted domain");
     assert!(
         warm_work <= 6,
         "warm start re-hashed more than the tail: {warm_work} signatures"

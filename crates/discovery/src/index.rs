@@ -659,7 +659,12 @@ mod tests {
         };
         let lake = spec.lake();
         let kb = Arc::new(covid_kb());
+        // Every query takes the sketch, so a probe signs domains.
         let config = LakeIndexConfig {
+            lshe: LshEnsembleConfig {
+                exact_mass_per_token: 0,
+                ..LshEnsembleConfig::default()
+            },
             metadata: Some(MetadataConfig::default()),
             ..LakeIndexConfig::default()
         };
@@ -672,14 +677,27 @@ mod tests {
                 sketches,
             )
         };
+        // Signatures a probe-all sketch query computes: the query's, and
+        // every domain's that neither an earlier probe nor the snapshot
+        // signed.
+        let probe = TableQuery::new(spec.queries().remove(0));
+        let probe_work = |index: &LakeIndex| {
+            let before = index.sketch_work();
+            index.lshe().discover(&probe, 10);
+            index.sketch_work() - before
+        };
         let cold = build(None);
+        assert_eq!(cold.sketch_work(), 0, "the build hashed");
+        let domains = cold.lshe().indexed_domains() as u64;
+        assert_eq!(probe_work(&cold), 1 + domains);
         let snapshot = cold.export_sketches();
+        assert_eq!(snapshot.domains.len() as u64, domains);
         let warm = build(Some(&snapshot));
-        assert_eq!(warm.sketch_work(), 0, "full coverage skips every hash");
+        assert_eq!(probe_work(&warm), 1, "full coverage signs no domain");
         let mut foreign = snapshot.clone();
         foreign.seed ^= 1;
         let rehashed = build(Some(&foreign));
-        assert_eq!(rehashed.sketch_work(), cold.sketch_work());
+        assert_eq!(probe_work(&rehashed), 1 + domains);
 
         let queries = spec.queries().into_iter().chain(spec.header_queries());
         for query in queries.map(TableQuery::new) {

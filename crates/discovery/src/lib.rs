@@ -16,10 +16,12 @@
 //!   (ARCHITECTURE.md § Substitutions).
 //! * [`LshEnsembleDiscovery`] — **joinable** search over MinHash sketches
 //!   using the LSH Ensemble containment index (Zhu et al., VLDB 2016), with
-//!   exact containment verification of candidates. Small queries skip the
-//!   sketch and are answered exactly by one merge over the query's token
-//!   posting lists; configured with a vanishing `threshold` and
-//!   `exact_fallback_below = usize::MAX` the engine is an exact top-k
+//!   exact containment verification of candidates. A query whose posting
+//!   mass is below `exact_mass_per_token × |Q|` skips the sketch and is
+//!   answered exactly by one merge over its token posting lists; a heavier
+//!   one takes the sketch, whose domain signatures are computed on first
+//!   probe from the token store. Configured with a vanishing `threshold` and
+//!   `exact_mass_per_token = usize::MAX` the engine is an exact top-k
 //!   overlap (containment) search for every query.
 //! * [`MetadataDiscovery`] — **metadata-aware** search over column headers
 //!   (cf. TableNet): an inverted header-token index answers "find tables

@@ -11,16 +11,22 @@
 //! one value store per shard, read by SANTOS and the joinable leg.
 //!
 //! Alongside the sketch index the store keeps **exact token posting
-//! lists** (token id → the `(slot, col)` domains containing it). Small
-//! queries skip the sketch and are answered by one budgeted merge over the
-//! query's posting lists ([`LshEnsembleDiscovery::exact_discover`]),
-//! shared by the probe-all `discover` and the budget-aware
-//! [`TopKPlanner`](crate::TopKPlanner).
+//! lists** (token id → the `(slot, col)` domains containing it). **Exact
+//! first:** a query whose posting mass `Σ |posting(t)|` is below
+//! [`LshEnsembleConfig::exact_mass_per_token`]` × |Q|` skips the sketch
+//! and is answered by one budgeted merge over its posting lists
+//! ([`LshEnsembleDiscovery::exact_discover`]); the probe-all `discover`
+//! and the budget-aware [`TopKPlanner`](crate::TopKPlanner) share that
+//! routing and that merge. **Signatures on demand:** only a heavier query
+//! takes the sketch, and the ensemble's first probe of a partition signs
+//! its domains by hashing their token strings straight from the store
+//! (`LshEnsembleDiscovery::sign`). Building and upserting hash nothing,
+//! and a snapshot carries only the signatures some probe computed.
 //!
 //! The engine is incrementally maintainable: [`LshEnsembleDiscovery::
 //! upsert_table`] / [`LshEnsembleDiscovery::remove_table`] apply one
-//! table's worth of work (hash its domains, retire its dead domain keys and
-//! postings) instead of rebuilding over the whole lake — `LakeIndex` drives
+//! table's worth of work (stage its domains' sizes, retire its dead domain
+//! keys and postings) instead of rebuilding over the whole lake — `LakeIndex` drives
 //! these from the lake changelog. Staged (not-yet-rebalanced) domains are
 //! exact-scanned at query time, so a freshly added table is discoverable
 //! immediately, never an LSH false negative. The store reclaims removed
@@ -52,12 +58,16 @@ pub struct LshEnsembleConfig {
     pub threshold: f64,
     /// Seed for the hash family.
     pub seed: u64,
-    /// Queries with fewer distinct tokens than this bypass the sketch index
-    /// and scan the stored domains exactly. MinHash banding has ~50% recall
-    /// at the threshold and tiny sets sit near it by construction; an exact
-    /// posting-list merge over a handful of tokens is cheaper than a false
-    /// negative.
-    pub exact_fallback_below: usize,
+    /// The routing line between the exact merge and the sketch, in posting
+    /// entries per query token. A query whose posting mass — `Σ
+    /// |posting(t)|` over its tokens, read from the store in `O(|Q|)` — is
+    /// below `exact_mass_per_token × |Q|` (saturating) is answered by the
+    /// exact posting merge, any other through the sketch index. The
+    /// default is the default `num_perm`: below that line merging the
+    /// query's lists costs less than hashing its own signature, and the
+    /// answer is exact. `0` sends every query to the sketch and
+    /// `usize::MAX` every query to the merge.
+    pub exact_mass_per_token: usize,
     /// Fraction of live domains that may be dirty (staged inserts +
     /// tombstones) before a mutation triggers ensemble re-partitioning.
     pub rebalance_dirtiness: f64,
@@ -74,7 +84,7 @@ impl Default for LshEnsembleConfig {
             num_partitions: 8,
             threshold: 0.5,
             seed: 0x1517,
-            exact_fallback_below: 16,
+            exact_mass_per_token: 256,
             rebalance_dirtiness: 0.25,
             pool_compact_min: POOL_COMPACT_MIN,
         }
@@ -109,15 +119,16 @@ impl LshEnsembleDiscovery {
     /// them over the whole lake. [`ShardScope::all`] reproduces the
     /// unscoped build.
     ///
-    /// `sketches` warm-starts the build from a durable snapshot: a
-    /// persisted MinHash signature is reused instead of re-hashing its
-    /// column domain only when its hash-family identity (`num_perm`,
-    /// `seed`) matches the config **and** its recorded domain size equals
-    /// the live domain's token count — anything else is hashed fresh, so a
-    /// stale or foreign snapshot can slow a warm start but never corrupt
-    /// it. Token interning, posting lists and exact verification sets are
-    /// always rebuilt from the lake (they are cheap `u32` work); only the
-    /// `O(num_perm × tokens)` MinHash pass is skipped.
+    /// The build hashes nothing: a domain's MinHash signature is computed
+    /// by the first sketch probe of its ensemble partition, from its run
+    /// in the store. `sketches` warm-starts the build from a durable
+    /// snapshot: a persisted signature pre-fills its domain's cell only
+    /// when its hash-family identity (`num_perm`, `seed`) matches the
+    /// config **and** its recorded domain size equals the live domain's
+    /// token count — any other domain is signed on demand, so a stale or
+    /// foreign snapshot can slow a warm start but never corrupt it. Token
+    /// interning, posting lists and exact verification sets are always
+    /// rebuilt from the lake (they are cheap `u32` work).
     pub fn build_scoped(
         lake: &DataLake,
         config: LshEnsembleConfig,
@@ -145,7 +156,7 @@ impl LshEnsembleDiscovery {
                     .collect()
             })
             .unwrap_or_default();
-        let mut builder = LshEnsembleBuilder::new(config.num_perm, config.seed);
+        let mut builder = LshEnsembleBuilder::new(config.num_perm);
         let mut table_names = HashMap::new();
         let mut tokens = TokenPostings::new(config.pool_compact_min);
         for (t, table) in lake.entries_routed(scope.shard(), scope.of()) {
@@ -158,15 +169,15 @@ impl LshEnsembleDiscovery {
                 let key: DomainKey = (t, c as u32);
                 match reusable.get(&key) {
                     Some(&(size, sig)) if size == col.len() => {
-                        builder.insert_signature(key, size, sig.clone());
+                        builder.insert_signed(key, size, sig.clone());
                     }
-                    _ => builder.insert_tokens(key, col.iter().map(String::as_str)),
+                    _ => builder.insert(key, col.len()),
                 }
             }
             tokens.insert(t, &columns);
             each(t, table, &columns);
         }
-        let hasher = builder.hasher().clone();
+        let hasher = MinHasher::new(config.num_perm, config.seed);
         let mut ensemble = builder.build(config.num_partitions);
         ensemble.set_rebalance_threshold(config.rebalance_dirtiness);
         LshEnsembleDiscovery {
@@ -178,8 +189,10 @@ impl LshEnsembleDiscovery {
         }
     }
 
-    /// Export every indexed domain's MinHash signature, tagged with the
-    /// hash-family identity, in the shape durable snapshots persist.
+    /// Export every indexed domain's MinHash signature computed so far
+    /// (by a sketch probe, or carried over from a snapshot), tagged with
+    /// the hash-family identity, in the shape durable snapshots persist.
+    /// A domain no sketch probe has reached has none to export.
     pub fn export_sketches(&self) -> SketchSnapshot {
         SketchSnapshot {
             num_perm: self.config.num_perm,
@@ -188,9 +201,10 @@ impl LshEnsembleDiscovery {
         }
     }
 
-    /// MinHash signatures computed by this engine's hash family so far
-    /// (across build, upserts and queries). Warm starts exist to keep this
-    /// near `O(events since snapshot)` instead of `O(lake)`.
+    /// MinHash signatures computed by this engine's hash family so far:
+    /// sketch-path query columns, and domains signed by a partition's
+    /// first probe. The build and upserts compute none; a warm start keeps
+    /// a probe's signing to the domains the snapshot does not cover.
     pub fn sketch_work(&self) -> u64 {
         self.hasher.signatures_computed()
     }
@@ -213,16 +227,38 @@ impl LshEnsembleDiscovery {
     }
 
     /// The ensemble half of [`upsert_table`](Self::upsert_table), from
-    /// precomputed token sets; the slot must not be indexed.
+    /// precomputed token sets; the slot must not be indexed. It stages
+    /// each column's size and hashes nothing.
     pub(crate) fn sketch(&mut self, slot: u32, name: &str, columns: &[HashSet<String>]) {
         self.table_names.insert(slot, name.to_string());
         for (c, col) in columns.iter().enumerate() {
-            if col.is_empty() {
-                continue;
+            if !col.is_empty() {
+                self.ensemble.insert((slot, c as u32), col.len());
             }
-            let sig = self.hasher.signature(col.iter().map(String::as_str));
-            self.ensemble.insert((slot, c as u32), col.len(), sig);
         }
+    }
+
+    /// The MinHash signature of an indexed domain, hashed from its token
+    /// strings in the store: the signer every sketch probe hands the
+    /// ensemble. MinHash takes an order-free minimum, so it equals the
+    /// signature of the column's token set bit for bit. `None` for a
+    /// domain the store does not hold.
+    pub(crate) fn sign(&self, key: &DomainKey) -> Option<Signature> {
+        let run = self.tokens.run(*key)?;
+        Some(
+            self.hasher
+                .signature(run.iter().map(|&id| self.tokens.token(id))),
+        )
+    }
+
+    /// Whether a query takes the exact posting merge rather than the
+    /// sketch: its posting mass is below
+    /// [`LshEnsembleConfig::exact_mass_per_token`]` × q_len`. The probe-all
+    /// `discover` and the `TopKPlanner` both route through here, so an
+    /// unlimited planner answers exactly like the probe-all path.
+    pub(crate) fn routes_exact(&self, q_ids: &[u32], q_len: usize) -> bool {
+        let line = self.config.exact_mass_per_token.saturating_mul(q_len);
+        self.tokens.posting_mass(q_ids) < line
     }
 
     /// The ensemble half of [`remove_table`](Self::remove_table). It reads
@@ -260,7 +296,7 @@ impl LshEnsembleDiscovery {
         self.tokens.resolve(q_tokens).ids
     }
 
-    /// The exact (sketch-free) answer for small queries: one posting merge
+    /// The exact (sketch-free) answer for light queries: one posting merge
     /// that accumulates `|Q ∩ X|` for every domain sharing a token with
     /// the query. Lists are merged cheapest first, keyed `(length, token
     /// id)` so the order is deterministic, and the merge stops before a
@@ -393,21 +429,21 @@ impl Discovery for LshEnsembleDiscovery {
             return Vec::new();
         }
         let q_ids = self.query_token_ids(&q_tokens);
+        let q_len = q_tokens.len();
+        let exclude = query.table.name();
 
-        let best_per_table: HashMap<&str, f64> = if q_tokens.len()
-            < self.config.exact_fallback_below
-        {
-            self.exact_discover(&q_ids, q_tokens.len(), query.table.name(), usize::MAX)
-                .0
+        let best_per_table: HashMap<&str, f64> = if self.routes_exact(&q_ids, q_len) {
+            self.exact_discover(&q_ids, q_len, exclude, usize::MAX).0
         } else {
             let sig = self.hasher.signature(q_tokens.iter().map(String::as_str));
             // The candidates include every domain staged since the last
             // rebalance, so fresh churn is never an LSH false negative.
+            let sign = |key: &DomainKey| self.sign(key);
             let cands = self
                 .ensemble
-                .query(&sig, q_tokens.len(), self.config.threshold);
+                .query(&sig, q_len, self.config.threshold, &sign);
             let mut best = HashMap::new();
-            self.verify_candidates(cands, &q_ids, q_tokens.len(), query.table.name(), &mut best);
+            self.verify_candidates(cands, &q_ids, q_len, exclude, &mut best);
             best
         };
 
@@ -466,23 +502,46 @@ mod tests {
         )
     }
 
+    /// The default config with every query routed to the sketch.
+    fn sketch_config() -> LshEnsembleConfig {
+        LshEnsembleConfig {
+            exact_mass_per_token: 0,
+            ..LshEnsembleConfig::default()
+        }
+    }
+
+    /// Signatures a probe-all sketch query computes on `engine`: one for
+    /// the query, one per domain no earlier probe or snapshot signed.
+    fn probe_work(engine: &LshEnsembleDiscovery) -> u64 {
+        let before = engine.sketch_work();
+        engine.discover(&query(), 5);
+        engine.sketch_work() - before
+    }
+
     #[test]
     fn warm_build_reuses_sketches_and_matches_cold_output() {
         let lake = demo_lake();
-        let cold = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let cold = LshEnsembleDiscovery::build(&lake, sketch_config());
+        assert_eq!(cold.sketch_work(), 0, "the build hashed");
+        let domains = cold.indexed_domains() as u64;
+        assert_eq!(
+            probe_work(&cold),
+            1 + domains,
+            "a probe-all signs every domain"
+        );
         let sketches = cold.export_sketches();
-        assert_eq!(sketches.domains.len(), cold.indexed_domains());
+        assert_eq!(sketches.domains.len() as u64, domains);
 
         let warm = LshEnsembleDiscovery::build_scoped(
             &lake,
-            LshEnsembleConfig::default(),
+            sketch_config(),
             ShardScope::all(),
             Some(&sketches),
         );
         assert_eq!(
-            warm.sketch_work(),
-            0,
-            "full snapshot coverage must skip every MinHash pass"
+            probe_work(&warm),
+            1,
+            "full snapshot coverage must leave only the query to hash"
         );
         assert_eq!(warm.indexed_domains(), cold.indexed_domains());
         assert_eq!(warm.posting_stats(), cold.posting_stats());
@@ -492,21 +551,127 @@ mod tests {
     #[test]
     fn foreign_family_sketches_fall_back_to_hashing() {
         let lake = demo_lake();
-        let cold = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let cold = LshEnsembleDiscovery::build(&lake, sketch_config());
+        let cold_work = probe_work(&cold);
         let mut sketches = cold.export_sketches();
+        let warm = |sketches: &SketchSnapshot| {
+            LshEnsembleDiscovery::build_scoped(
+                &lake,
+                sketch_config(),
+                ShardScope::all(),
+                Some(sketches),
+            )
+        };
+        assert_eq!(probe_work(&warm(&sketches)), 1, "the own family is reused");
         sketches.seed ^= 1; // pretend the snapshot came from another family
-        let warm = LshEnsembleDiscovery::build_scoped(
-            &lake,
-            LshEnsembleConfig::default(),
-            ShardScope::all(),
-            Some(&sketches),
-        );
+        let foreign = warm(&sketches);
         assert_eq!(
-            warm.sketch_work(),
-            cold.sketch_work(),
+            probe_work(&foreign),
+            cold_work,
             "family mismatch must rebuild every sketch"
         );
-        assert_eq!(warm.discover(&query(), 5), cold.discover(&query(), 5));
+        assert_eq!(foreign.discover(&query(), 5), cold.discover(&query(), 5));
+    }
+
+    /// A domain's signature hashed from its run in the store equals the
+    /// signature of the table's column token set bit for bit — with
+    /// Unicode-lowercased cells, and after pool compaction rewrote every
+    /// id — so snapshots written from either stay reusable.
+    #[test]
+    fn store_hashed_signatures_equal_the_column_token_set_signature() {
+        let config = LshEnsembleConfig {
+            pool_compact_min: 0,
+            ..LshEnsembleConfig::default()
+        };
+        let mut lake = demo_lake();
+        let unicode = table! {
+            "unicode"; ["city", "word"];
+            ["İSTANBUL", "Straße"], ["Zürich", "ΣΊΣΥΦΟΣ"], ["ǅemal", "Ωmega"],
+            ["zürich", "straße"],
+        };
+        let dead: Vec<Vec<Value>> = (0..200)
+            .map(|i| vec![Value::Text(format!("Dead{i}"))])
+            .collect();
+        lake.add(unicode).unwrap();
+        lake.add(Table::from_rows("big", &["k"], dead).unwrap())
+            .unwrap();
+        let mut engine = LshEnsembleDiscovery::build(&lake, config);
+        let check = |engine: &LshEnsembleDiscovery, lake: &DataLake| {
+            let mut checked = 0;
+            for (&slot, name) in &engine.table_names {
+                let table = lake.get(name).unwrap();
+                for c in 0..table.column_count() {
+                    let tokens = table.column_token_set(c);
+                    let want = engine.hasher.signature(tokens.iter().map(String::as_str));
+                    let got = engine.sign(&(slot, c as u32));
+                    assert_eq!(got.as_ref(), (!tokens.is_empty()).then_some(&want));
+                    checked += 1;
+                }
+            }
+            checked
+        };
+        assert_eq!(check(&engine, &lake), 9);
+        let unicode = lake.get("unicode").unwrap();
+        assert!(unicode.column_token_set(0).contains("zürich"));
+        let pool = engine.pool_len();
+        let (slot, _) = lake.remove_table("big").unwrap();
+        engine.remove_table(slot);
+        assert!(engine.pool_len() + 200 <= pool, "the removal compacts");
+        assert_eq!(check(&engine, &lake), 8);
+    }
+
+    /// On the sketch path under churn, upserts hash nothing, a probe signs
+    /// only what no earlier probe signed, and answers stay sound and find
+    /// a staged superset at once.
+    #[test]
+    fn sketch_path_signs_on_demand_under_churn() {
+        let mut lake = hub_lake(24);
+        let config = LshEnsembleConfig {
+            rebalance_dirtiness: 0.2,
+            ..sketch_config()
+        };
+        let mut engine = LshEnsembleDiscovery::build(&lake, config);
+        let q = query_over(&lake, "t3", 10);
+        let domains = engine.indexed_domains() as u64;
+        let sketched = |engine: &LshEnsembleDiscovery, q: &TableQuery| {
+            let before = engine.sketch_work();
+            let hits = engine.discover(q, 50);
+            (hits, engine.sketch_work() - before)
+        };
+        assert_eq!(sketched(&engine, &q).1, 1 + domains);
+        assert_eq!(sketched(&engine, &q).1, 1, "a repeat probe signed again");
+        for t in 24..30 {
+            let mut rows: Vec<Vec<Value>> = (0..4)
+                .map(|h| vec![Value::Text(format!("hub{h}"))])
+                .collect();
+            rows.push(vec![Value::Text(format!("t{t}_v0"))]);
+            let fresh = Table::from_rows(&format!("t{t}"), &["k"], rows).unwrap();
+            let slot = lake.add_table(fresh.clone()).unwrap();
+            engine.upsert_table(slot, &fresh);
+            let (slot, _) = lake.remove_table(&format!("t{}", t - 20)).unwrap();
+            engine.remove_table(slot);
+            let (hits, _) = sketched(&engine, &q);
+            let truth = brute(&lake, &q, engine.config.threshold);
+            for d in &hits {
+                assert_eq!(truth.get(&d.table), Some(&d.score), "{}", d.table);
+            }
+            let own = query_over(&lake, &format!("t{t}"), 5);
+            let (hits, _) = sketched(&engine, &own);
+            assert!(
+                hits.iter()
+                    .any(|d| d.table == format!("t{t}") && d.score == 1.0),
+                "staged or fresh t{t} missed: {hits:?}"
+            );
+        }
+        assert_eq!(engine.indexed_domains() as u64, domains);
+        // Every live partitioned domain was signed by a probe; a staged
+        // one waits for the rebalance that partitions it.
+        let staged = engine.ensemble.staged_keys().count() as u64;
+        assert!(staged > 0);
+        assert_eq!(
+            engine.export_sketches().domains.len() as u64,
+            domains - staged
+        );
     }
 
     #[test]

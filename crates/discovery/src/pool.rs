@@ -87,7 +87,6 @@ impl StringPool {
     }
 
     /// The string behind an id, if the id was ever assigned.
-    #[cfg(test)]
     pub(crate) fn resolve(&self, id: u32) -> Option<&str> {
         ((id as usize) < self.len()).then(|| self.token(id))
     }

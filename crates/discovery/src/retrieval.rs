@@ -389,6 +389,14 @@ impl TokenPostings {
         (!list.is_empty()).then(|| list.as_slice())
     }
 
+    /// `Σ |posting(t)|` over `ids`: the entries an exact merge of their
+    /// lists would scan. `O(ids)`.
+    pub(crate) fn posting_mass(&self, ids: &[u32]) -> usize {
+        ids.iter()
+            .map(|&id| self.posting(id).map_or(0, <[DomainKey]>::len))
+            .sum()
+    }
+
     /// Resolve a query column through the pool, never interning: the
     /// query is not part of the lake, and a token the pool never saw
     /// occurs in no run.
@@ -455,10 +463,9 @@ impl TokenPostings {
         })
     }
 
-    /// The token behind a pool id.
-    #[cfg(test)]
-    pub(crate) fn token(&self, id: u32) -> Option<&str> {
-        self.pool.resolve(id)
+    /// The token behind a pool id; empty for an id never assigned.
+    pub(crate) fn token(&self, id: u32) -> &str {
+        self.pool.resolve(id).unwrap_or_default()
     }
 }
 

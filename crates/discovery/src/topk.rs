@@ -1,8 +1,9 @@
 //! Budgeted top-k query planning for joinable discovery — the
 //! candidate-cap lever over the LSH Ensemble engine.
 //!
-//! The probe-all query path ([`LshEnsembleDiscovery`]'s `discover`) hashes
-//! the query column and probes every partition, then truncates to `k`.
+//! On a query heavy enough for the sketch, the probe-all query path
+//! ([`LshEnsembleDiscovery`]'s `discover`) hashes the query column and
+//! probes every partition, then truncates to `k`.
 //! At lake scale that is wasted work twice over: interactive users re-hash
 //! the same query column on every refinement, and most partitions hold
 //! domains too small to ever reach the containment threshold, let alone
@@ -22,12 +23,12 @@
 //!    verified table score strictly beats the best possible score of every
 //!    unprobed partition.
 //! 3. **Posting-list verification.** Candidates are verified exactly
-//!    against interned token-id sets; small queries skip the sketch
-//!    entirely and are answered exactly by one posting merge over the
-//!    query's tokens (cheapest list first, under the
-//!    [`QueryBudget::postings`] cap) — raising `exact_fallback_below`
-//!    trades the sketch's approximation for exact answers at the cost of
-//!    merging longer posting lists.
+//!    against interned token-id sets. A query whose posting mass is below
+//!    `exact_mass_per_token × |Q|` skips the sketch entirely and is
+//!    answered exactly by one posting merge over its tokens (cheapest list
+//!    first, under the [`QueryBudget::postings`] cap); only a query heavy
+//!    enough that merging would cost more than hashing takes the sketch,
+//!    and a partition's first probe signs its domains from the store.
 //!
 //! With an unlimited [`QueryBudget`] the planner returns exactly what the
 //! probe-all path returns (same tables, same scores, same tie-breaks) —
@@ -453,10 +454,10 @@ impl TopKPlanner {
         let threshold = engine.config.threshold;
         let exclude = query.table.name();
 
-        // Small queries: answer exactly via the posting merge, no sketch
-        // work at all — the same shared engine helper the probe-all path
+        // Light queries: answer exactly via the posting merge, no sketch
+        // work at all — the same routing and merge the probe-all path
         // uses, so planner and probe-all cannot drift apart here.
-        if q_len < engine.config.exact_fallback_below {
+        if engine.routes_exact(&q_ids, q_len) {
             let (best, stats) = engine.exact_discover(&q_ids, q_len, exclude, budget.postings);
             return (finish(best, k), stats);
         }
@@ -471,6 +472,7 @@ impl TopKPlanner {
         engine.verify_candidates(seen.iter().copied(), &q_ids, q_len, exclude, &mut best);
 
         let plan = engine.ensemble.probe_plan(q_len);
+        let sign = |key: &DomainKey| engine.sign(key);
         let mut remaining = plan.len();
         for probe in &plan {
             // Threshold bound: nothing in this (or any later, since the
@@ -500,7 +502,7 @@ impl TopKPlanner {
 
             let mut fresh: Vec<DomainKey> = engine
                 .ensemble
-                .query_partition(probe.partition, &sig, q_len, threshold)
+                .query_partition(probe.partition, &sig, q_len, threshold, &sign)
                 .into_iter()
                 .filter(|key| seen.insert(*key))
                 .collect();
@@ -608,27 +610,44 @@ mod tests {
         (lake, q)
     }
 
+    /// Every query takes the sketch path: no posting mass is below 0.
+    fn sketch_config() -> LshEnsembleConfig {
+        LshEnsembleConfig {
+            exact_mass_per_token: 0,
+            ..LshEnsembleConfig::default()
+        }
+    }
+
     #[test]
     fn unbudgeted_planner_matches_probe_all_exactly() {
         let (lake, q) = skewed_lake(40);
-        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
-        let planner = TopKPlanner::new();
-        for k in [1, 2, 5, 50] {
-            assert_eq!(
-                planner.discover_top_k(&engine, &q, k, &QueryBudget::unlimited()),
-                engine.discover(&q, k),
-                "planner diverged from probe-all at k={k}"
-            );
+        for (config, exact) in [
+            (LshEnsembleConfig::default(), true),
+            (sketch_config(), false),
+        ] {
+            let engine = LshEnsembleDiscovery::build(&lake, config);
+            let planner = TopKPlanner::new();
+            for k in [1, 2, 5, 50] {
+                let (hits, stats) =
+                    planner.discover_top_k_with_stats(&engine, &q, k, &QueryBudget::unlimited());
+                assert_eq!(stats.exact_path, exact);
+                assert_eq!(
+                    hits,
+                    engine.discover(&q, k),
+                    "planner diverged from probe-all at k={k}"
+                );
+            }
         }
     }
 
     #[test]
     fn skew_prunes_partitions_via_threshold_and_optimality_bounds() {
         let (lake, q) = skewed_lake(60);
-        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let engine = LshEnsembleDiscovery::build(&lake, sketch_config());
         let planner = TopKPlanner::new();
         let (hits, stats) =
             planner.discover_top_k_with_stats(&engine, &q, 2, &QueryBudget::unlimited());
+        assert!(!stats.exact_path);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].table, "big_a");
         assert!(
@@ -645,9 +664,10 @@ mod tests {
     #[test]
     fn signature_cache_hits_on_repeat_and_invalidates_on_content_change() {
         let (lake, q) = skewed_lake(10);
-        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let engine = LshEnsembleDiscovery::build(&lake, sketch_config());
         let planner = TopKPlanner::new();
         let (_, s1) = planner.discover_top_k_with_stats(&engine, &q, 3, &QueryBudget::unlimited());
+        assert!(!s1.exact_path);
         assert!(!s1.cache_hit);
         let (_, s2) = planner.discover_top_k_with_stats(&engine, &q, 3, &QueryBudget::unlimited());
         assert!(s2.cache_hit, "repeat query must reuse the signature");
@@ -673,7 +693,7 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let (lake, _) = skewed_lake(4);
-        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let engine = LshEnsembleDiscovery::build(&lake, sketch_config());
         let planner = TopKPlanner::new();
         let mk = |salt: usize| {
             let rows: Vec<Vec<Value>> = (0..40)
@@ -687,7 +707,8 @@ mod tests {
         let budget = QueryBudget::unlimited();
         // Fill the cache: query 0 first, then queries 1..SIGNATURE_CACHE.
         for salt in 0..SIGNATURE_CACHE {
-            planner.discover_top_k(&engine, &mk(salt), 1, &budget);
+            let (_, stats) = planner.discover_top_k_with_stats(&engine, &mk(salt), 1, &budget);
+            assert!(!stats.exact_path);
         }
         assert_eq!(cached(&planner), SIGNATURE_CACHE);
         planner.discover_top_k(&engine, &mk(0), 1, &budget); // touch 0
@@ -702,10 +723,11 @@ mod tests {
     #[test]
     fn budget_caps_partitions_and_results_stay_sound() {
         let (lake, q) = skewed_lake(40);
-        let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+        let engine = LshEnsembleDiscovery::build(&lake, sketch_config());
         let planner = TopKPlanner::new();
         let budget = QueryBudget::unlimited().with_max_partitions(1);
         let (hits, stats) = planner.discover_top_k_with_stats(&engine, &q, 5, &budget);
+        assert!(!stats.exact_path);
         assert!(stats.partitions_probed <= 1);
         assert!(stats.budget_exhausted || stats.terminated_early || stats.partitions_pruned > 0);
         // Sound: every reported score is a true containment ≥ threshold.
@@ -722,12 +744,13 @@ mod tests {
             &lake,
             LshEnsembleConfig {
                 threshold: 0.05,
-                ..LshEnsembleConfig::default()
+                ..sketch_config()
             },
         );
         let planner = TopKPlanner::new();
         let budget = QueryBudget::unlimited().with_max_verifications(1);
         let (_, stats) = planner.discover_top_k_with_stats(&engine, &q, 50, &budget);
+        assert!(!stats.exact_path);
         assert!(stats.candidates_verified <= 1, "{stats:?}");
         assert!(stats.budget_exhausted, "{stats:?}");
     }
@@ -738,7 +761,7 @@ mod tests {
         let engine_cfg = LshEnsembleConfig {
             // Never auto-rebalance: the fresh table stays staged.
             rebalance_dirtiness: f64::INFINITY,
-            ..LshEnsembleConfig::default()
+            ..sketch_config()
         };
         let mut engine = LshEnsembleDiscovery::build(&lake, engine_cfg);
         let fresh_rows: Vec<Vec<Value>> = (0..70)
@@ -753,6 +776,7 @@ mod tests {
             .with_max_partitions(0)
             .with_max_verifications(0);
         let (hits, stats) = planner.discover_top_k_with_stats(&engine, &q, 5, &budget);
+        assert!(!stats.exact_path);
         assert!(
             hits.iter()
                 .any(|d| d.table == "fresh_superset" && (d.score - 1.0).abs() < 1e-12),
@@ -781,14 +805,14 @@ mod tests {
 
     #[test]
     fn raised_fallback_answers_mid_size_queries_exactly() {
-        // With `exact_fallback_below` raised past the query size, the
-        // 60-token query takes the exact posting merge — and must still
+        // With `exact_mass_per_token` at its maximum, the 60-token query
+        // takes the exact posting merge whatever its mass — and must still
         // match the probe-all answer byte-for-byte.
         let (lake, q) = skewed_lake(40);
         let engine = LshEnsembleDiscovery::build(
             &lake,
             LshEnsembleConfig {
-                exact_fallback_below: usize::MAX,
+                exact_mass_per_token: usize::MAX,
                 ..LshEnsembleConfig::default()
             },
         );
@@ -807,7 +831,7 @@ mod tests {
         let engine = LshEnsembleDiscovery::build(
             &lake,
             LshEnsembleConfig {
-                exact_fallback_below: usize::MAX,
+                exact_mass_per_token: usize::MAX,
                 ..LshEnsembleConfig::default()
             },
         );

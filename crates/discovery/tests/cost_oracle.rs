@@ -7,7 +7,7 @@
 //! `pipeline_oracle.rs`):
 //!
 //! * **Unlimited == brute force, byte-for-byte**: with the sketch
-//!   bypassed (`exact_fallback_below = usize::MAX`) the planner's exact
+//!   bypassed (`exact_mass_per_token = usize::MAX`) the planner's exact
 //!   posting merge at an unlimited — or merely *covering* — postings
 //!   budget must reproduce the brute-force containment top-k
 //!   ([`common::brute_containment`] over `Table::column_token_set`, ranked
@@ -19,8 +19,10 @@
 //!   and exhaustion is reported whenever the answer differs.
 //! * **The default route is exact**: on a heterogeneous lake under the
 //!   default engine config and default joinable budget, every query the
-//!   planner routes exact equals the brute-force top-k byte-for-byte, and
-//!   the budget never binds.
+//!   mass router sends to the exact merge equals the brute-force top-k
+//!   byte-for-byte, and the budget never binds. On a hub lake whose
+//!   posting lists outweigh the routing line, queries take the sketch and
+//!   stay within the default budget.
 //! * **Typeless capped == full scan at covering caps**: on a KB-empty
 //!   lake the SANTOS synthesized-signal posting index at any covering
 //!   cap equals the `cap == usize::MAX` exhaustive full scan
@@ -38,7 +40,7 @@ use dialite_discovery::{
     QueryBudget, SantosConfig, SantosDiscovery, TableQuery, TopKPlanner,
 };
 use dialite_kb::KbBuilder;
-use dialite_table::{DataLake, Table};
+use dialite_table::{DataLake, Table, Value};
 use proptest::prelude::*;
 
 mod common;
@@ -51,7 +53,7 @@ fn exact_config() -> LshEnsembleConfig {
     LshEnsembleConfig {
         num_perm: 32,
         num_partitions: 2,
-        exact_fallback_below: usize::MAX,
+        exact_mass_per_token: usize::MAX,
         ..LshEnsembleConfig::default()
     }
 }
@@ -85,9 +87,10 @@ fn brute_top_k(lake: &DataLake, query: &Table, threshold: f64, k: usize) -> Vec<
     top_k_discovered(hits, k)
 }
 
-/// Every query the default config routes exact (fewer distinct tokens
-/// than `exact_fallback_below`) is answered exactly under the default
+/// Every query the default config routes exact (posting mass below
+/// `exact_mass_per_token × |Q|`) is answered exactly under the default
 /// joinable budget: the brute-force top-k, no posting list left unscanned.
+/// On this lake every one of the 64 queries is that light.
 #[test]
 fn default_config_exact_route_equals_brute_force() {
     let spec = HeterogeneousLakeWorkload {
@@ -114,7 +117,59 @@ fn default_config_exact_route_equals_brute_force() {
         assert_eq!(stats.postings_skipped, 0, "{}: {stats:?}", q.name());
         assert!(!stats.budget_exhausted, "{}: {stats:?}", q.name());
     }
-    assert!(exact > 0, "no query took the exact route");
+    assert_eq!(exact, 64, "queries routed exact");
+}
+
+/// A hub lake: every table holds the same four hub tokens beside private
+/// ones, so a query over the hubs and `extra` private tokens has a posting
+/// mass of `4 × tables + extra`, over the default line of
+/// `256 × (4 + extra)`. Such a query takes the sketch path and stays
+/// within the default joinable budget, and every table it reports carries
+/// its exact brute-force score.
+#[test]
+fn heavy_mass_queries_take_the_sketch_within_the_default_budget() {
+    let tables = 400;
+    let mut lake = DataLake::new();
+    for t in 0..tables {
+        let rows = (0..4)
+            .map(|h| format!("hub{h}"))
+            .chain((0..8).map(|i| format!("t{t}_v{i}")))
+            .map(|tok| vec![Value::Text(tok)])
+            .collect();
+        lake.add(Table::from_rows(&format!("t{t}"), &["k"], rows).unwrap())
+            .unwrap();
+    }
+    let config = LshEnsembleConfig::default();
+    let threshold = config.threshold;
+    let engine = LshEnsembleDiscovery::build(&lake, config);
+    let planner = TopKPlanner::new();
+    let budget = DiscoveryBudget::default().joinable;
+    let k = 10;
+    for extra in 0..3 {
+        // The four hubs, plus `extra` private tokens of one table.
+        let rows = (0..4)
+            .map(|h| format!("hub{h}"))
+            .chain((0..extra).map(|i| format!("t7_v{i}")))
+            .map(|tok| vec![Value::Text(tok)])
+            .collect();
+        let q = Table::from_rows("q", &["k"], rows).unwrap();
+        let line = LshEnsembleConfig::default().exact_mass_per_token * (4 + extra);
+        assert!(
+            4 * tables + extra > line,
+            "extra {extra}: the mass is under the line"
+        );
+        let query = TableQuery::with_column(q.clone(), 0);
+        let (hits, stats) = planner.discover_top_k_with_stats(&engine, &query, k, &budget);
+        assert!(!stats.exact_path, "extra {extra}: {stats:?}");
+        assert!(!stats.budget_exhausted, "extra {extra}: {stats:?}");
+        assert!(stats.partitions_probed <= budget.max_partitions);
+        assert!(stats.candidates_verified <= budget.max_verifications);
+        assert_eq!(hits.len(), k, "extra {extra}");
+        let full = full_scores(&lake, &q, threshold);
+        for d in &hits {
+            assert_eq!(full.get(&d.table), Some(&d.score), "{}", d.table);
+        }
+    }
 }
 
 proptest! {

@@ -1,4 +1,4 @@
-//! Heap-share gates, two bounds on one measurement:
+//! Heap-share gates, three bounds on one measurement:
 //!
 //! * **One store per shard.** A `LakeIndex` shard keeps one value token
 //!   store, read by SANTOS and the joinable leg (metadata keeps its header
@@ -11,6 +11,13 @@
 //!   keeps each token's bytes once in an arena and a lone posting inline;
 //!   two `String`s per token and a heap list per posting put the engine
 //!   near 3× the lake.
+//! * **Signatures on demand.** A standalone `LshEnsembleDiscovery` — the
+//!   same value store plus a few words per domain in its ensemble — holds
+//!   at most 1.5× the lake too, and neither it nor the `LakeIndex` has
+//!   computed a MinHash signature by the end of its build: a domain is
+//!   signed by the first sketch probe of its partition. Signing every
+//!   domain at build time (2 KiB per domain at 256 permutations) put the
+//!   leg near 2.8× the lake.
 //!
 //! A counting global allocator measures each structure's live heap on a
 //! heterogeneous open-data lake and the test prints the table. It is a
@@ -108,10 +115,12 @@ fn three_leg_index_holds_one_value_store() {
     let (metadata, metadata_b) = held(|| MetadataDiscovery::build(&lake, metadata_config));
     drop(metadata);
     let (index, index_b) = held(|| LakeIndex::build(&lake, kb.clone(), config.clone()));
+    assert_eq!(index.sketch_work(), 0, "the build computed signatures");
     drop(index);
 
     let bound = lshe_b + metadata_b + santos_b / 4;
     let santos_bound = lake_b + lake_b / 2;
+    let lshe_bound = santos_bound;
     let mib = |bytes: usize| bytes as f64 / f64::from(1 << 20);
     println!("live heap, {} tables:", lake.len());
     for (name, bytes) in [
@@ -122,6 +131,7 @@ fn three_leg_index_holds_one_value_store() {
         ("LakeIndex (3 legs)", index_b),
         ("bound: lshe + metadata + santos/4", bound),
         ("bound on santos: 1.5 × lake", santos_bound),
+        ("bound on lshe: 1.5 × lake", lshe_bound),
     ] {
         println!("  {name:<34} {:>8.2} MiB", mib(bytes));
     }
@@ -135,6 +145,12 @@ fn three_leg_index_holds_one_value_store() {
         santos_b <= santos_bound,
         "SANTOS holds {:.2} MiB, over 1.5 × the lake's {:.2} MiB",
         mib(santos_b),
+        mib(lake_b)
+    );
+    assert!(
+        lshe_b <= lshe_bound,
+        "the joinable leg holds {:.2} MiB, over 1.5 × the lake's {:.2} MiB",
+        mib(lshe_b),
         mib(lake_b)
     );
 }

@@ -6,7 +6,7 @@
 //! Two regimes are pinned:
 //!
 //! * **Exact-verification semantics** (the main oracle): with the LSH
-//!   sketch bypassed (`exact_fallback_below = usize::MAX`), discovery
+//!   sketch bypassed (`exact_mass_per_token = usize::MAX`), discovery
 //!   output is a pure function of the maintained domain/annotation state,
 //!   so incremental and rebuilt indexes must agree bit-for-bit on keys
 //!   *and* scores. Any drift in tombstoning, pool interning, slot keying
@@ -42,7 +42,7 @@ fn exact_config() -> LakeIndexConfig {
             num_partitions: 4,
             // Bypass the sketch: every stored domain is verified exactly,
             // making discovery output deterministic given the lake state.
-            exact_fallback_below: usize::MAX,
+            exact_mass_per_token: usize::MAX,
             // Tiny dirtiness budget → frequent tombstone-triggered
             // rebalances inside the trace, exercising re-partitioning.
             rebalance_dirtiness: 0.15,

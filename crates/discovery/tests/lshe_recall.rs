@@ -7,9 +7,9 @@
 //! * **Soundness (always):** post-verification never reports a table below
 //!   the containment threshold, and never above its true best containment
 //!   — reported scores are exact containments of verified columns.
-//! * **Exact fallback:** with `exact_fallback_below` above the query size
-//!   (or the sketch bypassed entirely), the output *is* the brute-force
-//!   truth, keys and scores.
+//! * **Exact route:** a query routed to the exact posting merge (every
+//!   query at `exact_mass_per_token = usize::MAX`, a light one by
+//!   default) gets the brute-force truth, keys and scores.
 //! * **Recall (quantified):** on the sketch path, decisively-above-
 //!   threshold tables are recalled at ≥ 90%, and overall above-threshold
 //!   recall is reported and floored. Fixed seeds keep this deterministic.
@@ -60,7 +60,7 @@ fn sketch_path_is_sound_and_recall_is_quantified() {
     let threshold = 0.5;
     let config = LshEnsembleConfig {
         threshold,
-        exact_fallback_below: 4, // force the sketch path for real queries
+        exact_mass_per_token: 0, // force the sketch path for every query
         ..LshEnsembleConfig::default()
     };
     let engine = LshEnsembleDiscovery::build(&lake, config);
@@ -72,7 +72,12 @@ fn sketch_path_is_sound_and_recall_is_quantified() {
     let mut decisive_found = 0usize;
     for q in queries(&lake) {
         let truth = brute_containment(&lake, &q);
+        let work = engine.sketch_work();
         let hits = engine.discover(&TableQuery::with_column(q, 0), usize::MAX);
+        assert!(
+            engine.sketch_work() > work,
+            "the query took the exact route"
+        );
         let found: HashMap<&str, f64> = hits.iter().map(|d| (d.table.as_str(), d.score)).collect();
 
         // Soundness: threshold floor + no overstated score, ever.
@@ -123,7 +128,7 @@ fn exact_fallback_reproduces_brute_force_truth_exactly() {
     let threshold = 0.5;
     let config = LshEnsembleConfig {
         threshold,
-        exact_fallback_below: usize::MAX, // every query takes the exact scan
+        exact_mass_per_token: usize::MAX, // every query takes the exact scan
         ..LshEnsembleConfig::default()
     };
     let engine = LshEnsembleDiscovery::build(&lake, config);
@@ -155,7 +160,8 @@ fn exact_fallback_reproduces_brute_force_truth_exactly() {
 fn small_queries_bypass_the_sketch_for_perfect_recall() {
     let lake = lake();
     let threshold = 0.5;
-    // Default fallback (16): a 3-token query scans exactly.
+    // Default routing: a 3-token query's posting mass is far below the
+    // line, so it is merged exactly.
     let engine = LshEnsembleDiscovery::build(
         &lake,
         LshEnsembleConfig {

@@ -36,7 +36,7 @@ proptest! {
             // Exact posting-path queries only: this suite pins memory
             // behaviour, not sketch recall, so keep the probabilistic
             // path out of the assertions.
-            exact_fallback_below: usize::MAX,
+            exact_mass_per_token: usize::MAX,
             ..LshEnsembleConfig::default()
         };
         let mut lake = DataLake::from_tables(trace.initial).unwrap();

@@ -41,7 +41,7 @@ fn exact_config() -> LakeIndexConfig {
         lshe: LshEnsembleConfig {
             num_perm: 64,
             num_partitions: 4,
-            exact_fallback_below: usize::MAX,
+            exact_mass_per_token: usize::MAX,
             rebalance_dirtiness: 0.15,
             ..LshEnsembleConfig::default()
         },

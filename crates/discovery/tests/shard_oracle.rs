@@ -5,7 +5,7 @@
 //! Three properties are pinned:
 //!
 //! * **Byte-identity across shard counts**: with the LSH sketch bypassed
-//!   (`exact_fallback_below = usize::MAX`, the same regime as the
+//!   (`exact_mass_per_token = usize::MAX`, the same regime as the
 //!   incremental oracle), discovery output is a pure function of lake
 //!   state, so N ∈ {1, 2, 4, 8} shards must agree bit-for-bit with the
 //!   single index on keys *and* scores — across churn traces (per-shard
@@ -39,7 +39,7 @@ fn exact_config() -> LakeIndexConfig {
         lshe: LshEnsembleConfig {
             num_perm: 64,
             num_partitions: 4,
-            exact_fallback_below: usize::MAX,
+            exact_mass_per_token: usize::MAX,
             rebalance_dirtiness: 0.15,
             ..LshEnsembleConfig::default()
         },

@@ -1,16 +1,25 @@
 //! The LSH Ensemble containment-search index (Zhu et al., VLDB 2016),
-//! incrementally maintainable.
+//! incrementally maintainable, with signatures computed on demand.
 //!
-//! Domains (column value sets) are partitioned by set size (equi-depth).
+//! Domains (column value sets) are partitioned by set size (equi-depth),
+//! which needs only each domain's size: the index is built, grown and
+//! rebalanced from `(key, size)` entries. Each entry holds a **signature
+//! cell**, filled at most once and shared with the partition that holds
+//! the entry, so a computed signature survives every rebalance. A cell is
+//! filled either up front ([`LshEnsembleBuilder::insert_signed`], e.g.
+//! from a snapshot) or by the **first probe of its partition**: the
+//! caller passes a *signer* with every probe, and a partition's first
+//! probe signs each member that is still current (neither removed nor
+//! re-inserted since the rebalance) whose cell is empty. An index that is
+//! never probed hashes nothing.
+//!
 //! Each partition bands its domains for every power-of-two row count
 //! `r ≤ num_perm`, one `(band hash, domain)` array per band, sorted by
 //! hash and probed by binary search. A band table is **built on first
-//! probe** from the signatures the partition shares with the index, and
-//! kept until the next rebalance: queries read one `(b, r)` per probed
-//! partition, and most top-k queries take the exact path and probe none.
-//! On the discover-hetero benchmark lake (12 980 domains) the bands ever
-//! probed hold 3.9 MB of the 75.9 MB an eager build laid out. Band tables
-//! are never persisted, so the band hash can change without touching a
+//! probe** from the partition's signed cells, and kept until the next
+//! rebalance: queries read one `(b, r)` per probed partition, and most
+//! top-k queries take the exact path and probe none. Band tables are
+//! never persisted, so the band hash can change without touching a
 //! snapshot. A containment query converts its threshold into a
 //! per-partition Jaccard threshold using the partition's upper size
 //! bound, picks the (near-)optimal `(b, r)` for that threshold among the
@@ -18,20 +27,19 @@
 //! memoised — and probes `b` bands.
 //!
 //! **Mutation.** The built index supports churn without O(lake) rebuilds:
-//! [`LshEnsemble::insert`] stages a new domain without banding it: the
-//! best-fitting existing partition stretches its bound, and the domain is
-//! verified via [`LshEnsemble::staged_keys`] (and returned by every
-//! [`LshEnsemble::query`]) until the next rebalance partitions it.
-//! [`LshEnsemble::remove`] tombstones a key — dead postings stay in the
-//! banding tables but are filtered out of query results. Both operations
-//! are `O(changed domain)`; a band first built after either still holds
-//! the postings of the rebalance. Because staged inserts and stretched
-//! bounds slowly degrade the equi-depth layout, the index tracks a
-//! *dirtiness* count and re-partitions from its retained `(key, size,
-//! signature)` entries once dirtiness exceeds a configurable fraction of
+//! [`LshEnsemble::insert`] stages a new domain without partitioning or
+//! signing it; the domain is verified via [`LshEnsemble::staged_keys`]
+//! (and returned by every [`LshEnsemble::query`]) until the next
+//! rebalance partitions it. [`LshEnsemble::remove`] tombstones a key.
+//! Partition candidates are only the members still current, so a removed
+//! or re-inserted key never surfaces from a band, however early or late
+//! the band was built. Both operations are `O(changed domain)`. Because
+//! staged inserts and tombstones slowly degrade the equi-depth layout, the
+//! index tracks a *dirtiness* count and re-partitions its retained `(key,
+//! size, cell)` entries once dirtiness exceeds a configurable fraction of
 //! the live domain count ([`LshEnsemble::set_rebalance_threshold`]). A
-//! rebalance bands nothing and produces exactly the layout a fresh build
-//! over the live entries would — the canonical form the
+//! rebalance bands and signs nothing and produces exactly the layout a
+//! fresh build over the live entries would — the canonical form the
 //! incremental-oracle tests pin.
 //!
 //! The index is generic over the domain **key type** `K` (default
@@ -45,12 +53,16 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use crate::hasher::{MinHasher, Signature};
+use crate::hasher::Signature;
 use crate::params::{containment_to_jaccard, optimal_params_restricted};
 
 /// Default fraction of live domains that may be dirty (staged or
 /// tombstoned) before a mutation triggers re-partitioning.
 pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 0.25;
+
+/// A domain's signature, filled at most once and shared by the live entry
+/// and the partition holding it.
+type SigCell = Arc<OnceLock<Signature>>;
 
 /// Hash of a band from the hashes of its two halves: an odd-multiplier xor,
 /// then the SplitMix64 finaliser.
@@ -77,54 +89,75 @@ fn band_hash(slots: &[u64]) -> u64 {
     }
 }
 
-/// One band table of a partition: every member's band hash, sorted
-/// ascending, with `ids` the parallel indices into the partition's keys —
-/// each member has exactly one entry.
+/// One band table of a partition: every signed member's band hash, sorted
+/// ascending, with `ids` the parallel indices into the partition's keys.
 struct Band {
     hashes: Box<[u64]>,
     ids: Box<[u32]>,
 }
 
-/// One size partition: its members and their band tables, each built on
-/// first probe. Band `g` of the flattened bands (row counts ascending,
-/// bands in order within a row count) is `bands[g]`.
+/// One size partition: its members, their signature cells and their band
+/// tables, each built on first probe. Band `g` of the flattened bands (row
+/// counts ascending, bands in order within a row count) is `bands[g]`.
 struct Partition<K> {
     /// Maximum domain size in this partition (the `u` of the containment →
     /// Jaccard conversion).
     upper: usize,
     lower: usize,
     keys: Vec<K>,
-    /// `sigs[id]`: the signature `keys[id]` had when the partition was
-    /// built. Bands hash these, never the live entries, so a key removed
-    /// or re-inserted since is banded as it was at the rebalance.
-    sigs: Vec<Arc<Signature>>,
+    /// `cells[id]`: the cell `keys[id]` had when the partition was built.
+    /// A key re-inserted since has a new cell in the live entries; its old
+    /// one stays here, unsigned if it was never probed.
+    cells: Vec<SigCell>,
+    /// Set by the first probe, once every member current at that probe is
+    /// signed. Bands are built only after it.
+    signed: OnceLock<()>,
     bands: Box<[OnceLock<Band>]>,
 }
 
 impl<K: Clone + Eq + Hash> Partition<K> {
     /// A partition over a non-empty `(size, key)`-sorted chunk, with
     /// `bands` band tables left to build on first probe.
-    fn build(chunk: &[(&K, usize, &Arc<Signature>)], bands: usize) -> Partition<K> {
+    fn build(chunk: &[(&K, usize, &SigCell)], bands: usize) -> Partition<K> {
         Partition {
             lower: chunk.first().map_or(0, |e| e.1),
             upper: chunk.last().map_or(0, |e| e.1),
             keys: chunk.iter().map(|e| e.0.clone()).collect(),
-            sigs: chunk.iter().map(|e| Arc::clone(e.2)).collect(),
+            cells: chunk.iter().map(|e| Arc::clone(e.2)).collect(),
+            signed: OnceLock::new(),
             bands: (0..bands).map(|_| OnceLock::new()).collect(),
         }
     }
 
+    /// Fill the empty cell of every member `current` admits through
+    /// `sign`, on the first call only. Concurrent first probes block on
+    /// one signing pass. A member `sign` has no signature for stays
+    /// unsigned and is banded nowhere.
+    fn sign(&self, current: impl Fn(&K) -> bool, sign: &dyn Fn(&K) -> Option<Signature>) {
+        self.signed.get_or_init(|| {
+            for (key, cell) in self.keys.iter().zip(&self.cells) {
+                if cell.get().is_none() && current(key) {
+                    if let Some(sig) = sign(key) {
+                        // Cells are filled only here, under `signed`, or
+                        // before the partition existed.
+                        let _ = cell.set(sig);
+                    }
+                }
+            }
+        });
+    }
+
     /// Flattened band `g`, which covers slots `lo..lo + r`: built on the
-    /// first call — one [`band_hash`] per member, then one sort — and
-    /// shared by every later one. Concurrent first probes block on one
-    /// build.
+    /// first call — one [`band_hash`] per signed member, then one sort —
+    /// and shared by every later one. Concurrent first probes block on
+    /// one build.
     fn band(&self, g: usize, lo: usize, r: usize) -> &Band {
         self.bands[g].get_or_init(|| {
             let mut entries: Vec<(u64, u32)> = self
-                .sigs
+                .cells
                 .iter()
-                .map(|sig| band_hash(&sig.0[lo..lo + r]))
                 .zip(0u32..)
+                .filter_map(|(cell, id)| Some((band_hash(&cell.get()?.0[lo..lo + r]), id)))
                 .collect();
             entries.sort_unstable_by_key(|e| e.0);
             Band {
@@ -152,15 +185,15 @@ impl<K: Clone + Eq + Hash> Partition<K> {
     }
 }
 
-/// Equi-depth partitioning over `(key, size, signature)` entries, sorted
-/// here by `(size, key)` — shared by the builder and by incremental
-/// rebalances so both produce the identical canonical layout.
+/// Equi-depth partitioning over `(key, size, cell)` entries, sorted here by
+/// `(size, key)` — shared by the builder and by incremental rebalances so
+/// both produce the identical canonical layout.
 fn partition_entries<'a, K: Clone + Eq + Hash + Ord + 'a>(
-    entries: impl Iterator<Item = (&'a K, usize, &'a Arc<Signature>)>,
+    entries: impl Iterator<Item = (&'a K, usize, &'a SigCell)>,
     num_partitions: usize,
     bands: usize,
 ) -> Vec<Partition<K>> {
-    let mut sorted: Vec<(&K, usize, &Arc<Signature>)> = entries.collect();
+    let mut sorted: Vec<(&K, usize, &SigCell)> = entries.collect();
     sorted.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(b.0)));
     if sorted.is_empty() {
         return Vec::new();
@@ -172,41 +205,37 @@ fn partition_entries<'a, K: Clone + Eq + Hash + Ord + 'a>(
         .collect()
 }
 
+/// A cell, filled when `sig` is given.
+fn cell(sig: Option<Signature>) -> SigCell {
+    Arc::new(sig.map_or_else(OnceLock::new, OnceLock::from))
+}
+
 /// Accumulates domains before partitioning. `K` is the domain key type.
 pub struct LshEnsembleBuilder<K = String> {
-    hasher: MinHasher,
     num_perm: usize,
-    entries: Vec<(K, usize, Arc<Signature>)>,
+    entries: Vec<(K, usize, SigCell)>,
 }
 
 impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
-    /// Builder with `num_perm` hash functions and a deterministic seed.
-    pub fn new(num_perm: usize, seed: u64) -> LshEnsembleBuilder<K> {
+    /// Builder for signatures of `num_perm` slots.
+    pub fn new(num_perm: usize) -> LshEnsembleBuilder<K> {
         LshEnsembleBuilder {
-            hasher: MinHasher::new(num_perm, seed),
             num_perm,
             entries: Vec::new(),
         }
     }
 
-    /// The hasher queries must use to be comparable with this index.
-    pub fn hasher(&self) -> &MinHasher {
-        &self.hasher
+    /// Stage a domain of `size` distinct tokens under `key`, unsigned: the
+    /// first probe of its partition signs it.
+    pub fn insert(&mut self, key: K, size: usize) {
+        self.entries.push((key, size, cell(None)));
     }
 
-    /// Hash and stage a domain under `key`; its size is the number of
-    /// distinct tokens, the cardinality the signature is taken over.
-    pub fn insert_tokens<'a, I: IntoIterator<Item = &'a str>>(&mut self, key: K, tokens: I) {
-        let toks: HashSet<&str> = tokens.into_iter().collect();
-        let size = toks.len();
-        let sig = self.hasher.signature(toks);
-        self.entries.push((key, size, Arc::new(sig)));
-    }
-
-    /// Stage a pre-computed signature (size = domain cardinality).
-    pub fn insert_signature(&mut self, key: K, size: usize, sig: Signature) {
+    /// Stage a domain with its signature already computed (a warm start
+    /// from a snapshot): probes never sign it again.
+    pub fn insert_signed(&mut self, key: K, size: usize, sig: Signature) {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
-        self.entries.push((key, size, Arc::new(sig)));
+        self.entries.push((key, size, cell(Some(sig))));
     }
 
     /// Number of staged domains.
@@ -219,14 +248,15 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
         self.entries.is_empty()
     }
 
-    /// Partition (equi-depth by size); bands are built on first probe.
+    /// Partition (equi-depth by size); signatures and bands come on first
+    /// probe.
     pub fn build(self, num_partitions: usize) -> LshEnsemble<K> {
         let num_partitions = num_partitions.max(1);
         let rs: Vec<usize> = std::iter::successors(Some(1usize), |r| Some(r * 2))
             .take_while(|&r| r <= self.num_perm)
             .collect();
         let partitions = partition_entries(
-            self.entries.iter().map(|(k, size, sig)| (k, *size, sig)),
+            self.entries.iter().map(|(k, size, cell)| (k, *size, cell)),
             num_partitions,
             band_count(self.num_perm, &rs),
         );
@@ -238,7 +268,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
             entries: self
                 .entries
                 .into_iter()
-                .map(|(k, size, sig)| (k, (size, sig)))
+                .map(|(k, size, cell)| (k, (size, cell)))
                 .collect(),
             staged: HashSet::new(),
             tombstones: HashSet::new(),
@@ -255,8 +285,9 @@ fn band_count(num_perm: usize, rs: &[usize]) -> usize {
     rs.iter().map(|&r| num_perm / r).sum()
 }
 
-/// The built containment index. Query with a signature from the builder's
-/// [`MinHasher`], the query set's cardinality, and a containment threshold.
+/// The built containment index. Query with a signature from the hash
+/// family the signer uses, the query set's cardinality, a containment
+/// threshold and the signer that fills unsigned cells on first probe.
 /// Supports incremental [`insert`](LshEnsemble::insert) /
 /// [`remove`](LshEnsemble::remove) — see the module docs.
 pub struct LshEnsemble<K = String> {
@@ -264,15 +295,15 @@ pub struct LshEnsemble<K = String> {
     allowed_r: Vec<usize>,
     num_partitions: usize,
     partitions: Vec<Partition<K>>,
-    /// Live domains: `key → (size, signature)`. Retained so a rebalance can
-    /// re-partition without the caller replaying anything.
-    entries: HashMap<K, (usize, Arc<Signature>)>,
+    /// Live domains: `key → (size, signature cell)`. Retained so a
+    /// rebalance can re-partition without the caller replaying anything.
+    entries: HashMap<K, (usize, SigCell)>,
     /// Keys inserted since the last (re)build. They are not banded: every
     /// [`LshEnsemble::query`] returns them, and recall-critical callers
     /// verify them exactly — [`LshEnsemble::staged_keys`] exposes the set.
     staged: HashSet<K>,
-    /// Keys removed since the last (re)build whose postings still sit in
-    /// the banding tables; filtered out of every query result.
+    /// Keys removed since the last (re)build; partitions may still hold
+    /// them, but never return them.
     tombstones: HashSet<K>,
     /// Dirtiness fraction that triggers re-partitioning.
     rebalance_threshold: f64,
@@ -312,25 +343,42 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     /// Candidate keys whose domains likely contain at least `threshold` of
     /// the query set. Candidates are *probabilistic* — callers verify exact
     /// containment against the real token sets (the discovery layer does).
-    /// Every staged key is a candidate.
-    pub fn query(&self, sig: &Signature, query_size: usize, threshold: f64) -> Vec<K> {
+    /// Every staged key is a candidate. `sign` computes the signature of a
+    /// member a partition's first probe finds unsigned; `None` leaves that
+    /// member out of every band.
+    pub fn query(
+        &self,
+        sig: &Signature,
+        query_size: usize,
+        threshold: f64,
+        sign: &dyn Fn(&K) -> Option<Signature>,
+    ) -> Vec<K> {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
         let mut hits = HashSet::new();
         for idx in 0..self.partitions.len() {
-            self.probe_partition_into(idx, sig, query_size, threshold, &mut hits);
+            self.probe_partition_into(idx, sig, query_size, threshold, sign, &mut hits);
         }
+        let mut hits = self.current_sorted(hits);
         hits.extend(self.staged.iter().cloned());
-        self.live_sorted(hits)
+        hits.sort();
+        hits
     }
 
-    /// Drop tombstoned keys and sort, for deterministic output.
-    fn live_sorted(&self, mut hits: HashSet<K>) -> Vec<K> {
-        if !self.tombstones.is_empty() {
-            hits.retain(|k| !self.tombstones.contains(k));
+    /// Drop keys removed or re-inserted since the rebalance, and sort for
+    /// deterministic output.
+    fn current_sorted(&self, mut hits: HashSet<K>) -> Vec<K> {
+        if !self.staged.is_empty() || !self.tombstones.is_empty() {
+            hits.retain(|k| self.is_current(k));
         }
         let mut out: Vec<K> = hits.into_iter().collect();
         out.sort();
         out
+    }
+
+    /// Whether a partition member is still the live domain its partition
+    /// was built over: neither removed nor re-inserted since.
+    fn is_current(&self, key: &K) -> bool {
+        !self.staged.contains(key) && !self.tombstones.contains(key)
     }
 
     /// The query-time probe schedule for a query of `query_size` distinct
@@ -365,32 +413,36 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     }
 
     /// Probe a single partition (by [`PartitionProbe::partition`] index)
-    /// and return its banded candidate keys, tombstone-filtered and sorted
-    /// for determinism. The `(b, r)` banding parameters are chosen exactly
-    /// as [`LshEnsemble::query`] chooses them for this partition. Staged
-    /// keys are not banded, so the union of all partitions' candidates and
-    /// [`LshEnsemble::staged_keys`] equals the probe-all result.
+    /// and return its banded candidate keys that are still current, sorted
+    /// for determinism. The `(b, r)` banding parameters and the signing
+    /// are exactly [`LshEnsemble::query`]'s for this partition. Staged
+    /// keys are never partition candidates, so the union of all
+    /// partitions' candidates and [`LshEnsemble::staged_keys`] equals the
+    /// probe-all result.
     pub fn query_partition(
         &self,
         partition: usize,
         sig: &Signature,
         query_size: usize,
         threshold: f64,
+        sign: &dyn Fn(&K) -> Option<Signature>,
     ) -> Vec<K> {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
         let mut hits = HashSet::new();
-        self.probe_partition_into(partition, sig, query_size, threshold, &mut hits);
-        self.live_sorted(hits)
+        self.probe_partition_into(partition, sig, query_size, threshold, sign, &mut hits);
+        self.current_sorted(hits)
     }
 
-    /// Shared per-partition probe: threshold → per-partition Jaccard via
-    /// the partition's upper bound, then the optimal materialized `(b, r)`.
+    /// Shared per-partition probe: sign the partition on its first probe,
+    /// then threshold → per-partition Jaccard via the partition's upper
+    /// bound, then the optimal materialized `(b, r)`.
     fn probe_partition_into(
         &self,
         partition: usize,
         sig: &Signature,
         query_size: usize,
         threshold: f64,
+        sign: &dyn Fn(&K) -> Option<Signature>,
         hits: &mut HashSet<K>,
     ) {
         let Some(p) = self.partitions.get(partition) else {
@@ -403,6 +455,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
             return;
         };
         let first_band = band_count(self.num_perm, &self.allowed_r[..pos]);
+        p.sign(|key| self.is_current(key), sign);
         p.query(sig, b.min(self.num_perm / r), r, first_band, hits);
     }
 
@@ -423,48 +476,35 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         br
     }
 
-    /// Insert (or replace) a domain in the live index. The domain is marked
-    /// *staged* and is not banded until the next rebalance; the
-    /// best-fitting existing partition stretches its size bounds when the
-    /// size falls outside every bound. `O(1)` partitions touched.
-    pub fn insert(&mut self, key: K, size: usize, sig: Signature) {
-        assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
+    /// Insert (or replace) an unsigned domain of `size` distinct tokens in
+    /// the live index. The domain is marked *staged*: it is neither
+    /// partitioned nor signed until the next rebalance, and no partition
+    /// bound changes. `O(1)` partitions touched.
+    pub fn insert(&mut self, key: K, size: usize) {
         if self.entries.contains_key(&key) {
             self.remove(&key);
         }
-        self.entries.insert(key.clone(), (size, Arc::new(sig)));
-        // A re-inserted key must not stay suppressed by its own tombstone.
-        // Postings of the *old* version may resurface as candidates until
-        // the next rebalance — recall-safe, callers verify exactly.
+        self.entries.insert(key.clone(), (size, cell(None)));
+        // A re-inserted key must not stay suppressed by its own tombstone;
+        // staged, it is no longer current in its old partition.
         self.tombstones.remove(&key);
         self.staged.insert(key);
         if self.partitions.is_empty() {
             self.rebalance();
             return;
         }
-        // First partition whose upper bound admits the size, else the last
-        // partition stretched upward. Stretching `upper` only lowers that
-        // partition's converted Jaccard threshold — recall-safe.
-        let idx = self
-            .partitions
-            .iter()
-            .position(|p| size <= p.upper)
-            .unwrap_or(self.partitions.len() - 1);
-        let p = &mut self.partitions[idx];
-        p.upper = p.upper.max(size);
-        p.lower = p.lower.min(size);
         self.maybe_rebalance();
     }
 
     /// Tombstone a domain: it disappears from query results immediately;
-    /// its banding postings are reclaimed at the next rebalance. Returns
-    /// `false` when the key was not live.
+    /// its partition forgets it at the next rebalance. Returns `false` when
+    /// the key was not live.
     pub fn remove(&mut self, key: &K) -> bool {
         if self.entries.remove(key).is_none() {
             return false;
         }
-        // Staged keys flip straight to tombstones too: their postings
-        // linger in the banding tables until the next rebalance.
+        // Staged keys flip straight to tombstones too: a partition may
+        // still hold the key from before its re-insert.
         self.staged.remove(key);
         self.tombstones.insert(key.clone());
         self.maybe_rebalance();
@@ -500,10 +540,13 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
 
     /// Re-partition the live entries into the canonical equi-depth layout
     /// (identical to a fresh build over the same entries), clearing all
-    /// staged/tombstone state and the `(b, r)` memo. `O(live domains)`.
+    /// staged/tombstone state and the `(b, r)` memo. The entries keep
+    /// their cells, signed or not. `O(live domains)`.
     pub fn rebalance(&mut self) {
         self.partitions = partition_entries(
-            self.entries.iter().map(|(k, (size, sig))| (k, *size, sig)),
+            self.entries
+                .iter()
+                .map(|(k, (size, cell))| (k, *size, cell)),
             self.num_partitions,
             band_count(self.num_perm, &self.allowed_r),
         );
@@ -535,17 +578,17 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         self.entries.is_empty()
     }
 
-    /// The live `(key, size, signature)` entries in canonical `(size, key)`
-    /// order — the durable sketch export. Feeding these back through
-    /// [`LshEnsembleBuilder::insert_signature`] and building reproduces
-    /// this index's canonical layout without recomputing a single MinHash
-    /// signature, which is what lets a snapshot warm-start skip the
-    /// per-token hashing pass entirely.
+    /// The live, **signed** `(key, size, signature)` entries in canonical
+    /// `(size, key)` order — the durable sketch export. Feeding these back
+    /// through [`LshEnsembleBuilder::insert_signed`] (and the rest through
+    /// [`LshEnsembleBuilder::insert`]) reproduces this index's canonical
+    /// layout, and a probe then signs only what this index had not signed
+    /// either.
     pub fn export_entries(&self) -> Vec<(K, usize, Signature)> {
         let mut entries: Vec<(K, usize, Signature)> = self
             .entries
             .iter()
-            .map(|(k, (size, sig))| (k.clone(), *size, Signature::clone(sig)))
+            .filter_map(|(k, (size, cell))| Some((k.clone(), *size, cell.get()?.clone())))
             .collect();
         entries.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
         entries
@@ -555,30 +598,62 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hasher::MinHasher;
     use proptest::prelude::*;
 
     fn toks(prefix: &str, range: std::ops::Range<usize>) -> Vec<String> {
         range.map(|i| format!("{prefix}{i}")).collect()
     }
 
-    fn build_demo() -> (LshEnsemble<String>, MinHasher) {
-        let mut b = LshEnsembleBuilder::new(256, 17);
-        // A larger domain fully containing the query universe.
-        let big = toks("q", 0..50)
-            .into_iter()
-            .chain(toks("extra", 0..150))
-            .collect::<Vec<_>>();
-        b.insert_tokens("big_superset".to_string(), big.iter().map(String::as_str));
-        // A small domain equal to half the query.
-        let half = toks("q", 0..25);
-        b.insert_tokens("half".to_string(), half.iter().map(String::as_str));
-        // Disjoint noise domains of assorted sizes.
+    /// The signer of an index whose every cell is pre-filled: it is never
+    /// asked.
+    fn presigned<K>(_: &K) -> Option<Signature> {
+        panic!("a pre-signed index asked for a signature")
+    }
+
+    fn demo_hasher() -> MinHasher {
+        MinHasher::new(256, 17)
+    }
+
+    /// The demo domains: a superset of the query universe, half of it, and
+    /// disjoint noise of assorted sizes.
+    fn demo_domains() -> HashMap<String, Vec<String>> {
+        let mut domains = HashMap::new();
+        let big = toks("q", 0..50).into_iter().chain(toks("extra", 0..150));
+        domains.insert("big_superset".to_string(), big.collect());
+        domains.insert("half".to_string(), toks("q", 0..25));
         for i in 0..20 {
-            let noise = toks(&format!("n{i}_"), 0..(10 + i * 17));
-            b.insert_tokens(format!("noise{i}"), noise.iter().map(String::as_str));
+            domains.insert(
+                format!("noise{i}"),
+                toks(&format!("n{i}_"), 0..(10 + i * 17)),
+            );
         }
-        let hasher = b.hasher().clone();
+        domains
+    }
+
+    fn sig_of(hasher: &MinHasher, tokens: &[String]) -> Signature {
+        hasher.signature(tokens.iter().map(String::as_str))
+    }
+
+    /// The demo index with every cell pre-filled, as a warm start from a
+    /// snapshot builds it.
+    fn build_demo() -> (LshEnsemble<String>, MinHasher) {
+        let hasher = demo_hasher();
+        let mut b = LshEnsembleBuilder::new(256);
+        for (key, tokens) in demo_domains() {
+            b.insert_signed(key, tokens.len(), sig_of(&hasher, &tokens));
+        }
         (b.build(4), hasher)
+    }
+
+    /// The demo index with every cell empty, and its domains for a signer.
+    fn build_lazy() -> (LshEnsemble<String>, HashMap<String, Vec<String>>) {
+        let domains = demo_domains();
+        let mut b = LshEnsembleBuilder::new(256);
+        for (key, tokens) in &domains {
+            b.insert(key.clone(), tokens.len());
+        }
+        (b.build(4), domains)
     }
 
     /// Pairs decisively above the converted Jaccard threshold must be
@@ -589,8 +664,8 @@ mod tests {
     fn finds_superset_above_threshold() {
         let (index, hasher) = build_demo();
         let q = toks("q", 0..50);
-        let sig = hasher.signature(q.iter().map(String::as_str));
-        let hits = index.query(&sig, q.len(), 0.5);
+        let sig = sig_of(&hasher, &q);
+        let hits = index.query(&sig, q.len(), 0.5, &presigned);
         assert!(
             hits.iter().any(|h| h == "big_superset"),
             "containment-1.0 domain must be found: {hits:?}"
@@ -610,31 +685,29 @@ mod tests {
         for w in exported.windows(2) {
             assert!((w[0].1, &w[0].0) < (w[1].1, &w[1].0), "unsorted export");
         }
-        // Rebuild purely from signatures: zero signature computations…
-        let mut b: LshEnsembleBuilder<String> = LshEnsembleBuilder::new(256, 17);
-        let warm_hasher = b.hasher().clone();
+        // Rebuild purely from signatures: a probe that asked for one
+        // would panic…
+        let mut b: LshEnsembleBuilder<String> = LshEnsembleBuilder::new(256);
         for (key, size, sig) in exported {
-            b.insert_signature(key, size, sig);
+            b.insert_signed(key, size, sig);
         }
         let rebuilt = b.build(index.partition_count());
-        assert_eq!(warm_hasher.signatures_computed(), 0);
         // …and identical layout and query behavior.
         assert_eq!(rebuilt.partition_bounds(), index.partition_bounds());
         let q = toks("q", 0..50);
-        let sig = hasher.signature(q.iter().map(String::as_str));
-        let mut a = index.query(&sig, q.len(), 0.5);
-        let mut b = rebuilt.query(&sig, q.len(), 0.5);
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        let sig = sig_of(&hasher, &q);
+        assert_eq!(
+            index.query(&sig, q.len(), 0.5, &presigned),
+            rebuilt.query(&sig, q.len(), 0.5, &presigned)
+        );
     }
 
     #[test]
     fn lower_threshold_also_finds_partial_container() {
         let (index, hasher) = build_demo();
         let q = toks("q", 0..50);
-        let sig = hasher.signature(q.iter().map(String::as_str));
-        let hits = index.query(&sig, q.len(), 0.3);
+        let sig = sig_of(&hasher, &q);
+        let hits = index.query(&sig, q.len(), 0.3, &presigned);
         assert!(hits.iter().any(|h| h == "big_superset"));
         assert!(
             hits.iter().any(|h| h == "half"),
@@ -657,33 +730,26 @@ mod tests {
 
     #[test]
     fn empty_index_queries_cleanly() {
-        let b = LshEnsembleBuilder::<String>::new(64, 1);
-        let hasher = b.hasher().clone();
+        let b = LshEnsembleBuilder::<String>::new(64);
         let index = b.build(4);
         assert!(index.is_empty());
-        let sig = hasher.signature(["x"]);
-        assert!(index.query(&sig, 1, 0.5).is_empty());
+        let sig = MinHasher::new(64, 1).signature(["x"]);
+        assert!(index.query(&sig, 1, 0.5, &presigned).is_empty());
     }
 
     #[test]
     fn builder_len_tracks_inserts() {
-        let mut b = LshEnsembleBuilder::new(64, 1);
+        let mut b = LshEnsembleBuilder::new(64);
         assert!(b.is_empty());
-        b.insert_tokens("a", ["1", "2"]);
-        b.insert_signature("b", 3, MinHasher::new(64, 1).signature(["x", "y", "z"]));
+        b.insert("a", 2);
+        b.insert_signed("b", 3, MinHasher::new(64, 1).signature(["x", "y", "z"]));
         assert_eq!(b.len(), 2);
         let index = b.build(8);
         assert_eq!(index.len(), 2);
-    }
-
-    #[test]
-    fn token_domain_size_counts_distinct_tokens() {
-        let mut b = LshEnsembleBuilder::new(64, 1);
-        b.insert_tokens("dup", ["a", "a", "b"]);
-        let exported = b.build(1).export_entries();
+        // Only the signed domain has a signature to export.
+        let exported = index.export_entries();
         assert_eq!(exported.len(), 1);
-        assert_eq!(exported[0].1, 2, "size of {{a, b}}");
-        assert_eq!(exported[0].2, MinHasher::new(64, 1).signature(["a", "b"]));
+        assert_eq!((exported[0].0, exported[0].1), ("b", 3));
     }
 
     #[test]
@@ -691,24 +757,27 @@ mod tests {
         let (i1, h1) = build_demo();
         let (i2, _) = build_demo();
         let q = toks("q", 0..50);
-        let sig = h1.signature(q.iter().map(String::as_str));
-        assert_eq!(i1.query(&sig, 50, 0.5), i2.query(&sig, 50, 0.5));
+        let sig = sig_of(&h1, &q);
+        assert_eq!(
+            i1.query(&sig, 50, 0.5, &presigned),
+            i2.query(&sig, 50, 0.5, &presigned)
+        );
     }
 
     #[test]
     #[should_panic(expected = "signature length mismatch")]
     fn mismatched_query_signature_panics() {
         let (index, _) = build_demo();
-        index.query(&Signature(vec![0; 32]), 10, 0.5);
+        index.query(&Signature(vec![0; 32]), 10, 0.5, &presigned);
     }
 
     #[test]
     fn removed_key_disappears_from_queries_immediately() {
         let (mut index, hasher) = build_demo();
         let q = toks("q", 0..50);
-        let sig = hasher.signature(q.iter().map(String::as_str));
+        let sig = sig_of(&hasher, &q);
         assert!(index
-            .query(&sig, q.len(), 0.5)
+            .query(&sig, q.len(), 0.5, &presigned)
             .iter()
             .any(|h| h == "big_superset"));
         let n = index.len();
@@ -717,7 +786,7 @@ mod tests {
         assert_eq!(index.len(), n - 1);
         assert!(
             !index
-                .query(&sig, q.len(), 0.5)
+                .query(&sig, q.len(), 0.5, &presigned)
                 .iter()
                 .any(|h| h == "big_superset"),
             "tombstoned key must not surface"
@@ -732,14 +801,13 @@ mod tests {
             .into_iter()
             .chain(toks("new", 0..80))
             .collect::<Vec<_>>();
-        let sig = hasher.signature(fresh.iter().map(String::as_str));
-        index.insert("fresh_superset".to_string(), fresh.len(), sig);
+        index.insert("fresh_superset".to_string(), fresh.len());
         assert!(index.staged_keys().any(|k| k == "fresh_superset"));
         assert_eq!(index.dirtiness(), 1);
 
         let q = toks("q", 0..50);
-        let qsig = hasher.signature(q.iter().map(String::as_str));
-        let hits = index.query(&qsig, q.len(), 0.5);
+        let qsig = sig_of(&hasher, &q);
+        let hits = index.query(&qsig, q.len(), 0.5, &presigned);
         assert!(
             hits.iter().any(|h| h == "fresh_superset"),
             "staged superset must be found: {hits:?}"
@@ -754,51 +822,73 @@ mod tests {
         index.remove(&"noise0".to_string());
         index.remove(&"noise1".to_string());
         let newd = toks("nd", 0..40);
-        index.insert(
-            "newdom".to_string(),
-            newd.len(),
-            hasher.signature(newd.iter().map(String::as_str)),
-        );
+        index.insert("newdom".to_string(), newd.len());
         assert_eq!(index.dirtiness(), 3);
         index.rebalance();
         assert_eq!(index.dirtiness(), 0);
 
         // Canonical form: identical to a fresh build over the same domains.
-        let mut b = LshEnsembleBuilder::new(256, 17);
-        let big = toks("q", 0..50)
-            .into_iter()
-            .chain(toks("extra", 0..150))
-            .collect::<Vec<_>>();
-        b.insert_tokens("big_superset".to_string(), big.iter().map(String::as_str));
-        let half = toks("q", 0..25);
-        b.insert_tokens("half".to_string(), half.iter().map(String::as_str));
-        for i in 2..20 {
-            let noise = toks(&format!("n{i}_"), 0..(10 + i * 17));
-            b.insert_tokens(format!("noise{i}"), noise.iter().map(String::as_str));
+        let mut b = LshEnsembleBuilder::new(256);
+        let mut domains = demo_domains();
+        domains.remove("noise0");
+        domains.remove("noise1");
+        domains.insert("newdom".to_string(), newd.clone());
+        for (key, tokens) in domains {
+            b.insert_signed(key, tokens.len(), sig_of(&hasher, &tokens));
         }
-        b.insert_tokens("newdom".to_string(), newd.iter().map(String::as_str));
         let fresh = b.build(4);
         assert_eq!(index.partition_bounds(), fresh.partition_bounds());
         let q = toks("q", 0..50);
-        let qsig = hasher.signature(q.iter().map(String::as_str));
+        let qsig = sig_of(&hasher, &q);
+        // Only the staged domain, now partitioned, is unsigned.
+        let sign = |key: &String| (key == "newdom").then(|| sig_of(&hasher, &newd));
         assert_eq!(
-            index.query(&qsig, q.len(), 0.4),
-            fresh.query(&qsig, q.len(), 0.4),
+            index.query(&qsig, q.len(), 0.4, &sign),
+            fresh.query(&qsig, q.len(), 0.4, &presigned),
             "rebalanced index must answer like a fresh build"
         );
     }
 
+    /// An insert moves no partition bound, whatever its size, and a
+    /// rebalance then equals a fresh build over the live domains.
+    #[test]
+    fn insert_keeps_partition_bounds_and_rebalance_equals_a_fresh_build() {
+        let (mut index, hasher) = build_demo();
+        index.set_rebalance_threshold(f64::INFINITY);
+        let bounds = index.partition_bounds();
+        let mut domains = demo_domains();
+        for (key, n) in [("tiny", 1), ("huge", 5000), ("mid", 60)] {
+            index.insert(key.to_string(), n);
+            domains.insert(key.to_string(), toks(key, 0..n));
+            assert_eq!(index.partition_bounds(), bounds, "{key} moved a bound");
+        }
+        index.rebalance();
+        let mut b = LshEnsembleBuilder::new(256);
+        for (key, tokens) in &domains {
+            b.insert_signed(key.clone(), tokens.len(), sig_of(&hasher, tokens));
+        }
+        let fresh = b.build(4);
+        assert_eq!(index.partition_bounds(), fresh.partition_bounds());
+        assert_ne!(index.partition_bounds(), bounds);
+        let sign = |key: &String| domains.get(key).map(|tokens| sig_of(&hasher, tokens));
+        for n in [1, 50, 500] {
+            let q = toks("q", 0..n);
+            let qsig = sig_of(&hasher, &q);
+            for t in [0.3, 0.8] {
+                assert_eq!(
+                    index.query(&qsig, q.len(), t, &sign),
+                    fresh.query(&qsig, q.len(), t, &presigned)
+                );
+            }
+        }
+    }
+
     #[test]
     fn dirtiness_threshold_triggers_automatic_rebalance() {
-        let (mut index, hasher) = build_demo();
+        let (mut index, _) = build_demo();
         index.set_rebalance_threshold(0.1); // 22 domains → budget ⌈2.2⌉ = 3
         for i in 0..3 {
-            let d = toks(&format!("auto{i}_"), 0..30);
-            index.insert(
-                format!("auto{i}"),
-                d.len(),
-                hasher.signature(d.iter().map(String::as_str)),
-            );
+            index.insert(format!("auto{i}"), 30);
         }
         assert!(
             index.dirtiness() <= 3,
@@ -812,16 +902,11 @@ mod tests {
         let (mut index, hasher) = build_demo();
         index.set_rebalance_threshold(f64::INFINITY);
         let n = index.len();
-        let d = toks("q", 0..50);
-        index.insert(
-            "half".to_string(),
-            d.len(),
-            hasher.signature(d.iter().map(String::as_str)),
-        );
+        index.insert("half".to_string(), 50);
         assert_eq!(index.len(), n, "replace keeps the live count");
         let q = toks("q", 0..50);
-        let qsig = hasher.signature(q.iter().map(String::as_str));
-        let hits = index.query(&qsig, q.len(), 0.9);
+        let qsig = sig_of(&hasher, &q);
+        let hits = index.query(&qsig, q.len(), 0.9, &presigned);
         assert!(
             hits.iter().filter(|h| *h == "half").count() <= 1,
             "stale copy must not resurface: {hits:?}"
@@ -861,25 +946,23 @@ mod tests {
             .into_iter()
             .chain(toks("fp", 0..90))
             .collect::<Vec<_>>();
-        index.insert(
-            "churned".to_string(),
-            fresh.len(),
-            hasher.signature(fresh.iter().map(String::as_str)),
-        );
+        index.insert("churned".to_string(), fresh.len());
         let q = toks("q", 0..50);
-        let sig = hasher.signature(q.iter().map(String::as_str));
+        let sig = sig_of(&hasher, &q);
         for threshold in [0.3, 0.5, 0.8] {
             let mut union: Vec<String> = index
                 .probe_plan(q.len())
                 .iter()
-                .flat_map(|p| index.query_partition(p.partition, &sig, q.len(), threshold))
+                .flat_map(|p| {
+                    index.query_partition(p.partition, &sig, q.len(), threshold, &presigned)
+                })
                 .chain(index.staged_keys().cloned())
                 .collect();
             union.sort();
             union.dedup();
             assert_eq!(
                 union,
-                index.query(&sig, q.len(), threshold),
+                index.query(&sig, q.len(), threshold, &presigned),
                 "partitionwise union diverged at threshold {threshold}"
             );
         }
@@ -889,24 +972,26 @@ mod tests {
     fn query_partition_out_of_range_is_empty() {
         let (index, hasher) = build_demo();
         let q = toks("q", 0..10);
-        let sig = hasher.signature(q.iter().map(String::as_str));
-        assert!(index.query_partition(999, &sig, q.len(), 0.5).is_empty());
+        let sig = sig_of(&hasher, &q);
+        assert!(index
+            .query_partition(999, &sig, q.len(), 0.5, &presigned)
+            .is_empty());
     }
 
     #[test]
     fn insert_into_empty_index_bootstraps_a_partition() {
-        let b = LshEnsembleBuilder::<String>::new(64, 5);
-        let hasher = b.hasher().clone();
-        let mut index = b.build(4);
+        let hasher = MinHasher::new(64, 5);
+        let mut index = LshEnsembleBuilder::<String>::new(64).build(4);
         let d = toks("x", 0..20);
-        index.insert(
-            "only".to_string(),
-            d.len(),
-            hasher.signature(d.iter().map(String::as_str)),
-        );
+        index.insert("only".to_string(), d.len());
         assert_eq!(index.len(), 1);
-        let qsig = hasher.signature(d.iter().map(String::as_str));
-        assert_eq!(index.query(&qsig, d.len(), 0.5), vec!["only".to_string()]);
+        assert_eq!(index.partition_count(), 1);
+        let sign = |_: &String| Some(sig_of(&hasher, &d));
+        let qsig = sig_of(&hasher, &d);
+        assert_eq!(
+            index.query(&qsig, d.len(), 0.5, &sign),
+            vec!["only".to_string()]
+        );
     }
 
     /// Band tables built so far, per partition.
@@ -918,10 +1003,14 @@ mod tests {
             .collect()
     }
 
-    /// Build every band table of every partition, as an index that banded
-    /// eagerly would hold them.
-    fn force_bands<K: Clone + Eq + Hash>(index: &LshEnsemble<K>) {
+    /// Sign and build every band table of every partition, as an index
+    /// that signed and banded eagerly would hold them.
+    fn force_bands<K: Clone + Eq + Hash + Ord>(
+        index: &LshEnsemble<K>,
+        sign: &dyn Fn(&K) -> Option<Signature>,
+    ) {
         for p in &index.partitions {
+            p.sign(|key| index.is_current(key), sign);
             let mut g = 0;
             for &r in &index.allowed_r {
                 for band in 0..index.num_perm / r {
@@ -937,14 +1026,13 @@ mod tests {
     fn forced_band_tables_equal_the_recursive_band_hash() {
         for num_perm in [64usize, 48] {
             let hasher = MinHasher::new(num_perm, 9);
-            let sigs: Vec<Arc<Signature>> = (0..5)
-                .map(|i| {
-                    Arc::new(hasher.signature(toks("v", i..i * 7 + 3).iter().map(String::as_str)))
-                })
+            let sigs: Vec<Signature> = (0..5)
+                .map(|i| sig_of(&hasher, &toks("v", i..i * 7 + 3)))
                 .collect();
+            let cells: Vec<SigCell> = sigs.iter().map(|sig| cell(Some(sig.clone()))).collect();
             let keys: Vec<usize> = (0..sigs.len()).collect();
-            let chunk: Vec<(&usize, usize, &Arc<Signature>)> =
-                keys.iter().zip(&sigs).map(|(k, sig)| (k, 1, sig)).collect();
+            let chunk: Vec<(&usize, usize, &SigCell)> =
+                keys.iter().zip(&cells).map(|(k, c)| (k, 1, c)).collect();
             let rs: Vec<usize> = [1, 2, 4, 8, 16, 32, 64]
                 .into_iter()
                 .filter(|&r| r <= num_perm)
@@ -985,41 +1073,96 @@ mod tests {
         );
     }
 
-    /// A key re-inserted before the next rebalance keeps the postings of
-    /// its old signature in every band of its partition, including bands
-    /// first built after the re-insert: a cold index answers exactly like
-    /// one whose bands were all built at the rebalance.
+    /// A key re-inserted before the next rebalance is no partition's
+    /// candidate any more, whether its partition's bands were built
+    /// before the re-insert or after it: it is staged, and every query
+    /// returns it as such.
     #[test]
-    fn reinsert_before_rebalance_bands_the_rebalance_time_signature() {
+    fn reinserted_key_is_staged_not_a_partition_candidate() {
         let (mut cold, hasher) = build_demo();
         let (mut forced, _) = build_demo();
-        force_bands(&forced);
+        force_bands(&forced, &presigned);
         let key = "big_superset".to_string();
         let disjoint = toks("gone", 0..200);
         for index in [&mut cold, &mut forced] {
             index.set_rebalance_threshold(f64::INFINITY);
-            let sig = hasher.signature(disjoint.iter().map(String::as_str));
-            index.insert(key.clone(), disjoint.len(), sig);
+            index.insert(key.clone(), disjoint.len());
         }
         let idx = cold
             .partitions
             .iter()
             .position(|p| p.keys.contains(&key))
-            .expect("key banded at the build");
+            .expect("key partitioned at the build");
         assert_eq!(built_bands(&cold)[idx], 0, "probed before the re-insert");
         let q = toks("q", 0..50);
-        let sig = hasher.signature(q.iter().map(String::as_str));
-        let hits = cold.query_partition(idx, &sig, q.len(), 0.5);
-        assert!(
-            hits.contains(&key),
-            "old postings of the re-inserted key: {hits:?}"
+        let sig = sig_of(&hasher, &q);
+        for index in [&cold, &forced] {
+            let hits = index.query_partition(idx, &sig, q.len(), 0.5, &presigned);
+            assert!(!hits.contains(&key), "the old domain surfaced: {hits:?}");
+            assert!(index.query(&sig, q.len(), 0.5, &presigned).contains(&key));
+        }
+        assert_eq!(
+            cold.query_partition(idx, &sig, q.len(), 0.5, &presigned),
+            forced.query_partition(idx, &sig, q.len(), 0.5, &presigned)
         );
-        assert_eq!(hits, forced.query_partition(idx, &sig, q.len(), 0.5));
+    }
+
+    /// A lazy index signs a partition's current members on its first probe
+    /// only — never a staged or removed key — and keeps those signatures
+    /// across a rebalance; the export holds exactly the signed domains.
+    #[test]
+    fn signatures_are_computed_on_first_probe_and_survive_rebalance() {
+        let (mut index, domains) = build_lazy();
+        index.set_rebalance_threshold(f64::INFINITY);
+        let hasher = demo_hasher();
+        let asked = Mutex::new(Vec::new());
+        let sign = |key: &String| {
+            asked.lock().unwrap().push(key.clone());
+            domains.get(key).map(|tokens| sig_of(&hasher, tokens))
+        };
+        let calls = || asked.lock().unwrap().len();
+        assert!(index.export_entries().is_empty(), "the build signed");
+        let removed = index.partitions[0].keys[0].clone();
+        index.remove(&removed);
+        index.insert("staged".to_string(), 7);
+        let q = toks("q", 0..50);
+        let qsig = sig_of(&hasher, &q);
+        index.query_partition(0, &qsig, q.len(), 0.5, &sign);
+        let members = index.partitions[0].keys.len();
+        assert_eq!(calls(), members - 1, "signs the current members only");
+        assert!(!asked.lock().unwrap().contains(&removed));
+        index.query_partition(0, &qsig, q.len(), 0.9, &sign);
+        assert_eq!(calls(), members - 1, "a second probe signed again");
+        assert_eq!(index.export_entries().len(), members - 1);
+
+        // Every partition once: the staged key is not partitioned.
+        index.query(&qsig, q.len(), 0.5, &sign);
+        assert_eq!(calls(), domains.len() - 1);
+        let signed: HashSet<String> = asked.lock().unwrap().iter().cloned().collect();
+        assert_eq!(signed.len(), domains.len() - 1, "a member was signed twice");
+
+        // A rebalance keeps every signature; only the staged key, now
+        // partitioned, is asked for by the next probe. The signer does not
+        // know it, so it stays unsigned and unbanded.
+        index.rebalance();
+        let hits = index.query(&qsig, q.len(), 0.5, &sign);
+        assert_eq!(calls(), domains.len());
+        assert_eq!(asked.lock().unwrap().last(), Some(&"staged".to_string()));
+        assert!(hits.contains(&"big_superset".to_string()), "{hits:?}");
+        assert!(!hits.contains(&"staged".to_string()), "{hits:?}");
+        let exported: Vec<String> = index.export_entries().into_iter().map(|e| e.0).collect();
+        assert_eq!(exported.len(), domains.len() - 1);
+        assert!(!exported.contains(&"staged".to_string()));
     }
 
     /// Domains over a small token universe, so bands genuinely collide.
     fn small_domains() -> impl Strategy<Value = Vec<HashSet<u32>>> {
         prop::collection::vec(prop::collection::hash_set(0u32..24, 1..16), 1..14)
+    }
+
+    fn small_sig(hasher: &MinHasher, d: &HashSet<u32>) -> Signature {
+        let tokens: Vec<String> = d.iter().map(|i| format!("t{i}")).collect();
+        sig_of(hasher, &tokens)
     }
 
     proptest! {
@@ -1028,7 +1171,8 @@ mod tests {
         /// Every partition's candidates are exactly its live keys whose
         /// `r`-slot run equals the query's in one of the first `b` bands —
         /// the band hash is exact on equality — after a fresh build and
-        /// after staged inserts plus removes followed by a rebalance.
+        /// after staged inserts plus removes followed by a rebalance. The
+        /// index is signed lazily.
         #[test]
         fn candidates_are_exactly_the_slot_run_matches(
             num_perm in prop_oneof![Just(48usize), Just(64usize)],
@@ -1040,14 +1184,12 @@ mod tests {
             t in 0.0f64..1.0,
         ) {
             let hasher = MinHasher::new(num_perm, 7);
-            let sig_of = |d: &HashSet<u32>| {
-                let tokens: Vec<String> = d.iter().map(|i| format!("t{i}")).collect();
-                hasher.signature(tokens.iter().map(String::as_str))
-            };
+            let all: Vec<&HashSet<u32>> = domains.iter().chain(&staged).collect();
+            let sign = |key: &usize| Some(small_sig(&hasher, all[*key]));
             let build = || {
-                let mut b = LshEnsembleBuilder::<usize>::new(num_perm, 7);
+                let mut b = LshEnsembleBuilder::<usize>::new(num_perm);
                 for (key, d) in domains.iter().enumerate() {
-                    b.insert_signature(key, d.len(), sig_of(d));
+                    b.insert(key, d.len());
                 }
                 b.build(parts)
             };
@@ -1055,13 +1197,13 @@ mod tests {
             let mut churned = build();
             churned.set_rebalance_threshold(f64::INFINITY);
             for (key, d) in staged.iter().enumerate() {
-                churned.insert(domains.len() + key, d.len(), sig_of(d));
+                churned.insert(domains.len() + key, d.len());
             }
             for key in &removes {
                 churned.remove(key);
             }
             churned.rebalance();
-            let qsig = sig_of(&query);
+            let qsig = small_sig(&hasher, &query);
             let q = query.len();
             for index in [&fresh, &churned] {
                 for (idx, p) in index.partitions.iter().enumerate() {
@@ -1073,11 +1215,12 @@ mod tests {
                     let mut expect: Vec<usize> = p
                         .keys
                         .iter()
-                        .filter(|k| index.entries.get(k).is_some_and(|(_, sig)| runs_match(sig)))
+                        .filter(|k| index.entries.contains_key(k))
+                        .filter(|k| runs_match(&small_sig(&hasher, all[**k])))
                         .copied()
                         .collect();
                     expect.sort_unstable();
-                    prop_assert_eq!(index.query_partition(idx, &qsig, q, t), expect);
+                    prop_assert_eq!(index.query_partition(idx, &qsig, q, t, &sign), expect);
                 }
             }
         }
@@ -1086,11 +1229,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// A cold index answers every `query` and `query_partition` exactly
-        /// like one whose band tables are all built after every operation
-        /// (so at every rebalance), across insert / re-insert / remove /
-        /// rebalance sequences. Answers are compared only after some
-        /// operations, so many of the cold index's bands are first built
+        /// A lazily signed index answers every `query` and
+        /// `query_partition` exactly like a pre-signed one whose band
+        /// tables are all built after every operation (so at every
+        /// rebalance), across insert / re-insert / remove / rebalance
+        /// sequences. Answers are compared only after some operations, so
+        /// many of the lazy index's partitions are first signed and banded
         /// several mutations after the rebalance that laid them out.
         #[test]
         fn cold_bands_answer_like_forced_bands_under_churn(
@@ -1105,46 +1249,53 @@ mod tests {
             threshold in prop_oneof![Just(0.0f64), Just(0.3f64), Just(f64::INFINITY)],
         ) {
             let hasher = MinHasher::new(num_perm, 7);
-            let sig_of = |d: &HashSet<u32>| {
-                let tokens: Vec<String> = d.iter().map(|i| format!("t{i}")).collect();
-                hasher.signature(tokens.iter().map(String::as_str))
-            };
-            let build = || {
-                let mut b = LshEnsembleBuilder::<usize>::new(num_perm, 7);
-                for (key, d) in domains.iter().enumerate() {
-                    b.insert_signature(key, d.len(), sig_of(d));
-                }
-                let mut index = b.build(parts);
-                index.set_rebalance_threshold(threshold);
-                index
-            };
-            let mut cold = build();
-            let mut forced = build();
-            force_bands(&forced);
-            let qsigs: Vec<(Signature, usize)> = queries.iter().map(|q| (sig_of(q), q.len())).collect();
+            let mut live: HashMap<usize, HashSet<u32>> = domains.iter().cloned().enumerate().collect();
+            let mut cold = LshEnsembleBuilder::<usize>::new(num_perm);
+            let mut forced = LshEnsembleBuilder::<usize>::new(num_perm);
+            for (key, d) in domains.iter().enumerate() {
+                cold.insert(key, d.len());
+                forced.insert_signed(key, d.len(), small_sig(&hasher, d));
+            }
+            let (mut cold, mut forced) = (cold.build(parts), forced.build(parts));
+            cold.set_rebalance_threshold(threshold);
+            forced.set_rebalance_threshold(threshold);
+            force_bands(&forced, &presigned);
+            let qsigs: Vec<(Signature, usize)> =
+                queries.iter().map(|q| (small_sig(&hasher, q), q.len())).collect();
             let last = ops.len();
             for (step, (kind, key, d, check)) in ops.into_iter().enumerate() {
-                for index in [&mut cold, &mut forced] {
-                    match kind {
-                        0 | 1 => index.insert(key, d.len(), sig_of(&d)),
-                        2 => {
-                            index.remove(&key);
-                        }
-                        _ => index.rebalance(),
+                match kind {
+                    0 | 1 => {
+                        cold.insert(key, d.len());
+                        forced.insert(key, d.len());
+                        live.insert(key, d);
+                    }
+                    2 => {
+                        cold.remove(&key);
+                        forced.remove(&key);
+                        live.remove(&key);
+                    }
+                    _ => {
+                        cold.rebalance();
+                        forced.rebalance();
                     }
                 }
-                force_bands(&forced);
+                let sign = |key: &usize| live.get(key).map(|d| small_sig(&hasher, d));
+                force_bands(&forced, &sign);
                 prop_assert_eq!(cold.partition_bounds(), forced.partition_bounds());
                 if check != 0 && step + 1 != last {
                     continue;
                 }
                 for (qsig, q) in &qsigs {
                     for t in [0.2, 0.5, 0.9] {
-                        prop_assert_eq!(cold.query(qsig, *q, t), forced.query(qsig, *q, t));
+                        prop_assert_eq!(
+                            cold.query(qsig, *q, t, &sign),
+                            forced.query(qsig, *q, t, &presigned)
+                        );
                         for idx in 0..cold.partition_count() {
                             prop_assert_eq!(
-                                cold.query_partition(idx, qsig, *q, t),
-                                forced.query_partition(idx, qsig, *q, t)
+                                cold.query_partition(idx, qsig, *q, t, &sign),
+                                forced.query_partition(idx, qsig, *q, t, &presigned)
                             );
                         }
                     }
@@ -1189,18 +1340,18 @@ mod tests {
     fn repeated_probes_run_no_new_parameter_search() {
         let (mut index, hasher) = build_demo();
         let q = toks("q", 0..50);
-        let sig = hasher.signature(q.iter().map(String::as_str));
+        let sig = sig_of(&hasher, &q);
         let searches = |index: &LshEnsemble<String>| index.banding_searches.load(Ordering::Relaxed);
         let probe_all = |index: &LshEnsemble<String>| {
             for p in index.probe_plan(q.len()) {
-                index.query_partition(p.partition, &sig, q.len(), 0.5);
+                index.query_partition(p.partition, &sig, q.len(), 0.5, &presigned);
             }
         };
         probe_all(&index);
         let first = searches(&index);
         assert!(first >= 1 && first <= index.partition_count());
         probe_all(&index);
-        index.query(&sig, q.len(), 0.5);
+        index.query(&sig, q.len(), 0.5, &presigned);
         assert_eq!(searches(&index), first, "a repeated probe searched again");
         // A rebalance forgets the memo: the next probe searches afresh.
         index.rebalance();
@@ -1214,11 +1365,18 @@ mod tests {
         index.set_rebalance_threshold(f64::INFINITY);
         let total = |index: &LshEnsemble<String>| built_bands(index).iter().sum::<usize>();
         assert_eq!(total(&index), 0, "the build banded a table");
-        for i in 0..3 {
-            let d = toks(&format!("ins{i}_"), 0..(20 + 200 * i));
-            let sig = hasher.signature(d.iter().map(String::as_str));
-            index.insert(format!("ins{i}"), d.len(), sig);
+        let inserted: HashMap<String, Vec<String>> = (0..3)
+            .map(|i| {
+                (
+                    format!("ins{i}"),
+                    toks(&format!("ins{i}_"), 0..(20 + 200 * i)),
+                )
+            })
+            .collect();
+        for (key, d) in &inserted {
+            index.insert(key.clone(), d.len());
         }
+        let sign = |key: &String| inserted.get(key).map(|d| sig_of(&hasher, d));
         assert_eq!(index.dirtiness(), 3);
         assert_eq!(total(&index), 0, "a staged insert built a band table");
         index.rebalance();
@@ -1226,18 +1384,18 @@ mod tests {
         // One probe builds exactly the `b` bands it reads, and a repeat
         // reuses them.
         let q = toks("q", 0..50);
-        let sig = hasher.signature(q.iter().map(String::as_str));
+        let sig = sig_of(&hasher, &q);
         let idx = index.probe_plan(q.len())[0].partition;
         let j = containment_to_jaccard(0.5, q.len(), index.partitions[idx].upper);
         let (b, r) = optimal_params_restricted(j, 256, &index.allowed_r);
         let mut expect = vec![0; index.partition_count()];
         expect[idx] = b.min(256 / r);
         for _ in 0..2 {
-            index.query_partition(idx, &sig, q.len(), 0.5);
+            index.query_partition(idx, &sig, q.len(), 0.5, &sign);
             assert_eq!(built_bands(&index), expect);
         }
         // 256 permutations allow 256 + 128 + … + 1 = 511 bands.
-        force_bands(&index);
+        force_bands(&index, &sign);
         let entries: usize = index
             .partitions
             .iter()
@@ -1249,31 +1407,39 @@ mod tests {
 
     #[test]
     fn concurrent_probes_agree_with_single_threaded() {
-        // Cold: no band table exists when the threads start, so they race
-        // on every band's first-probe build.
-        let (index, hasher) = build_demo();
+        // Cold and unsigned: no signature or band table exists when the
+        // threads start, so they race on every partition's signing and
+        // every band's first-probe build.
+        let (index, domains) = build_lazy();
         assert_eq!(built_bands(&index).iter().sum::<usize>(), 0);
+        let hasher = demo_hasher();
+        let signed = AtomicUsize::new(0);
+        let sign = |key: &String| {
+            signed.fetch_add(1, Ordering::Relaxed);
+            domains.get(key).map(|tokens| sig_of(&hasher, tokens))
+        };
         let queries: Vec<(Signature, usize)> = [(0, 50), (0, 25), (10, 90), (0, 200)]
             .iter()
             .map(|&(lo, hi)| {
                 let q = toks("q", lo..hi);
-                (hasher.signature(q.iter().map(String::as_str)), q.len())
+                (sig_of(&hasher, &q), q.len())
             })
             .collect();
-        let answers = |index: &LshEnsemble<String>| -> Vec<Vec<String>> {
+        let answers = |index: &LshEnsemble<String>,
+                       sign: &dyn Fn(&String) -> Option<Signature>|
+         -> Vec<Vec<String>> {
             let mut out = Vec::new();
             for (sig, q) in &queries {
                 for t in [0.3, 0.5, 0.8] {
-                    out.push(index.query(sig, *q, t));
+                    out.push(index.query(sig, *q, t, sign));
                     for p in index.probe_plan(*q) {
-                        out.push(index.query_partition(p.partition, sig, *q, t));
+                        out.push(index.query_partition(p.partition, sig, *q, t, sign));
                     }
                 }
             }
             out
         };
-        let fresh = build_demo().0;
-        let expected = answers(&fresh);
+        let expected = answers(&build_demo().0, &presigned);
         let threads = 4;
         let barrier = std::sync::Barrier::new(threads);
         std::thread::scope(|s| {
@@ -1281,7 +1447,7 @@ mod tests {
                 .map(|_| {
                     s.spawn(|| {
                         barrier.wait();
-                        answers(&index)
+                        answers(&index, &sign)
                     })
                 })
                 .collect();
@@ -1289,5 +1455,10 @@ mod tests {
                 assert_eq!(h.join().expect("probe thread panicked"), expected);
             }
         });
+        assert_eq!(
+            signed.load(Ordering::Relaxed),
+            domains.len(),
+            "signed twice"
+        );
     }
 }

@@ -12,12 +12,16 @@
 //!   string token sets, using a seeded universal hash family modulo the
 //!   Mersenne prime `2^61 - 1`. Signatures estimate Jaccard similarity.
 //! * [`LshEnsemble`] — the containment-search index: indexed domains are
-//!   partitioned by set size; each partition bands its domains for every
-//!   power-of-two row count, one hash-sorted `(band hash, domain)` array
-//!   per band, built on first probe — on the discover-hetero benchmark
-//!   lake (12 980 domains) 3.9 MB of the 75.9 MB an eager build laid out.
-//!   Band hashes are tree hashes of slot runs and are never persisted
-//!   (snapshots keep only signatures).
+//!   partitioned by set size, which is all partitioning needs, so the
+//!   index is built from `(key, size)` entries and a domain's signature is
+//!   computed by the first probe of its partition, through a signer the
+//!   caller passes with the probe (or pre-filled, from a snapshot). Each
+//!   partition bands its domains for every power-of-two row count, one
+//!   hash-sorted `(band hash, domain)` array per band, built on first
+//!   probe — on the discover-hetero benchmark lake (12 980 domains) 3.9 MB
+//!   of the 75.9 MB an eager build laid out. Band hashes are tree hashes
+//!   of slot runs and are never persisted (snapshots keep only the
+//!   signatures computed so far).
 //!   At query time the containment threshold is converted to a
 //!   per-partition Jaccard threshold for which (near-)optimal `(b, r)`
 //!   parameters are chosen by minimizing the sum of false-positive and

@@ -47,7 +47,7 @@ fn main() {
         &synth.lake,
         LshEnsembleConfig {
             threshold: f64::MIN_POSITIVE,
-            exact_fallback_below: usize::MAX,
+            exact_mass_per_token: usize::MAX,
             ..LshEnsembleConfig::default()
         },
     );

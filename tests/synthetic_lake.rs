@@ -35,7 +35,7 @@ fn exact_overlap_discovery_finds_relatives() {
         &synth.lake,
         LshEnsembleConfig {
             threshold: f64::MIN_POSITIVE,
-            exact_fallback_below: usize::MAX,
+            exact_mass_per_token: usize::MAX,
             ..LshEnsembleConfig::default()
         },
     );
