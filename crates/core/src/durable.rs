@@ -23,8 +23,8 @@ struct LogState {
 
 /// A [`DiscoveryService`] with write-ahead durability: every mutation is
 /// appended to the commitlog before the lake write guard is released, and
-/// [`DurableService::snapshot`] checkpoints lake + index sketches so the
-/// next open replays only the tail.
+/// [`DurableService::snapshot`] checkpoints the lake so the next open
+/// replays only the tail.
 ///
 /// Queries go straight to the wrapped service
 /// ([`DurableService::service`]) — reads never touch the log.
@@ -83,15 +83,13 @@ impl DurableService {
         outcome.map(|_| version)
     }
 
-    /// Checkpoint the served lake (and the index's MinHash sketches) to a
-    /// durable snapshot, truncating the now-covered log. Runs over a
-    /// consistent lake+index view, so a concurrent mutation is either
-    /// fully before or fully after the snapshot.
+    /// Checkpoint the served lake to a durable snapshot, truncating the
+    /// now-covered log. Runs under the lake read guard, so a concurrent
+    /// mutation is either fully before or fully after the snapshot.
     pub fn snapshot(&self) -> io::Result<()> {
-        self.service.with_state(|lake, index| {
-            let sketches = index.export_sketches();
+        self.service.with_state(|lake, _| {
             let mut log = self.durable.lock().expect("durable lock");
-            log.lake.write_snapshot(lake, Some(&sketches))?;
+            log.lake.write_snapshot(lake)?;
             log.broken = false;
             Ok(())
         })

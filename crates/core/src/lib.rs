@@ -38,6 +38,6 @@ pub use dialite_align::{Alignment, HolisticMatcher};
 pub use dialite_analyze::{EntityResolver, GroupBy};
 pub use dialite_discovery::{
     Discovered, Discovery, DiscoveryBudget, DiscoveryService, DiscoveryTelemetry, QueryBudget,
-    ServingConfig, ServingError, ServingResponse, ServingTelemetry, TableQuery, TopKPlanner,
+    ServingConfig, ServingError, ServingResponse, ServingTelemetry, TableQuery,
 };
 pub use dialite_integrate::{IntegratedTable, Integrator};

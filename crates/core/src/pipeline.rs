@@ -317,8 +317,8 @@ impl Pipeline {
     }
 
     /// A snapshot of the rolling [`DiscoveryTelemetry`] the maintained
-    /// index has accumulated across budgeted discovery calls — cache hit
-    /// rate, partitions pruned, verification counts, budget-exhaustion
+    /// index has accumulated across budgeted discovery calls — exact-route
+    /// share, partitions pruned, verification counts, budget-exhaustion
     /// rate and per-engine latency buckets. `None` when the pipeline has
     /// no indexed discovery or the index has not been built yet (no run
     /// has touched it).
@@ -372,9 +372,9 @@ impl Pipeline {
 
     /// Total MinHash signatures the maintained index has computed so far
     /// (summed across shards). `None` without indexed discovery or before
-    /// the first build. This is the warm-start metric the recovery oracle
-    /// pins: after [`Pipeline::open_durable`] with a sketch-bearing
-    /// snapshot, the count is `O(events since snapshot)`, not `O(lake)`.
+    /// the first build. Builds and syncs hash nothing, so it is 0 right
+    /// after [`Pipeline::open_durable`] and grows only with sketch-route
+    /// queries.
     pub fn sketch_work(&self) -> Option<u64> {
         let guard = self
             .indexed
@@ -478,11 +478,10 @@ impl Pipeline {
 
     /// Open (or create) a durable demo pipeline rooted at `dir`: recover
     /// the lake from the latest snapshot plus the commitlog tail
-    /// (tolerating a torn tail), warm-start the maintained index from the
-    /// persisted MinHash sketches instead of re-hashing the whole lake,
-    /// and re-seed the process stamp source strictly past everything
-    /// recovered — so versions minted after a restart can never collide
-    /// with persisted history.
+    /// (tolerating a torn tail), build the maintained index once over the
+    /// recovered lake, and re-seed the process stamp source strictly past
+    /// everything recovered — so versions minted after a restart can never
+    /// collide with persisted history.
     ///
     /// Returns the pipeline (demo configuration, `shards` index stripes),
     /// the recovered lake, and the open durability handle, positioned for
@@ -498,9 +497,8 @@ impl Pipeline {
     }
 
     /// [`Pipeline::open_durable`] with an explicit index configuration
-    /// (e.g. the metadata leg enabled). The persisted sketches only cover
-    /// the LSH leg, so warm-starting is config-agnostic: any extra legs
-    /// are built fresh over the recovered snapshot.
+    /// (e.g. the metadata leg enabled). Snapshots hold the lake alone, so
+    /// any configuration opens any data directory.
     pub fn open_durable_configured(
         dir: &Path,
         shards: usize,
@@ -517,44 +515,27 @@ impl Pipeline {
             .alternative(Box::new(OuterJoinIntegrator))
             .build();
         if let Some(indexed) = &pipeline.indexed {
-            let mut guard = indexed.write().expect("fresh lock");
-            // Build over the snapshot state — reusing persisted sketches
-            // where they still match — then replay the commitlog tail as
-            // an ordinary changelog delta: the restored snapshot lake's
-            // log floor makes `sync` see exactly the replayed records.
-            let index = ShardedLakeIndex::build_reusing(
-                &recovery.snapshot,
-                guard.kb.clone(),
-                guard.config.clone(),
-                guard.shards,
-                recovery.sketches.as_ref(),
-            );
-            index.sync(&recovery.lake);
-            guard.index = Some(index);
+            indexed
+                .write()
+                .expect("fresh lock")
+                .ensure_current(&recovery.lake);
         }
         Ok((pipeline, recovery.lake, durable))
     }
 
-    /// Write a durable snapshot of `lake` — including the maintained
-    /// index's MinHash sketches, so the next [`Pipeline::open_durable`]
-    /// warm-starts in `O(events since snapshot)` sketch work instead of
-    /// `O(lake)` — and truncate the now-covered commitlog. The index is
-    /// first caught up with the lake so the exported sketches match the
-    /// snapshotted state.
+    /// Write a durable snapshot of `lake` and truncate the now-covered
+    /// commitlog, so the next [`Pipeline::open_durable`] replays only what
+    /// follows. The snapshot holds the lake alone; the index is not
+    /// touched.
     pub fn snapshot(&self, lake: &DataLake, durable: &mut DurableLake) -> io::Result<()> {
-        let sketches = self.indexed.as_ref().map(|indexed| {
-            let mut guard = indexed.write().expect("indexed discovery lock");
-            guard.ensure_current(lake).export_sketches()
-        });
-        durable.write_snapshot(lake, sketches.as_ref())
+        durable.write_snapshot(lake)
     }
 
     /// [`Pipeline::serve`] with write-ahead durability: the returned
     /// [`DurableService`] appends every mutation's events to `durable`'s
     /// commitlog under the lake write lock (log order == serialization
-    /// order) and can checkpoint on demand. When the pipeline's own index
-    /// is current for `lake`, its sketches warm-start the serving index
-    /// so handover does not re-hash the lake.
+    /// order) and can checkpoint on demand. The serving index is built
+    /// exactly as [`Pipeline::serve`] builds it.
     ///
     /// Returns `None` when the pipeline has no indexed discovery
     /// configured, exactly like [`Pipeline::serve`].
@@ -564,37 +545,20 @@ impl Pipeline {
         max_in_flight: usize,
         durable: DurableLake,
     ) -> Option<DurableService> {
-        let guard = self
-            .indexed
-            .as_ref()?
-            .read()
-            .expect("indexed discovery lock");
-        let serving = ServingConfig::default()
-            .with_max_in_flight(max_in_flight)
-            .with_budget(self.budget)
-            .with_k(self.top_k);
-        let sketches = guard.current(&lake).map(ShardedLakeIndex::export_sketches);
-        let index = ShardedLakeIndex::build_reusing(
-            &lake,
-            guard.kb.clone(),
-            guard.config.clone(),
-            guard.shards,
-            sketches.as_ref(),
-        );
-        let service = DiscoveryService::with_prebuilt(lake, index, serving);
+        let service = self.serve(lake, max_in_flight)?;
         Some(crate::durable::DurableService::new(service, durable))
     }
 
     /// Budgeted top-k joinable discovery — the interactive hot path, run
     /// *without* the align/integrate stages.
     ///
-    /// Routes through the maintained index's `TopKPlanner` (fanned out
-    /// per shard when [`PipelineBuilder::shards`]` > 1`): the
-    /// query-column signature is served from a small LRU on repeat
-    /// queries, LSH partitions are probed best-bound-first with early
-    /// termination, and candidates are verified on exact token posting
-    /// lists. `budget` caps per-query work ([`QueryBudget::unlimited`]
-    /// reproduces the probe-all results exactly). Like [`Pipeline::run`],
+    /// Routes through the maintained index's budgeted top-k search (fanned
+    /// out per shard when [`PipelineBuilder::shards`]` > 1`): a light
+    /// query is answered by one exact posting merge, a heavy one probes
+    /// LSH partitions best-bound-first with early termination, and
+    /// candidates are verified on exact token posting lists. `budget`
+    /// caps per-query work ([`QueryBudget::unlimited`] reproduces the
+    /// probe-all results exactly). Like [`Pipeline::run`],
     /// the index first catches up with any lake churn.
     ///
     /// Plain discovery engines added via [`PipelineBuilder::discovery`]

@@ -4,9 +4,12 @@
 //! and version stamps must stay strictly monotone across the simulated
 //! restart (the restart-unsafe stamp bug this PR fixes).
 //!
-//! A deterministic companion test pins the warm-start economics: after
-//! reopening from a sketch-bearing snapshot, a sketch probe signs
-//! `O(events since snapshot)` column domains, not `O(lake)`.
+//! The replay runs on both routes of the joinable leg — the default mass
+//! router and the sketch route (`exact_mass_per_token = 0`) — because the
+//! index is a function of the lake: recovery builds it once over the
+//! recovered lake, and it must answer like a cold build over the live one
+//! whichever route a query takes. A deterministic companion test pins
+//! that recovery hashes nothing.
 
 use std::path::PathBuf;
 
@@ -24,6 +27,20 @@ fn scratch(tag: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The index config with every joinable query routed to the sketch, at
+/// the small signature length and partition count of the oracle suites.
+fn sketch_config() -> LakeIndexConfig {
+    LakeIndexConfig {
+        lshe: LshEnsembleConfig {
+            num_perm: 64,
+            num_partitions: 4,
+            exact_mass_per_token: 0,
+            ..LshEnsembleConfig::default()
+        },
+        ..LakeIndexConfig::default()
+    }
 }
 
 /// The observable lake state equality the oracle pins: version stamp and
@@ -59,7 +76,9 @@ proptest! {
         snap_frac in 0.0f64..1.0,
         crash_frac in 0.0f64..1.0,
         shards in 1usize..3,
+        sketch_route in any::<bool>(),
     ) {
+        let config = if sketch_route { sketch_config() } else { LakeIndexConfig::default() };
         let trace = ChurnWorkload {
             initial_tables: 5,
             rows_per_table: 8,
@@ -75,9 +94,11 @@ proptest! {
         let crash_at = ((mutations.len() as f64) * crash_frac) as usize;
         let snap_at = ((crash_at as f64) * snap_frac) as usize;
 
-        let dir = scratch(&format!("crash_{seed}_{ops}_{shards}"));
-        let (pipeline, mut lake, mut durable) =
-            Pipeline::open_durable(&dir, shards, DurableConfig::default()).expect("fresh dir opens");
+        let dir = scratch(&format!("crash_{seed}_{ops}_{shards}_{sketch_route}"));
+        let open = |dir: &PathBuf| {
+            Pipeline::open_durable_configured(dir, shards, DurableConfig::default(), config.clone())
+        };
+        let (pipeline, mut lake, mut durable) = open(&dir).expect("fresh dir opens");
         for t in &trace.initial {
             let since = lake.version();
             lake.add_table(t.clone()).expect("unique trace names");
@@ -95,18 +116,17 @@ proptest! {
         drop(durable);
         drop(pipeline);
 
-        let (warm, recovered, mut durable) =
-            Pipeline::open_durable(&dir, shards, DurableConfig::default()).expect("reopen");
+        let (reopened, recovered, mut durable) = open(&dir).expect("reopen");
         assert_same_lake(&lake, &recovered);
 
         // Discovery over the recovered lake is byte-identical to a cold
         // pipeline over the live lake.
-        let cold = Pipeline::demo_sharded(&lake, shards);
+        let cold = Pipeline::demo_configured(&lake, shards, config.clone());
         for (qi, op) in queries.iter().enumerate() {
             let ChurnOp::Query(q) = op else { unreachable!() };
             let query = TableQuery::with_column(q.clone(), 0);
             prop_assert_eq!(
-                warm.discover_stage(&recovered, &query),
+                reopened.discover_stage(&recovered, &query),
                 cold.discover_stage(&lake, &query),
                 "discovery drift at query {}",
                 qi
@@ -130,79 +150,51 @@ proptest! {
     }
 }
 
-/// Warm-start economics, pinned deterministically on the work a sketch
-/// probe does. Signatures are computed on a partition's first probe, so
-/// a probe that reaches every partition before the snapshot makes the
-/// snapshot carry every domain's signature. After reopening, the same
-/// probe signs only what the snapshot does not cover — the three tail
-/// domains at most, staged and so unsigned here — while on a cold build
-/// it signs the whole lake.
+/// Recovery hashes nothing: reopening from a snapshot plus a commitlog
+/// tail builds the index over the recovered lake without computing a
+/// single MinHash signature, on the sketch route too. Only a sketch-route
+/// query signs, the same work as on a cold build over the same lake.
 #[test]
-fn warm_start_sketch_work_is_proportional_to_the_tail() {
-    let dir = scratch("warm_work");
-    // Every query takes the sketch path.
-    let config = LakeIndexConfig {
-        lshe: LshEnsembleConfig {
-            exact_mass_per_token: 0,
-            ..LshEnsembleConfig::default()
-        },
-        ..LakeIndexConfig::default()
+fn reopen_computes_no_signatures() {
+    let dir = scratch("reopen_work");
+    let config = sketch_config();
+    let open =
+        || Pipeline::open_durable_configured(&dir, 1, DurableConfig::default(), config.clone());
+    let (pipeline, mut lake, mut durable) = open().expect("fresh dir opens");
+    let add = |lake: &mut DataLake, durable: &mut dialite_core::DurableLake, name: &str| {
+        let since = lake.version();
+        let (ka, kb) = (format!("{name}a"), format!("{name}b"));
+        lake.add_table(table! { name; ["k", "v"]; [ka.as_str(), 1], [kb.as_str(), 2] })
+            .expect("unique names");
+        durable.append_since(lake, since).expect("append");
     };
-    // A two-token query: each partition's bound `min(1, upper / 2)` reaches
-    // the threshold and no k-th score beats it, so the planner probes
-    // every partition.
-    let probe = TableQuery::with_column(table! { "probe"; ["k"]; ["tok0a"], ["tok0b"] }, 0);
-    let probe_work = |pipeline: &Pipeline, lake: &DataLake| {
-        let before = pipeline.sketch_work().expect("indexed pipeline");
-        pipeline.discover_top_k(lake, &probe, 10, &QueryBudget::unlimited());
-        pipeline.sketch_work().expect("indexed pipeline") - before
-    };
-    let (pipeline, mut lake, mut durable) =
-        Pipeline::open_durable_configured(&dir, 1, DurableConfig::default(), config.clone())
-            .expect("fresh dir opens");
     for i in 0..40 {
-        let since = lake.version();
-        let name = format!("big_t{i}");
-        let (ka, kb) = (format!("tok{i}a"), format!("tok{i}b"));
-        lake.add_table(table! { &name; ["k", "v"]; [ka.as_str(), 1], [kb.as_str(), 2] })
-            .expect("unique names");
-        durable.append_since(&lake, since).expect("append");
+        add(&mut lake, &mut durable, &format!("big_t{i}"));
     }
-    // The query's signature and the 80 snapshotted domains'.
-    let snapshot_work = probe_work(&pipeline, &lake);
     pipeline.snapshot(&lake, &mut durable).expect("snapshot");
-    // A three-mutation tail after the checkpoint.
     for i in 0..3 {
-        let since = lake.version();
-        let name = format!("tail_t{i}");
-        let tk = format!("tail{i}");
-        lake.add_table(table! { &name; ["k"]; [tk.as_str()] })
-            .expect("unique names");
-        durable.append_since(&lake, since).expect("append");
+        add(&mut lake, &mut durable, &format!("tail_t{i}"));
     }
     drop(durable);
     drop(pipeline);
 
-    let (warm, recovered, _durable) =
-        Pipeline::open_durable_configured(&dir, 1, DurableConfig::default(), config.clone())
-            .expect("reopen");
+    let (reopened, recovered, _durable) = open().expect("reopen");
     assert_eq!(recovered.version(), lake.version());
-    let warm_work = probe_work(&warm, &recovered);
+    assert_eq!(reopened.sketch_work(), Some(0), "recovery hashed");
 
-    let cold = Pipeline::demo_configured(&lake, 1, config);
-    let cold_work = probe_work(&cold, &lake);
-
-    // The tail is 3 single-column tables; the lake is 43 tables with 83
-    // column domains. Warm work must cover only the tail.
-    assert_eq!(snapshot_work, 81, "the probe missed a snapshotted domain");
-    assert!(
-        warm_work <= 6,
-        "warm start re-hashed more than the tail: {warm_work} signatures"
-    );
-    assert!(
-        cold_work >= 80,
-        "cold build unexpectedly cheap: {cold_work} signatures"
-    );
+    // A two-token query: each partition's bound `min(1, upper / 2)` reaches
+    // the threshold and no k-th score beats it, so the search probes every
+    // partition and signs every domain.
+    let probe = TableQuery::with_column(table! { "probe"; ["k"]; ["big_t0a"], ["big_t0b"] }, 0);
+    let probe_work = |pipeline: &Pipeline, lake: &DataLake| {
+        let hits = pipeline.discover_top_k(lake, &probe, 10, &QueryBudget::unlimited());
+        (hits, pipeline.sketch_work().expect("indexed pipeline"))
+    };
+    let cold = Pipeline::demo_configured(&lake, 1, config.clone());
+    assert_eq!(cold.sketch_work(), Some(0), "the build hashed");
+    let (hits, work) = probe_work(&reopened, &recovered);
+    assert_eq!((hits, work), probe_work(&cold, &lake));
+    assert!(work > 80, "the probe skipped the sketch: {work}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,7 +1,8 @@
 //! `LakeIndex`: churn-safe discovery over a mutable [`DataLake`].
 //!
-//! Discovery engines are expensive to build (annotate every table, hash
-//! every column domain) but open-data lakes churn: tables are added,
+//! Discovery engines are expensive to build (annotate every table,
+//! tokenise and post every column domain) but open-data lakes churn:
+//! tables are added,
 //! corrected and withdrawn while query traffic keeps flowing. A
 //! [`LakeIndex`] owns the SANTOS-style, LSH Ensemble and optional
 //! metadata engines behind one maintenance point: [`LakeIndex::sync`]
@@ -21,12 +22,15 @@
 //! candidate path additionally guarantees that domains staged since the
 //! last partition rebalance are exact-scanned, so fresh churn is never a
 //! false negative.
+//!
+//! The index is a function of the lake: it persists nothing and keeps no
+//! cache between queries, so a recovered process rebuilds it once over
+//! the recovered lake.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dialite_kb::KnowledgeBase;
-use dialite_minhash::SketchSnapshot;
 use dialite_table::{DataLake, LakeEvent};
 
 use crate::lshe::{LshEnsembleConfig, LshEnsembleDiscovery};
@@ -35,7 +39,7 @@ use crate::retrieval::column_token_sets;
 use crate::santos::{SantosConfig, SantosDiscovery};
 use crate::shard::ShardScope;
 use crate::telemetry::{DiscoveryTelemetry, ShardedTelemetry};
-use crate::topk::{DiscoveryBudget, QueryBudget, TopKPlanner, TopKStats};
+use crate::topk::{DiscoveryBudget, QueryBudget, TopKStats};
 use crate::types::{merge_best_scores, top_k, Discovered, Discovery, TableQuery};
 
 /// Configuration of the wrapped engines.
@@ -83,10 +87,6 @@ pub struct LakeIndex {
     /// The optional metadata (header-match) leg, present only when the
     /// config enables it.
     metadata: Option<MetadataDiscovery>,
-    /// Budget-aware top-k planning over the LSH engine; holds the query
-    /// signature cache, which stays warm across syncs and even rebuilds
-    /// (cache entries are content-addressed, not version-addressed).
-    planner: TopKPlanner,
     /// Rolling aggregate of what budgeted queries actually did. Sharded:
     /// queries run under `&self` from many serving threads at once, and a
     /// single `Mutex` here was the one point every concurrent query
@@ -105,7 +105,7 @@ pub struct LakeIndex {
 impl LakeIndex {
     /// Build every configured engine over the lake's current state.
     pub fn build(lake: &DataLake, kb: Arc<KnowledgeBase>, config: LakeIndexConfig) -> LakeIndex {
-        LakeIndex::build_scoped(lake, kb, config, ShardScope::all(), None)
+        LakeIndex::build_scoped(lake, kb, config, ShardScope::all())
     }
 
     /// Build every configured engine over one shard's stripe of the lake.
@@ -117,25 +117,19 @@ impl LakeIndex {
     ///
     /// There is one value store per shard, read by SANTOS and the joinable
     /// leg; metadata keeps its header store. One pass tokenises each table
-    /// once for the store, SANTOS annotation and the ensemble builder.
-    ///
-    /// `sketches` warm-starts the LSH engine from persisted MinHash
-    /// sketches (see [`LshEnsembleDiscovery::build_scoped`]); the SANTOS
-    /// and metadata engines and the exact verification structures are
-    /// always rebuilt from the lake.
+    /// once for the store, SANTOS annotation and the ensemble builder, and
+    /// hashes nothing (see [`LshEnsembleDiscovery::build_scoped`]).
     pub fn build_scoped(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
         config: LakeIndexConfig,
         scope: ShardScope,
-        sketches: Option<&SketchSnapshot>,
     ) -> LakeIndex {
         let mut santos = SantosDiscovery::empty(kb.clone(), config.santos.clone());
         let lshe = LshEnsembleDiscovery::build_feeding(
             lake,
             config.lshe.clone(),
             scope,
-            sketches,
             |slot, table, columns| santos.annotate(slot, table, columns),
         );
         santos.tokens = Arc::clone(&lshe.tokens);
@@ -146,7 +140,6 @@ impl LakeIndex {
                 .metadata
                 .clone()
                 .map(|mc| MetadataDiscovery::build_scoped(lake, mc, scope)),
-            planner: TopKPlanner::new(),
             telemetry: ShardedTelemetry::default(),
             kb,
             config,
@@ -155,13 +148,8 @@ impl LakeIndex {
         }
     }
 
-    /// Export the LSH engine's domain sketches for durable snapshotting.
-    pub fn export_sketches(&self) -> SketchSnapshot {
-        self.lshe.export_sketches()
-    }
-
-    /// MinHash signatures this index's hash family has computed so far —
-    /// the work a warm start keeps proportional to the replayed tail.
+    /// MinHash signatures this index's hash family has computed so far:
+    /// 0 after a build or a sync, grown only by sketch-route queries.
     pub fn sketch_work(&self) -> u64 {
         self.lshe.sketch_work()
     }
@@ -204,21 +192,11 @@ impl LakeIndex {
             return;
         }
         let Some(events) = lake.events_since(self.synced) else {
-            // Full rebuild — but carry the planner across (its cached
-            // signatures are keyed on content + hash-family identity, so
-            // they stay valid for the rebuilt engine — same config) and
-            // the telemetry window (a rebuild is maintenance, not a
-            // reason to lose the observation history).
-            let planner = std::mem::take(&mut self.planner);
+            // Full rebuild — but carry the telemetry window across (a
+            // rebuild is maintenance, not a reason to lose the
+            // observation history).
             let telemetry = self.telemetry.snapshot();
-            *self = LakeIndex::build_scoped(
-                lake,
-                self.kb.clone(),
-                self.config.clone(),
-                self.scope,
-                None,
-            );
-            self.planner = planner;
+            *self = LakeIndex::build_scoped(lake, self.kb.clone(), self.config.clone(), self.scope);
             self.telemetry.restore(telemetry);
             return;
         };
@@ -266,7 +244,8 @@ impl LakeIndex {
     /// The budgeted discovery stage — the index's one query path. Returns
     /// `(engine name, hits)` per leg in the pipeline's engine order: the
     /// SANTOS leg under the budget's candidate cap, the joinable leg
-    /// through the [`TopKPlanner`] under the budget's [`QueryBudget`], and
+    /// through [`LakeIndex::discover_top_k`] under the budget's
+    /// [`QueryBudget`], and
     /// — when enabled — the metadata leg under its own candidate cap.
     /// Under [`DiscoveryBudget::unlimited`] every leg is byte-identical to
     /// its engine's probe-all [`Discovery::discover`] (pinned by
@@ -312,11 +291,11 @@ impl LakeIndex {
         self.telemetry.reset();
     }
 
-    /// Budgeted top-k joinable search over the LSH engine, planned by the
-    /// index's [`TopKPlanner`]: cached query signatures, best-bound-first
-    /// partition probing with early termination, posting-list
-    /// verification. With an unlimited budget the results equal the
-    /// probe-all `lshe().discover(query, k)` exactly.
+    /// Budgeted top-k joinable search over the LSH engine
+    /// ([`LshEnsembleDiscovery::discover_top_k_with_stats`]):
+    /// best-bound-first partition probing with early termination,
+    /// posting-list verification. With an unlimited budget the results
+    /// equal the probe-all `lshe().discover(query, k)` exactly.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -348,10 +327,8 @@ impl LakeIndex {
         k: usize,
         budget: &QueryBudget,
     ) -> (Vec<Discovered>, TopKStats) {
-        let ((hits, stats), elapsed) = timed(|| {
-            self.planner
-                .discover_top_k_with_stats(&self.lshe, query, k, budget)
-        });
+        let ((hits, stats), elapsed) =
+            timed(|| self.lshe.discover_top_k_with_stats(query, k, budget));
         self.telemetry.record(|t| t.record_topk(&stats, elapsed));
         (hits, stats)
     }
@@ -409,7 +386,6 @@ impl Discovery for LakeIndex {
 mod tests {
     use super::*;
     use crate::ShardedLakeIndex;
-    use dialite_datagen::workloads::HeterogeneousLakeWorkload;
     use dialite_kb::curated::covid_kb;
     use dialite_table::{table, Table, Value};
 
@@ -585,13 +561,8 @@ mod tests {
     fn assert_one_store(index: &LakeIndex, lake: &DataLake) {
         assert!(Arc::ptr_eq(&index.santos.tokens, &index.lshe.tokens));
         assert_eq!(Arc::strong_count(&index.lshe.tokens), 2, "a stray handle");
-        let fresh = LakeIndex::build_scoped(
-            lake,
-            index.kb(),
-            index.config().clone(),
-            index.scope(),
-            None,
-        );
+        let fresh =
+            LakeIndex::build_scoped(lake, index.kb(), index.config().clone(), index.scope());
         assert_eq!(index.lshe.posting_stats(), fresh.lshe.posting_stats());
         assert_eq!(index.lshe.pool_len(), fresh.lshe.pool_len());
     }
@@ -647,67 +618,5 @@ mod tests {
             .unwrap();
         sharded.sync(&lake);
         each_shard(&lake);
-    }
-
-    #[test]
-    fn warm_start_through_the_one_pass_build() {
-        let spec = HeterogeneousLakeWorkload {
-            tables: 60,
-            max_rows: 32,
-            queries: 4,
-            ..HeterogeneousLakeWorkload::default()
-        };
-        let lake = spec.lake();
-        let kb = Arc::new(covid_kb());
-        // Every query takes the sketch, so a probe signs domains.
-        let config = LakeIndexConfig {
-            lshe: LshEnsembleConfig {
-                exact_mass_per_token: 0,
-                ..LshEnsembleConfig::default()
-            },
-            metadata: Some(MetadataConfig::default()),
-            ..LakeIndexConfig::default()
-        };
-        let build = |sketches| {
-            LakeIndex::build_scoped(
-                &lake,
-                kb.clone(),
-                config.clone(),
-                ShardScope::all(),
-                sketches,
-            )
-        };
-        // Signatures a probe-all sketch query computes: the query's, and
-        // every domain's that neither an earlier probe nor the snapshot
-        // signed.
-        let probe = TableQuery::new(spec.queries().remove(0));
-        let probe_work = |index: &LakeIndex| {
-            let before = index.sketch_work();
-            index.lshe().discover(&probe, 10);
-            index.sketch_work() - before
-        };
-        let cold = build(None);
-        assert_eq!(cold.sketch_work(), 0, "the build hashed");
-        let domains = cold.lshe().indexed_domains() as u64;
-        assert_eq!(probe_work(&cold), 1 + domains);
-        let snapshot = cold.export_sketches();
-        assert_eq!(snapshot.domains.len() as u64, domains);
-        let warm = build(Some(&snapshot));
-        assert_eq!(probe_work(&warm), 1, "full coverage signs no domain");
-        let mut foreign = snapshot.clone();
-        foreign.seed ^= 1;
-        let rehashed = build(Some(&foreign));
-        assert_eq!(probe_work(&rehashed), 1 + domains);
-
-        let queries = spec.queries().into_iter().chain(spec.header_queries());
-        for query in queries.map(TableQuery::new) {
-            for budget in [DiscoveryBudget::default(), DiscoveryBudget::unlimited()] {
-                let want = cold.discover_all_budgeted(&query, 10, &budget);
-                assert_eq!(want.len(), 3);
-                for index in [&warm, &rehashed] {
-                    assert_eq!(index.discover_all_budgeted(&query, 10, &budget), want);
-                }
-            }
-        }
     }
 }

@@ -43,22 +43,23 @@
 //! `O(changed tables)` work instead of rebuilding, staying exactly
 //! equivalent to a fresh build (see `tests/incremental_oracle.rs`).
 //!
-//! The discovery hot path is served by [`TopKPlanner`], the budgeted top-k
-//! query engine over the LSH index: cached query-column signatures, a
-//! best-bound-first partition schedule with provable early termination,
-//! and one posting merge that answers small queries exactly — cheapest
-//! posting lists first, under the [`QueryBudget`] `postings` cap.
+//! The discovery hot path is served by
+//! [`LshEnsembleDiscovery::discover_top_k_with_stats`], the budgeted top-k
+//! search over the LSH index: a best-bound-first partition schedule with
+//! provable early termination, and one posting merge that answers small
+//! queries exactly — cheapest posting lists first, under the
+//! [`QueryBudget`] `postings` cap. It keeps no state between queries.
 //! [`LakeIndex::discover_top_k`] exposes it, and with an unlimited
 //! [`QueryBudget`] it returns exactly what the probe-all
 //! [`LshEnsembleDiscovery`] `discover` returns.
 //!
 //! The whole discovery *stage* is budgeted through [`DiscoveryBudget`]:
 //! [`LakeIndex::discover_all_budgeted`] routes the joinable leg through
-//! the planner and the SANTOS and metadata legs through their capped,
+//! that search and the SANTOS and metadata legs through their capped,
 //! bound-ranked candidate retrieval ([`SantosDiscovery::discover_capped`],
 //! [`MetadataDiscovery::discover_capped`]), and every budgeted query folds
-//! its stats into the index's rolling [`DiscoveryTelemetry`] (cache hit
-//! rate, partitions pruned, verifications, budget-exhaustion rate,
+//! its stats into the index's rolling [`DiscoveryTelemetry`] (exact-route
+//! share, partitions pruned, verifications, budget-exhaustion rate,
 //! per-engine latency buckets). It is the index's one query path: the
 //! index's [`Discovery::discover`] runs it at
 //! [`DiscoveryBudget::unlimited`], where every leg equals its engine's
@@ -102,7 +103,7 @@ pub use telemetry::{
     DiscoveryTelemetry, LatencyHistogram, LatencyPercentiles, RetrievalCounters, TopKCounters,
     LATENCY_BUCKET_BOUNDS_US,
 };
-pub use topk::{DiscoveryBudget, QueryBudget, TopKPlanner, TopKStats};
+pub use topk::{DiscoveryBudget, QueryBudget, TopKStats};
 pub use types::{
     merge_best_scores, top_k_discovered, union_integration_set, Discovered, Discovery, TableQuery,
 };

@@ -16,12 +16,14 @@
 //! [`LshEnsembleConfig::exact_mass_per_token`]` × |Q|` skips the sketch
 //! and is answered by one budgeted merge over its posting lists
 //! ([`LshEnsembleDiscovery::exact_discover`]); the probe-all `discover`
-//! and the budget-aware [`TopKPlanner`](crate::TopKPlanner) share that
-//! routing and that merge. **Signatures on demand:** only a heavier query
-//! takes the sketch, and the ensemble's first probe of a partition signs
-//! its domains by hashing their token strings straight from the store
-//! (`LshEnsembleDiscovery::sign`). Building and upserting hash nothing,
-//! and a snapshot carries only the signatures some probe computed.
+//! and the budgeted
+//! [`discover_top_k_with_stats`](LshEnsembleDiscovery::discover_top_k_with_stats)
+//! share that routing and that merge. **Signatures on demand:** only a
+//! heavier query takes the sketch, and the ensemble's first probe of a
+//! partition signs its domains by hashing their token strings straight
+//! from the store (`LshEnsembleDiscovery::sign`). Building and upserting
+//! hash nothing, and no signature outlives the process: the engine is a
+//! function of the lake it was built and synced over.
 //!
 //! The engine is incrementally maintainable: [`LshEnsembleDiscovery::
 //! upsert_table`] / [`LshEnsembleDiscovery::remove_table`] apply one
@@ -37,7 +39,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature, SketchSnapshot};
+use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature};
 use dialite_table::{DataLake, Table};
 
 use crate::pool::intersect_count;
@@ -109,7 +111,7 @@ pub struct LshEnsembleDiscovery {
 impl LshEnsembleDiscovery {
     /// Index every column of every lake table.
     pub fn build(lake: &DataLake, config: LshEnsembleConfig) -> LshEnsembleDiscovery {
-        LshEnsembleDiscovery::build_scoped(lake, config, ShardScope::all(), None)
+        LshEnsembleDiscovery::build_scoped(lake, config, ShardScope::all())
     }
 
     /// Index one shard's stripe of the lake (the slots `scope`
@@ -121,21 +123,13 @@ impl LshEnsembleDiscovery {
     ///
     /// The build hashes nothing: a domain's MinHash signature is computed
     /// by the first sketch probe of its ensemble partition, from its run
-    /// in the store. `sketches` warm-starts the build from a durable
-    /// snapshot: a persisted signature pre-fills its domain's cell only
-    /// when its hash-family identity (`num_perm`, `seed`) matches the
-    /// config **and** its recorded domain size equals the live domain's
-    /// token count — any other domain is signed on demand, so a stale or
-    /// foreign snapshot can slow a warm start but never corrupt it. Token
-    /// interning, posting lists and exact verification sets are always
-    /// rebuilt from the lake (they are cheap `u32` work).
+    /// in the store.
     pub fn build_scoped(
         lake: &DataLake,
         config: LshEnsembleConfig,
         scope: ShardScope,
-        sketches: Option<&SketchSnapshot>,
     ) -> LshEnsembleDiscovery {
-        LshEnsembleDiscovery::build_feeding(lake, config, scope, sketches, |_, _, _| {})
+        LshEnsembleDiscovery::build_feeding(lake, config, scope, |_, _, _| {})
     }
 
     /// [`build_scoped`](Self::build_scoped), also handing each table's
@@ -144,18 +138,8 @@ impl LshEnsembleDiscovery {
         lake: &DataLake,
         config: LshEnsembleConfig,
         scope: ShardScope,
-        sketches: Option<&SketchSnapshot>,
         mut each: impl FnMut(u32, &Table, &[HashSet<String>]),
     ) -> LshEnsembleDiscovery {
-        let reusable: HashMap<DomainKey, (usize, &Signature)> = sketches
-            .filter(|s| s.matches_family(config.num_perm, config.seed))
-            .map(|s| {
-                s.domains
-                    .iter()
-                    .map(|(key, size, sig)| (*key, (*size, sig)))
-                    .collect()
-            })
-            .unwrap_or_default();
         let mut builder = LshEnsembleBuilder::new(config.num_perm);
         let mut table_names = HashMap::new();
         let mut tokens = TokenPostings::new(config.pool_compact_min);
@@ -166,13 +150,7 @@ impl LshEnsembleDiscovery {
                 if col.is_empty() {
                     continue;
                 }
-                let key: DomainKey = (t, c as u32);
-                match reusable.get(&key) {
-                    Some(&(size, sig)) if size == col.len() => {
-                        builder.insert_signed(key, size, sig.clone());
-                    }
-                    _ => builder.insert(key, col.len()),
-                }
+                builder.insert((t, c as u32), col.len());
             }
             tokens.insert(t, &columns);
             each(t, table, &columns);
@@ -189,22 +167,9 @@ impl LshEnsembleDiscovery {
         }
     }
 
-    /// Export every indexed domain's MinHash signature computed so far
-    /// (by a sketch probe, or carried over from a snapshot), tagged with
-    /// the hash-family identity, in the shape durable snapshots persist.
-    /// A domain no sketch probe has reached has none to export.
-    pub fn export_sketches(&self) -> SketchSnapshot {
-        SketchSnapshot {
-            num_perm: self.config.num_perm,
-            seed: self.config.seed,
-            domains: self.ensemble.export_entries(),
-        }
-    }
-
     /// MinHash signatures computed by this engine's hash family so far:
     /// sketch-path query columns, and domains signed by a partition's
-    /// first probe. The build and upserts compute none; a warm start keeps
-    /// a probe's signing to the domains the snapshot does not cover.
+    /// first probe. The build and upserts compute none.
     pub fn sketch_work(&self) -> u64 {
         self.hasher.signatures_computed()
     }
@@ -254,8 +219,8 @@ impl LshEnsembleDiscovery {
     /// Whether a query takes the exact posting merge rather than the
     /// sketch: its posting mass is below
     /// [`LshEnsembleConfig::exact_mass_per_token`]` × q_len`. The probe-all
-    /// `discover` and the `TopKPlanner` both route through here, so an
-    /// unlimited planner answers exactly like the probe-all path.
+    /// `discover` and the budgeted top-k search both route through here,
+    /// so an unlimited budget answers exactly like the probe-all path.
     pub(crate) fn routes_exact(&self, q_ids: &[u32], q_len: usize) -> bool {
         let line = self.config.exact_mass_per_token.saturating_mul(q_len);
         self.tokens.posting_mass(q_ids) < line
@@ -307,8 +272,8 @@ impl LshEnsembleDiscovery {
     /// admits zero-overlap domains, which postings cannot see, so that
     /// case scans every domain instead, exempt from the budget.
     ///
-    /// Both the probe-all `discover` and the `TopKPlanner` call this one
-    /// helper, so their exact answers cannot drift apart.
+    /// Both the probe-all `discover` and the budgeted top-k search call
+    /// this one helper, so their exact answers cannot drift apart.
     pub(crate) fn exact_discover<'a>(
         &'a self,
         q_ids: &[u32],
@@ -510,73 +475,10 @@ mod tests {
         }
     }
 
-    /// Signatures a probe-all sketch query computes on `engine`: one for
-    /// the query, one per domain no earlier probe or snapshot signed.
-    fn probe_work(engine: &LshEnsembleDiscovery) -> u64 {
-        let before = engine.sketch_work();
-        engine.discover(&query(), 5);
-        engine.sketch_work() - before
-    }
-
-    #[test]
-    fn warm_build_reuses_sketches_and_matches_cold_output() {
-        let lake = demo_lake();
-        let cold = LshEnsembleDiscovery::build(&lake, sketch_config());
-        assert_eq!(cold.sketch_work(), 0, "the build hashed");
-        let domains = cold.indexed_domains() as u64;
-        assert_eq!(
-            probe_work(&cold),
-            1 + domains,
-            "a probe-all signs every domain"
-        );
-        let sketches = cold.export_sketches();
-        assert_eq!(sketches.domains.len() as u64, domains);
-
-        let warm = LshEnsembleDiscovery::build_scoped(
-            &lake,
-            sketch_config(),
-            ShardScope::all(),
-            Some(&sketches),
-        );
-        assert_eq!(
-            probe_work(&warm),
-            1,
-            "full snapshot coverage must leave only the query to hash"
-        );
-        assert_eq!(warm.indexed_domains(), cold.indexed_domains());
-        assert_eq!(warm.posting_stats(), cold.posting_stats());
-        assert_eq!(warm.discover(&query(), 5), cold.discover(&query(), 5));
-    }
-
-    #[test]
-    fn foreign_family_sketches_fall_back_to_hashing() {
-        let lake = demo_lake();
-        let cold = LshEnsembleDiscovery::build(&lake, sketch_config());
-        let cold_work = probe_work(&cold);
-        let mut sketches = cold.export_sketches();
-        let warm = |sketches: &SketchSnapshot| {
-            LshEnsembleDiscovery::build_scoped(
-                &lake,
-                sketch_config(),
-                ShardScope::all(),
-                Some(sketches),
-            )
-        };
-        assert_eq!(probe_work(&warm(&sketches)), 1, "the own family is reused");
-        sketches.seed ^= 1; // pretend the snapshot came from another family
-        let foreign = warm(&sketches);
-        assert_eq!(
-            probe_work(&foreign),
-            cold_work,
-            "family mismatch must rebuild every sketch"
-        );
-        assert_eq!(foreign.discover(&query(), 5), cold.discover(&query(), 5));
-    }
-
     /// A domain's signature hashed from its run in the store equals the
     /// signature of the table's column token set bit for bit — with
     /// Unicode-lowercased cells, and after pool compaction rewrote every
-    /// id — so snapshots written from either stay reusable.
+    /// id — so a partition's first probe signs what an eager build would.
     #[test]
     fn store_hashed_signatures_equal_the_column_token_set_signature() {
         let config = LshEnsembleConfig {
@@ -669,7 +571,7 @@ mod tests {
         let staged = engine.ensemble.staged_keys().count() as u64;
         assert!(staged > 0);
         assert_eq!(
-            engine.export_sketches().domains.len() as u64,
+            engine.ensemble.export_entries().len() as u64,
             domains - staged
         );
     }

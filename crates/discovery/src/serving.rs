@@ -273,28 +273,6 @@ impl DiscoveryService {
         }
     }
 
-    /// Build the service around an already-built index — the warm-start
-    /// path: a durability layer can rebuild the index from persisted
-    /// sketches and hand it over instead of paying a cold
-    /// [`ShardedLakeIndex::build`]. The index is delta-synced to the
-    /// lake's current version before serving, so a slightly stale index
-    /// (e.g. built over a snapshot, with the commitlog tail still to
-    /// replay) is caught up here.
-    pub fn with_prebuilt(
-        lake: DataLake,
-        index: ShardedLakeIndex,
-        config: ServingConfig,
-    ) -> DiscoveryService {
-        index.sync(&lake);
-        DiscoveryService {
-            lake: RwLock::new(lake),
-            index,
-            config,
-            in_flight: AtomicUsize::new(0),
-            telemetry: std::array::from_fn(|_| Mutex::new(ServingTelemetry::default())),
-        }
-    }
-
     /// The serving configuration.
     pub fn config(&self) -> &ServingConfig {
         &self.config

@@ -8,8 +8,7 @@
 //!
 //! * **Storage shards.** A [`ShardRouter`] stripes the lake's stable slot
 //!   space across N shards; each shard is a full [`LakeIndex`] scoped to
-//!   its stripe (its own engines, pool, postings, planner cache and
-//!   telemetry window), maintained through the same incremental
+//!   its stripe (its own engines, pool, postings and telemetry window), maintained through the same incremental
 //!   [`sync`](LakeIndex::sync) contract — replaying only the changelog
 //!   events its stripe admits.
 //! * **Execution layer.** A [`ShardedLakeIndex`] probes the shards in
@@ -47,7 +46,6 @@
 use std::sync::{Arc, Mutex, RwLock};
 
 use dialite_kb::KnowledgeBase;
-use dialite_minhash::SketchSnapshot;
 use dialite_table::DataLake;
 
 use crate::index::{LakeIndex, LakeIndexConfig};
@@ -213,22 +211,6 @@ impl ShardedLakeIndex {
         config: LakeIndexConfig,
         shards: usize,
     ) -> ShardedLakeIndex {
-        ShardedLakeIndex::build_reusing(lake, kb, config, shards, None)
-    }
-
-    /// [`ShardedLakeIndex::build`], warm-starting every shard's LSH engine
-    /// from one lake-wide sketch snapshot when `sketches` is given. Each
-    /// scoped build only picks up the sketches for slots its stripe admits
-    /// (domain keys are slot-addressed, so the shards' subsets are
-    /// disjoint); sketches the snapshot lacks — or whose family/size no
-    /// longer match — are hashed fresh (see [`LakeIndex::build_scoped`]).
-    pub fn build_reusing(
-        lake: &DataLake,
-        kb: Arc<KnowledgeBase>,
-        config: LakeIndexConfig,
-        shards: usize,
-        sketches: Option<&SketchSnapshot>,
-    ) -> ShardedLakeIndex {
         let router = ShardRouter::new(shards);
         let shards = (0..router.shards())
             .map(|i| {
@@ -237,7 +219,6 @@ impl ShardedLakeIndex {
                     kb.clone(),
                     config.clone(),
                     router.scope(i),
-                    sketches,
                 ))
             })
             .collect();
@@ -248,29 +229,8 @@ impl ShardedLakeIndex {
         }
     }
 
-    /// Merge every shard's sketch export into one lake-wide snapshot.
-    /// Stripes own disjoint slot sets, so concatenation never collides;
-    /// the result is re-sorted into the canonical `(size, key)` order so
-    /// the export is byte-stable across shard counts.
-    pub fn export_sketches(&self) -> SketchSnapshot {
-        let mut merged = SketchSnapshot::default();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.read().expect("shard lock");
-            let part = shard.export_sketches();
-            if i == 0 {
-                merged.num_perm = part.num_perm;
-                merged.seed = part.seed;
-            }
-            merged.domains.extend(part.domains);
-        }
-        merged
-            .domains
-            .sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        merged
-    }
-
-    /// Total MinHash signatures computed across all shards — the work a
-    /// warm start keeps proportional to the replayed tail.
+    /// Total MinHash signatures computed across all shards: 0 after a
+    /// build or a sync, grown only by sketch-route queries.
     pub fn sketch_work(&self) -> u64 {
         self.shards
             .iter()

@@ -1,13 +1,13 @@
 //! Rolling discovery telemetry — the observability half of the budgeted
 //! pipeline.
 //!
-//! `TopKPlanner` returns per-query [`TopKStats`](crate::TopKStats) and the
-//! capped SANTOS and metadata engines return per-query
-//! [`RetrievalStats`](crate::RetrievalStats), but one query's numbers are
-//! weather, not climate: production tuning needs the *rates* — how often
-//! the signature cache hits, how many partitions the planner proves
-//! irrelevant, how often a budget cap (not the optimality bound) ends a
-//! search. [`DiscoveryTelemetry`] is that
+//! The budgeted joinable search returns per-query
+//! [`TopKStats`](crate::TopKStats) and the capped SANTOS and metadata
+//! engines return per-query [`RetrievalStats`](crate::RetrievalStats), but
+//! one query's numbers are weather, not climate: production tuning needs
+//! the *rates* — how often a query takes the exact route, how many
+//! partitions the search proves irrelevant, how often a budget cap (not
+//! the optimality bound) ends a search. [`DiscoveryTelemetry`] is that
 //! aggregate: counter blocks per engine leg plus coarse per-engine latency
 //! histograms, owned by `LakeIndex` (every budgeted query folds its stats
 //! in) and surfaced through `Pipeline::telemetry()`.
@@ -323,9 +323,10 @@ impl ShardedTelemetry {
 pub struct TopKCounters {
     /// Planned queries recorded.
     pub queries: u64,
-    /// Queries whose column signature came from the LRU cache.
+    /// Always 0: no query-signature cache exists. Kept, with its JSON
+    /// key, for readers of the telemetry format.
     pub cache_hits: u64,
-    /// Queries that hashed a fresh signature (sketch path, cache miss).
+    /// Queries that took the sketch route (each hashes its own column).
     pub cache_misses: u64,
     /// Queries answered exactly by the posting merge (no sketch work).
     pub exact_path: u64,
@@ -350,13 +351,10 @@ impl TopKCounters {
     /// Fold one query's stats in.
     pub fn record(&mut self, stats: &TopKStats) {
         self.queries += 1;
-        if stats.cache_hit {
-            self.cache_hits += 1;
-        } else if !stats.exact_path {
-            self.cache_misses += 1;
-        }
         if stats.exact_path {
             self.exact_path += 1;
+        } else {
+            self.cache_misses += 1;
         }
         self.partitions_probed += stats.partitions_probed as u64;
         self.partitions_pruned += stats.partitions_pruned as u64;
@@ -382,16 +380,6 @@ impl TopKCounters {
         self.terminated_early += other.terminated_early;
         self.budget_exhausted += other.budget_exhausted;
         self.postings_skipped += other.postings_skipped;
-    }
-
-    /// Signature-cache hit rate over sketch-path queries (0 when none ran).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let sketch = self.cache_hits + self.cache_misses;
-        if sketch == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / sketch as f64
-        }
     }
 
     /// Fraction of queries a budget cap cut short (0 when none ran).
@@ -503,7 +491,7 @@ impl RetrievalCounters {
 ///
 /// let mut window_a = DiscoveryTelemetry::default();
 /// window_a.record_topk(
-///     &TopKStats { cache_hit: true, partitions_probed: 2, ..TopKStats::default() },
+///     &TopKStats { partitions_probed: 2, ..TopKStats::default() },
 ///     Duration::from_micros(120),
 /// );
 /// let mut window_b = DiscoveryTelemetry::default();
@@ -574,13 +562,12 @@ impl DiscoveryTelemetry {
     pub fn summary(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "joinable: {} queries ({} exact-path), cache hit rate {:.2}, \
+            "joinable: {} queries ({} exact-path), \
              partitions {} probed / {} pruned, {} verified, \
              {} postings-skipped, {} early-terminated, \
              budget exhaustion rate {:.2}\n",
             self.topk.queries,
             self.topk.exact_path,
-            self.topk.cache_hit_rate(),
             self.topk.partitions_probed,
             self.topk.partitions_pruned,
             self.topk.candidates_verified,
@@ -642,7 +629,6 @@ mod tests {
 
     fn topk_stats(probed: usize, verified: usize) -> TopKStats {
         TopKStats {
-            cache_hit: false,
             exact_path: false,
             partitions_probed: probed,
             partitions_pruned: 1,
@@ -672,13 +658,7 @@ mod tests {
     #[test]
     fn record_classifies_cache_and_exact_paths() {
         let mut t = DiscoveryTelemetry::default();
-        t.record_topk(
-            &TopKStats {
-                cache_hit: true,
-                ..TopKStats::default()
-            },
-            Duration::from_micros(1),
-        );
+        t.record_topk(&TopKStats::default(), Duration::from_micros(1));
         t.record_topk(&TopKStats::default(), Duration::from_micros(1));
         t.record_topk(
             &TopKStats {
@@ -688,12 +668,11 @@ mod tests {
             Duration::from_micros(1),
         );
         assert_eq!(t.topk.queries, 3);
-        assert_eq!(t.topk.cache_hits, 1);
-        assert_eq!(t.topk.cache_misses, 1);
+        // No signature cache: every sketch-route query counts as a miss,
+        // and an exact-route query as neither.
+        assert_eq!(t.topk.cache_hits, 0);
+        assert_eq!(t.topk.cache_misses, 2);
         assert_eq!(t.topk.exact_path, 1);
-        // Exact-path queries do no sketch work, so they stay out of the
-        // cache hit rate denominator.
-        assert!((t.topk.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -745,7 +724,6 @@ mod tests {
     #[test]
     fn rates_are_zero_on_empty_windows_not_nan() {
         let t = DiscoveryTelemetry::default();
-        assert_eq!(t.topk.cache_hit_rate(), 0.0);
         assert_eq!(t.topk.budget_exhaustion_rate(), 0.0);
         assert_eq!(t.joinable_latency.mean_micros(), 0.0);
         assert!(!t.summary().is_empty());
@@ -958,7 +936,7 @@ mod tests {
         let mut t = DiscoveryTelemetry::default();
         t.record_topk(&topk_stats(2, 5), Duration::from_micros(10));
         let s = t.summary();
-        for needle in ["cache hit rate", "pruned", "budget exhaustion", "santos"] {
+        for needle in ["exact-path", "pruned", "budget exhaustion", "santos"] {
             assert!(s.contains(needle), "summary missing {needle}:\n{s}");
         }
     }
@@ -981,7 +959,6 @@ mod tests {
                     .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     .wrapping_add((t * 1_000 + i) as u64);
                 let topk = TopKStats {
-                    cache_hit: x & 1 == 0,
                     exact_path: x & 2 == 0,
                     partitions_probed: (x % 7) as usize,
                     partitions_pruned: (x % 5) as usize,

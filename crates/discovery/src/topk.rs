@@ -3,56 +3,49 @@
 //!
 //! On a query heavy enough for the sketch, the probe-all query path
 //! ([`LshEnsembleDiscovery`]'s `discover`) hashes the query column and
-//! probes every partition, then truncates to `k`.
-//! At lake scale that is wasted work twice over: interactive users re-hash
-//! the same query column on every refinement, and most partitions hold
-//! domains too small to ever reach the containment threshold, let alone
-//! the running top-k. [`TopKPlanner`] turns the scan into a planned search:
+//! probes every partition, then truncates to `k`. At lake scale most
+//! partitions hold domains too small to ever reach the containment
+//! threshold, let alone the running top-k.
+//! [`LshEnsembleDiscovery::discover_top_k_with_stats`] turns the scan into
+//! a planned search:
 //!
-//! 1. **Signature cache.** Query-column MinHash signatures are kept in a
-//!    small LRU keyed by `(table name, column, hasher identity, token-set
-//!    fingerprint)`. The content fingerprint subsumes the lake-version
-//!    proxy: a cached signature stays valid across arbitrary lake churn
-//!    (signatures depend only on the hash family and the tokens) and
-//!    invalidates itself the moment the query column's content changes.
-//! 2. **Partition schedule.** Partitions are probed best-bound-first
+//! 1. **Partition schedule.** Partitions are probed best-bound-first
 //!    ([`LshEnsemble::probe_plan`](dialite_minhash::LshEnsemble::probe_plan)):
 //!    each partition's upper size bound caps the containment any of its
 //!    domains can achieve. Partitions whose bound is below the threshold
 //!    are never probed, and the search stops as soon as the k-th best
 //!    verified table score strictly beats the best possible score of every
 //!    unprobed partition.
-//! 3. **Posting-list verification.** Candidates are verified exactly
+//! 2. **Posting-list verification.** Candidates are verified exactly
 //!    against interned token-id sets. A query whose posting mass is below
 //!    `exact_mass_per_token × |Q|` skips the sketch entirely and is
 //!    answered exactly by one posting merge over its tokens (cheapest list
 //!    first, under the [`QueryBudget::postings`] cap); only a query heavy
 //!    enough that merging would cost more than hashing takes the sketch,
-//!    and a partition's first probe signs its domains from the store.
+//!    hashes its own column, and a partition's first probe signs its
+//!    domains from the store.
 //!
-//! With an unlimited [`QueryBudget`] the planner returns exactly what the
-//! probe-all path returns (same tables, same scores, same tie-breaks) —
-//! pinned by tests — while probing a fraction of the partitions on skewed
-//! lakes. Budgets cap the partitions probed and candidates verified for
-//! latency-bound serving; budgeted results are best-effort but every
-//! reported score is still an exactly verified containment. Staged (fresh-
-//! churn) domains are always verified regardless of budget, preserving the
-//! "churn is never a false negative" guarantee.
+//! The search keeps no state between queries. With an unlimited
+//! [`QueryBudget`] it returns exactly what the probe-all path returns
+//! (same tables, same scores, same tie-breaks) — pinned by tests — while
+//! probing a fraction of the partitions on skewed lakes. Budgets cap the
+//! partitions probed and candidates verified for latency-bound serving;
+//! budgeted results are best-effort but every reported score is still an
+//! exactly verified containment. Staged (fresh-churn) domains are always
+//! verified regardless of budget, preserving the "churn is never a false
+//! negative" guarantee.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
-
-use dialite_minhash::Signature;
-use dialite_text::fnv1a64;
 
 use crate::lshe::LshEnsembleDiscovery;
 use crate::retrieval::DomainKey;
 use crate::types::{top_k, Discovered, TableQuery};
 
-/// Per-query work limits for [`TopKPlanner::discover_top_k`].
+/// Per-query work limits for
+/// [`LshEnsembleDiscovery::discover_top_k_with_stats`].
 ///
 /// The default is unlimited (plan-optimal early termination only). Budgets
-/// make worst-case latency predictable: once a cap is hit the planner
+/// make worst-case latency predictable: once a cap is hit the search
 /// returns the best verified results so far. Budgeted output is a sound
 /// subset — every reported score is an exactly verified containment at or
 /// above the engine threshold — but may miss tables an unbudgeted search
@@ -81,7 +74,7 @@ impl Default for QueryBudget {
 }
 
 impl QueryBudget {
-    /// No caps: the planner stops only via its optimality bound.
+    /// No caps: the search stops only via its optimality bound.
     pub fn unlimited() -> QueryBudget {
         QueryBudget {
             max_partitions: usize::MAX,
@@ -280,11 +273,10 @@ impl DiscoveryBudget {
 }
 
 /// What one planned query actually did — the observability half of the
-/// budget contract, returned by [`TopKPlanner::discover_top_k_with_stats`].
+/// budget contract, returned by
+/// [`LshEnsembleDiscovery::discover_top_k_with_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TopKStats {
-    /// The query-column signature came from the LRU cache (no re-hashing).
-    pub cache_hit: bool,
     /// The query was answered exactly via the posting-list merge; no
     /// sketch work (signature, partitions) happened at all.
     pub exact_path: bool,
@@ -307,135 +299,28 @@ pub struct TopKStats {
     pub postings_skipped: usize,
 }
 
-/// Commutative fingerprint of a token set: order-independent, cheap
-/// (one FNV pass per token vs `num_perm` universal-hash passes for a
-/// signature). Sum, xor and cardinality together make an accidental
-/// collision across a cache of ~dozens of entries vanishingly unlikely.
-fn fingerprint(tokens: &HashSet<String>) -> (u64, u64, u64) {
-    let mut sum = 0u64;
-    let mut xor = 0u64;
-    for t in tokens {
-        let h = fnv1a64(t.as_bytes());
-        sum = sum.wrapping_add(h);
-        xor ^= h.rotate_left((h & 63) as u32);
-    }
-    (sum, xor, tokens.len() as u64)
-}
-
-/// Cache key: the query column's identity plus the hash-family identity
-/// (signatures from different `(num_perm, seed)` families are not
-/// interchangeable, so a planner shared across engines stays correct).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct SigKey {
-    table: String,
-    column: usize,
-    num_perm: usize,
-    seed: u64,
-    fingerprint: (u64, u64, u64),
-}
-
-struct SigEntry {
-    sig: Signature,
-    last_used: u64,
-}
-
-/// Number of cached query-column signatures: a working set of
-/// interactive queries.
-const SIGNATURE_CACHE: usize = 64;
-
-#[derive(Default)]
-struct SigCache {
-    tick: u64,
-    entries: HashMap<SigKey, SigEntry>,
-}
-
-impl SigCache {
-    fn get(&mut self, key: &SigKey) -> Option<Signature> {
-        self.tick += 1;
-        let e = self.entries.get_mut(key)?;
-        e.last_used = self.tick;
-        Some(e.sig.clone())
-    }
-
-    fn insert(&mut self, key: SigKey, sig: Signature) {
-        if self.entries.len() >= SIGNATURE_CACHE && !self.entries.contains_key(&key) {
-            // Evict the least-recently-used entry; the cache is small, so
-            // the O(n) scan is cheaper than an ordered structure's
-            // constant overhead.
-            if let Some(lru) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&lru);
-            }
-        }
-        self.tick += 1;
-        self.entries.insert(
-            key,
-            SigEntry {
-                sig,
-                last_used: self.tick,
-            },
-        );
-    }
-}
-
-/// The budgeted top-k query engine over [`LshEnsembleDiscovery`]: cached
-/// query signatures, best-bound-first partition probing with provable
-/// early termination, and posting-list verification (full lifecycle in
-/// `ARCHITECTURE.md`).
-///
-/// A planner is cheap to construct and internally synchronized (`&self`
-/// queries from many threads share the signature cache); `LakeIndex` owns
-/// one and `Pipeline::discover_top_k` routes through it.
-///
-/// ```
-/// use dialite_discovery::{
-///     LshEnsembleConfig, LshEnsembleDiscovery, QueryBudget, TableQuery, TopKPlanner,
-/// };
-/// use dialite_table::fixtures;
-///
-/// let lake = fixtures::covid_lake();
-/// let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
-/// let planner = TopKPlanner::new();
-///
-/// // Paper §3.1: City is the query column; T3 joins on it.
-/// let query = TableQuery::with_column(fixtures::fig2_query(), 1);
-/// let hits = planner.discover_top_k(&engine, &query, 3, &QueryBudget::unlimited());
-/// assert_eq!(hits[0].table, "T3");
-/// ```
-#[derive(Default)]
-pub struct TopKPlanner {
-    cache: Mutex<SigCache>,
-}
-
-impl TopKPlanner {
-    /// Planner with an empty signature cache.
-    pub fn new() -> TopKPlanner {
-        TopKPlanner::default()
-    }
-
-    /// The top-`k` joinable tables for the query under a work budget.
-    /// See [`TopKPlanner::discover_top_k_with_stats`] for the stats
-    /// variant; results are identical.
-    pub fn discover_top_k(
-        &self,
-        engine: &LshEnsembleDiscovery,
-        query: &TableQuery,
-        k: usize,
-        budget: &QueryBudget,
-    ) -> Vec<Discovered> {
-        self.discover_top_k_with_stats(engine, query, k, budget).0
-    }
-
-    /// [`TopKPlanner::discover_top_k`] plus the [`TopKStats`] describing
-    /// what the planner actually did (cache hit, partitions pruned, early
-    /// termination, budget exhaustion).
+impl LshEnsembleDiscovery {
+    /// The top-`k` joinable tables for the query under a work budget —
+    /// best-bound-first partition probing with early termination, and
+    /// posting-list verification (full lifecycle in `ARCHITECTURE.md`) —
+    /// plus the [`TopKStats`] describing what the search actually did
+    /// (route, partitions pruned, early termination, budget exhaustion).
+    /// `LakeIndex::discover_top_k` routes through here.
+    ///
+    /// ```
+    /// use dialite_discovery::{LshEnsembleConfig, LshEnsembleDiscovery, QueryBudget, TableQuery};
+    /// use dialite_table::fixtures;
+    ///
+    /// let lake = fixtures::covid_lake();
+    /// let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
+    ///
+    /// // Paper §3.1: City is the query column; T3 joins on it.
+    /// let query = TableQuery::with_column(fixtures::fig2_query(), 1);
+    /// let (hits, _) = engine.discover_top_k_with_stats(&query, 3, &QueryBudget::unlimited());
+    /// assert_eq!(hits[0].table, "T3");
+    /// ```
     pub fn discover_top_k_with_stats(
         &self,
-        engine: &LshEnsembleDiscovery,
         query: &TableQuery,
         k: usize,
         budget: &QueryBudget,
@@ -450,29 +335,29 @@ impl TopKPlanner {
             return (Vec::new(), stats);
         }
         let q_len = q_tokens.len();
-        let q_ids = engine.query_token_ids(&q_tokens);
-        let threshold = engine.config.threshold;
+        let q_ids = self.query_token_ids(&q_tokens);
+        let threshold = self.config.threshold;
         let exclude = query.table.name();
 
         // Light queries: answer exactly via the posting merge, no sketch
         // work at all — the same routing and merge the probe-all path
-        // uses, so planner and probe-all cannot drift apart here.
-        if engine.routes_exact(&q_ids, q_len) {
-            let (best, stats) = engine.exact_discover(&q_ids, q_len, exclude, budget.postings);
+        // uses, so this search and probe-all cannot drift apart here.
+        if self.routes_exact(&q_ids, q_len) {
+            let (best, stats) = self.exact_discover(&q_ids, q_len, exclude, budget.postings);
             return (finish(best, k), stats);
         }
 
-        let sig = self.signature_for(engine, exclude, col, &q_tokens, &mut stats);
+        let sig = self.hasher.signature(q_tokens.iter().map(String::as_str));
 
         // Fresh-churn safety first: staged domains are verified exactly,
         // always, outside any budget — a just-added table must never be a
         // false negative.
         let mut best: HashMap<&str, f64> = HashMap::new();
-        let mut seen: HashSet<DomainKey> = engine.ensemble.staged_keys().copied().collect();
-        engine.verify_candidates(seen.iter().copied(), &q_ids, q_len, exclude, &mut best);
+        let mut seen: HashSet<DomainKey> = self.ensemble.staged_keys().copied().collect();
+        self.verify_candidates(seen.iter().copied(), &q_ids, q_len, exclude, &mut best);
 
-        let plan = engine.ensemble.probe_plan(q_len);
-        let sign = |key: &DomainKey| engine.sign(key);
+        let plan = self.ensemble.probe_plan(q_len);
+        let sign = |key: &DomainKey| self.sign(key);
         let mut remaining = plan.len();
         for probe in &plan {
             // Threshold bound: nothing in this (or any later, since the
@@ -500,7 +385,7 @@ impl TopKPlanner {
             stats.partitions_probed += 1;
             remaining -= 1;
 
-            let mut fresh: Vec<DomainKey> = engine
+            let mut fresh: Vec<DomainKey> = self
                 .ensemble
                 .query_partition(probe.partition, &sig, q_len, threshold, &sign)
                 .into_iter()
@@ -514,43 +399,13 @@ impl TopKPlanner {
                 stats.budget_exhausted = true;
             }
             stats.candidates_verified +=
-                engine.verify_candidates(fresh, &q_ids, q_len, exclude, &mut best);
+                self.verify_candidates(fresh, &q_ids, q_len, exclude, &mut best);
             if stats.budget_exhausted {
                 stats.partitions_pruned += remaining;
                 break;
             }
         }
         (finish(best, k), stats)
-    }
-
-    /// Cache-or-compute the query column's signature.
-    fn signature_for(
-        &self,
-        engine: &LshEnsembleDiscovery,
-        table: &str,
-        column: usize,
-        q_tokens: &HashSet<String>,
-        stats: &mut TopKStats,
-    ) -> Signature {
-        let key = SigKey {
-            table: table.to_string(),
-            column,
-            num_perm: engine.config.num_perm,
-            seed: engine.config.seed,
-            fingerprint: fingerprint(q_tokens),
-        };
-        if let Some(sig) = self.cache.lock().expect("signature cache lock").get(&key) {
-            stats.cache_hit = true;
-            return sig;
-        }
-        // Hash outside the lock: signatures cost `num_perm` passes over
-        // the tokens, and concurrent queries should not serialize on it.
-        let sig = engine.hasher.signature(q_tokens.iter().map(String::as_str));
-        self.cache
-            .lock()
-            .expect("signature cache lock")
-            .insert(key, sig.clone());
-        sig
     }
 }
 
@@ -626,15 +481,14 @@ mod tests {
             (sketch_config(), false),
         ] {
             let engine = LshEnsembleDiscovery::build(&lake, config);
-            let planner = TopKPlanner::new();
             for k in [1, 2, 5, 50] {
                 let (hits, stats) =
-                    planner.discover_top_k_with_stats(&engine, &q, k, &QueryBudget::unlimited());
+                    engine.discover_top_k_with_stats(&q, k, &QueryBudget::unlimited());
                 assert_eq!(stats.exact_path, exact);
                 assert_eq!(
                     hits,
                     engine.discover(&q, k),
-                    "planner diverged from probe-all at k={k}"
+                    "top-k search diverged from probe-all at k={k}"
                 );
             }
         }
@@ -644,9 +498,7 @@ mod tests {
     fn skew_prunes_partitions_via_threshold_and_optimality_bounds() {
         let (lake, q) = skewed_lake(60);
         let engine = LshEnsembleDiscovery::build(&lake, sketch_config());
-        let planner = TopKPlanner::new();
-        let (hits, stats) =
-            planner.discover_top_k_with_stats(&engine, &q, 2, &QueryBudget::unlimited());
+        let (hits, stats) = engine.discover_top_k_with_stats(&q, 2, &QueryBudget::unlimited());
         assert!(!stats.exact_path);
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].table, "big_a");
@@ -662,71 +514,11 @@ mod tests {
     }
 
     #[test]
-    fn signature_cache_hits_on_repeat_and_invalidates_on_content_change() {
-        let (lake, q) = skewed_lake(10);
-        let engine = LshEnsembleDiscovery::build(&lake, sketch_config());
-        let planner = TopKPlanner::new();
-        let (_, s1) = planner.discover_top_k_with_stats(&engine, &q, 3, &QueryBudget::unlimited());
-        assert!(!s1.exact_path);
-        assert!(!s1.cache_hit);
-        let (_, s2) = planner.discover_top_k_with_stats(&engine, &q, 3, &QueryBudget::unlimited());
-        assert!(s2.cache_hit, "repeat query must reuse the signature");
-
-        // Same table name + column, different tokens → fingerprint differs.
-        let changed_rows: Vec<Vec<Value>> = (0..60)
-            .map(|i| vec![Value::Text(format!("other{i}"))])
-            .collect();
-        let changed =
-            TableQuery::with_column(Table::from_rows("q", &["k"], changed_rows).unwrap(), 0);
-        let (_, s3) =
-            planner.discover_top_k_with_stats(&engine, &changed, 3, &QueryBudget::unlimited());
-        assert!(!s3.cache_hit, "changed content must not hit the cache");
-        assert_eq!(cached(&planner), 2);
-        let (_, s4) = planner.discover_top_k_with_stats(&engine, &q, 3, &QueryBudget::unlimited());
-        assert!(s4.cache_hit, "the original content keeps its own entry");
-    }
-
-    fn cached(planner: &TopKPlanner) -> usize {
-        planner.cache.lock().unwrap().entries.len()
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let (lake, _) = skewed_lake(4);
-        let engine = LshEnsembleDiscovery::build(&lake, sketch_config());
-        let planner = TopKPlanner::new();
-        let mk = |salt: usize| {
-            let rows: Vec<Vec<Value>> = (0..40)
-                .map(|i| vec![Value::Text(format!("{salt}_{i}"))])
-                .collect();
-            TableQuery::with_column(
-                Table::from_rows(&format!("q{salt}"), &["k"], rows).unwrap(),
-                0,
-            )
-        };
-        let budget = QueryBudget::unlimited();
-        // Fill the cache: query 0 first, then queries 1..SIGNATURE_CACHE.
-        for salt in 0..SIGNATURE_CACHE {
-            let (_, stats) = planner.discover_top_k_with_stats(&engine, &mk(salt), 1, &budget);
-            assert!(!stats.exact_path);
-        }
-        assert_eq!(cached(&planner), SIGNATURE_CACHE);
-        planner.discover_top_k(&engine, &mk(0), 1, &budget); // touch 0
-        planner.discover_top_k(&engine, &mk(SIGNATURE_CACHE), 1, &budget); // evicts 1
-        assert_eq!(cached(&planner), SIGNATURE_CACHE);
-        let (_, s0) = planner.discover_top_k_with_stats(&engine, &mk(0), 1, &budget);
-        assert!(s0.cache_hit, "0 was touched, must survive");
-        let (_, s1) = planner.discover_top_k_with_stats(&engine, &mk(1), 1, &budget);
-        assert!(!s1.cache_hit, "1 was the LRU victim");
-    }
-
-    #[test]
     fn budget_caps_partitions_and_results_stay_sound() {
         let (lake, q) = skewed_lake(40);
         let engine = LshEnsembleDiscovery::build(&lake, sketch_config());
-        let planner = TopKPlanner::new();
         let budget = QueryBudget::unlimited().with_max_partitions(1);
-        let (hits, stats) = planner.discover_top_k_with_stats(&engine, &q, 5, &budget);
+        let (hits, stats) = engine.discover_top_k_with_stats(&q, 5, &budget);
         assert!(!stats.exact_path);
         assert!(stats.partitions_probed <= 1);
         assert!(stats.budget_exhausted || stats.terminated_early || stats.partitions_pruned > 0);
@@ -747,9 +539,8 @@ mod tests {
                 ..sketch_config()
             },
         );
-        let planner = TopKPlanner::new();
         let budget = QueryBudget::unlimited().with_max_verifications(1);
-        let (_, stats) = planner.discover_top_k_with_stats(&engine, &q, 50, &budget);
+        let (_, stats) = engine.discover_top_k_with_stats(&q, 50, &budget);
         assert!(!stats.exact_path);
         assert!(stats.candidates_verified <= 1, "{stats:?}");
         assert!(stats.budget_exhausted, "{stats:?}");
@@ -770,12 +561,10 @@ mod tests {
         let fresh = Table::from_rows("fresh_superset", &["k"], fresh_rows).unwrap();
         let slot = lake.add_table(fresh.clone()).unwrap();
         engine.upsert_table(slot, &fresh);
-
-        let planner = TopKPlanner::new();
         let budget = QueryBudget::unlimited()
             .with_max_partitions(0)
             .with_max_verifications(0);
-        let (hits, stats) = planner.discover_top_k_with_stats(&engine, &q, 5, &budget);
+        let (hits, stats) = engine.discover_top_k_with_stats(&q, 5, &budget);
         assert!(!stats.exact_path);
         assert!(
             hits.iter()
@@ -792,12 +581,9 @@ mod tests {
         ])
         .unwrap();
         let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
-        let planner = TopKPlanner::new();
         let q = TableQuery::with_column(table! { "q"; ["k"]; ["a"], ["b"] }, 0);
-        let (hits, stats) =
-            planner.discover_top_k_with_stats(&engine, &q, 5, &QueryBudget::unlimited());
+        let (hits, stats) = engine.discover_top_k_with_stats(&q, 5, &QueryBudget::unlimited());
         assert!(stats.exact_path);
-        assert!(!stats.cache_hit);
         assert_eq!(hits, engine.discover(&q, 5));
         assert_eq!(hits[0].table, "t1");
         assert!((hits[0].score - 1.0).abs() < 1e-12);
@@ -816,10 +602,8 @@ mod tests {
                 ..LshEnsembleConfig::default()
             },
         );
-        let planner = TopKPlanner::new();
         for k in [1, 2, 5, 50] {
-            let (hits, stats) =
-                planner.discover_top_k_with_stats(&engine, &q, k, &QueryBudget::unlimited());
+            let (hits, stats) = engine.discover_top_k_with_stats(&q, k, &QueryBudget::unlimited());
             assert!(stats.exact_path);
             assert_eq!(hits, engine.discover(&q, k), "k={k}");
         }
@@ -835,9 +619,8 @@ mod tests {
                 ..LshEnsembleConfig::default()
             },
         );
-        let planner = TopKPlanner::new();
         let budget = QueryBudget::unlimited().with_max_postings(0);
-        let (hits, stats) = planner.discover_top_k_with_stats(&engine, &q, 5, &budget);
+        let (hits, stats) = engine.discover_top_k_with_stats(&q, 5, &budget);
         assert!(stats.exact_path);
         assert!(stats.budget_exhausted, "{stats:?}");
         assert!(stats.postings_skipped > 0, "{stats:?}");
@@ -848,15 +631,16 @@ mod tests {
     fn empty_and_out_of_range_queries_are_empty() {
         let (lake, q) = skewed_lake(4);
         let engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
-        let planner = TopKPlanner::new();
-        assert!(planner
-            .discover_top_k(&engine, &q, 0, &QueryBudget::unlimited())
+        assert!(engine
+            .discover_top_k_with_stats(&q, 0, &QueryBudget::unlimited())
+            .0
             .is_empty());
         let empty_q = TableQuery::new(
             Table::from_rows("e", &["c"], vec![vec![Value::null_missing()]]).unwrap(),
         );
-        assert!(planner
-            .discover_top_k(&engine, &empty_q, 5, &QueryBudget::unlimited())
+        assert!(engine
+            .discover_top_k_with_stats(&empty_q, 5, &QueryBudget::unlimited())
+            .0
             .is_empty());
     }
 }

@@ -7,7 +7,7 @@
 //! `pipeline_oracle.rs`):
 //!
 //! * **Unlimited == brute force, byte-for-byte**: with the sketch
-//!   bypassed (`exact_mass_per_token = usize::MAX`) the planner's exact
+//!   bypassed (`exact_mass_per_token = usize::MAX`) the top-k search's exact
 //!   posting merge at an unlimited — or merely *covering* — postings
 //!   budget must reproduce the brute-force containment top-k
 //!   ([`common::brute_containment`] over `Table::column_token_set`, ranked
@@ -37,7 +37,7 @@ use std::sync::Arc;
 use dialite_datagen::workloads::{ChurnOp, ChurnWorkload, HeterogeneousLakeWorkload};
 use dialite_discovery::{
     top_k_discovered, Discovered, DiscoveryBudget, LshEnsembleConfig, LshEnsembleDiscovery,
-    QueryBudget, SantosConfig, SantosDiscovery, TableQuery, TopKPlanner,
+    QueryBudget, SantosConfig, SantosDiscovery, TableQuery,
 };
 use dialite_kb::KbBuilder;
 use dialite_table::{DataLake, Table, Value};
@@ -102,13 +102,12 @@ fn default_config_exact_route_equals_brute_force() {
     let config = LshEnsembleConfig::default();
     let threshold = config.threshold;
     let engine = LshEnsembleDiscovery::build(&lake, config);
-    let planner = TopKPlanner::new();
     let budget = DiscoveryBudget::default().joinable;
     let k = 10;
     let mut exact = 0usize;
     for q in spec.queries() {
         let query = TableQuery::with_column(q.clone(), 0);
-        let (hits, stats) = planner.discover_top_k_with_stats(&engine, &query, k, &budget);
+        let (hits, stats) = engine.discover_top_k_with_stats(&query, k, &budget);
         if !stats.exact_path {
             continue;
         }
@@ -142,7 +141,6 @@ fn heavy_mass_queries_take_the_sketch_within_the_default_budget() {
     let config = LshEnsembleConfig::default();
     let threshold = config.threshold;
     let engine = LshEnsembleDiscovery::build(&lake, config);
-    let planner = TopKPlanner::new();
     let budget = DiscoveryBudget::default().joinable;
     let k = 10;
     for extra in 0..3 {
@@ -159,7 +157,7 @@ fn heavy_mass_queries_take_the_sketch_within_the_default_budget() {
             "extra {extra}: the mass is under the line"
         );
         let query = TableQuery::with_column(q.clone(), 0);
-        let (hits, stats) = planner.discover_top_k_with_stats(&engine, &query, k, &budget);
+        let (hits, stats) = engine.discover_top_k_with_stats(&query, k, &budget);
         assert!(!stats.exact_path, "extra {extra}: {stats:?}");
         assert!(!stats.budget_exhausted, "extra {extra}: {stats:?}");
         assert!(stats.partitions_probed <= budget.max_partitions);
@@ -181,7 +179,6 @@ proptest! {
         ops in 10usize..22,
     ) {
         let trace = churn(seed, ops);
-        let planner = TopKPlanner::new();
         // Finite but covering: larger than any posting volume these small
         // lakes can reach, so the budget arm is exercised without binding.
         let covering = QueryBudget::unlimited().with_max_postings(1 << 40);
@@ -194,8 +191,7 @@ proptest! {
                 let query = TableQuery::with_column(q.clone(), 0);
                 for k in [1usize, 6, usize::MAX] {
                     let oracle = brute_top_k(&lake, &q, threshold, k);
-                    let (hits, stats) = planner.discover_top_k_with_stats(
-                        &engine,
+                    let (hits, stats) = engine.discover_top_k_with_stats(
                         &query,
                         k,
                         &QueryBudget::unlimited(),
@@ -207,7 +203,7 @@ proptest! {
                         "unlimited exact route diverged from brute force at k={}",
                         k
                     );
-                    let budgeted = planner.discover_top_k(&engine, &query, k, &covering);
+                    let (budgeted, _) = engine.discover_top_k_with_stats(&query, k, &covering);
                     prop_assert_eq!(
                         &budgeted, &oracle,
                         "covering postings budget diverged from brute force at k={}",
@@ -233,7 +229,6 @@ proptest! {
         postings in 0usize..64,
     ) {
         let trace = churn(seed, ops);
-        let planner = TopKPlanner::new();
         let budget = QueryBudget::unlimited().with_max_postings(postings);
         let mut lake = DataLake::from_tables(trace.initial).unwrap();
         for op in trace.ops {
@@ -245,7 +240,7 @@ proptest! {
                 let oracle = brute_top_k(&lake, &q, threshold, k);
                 let query = TableQuery::with_column(q, 0);
                 let (hits, stats) =
-                    planner.discover_top_k_with_stats(&engine, &query, k, &budget);
+                    engine.discover_top_k_with_stats(&query, k, &budget);
                 prop_assert!(hits.len() <= k);
                 for d in &hits {
                     let exact = full.get(&d.table);

@@ -11,7 +11,8 @@
 //!   so incremental and rebuilt indexes must agree bit-for-bit on keys
 //!   *and* scores. Any drift in tombstoning, pool interning, slot keying
 //!   or the SANTOS inverted index surfaces here.
-//! * **Sketch-path soundness**: with the real LSH candidate path, reported
+//! * **Sketch-path soundness**: with every query routed through the LSH
+//!   candidate path (`exact_mass_per_token = 0`), reported
 //!   results must still be a subset of the brute-force truth at exact
 //!   scores (candidates are verified), and a *freshly churned-in* table —
 //!   staged since the last rebalance — must never be a false negative for
@@ -164,12 +165,21 @@ proptest! {
         prop_assert!(compared > 0, "trace contained no queries");
     }
 
-    /// Top-k planner + posting-list + signature-cache oracle under churn:
-    /// an incrementally maintained `LakeIndex` (planner cache staying warm
-    /// across syncs, pool compaction forced on) answers `discover_top_k`
-    /// exactly like a freshly built index AND exactly like the probe-all
-    /// path, repeat queries hit the cache without changing results, and
-    /// the posting lists stay in lockstep with the live domains.
+    /// Top-k planner + posting-list oracle under churn, on both routes of
+    /// the joinable leg: the default mass router (every query of these
+    /// small lakes takes the exact merge) and the sketch route
+    /// (`exact_mass_per_token = 0`, every query hashes and probes). On
+    /// each, an incrementally maintained `LakeIndex` (pool compaction
+    /// forced on) answers `discover_top_k` exactly like the probe-all
+    /// path, a repeat query answers like the first (the first probe of a
+    /// partition signs it, the repeat reads those signatures), and the
+    /// posting lists stay in lockstep with a fresh build's.
+    ///
+    /// Incremental == fresh build is pinned on the default route only: on
+    /// the sketch route an index synced through churn and one built over
+    /// the same lake lay their ensembles out differently, so their LSH
+    /// candidates — and answers — can differ (ROADMAP item 2, defect (b)
+    /// of live sync).
     #[test]
     fn planner_postings_and_cache_survive_churn(seed in any::<u64>(), ops in 12usize..32) {
         let trace = ChurnWorkload {
@@ -181,66 +191,77 @@ proptest! {
         }
         .generate();
         let kb = Arc::new(covid_kb());
-        let config = LakeIndexConfig {
-            santos: SantosConfig::default(),
-            lshe: LshEnsembleConfig {
-                num_perm: 64,
-                num_partitions: 4,
-                rebalance_dirtiness: 0.2,
-                // Compact on every overtake, so churn traces exercise the
-                // id-remap path (domains, postings, verification) often.
-                pool_compact_min: 0,
-                ..LshEnsembleConfig::default()
-            },
-            metadata: None,
-        };
         let budget = QueryBudget::unlimited();
-        let mut lake = DataLake::from_tables(trace.initial).unwrap();
-        let mut index = LakeIndex::build(&lake, kb.clone(), config.clone());
-        let mut compared = 0usize;
-        for op in trace.ops {
-            if let ChurnOp::Query(q) = &op {
-                index.sync(&lake);
-                let fresh = LakeIndex::build(&lake, kb.clone(), config.clone());
-                let query = TableQuery::with_column(q.clone(), 0);
-                let got = index.discover_top_k(&query, 6, &budget);
-                prop_assert_eq!(
-                    &got,
-                    &fresh.discover_top_k(&query, 6, &budget),
-                    "incremental planner diverged from fresh build at query {}",
-                    compared
-                );
-                prop_assert_eq!(
-                    &got,
-                    &index.lshe().discover(&query, 6),
-                    "planner diverged from probe-all at query {}",
-                    compared
-                );
-                // Repeat query: served from the signature cache (or the
-                // exact path), identical results.
-                prop_assert_eq!(
-                    &got,
-                    &index.discover_top_k(&query, 6, &budget),
-                    "cached repeat diverged at query {}",
-                    compared
-                );
-                // Postings mirror the live domains exactly, dead weight
-                // included (fresh build has none by construction).
-                prop_assert_eq!(
-                    index.lshe().posting_stats(),
-                    fresh.lshe().posting_stats(),
-                    "posting lists diverged from rebuild at query {}",
-                    compared
-                );
-                compared += 1;
-            } else {
-                op.apply(&mut lake);
-                // Sync per mutation: maximal churn stress on postings,
-                // compaction and the planner cache.
-                index.sync(&lake);
+        for exact_mass_per_token in [LshEnsembleConfig::default().exact_mass_per_token, 0] {
+            let sketch_route = exact_mass_per_token == 0;
+            let config = LakeIndexConfig {
+                santos: SantosConfig::default(),
+                lshe: LshEnsembleConfig {
+                    num_perm: 64,
+                    num_partitions: 4,
+                    rebalance_dirtiness: 0.2,
+                    // Compact on every overtake, so churn traces exercise
+                    // the id-remap path (domains, postings, verification)
+                    // often.
+                    pool_compact_min: 0,
+                    exact_mass_per_token,
+                    ..LshEnsembleConfig::default()
+                },
+                metadata: None,
+            };
+            let mut lake = DataLake::from_tables(trace.initial.clone()).unwrap();
+            let mut index = LakeIndex::build(&lake, kb.clone(), config.clone());
+            let mut compared = 0usize;
+            for op in &trace.ops {
+                if let ChurnOp::Query(q) = op {
+                    index.sync(&lake);
+                    let fresh = LakeIndex::build(&lake, kb.clone(), config.clone());
+                    let query = TableQuery::with_column(q.clone(), 0);
+                    let signed = index.sketch_work();
+                    let (got, stats) = index.discover_top_k_with_stats(&query, 6, &budget);
+                    prop_assert_eq!(stats.exact_path, !sketch_route);
+                    prop_assert_eq!(index.sketch_work() > signed, sketch_route);
+                    if !sketch_route {
+                        prop_assert_eq!(
+                            &got,
+                            &fresh.discover_top_k(&query, 6, &budget),
+                            "incremental planner diverged from fresh build at query {}",
+                            compared
+                        );
+                    }
+                    prop_assert_eq!(
+                        &got,
+                        &index.lshe().discover(&query, 6),
+                        "planner diverged from probe-all at query {} (sketch route: {})",
+                        compared,
+                        sketch_route
+                    );
+                    prop_assert_eq!(
+                        &got,
+                        &index.discover_top_k(&query, 6, &budget),
+                        "repeat query diverged at query {} (sketch route: {})",
+                        compared,
+                        sketch_route
+                    );
+                    // Postings mirror the live domains exactly, dead
+                    // weight included (fresh build has none by
+                    // construction).
+                    prop_assert_eq!(
+                        index.lshe().posting_stats(),
+                        fresh.lshe().posting_stats(),
+                        "posting lists diverged from rebuild at query {}",
+                        compared
+                    );
+                    compared += 1;
+                } else {
+                    op.apply(&mut lake);
+                    // Sync per mutation: maximal churn stress on postings
+                    // and compaction.
+                    index.sync(&lake);
+                }
             }
+            prop_assert!(compared > 0, "trace contained no queries");
         }
-        prop_assert!(compared > 0, "trace contained no queries");
     }
 
     /// Telemetry lockstep under churn: the index's rolling
@@ -341,9 +362,10 @@ proptest! {
         prop_assert_eq!(index.telemetry(), DiscoveryTelemetry::default());
     }
 
-    /// Sketch-path soundness under churn: every reported table carries its
-    /// exact brute-force containment score, nothing below the threshold is
-    /// reported, and a just-added full superset is found immediately.
+    /// Sketch-path soundness under churn: with every query routed to the
+    /// sketch, every reported table carries its exact brute-force
+    /// containment score, nothing below the threshold is reported, and a
+    /// just-added full superset is found immediately.
     #[test]
     fn sketch_path_stays_sound_under_churn(seed in any::<u64>(), ops in 8usize..24) {
         let trace = ChurnWorkload {
@@ -361,11 +383,23 @@ proptest! {
                 num_perm: 64,
                 num_partitions: 4,
                 rebalance_dirtiness: 0.3,
+                // Every query takes the sketch route: under the default
+                // mass router these small lakes would answer every query
+                // by the exact merge and leave the sketch untested.
+                exact_mass_per_token: 0,
                 ..LshEnsembleConfig::default()
             },
             metadata: None,
         };
         let threshold = config.lshe.threshold;
+        // Each discover must hash at least its own query column: proof it
+        // went through the sketch rather than the exact merge.
+        let sketched = |index: &LakeIndex, query: &TableQuery| {
+            let before = index.sketch_work();
+            let hits = index.lshe().discover(query, usize::MAX);
+            assert!(index.sketch_work() > before, "discover skipped the sketch");
+            hits
+        };
         let mut lake = DataLake::from_tables(trace.initial).unwrap();
         let mut index = LakeIndex::build(&lake, kb.clone(), config.clone());
         for op in trace.ops {
@@ -374,7 +408,7 @@ proptest! {
                     index.sync(&lake);
                     let truth = brute_containment(&lake, q);
                     let query = TableQuery::with_column(q.clone(), 0);
-                    for hit in index.lshe().discover(&query, usize::MAX) {
+                    for hit in sketched(&index, &query) {
                         let brute = truth.get(&hit.table).copied().unwrap_or(0.0);
                         prop_assert!(
                             hit.score >= threshold - 1e-12,
@@ -403,9 +437,7 @@ proptest! {
                         t.rows().map(|r| vec![r[0].clone()]).collect(),
                     )
                     .unwrap();
-                    let hits = index
-                        .lshe()
-                        .discover(&TableQuery::with_column(probe, 0), usize::MAX);
+                    let hits = sketched(&index, &TableQuery::with_column(probe, 0));
                     prop_assert!(
                         hits.iter()
                             .any(|d| d.table == t.name() && (d.score - 1.0).abs() < 1e-12),

@@ -11,7 +11,6 @@
 
 use std::sync::Arc;
 
-use dialite_minhash::{Signature, SketchSnapshot};
 use dialite_table::{ColumnMeta, ColumnType, DataLake, LakeEvent, NullKind, Schema, Table, Value};
 
 /// Decoding failure: what was malformed. The log layer maps this to
@@ -265,8 +264,15 @@ pub(crate) fn read_record(r: &mut Reader<'_>) -> DecodeResult<(u64, LakeEvent, O
 
 // --- snapshots -------------------------------------------------------
 
-/// Encode the snapshot body: lake state plus the optional sketch export.
-pub(crate) fn put_snapshot(out: &mut Vec<u8>, lake: &DataLake, sketches: Option<&SketchSnapshot>) {
+/// Marker of a snapshot body's trailing sketch section: none.
+pub(crate) const SKETCHES_NONE: u8 = 0;
+/// Marker of a sketch section written by earlier versions: a hash-family
+/// header and one MinHash signature per domain. Read past and discarded.
+pub(crate) const SKETCHES_LEGACY: u8 = 1;
+
+/// Encode the snapshot body: the lake state, then the empty sketch
+/// section marker.
+pub(crate) fn put_snapshot(out: &mut Vec<u8>, lake: &DataLake) {
     put_u64(out, lake.version());
     put_u32(out, lake.len() as u32);
     for (slot, table) in lake.entries() {
@@ -277,23 +283,7 @@ pub(crate) fn put_snapshot(out: &mut Vec<u8>, lake: &DataLake, sketches: Option<
     for &slot in lake.free_slots() {
         put_u32(out, slot);
     }
-    match sketches {
-        Some(s) => {
-            put_u8(out, 1);
-            put_u32(out, s.num_perm as u32);
-            put_u64(out, s.seed);
-            put_u32(out, s.domains.len() as u32);
-            for ((slot, col), size, sig) in &s.domains {
-                put_u32(out, *slot);
-                put_u32(out, *col);
-                put_u64(out, *size as u64);
-                for &m in &sig.0 {
-                    put_u64(out, m);
-                }
-            }
-        }
-        None => put_u8(out, 0),
-    }
+    put_u8(out, SKETCHES_NONE);
 }
 
 #[derive(Debug)]
@@ -301,7 +291,6 @@ pub(crate) struct SnapshotBody {
     pub(crate) version: u64,
     pub(crate) entries: Vec<(u32, Arc<Table>)>,
     pub(crate) free: Vec<u32>,
-    pub(crate) sketches: Option<SketchSnapshot>,
 }
 
 pub(crate) fn read_snapshot(r: &mut Reader<'_>) -> DecodeResult<SnapshotBody> {
@@ -317,31 +306,11 @@ pub(crate) fn read_snapshot(r: &mut Reader<'_>) -> DecodeResult<SnapshotBody> {
     for _ in 0..nfree {
         free.push(r.u32()?);
     }
-    let sketches = match r.u8()? {
-        0 => None,
-        1 => {
-            let num_perm = r.u32()? as usize;
-            let seed = r.u64()?;
-            let ndomains = r.count(16 + num_perm.saturating_mul(8))?;
-            let mut domains = Vec::with_capacity(ndomains);
-            for _ in 0..ndomains {
-                let slot = r.u32()?;
-                let col = r.u32()?;
-                let size = r.u64()? as usize;
-                let mut sig = Vec::with_capacity(num_perm);
-                for _ in 0..num_perm {
-                    sig.push(r.u64()?);
-                }
-                domains.push(((slot, col), size, Signature(sig)));
-            }
-            Some(SketchSnapshot {
-                num_perm,
-                seed,
-                domains,
-            })
-        }
+    match r.u8()? {
+        SKETCHES_NONE => {}
+        SKETCHES_LEGACY => skip_legacy_sketches(r)?,
         tag => return Err(format!("unknown sketch marker {tag}")),
-    };
+    }
     if !r.is_done() {
         return Err(format!("{} trailing bytes after snapshot", r.remaining()));
     }
@@ -349,12 +318,27 @@ pub(crate) fn read_snapshot(r: &mut Reader<'_>) -> DecodeResult<SnapshotBody> {
         version,
         entries,
         free,
-        sketches,
     })
 }
 
+/// Read past a legacy sketch section (`num_perm: u32`, `seed: u64`, then a
+/// counted list of `(slot: u32, col: u32, size: u64, num_perm × u64)`)
+/// with the same bounds checks as any other payload. The index is rebuilt
+/// from the lake, so the signatures are not kept.
+fn skip_legacy_sketches(r: &mut Reader<'_>) -> DecodeResult<()> {
+    let num_perm = r.u32()? as usize;
+    let _seed = r.u64()?;
+    let domain_bytes = num_perm
+        .checked_mul(8)
+        .and_then(|sig| sig.checked_add(16))
+        .ok_or_else(|| format!("sketch length {num_perm} overflows"))?;
+    let ndomains = r.count(domain_bytes)?;
+    r.take(ndomains * domain_bytes)?;
+    Ok(())
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dialite_table::table;
 
@@ -454,22 +438,58 @@ mod tests {
         lake.add(table! { "a"; ["x"]; [1] }).unwrap();
         lake.add(table! { "b"; ["y"]; [2], [3] }).unwrap();
         lake.remove("a").unwrap();
-        let sketches = SketchSnapshot {
-            num_perm: 4,
-            seed: 9,
-            domains: vec![((1, 0), 2, Signature(vec![1, 2, 3, 4]))],
-        };
         let mut buf = Vec::new();
-        put_snapshot(&mut buf, &lake, Some(&sketches));
+        put_snapshot(&mut buf, &lake);
+        assert_eq!(buf.last(), Some(&SKETCHES_NONE));
         let body = read_snapshot(&mut Reader::new(&buf)).unwrap();
         assert_eq!(body.version, lake.version());
         assert_eq!(body.free, lake.free_slots());
-        assert_eq!(body.sketches.as_ref(), Some(&sketches));
         let restored = DataLake::restore(body.entries, body.free, body.version).unwrap();
         assert_eq!(restored.len(), 1);
         assert_eq!(
             restored.get("b").unwrap().as_ref(),
             lake.get("b").unwrap().as_ref()
         );
+    }
+
+    /// A non-empty sketch section in the format earlier versions wrote
+    /// after the free list: marker 1, `num_perm = 2`, a seed, then one
+    /// `(slot, col, size, signature)` domain.
+    pub(crate) fn legacy_sketch_section() -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u8(&mut out, SKETCHES_LEGACY);
+        put_u32(&mut out, 2);
+        put_u64(&mut out, 5);
+        put_u32(&mut out, 1);
+        put_u32(&mut out, 0);
+        put_u32(&mut out, 0);
+        put_u64(&mut out, 1);
+        put_u64(&mut out, 10);
+        put_u64(&mut out, 20);
+        out
+    }
+
+    #[test]
+    fn legacy_sketch_sections_are_read_past_with_bounds_checks() {
+        let mut lake = DataLake::new();
+        lake.add(table! { "a"; ["x"]; [1] }).unwrap();
+        let mut buf = Vec::new();
+        put_snapshot(&mut buf, &lake);
+        buf.pop();
+        let marker = buf.len();
+        buf.extend(legacy_sketch_section());
+        let body = read_snapshot(&mut Reader::new(&buf)).unwrap();
+        assert_eq!(body.version, lake.version());
+        assert_eq!(body.entries.len(), 1);
+        // Every strict prefix of the section fails cleanly, and so does a
+        // domain count no remaining bytes could hold.
+        for cut in marker..buf.len() {
+            assert!(read_snapshot(&mut Reader::new(&buf[..cut])).is_err());
+        }
+        let mut huge = buf[..=marker].to_vec();
+        put_u32(&mut huge, u32::MAX);
+        put_u64(&mut huge, 0);
+        put_u32(&mut huge, u32::MAX);
+        assert!(read_snapshot(&mut Reader::new(&huge)).is_err());
     }
 }

@@ -11,9 +11,9 @@
 //!   and, for `Added`/`Replaced`, the slot's table payload; fsync'd on a
 //!   configurable cadence ([`DurableConfig::fsync_every`]);
 //! * **atomic snapshots** (`snapshot.bin`, written tmp + rename): the
-//!   occupied slots, the free list in reuse order, the version stamp, and
-//!   optionally the index's MinHash [`SketchSnapshot`] so discovery can
-//!   warm-start without re-hashing the corpus.
+//!   occupied slots, the free list in reuse order and the version stamp.
+//!   Nothing of the discovery index is persisted: it is a function of the
+//!   lake, rebuilt once over the recovered lake.
 //!
 //! [`DurableLake::open`] recovers by restoring the snapshot, replaying
 //! the log tail through [`DataLake::apply_replayed`] (stamps come from
@@ -38,5 +38,4 @@ mod store;
 pub use log::{EventLog, LogRecord};
 pub use store::{DurableConfig, DurableLake, Recovery};
 
-pub use dialite_minhash::SketchSnapshot;
 pub use dialite_table::DataLake;

@@ -1,8 +1,10 @@
 //! Atomic on-disk snapshots: magic + checksum header, tmp + rename write.
 //!
 //! A snapshot captures the full lake state (occupied slots, free list in
-//! reuse order, version stamp) and optionally the discovery index's
-//! MinHash sketch export. Unlike the log, a snapshot is all-or-nothing:
+//! reuse order, version stamp) and nothing of the discovery index, which
+//! is rebuilt from the lake on open; the body ends with an empty sketch
+//! marker, and a sketch section written by earlier versions is read past
+//! and discarded. Unlike the log, a snapshot is all-or-nothing:
 //! it is written to a temporary file, fsync'd, then renamed over the live
 //! name, so readers only ever observe a complete, checksummed image — a
 //! crash mid-write leaves the previous snapshot (or none) in place.
@@ -11,24 +13,18 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use dialite_minhash::SketchSnapshot;
 use dialite_table::DataLake;
 use dialite_text::fnv1a64;
 
 use crate::codec::{self, Reader, SnapshotBody};
 
 /// File magic: identifies a DIALITE lake snapshot, version 1.
-const MAGIC: &[u8; 8] = b"DLSNAP01";
+pub(crate) const MAGIC: &[u8; 8] = b"DLSNAP01";
 
-/// Write a snapshot of `lake` (and optionally the index sketches)
-/// atomically to `path`.
-pub(crate) fn write(
-    path: &Path,
-    lake: &DataLake,
-    sketches: Option<&SketchSnapshot>,
-) -> io::Result<()> {
+/// Write a snapshot of `lake` atomically to `path`.
+pub(crate) fn write(path: &Path, lake: &DataLake) -> io::Result<()> {
     let mut body = Vec::new();
-    codec::put_snapshot(&mut body, lake, sketches);
+    codec::put_snapshot(&mut body, lake);
     let mut out = Vec::with_capacity(MAGIC.len() + 8 + body.len());
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
@@ -106,11 +102,10 @@ mod tests {
         assert!(read(&path).unwrap().is_none());
         let mut lake = DataLake::new();
         lake.add(table! { "a"; ["x"]; [1] }).unwrap();
-        write(&path, &lake, None).unwrap();
+        write(&path, &lake).unwrap();
         let body = read(&path).unwrap().unwrap();
         assert_eq!(body.version, lake.version());
         assert_eq!(body.entries.len(), 1);
-        assert!(body.sketches.is_none());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -119,7 +114,7 @@ mod tests {
         let path = scratch("corrupt");
         let mut lake = DataLake::new();
         lake.add(table! { "a"; ["x"]; [1] }).unwrap();
-        write(&path, &lake, None).unwrap();
+        write(&path, &lake).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;

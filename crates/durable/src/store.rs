@@ -1,11 +1,12 @@
 //! The durable lake store: a directory holding `snapshot.bin` and
 //! `events.log`, with open-time recovery and write-path append hooks.
+//! Recovery hands back the lake alone; the caller builds its discovery
+//! index once over it.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use dialite_minhash::SketchSnapshot;
 use dialite_table::{bump_stamp_floor, DataLake};
 
 use crate::log::EventLog;
@@ -36,15 +37,8 @@ impl Default for DurableConfig {
 /// What [`DurableLake::open`] recovered from disk.
 #[derive(Debug)]
 pub struct Recovery {
-    /// The lake as of the snapshot (empty, version 0, when none exists).
-    /// Index warm-start builds against *this* state using
-    /// [`Recovery::sketches`], then syncs forward to [`Recovery::lake`] —
-    /// the same `events_since` replay a live index performs.
-    pub snapshot: DataLake,
     /// The fully recovered lake: snapshot plus the replayed log tail.
     pub lake: DataLake,
-    /// The index sketch export persisted with the snapshot, if any.
-    pub sketches: Option<SketchSnapshot>,
     /// How many log records were replayed past the snapshot.
     pub replayed: usize,
 }
@@ -71,23 +65,20 @@ impl DurableLake {
         std::fs::create_dir_all(dir)?;
         let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
 
-        let (snapshot_lake, sketches) = match snapshot::read(&dir.join(SNAPSHOT_FILE))? {
-            Some(body) => (
-                DataLake::restore(body.entries, body.free, body.version)
-                    .map_err(|e| invalid(e.to_string()))?,
-                body.sketches,
-            ),
-            None => (DataLake::new(), None),
+        let mut lake = match snapshot::read(&dir.join(SNAPSHOT_FILE))? {
+            Some(body) => DataLake::restore(body.entries, body.free, body.version)
+                .map_err(|e| invalid(e.to_string()))?,
+            None => DataLake::new(),
         };
+        let snapshot_version = lake.version();
 
         let (log, records) = EventLog::open(&dir.join(LOG_FILE), config.fsync_every)?;
-        let mut lake = snapshot_lake.clone();
         let mut replayed = 0usize;
         for r in records {
             // Records at or below the snapshot stamp are the un-truncated
             // remains of a log the snapshot already covers (a crash
             // between snapshot rename and log truncation); skip them.
-            if r.stamp <= snapshot_lake.version() {
+            if r.stamp <= snapshot_version {
                 continue;
             }
             lake.apply_replayed(r.stamp, r.event, r.table.map(Arc::new))
@@ -101,12 +92,7 @@ impl DurableLake {
                 dir: dir.to_path_buf(),
                 log,
             },
-            Recovery {
-                snapshot: snapshot_lake,
-                lake,
-                sketches,
-                replayed,
-            },
+            Recovery { lake, replayed },
         ))
     }
 
@@ -132,17 +118,12 @@ impl DurableLake {
         Ok(events.len())
     }
 
-    /// Durably capture `lake` (and optionally an index sketch export) as
-    /// the new snapshot, then drop the now-redundant event log. Written
-    /// atomically: a crash at any point leaves either the old snapshot +
-    /// full log or the new snapshot (+ a log whose records the open-time
-    /// replay skips as pre-snapshot).
-    pub fn write_snapshot(
-        &mut self,
-        lake: &DataLake,
-        sketches: Option<&SketchSnapshot>,
-    ) -> io::Result<()> {
-        snapshot::write(&self.dir.join(SNAPSHOT_FILE), lake, sketches)?;
+    /// Durably capture `lake` as the new snapshot, then drop the
+    /// now-redundant event log. Written atomically: a crash at any point
+    /// leaves either the old snapshot + full log or the new snapshot (+ a
+    /// log whose records the open-time replay skips as pre-snapshot).
+    pub fn write_snapshot(&mut self, lake: &DataLake) -> io::Result<()> {
+        snapshot::write(&self.dir.join(SNAPSHOT_FILE), lake)?;
         self.log.truncate()
     }
 
@@ -166,7 +147,9 @@ impl DurableLake {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use dialite_table::{table, Value};
+    use dialite_text::fnv1a64;
 
     fn scratch(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!(
@@ -190,7 +173,8 @@ mod tests {
     fn open_empty_then_log_only_recovery() {
         let dir = scratch("log_only");
         let (mut durable, rec) = DurableLake::open(&dir, DurableConfig::default()).unwrap();
-        assert!(rec.lake.is_empty() && rec.snapshot.is_empty());
+        assert!(rec.lake.is_empty());
+        assert_eq!(rec.lake.version(), 0);
         assert_eq!(rec.replayed, 0);
 
         let mut lake = rec.lake;
@@ -223,7 +207,7 @@ mod tests {
                 .unwrap();
         }
         durable.append_since(&lake, since).unwrap();
-        durable.write_snapshot(&lake, None).unwrap();
+        durable.write_snapshot(&lake).unwrap();
         assert_eq!(durable.log_len(), 0, "snapshot truncates the log");
         let snap_version = lake.version();
 
@@ -234,8 +218,10 @@ mod tests {
         drop(durable);
 
         let (_, rec) = DurableLake::open(&dir, DurableConfig::default()).unwrap();
-        assert_eq!(rec.snapshot.version(), snap_version);
-        assert_eq!(rec.snapshot.len(), 5);
+        // The snapshot's five tables are the floor of the recovered
+        // changelog, which serves exactly the replayed tail.
+        assert_eq!(rec.lake.events_since(snap_version).unwrap().len(), 2);
+        assert_eq!(rec.lake.len(), 4);
         assert_eq!(rec.replayed, 2);
         assert_eq!(observable(&rec.lake), observable(&lake));
         assert_eq!(rec.lake.version(), lake.version());
@@ -257,7 +243,7 @@ mod tests {
         lake.add(table! { "a"; ["x"]; [1] }).unwrap();
         durable.append_since(&lake, since).unwrap();
         // Simulate the crash window: snapshot renamed, log NOT truncated.
-        snapshot::write(&dir.join(SNAPSHOT_FILE), &lake, None).unwrap();
+        snapshot::write(&dir.join(SNAPSHOT_FILE), &lake).unwrap();
         drop(durable);
 
         let (_, rec) = DurableLake::open(&dir, DurableConfig::default()).unwrap();
@@ -303,24 +289,42 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A snapshot written by an earlier version — its body ending in a
+    /// non-empty marker-1 sketch section — opens to the same lake; an
+    /// unknown marker is still a hard error; the writer emits marker 0.
     #[test]
-    fn sketches_roundtrip_through_the_snapshot() {
-        use dialite_minhash::Signature;
-        let dir = scratch("sketches");
+    fn snapshots_with_legacy_sketch_sections_still_open() {
+        let dir = scratch("legacy_sketches");
         let (mut durable, rec) = DurableLake::open(&dir, DurableConfig::default()).unwrap();
         let mut lake = rec.lake;
-        let since = lake.version();
         lake.add(table! { "a"; ["x"]; [1] }).unwrap();
-        durable.append_since(&lake, since).unwrap();
-        let sketches = SketchSnapshot {
-            num_perm: 2,
-            seed: 5,
-            domains: vec![((0, 0), 1, Signature(vec![10, 20]))],
-        };
-        durable.write_snapshot(&lake, Some(&sketches)).unwrap();
+        lake.add(table! { "b"; ["y"]; [2], [3] }).unwrap();
+        lake.remove("a").unwrap();
+        durable.write_snapshot(&lake).unwrap();
         drop(durable);
+
+        let path = dir.join(SNAPSHOT_FILE);
+        let written = std::fs::read(&path).unwrap();
+        let header = snapshot::MAGIC.len() + 8;
+        assert_eq!(written.last(), Some(&codec::SKETCHES_NONE));
+        let with_section = |section: &[u8]| {
+            let mut body = written[header..written.len() - 1].to_vec();
+            body.extend_from_slice(section);
+            let mut file = snapshot::MAGIC.to_vec();
+            file.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+            file.extend_from_slice(&body);
+            std::fs::write(&path, file).unwrap();
+        };
+
+        with_section(&codec::tests::legacy_sketch_section());
         let (_, rec) = DurableLake::open(&dir, DurableConfig::default()).unwrap();
-        assert_eq!(rec.sketches, Some(sketches));
+        assert_eq!(rec.lake.version(), lake.version());
+        assert_eq!(observable(&rec.lake), observable(&lake));
+        assert_eq!(rec.lake.free_slots(), lake.free_slots());
+
+        with_section(&[2]);
+        let err = DurableLake::open(&dir, DurableConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

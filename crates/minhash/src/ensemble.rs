@@ -6,8 +6,9 @@
 //! rebalanced from `(key, size)` entries. Each entry holds a **signature
 //! cell**, filled at most once and shared with the partition that holds
 //! the entry, so a computed signature survives every rebalance. A cell is
-//! filled either up front ([`LshEnsembleBuilder::insert_signed`], e.g.
-//! from a snapshot) or by the **first probe of its partition**: the
+//! filled either up front ([`LshEnsembleBuilder::insert_signed`], the
+//! eager reference the tests compare against) or by the **first probe of
+//! its partition**: the
 //! caller passes a *signer* with every probe, and a partition's first
 //! probe signs each member that is still current (neither removed nor
 //! re-inserted since the rebalance) whose cell is empty. An index that is
@@ -18,9 +19,9 @@
 //! hash and probed by binary search. A band table is **built on first
 //! probe** from the partition's signed cells, and kept until the next
 //! rebalance: queries read one `(b, r)` per probed partition, and most
-//! top-k queries take the exact path and probe none. Band tables are
-//! never persisted, so the band hash can change without touching a
-//! snapshot. A containment query converts its threshold into a
+//! top-k queries take the exact path and probe none. Nothing here is
+//! persisted: an index is rebuilt from its domains' sizes, so the band
+//! hash can change freely. A containment query converts its threshold into a
 //! per-partition Jaccard threshold using the partition's upper size
 //! bound, picks the (near-)optimal `(b, r)` for that threshold among the
 //! power-of-two `r` values — searched once per distinct threshold and
@@ -231,8 +232,8 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
         self.entries.push((key, size, cell(None)));
     }
 
-    /// Stage a domain with its signature already computed (a warm start
-    /// from a snapshot): probes never sign it again.
+    /// Stage a domain with its signature already computed — the eager
+    /// build the lazy one is tested against: probes never sign it again.
     pub fn insert_signed(&mut self, key: K, size: usize, sig: Signature) {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
         self.entries.push((key, size, cell(Some(sig))));
@@ -323,7 +324,7 @@ pub struct LshEnsemble<K = String> {
 /// achieve against a query of the planning size.
 ///
 /// Produced by [`LshEnsemble::probe_plan`]; consumed by budget-aware
-/// schedulers (the discovery layer's `TopKPlanner`) that probe partitions
+/// schedulers (the discovery layer's budgeted top-k search) that probe partitions
 /// best-bound-first and stop early once the running top-k verified score
 /// provably beats every unprobed partition.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -579,7 +580,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     }
 
     /// The live, **signed** `(key, size, signature)` entries in canonical
-    /// `(size, key)` order — the durable sketch export. Feeding these back
+    /// `(size, key)` order — what probes have signed so far. Feeding these back
     /// through [`LshEnsembleBuilder::insert_signed`] (and the rest through
     /// [`LshEnsembleBuilder::insert`]) reproduces this index's canonical
     /// layout, and a probe then signs only what this index had not signed
@@ -635,8 +636,8 @@ mod tests {
         hasher.signature(tokens.iter().map(String::as_str))
     }
 
-    /// The demo index with every cell pre-filled, as a warm start from a
-    /// snapshot builds it.
+    /// The demo index with every cell pre-filled, as an eager build
+    /// lays it out.
     fn build_demo() -> (LshEnsemble<String>, MinHasher) {
         let hasher = demo_hasher();
         let mut b = LshEnsembleBuilder::new(256);

@@ -18,8 +18,8 @@ pub struct MinHasher {
     a: Vec<u64>,
     b: Vec<u64>,
     // Signatures computed through this family, shared across clones —
-    // the observable "sketch work" that warm-start recovery from durable
-    // snapshots is meant to avoid (asserted by the recovery oracle).
+    // the observable "sketch work" that builds and recovery never do
+    // (asserted by the recovery oracle and the heap-share gate).
     work: Arc<AtomicU64>,
 }
 
@@ -52,9 +52,9 @@ impl MinHasher {
     }
 
     /// How many signatures this family has computed so far, counted across
-    /// all clones of the family (clones share the counter). Recovery tests
-    /// use this to assert that warm-starting an index from persisted
-    /// sketches does `O(events since snapshot)` hashing, not `O(lake)`.
+    /// all clones of the family (clones share the counter). Tests use this
+    /// to assert that building or recovering an index hashes nothing: a
+    /// signature is computed only by a sketch-route query.
     pub fn signatures_computed(&self) -> u64 {
         self.work.load(Ordering::Relaxed)
     }

@@ -15,13 +15,12 @@
 //!   partitioned by set size, which is all partitioning needs, so the
 //!   index is built from `(key, size)` entries and a domain's signature is
 //!   computed by the first probe of its partition, through a signer the
-//!   caller passes with the probe (or pre-filled, from a snapshot). Each
+//!   caller passes with the probe (or pre-filled, by an eager build). Each
 //!   partition bands its domains for every power-of-two row count, one
 //!   hash-sorted `(band hash, domain)` array per band, built on first
 //!   probe — on the discover-hetero benchmark lake (12 980 domains) 3.9 MB
 //!   of the 75.9 MB an eager build laid out. Band hashes are tree hashes
-//!   of slot runs and are never persisted (snapshots keep only the
-//!   signatures computed so far).
+//!   of slot runs; nothing of the index is persisted.
 //!   At query time the containment threshold is converted to a
 //!   per-partition Jaccard threshold for which (near-)optimal `(b, r)`
 //!   parameters are chosen by minimizing the sum of false-positive and
@@ -35,9 +34,7 @@
 mod ensemble;
 mod hasher;
 mod params;
-mod sketch;
 
 pub use ensemble::{LshEnsemble, LshEnsembleBuilder, PartitionProbe, DEFAULT_REBALANCE_THRESHOLD};
 pub use hasher::{MinHasher, Signature};
 pub use params::{containment_to_jaccard, optimal_params, optimal_params_restricted};
-pub use sketch::SketchSnapshot;

@@ -110,8 +110,8 @@ fn tokens(domain: &HashSet<u8>) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// An eager ensemble — built with every cell filled, as a warm start
-    /// from a complete snapshot builds it, and with every partition signed
+    /// An eager ensemble — built with every cell filled through
+    /// `insert_signed`, and with every partition signed
     /// right after each step — and a lazy one that signs a partition's
     /// members only on its first probe return the same `query` and
     /// `query_partition` candidates across a random insert / remove /

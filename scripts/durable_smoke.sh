@@ -3,7 +3,9 @@
 # data dir in one process, then reopen it from *separate* processes —
 # discover and serve must recover the lake (snapshot + commitlog replay)
 # and find the seeded join, proving the on-disk format round-trips across
-# process boundaries, not just within one test binary.
+# process boundaries, not just within one test binary. A fourth process
+# reopens the dir and checkpoints one more joinable CSV into it; a
+# discover after that must find both joinable tables.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,6 +27,14 @@ cat > "$csv/populations.csv" <<'EOF'
 city,pop
 berlin,3
 madrid,6
+EOF
+mkdir -p "$workdir/more"
+cat > "$workdir/more/city_weather.csv" <<'EOF'
+city,temp
+berlin,1
+barcelona,2
+boston,3
+lima,4
 EOF
 cat > "$workdir/q.csv" <<'EOF'
 city,rate
@@ -49,5 +59,15 @@ out="$(run serve --data-dir "$data" --query "$workdir/q.csv" --column 0 \
         --clients 4 --requests 32 --shards 2)"
 echo "$out" | grep -q "cases_by_city" \
   || { echo "FAIL: served results lost the joinable table"; echo "$out"; exit 1; }
+
+echo "== snapshot (process 4: reopen, ingest one more CSV, checkpoint) =="
+run snapshot --data-dir "$data" --lake "$workdir/more"
+
+echo "== discover (process 5: reopen the reopened process's checkpoint) =="
+out="$(run discover --data-dir "$data" --query "$workdir/q.csv" --column 0 --k 3)"
+for table in cases_by_city city_weather; do
+  echo "$out" | grep -q "$table" \
+    || { echo "FAIL: checkpoint of a reopened lake lost $table"; echo "$out"; exit 1; }
+done
 
 echo "durable smoke OK"

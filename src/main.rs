@@ -31,10 +31,10 @@
 //!
 //! `--data-dir DIR` points at a **durable** lake: a checksummed snapshot
 //! plus commitlog that survive restarts. `dialite snapshot` ingests CSVs
-//! into it (appending to the log) and writes a checkpoint — including the
-//! discovery index's MinHash sketches, so the next open warm-starts
-//! without re-hashing the lake. `discover`/`serve` with `--data-dir`
-//! recover snapshot + log tail and serve the recovered state.
+//! into it (appending to the log) and writes a checkpoint of the lake, so
+//! the next open replays only the log written since. `discover`/`serve`
+//! with `--data-dir` recover snapshot + log tail, build the discovery
+//! index once over the recovered lake and serve it.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -144,9 +144,9 @@ fn apply_max_postings(args: &[String], pipeline: &mut Pipeline) -> Result<(), St
 }
 
 /// Resolve the lake for a read command. `--data-dir` opens the durable
-/// store (recovering snapshot + commitlog tail and warm-starting the
-/// index from persisted sketches); `--lake` loads CSVs fresh and builds
-/// cold. Exactly one must be given.
+/// store (recovering snapshot + commitlog tail, then building the index
+/// over the recovered lake); `--lake` loads CSVs fresh and builds the
+/// index over them. Exactly one must be given.
 fn open_lake_source(
     args: &[String],
     shards: usize,
@@ -305,8 +305,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut pipeline = pipeline;
     pipeline.set_top_k(k);
     apply_max_postings(args, &mut pipeline)?;
-    // With --data-dir the service keeps write-ahead durability (warm
-    // index handover included); with --lake it serves in memory only.
+    // With --data-dir the service keeps write-ahead durability; with
+    // --lake it serves in memory only.
     let durable_service;
     let plain_service;
     let service: &DiscoveryService = match durable {
@@ -357,8 +357,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// Ingest CSVs into the durable lake (each upsert appended to the
-/// commitlog) and write a checkpoint — snapshot + index sketches — so
-/// subsequent `--data-dir` opens warm-start from it.
+/// commitlog) and write a checkpoint — a snapshot of the lake — so
+/// subsequent `--data-dir` opens replay only what follows it.
 fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let dir = flag(args, "--data-dir").ok_or("--data-dir DIR is required")?;
     let shards = shards_flag(args)?;
