@@ -125,7 +125,7 @@ impl LakeIndex {
         config: LakeIndexConfig,
         scope: ShardScope,
     ) -> LakeIndex {
-        let mut santos = SantosDiscovery::empty(kb.clone(), config.santos.clone());
+        let mut santos = SantosDiscovery::empty(kb.clone(), config.santos.clone(), scope);
         let lshe = LshEnsembleDiscovery::build_feeding(
             lake,
             config.lshe.clone(),

@@ -43,7 +43,7 @@ use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature};
 use dialite_table::{DataLake, Table};
 
 use crate::pool::intersect_count;
-use crate::retrieval::{column_token_sets, DomainKey, TokenPostings, POOL_COMPACT_MIN};
+use crate::retrieval::{column_token_sets, DomainKey, SlotTable, TokenPostings, POOL_COMPACT_MIN};
 use crate::shard::ShardScope;
 use crate::topk::TopKStats;
 use crate::types::{top_k, Discovered, Discovery, TableQuery};
@@ -100,7 +100,7 @@ pub struct LshEnsembleDiscovery {
     pub(crate) hasher: MinHasher,
     pub(crate) ensemble: LshEnsemble<DomainKey>,
     /// Lake table names by slot index (live tables only).
-    pub(crate) table_names: HashMap<u32, String>,
+    pub(crate) table_names: SlotTable<String>,
     /// Every column's sorted token-id run, for exact verification, and the
     /// exact posting lists over them. Maintained through every
     /// upsert/remove, in lockstep with `ensemble`; in a `LakeIndex` shard,
@@ -141,8 +141,8 @@ impl LshEnsembleDiscovery {
         mut each: impl FnMut(u32, &Table, &[HashSet<String>]),
     ) -> LshEnsembleDiscovery {
         let mut builder = LshEnsembleBuilder::new(config.num_perm);
-        let mut table_names = HashMap::new();
-        let mut tokens = TokenPostings::new(config.pool_compact_min);
+        let mut table_names = SlotTable::new(scope);
+        let mut tokens = TokenPostings::new(config.pool_compact_min, scope);
         for (t, table) in lake.entries_routed(scope.shard(), scope.of()) {
             table_names.insert(t, table.name().to_string());
             let columns = column_token_sets(table);
@@ -229,7 +229,7 @@ impl LshEnsembleDiscovery {
     /// The ensemble half of [`remove_table`](Self::remove_table). It reads
     /// the slot's runs, so it must run before the store retires the slot.
     pub(crate) fn unsketch(&mut self, slot: u32, tokens: &TokenPostings) {
-        if self.table_names.remove(&slot).is_some() {
+        if self.table_names.remove(slot).is_some() {
             for key in tokens.domains_of(slot) {
                 self.ensemble.remove(&key);
             }
@@ -366,7 +366,7 @@ impl LshEnsembleDiscovery {
         if c + 1e-12 < self.config.threshold {
             return;
         }
-        let Some(table) = self.table_names.get(&key.0) else {
+        let Some(table) = self.table_names.get(key.0) else {
             return;
         };
         if table == exclude_table {
@@ -500,7 +500,7 @@ mod tests {
         let mut engine = LshEnsembleDiscovery::build(&lake, config);
         let check = |engine: &LshEnsembleDiscovery, lake: &DataLake| {
             let mut checked = 0;
-            for (&slot, name) in &engine.table_names {
+            for (slot, name) in engine.table_names.iter() {
                 let table = lake.get(name).unwrap();
                 for c in 0..table.column_count() {
                     let tokens = table.column_token_set(c);
@@ -729,7 +729,7 @@ mod tests {
             .table_names
             .iter()
             .find(|(_, n)| n.as_str() == "cases_by_city")
-            .map(|(s, _)| *s)
+            .map(|(s, _)| s)
             .unwrap_or(slot);
         engine.remove_table(slot);
         let (_, total) = engine.posting_stats();

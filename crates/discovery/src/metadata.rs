@@ -25,14 +25,15 @@
 //! full-header-scan oracle path the bounded path is pinned against
 //! (`tests/metadata_oracle.rs`).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use dialite_table::{DataLake, Table};
 use dialite_text::word_tokens;
 
-use crate::pool::{QueryColumn, Run};
+use crate::pool::QueryColumn;
 use crate::retrieval::{
-    bounded_top_k, score_all, Report, RetrievalStats, TokenPostings, POOL_COMPACT_MIN,
+    bounded_top_k, score_all, Report, RetrievalStats, Runs, SlotTable, TokenPostings,
+    POOL_COMPACT_MIN,
 };
 use crate::shard::ShardScope;
 use crate::types::{Discovered, Discovery, TableQuery};
@@ -60,9 +61,9 @@ impl Default for MetadataConfig {
 /// build.
 pub struct MetadataDiscovery {
     config: MetadataConfig,
-    /// Table names, keyed by the lake's stable slot index. A `BTreeMap`
-    /// keeps the full-scan oracle deterministic.
-    tables: BTreeMap<u32, String>,
+    /// Table names by the lake's stable slot index, iterated in slot
+    /// order, so the full-scan oracle is deterministic.
+    tables: SlotTable<String>,
     /// Per-table header-token runs (one per column, the unit the score
     /// compares), and header token → table slots whose headers contain it.
     headers: TokenPostings,
@@ -85,8 +86,8 @@ impl MetadataDiscovery {
     ) -> MetadataDiscovery {
         let mut engine = MetadataDiscovery {
             config,
-            tables: BTreeMap::new(),
-            headers: TokenPostings::new(POOL_COMPACT_MIN),
+            tables: SlotTable::new(scope),
+            headers: TokenPostings::new(POOL_COMPACT_MIN, scope),
         };
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
@@ -104,7 +105,7 @@ impl MetadataDiscovery {
 
     /// Drop the header metadata of the table occupying a lake slot.
     pub fn remove_table(&mut self, slot: u32) {
-        self.tables.remove(&slot);
+        self.tables.remove(slot);
         self.headers.remove(slot);
     }
 
@@ -120,7 +121,7 @@ impl MetadataDiscovery {
 
     /// Header similarity: mean over query columns of the best Jaccard
     /// against any candidate column's header-token run.
-    fn score_candidate(&self, q_cols: &[QueryColumn], c_runs: &[Run]) -> f64 {
+    fn score_candidate(&self, q_cols: &[QueryColumn], c_runs: Runs) -> f64 {
         if q_cols.is_empty() || c_runs.is_empty() {
             return 0.0;
         }
@@ -177,7 +178,7 @@ impl MetadataDiscovery {
         };
         let score = |slot: u32, _: &String| self.score_candidate(&q_cols, self.headers.runs(slot));
         let (hits, mut stats) = if cap == usize::MAX {
-            score_all(&self.tables, report, score)
+            score_all(self.tables.iter(), report, score)
         } else {
             let bound = |ov: usize| {
                 let total: f64 = q_cols

@@ -4,8 +4,11 @@
 //! Discovery engines compare *sets of tokens*. They keep column token
 //! domains in a [`TokenPostings`](crate::retrieval::TokenPostings), the
 //! pool's only user — one value store per shard, read by SANTOS and the
-//! joinable leg; metadata keeps its header store — as **runs**: the sorted, deduplicated ids of a column's tokens in
-//! the store's pool. Overlap is then a merge of two runs
+//! joinable leg; metadata keeps its header store — as **runs**: the
+//! sorted, deduplicated ids of a column's tokens in the store's pool,
+//! packed with the rest of their table's runs into one block per slot
+//! and read as borrowed `&[u32]` slices
+//! ([`Runs`](crate::retrieval::Runs)). Overlap is then a merge of two runs
 //! ([`intersect_count`]), and Jaccard ([`QueryColumn::jaccard`]) and
 //! containment follow from the same integer count — no string is hashed
 //! per (query, candidate) pair. Query columns resolve through
@@ -154,9 +157,6 @@ impl StringPool {
     }
 }
 
-/// A column token domain: the sorted, deduplicated pool ids of its tokens.
-pub(crate) type Run = Box<[u32]>;
-
 /// `|A ∩ B|` for two runs, by one merge. Both inputs must be runs —
 /// sorted and deduplicated — or the count comes out short.
 pub(crate) fn intersect_count(a: &[u32], b: &[u32]) -> usize {
@@ -199,6 +199,7 @@ impl QueryColumn {
 mod tests {
     use super::*;
     use crate::retrieval::{TokenPostings, POOL_COMPACT_MIN};
+    use crate::shard::ShardScope;
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
 
@@ -234,7 +235,7 @@ mod tests {
             let truth = q.intersection(&c).count();
             let jaccard_bits = dialite_text::jaccard(&q, &c).to_bits();
 
-            let mut postings = TokenPostings::new(POOL_COMPACT_MIN);
+            let mut postings = TokenPostings::new(POOL_COMPACT_MIN, ShardScope::all());
             postings.insert(0, &[strings("t", &other), c.clone()]);
             let dead: HashSet<String> = (0..1100).map(|i| format!("dead{i}")).collect();
             postings.insert(1, &[dead]);
@@ -245,7 +246,7 @@ mod tests {
                     let after = postings.pool_len();
                     prop_assert!(after < before, "removing slot 1 must compact the pool");
                 }
-                let run = &postings.runs(0)[1];
+                let run = postings.runs(0).get(1).unwrap();
                 prop_assert!(run.windows(2).all(|w| w[0] < w[1]), "runs stay sorted");
                 let col = &postings.resolve(&q);
                 prop_assert_eq!(col.len, q.len());

@@ -1,5 +1,6 @@
 //! Bounded retrieval for the slot-keyed legs (SANTOS typed and typeless,
-//! metadata), and the token store the discovery legs read.
+//! metadata), the slot-indexed tables they score from, and the token
+//! store the discovery legs read.
 //!
 //! * **The kernel.** [`bounded_top_k`] takes `(slot, bound)` candidates
 //!   whose bound is a sound ceiling on the exact score, scores them best
@@ -9,7 +10,14 @@
 //!   bound that *ties* the k-th score is still scored, so name tie-breaks
 //!   match the exhaustive output: any finite cap covering the candidates
 //!   returns exactly what [`score_all`] — the exhaustive oracle path legs
-//!   run at `cap == usize::MAX` — returns.
+//!   run at `cap == usize::MAX` — returns. Both keep a kept hit as a
+//!   `(score, &name)` pair and allocate a name only for the `k` they
+//!   return.
+//! * **Slot tables.** A leg's per-table state lives in a [`SlotTable`],
+//!   indexed by the lake's stable, reused slot the way `DataLake` stores
+//!   its tables, so reaching a candidate is one indexed load. A shard's
+//!   table indexes its stripe densely (`slot / shards`), so the other
+//!   stripes' slots cost it nothing.
 //! * **The token store.** [`TokenPostings`] owns an id space: it interns
 //!   each column of a table into a sorted id run, keeps
 //!   `token id → (slot, column)` postings over those runs, resolves query
@@ -21,22 +29,28 @@
 //!   The store alone rewrites ids on
 //!   compaction; legs read runs by slot or domain and never see a remap.
 //!   Its layout is compact: the pool keeps each token's bytes once, in
-//!   one arena, and the postings are a `Vec` indexed by dense token id
-//!   whose lone posting — most tokens sit in one column — is stored
-//!   inline, with no heap list of its own. A token is live exactly when
-//!   its list is non-empty, which is all compaction needs to know.
+//!   one arena; each indexed slot's runs are one packed block in a slot
+//!   table — the column ends, then the runs back to back — read through a
+//!   borrowed [`Runs`] view; and the postings are a `Vec` indexed by
+//!   dense token id whose lone posting — most tokens sit in one column —
+//!   is stored inline, with no heap list of its own. A token is live
+//!   exactly when its list is non-empty, which is all compaction needs to
+//!   know. The overlap count runs in a per-thread, slot-indexed counter
+//!   whose cells are stamped per query token, so no query clears it.
 //!
 //! A slot-keyed leg keeps only what is its own: annotation, the bound
 //! formula and the score function, which compares runs with
 //! [`QueryColumn::jaccard`].
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 
 use dialite_table::Table;
 
-use crate::pool::{QueryColumn, Run, StringPool, POOL_ID_DROPPED};
-use crate::types::{score_cmp, top_k, Discovered};
+use crate::pool::{QueryColumn, StringPool, POOL_ID_DROPPED};
+use crate::shard::ShardScope;
+use crate::types::{score_cmp, Discovered};
 
 /// Per-table state a slot-keyed leg scores. The kernel needs only its
 /// name: to skip the query's own table and to report hits.
@@ -66,6 +80,20 @@ pub(crate) struct Report<'q> {
 impl Report<'_> {
     fn keeps(&self, score: f64) -> bool {
         score >= self.min_score && score > 0.0
+    }
+
+    /// The best `k` kept `(score, name)` hits by the
+    /// [`top_k`](crate::types::top_k) rule — score descending, NaN last,
+    /// name ascending — and the only ones given an owned name.
+    fn top(&self, mut hits: Vec<(f64, &str)>) -> Vec<Discovered> {
+        hits.sort_by(|a, b| score_cmp(b.0, a.0).then_with(|| a.1.cmp(b.1)));
+        hits.truncate(self.k);
+        hits.into_iter()
+            .map(|(score, name)| Discovered {
+                table: name.to_string(),
+                score,
+            })
+            .collect()
     }
 }
 
@@ -99,13 +127,13 @@ pub struct RetrievalStats {
 /// Exhaustive retrieval: score every `(slot, table)` candidate, no
 /// ranking, no pruning.
 pub(crate) fn score_all<'t, T: Named + 't>(
-    candidates: impl IntoIterator<Item = (&'t u32, &'t T)>,
+    candidates: impl IntoIterator<Item = (u32, &'t T)>,
     report: Report,
     mut score: impl FnMut(u32, &T) -> f64,
 ) -> (Vec<Discovered>, RetrievalStats) {
     let mut run = RetrievalStats::default();
     let mut hits = Vec::new();
-    for (&slot, cand) in candidates {
+    for (slot, cand) in candidates {
         run.candidates_retrieved += 1;
         if cand.name() == report.exclude {
             continue;
@@ -113,13 +141,10 @@ pub(crate) fn score_all<'t, T: Named + 't>(
         run.candidates_scored += 1;
         let s = score(slot, cand);
         if report.keeps(s) {
-            hits.push(Discovered {
-                table: cand.name().to_string(),
-                score: s,
-            });
+            hits.push((s, cand.name()));
         }
     }
-    (top_k(hits, report.k), run)
+    (report.top(hits), run)
 }
 
 /// Bounded retrieval: score `ranked` best bound first over `tables`,
@@ -127,7 +152,7 @@ pub(crate) fn score_all<'t, T: Named + 't>(
 /// strictly beats every remaining bound. Every `bound` must be at least
 /// its table's `score`.
 pub(crate) fn bounded_top_k<T: Named>(
-    tables: &BTreeMap<u32, T>,
+    tables: &SlotTable<T>,
     mut ranked: Vec<(u32, f64)>,
     cap: usize,
     report: Report,
@@ -153,7 +178,7 @@ pub(crate) fn bounded_top_k<T: Named>(
             run.cap_hit = true;
             break;
         }
-        let Some(cand) = tables.get(&slot) else {
+        let Some(cand) = tables.get(slot) else {
             continue;
         };
         if cand.name() == report.exclude {
@@ -165,13 +190,126 @@ pub(crate) fn bounded_top_k<T: Named>(
             let at = kept.partition_point(|&x| score_cmp(x, s) == Ordering::Greater);
             kept.insert(at, s);
             kept.truncate(report.k);
-            hits.push(Discovered {
-                table: cand.name().to_string(),
-                score: s,
-            });
+            hits.push((s, cand.name()));
         }
     }
-    (top_k(hits, report.k), run)
+    (report.top(hits), run)
+}
+
+/// Per-slot state of one leg, stored by the lake's stable, reused slot
+/// index the way `DataLake` stores its tables: reading a slot is one
+/// indexed load, and iteration runs in ascending slot order. Its length
+/// follows the highest slot stored, which suits the lake's dense, reused
+/// slots. A table scoped to one shard's stripe stores slot `s` at
+/// `s / shards`, so the other stripes' slots cost it nothing; a slot
+/// outside the stripe lays the table out over every slot first.
+#[derive(Clone)]
+pub(crate) struct SlotTable<T> {
+    /// Indexed by `slot / scope.of()`; `None` marks a free slot.
+    entries: Vec<Option<T>>,
+    /// Occupied entries.
+    len: usize,
+    /// The stripe every stored slot belongs to.
+    scope: ShardScope,
+}
+
+impl<T> Default for SlotTable<T> {
+    fn default() -> SlotTable<T> {
+        SlotTable::new(ShardScope::all())
+    }
+}
+
+impl<T> SlotTable<T> {
+    /// An empty table for the slots `scope` admits.
+    pub(crate) fn new(scope: ShardScope) -> SlotTable<T> {
+        SlotTable {
+            entries: Vec::new(),
+            len: 0,
+            scope,
+        }
+    }
+
+    /// Where `slot` is stored; `None` outside the stripe.
+    fn at(&self, slot: u32) -> Option<usize> {
+        self.scope
+            .admits(slot)
+            .then(|| (slot / self.scope.of()) as usize)
+    }
+
+    /// The slot stored at entry `at`.
+    fn slot(&self, at: usize) -> u32 {
+        at as u32 * self.scope.of() + self.scope.shard()
+    }
+
+    pub(crate) fn get(&self, slot: u32) -> Option<&T> {
+        self.entries.get(self.at(slot)?)?.as_ref()
+    }
+
+    /// Store `value` at `slot`, returning what was there.
+    pub(crate) fn insert(&mut self, slot: u32, value: T) -> Option<T> {
+        let at = match self.at(slot) {
+            Some(at) => at,
+            None => {
+                self.widen();
+                slot as usize
+            }
+        };
+        if at >= self.entries.len() {
+            self.entries.resize_with(at + 1, || None);
+        }
+        let old = self.entries[at].replace(value);
+        self.len += usize::from(old.is_none());
+        old
+    }
+
+    /// Free `slot`, returning what was there. Trailing free entries are
+    /// dropped, so the table spans the highest stored slot only.
+    pub(crate) fn remove(&mut self, slot: u32) -> Option<T> {
+        let at = self.at(slot)?;
+        let old = self.entries.get_mut(at)?.take()?;
+        self.len -= 1;
+        while let Some(None) = self.entries.last() {
+            self.entries.pop();
+        }
+        Some(old)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every stored `(slot, value)`, in ascending slot order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, &T)> + '_ {
+        let entries = self.entries.iter().enumerate();
+        entries.filter_map(|(at, entry)| Some((self.slot(at), entry.as_ref()?)))
+    }
+
+    /// Every stored value, in ascending slot order.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> + '_ {
+        self.entries.iter_mut().flatten()
+    }
+
+    /// One past the highest slot the table can hold without growing: a
+    /// bound on every stored slot.
+    pub(crate) fn slot_bound(&self) -> usize {
+        self.entries.len() * self.scope.of() as usize
+    }
+
+    /// Re-lay the table out over every slot, for a slot outside its
+    /// stripe.
+    fn widen(&mut self) {
+        let SlotTable { entries, scope, .. } =
+            std::mem::replace(self, SlotTable::new(ShardScope::all()));
+        for (at, entry) in entries.into_iter().enumerate() {
+            if let Some(value) = entry {
+                self.insert(at as u32 * scope.of() + scope.shard(), value);
+            }
+        }
+    }
 }
 
 /// Floor on the retired-token weight before a removal may compact the
@@ -258,23 +396,73 @@ impl Posting {
     }
 }
 
-/// A discovery token store: one [`StringPool`], each
-/// indexed slot's per-column token runs, and `token id → column domains`
-/// postings over them. Every indexed slot is known, even one with no
-/// tokens, so zero-overlap candidates can still be ranked; a column
-/// domain exists for every non-empty run. Removed tables' tokens are
-/// reclaimed once the retired weight (posting entries) overtakes the live
-/// weight and the store's compaction floor, so long-churn memory stays
-/// bounded. `Default` is an empty placeholder that never compacts on its
-/// own floor; builds swap the real store in.
+/// One slot's column runs, borrowed from its packed block: each column's
+/// sorted, deduplicated token ids, in column order. An unindexed slot
+/// reads as no columns.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Runs<'a> {
+    /// `ends[c]`: where column `c`'s run ends in `ids`; it starts where
+    /// column `c - 1`'s ends (column 0 at 0).
+    ends: &'a [u32],
+    /// Every column's run, back to back.
+    ids: &'a [u32],
+}
+
+impl<'a> Runs<'a> {
+    /// The view of a packed block: `[column count, ends…, ids…]`.
+    fn of(block: &'a [u32]) -> Runs<'a> {
+        let (ends, ids) = block[1..].split_at(block[0] as usize);
+        Runs { ends, ids }
+    }
+
+    /// Number of columns.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` for a slot with no columns.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Column `col`'s run; `None` past the last column.
+    pub(crate) fn get(&self, col: usize) -> Option<&'a [u32]> {
+        let end = *self.ends.get(col)? as usize;
+        let start = col
+            .checked_sub(1)
+            .map_or(0, |prev| self.ends[prev] as usize);
+        Some(&self.ids[start..end])
+    }
+
+    /// Every column's run, in column order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &'a [u32]> + 'a {
+        let (ends, ids) = (self.ends, self.ids);
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        starts
+            .zip(ends)
+            .map(move |(start, &end)| &ids[start as usize..end as usize])
+    }
+}
+
+/// A discovery token store: one [`StringPool`], each indexed slot's
+/// per-column token runs, and `token id → column domains` postings over
+/// them. Every indexed slot is known, even one with no tokens, so
+/// zero-overlap candidates can still be ranked; a column domain exists
+/// for every non-empty run. Removed tables' tokens are reclaimed once the
+/// retired weight (posting entries) overtakes the live weight and the
+/// store's compaction floor, so long-churn memory stays bounded.
+/// `Default` is an empty placeholder that never compacts on its own
+/// floor; builds swap the real store in.
 #[derive(Clone, Default)]
 pub(crate) struct TokenPostings {
     pool: StringPool,
     /// Indexed by token id, one per pool id: the column domains whose run
     /// contains it. A token is live exactly when its list is non-empty.
     postings: Vec<Posting>,
-    /// Slot → one sorted id run per column, in column order.
-    runs: HashMap<u32, Vec<Run>>,
+    /// Slot → one packed block, the slot's only allocation: its column
+    /// count, each column's run end, then the runs back to back (see
+    /// [`Runs`]).
+    runs: SlotTable<Box<[u32]>>,
     /// Σ run lengths over indexed slots: the live posting entries.
     live_weight: usize,
     /// Posting entries retired since the last compaction.
@@ -284,59 +472,69 @@ pub(crate) struct TokenPostings {
 }
 
 impl TokenPostings {
-    /// An empty store that compacts only once the retired weight exceeds
-    /// `compact_min` as well as the live weight.
-    pub(crate) fn new(compact_min: usize) -> TokenPostings {
+    /// An empty store for the slots `scope` admits, that compacts only
+    /// once the retired weight exceeds `compact_min` as well as the live
+    /// weight.
+    pub(crate) fn new(compact_min: usize, scope: ShardScope) -> TokenPostings {
         TokenPostings {
             pool: StringPool::new(),
             postings: Vec::new(),
-            runs: HashMap::new(),
+            runs: SlotTable::new(scope),
             live_weight: 0,
             retired_weight: 0,
             compact_min,
         }
     }
 
-    /// Index `slot`'s columns, each a token set, as one run per column.
-    /// Each column interns its tokens in sorted order, so pool ids — and
-    /// anything ordered by them, like the joinable exact path's
-    /// `(list length, token id)` schedule — depend on the lake alone, not
-    /// on `HashSet` iteration order. An already indexed slot is
-    /// [`remove`](Self::remove)d first, so its old runs leave the postings
-    /// and the live weight.
+    /// Index `slot`'s columns, each a token set, as one run per column,
+    /// packed into one block. Each column interns its tokens in sorted
+    /// order, so pool ids — and anything ordered by them, like the
+    /// joinable exact path's `(list length, token id)` schedule — depend
+    /// on the lake alone, not on `HashSet` iteration order. An already
+    /// indexed slot is [`remove`](Self::remove)d first, so its old runs
+    /// leave the postings and the live weight.
     pub(crate) fn insert(&mut self, slot: u32, columns: &[HashSet<String>]) {
         self.remove(slot);
-        let mut runs = Vec::with_capacity(columns.len());
+        let width = 1 + columns.len() + columns.iter().map(HashSet::len).sum::<usize>();
+        let mut block: Vec<u32> = Vec::with_capacity(width);
+        block.push(u32::try_from(columns.len()).expect("column count"));
+        block.resize(1 + columns.len(), 0);
+        let ids_from = block.len();
+        let mut sorted: Vec<&str> = Vec::new();
         for (col, tokens) in columns.iter().enumerate() {
-            let mut sorted: Vec<&str> = tokens.iter().map(String::as_str).collect();
+            sorted.clear();
+            sorted.extend(tokens.iter().map(String::as_str));
             sorted.sort_unstable();
-            let mut run: Vec<u32> = sorted.into_iter().map(|t| self.pool.intern(t)).collect();
+            let start = block.len();
+            block.extend(sorted.iter().map(|t| self.pool.intern(t)));
+            let run = &mut block[start..];
             run.sort_unstable();
             self.postings.resize_with(self.pool.len(), Posting::default);
-            for &id in &run {
+            for &id in &*run {
                 self.postings[id as usize].push((slot, col as u32));
             }
             self.live_weight += run.len();
-            runs.push(run.into_boxed_slice());
+            block[1 + col] = u32::try_from(block.len() - ids_from).expect("run end");
         }
-        self.runs.insert(slot, runs);
+        self.runs.insert(slot, block.into_boxed_slice());
     }
 
     /// Retire `slot`'s runs and postings, compacting the pool once the
     /// retired weight overtakes the live weight and the floor; a no-op for
     /// an unindexed slot.
     pub(crate) fn remove(&mut self, slot: u32) {
-        let Some(runs) = self.runs.remove(&slot) else {
+        let Some(block) = self.runs.remove(slot) else {
             return;
         };
+        let runs = Runs::of(&block);
         for (col, run) in runs.iter().enumerate() {
             let key: DomainKey = (slot, col as u32);
-            for &id in run.iter() {
+            for &id in run {
                 self.postings[id as usize].remove(key);
             }
-            self.live_weight -= run.len();
-            self.retired_weight += run.len();
         }
+        self.live_weight -= runs.ids.len();
+        self.retired_weight += runs.ids.len();
         if self.retired_weight > self.live_weight.max(self.compact_min) {
             self.compact();
         }
@@ -350,25 +548,30 @@ impl TokenPostings {
     fn compact(&mut self) {
         let postings = &self.postings;
         let remap = self.pool.compact(|id| !postings[id as usize].is_empty());
-        for id in self.runs.values_mut().flatten().flatten() {
-            *id = remap[*id as usize];
-            debug_assert_ne!(*id, POOL_ID_DROPPED, "live id dropped");
+        for block in self.runs.values_mut() {
+            let ids_from = 1 + block[0] as usize;
+            for id in &mut block[ids_from..] {
+                *id = remap[*id as usize];
+                debug_assert_ne!(*id, POOL_ID_DROPPED, "live id dropped");
+            }
         }
         self.postings.retain(|list| !list.is_empty());
         self.retired_weight = 0;
     }
 
-    /// `slot`'s per-column runs, in column order; empty for an unindexed
-    /// slot.
-    pub(crate) fn runs(&self, slot: u32) -> &[Run] {
-        self.runs.get(&slot).map_or(&[], Vec::as_slice)
+    /// `slot`'s per-column runs, in column order; no columns for an
+    /// unindexed slot.
+    pub(crate) fn runs(&self, slot: u32) -> Runs<'_> {
+        self.runs
+            .get(slot)
+            .map_or_else(Runs::default, |block| Runs::of(block))
     }
 
     /// The run of one column domain; `None` unless it is indexed and
     /// non-empty.
     pub(crate) fn run(&self, (slot, col): DomainKey) -> Option<&[u32]> {
         let run = self.runs(slot).get(col as usize)?;
-        (!run.is_empty()).then_some(&**run)
+        (!run.is_empty()).then_some(run)
     }
 
     /// `slot`'s column domains: its non-empty columns.
@@ -378,9 +581,9 @@ impl TokenPostings {
             .map(move |(col, _)| (slot, col as u32))
     }
 
-    /// Every indexed column domain, in no particular order.
+    /// Every indexed column domain, in ascending `(slot, column)` order.
     pub(crate) fn domains(&self) -> impl Iterator<Item = DomainKey> + '_ {
-        self.runs.keys().flat_map(|&slot| self.domains_of(slot))
+        self.runs.iter().flat_map(|(slot, _)| self.domains_of(slot))
     }
 
     /// The column domains holding token `id`; `None` when none does.
@@ -415,37 +618,43 @@ impl TokenPostings {
     /// slot at `bound(0)`. Below that filter a zero-overlap table's true
     /// score fails it too, so leaving it out loses nothing. `|Q ∩ T|` is
     /// table-level: a query token counts once for a slot however many of
-    /// its columns hold it.
+    /// its columns hold it. Counted in this thread's [`OverlapCounter`].
     pub(crate) fn ranked(
         &self,
         query: &[QueryColumn],
         min_score: f64,
         bound: impl Fn(usize) -> f64,
     ) -> Vec<(u32, f64)> {
-        // Slot → (overlap, the last query token it counted).
-        let mut overlap: HashMap<u32, (usize, u32)> = HashMap::new();
-        for id in union(query.iter().map(|col| &col.ids)) {
-            for &(slot, _) in self.posting(id).unwrap_or_default() {
-                let (ov, last) = overlap.entry(slot).or_insert((0, POOL_ID_DROPPED));
-                if *last != id {
-                    *ov += 1;
-                    *last = id;
-                }
-            }
-        }
-        let mut ranked: Vec<(u32, f64)> = overlap
-            .iter()
-            .map(|(&slot, &(ov, _))| (slot, bound(ov)))
-            .collect();
+        let ids = union(query.iter().map(|col| &col.ids));
         let base = bound(0);
-        if base > 0.0 && base >= min_score {
-            for &slot in self.runs.keys() {
-                if !overlap.contains_key(&slot) {
-                    ranked.push((slot, base));
+        let rank_the_rest = base > 0.0 && base >= min_score;
+        OVERLAP.with_borrow_mut(|counter| {
+            let first = counter.begin(self.runs.slot_bound(), ids.len());
+            let mut ranked: Vec<(u32, f64)> = Vec::new();
+            for (i, &id) in ids.iter().enumerate() {
+                let stamp = first + i as u32;
+                for &(slot, _) in self.posting(id).unwrap_or_default() {
+                    let cell = &mut counter.cells[slot as usize];
+                    if cell.0 < first {
+                        *cell = (stamp, 1);
+                        ranked.push((slot, 0.0));
+                    } else if cell.0 != stamp {
+                        *cell = (stamp, cell.1 + 1);
+                    }
                 }
             }
-        }
-        ranked
+            for (slot, b) in &mut ranked {
+                *b = bound(counter.cells[*slot as usize].1 as usize);
+            }
+            if rank_the_rest {
+                for (slot, _) in self.runs.iter() {
+                    if counter.cells[slot as usize].0 < first {
+                        ranked.push((slot, base));
+                    }
+                }
+            }
+            ranked
+        })
     }
 
     /// Distinct tokens interned: live ones plus not-yet-compacted dead
@@ -469,16 +678,67 @@ impl TokenPostings {
     }
 }
 
+/// [`TokenPostings::ranked`]'s overlap counter: one `(stamp, overlap)`
+/// cell per slot, shared by every store ranked on its thread. Each query
+/// token takes a fresh stamp, so a cell stamped before the query's first
+/// stamp is untouched by the query, and a cell stamped with the current
+/// token's has counted it already. No query clears the cells; they are
+/// cleared only when the stamps would wrap.
+#[derive(Default)]
+struct OverlapCounter {
+    cells: Vec<(u32, u32)>,
+    /// The last stamp handed out; 0 stamps no token.
+    stamp: u32,
+}
+
+impl OverlapCounter {
+    /// Reserve `tokens` fresh stamps for one query over slots below
+    /// `slots`, returning the first.
+    fn begin(&mut self, slots: usize, tokens: usize) -> u32 {
+        if self.cells.len() < slots {
+            self.cells.resize(slots, (0, 0));
+        }
+        let tokens = u32::try_from(tokens).expect("query token count");
+        let fits = self
+            .stamp
+            .checked_add(tokens)
+            .and_then(|s| s.checked_add(1));
+        if fits.is_none() {
+            self.cells.fill((0, 0));
+            self.stamp = 0;
+        }
+        let first = self.stamp + 1;
+        self.stamp += tokens;
+        first
+    }
+}
+
+thread_local! {
+    /// This thread's [`OverlapCounter`]: no lock, nothing shared between
+    /// serving threads.
+    static OVERLAP: RefCell<OverlapCounter> = RefCell::new(OverlapCounter::default());
+}
+
+/// Move this thread's overlap stamp forward to at least `stamp`, so a
+/// test can drive the counter across wrap-around.
+#[cfg(test)]
+fn advance_overlap_stamp(stamp: u32) {
+    OVERLAP.with_borrow_mut(|counter| counter.stamp = counter.stamp.max(stamp));
+}
+
 #[cfg(test)]
 mod tests {
     //! The kernel against brute force: the one place the strict-`>`
     //! termination and the slot tie-break are tested directly. Scores and
     //! bounds are multiples of 0.25 so score ties, bound ties and
-    //! bound == k-th score all occur.
+    //! bound == k-th score all occur. The store, its packed runs and the
+    //! overlap counter against a naive `token → domains` oracle.
 
     use super::*;
+    use crate::shard::ShardRouter;
+    use crate::types::top_k;
     use proptest::prelude::*;
-    use std::cell::RefCell;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     #[derive(Debug)]
     struct Cand {
@@ -496,7 +756,7 @@ mod tests {
     /// answers: the top `k` of every non-excluded candidate passing the
     /// reporting rule.
     struct Case {
-        tables: BTreeMap<u32, Cand>,
+        tables: SlotTable<Cand>,
         ranked: Vec<(u32, f64)>,
         exclude: String,
         min_score: f64,
@@ -504,7 +764,7 @@ mod tests {
 
     impl Case {
         fn new(cands: &[(u8, u8)], rot: usize, exclude: usize, min_score: u8) -> Case {
-            let mut tables = BTreeMap::new();
+            let mut tables = SlotTable::new(ShardScope::all());
             let mut ranked = Vec::new();
             for (i, &(score, slack)) in cands.iter().enumerate() {
                 // Name order and slot order disagree, so the slot
@@ -534,8 +794,8 @@ mod tests {
         /// Candidates other than the query's own table.
         fn eligible(&self) -> usize {
             self.tables
-                .values()
-                .filter(|c| c.name != self.exclude)
+                .iter()
+                .filter(|(_, c)| c.name != self.exclude)
                 .count()
         }
 
@@ -543,9 +803,9 @@ mod tests {
             let report = self.report(k);
             let passing = self
                 .tables
-                .values()
-                .filter(|c| c.name != self.exclude && report.keeps(c.score))
-                .map(|c| Discovered {
+                .iter()
+                .filter(|(_, c)| c.name != self.exclude && report.keeps(c.score))
+                .map(|(_, c)| Discovered {
                     table: c.name.clone(),
                     score: c.score,
                 })
@@ -587,14 +847,11 @@ mod tests {
         nums.iter().map(|n| format!("t{n}")).collect()
     }
 
-    /// `store` over `tables` against the naive oracle, token number →
-    /// domain set: every posting as a set, `posting_stats`, `ranked` with
-    /// and without the zero-overlap base, and the list layout.
-    fn agrees_with_oracle(
-        store: &TokenPostings,
-        tables: &BTreeMap<u32, Vec<Vec<u32>>>,
-        query: &[Vec<u32>],
-    ) {
+    /// Slot → per-column token numbers, each column sorted and deduplicated.
+    type Tables = BTreeMap<u32, Vec<Vec<u32>>>;
+
+    /// The naive oracle: token number → the domains holding it.
+    fn naive_postings(tables: &Tables) -> HashMap<u32, HashSet<DomainKey>> {
         let mut oracle: HashMap<u32, HashSet<DomainKey>> = HashMap::new();
         for (&slot, columns) in tables {
             for (col, nums) in columns.iter().enumerate() {
@@ -603,6 +860,66 @@ mod tests {
                 }
             }
         }
+        oracle
+    }
+
+    /// What `ranked` must return under `bound(ov) = ov + base`, in slot
+    /// order: `|Q ∩ T|` counted table by table over the oracle.
+    fn naive_ranked(tables: &Tables, query: &[Vec<u32>], base: f64) -> Vec<(u32, f64)> {
+        let oracle = naive_postings(tables);
+        let query: HashSet<u32> = query.iter().flatten().copied().collect();
+        let mut overlap: BTreeMap<u32, usize> = BTreeMap::new();
+        for n in &query {
+            let slots: HashSet<u32> = oracle.get(n).into_iter().flatten().map(|k| k.0).collect();
+            for slot in slots {
+                *overlap.entry(slot).or_default() += 1;
+            }
+        }
+        tables
+            .keys()
+            .filter_map(|slot| match overlap.get(slot) {
+                Some(&ov) => Some((*slot, ov as f64 + base)),
+                None => (base > 0.0).then_some((*slot, base)),
+            })
+            .collect()
+    }
+
+    /// `store.ranked` under `bound(ov) = ov + base`, in slot order.
+    fn ranked_by_slot(store: &TokenPostings, query: &[Vec<u32>], base: f64) -> Vec<(u32, f64)> {
+        let resolved: Vec<QueryColumn> = query
+            .iter()
+            .map(|nums| store.resolve(&token_set(nums)))
+            .collect();
+        let mut got = store.ranked(&resolved, 0.0, |ov| ov as f64 + base);
+        got.sort_by_key(|&(slot, _)| slot);
+        got
+    }
+
+    /// Insert `columns` under `slot` into both the store and its oracle.
+    fn insert_both(
+        store: &mut TokenPostings,
+        tables: &mut Tables,
+        slot: u32,
+        columns: &[Vec<u32>],
+    ) {
+        let sets: Vec<HashSet<String>> = columns.iter().map(|nums| token_set(nums)).collect();
+        store.insert(slot, &sets);
+        let mut columns = columns.to_vec();
+        for nums in &mut columns {
+            nums.sort_unstable();
+            nums.dedup();
+        }
+        tables.insert(slot, columns);
+    }
+
+    /// `store` over `tables` against the naive oracle, token number →
+    /// domain set: every posting as a set, `posting_stats`, `ranked` with
+    /// and without the zero-overlap base, the list layout, each live
+    /// slot's packed runs column by column (resolved to token strings),
+    /// `domains()`, and every slot without a table — never used, freed,
+    /// or past the high-water mark — reading as empty.
+    fn agrees_with_oracle(store: &TokenPostings, tables: &Tables, query: &[Vec<u32>]) {
+        let oracle = naive_postings(tables);
         for n in 0..10 {
             let want = oracle.get(&n).cloned().unwrap_or_default();
             let id = store.pool.get(&format!("t{n}"));
@@ -614,29 +931,11 @@ mod tests {
         let entries: usize = oracle.values().map(HashSet::len).sum();
         assert_eq!(store.posting_stats(), (oracle.len(), entries));
 
-        let resolved: Vec<QueryColumn> = query
-            .iter()
-            .map(|nums| store.resolve(&token_set(nums)))
-            .collect();
-        let query: HashSet<u32> = query.iter().flatten().copied().collect();
-        let mut overlap: BTreeMap<u32, usize> = BTreeMap::new();
-        for n in &query {
-            let slots: HashSet<u32> = oracle.get(n).into_iter().flatten().map(|k| k.0).collect();
-            for slot in slots {
-                *overlap.entry(slot).or_default() += 1;
-            }
-        }
         for base in [0.0, 1.0] {
-            let mut got = store.ranked(&resolved, 0.0, |ov| ov as f64 + base);
-            got.sort_by_key(|&(slot, _)| slot);
-            let want: Vec<(u32, f64)> = tables
-                .keys()
-                .filter_map(|slot| match overlap.get(slot) {
-                    Some(&ov) => Some((*slot, ov as f64 + base)),
-                    None => (base > 0.0).then_some((*slot, base)),
-                })
-                .collect();
-            assert_eq!(got, want);
+            assert_eq!(
+                ranked_by_slot(store, query, base),
+                naive_ranked(tables, query, base)
+            );
         }
 
         assert_eq!(store.postings.len(), store.pool_len());
@@ -650,6 +949,52 @@ mod tests {
                 ),
             }
         }
+
+        let mut weight = 0;
+        for (&slot, columns) in tables {
+            let runs = store.runs(slot);
+            assert_eq!(runs.len(), columns.len(), "slot {slot}");
+            assert_eq!(runs.iter().count(), columns.len(), "slot {slot}");
+            for (col, nums) in columns.iter().enumerate() {
+                let run = runs.get(col).unwrap();
+                assert!(run.windows(2).all(|w| w[0] < w[1]), "unsorted run");
+                assert_eq!(runs.iter().nth(col), Some(run));
+                let mut got: Vec<&str> = run.iter().map(|&id| store.token(id)).collect();
+                got.sort_unstable();
+                let mut want: Vec<String> = nums.iter().map(|n| format!("t{n}")).collect();
+                want.sort_unstable();
+                assert_eq!(got, want, "slot {slot} column {col}");
+                let key = (slot, col as u32);
+                assert_eq!(store.run(key), (!run.is_empty()).then_some(run));
+                weight += run.len();
+            }
+            assert_eq!(runs.get(columns.len()), None);
+        }
+        assert_eq!(store.live_weight, weight);
+
+        let domains: Vec<DomainKey> = store.domains().collect();
+        let want: Vec<DomainKey> = oracle
+            .values()
+            .flatten()
+            .copied()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        assert_eq!(domains, want);
+
+        let high_water = tables.keys().max().map_or(0, |&slot| slot + 1);
+        for slot in (0..high_water + 3).chain([u32::MAX]) {
+            if tables.contains_key(&slot) {
+                continue;
+            }
+            let runs = store.runs(slot);
+            assert_eq!((runs.len(), runs.iter().count()), (0, 0), "slot {slot}");
+            assert_eq!(runs.get(0), None);
+            assert_eq!(store.run((slot, 0)), None);
+            assert_eq!(store.domains_of(slot).count(), 0);
+            assert!(store.runs.get(slot).is_none());
+        }
+        assert_eq!(store.runs.len(), tables.len());
     }
 
     fn k_of(n: usize, pick: usize) -> usize {
@@ -720,41 +1065,72 @@ mod tests {
 
         /// The store under random insert, re-insert and remove sequences
         /// equals a naive `token → domains` oracle after every step, at
-        /// both compaction floors. Whenever no entry is retired since the
-        /// last compaction, the pool holds exactly the tokens a fresh store
-        /// over the surviving slots interns.
+        /// both compaction floors, whole-lake and scoped to a stripe the
+        /// churned slots leave (so the slot table widens). Whenever no
+        /// entry is retired since the last compaction, the pool holds
+        /// exactly the tokens a fresh store over the surviving slots
+        /// interns.
         #[test]
         fn store_equals_a_naive_oracle_under_churn(
             ops in churn(),
             query in prop::collection::vec(prop::collection::vec(0u32..10, 0..6), 1..3),
         ) {
-            for compact_min in [0, POOL_COMPACT_MIN] {
-                let mut store = TokenPostings::new(compact_min);
-                let mut tables: BTreeMap<u32, Vec<Vec<u32>>> = BTreeMap::new();
-                for (slot, op, columns) in &ops {
-                    if *op == 0 {
-                        store.remove(*slot);
-                        tables.remove(slot);
-                    } else {
-                        let sets: Vec<HashSet<String>> =
-                            columns.iter().map(|nums| token_set(nums)).collect();
-                        store.insert(*slot, &sets);
-                        let mut columns = columns.clone();
-                        for nums in &mut columns {
-                            nums.sort_unstable();
-                            nums.dedup();
+            for scope in [ShardScope::all(), ShardRouter::new(3).scope(1)] {
+                for compact_min in [0, POOL_COMPACT_MIN] {
+                    let mut store = TokenPostings::new(compact_min, scope);
+                    let mut tables = Tables::new();
+                    for (slot, op, columns) in &ops {
+                        if *op == 0 {
+                            store.remove(*slot);
+                            tables.remove(slot);
+                        } else {
+                            insert_both(&mut store, &mut tables, *slot, columns);
                         }
-                        tables.insert(*slot, columns);
+                        agrees_with_oracle(&store, &tables, &query);
+                        if store.retired_weight == 0 {
+                            let mut fresh = TokenPostings::new(compact_min, scope);
+                            for (&slot, columns) in &tables {
+                                insert_both(&mut fresh, &mut Tables::new(), slot, columns);
+                            }
+                            prop_assert_eq!(store.pool_len(), fresh.pool_len());
+                        }
                     }
-                    agrees_with_oracle(&store, &tables, &query);
-                    if store.retired_weight == 0 {
-                        let mut fresh = TokenPostings::new(compact_min);
-                        for (&slot, columns) in &tables {
-                            let sets: Vec<HashSet<String>> =
-                                columns.iter().map(|nums| token_set(nums)).collect();
-                            fresh.insert(slot, &sets);
-                        }
-                        prop_assert_eq!(store.pool_len(), fresh.pool_len());
+                }
+            }
+        }
+
+        /// `ranked` calls interleaved on one thread over two stores of
+        /// different slot counts, one whole-lake and one scoped, each
+        /// equal the naive oracle — also across the counter's stamp
+        /// wrap-around, which `wrap_at` places at a random call.
+        #[test]
+        fn interleaved_ranked_calls_share_one_counter(
+            small in prop::collection::vec(prop::collection::vec(prop::collection::vec(0u32..10, 0..4), 0..3), 0..4),
+            large in prop::collection::vec(prop::collection::vec(prop::collection::vec(0u32..10, 0..4), 0..3), 0..12),
+            queries in prop::collection::vec(prop::collection::vec(prop::collection::vec(0u32..10, 0..6), 1..3), 1..8),
+            wrap_at in 0usize..8,
+            headroom in 0u32..12,
+        ) {
+            let mut stores = Vec::new();
+            for (tables, scope) in [(&small, ShardScope::all()), (&large, ShardRouter::new(3).scope(2))] {
+                let mut store = TokenPostings::new(POOL_COMPACT_MIN, scope);
+                let mut oracle = Tables::new();
+                for (i, columns) in (0..).zip(tables) {
+                    let slot = i * scope.of() + scope.shard();
+                    insert_both(&mut store, &mut oracle, slot, columns);
+                }
+                stores.push((store, oracle));
+            }
+            for (i, query) in queries.iter().enumerate() {
+                if i == wrap_at {
+                    advance_overlap_stamp(u32::MAX - headroom);
+                }
+                for (store, tables) in &stores {
+                    for base in [0.0, 1.0] {
+                        prop_assert_eq!(
+                            ranked_by_slot(store, query, base),
+                            naive_ranked(tables, query, base)
+                        );
                     }
                 }
             }
@@ -764,7 +1140,7 @@ mod tests {
     #[test]
     fn a_posting_list_goes_one_many_one_empty() {
         assert_eq!(std::mem::size_of::<Posting>(), 24);
-        let mut store = TokenPostings::new(POOL_COMPACT_MIN);
+        let mut store = TokenPostings::new(POOL_COMPACT_MIN, ShardScope::all());
         let lone = |store: &TokenPostings| match store.postings[..] {
             [Posting::One(key)] => Some(key),
             _ => None,
@@ -790,7 +1166,7 @@ mod tests {
     #[test]
     fn ranked_counts_a_token_once_per_slot() {
         let set = |toks: &[&str]| toks.iter().map(|t| t.to_string()).collect::<HashSet<_>>();
-        let mut store = TokenPostings::new(POOL_COMPACT_MIN);
+        let mut store = TokenPostings::new(POOL_COMPACT_MIN, ShardScope::all());
         // Slot 3 holds "a" in both columns; slot 5 holds it once.
         store.insert(3, &[set(&["a", "b"]), set(&["a", "c"])]);
         store.insert(5, &[set(&["a"]), set(&[])]);
@@ -807,8 +1183,8 @@ mod tests {
         let columns = [set(&["a", "b"]), set(&["a", "c"]), set(&[])];
         for compact_min in [0, POOL_COMPACT_MIN] {
             let (mut once, mut twice) = (
-                TokenPostings::new(compact_min),
-                TokenPostings::new(compact_min),
+                TokenPostings::new(compact_min, ShardScope::all()),
+                TokenPostings::new(compact_min, ShardScope::all()),
             );
             for store in [&mut once, &mut twice] {
                 store.insert(1, &[set(&["b", "d"])]);
@@ -817,7 +1193,7 @@ mod tests {
             twice.insert(3, &columns);
             assert_eq!(twice.posting_stats(), once.posting_stats());
             assert_eq!(twice.posting_stats(), (4, 6));
-            let summed: usize = twice.runs.values().flatten().map(|run| run.len()).sum();
+            let summed: usize = [1, 3].map(|slot| twice.runs(slot).ids.len()).iter().sum();
             assert_eq!(twice.live_weight, summed);
             assert_eq!(twice.live_weight, once.live_weight);
             // Resolved per store: at floor 0 the re-insert compacts, so the
@@ -831,6 +1207,63 @@ mod tests {
             assert_eq!(ranked(&twice), ranked(&once));
             assert_eq!(ranked(&twice), vec![(1, 2.0), (3, 2.0)]);
         }
+    }
+
+    #[test]
+    fn a_slot_table_stores_its_stripe_densely_and_widens_for_a_stranger() {
+        let mut table: SlotTable<&str> = SlotTable::new(ShardRouter::new(4).scope(3));
+        assert_eq!(table.insert(7, "seven"), None);
+        assert_eq!(table.insert(3, "three"), None);
+        assert_eq!(table.insert(7, "SEVEN"), Some("seven"));
+        // Slots 3 and 7 sit at entries 0 and 1.
+        assert_eq!(table.entries.len(), 2);
+        assert_eq!(table.slot_bound(), 8);
+        assert_eq!(
+            (table.get(7), table.get(6), table.get(11)),
+            (Some(&"SEVEN"), None, None)
+        );
+        assert_eq!(
+            table.iter().collect::<Vec<_>>(),
+            [(3, &"three"), (7, &"SEVEN")]
+        );
+        // A slot of another stripe lays the table out over every slot.
+        assert_eq!(table.insert(5, "five"), None);
+        assert_eq!(table.entries.len(), 8);
+        assert_eq!(
+            table.iter().collect::<Vec<_>>(),
+            [(3, &"three"), (5, &"five"), (7, &"SEVEN")]
+        );
+        assert_eq!(table.len(), 3);
+        // Freeing the highest slot drops the free entries below it too.
+        assert_eq!(table.remove(7), Some("SEVEN"));
+        assert_eq!(table.remove(7), None);
+        assert_eq!(table.entries.len(), 6);
+        assert_eq!(table.remove(3), Some("three"));
+        assert_eq!(table.remove(5), Some("five"));
+        assert!(table.is_empty() && table.entries.is_empty());
+        assert_eq!(table.remove(u32::MAX), None);
+    }
+
+    #[test]
+    fn the_overlap_stamps_wrap_by_clearing_the_counter() {
+        let mut store = TokenPostings::new(POOL_COMPACT_MIN, ShardScope::all());
+        let mut tables = Tables::new();
+        insert_both(&mut store, &mut tables, 0, &[vec![1, 2], vec![2, 3]]);
+        insert_both(&mut store, &mut tables, 2, &[vec![3]]);
+        let query = [vec![1, 2, 3]];
+        for headroom in [0, 1, 2, 3, 4] {
+            advance_overlap_stamp(u32::MAX - headroom);
+            for _ in 0..3 {
+                for base in [0.0, 1.0] {
+                    assert_eq!(
+                        ranked_by_slot(&store, &query, base),
+                        naive_ranked(&tables, &query, base),
+                        "headroom {headroom}"
+                    );
+                }
+            }
+        }
+        assert_eq!(naive_ranked(&tables, &query, 0.0), [(0, 3.0), (2, 1.0)]);
     }
 
     #[test]

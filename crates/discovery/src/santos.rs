@@ -26,16 +26,16 @@
 //!    `LakeIndex` keeps one value store per shard, read by SANTOS and the
 //!    joinable leg.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use dialite_kb::{Direction, KnowledgeBase, RelationId, TypeId};
 use dialite_table::{DataLake, Table};
 
-use crate::pool::{QueryColumn, Run};
+use crate::pool::QueryColumn;
 use crate::retrieval::{
-    bounded_top_k, column_token_sets, score_all, Named, Report, RetrievalStats, TokenPostings,
-    POOL_COMPACT_MIN,
+    bounded_top_k, column_token_sets, score_all, Named, Report, RetrievalStats, Runs, SlotTable,
+    TokenPostings, POOL_COMPACT_MIN,
 };
 use crate::shard::ShardScope;
 use crate::types::{score_cmp, Discovered, Discovery, TableQuery};
@@ -103,9 +103,9 @@ impl Named for TableSemantics {
 pub struct SantosDiscovery {
     kb: Arc<KnowledgeBase>,
     config: SantosConfig,
-    /// Per-table semantics, keyed by the lake's stable slot index. A
-    /// `BTreeMap` keeps full-scan candidate fallback deterministic.
-    tables: BTreeMap<u32, TableSemantics>,
+    /// Per-table semantics by the lake's stable slot index, iterated in
+    /// slot order, so the full scan is deterministic.
+    tables: SlotTable<TableSemantics>,
     /// Inverted index: type → table slots exhibiting it on some column.
     by_type: HashMap<TypeId, HashSet<u32>>,
     /// Synthesized-signal index: each table's per-column value-token runs,
@@ -132,21 +132,26 @@ impl SantosDiscovery {
         config: SantosConfig,
         scope: ShardScope,
     ) -> SantosDiscovery {
-        let mut engine = SantosDiscovery::empty(kb, config);
+        let mut engine = SantosDiscovery::empty(kb, config, scope);
         for (slot, table) in lake.entries_routed(scope.shard(), scope.of()) {
             engine.upsert_table(slot, table);
         }
         engine
     }
 
-    /// An engine with no table annotated, over an empty store of its own.
-    pub(crate) fn empty(kb: Arc<KnowledgeBase>, config: SantosConfig) -> SantosDiscovery {
+    /// An engine for the slots `scope` admits with no table annotated,
+    /// over an empty store of its own.
+    pub(crate) fn empty(
+        kb: Arc<KnowledgeBase>,
+        config: SantosConfig,
+        scope: ShardScope,
+    ) -> SantosDiscovery {
         SantosDiscovery {
             kb,
             config,
-            tables: BTreeMap::new(),
+            tables: SlotTable::new(scope),
             by_type: HashMap::new(),
-            tokens: Arc::new(TokenPostings::new(POOL_COMPACT_MIN)),
+            tokens: Arc::new(TokenPostings::new(POOL_COMPACT_MIN, scope)),
         }
     }
 
@@ -179,7 +184,7 @@ impl SantosDiscovery {
 
     /// The annotation half of [`remove_table`](Self::remove_table).
     pub(crate) fn unannotate(&mut self, slot: u32) {
-        let Some(sem) = self.tables.remove(&slot) else {
+        let Some(sem) = self.tables.remove(slot) else {
             return;
         };
         for col in &sem.columns {
@@ -462,7 +467,7 @@ impl SantosDiscovery {
         };
         let (hits, mut stats) = if cap == usize::MAX {
             if typeless {
-                score_all(&self.tables, report, score)
+                score_all(self.tables.iter(), report, score)
             } else {
                 let candidates: HashSet<u32> = q_sem
                     .columns
@@ -474,7 +479,7 @@ impl SantosDiscovery {
                     .collect();
                 let tables = candidates
                     .iter()
-                    .filter_map(|slot| self.tables.get_key_value(slot));
+                    .filter_map(|&slot| Some((slot, self.tables.get(slot)?)));
                 score_all(tables, report, score)
             }
         } else {
@@ -519,7 +524,7 @@ impl SantosDiscovery {
         type_bounds
             .into_iter()
             .filter_map(|(slot, per_col)| {
-                let cand = self.tables.get(&slot)?;
+                let cand = self.tables.get(slot)?;
                 let b = bound.of(|j| {
                     if q.columns[j].types.is_empty() || cand.has_untyped_column {
                         per_col[j].max(synth)
@@ -567,14 +572,15 @@ impl SantosDiscovery {
         &self,
         (q, q_tokens): (&TableSemantics, &[QueryColumn]),
         intent: usize,
-        (cand, c_runs): (&TableSemantics, &[Run]),
+        (cand, c_runs): (&TableSemantics, Runs),
     ) -> f64 {
+        debug_assert_eq!(c_runs.len(), cand.columns.len(), "runs out of step");
         let qcols = q.columns.len();
         if qcols == 0 || cand.columns.is_empty() {
             return 0.0;
         }
         let q_col = |j: usize| (&q.columns[j], &q_tokens[j]);
-        let c_col = |i: usize| (&cand.columns[i], &*c_runs[i]);
+        let c_col = |i: usize| (&cand.columns[i], c_runs.get(i).unwrap_or_default());
         // Choose the candidate column best matching the intent column.
         let (best_intent_col, intent_sim) = (0..cand.columns.len())
             .map(|i| (i, self.column_sim(q_col(intent), c_col(i))))

@@ -20,7 +20,10 @@
 //!   leg near 2.8× the lake.
 //!
 //! A counting global allocator measures each structure's live heap on a
-//! heterogeneous open-data lake and the test prints the table. It is a
+//! heterogeneous open-data lake and the test prints the table, with a
+//! 2-shard `ShardedLakeIndex` beside the single index as a report line
+//! (no bound): each shard's slot tables index its own stripe densely, so
+//! the two shards should hold about what one index does. It is a
 //! test binary of its own with a single test, so nothing else allocates
 //! while it measures:
 //!
@@ -35,7 +38,7 @@ use std::sync::Arc;
 use dialite_datagen::workloads::HeterogeneousLakeWorkload;
 use dialite_discovery::{
     LakeIndex, LakeIndexConfig, LshEnsembleDiscovery, MetadataConfig, MetadataDiscovery,
-    SantosDiscovery,
+    SantosDiscovery, ShardedLakeIndex,
 };
 use dialite_kb::curated::covid_kb;
 
@@ -117,6 +120,9 @@ fn three_leg_index_holds_one_value_store() {
     let (index, index_b) = held(|| LakeIndex::build(&lake, kb.clone(), config.clone()));
     assert_eq!(index.sketch_work(), 0, "the build computed signatures");
     drop(index);
+    let (sharded, sharded_b) =
+        held(|| ShardedLakeIndex::build(&lake, kb.clone(), config.clone(), 2));
+    drop(sharded);
 
     let bound = lshe_b + metadata_b + santos_b / 4;
     let santos_bound = lake_b + lake_b / 2;
@@ -129,6 +135,7 @@ fn three_leg_index_holds_one_value_store() {
         ("LshEnsembleDiscovery", lshe_b),
         ("MetadataDiscovery", metadata_b),
         ("LakeIndex (3 legs)", index_b),
+        ("ShardedLakeIndex (2 shards)", sharded_b),
         ("bound: lshe + metadata + santos/4", bound),
         ("bound on santos: 1.5 × lake", santos_bound),
         ("bound on lshe: 1.5 × lake", lshe_bound),

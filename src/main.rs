@@ -10,7 +10,7 @@
 //! dialite integrate --lake DIR --tables a,b,c [--operator fd|outer-join|inner-join|union]
 //! dialite analyze   --table T.csv --corr colA,colB
 //! dialite generate  --prompt "covid cases" [--rows N] [--cols N]
-//! dialite snapshot  --data-dir DIR [--lake CSVDIR] [--shards N]
+//! dialite snapshot  --data-dir DIR [--lake CSVDIR]
 //! ```
 //!
 //! `--shards N` stripes the maintained discovery index across N shards
@@ -74,7 +74,7 @@ const USAGE: &str = "usage:
   dialite integrate --lake DIR --tables a,b,c [--operator fd|outer-join|inner-join|union]
   dialite analyze   --table FILE.csv [--corr colA,colB] [--summary]
   dialite generate  --prompt TEXT [--rows N] [--cols N] [--seed S]
-  dialite snapshot  --data-dir DIR [--lake CSVDIR] [--shards N]";
+  dialite snapshot  --data-dir DIR [--lake CSVDIR]";
 
 /// Minimal `--flag value` argument reader.
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -358,13 +358,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 /// Ingest CSVs into the durable lake (each upsert appended to the
 /// commitlog) and write a checkpoint — a snapshot of the lake — so
-/// subsequent `--data-dir` opens replay only what follows it.
+/// subsequent `--data-dir` opens replay only what follows it. A snapshot
+/// holds the lake alone, so no discovery index is built.
 fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let dir = flag(args, "--data-dir").ok_or("--data-dir DIR is required")?;
-    let shards = shards_flag(args)?;
-    let (pipeline, mut lake, mut durable) =
-        Pipeline::open_durable(Path::new(dir), shards, DurableConfig::default())
-            .map_err(|e| format!("opening durable lake at {dir}: {e}"))?;
+    let (mut durable, recovery) = DurableLake::open(Path::new(dir), DurableConfig::default())
+        .map_err(|e| format!("opening durable lake at {dir}: {e}"))?;
+    let mut lake = recovery.lake;
     let mut ingested = 0usize;
     if let Some(csv_dir) = flag(args, "--lake") {
         let fresh = load_lake(csv_dir)?;
@@ -382,8 +382,8 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
             "nothing to snapshot: durable lake at {dir} is empty and no --lake CSVDIR was given"
         ));
     }
-    pipeline
-        .snapshot(&lake, &mut durable)
+    durable
+        .write_snapshot(&lake)
         .map_err(|e| format!("writing snapshot: {e}"))?;
     println!(
         "snapshot written to {dir}: {} tables at lake version {} ({} ingested this run)",
