@@ -320,8 +320,8 @@ impl Pipeline {
     /// index has accumulated across budgeted discovery calls — exact-route
     /// share, partitions pruned, verification counts, budget-exhaustion
     /// rate and per-engine latency buckets. `None` when the pipeline has
-    /// no indexed discovery or the index has not been built yet (no run
-    /// has touched it).
+    /// no indexed discovery or holds no index: none built yet (no run has
+    /// touched it), or [`Pipeline::serve`] took it over, window and all.
     ///
     /// ```
     /// use dialite_core::{demo, Pipeline};
@@ -397,14 +397,19 @@ impl Pipeline {
 
     /// Promote the pipeline's discovery stage to a standalone
     /// [`DiscoveryService`] — the concurrent serving layer: the service
-    /// takes ownership of `lake`, indexes it with the pipeline's KB,
-    /// index configuration and shard count
-    /// ([`PipelineBuilder::shards`]), and serves version-stamped budgeted
+    /// takes ownership of `lake` and of the pipeline's maintained index
+    /// ([`DiscoveryService::from_index`] brings it current with `lake`;
+    /// it is built with the pipeline's KB, index configuration and shard
+    /// count ([`PipelineBuilder::shards`]) only when the pipeline has none
+    /// yet), and serves version-stamped budgeted
     /// queries from many threads behind bounded admission
     /// (`max_in_flight`; see [`ServingConfig`]). The pipeline's own
     /// `top_k` and discovery budget become the service defaults; with
     /// more than one shard, writers lock one shard at a time while
-    /// queries fan out over consistent snapshots.
+    /// queries fan out over consistent snapshots. The index's telemetry
+    /// window moves with it. The pipeline is left without an index and
+    /// builds a fresh one on its next [`Pipeline::run`] or
+    /// [`Pipeline::discover_stage`], as it does for a new lake.
     ///
     /// Returns `None` when the pipeline has no indexed discovery
     /// configured ([`PipelineBuilder::indexed_discovery`]) — plain
@@ -422,22 +427,19 @@ impl Pipeline {
     /// assert!(!response.results.is_empty());
     /// ```
     pub fn serve(&self, lake: DataLake, max_in_flight: usize) -> Option<DiscoveryService> {
-        let guard = self
+        let mut guard = self
             .indexed
             .as_ref()?
-            .read()
+            .write()
             .expect("indexed discovery lock");
+        let index = guard.index.take().unwrap_or_else(|| {
+            ShardedLakeIndex::build(&lake, guard.kb.clone(), guard.config.clone(), guard.shards)
+        });
         let serving = ServingConfig::default()
             .with_max_in_flight(max_in_flight)
             .with_budget(self.budget)
             .with_k(self.top_k);
-        Some(DiscoveryService::with_shards(
-            lake,
-            guard.kb.clone(),
-            guard.config.clone(),
-            serving,
-            guard.shards,
-        ))
+        Some(DiscoveryService::from_index(lake, index, serving))
     }
 
     /// The paper's demo configuration over a given lake: a maintained
@@ -534,8 +536,9 @@ impl Pipeline {
     /// [`Pipeline::serve`] with write-ahead durability: the returned
     /// [`DurableService`] appends every mutation's events to `durable`'s
     /// commitlog under the lake write lock (log order == serialization
-    /// order) and can checkpoint on demand. The serving index is built
-    /// exactly as [`Pipeline::serve`] builds it.
+    /// order) and can checkpoint on demand. The service takes over the
+    /// pipeline's index exactly as [`Pipeline::serve`] does, and the
+    /// pipeline rebuilds its own on its next use.
     ///
     /// Returns `None` when the pipeline has no indexed discovery
     /// configured, exactly like [`Pipeline::serve`].
@@ -1199,6 +1202,156 @@ mod tests {
             .results
             .iter()
             .any(|(_, hits)| hits.iter().any(|d| d.table == "T3")));
+    }
+
+    /// The served service must hold the pipeline's own index, not a
+    /// second build: the telemetry window of the queries the pipeline ran
+    /// before serving moves into the service (a fresh build reads 0).
+    #[test]
+    fn serve_takes_over_the_pipelines_index() {
+        let query = TableQuery::with_column(demo::fig2_query(), 1);
+        let n = 3;
+        let run_then_serve = |pipeline: &Pipeline, lake: &DataLake| {
+            for _ in 0..n {
+                pipeline.discover_stage(lake, &query);
+            }
+            pipeline.telemetry().expect("index built eagerly")
+        };
+        for shards in [1, 2] {
+            let lake = demo::covid_lake();
+            let pipeline = Pipeline::demo_configured(&lake, shards, LakeIndexConfig::default());
+            let window = run_then_serve(&pipeline, &lake);
+            assert_eq!(window.topk.queries, (n * shards) as u64);
+            let service = pipeline.serve(lake, 16).expect("indexed pipeline");
+            assert_eq!(service.discovery_telemetry(), window);
+            assert_eq!(service.shard_count(), shards);
+            assert!(pipeline.telemetry().is_none(), "the index moved out");
+
+            let dir = std::env::temp_dir().join(format!(
+                "dialite_pipeline_serve_{}_{shards}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let (mut durable, _) = DurableLake::open(&dir, DurableConfig::default()).unwrap();
+            durable.write_snapshot(&demo::covid_lake()).unwrap();
+            drop(durable);
+            let (pipeline, lake, durable) = Pipeline::open_durable_configured(
+                &dir,
+                shards,
+                DurableConfig::default(),
+                LakeIndexConfig::default(),
+            )
+            .unwrap();
+            let window = run_then_serve(&pipeline, &lake);
+            assert_eq!(window.topk.queries, (n * shards) as u64);
+            let service = pipeline
+                .serve_durable(lake, 16, durable)
+                .expect("indexed pipeline");
+            assert_eq!(service.service().discovery_telemetry(), window);
+            assert!(pipeline.telemetry().is_none(), "the index moved out");
+            drop(service);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A heterogeneous lake with the demo tables mixed in, and value and
+    /// header queries over it, for the three-leg index.
+    fn hetero_lake() -> (DataLake, Vec<TableQuery>) {
+        let spec = dialite_datagen::workloads::HeterogeneousLakeWorkload {
+            tables: 120,
+            max_rows: 64,
+            queries: 6,
+            ..Default::default()
+        };
+        let mut lake = spec.lake();
+        for (_, table) in demo::covid_lake().entries() {
+            lake.add(table.as_ref().clone()).unwrap();
+        }
+        let queries = spec
+            .queries()
+            .into_iter()
+            .chain(spec.header_queries())
+            .chain([demo::fig2_query()])
+            .map(|q| TableQuery::with_column(q, 0))
+            .collect();
+        (lake, queries)
+    }
+
+    fn three_leg_config() -> LakeIndexConfig {
+        LakeIndexConfig {
+            metadata: Some(dialite_discovery::MetadataConfig::default()),
+            ..LakeIndexConfig::default()
+        }
+    }
+
+    /// `served` answers every query on every leg exactly like a service
+    /// built from scratch over `lake`, under the default and the
+    /// unlimited budget.
+    fn assert_serves_like_a_fresh_build(
+        served: &DiscoveryService,
+        lake: DataLake,
+        shards: usize,
+        queries: &[TableQuery],
+    ) {
+        let fresh = DiscoveryService::with_shards(
+            lake,
+            Arc::new(covid_kb()),
+            three_leg_config(),
+            ServingConfig::default(),
+            shards,
+        );
+        assert_eq!(served.version(), fresh.version());
+        for query in queries {
+            for budget in [DiscoveryBudget::default(), DiscoveryBudget::unlimited()] {
+                assert_eq!(
+                    served.query(query, 5, &budget).unwrap().results,
+                    fresh.query(query, 5, &budget).unwrap().results,
+                    "{}",
+                    query.table.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn serving_a_lake_that_moved_on_syncs_the_handed_over_index() {
+        let (base, queries) = hetero_lake();
+        for shards in [1, 2] {
+            let mut lake = base.clone();
+            let pipeline = Pipeline::demo_configured(&lake, shards, three_leg_config());
+            lake.remove("hetero_t3").unwrap();
+            lake.remove("T2").unwrap();
+            let replacement = lake.get("hetero_t40").unwrap().as_ref().clone();
+            lake.upsert(replacement.renamed("hetero_t7"));
+            lake.add(demo::fig2_query().renamed("query_copy")).unwrap();
+            let service = pipeline.serve(lake.clone(), 16).expect("indexed pipeline");
+            assert_serves_like_a_fresh_build(&service, lake.clone(), shards, &queries);
+
+            // The pipeline rebuilds its own index on its next use.
+            let fresh = Pipeline::demo_configured(&lake, shards, three_leg_config());
+            for query in &queries {
+                assert_eq!(
+                    pipeline.discover_stage(&lake, query),
+                    fresh.discover_stage(&lake, query)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn serving_a_foreign_lineage_rebuilds_the_handed_over_index() {
+        let (base, queries) = hetero_lake();
+        for shards in [1, 2] {
+            let pipeline = Pipeline::demo_configured(&base, shards, three_leg_config());
+            // Built independently: none of its stamps is a state of `base`.
+            let (mut foreign, _) = hetero_lake();
+            foreign.remove("hetero_t11").unwrap();
+            assert!(foreign.events_since(base.version()).is_none());
+            let service = pipeline
+                .serve(foreign.clone(), 16)
+                .expect("indexed pipeline");
+            assert_serves_like_a_fresh_build(&service, foreign, shards, &queries);
+        }
     }
 
     #[test]

@@ -301,29 +301,31 @@ impl LshEnsembleDiscovery {
             .filter_map(|&id| self.tokens.posting(id).map(|list| (id, list)))
             .collect();
         lists.sort_unstable_by_key(|(id, list)| (list.len(), *id));
-        let mut overlap: HashMap<DomainKey, usize> = HashMap::new();
-        let mut scanned = 0usize;
+        // The merged lists' keys, sorted: each domain's run of equal keys
+        // is its overlap `|Q ∩ X|` (a query token id appears once per list
+        // and once per domain run).
+        let mut keys: Vec<DomainKey> = Vec::new();
         let mut merged = 0usize;
         for (_, list) in &lists {
-            if scanned + list.len() > max_postings {
+            if keys.len() + list.len() > max_postings {
                 break;
             }
-            for key in *list {
-                *overlap.entry(*key).or_insert(0) += 1;
-            }
-            scanned += list.len();
+            keys.extend_from_slice(list);
             merged += 1;
         }
+        keys.sort_unstable();
         if merged == lists.len() {
-            stats.candidates_verified = overlap.len();
-            for (key, hits) in overlap {
-                self.fold_best(key, hits as f64 / q_len as f64, exclude_table, &mut best);
+            for run in keys.chunk_by(|a, b| a == b) {
+                stats.candidates_verified += 1;
+                let hits = run.len();
+                self.fold_best(run[0], hits as f64 / q_len as f64, exclude_table, &mut best);
             }
         } else {
             stats.budget_exhausted = true;
             stats.postings_skipped = lists[merged..].iter().map(|(_, list)| list.len()).sum();
+            keys.dedup();
             stats.candidates_verified =
-                self.verify_candidates(overlap.into_keys(), q_ids, q_len, exclude_table, &mut best);
+                self.verify_candidates(keys, q_ids, q_len, exclude_table, &mut best);
         }
         (best, stats)
     }

@@ -191,7 +191,9 @@ impl Drop for AdmissionPermit<'_> {
 /// budgeted queries from many threads at once. [`DiscoveryService::new`]
 /// serves a single shard (the plain [`LakeIndex`](crate::LakeIndex),
 /// byte-for-byte); [`DiscoveryService::with_shards`] stripes the lake
-/// across N shards so writers only write-lock one shard at a time.
+/// across N shards so writers only write-lock one shard at a time; and
+/// [`DiscoveryService::from_index`] takes over an index the caller already
+/// built, so a process holds one index, not two.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -241,7 +243,8 @@ pub struct DiscoveryService {
 impl DiscoveryService {
     /// Build the service: index the lake eagerly and take ownership of
     /// it. One storage shard — byte-for-byte the single-`LakeIndex`
-    /// service; use [`DiscoveryService::with_shards`] to stripe.
+    /// service; use [`DiscoveryService::with_shards`] to stripe, or
+    /// [`DiscoveryService::from_index`] to serve an existing index.
     pub fn new(
         lake: DataLake,
         kb: Arc<KnowledgeBase>,
@@ -255,7 +258,8 @@ impl DiscoveryService {
     /// index shards (0 is clamped to 1): a query probes the shards in
     /// order on its own thread, and mutations write-lock one shard at a
     /// time instead of the world — sharding buys write-lock granularity,
-    /// not read speed.
+    /// not read speed. Builds the index and hands it to
+    /// [`DiscoveryService::from_index`].
     pub fn with_shards(
         lake: DataLake,
         kb: Arc<KnowledgeBase>,
@@ -264,6 +268,21 @@ impl DiscoveryService {
         shards: usize,
     ) -> DiscoveryService {
         let index = ShardedLakeIndex::build(&lake, kb, index_config, shards);
+        DiscoveryService::from_index(lake, index, config)
+    }
+
+    /// Serve `lake` through an index built earlier — the service takes
+    /// ownership of both, and no second index is built. The index is
+    /// first brought current with [`ShardedLakeIndex::sync`]: a no-op when
+    /// it already reflects `lake`, a changelog delta when the lake moved
+    /// on since, a rebuild when `lake` is another lineage. The index's
+    /// KB, configuration, shard count and telemetry window carry over.
+    pub fn from_index(
+        lake: DataLake,
+        index: ShardedLakeIndex,
+        config: ServingConfig,
+    ) -> DiscoveryService {
+        index.sync(&lake);
         DiscoveryService {
             lake: RwLock::new(lake),
             index,

@@ -25,10 +25,6 @@ pub(crate) const MAGIC: &[u8; 8] = b"DLSNAP01";
 pub(crate) fn write(path: &Path, lake: &DataLake) -> io::Result<()> {
     let mut body = Vec::new();
     codec::put_snapshot(&mut body, lake);
-    let mut out = Vec::with_capacity(MAGIC.len() + 8 + body.len());
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&fnv1a64(&body).to_le_bytes());
-    out.extend_from_slice(&body);
 
     let tmp = path.with_extension("tmp");
     {
@@ -37,7 +33,11 @@ pub(crate) fn write(path: &Path, lake: &DataLake) -> io::Result<()> {
             .create(true)
             .truncate(true)
             .open(&tmp)?;
-        f.write_all(&out)?;
+        // Header and body go out as separate writes, so the encoded lake
+        // is held once, not copied behind the header.
+        f.write_all(MAGIC)?;
+        f.write_all(&fnv1a64(&body).to_le_bytes())?;
+        f.write_all(&body)?;
         f.sync_data()?;
     }
     fs::rename(&tmp, path)?;

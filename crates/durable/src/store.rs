@@ -289,6 +289,35 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The snapshot file is exactly `MAGIC ‖ fnv1a64(body) ‖ body`, with
+    /// `body` the codec's encoding of the lake, and it reopens to that lake.
+    #[test]
+    fn snapshot_file_is_magic_checksum_then_body() {
+        let dir = scratch("layout");
+        let (mut durable, rec) = DurableLake::open(&dir, DurableConfig::default()).unwrap();
+        let mut lake = rec.lake;
+        lake.add(table! { "a"; ["x", "y"]; [1, "p"], [2, "q"] })
+            .unwrap();
+        lake.add(table! { "b"; ["z"]; [3.5] }).unwrap();
+        lake.remove("a").unwrap();
+        durable.write_snapshot(&lake).unwrap();
+        drop(durable);
+
+        let mut body = Vec::new();
+        codec::put_snapshot(&mut body, &lake);
+        let mut expected = snapshot::MAGIC.to_vec();
+        expected.extend_from_slice(&fnv1a64(&body).to_le_bytes());
+        expected.extend_from_slice(&body);
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
+
+        let (_, rec) = DurableLake::open(&dir, DurableConfig::default()).unwrap();
+        assert_eq!(rec.replayed, 0);
+        assert_eq!(rec.lake.version(), lake.version());
+        assert_eq!(observable(&rec.lake), observable(&lake));
+        assert_eq!(rec.lake.free_slots(), lake.free_slots());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A snapshot written by an earlier version — its body ending in a
     /// non-empty marker-1 sketch section — opens to the same lake; an
     /// unknown marker is still a hard error; the writer emits marker 0.

@@ -5,7 +5,9 @@
 # and find the seeded join, proving the on-disk format round-trips across
 # process boundaries, not just within one test binary. A fourth process
 # reopens the dir and checkpoints one more joinable CSV into it; a
-# discover after that must find both joinable tables.
+# discover after that must find both joinable tables. A last process
+# serves the CSV lake in memory (`--lake`), the other path by which the
+# pipeline hands its index to the service.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,5 +71,11 @@ for table in cases_by_city city_weather; do
   echo "$out" | grep -q "$table" \
     || { echo "FAIL: checkpoint of a reopened lake lost $table"; echo "$out"; exit 1; }
 done
+
+echo "== serve (process 6: in-memory lake, no data dir) =="
+out="$(run serve --lake "$csv" --query "$workdir/q.csv" --column 0 \
+        --clients 4 --requests 32 --shards 2)"
+echo "$out" | grep -q "cases_by_city" \
+  || { echo "FAIL: in-memory serve lost the joinable table"; echo "$out"; exit 1; }
 
 echo "durable smoke OK"
