@@ -176,9 +176,9 @@ impl MetadataDiscovery {
             min_score: self.config.min_score,
             exclude: query.table.name(),
         };
-        let score = |slot: u32, _: &String| self.score_candidate(&q_cols, self.headers.runs(slot));
+        let score = |slot: u32| self.score_candidate(&q_cols, self.headers.runs(slot));
         let (hits, mut stats) = if cap == usize::MAX {
-            score_all(self.tables.iter(), report, score)
+            score_all(self.tables.iter(), report, |slot, _| score(slot))
         } else {
             let bound = |ov: usize| {
                 let total: f64 = q_cols
@@ -195,8 +195,12 @@ impl MetadataDiscovery {
                     .sum();
                 total / q_cols.len() as f64
             };
-            let ranked = self.headers.ranked(&q_cols, self.config.min_score, bound);
-            bounded_top_k(&self.tables, ranked, cap, report, score)
+            // Header runs are short and header postings heavy: a merge per
+            // scored pair beats counting every posting per domain.
+            let ranked = self
+                .headers
+                .ranked(&q_cols, self.config.min_score, bound, &mut ());
+            bounded_top_k(&self.tables, ranked, cap, report, |slot, _, ()| score(slot))
         };
         stats.full_scan = cap == usize::MAX;
         (hits, stats)

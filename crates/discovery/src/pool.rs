@@ -8,12 +8,16 @@
 //! sorted, deduplicated ids of a column's tokens in the store's pool,
 //! packed with the rest of their table's runs into one block per slot
 //! and read as borrowed `&[u32]` slices
-//! ([`Runs`](crate::retrieval::Runs)). Overlap is then a merge of two runs
-//! ([`intersect_count`]), and Jaccard ([`QueryColumn::jaccard`]) and
-//! containment follow from the same integer count — no string is hashed
-//! per (query, candidate) pair. Query columns resolve through
-//! [`StringPool::get`], never interning; a token the pool never saw is in
-//! no run but still counts in the query's size.
+//! ([`Runs`](crate::retrieval::Runs)). An overlap is an integer count
+//! over ids — no string is hashed per (query, candidate) pair — taken
+//! either from a merge of two runs ([`intersect_count`]) or, on the
+//! typeless SANTOS bounded path, from the store's posting walk, which
+//! counts every query column's overlap with every candidate column it
+//! reaches ([`DomainOverlaps`](crate::retrieval::DomainOverlaps)).
+//! Jaccard ([`QueryColumn::jaccard_of`]) and containment follow from the
+//! count. Query columns resolve through [`StringPool::get`], never
+//! interning; a token the pool never saw is in no run but still counts in
+//! the query's size.
 //!
 //! The pool keeps each token once: its bytes sit back to back in one
 //! arena `String`, found by id through an end offset, and by content
@@ -157,11 +161,20 @@ impl StringPool {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Runs merged by [`intersect_count`] on this thread, so tests can pin
+    /// which paths merge and which read the posting walk's counts.
+    pub(crate) static MERGES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// `|A ∩ B|` for two runs, by one merge. Both inputs must be runs —
 /// sorted and deduplicated — or the count comes out short.
 pub(crate) fn intersect_count(a: &[u32], b: &[u32]) -> usize {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]), "unsorted run");
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]), "unsorted run");
+    #[cfg(test)]
+    MERGES.with(|n| n.set(n.get() + 1));
     let (mut i, mut j, mut hits) = (0, 0, 0);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
@@ -186,11 +199,16 @@ impl QueryColumn {
     /// never saw is in no run but counts in `len`, and `∅` against `∅`
     /// is 1.
     pub(crate) fn jaccard(&self, run: &[u32]) -> f64 {
-        if self.len == 0 && run.is_empty() {
+        self.jaccard_of(intersect_count(&self.ids, run), run.len())
+    }
+
+    /// Jaccard against a run of `run_len` ids sharing `inter` with this
+    /// column, however `inter` was counted.
+    pub(crate) fn jaccard_of(&self, inter: usize, run_len: usize) -> f64 {
+        if self.len == 0 && run_len == 0 {
             return 1.0;
         }
-        let inter = intersect_count(&self.ids, run);
-        let union = self.len + run.len() - inter;
+        let union = self.len + run_len - inter;
         inter as f64 / union as f64
     }
 }

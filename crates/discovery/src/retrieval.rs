@@ -2,17 +2,20 @@
 //! metadata), the slot-indexed tables they score from, and the token
 //! store the discovery legs read.
 //!
-//! * **The kernel.** [`bounded_top_k`] takes `(slot, bound)` candidates
-//!   whose bound is a sound ceiling on the exact score, scores them best
-//!   bound first (slot breaks ties) and stops at the candidate cap, or as
-//!   soon as the k-th kept score strictly beats every remaining bound.
-//!   Tables it never scores can therefore never enter the top-k, and a
-//!   bound that *ties* the k-th score is still scored, so name tie-breaks
-//!   match the exhaustive output: any finite cap covering the candidates
-//!   returns exactly what [`score_all`] — the exhaustive oracle path legs
-//!   run at `cap == usize::MAX` — returns. Both keep a kept hit as a
-//!   `(score, &name)` pair and allocate a name only for the `k` they
-//!   return.
+//! * **The kernel.** [`bounded_top_k`] takes `(slot, bound, mark)`
+//!   candidates whose bound is a sound ceiling on the exact score, scores
+//!   them best bound first (slot breaks ties) and stops at the candidate
+//!   cap, or as soon as the k-th kept score strictly beats every remaining
+//!   bound. Tables it never scores can therefore never enter the top-k,
+//!   and a bound that *ties* the k-th score is still scored, so name
+//!   tie-breaks match the exhaustive output: any finite cap covering the
+//!   candidates returns exactly what [`score_all`] — the exhaustive oracle
+//!   path legs run at `cap == usize::MAX` — returns. Only the prefix the
+//!   cap lets it reach is sorted; the rest is only partitioned off behind
+//!   it. Both keep a kept hit as a `(score, &name)` pair and allocate a
+//!   name only for the `k` they return. A candidate's mark is whatever its
+//!   score reads beyond the slot: the typeless SANTOS leg's handle on the
+//!   walk's per-domain overlap counts, nothing for the other legs.
 //! * **Slot tables.** A leg's per-table state lives in a [`SlotTable`],
 //!   indexed by the lake's stable, reused slot the way `DataLake` stores
 //!   its tables, so reaching a candidate is one indexed load. A shard's
@@ -21,26 +24,34 @@
 //! * **The token store.** [`TokenPostings`] owns an id space: it interns
 //!   each column of a table into a sorted id run, keeps
 //!   `token id → (slot, column)` postings over those runs, resolves query
-//!   columns against its pool, and counts the table-level overlap
-//!   `|Q ∩ T|` the slot-keyed legs turn into bounds. There is one value
-//!   store per shard, read by SANTOS and the joinable leg; metadata keeps
-//!   its header store. SANTOS reads the value runs by slot, the joinable
-//!   leg per column domain for its exact verification and posting merge.
-//!   The store alone rewrites ids on
-//!   compaction; legs read runs by slot or domain and never see a remap.
-//!   Its layout is compact: the pool keeps each token's bytes once, in
-//!   one arena; each indexed slot's runs are one packed block in a slot
-//!   table — the column ends, then the runs back to back — read through a
-//!   borrowed [`Runs`] view; and the postings are a `Vec` indexed by
-//!   dense token id whose lone posting — most tokens sit in one column —
-//!   is stored inline, with no heap list of its own. A token is live
-//!   exactly when its list is non-empty, which is all compaction needs to
-//!   know. The overlap count runs in a per-thread, slot-indexed counter
-//!   whose cells are stamped per query token, so no query clears it.
+//!   columns against its pool, and walks the query's postings once to
+//!   rank candidates ([`TokenPostings::ranked`]). The walk counts the
+//!   table-level overlap `|Q ∩ T|` the slot-keyed legs turn into bounds,
+//!   and, for a [`Tally`] that asks, the per-domain overlap `|Qj ∩ Cc|`
+//!   of every query column `j` and candidate column `c` it reaches
+//!   ([`DomainOverlaps`]): each posting of a query token is one domain
+//!   holding it, so the count is the walk's own work, with no run merged
+//!   and nothing sorted. There is one value store per shard, read by
+//!   SANTOS and the joinable leg; metadata keeps its header store. SANTOS
+//!   reads the value runs by slot, the joinable leg per column domain for
+//!   its exact verification and posting merge. The store alone rewrites
+//!   ids on compaction; legs read runs by slot or domain and never see a
+//!   remap. Its layout is compact: the pool keeps each token's bytes
+//!   once, in one arena; each indexed slot's runs are one packed block in
+//!   a slot table — the column ends, then the runs back to back — read
+//!   through a borrowed [`Runs`] view, with the column count beside it in
+//!   the table's entry; and the postings are a `Vec`
+//!   indexed by dense token id whose lone posting — most tokens sit in
+//!   one column — is stored inline, with no heap list of its own. A token
+//!   is live exactly when its list is non-empty, which is all compaction
+//!   needs to know. The walk finds a candidate through a per-thread,
+//!   slot-indexed cell stamped per query token, so no query clears it.
 //!
 //! A slot-keyed leg keeps only what is its own: annotation, the bound
-//! formula and the score function, which compares runs with
-//! [`QueryColumn::jaccard`].
+//! formula and the score function, which takes Jaccard from
+//! [`QueryColumn::jaccard_of`] — over the walk's counts on the typeless
+//! SANTOS bounded path, over a merge of two runs
+//! ([`QueryColumn::jaccard`]) everywhere else.
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
@@ -147,20 +158,30 @@ pub(crate) fn score_all<'t, T: Named + 't>(
     (report.top(hits), run)
 }
 
-/// Bounded retrieval: score `ranked` best bound first over `tables`,
-/// stopping after `cap` scored candidates or once the k-th kept score
-/// strictly beats every remaining bound. Every `bound` must be at least
-/// its table's `score`.
-pub(crate) fn bounded_top_k<T: Named>(
+/// Bounded retrieval: score `ranked` `(slot, bound, mark)` candidates, one
+/// per slot, best bound first over `tables`, stopping after `cap` scored
+/// candidates or once the k-th kept score strictly beats every remaining
+/// bound. Every `bound` must be at least its table's `score`; the mark is
+/// handed to `score` as it came.
+pub(crate) fn bounded_top_k<T: Named, M: Copy>(
     tables: &SlotTable<T>,
-    mut ranked: Vec<(u32, f64)>,
+    mut ranked: Vec<(u32, f64, M)>,
     cap: usize,
     report: Report,
-    mut score: impl FnMut(u32, &T) -> f64,
+    mut score: impl FnMut(u32, &T, M) -> f64,
 ) -> (Vec<Discovered>, RetrievalStats) {
     // Slot breaks bound ties so the scored prefix is deterministic even
-    // when the cap cuts inside a tie group.
-    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    // when the cap cuts inside a tie group; with one entry per slot the
+    // order is total.
+    let best_first = |a: &(u32, f64, M), b: &(u32, f64, M)| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0));
+    // The loop visits at most `cap + 1` entries plus the ones it skips, so
+    // only that prefix is put in order up front: a query reaching far more
+    // tables than the cap does not pay to sort them all.
+    let mut ordered = cap.saturating_add(1).min(ranked.len());
+    if ordered < ranked.len() {
+        ranked.select_nth_unstable_by(ordered, best_first);
+    }
+    ranked[..ordered].sort_by(best_first);
     let mut run = RetrievalStats {
         candidates_retrieved: ranked.len(),
         ..RetrievalStats::default()
@@ -168,7 +189,12 @@ pub(crate) fn bounded_top_k<T: Named>(
     let mut hits = Vec::new();
     // The best `k` kept scores, descending.
     let mut kept: Vec<f64> = Vec::new();
-    for (pos, &(slot, bound)) in ranked.iter().enumerate() {
+    for pos in 0..ranked.len() {
+        if pos == ordered {
+            ranked[pos..].sort_by(best_first);
+            ordered = ranked.len();
+        }
+        let (slot, bound, mark) = ranked[pos];
         let kth = report.k.checked_sub(1).and_then(|i| kept.get(i));
         if kth.is_some_and(|&kth| kth > bound) {
             run.bound_pruned = ranked.len() - pos;
@@ -185,7 +211,7 @@ pub(crate) fn bounded_top_k<T: Named>(
             continue;
         }
         run.candidates_scored += 1;
-        let s = score(slot, cand);
+        let s = score(slot, cand, mark);
         if report.keeps(s) {
             let at = kept.partition_point(|&x| score_cmp(x, s) == Ordering::Greater);
             kept.insert(at, s);
@@ -330,17 +356,6 @@ pub(crate) fn column_token_sets(table: &Table) -> Vec<HashSet<String>> {
         .collect()
 }
 
-/// Sorted, deduplicated union of runs: a query's distinct token ids.
-fn union(runs: impl IntoIterator<Item = impl AsRef<[u32]>>) -> Vec<u32> {
-    let mut ids: Vec<u32> = Vec::new();
-    for run in runs {
-        ids.extend_from_slice(run.as_ref());
-    }
-    ids.sort_unstable();
-    ids.dedup();
-    ids
-}
-
 /// The column domains holding one token, in no particular order. A lone
 /// domain is stored inline and an empty list allocates nothing, so most
 /// tokens of an open-data lake — the ones in a single column — cost no
@@ -396,6 +411,16 @@ impl Posting {
     }
 }
 
+/// One indexed slot's runs: its column count, kept in the slot table's
+/// entry so a posting walk sizes a candidate's counts without reading the
+/// block, and one packed block — each column's run end, then the runs
+/// back to back.
+#[derive(Clone)]
+struct Packed {
+    columns: u32,
+    block: Box<[u32]>,
+}
+
 /// One slot's column runs, borrowed from its packed block: each column's
 /// sorted, deduplicated token ids, in column order. An unindexed slot
 /// reads as no columns.
@@ -409,9 +434,9 @@ pub(crate) struct Runs<'a> {
 }
 
 impl<'a> Runs<'a> {
-    /// The view of a packed block: `[column count, ends…, ids…]`.
-    fn of(block: &'a [u32]) -> Runs<'a> {
-        let (ends, ids) = block[1..].split_at(block[0] as usize);
+    /// The view of a packed block: `[ends…, ids…]`.
+    fn of(packed: &'a Packed) -> Runs<'a> {
+        let (ends, ids) = packed.block.split_at(packed.columns as usize);
         Runs { ends, ids }
     }
 
@@ -459,10 +484,10 @@ pub(crate) struct TokenPostings {
     /// Indexed by token id, one per pool id: the column domains whose run
     /// contains it. A token is live exactly when its list is non-empty.
     postings: Vec<Posting>,
-    /// Slot → one packed block, the slot's only allocation: its column
-    /// count, each column's run end, then the runs back to back (see
+    /// Slot → its column count and one packed block, the slot's only
+    /// allocation: each column's run end, then the runs back to back (see
     /// [`Runs`]).
-    runs: SlotTable<Box<[u32]>>,
+    runs: SlotTable<Packed>,
     /// Σ run lengths over indexed slots: the live posting entries.
     live_weight: usize,
     /// Posting entries retired since the last compaction.
@@ -495,10 +520,9 @@ impl TokenPostings {
     /// leave the postings and the live weight.
     pub(crate) fn insert(&mut self, slot: u32, columns: &[HashSet<String>]) {
         self.remove(slot);
-        let width = 1 + columns.len() + columns.iter().map(HashSet::len).sum::<usize>();
+        let width = columns.len() + columns.iter().map(HashSet::len).sum::<usize>();
         let mut block: Vec<u32> = Vec::with_capacity(width);
-        block.push(u32::try_from(columns.len()).expect("column count"));
-        block.resize(1 + columns.len(), 0);
+        block.resize(columns.len(), 0);
         let ids_from = block.len();
         let mut sorted: Vec<&str> = Vec::new();
         for (col, tokens) in columns.iter().enumerate() {
@@ -514,19 +538,23 @@ impl TokenPostings {
                 self.postings[id as usize].push((slot, col as u32));
             }
             self.live_weight += run.len();
-            block[1 + col] = u32::try_from(block.len() - ids_from).expect("run end");
+            block[col] = u32::try_from(block.len() - ids_from).expect("run end");
         }
-        self.runs.insert(slot, block.into_boxed_slice());
+        let packed = Packed {
+            columns: u32::try_from(columns.len()).expect("column count"),
+            block: block.into_boxed_slice(),
+        };
+        self.runs.insert(slot, packed);
     }
 
     /// Retire `slot`'s runs and postings, compacting the pool once the
     /// retired weight overtakes the live weight and the floor; a no-op for
     /// an unindexed slot.
     pub(crate) fn remove(&mut self, slot: u32) {
-        let Some(block) = self.runs.remove(slot) else {
+        let Some(packed) = self.runs.remove(slot) else {
             return;
         };
-        let runs = Runs::of(&block);
+        let runs = Runs::of(&packed);
         for (col, run) in runs.iter().enumerate() {
             let key: DomainKey = (slot, col as u32);
             for &id in run {
@@ -548,9 +576,9 @@ impl TokenPostings {
     fn compact(&mut self) {
         let postings = &self.postings;
         let remap = self.pool.compact(|id| !postings[id as usize].is_empty());
-        for block in self.runs.values_mut() {
-            let ids_from = 1 + block[0] as usize;
-            for id in &mut block[ids_from..] {
+        for packed in self.runs.values_mut() {
+            let ids_from = packed.columns as usize;
+            for id in &mut packed.block[ids_from..] {
                 *id = remap[*id as usize];
                 debug_assert_ne!(*id, POOL_ID_DROPPED, "live id dropped");
             }
@@ -562,9 +590,15 @@ impl TokenPostings {
     /// `slot`'s per-column runs, in column order; no columns for an
     /// unindexed slot.
     pub(crate) fn runs(&self, slot: u32) -> Runs<'_> {
+        self.runs.get(slot).map_or_else(Runs::default, Runs::of)
+    }
+
+    /// `slot`'s column count, read without touching its runs; 0 for an
+    /// unindexed slot.
+    pub(crate) fn columns(&self, slot: u32) -> usize {
         self.runs
             .get(slot)
-            .map_or_else(Runs::default, |block| Runs::of(block))
+            .map_or(0, |packed| packed.columns as usize)
     }
 
     /// The run of one column domain; `None` unless it is indexed and
@@ -612,44 +646,59 @@ impl TokenPostings {
         }
     }
 
-    /// Candidates for a query: every slot sharing a token with it, at
-    /// `bound(|Q ∩ T|)`, plus — when the zero-overlap bound could pass the
-    /// reporting filter (`> 0` and `>= min_score`) — every other indexed
-    /// slot at `bound(0)`. Below that filter a zero-overlap table's true
-    /// score fails it too, so leaving it out loses nothing. `|Q ∩ T|` is
-    /// table-level: a query token counts once for a slot however many of
-    /// its columns hold it. Counted in this thread's [`OverlapCounter`].
-    pub(crate) fn ranked(
+    /// Candidates for a query, `(slot, bound, mark)`: every slot sharing a
+    /// token with it, at `bound(|Q ∩ T|)`, plus — when the zero-overlap
+    /// bound could pass the reporting filter (`> 0` and `>= min_score`) —
+    /// every other indexed slot at `bound(0)`. Below that filter a
+    /// zero-overlap table's true score fails it too, so leaving it out
+    /// loses nothing. `|Q ∩ T|` is table-level: a query token counts once
+    /// for a slot however many of its columns hold it. One walk over the
+    /// query tokens' postings, finding candidates through this thread's
+    /// [`OverlapCounter`]; `tally` counts each posting per query column
+    /// holding its token, and marks each candidate — a zero-overlap one
+    /// with [`Tally::UNSEEN`].
+    pub(crate) fn ranked<K: Tally>(
         &self,
         query: &[QueryColumn],
         min_score: f64,
         bound: impl Fn(usize) -> f64,
-    ) -> Vec<(u32, f64)> {
-        let ids = union(query.iter().map(|col| &col.ids));
+        tally: &mut K,
+    ) -> Vec<(u32, f64, K::Mark)> {
+        // Every query token tagged with a column holding it, by token: one
+        // group per distinct token, listing its query columns.
+        let mut tagged: Vec<(u32, u32)> = (0..)
+            .zip(query)
+            .flat_map(|(j, col)| col.ids.iter().map(move |&id| (id, j)))
+            .collect();
+        tagged.sort_unstable();
         let base = bound(0);
         let rank_the_rest = base > 0.0 && base >= min_score;
         OVERLAP.with_borrow_mut(|counter| {
-            let first = counter.begin(self.runs.slot_bound(), ids.len());
-            let mut ranked: Vec<(u32, f64)> = Vec::new();
-            for (i, &id) in ids.iter().enumerate() {
+            let first = counter.begin(self.runs.slot_bound(), tagged.len());
+            // `(slot, |Q ∩ T| until the bound replaces it, mark)`; a
+            // candidate's cell holds its index here.
+            let mut ranked: Vec<(u32, f64, K::Mark)> = Vec::new();
+            for (i, cols) in tagged.chunk_by(|a, b| a.0 == b.0).enumerate() {
                 let stamp = first + i as u32;
-                for &(slot, _) in self.posting(id).unwrap_or_default() {
+                for &(slot, col) in self.posting(cols[0].0).unwrap_or_default() {
                     let cell = &mut counter.cells[slot as usize];
                     if cell.0 < first {
-                        *cell = (stamp, 1);
-                        ranked.push((slot, 0.0));
+                        *cell = (stamp, ranked.len() as u32);
+                        ranked.push((slot, 1.0, tally.open(self, slot)));
                     } else if cell.0 != stamp {
-                        *cell = (stamp, cell.1 + 1);
+                        cell.0 = stamp;
+                        ranked[cell.1 as usize].1 += 1.0;
                     }
+                    tally.count(ranked[cell.1 as usize].2, col, cols);
                 }
             }
-            for (slot, b) in &mut ranked {
-                *b = bound(counter.cells[*slot as usize].1 as usize);
+            for (_, b, _) in &mut ranked {
+                *b = bound(*b as usize);
             }
             if rank_the_rest {
                 for (slot, _) in self.runs.iter() {
                     if counter.cells[slot as usize].0 < first {
-                        ranked.push((slot, base));
+                        ranked.push((slot, base, K::UNSEEN));
                     }
                 }
             }
@@ -678,12 +727,83 @@ impl TokenPostings {
     }
 }
 
-/// [`TokenPostings::ranked`]'s overlap counter: one `(stamp, overlap)`
-/// cell per slot, shared by every store ranked on its thread. Each query
-/// token takes a fresh stamp, so a cell stamped before the query's first
-/// stamp is untouched by the query, and a cell stamped with the current
-/// token's has counted it already. No query clears the cells; they are
-/// cleared only when the stamps would wrap.
+/// What a [`TokenPostings::ranked`] walk counts per candidate beyond the
+/// table-level overlap it ranks by.
+pub(crate) trait Tally {
+    /// What a candidate's score reads its counts through.
+    type Mark: Copy;
+    /// The mark of a candidate no query token reaches.
+    const UNSEEN: Self::Mark;
+    /// `slot`'s first posting: make room for its counts.
+    fn open(&mut self, store: &TokenPostings, slot: u32) -> Self::Mark;
+    /// One posting, in candidate column `col`, of a token the query
+    /// columns `cols` hold (as `(token id, query column)` pairs).
+    fn count(&mut self, mark: Self::Mark, col: u32, cols: &[(u32, u32)]);
+}
+
+/// Table-level overlap only: the metadata leg.
+impl Tally for () {
+    type Mark = ();
+    const UNSEEN: () = ();
+    fn open(&mut self, _: &TokenPostings, _: u32) {}
+    fn count(&mut self, _: (), _: u32, _: &[(u32, u32)]) {}
+}
+
+/// `|Qj ∩ Cc|` for every query column `j` and every column `c` of each
+/// candidate a [`TokenPostings::ranked`] walk reaches: a posting `(slot,
+/// c)` of a token in `Qj` is one token of `Qj ∩ Cc`, and a run holds a
+/// token once. Per candidate, one block of `columns × query columns`
+/// counts, row by candidate column; the mark is where the block starts.
+pub(crate) struct DomainOverlaps {
+    query_columns: usize,
+    counts: Vec<u32>,
+}
+
+impl DomainOverlaps {
+    pub(crate) fn new(query_columns: usize) -> DomainOverlaps {
+        DomainOverlaps {
+            query_columns,
+            counts: Vec::new(),
+        }
+    }
+
+    /// `|Qj ∩ Cc|` of the candidate marked `at`.
+    pub(crate) fn get(&self, at: u32, c: usize, j: usize) -> usize {
+        if at == Self::UNSEEN {
+            return 0;
+        }
+        self.counts[at as usize + c * self.query_columns + j] as usize
+    }
+}
+
+impl Tally for DomainOverlaps {
+    type Mark = u32;
+    const UNSEEN: u32 = u32::MAX;
+
+    fn open(&mut self, store: &TokenPostings, slot: u32) -> u32 {
+        let at = self.counts.len();
+        let width = store.columns(slot) * self.query_columns;
+        self.counts.resize(at + width, 0);
+        u32::try_from(at)
+            .ok()
+            .filter(|&at| at != Self::UNSEEN)
+            .expect("overlap count offset")
+    }
+
+    fn count(&mut self, at: u32, col: u32, cols: &[(u32, u32)]) {
+        let row = at as usize + col as usize * self.query_columns;
+        for &(_, j) in cols {
+            self.counts[row + j as usize] += 1;
+        }
+    }
+}
+
+/// [`TokenPostings::ranked`]'s candidate finder: one `(stamp, candidate
+/// index)` cell per slot, shared by every store ranked on its thread.
+/// Each query token takes a fresh stamp, so a cell stamped before the
+/// query's first stamp is untouched by the query, and a cell stamped with
+/// the current token's has counted it already. No query clears the cells;
+/// they are cleared only when the stamps would wrap.
 #[derive(Default)]
 struct OverlapCounter {
     cells: Vec<(u32, u32)>,
@@ -816,16 +936,12 @@ mod tests {
         /// Run the kernel, recording every table it scores.
         fn bounded(&self, k: usize, cap: usize) -> (Vec<Discovered>, RetrievalStats, Vec<String>) {
             let seen = RefCell::new(Vec::new());
-            let (hits, run) = bounded_top_k(
-                &self.tables,
-                self.ranked.clone(),
-                cap,
-                self.report(k),
-                |_, c| {
+            let ranked = self.ranked.iter().map(|&(slot, b)| (slot, b, ())).collect();
+            let (hits, run) =
+                bounded_top_k(&self.tables, ranked, cap, self.report(k), |_, c, ()| {
                     seen.borrow_mut().push(c.name.clone());
                     c.score
-                },
-            );
+                });
             (hits, run, seen.into_inner())
         }
     }
@@ -884,15 +1000,26 @@ mod tests {
             .collect()
     }
 
+    /// `store.ranked` counting table-level overlap only, as
+    /// `(slot, bound)` in slot order.
+    fn by_slot(
+        store: &TokenPostings,
+        query: &[QueryColumn],
+        bound: impl Fn(usize) -> f64,
+    ) -> Vec<(u32, f64)> {
+        let ranked = store.ranked(query, 0.0, bound, &mut ());
+        let mut got: Vec<(u32, f64)> = ranked.into_iter().map(|(slot, b, ())| (slot, b)).collect();
+        got.sort_by_key(|&(slot, _)| slot);
+        got
+    }
+
     /// `store.ranked` under `bound(ov) = ov + base`, in slot order.
     fn ranked_by_slot(store: &TokenPostings, query: &[Vec<u32>], base: f64) -> Vec<(u32, f64)> {
         let resolved: Vec<QueryColumn> = query
             .iter()
             .map(|nums| store.resolve(&token_set(nums)))
             .collect();
-        let mut got = store.ranked(&resolved, 0.0, |ov| ov as f64 + base);
-        got.sort_by_key(|&(slot, _)| slot);
-        got
+        by_slot(store, &resolved, |ov| ov as f64 + base)
     }
 
     /// Insert `columns` under `slot` into both the store and its oracle.
@@ -1137,6 +1264,68 @@ mod tests {
         }
     }
 
+    /// Every `(slot, bound)` a walk counting per-domain overlaps returns,
+    /// with each `|Qj ∩ Cc|` it counted checked against a merge of `Qj`'s
+    /// ids with column `c`'s run — zero-overlap candidates included — and
+    /// the ranking checked against the table-level walk.
+    fn domain_counts_agree(store: &TokenPostings, query: &[Vec<u32>], base: f64) {
+        let query: Vec<QueryColumn> = query
+            .iter()
+            .map(|nums| store.resolve(&token_set(nums)))
+            .collect();
+        let bound = |ov: usize| ov as f64 + base;
+        let mut overlaps = DomainOverlaps::new(query.len());
+        let ranked = store.ranked(&query, 0.0, bound, &mut overlaps);
+        let mut got: Vec<(u32, f64)> = ranked.iter().map(|&(slot, b, _)| (slot, b)).collect();
+        got.sort_by_key(|&(slot, _)| slot);
+        assert_eq!(got, by_slot(store, &query, bound));
+        for &(slot, _, at) in &ranked {
+            for (c, run) in store.runs(slot).iter().enumerate() {
+                for (j, col) in query.iter().enumerate() {
+                    let merged = crate::pool::intersect_count(&col.ids, run);
+                    assert_eq!(
+                        overlaps.get(at, c, j),
+                        merged,
+                        "slot {slot} column {c} query column {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The walk's per-domain counts equal run merges for every
+        /// candidate and every `(query column, candidate column)` pair:
+        /// multi-column queries whose columns share tokens, hold tokens the
+        /// lake never saw (8 to 11) or none at all, over a store churned
+        /// at both compaction floors — floor 0 compacts on most removals,
+        /// so runs are remapped — whole-lake and scoped to one of three
+        /// stripes, with and without the zero-overlap candidates.
+        #[test]
+        fn walk_counts_equal_run_merges(
+            ops in churn(),
+            query in prop::collection::vec(prop::collection::vec(0u32..12, 0..6), 1..5),
+        ) {
+            for scope in [ShardScope::all(), ShardRouter::new(3).scope(1)] {
+                for compact_min in [0, POOL_COMPACT_MIN] {
+                    let mut store = TokenPostings::new(compact_min, scope);
+                    for (slot, op, columns) in &ops {
+                        if *op == 0 {
+                            store.remove(*slot);
+                        } else {
+                            insert_both(&mut store, &mut Tables::new(), *slot, columns);
+                        }
+                        for base in [0.0, 1.0] {
+                            domain_counts_agree(&store, &query, base);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_posting_list_goes_one_many_one_empty() {
         assert_eq!(std::mem::size_of::<Posting>(), 24);
@@ -1172,8 +1361,7 @@ mod tests {
         store.insert(5, &[set(&["a"]), set(&[])]);
         assert_eq!(store.posting_stats(), (3, 5));
         let query = [store.resolve(&set(&["a", "b", "zz"]))];
-        let mut ranked = store.ranked(&query, 0.0, |ov| ov as f64);
-        ranked.sort_by_key(|&(slot, _)| slot);
+        let ranked = by_slot(&store, &query, |ov| ov as f64);
         assert_eq!(ranked, vec![(3, 2.0), (5, 1.0)]);
     }
 
@@ -1200,9 +1388,7 @@ mod tests {
             // two pools may number the same tokens differently.
             let ranked = |store: &TokenPostings| {
                 let query = [store.resolve(&set(&["a", "b", "d"]))];
-                let mut ranked = store.ranked(&query, 0.0, |ov| ov as f64);
-                ranked.sort_by_key(|&(slot, _)| slot);
-                ranked
+                by_slot(store, &query, |ov| ov as f64)
             };
             assert_eq!(ranked(&twice), ranked(&once));
             assert_eq!(ranked(&twice), vec![(1, 2.0), (3, 2.0)]);

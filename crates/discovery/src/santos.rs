@@ -21,10 +21,13 @@
 //! 4. **Synthesized signal.** Where the KB knows neither domain, direct
 //!    value overlap (Jaccard) between the columns substitutes — the
 //!    laptop-scale stand-in for SANTOS's data-lake-synthesized KB. Column
-//!    value domains are sorted id runs in a value [`TokenPostings`],
-//!    compared by merging runs. A standalone engine owns its store; a
-//!    `LakeIndex` keeps one value store per shard, read by SANTOS and the
-//!    joinable leg.
+//!    value domains are sorted id runs in a value [`TokenPostings`]. A
+//!    typeless query under a finite cap reads every `|Qj ∩ Cc|` off the
+//!    posting walk that ranks its candidates ([`DomainOverlaps`]); typed
+//!    queries and the exhaustive full scan merge the two runs instead, so
+//!    the oracle path counts independently of the walk. A standalone
+//!    engine owns its store; a `LakeIndex` keeps one value store per
+//!    shard, read by SANTOS and the joinable leg.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -32,10 +35,10 @@ use std::sync::Arc;
 use dialite_kb::{Direction, KnowledgeBase, RelationId, TypeId};
 use dialite_table::{DataLake, Table};
 
-use crate::pool::QueryColumn;
+use crate::pool::{intersect_count, QueryColumn};
 use crate::retrieval::{
-    bounded_top_k, column_token_sets, score_all, Named, Report, RetrievalStats, Runs, SlotTable,
-    TokenPostings, POOL_COMPACT_MIN,
+    bounded_top_k, column_token_sets, score_all, DomainOverlaps, Named, Report, RetrievalStats,
+    Runs, SlotTable, TokenPostings, POOL_COMPACT_MIN,
 };
 use crate::shard::ShardScope;
 use crate::types::{score_cmp, Discovered, Discovery, TableQuery};
@@ -211,11 +214,12 @@ impl SantosDiscovery {
 
     /// Similarity of two annotated columns: semantic type agreement when
     /// available on both sides, otherwise the synthesized value-overlap
-    /// signal over the query column's tokens and the candidate's run.
+    /// signal, `synth_weight` times the Jaccard `jaccard` yields.
     fn column_sim(
         &self,
-        (q, q_tokens): (&ColumnSemantics, &QueryColumn),
-        (c, c_run): (&ColumnSemantics, &[u32]),
+        q: &ColumnSemantics,
+        c: &ColumnSemantics,
+        jaccard: impl FnOnce() -> f64,
     ) -> f64 {
         if !q.types.is_empty() && !c.types.is_empty() {
             let mut best = 0.0f64;
@@ -228,7 +232,7 @@ impl SantosDiscovery {
             }
             best
         } else {
-            self.config.synth_weight * q_tokens.jaccard(c_run)
+            self.config.synth_weight * jaccard()
         }
     }
 }
@@ -462,12 +466,18 @@ impl SantosDiscovery {
             min_score: self.config.min_score,
             exclude: query.table.name(),
         };
-        let score = |slot: u32, cand: &TableSemantics| {
-            self.score_candidate((&q_sem, &q_tokens), intent, (cand, self.tokens.runs(slot)))
+        let q = (&q_sem, &q_tokens[..]);
+        // Every `|Qj ∩ Cc|` by a merge of the two runs.
+        let merged = |slot: u32, cand: &TableSemantics| {
+            let runs = self.tokens.runs(slot);
+            let inter = |j: usize, c: usize| {
+                intersect_count(&q_tokens[j].ids, runs.get(c).unwrap_or_default())
+            };
+            self.score_candidate(q, intent, (cand, runs), inter)
         };
         let (hits, mut stats) = if cap == usize::MAX {
             if typeless {
-                score_all(self.tables.iter(), report, score)
+                score_all(self.tables.iter(), report, merged)
             } else {
                 let candidates: HashSet<u32> = q_sem
                     .columns
@@ -480,15 +490,19 @@ impl SantosDiscovery {
                 let tables = candidates
                     .iter()
                     .filter_map(|&slot| Some((slot, self.tables.get(slot)?)));
-                score_all(tables, report, score)
+                score_all(tables, report, merged)
             }
+        } else if typeless {
+            let (ranked, overlaps) = self.typeless_ranked(&q_sem, &q_tokens, intent);
+            bounded_top_k(&self.tables, ranked, cap, report, |slot, cand, at| {
+                let inter = |j: usize, c: usize| overlaps.get(at, c, j);
+                self.score_candidate(q, intent, (cand, self.tokens.runs(slot)), inter)
+            })
         } else {
-            let ranked = if typeless {
-                self.typeless_ranked(&q_sem, &q_tokens, intent)
-            } else {
-                self.typed_ranked(&q_sem, intent)
-            };
-            bounded_top_k(&self.tables, ranked, cap, report, score)
+            let ranked = self.typed_ranked(&q_sem, intent);
+            bounded_top_k(&self.tables, ranked, cap, report, |slot, cand, ()| {
+                merged(slot, cand)
+            })
         };
         stats.full_scan = typeless && cap == usize::MAX;
         if typeless {
@@ -502,7 +516,7 @@ impl SantosDiscovery {
     /// shared-type confidence; the synthesized fallback (≤ synth_weight)
     /// stays reachable when the query column is untyped or the candidate
     /// has an untyped column.
-    fn typed_ranked(&self, q: &TableSemantics, intent: usize) -> Vec<(u32, f64)> {
+    fn typed_ranked(&self, q: &TableSemantics, intent: usize) -> Vec<(u32, f64, ())> {
         let qcols = q.columns.len();
         // Per (candidate, query column): the best confidence of a shared
         // type.
@@ -532,7 +546,7 @@ impl SantosDiscovery {
                         per_col[j]
                     }
                 });
-                Some((slot, b))
+                Some((slot, b, ()))
             })
             .collect()
     }
@@ -546,15 +560,17 @@ impl SantosDiscovery {
     /// `synth_weight`. Zero-overlap candidates can still score — through
     /// pair-edge agreement or empty-column jaccard — so they are ranked at
     /// the zero-overlap bound whenever it could pass the reporting filter.
+    /// The same posting walk counts every `|Qj ∩ Cc|` of the candidates it
+    /// reaches, which their scores read instead of merging runs.
     fn typeless_ranked(
         &self,
         q: &TableSemantics,
         q_tokens: &[QueryColumn],
         intent: usize,
-    ) -> Vec<(u32, f64)> {
+    ) -> (Vec<(u32, f64, u32)>, DomainOverlaps) {
         let synth = self.config.synth_weight.max(0.0);
         let bound = GraphBound::new(&self.config, q, intent);
-        self.tokens.ranked(q_tokens, self.config.min_score, |ov| {
+        let bound = |ov: usize| {
             bound.of(|j| {
                 let qn = q_tokens[j].len;
                 if qn == 0 {
@@ -563,27 +579,40 @@ impl SantosDiscovery {
                     synth * (ov as f64 / qn as f64).min(1.0)
                 }
             })
-        })
+        };
+        let mut overlaps = DomainOverlaps::new(q_tokens.len());
+        let ranked = self
+            .tokens
+            .ranked(q_tokens, self.config.min_score, bound, &mut overlaps);
+        (ranked, overlaps)
     }
 
     /// The graph-matching score of a candidate: the query with its
-    /// resolved columns, the candidate with its runs.
+    /// resolved columns, the candidate with its runs, and `inter(j, c)`
+    /// giving `|Qj ∩ Cc|` — from a merge of the two runs, or from the
+    /// counts of the posting walk that ranked the candidate. Only the
+    /// synthesized signal asks for it.
     fn score_candidate(
         &self,
         (q, q_tokens): (&TableSemantics, &[QueryColumn]),
         intent: usize,
         (cand, c_runs): (&TableSemantics, Runs),
+        inter: impl Fn(usize, usize) -> usize,
     ) -> f64 {
         debug_assert_eq!(c_runs.len(), cand.columns.len(), "runs out of step");
         let qcols = q.columns.len();
         if qcols == 0 || cand.columns.is_empty() {
             return 0.0;
         }
-        let q_col = |j: usize| (&q.columns[j], &q_tokens[j]);
-        let c_col = |i: usize| (&cand.columns[i], c_runs.get(i).unwrap_or_default());
+        let sim = |j: usize, c: usize| {
+            self.column_sim(&q.columns[j], &cand.columns[c], || {
+                let run_len = c_runs.get(c).map_or(0, <[u32]>::len);
+                q_tokens[j].jaccard_of(inter(j, c), run_len)
+            })
+        };
         // Choose the candidate column best matching the intent column.
         let (best_intent_col, intent_sim) = (0..cand.columns.len())
-            .map(|i| (i, self.column_sim(q_col(intent), c_col(i))))
+            .map(|i| (i, sim(intent, i)))
             .max_by(|a, b| score_cmp(a.1, b.1))
             .unwrap();
 
@@ -604,7 +633,7 @@ impl SantosDiscovery {
                 if cj == best_intent_col {
                     continue;
                 }
-                let node = self.column_sim(q_col(j), c_col(cj));
+                let node = sim(j, cj);
                 let edge = match (q_edge, pair_rel(cand, best_intent_col, cj)) {
                     (Some((qr, qd, qc)), Some((cr, cd, cc))) if qr == cr && qd == cd => qc.min(cc),
                     _ => 0.0,
@@ -899,6 +928,48 @@ mod tests {
                 oracle.contains(hit),
                 "capped hit {hit:?} not in oracle {oracle:?}"
             );
+        }
+    }
+
+    /// Runs [`intersect_count`] merges on this thread while `f` runs.
+    fn merges_during<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        crate::pool::MERGES.with(|n| n.set(0));
+        let r = f();
+        (r, crate::pool::MERGES.with(|n| n.get()))
+    }
+
+    #[test]
+    fn bounded_typeless_scores_read_the_walk_counts_and_merge_nothing() {
+        let lake = typeless_lake(6);
+        let engine = SantosDiscovery::build(&lake, Arc::new(covid_kb()), SantosConfig::default());
+        // One and two query columns, the second sharing tokens with the
+        // first and adding one the lake never saw.
+        let two = dialite_table::Table::from_rows(
+            "Q2",
+            &["p", "q"],
+            (0..4)
+                .map(|j| {
+                    vec![
+                        Value::Text(format!("p{j}")),
+                        Value::Text(format!("p{}", j + 2)),
+                    ]
+                })
+                .chain([vec![Value::null_missing(), Value::Text("unseen".into())]])
+                .collect(),
+        )
+        .unwrap();
+        for q in [typeless_query(4), TableQuery::new(two)] {
+            let ((capped, stats), merged) = merges_during(|| engine.discover_capped(&q, 3, 1000));
+            assert!(!stats.full_scan && stats.candidates_scored > 0, "{stats:?}");
+            assert_eq!(merged, 0, "the bounded typeless path merged runs");
+            let ((full, stats), merged) =
+                merges_during(|| engine.discover_capped(&q, 3, usize::MAX));
+            assert!(stats.full_scan, "{stats:?}");
+            assert!(
+                merged >= stats.candidates_scored,
+                "the oracle path counts by merging"
+            );
+            assert_eq!(capped, full);
         }
     }
 

@@ -154,3 +154,83 @@ proptest! {
         check(&lake, &rebuilt, &queries);
     }
 }
+
+/// Typeless multi-column queries: the covering cap, which scores from the
+/// posting walk's per-domain overlap counts, against the exhaustive full
+/// scan, which merges runs, bit for bit.
+fn covering_cap_equals_full_scan(
+    lake: &DataLake,
+    engine: &SantosDiscovery,
+    queries: &[TableQuery],
+) {
+    for query in queries {
+        for k in [1, 3, usize::MAX] {
+            let (full, stats) = engine.discover_capped(query, k, usize::MAX);
+            assert!(stats.full_scan, "query must be typeless");
+            let (capped, stats) = engine.discover_capped(query, k, lake.len());
+            assert!(!stats.full_scan && !stats.cap_hit, "{stats:?}");
+            assert_eq!(bits(&capped), bits(&full), "k {k}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// 2–4-column typeless queries, one column emptied to nulls when
+    /// `token_free` points at it and another holding a token the lake never
+    /// saw, at every intent column, over tables with
+    /// an all-null column spliced in at `nulls`: a finite cap covering the
+    /// lake equals `cap == usize::MAX` on a fresh build and after churn
+    /// that compacts the pool and replaces and drops tables.
+    #[test]
+    fn multi_column_covering_cap_equals_the_full_scan_across_compaction(
+        tables in prop::collection::vec((prop::collection::vec(column(), 1..4), 0usize..5), 4..16),
+        query_cols in prop::collection::vec(column(), 2..5),
+        token_free in 0usize..6,
+        churned in 0usize..4,
+    ) {
+        let tables: Vec<Vec<Vec<String>>> = tables
+            .into_iter()
+            .map(|(mut columns, nulls)| {
+                if nulls <= columns.len() {
+                    columns.insert(nulls, Vec::new());
+                }
+                columns
+            })
+            .collect();
+        let mut lake = DataLake::new();
+        for (i, columns) in tables.iter().enumerate() {
+            lake.add_table(table(&format!("t{i:02}"), columns)).unwrap();
+        }
+        let mut query_cols = query_cols;
+        if let Some(col) = query_cols.get_mut(token_free) {
+            col.clear();
+        }
+        query_cols[usize::from(token_free == 0)].push("never_seen".to_string());
+        let queries: Vec<TableQuery> = (0..query_cols.len())
+            .map(|intent| TableQuery::with_column(table("q", &query_cols), intent))
+            .collect();
+        let kb = Arc::new(covid_kb());
+        let mut engine = SantosDiscovery::build(&lake, kb.clone(), config());
+        covering_cap_equals_full_scan(&lake, &engine, &queries);
+
+        let big: Vec<String> = (0..5000).map(|i| format!("dead{i}")).collect();
+        let big = table("big", &[big]);
+        let slot = lake.add_table(big.clone()).unwrap();
+        engine.upsert_table(slot, &big);
+        lake.remove_table("big").unwrap();
+        engine.remove_table(slot);
+        for (i, columns) in tables.iter().enumerate().take(churned) {
+            let mut columns = columns.clone();
+            columns.reverse();
+            columns[0].push(format!("fresh{i}"));
+            let replaced = table(&format!("t{i:02}"), &columns);
+            let slot = lake.replace_table(replaced.clone());
+            engine.upsert_table(slot, &replaced);
+        }
+        let (slot, _) = lake.remove_table("t03").unwrap();
+        engine.remove_table(slot);
+        covering_cap_equals_full_scan(&lake, &engine, &queries);
+    }
+}
