@@ -52,7 +52,6 @@ fn configs() -> Vec<LakeIndexConfig> {
             lshe: LshEnsembleConfig {
                 num_perm: 64,
                 num_partitions: 4,
-                rebalance_dirtiness: 0.2,
                 pool_compact_min: 0,
                 ..LshEnsembleConfig::default()
             },
@@ -68,7 +67,6 @@ fn configs() -> Vec<LakeIndexConfig> {
                 num_perm: 64,
                 num_partitions: 4,
                 exact_mass_per_token: usize::MAX,
-                rebalance_dirtiness: 0.15,
                 ..LshEnsembleConfig::default()
             },
             metadata: Some(dialite_discovery::MetadataConfig::default()),

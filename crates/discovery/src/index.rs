@@ -10,18 +10,17 @@
 //! delta with `O(changed tables)` work — tokenising each changed table
 //! once into the shard's one value token store, which SANTOS and the
 //! joinable leg both read (metadata keeps its header store), retiring dead
-//! `(table_slot, col)` domain keys, staging ensemble inserts — falling
-//! back to a full rebuild only when
+//! `(table_slot, col)` domain keys, dropping the joinable leg's sketch
+//! layout — falling back to a full rebuild only when
 //! the index is further behind than the bounded changelog reaches (or
 //! when handed an older lineage of the lake).
 //!
 //! Consistency contract, pinned by `tests/incremental_oracle.rs`: after
-//! `sync`, discovery output is equivalent to a fresh build over the lake's
-//! current state — exactly equal for the SANTOS and metadata engines and
-//! for the LSH engine's exact-verification semantics; the sketch
-//! candidate path additionally guarantees that domains staged since the
-//! last partition rebalance are exact-scanned, so fresh churn is never a
-//! false negative.
+//! `sync`, discovery output equals a fresh build's over the lake's
+//! current state — for the SANTOS and metadata engines and for both
+//! routes of the joinable leg: its sketch layout is laid out again over
+//! the store by the first sketch query after a sync, exactly as a fresh
+//! build lays it out.
 //!
 //! The index is a function of the lake: it persists nothing and keeps no
 //! cache between queries, so a recovered process rebuilds it once over
@@ -117,8 +116,8 @@ impl LakeIndex {
     ///
     /// There is one value store per shard, read by SANTOS and the joinable
     /// leg; metadata keeps its header store. One pass tokenises each table
-    /// once for the store, SANTOS annotation and the ensemble builder, and
-    /// hashes nothing (see [`LshEnsembleDiscovery::build_scoped`]).
+    /// once for the store and SANTOS annotation, and hashes nothing (see
+    /// [`LshEnsembleDiscovery::build_scoped`]).
     pub fn build_scoped(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
@@ -211,9 +210,9 @@ impl LakeIndex {
             if !self.scope.admits(slot) {
                 continue;
             }
-            // The joinable leg reads the slot's old runs, so it retires
-            // its domains before the store drops them.
-            self.lshe.unsketch(slot, &store);
+            // The joinable leg's sketch layout covered the old domains.
+            self.lshe.layout.take();
+            self.lshe.table_names.remove(slot);
             self.santos.unannotate(slot);
             store.remove(slot);
             // The slot's *current* content is what matters: later events
@@ -226,7 +225,7 @@ impl LakeIndex {
                 let columns = column_token_sets(table);
                 store.insert(slot, &columns);
                 self.santos.annotate(slot, table, &columns);
-                self.lshe.sketch(slot, table.name(), &columns);
+                self.lshe.table_names.insert(slot, table.name().to_string());
             }
             if let Some(metadata) = &mut self.metadata {
                 match upserted {

@@ -19,8 +19,9 @@
 //!   exact containment verification of candidates. A query whose posting
 //!   mass is below `exact_mass_per_token × |Q|` skips the sketch and is
 //!   answered exactly by one merge over its token posting lists; a heavier
-//!   one takes the sketch, whose domain signatures are computed on first
-//!   probe from the token store. Configured with a vanishing `threshold` and
+//!   one takes the sketch, laid out over the token store by the first such
+//!   query after a write, whose domain signatures are computed on first
+//!   probe from the store. Configured with a vanishing `threshold` and
 //!   `exact_mass_per_token = usize::MAX` the engine is an exact top-k
 //!   overlap (containment) search for every query.
 //! * [`MetadataDiscovery`] — **metadata-aware** search over column headers
@@ -41,7 +42,8 @@
 //! churn-safe maintenance point: it follows the lake changelog
 //! (`DataLake::events_since`) and applies each add/replace/remove with
 //! `O(changed tables)` work instead of rebuilding, staying exactly
-//! equivalent to a fresh build (see `tests/incremental_oracle.rs`).
+//! equivalent to a fresh build on every leg and route (see
+//! `tests/incremental_oracle.rs`).
 //!
 //! The discovery hot path is served by
 //! [`LshEnsembleDiscovery::discover_top_k_with_stats`], the budgeted top-k

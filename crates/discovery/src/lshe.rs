@@ -18,26 +18,28 @@
 //! ([`LshEnsembleDiscovery::exact_discover`]); the probe-all `discover`
 //! and the budgeted
 //! [`discover_top_k_with_stats`](LshEnsembleDiscovery::discover_top_k_with_stats)
-//! share that routing and that merge. **Signatures on demand:** only a
-//! heavier query takes the sketch, and the ensemble's first probe of a
-//! partition signs its domains by hashing their token strings straight
-//! from the store (`LshEnsembleDiscovery::sign`). Building and upserting
-//! hash nothing, and no signature outlives the process: the engine is a
-//! function of the lake it was built and synced over.
+//! share that routing and that merge. **The sketch is a function of the
+//! store:** only a heavier query takes the sketch, and the first such
+//! query lays the ensemble out over the store's live domains — keys and
+//! run lengths, nothing hashed — and a partition's first probe signs its
+//! domains by hashing their token strings straight from the store
+//! (`LshEnsembleDiscovery::sign`). Building and upserting hash nothing,
+//! and no signature outlives the layout it was computed for.
 //!
 //! The engine is incrementally maintainable: [`LshEnsembleDiscovery::
 //! upsert_table`] / [`LshEnsembleDiscovery::remove_table`] apply one
-//! table's worth of work (stage its domains' sizes, retire its dead domain
-//! keys and postings) instead of rebuilding over the whole lake — `LakeIndex` drives
-//! these from the lake changelog. Staged (not-yet-rebalanced) domains are
-//! exact-scanned at query time, so a freshly added table is discoverable
-//! immediately, never an LSH false negative. The store reclaims removed
-//! tables' tokens by pool compaction once the retired token weight
-//! overtakes the live weight (and [`LshEnsembleConfig::pool_compact_min`]),
-//! so long-churn memory stays bounded.
+//! table's worth of work to the store (intern its tokens, retire its dead
+//! domain keys and postings) instead of rebuilding over the whole lake —
+//! `LakeIndex` drives these from the lake changelog — and drop the layout,
+//! so the next sketch query lays out the store as it is then. A synced
+//! engine therefore answers every query, on either route, exactly like a
+//! fresh build over the same lake. The store reclaims removed tables'
+//! tokens by pool compaction once the retired token weight overtakes the
+//! live weight (and [`LshEnsembleConfig::pool_compact_min`]), so
+//! long-churn memory stays bounded.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dialite_minhash::{LshEnsemble, LshEnsembleBuilder, MinHasher, Signature};
 use dialite_table::{DataLake, Table};
@@ -70,9 +72,6 @@ pub struct LshEnsembleConfig {
     /// answer is exact. `0` sends every query to the sketch and
     /// `usize::MAX` every query to the merge.
     pub exact_mass_per_token: usize,
-    /// Fraction of live domains that may be dirty (staged inserts +
-    /// tombstones) before a mutation triggers ensemble re-partitioning.
-    pub rebalance_dirtiness: f64,
     /// Floor on the retired-token weight before a mutation may trigger
     /// pool compaction; keeps tiny lakes from compacting on every remove.
     /// In a `LakeIndex` it floors the shard's shared value store.
@@ -87,7 +86,6 @@ impl Default for LshEnsembleConfig {
             threshold: 0.5,
             seed: 0x1517,
             exact_mass_per_token: 256,
-            rebalance_dirtiness: 0.25,
             pool_compact_min: POOL_COMPACT_MIN,
         }
     }
@@ -98,13 +96,15 @@ impl Default for LshEnsembleConfig {
 pub struct LshEnsembleDiscovery {
     pub(crate) config: LshEnsembleConfig,
     pub(crate) hasher: MinHasher,
-    pub(crate) ensemble: LshEnsemble<DomainKey>,
+    /// The sketch's layout over the store's live domains: laid out by the
+    /// first sketch-route probe ([`Self::layout`]), dropped by every
+    /// mutation.
+    pub(crate) layout: OnceLock<LshEnsemble<DomainKey>>,
     /// Lake table names by slot index (live tables only).
     pub(crate) table_names: SlotTable<String>,
     /// Every column's sorted token-id run, for exact verification, and the
     /// exact posting lists over them. Maintained through every
-    /// upsert/remove, in lockstep with `ensemble`; in a `LakeIndex` shard,
-    /// the store SANTOS reads too.
+    /// upsert/remove; in a `LakeIndex` shard, the store SANTOS reads too.
     pub(crate) tokens: Arc<TokenPostings>,
 }
 
@@ -115,15 +115,15 @@ impl LshEnsembleDiscovery {
     }
 
     /// Index one shard's stripe of the lake (the slots `scope`
-    /// [`admits`](ShardScope::admits)): the shard's token store and
-    /// equi-depth ensemble partitions are computed over the
-    /// stripe alone, exactly as [`LshEnsembleDiscovery::build`] computes
-    /// them over the whole lake. [`ShardScope::all`] reproduces the
-    /// unscoped build.
+    /// [`admits`](ShardScope::admits)): the shard's token store is
+    /// computed over the stripe alone, exactly as
+    /// [`LshEnsembleDiscovery::build`] computes it over the whole lake.
+    /// [`ShardScope::all`] reproduces the unscoped build.
     ///
-    /// The build hashes nothing: a domain's MinHash signature is computed
-    /// by the first sketch probe of its ensemble partition, from its run
-    /// in the store.
+    /// The build lays out no ensemble and hashes nothing: the first
+    /// sketch-route query lays the ensemble out over the store, and a
+    /// domain's MinHash signature is computed by the first sketch probe of
+    /// its partition, from its run in the store.
     pub fn build_scoped(
         lake: &DataLake,
         config: LshEnsembleConfig,
@@ -140,28 +140,19 @@ impl LshEnsembleDiscovery {
         scope: ShardScope,
         mut each: impl FnMut(u32, &Table, &[HashSet<String>]),
     ) -> LshEnsembleDiscovery {
-        let mut builder = LshEnsembleBuilder::new(config.num_perm);
         let mut table_names = SlotTable::new(scope);
         let mut tokens = TokenPostings::new(config.pool_compact_min, scope);
         for (t, table) in lake.entries_routed(scope.shard(), scope.of()) {
             table_names.insert(t, table.name().to_string());
             let columns = column_token_sets(table);
-            for (c, col) in columns.iter().enumerate() {
-                if col.is_empty() {
-                    continue;
-                }
-                builder.insert((t, c as u32), col.len());
-            }
             tokens.insert(t, &columns);
             each(t, table, &columns);
         }
         let hasher = MinHasher::new(config.num_perm, config.seed);
-        let mut ensemble = builder.build(config.num_partitions);
-        ensemble.set_rebalance_threshold(config.rebalance_dirtiness);
         LshEnsembleDiscovery {
             config,
             hasher,
-            ensemble,
+            layout: OnceLock::new(),
             table_names,
             tokens: Arc::new(tokens),
         }
@@ -174,33 +165,37 @@ impl LshEnsembleDiscovery {
         self.hasher.signatures_computed()
     }
 
-    /// Index (or re-index) one table under its lake slot. `O(table)`.
+    /// Index (or re-index) one table under its lake slot. `O(table)`;
+    /// drops the sketch layout.
     pub fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
         let columns = column_token_sets(table);
-        self.sketch(slot, table.name(), &columns);
+        self.table_names.insert(slot, table.name().to_string());
         Arc::make_mut(&mut self.tokens).insert(slot, &columns);
     }
 
     /// Retire every domain of the table occupying a lake slot.
-    /// `O(columns of that table + their postings)`.
+    /// `O(columns of that table + their postings)`; drops the sketch
+    /// layout.
     pub fn remove_table(&mut self, slot: u32) {
-        let mut tokens = std::mem::take(&mut self.tokens);
-        self.unsketch(slot, &tokens);
-        Arc::make_mut(&mut tokens).remove(slot);
-        self.tokens = tokens;
+        self.layout.take();
+        self.table_names.remove(slot);
+        Arc::make_mut(&mut self.tokens).remove(slot);
     }
 
-    /// The ensemble half of [`upsert_table`](Self::upsert_table), from
-    /// precomputed token sets; the slot must not be indexed. It stages
-    /// each column's size and hashes nothing.
-    pub(crate) fn sketch(&mut self, slot: u32, name: &str, columns: &[HashSet<String>]) {
-        self.table_names.insert(slot, name.to_string());
-        for (c, col) in columns.iter().enumerate() {
-            if !col.is_empty() {
-                self.ensemble.insert((slot, c as u32), col.len());
+    /// The ensemble over the store's live domains, laid out by the first
+    /// call since the last mutation: one `(key, run length)` entry per
+    /// domain, partitioned by size and signed by nothing. Concurrent first
+    /// calls block on one layout. The layout depends on the store's
+    /// domains alone, so it equals a fresh build's over the same lake.
+    pub(crate) fn layout(&self) -> &LshEnsemble<DomainKey> {
+        self.layout.get_or_init(|| {
+            let mut builder = LshEnsembleBuilder::new(self.config.num_perm);
+            for key in self.tokens.domains() {
+                builder.insert(key, self.tokens.run(key).map_or(0, <[u32]>::len));
             }
-        }
+            builder.build(self.config.num_partitions)
+        })
     }
 
     /// The MinHash signature of an indexed domain, hashed from its token
@@ -224,16 +219,6 @@ impl LshEnsembleDiscovery {
     pub(crate) fn routes_exact(&self, q_ids: &[u32], q_len: usize) -> bool {
         let line = self.config.exact_mass_per_token.saturating_mul(q_len);
         self.tokens.posting_mass(q_ids) < line
-    }
-
-    /// The ensemble half of [`remove_table`](Self::remove_table). It reads
-    /// the slot's runs, so it must run before the store retires the slot.
-    pub(crate) fn unsketch(&mut self, slot: u32, tokens: &TokenPostings) {
-        if self.table_names.remove(slot).is_some() {
-            for key in tokens.domains_of(slot) {
-                self.ensemble.remove(&key);
-            }
-        }
     }
 
     /// Number of indexed column domains.
@@ -403,11 +388,9 @@ impl Discovery for LshEnsembleDiscovery {
             self.exact_discover(&q_ids, q_len, exclude, usize::MAX).0
         } else {
             let sig = self.hasher.signature(q_tokens.iter().map(String::as_str));
-            // The candidates include every domain staged since the last
-            // rebalance, so fresh churn is never an LSH false negative.
             let sign = |key: &DomainKey| self.sign(key);
             let cands = self
-                .ensemble
+                .layout()
                 .query(&sig, q_len, self.config.threshold, &sign);
             let mut best = HashMap::new();
             self.verify_candidates(cands, &q_ids, q_len, exclude, &mut best);
@@ -524,57 +507,120 @@ mod tests {
         assert_eq!(check(&engine, &lake), 8);
     }
 
-    /// On the sketch path under churn, upserts hash nothing, a probe signs
-    /// only what no earlier probe signed, and answers stay sound and find
-    /// a staged superset at once.
+    /// A hub-lake table `t{t}`: the four hub tokens and one of its own.
+    fn hub_table(t: usize) -> Table {
+        let mut rows: Vec<Vec<Value>> = (0..4)
+            .map(|h| vec![Value::Text(format!("hub{h}"))])
+            .collect();
+        rows.push(vec![Value::Text(format!("t{t}_v0"))]);
+        Table::from_rows(&format!("t{t}"), &["k"], rows).unwrap()
+    }
+
+    /// The probe-all answer to `q` and the signatures it computed.
+    fn sketched(engine: &LshEnsembleDiscovery, q: &TableQuery) -> (Vec<Discovered>, u64) {
+        let before = engine.sketch_work();
+        let hits = engine.discover(q, 50);
+        (hits, engine.sketch_work() - before)
+    }
+
+    /// On the sketch path under churn, upserts and removals hash nothing,
+    /// the first sketch query after a write re-signs every domain it
+    /// probes and a repeat signs none, and every answer is sound and
+    /// equals a fresh build's over the same lake.
     #[test]
     fn sketch_path_signs_on_demand_under_churn() {
         let mut lake = hub_lake(24);
-        let config = LshEnsembleConfig {
-            rebalance_dirtiness: 0.2,
-            ..sketch_config()
-        };
-        let mut engine = LshEnsembleDiscovery::build(&lake, config);
+        let mut engine = LshEnsembleDiscovery::build(&lake, sketch_config());
         let q = query_over(&lake, "t3", 10);
         let domains = engine.indexed_domains() as u64;
-        let sketched = |engine: &LshEnsembleDiscovery, q: &TableQuery| {
-            let before = engine.sketch_work();
-            let hits = engine.discover(q, 50);
-            (hits, engine.sketch_work() - before)
-        };
         assert_eq!(sketched(&engine, &q).1, 1 + domains);
         assert_eq!(sketched(&engine, &q).1, 1, "a repeat probe signed again");
         for t in 24..30 {
-            let mut rows: Vec<Vec<Value>> = (0..4)
-                .map(|h| vec![Value::Text(format!("hub{h}"))])
-                .collect();
-            rows.push(vec![Value::Text(format!("t{t}_v0"))]);
-            let fresh = Table::from_rows(&format!("t{t}"), &["k"], rows).unwrap();
+            let work = engine.sketch_work();
+            let fresh = hub_table(t);
             let slot = lake.add_table(fresh.clone()).unwrap();
             engine.upsert_table(slot, &fresh);
             let (slot, _) = lake.remove_table(&format!("t{}", t - 20)).unwrap();
             engine.remove_table(slot);
-            let (hits, _) = sketched(&engine, &q);
+            assert_eq!(engine.sketch_work(), work, "a write hashed");
+            let rebuilt = LshEnsembleDiscovery::build(&lake, sketch_config());
+            let (hits, signed) = sketched(&engine, &q);
+            assert_eq!(signed, 1 + domains, "the new layout was not signed");
+            assert_eq!(
+                hits,
+                rebuilt.discover(&q, 50),
+                "diverged from a fresh build"
+            );
             let truth = brute(&lake, &q, engine.config.threshold);
             for d in &hits {
                 assert_eq!(truth.get(&d.table), Some(&d.score), "{}", d.table);
             }
+            // A query equal to the new table's domain has its signature,
+            // so every band finds it.
             let own = query_over(&lake, &format!("t{t}"), 5);
             let (hits, _) = sketched(&engine, &own);
             assert!(
                 hits.iter()
                     .any(|d| d.table == format!("t{t}") && d.score == 1.0),
-                "staged or fresh t{t} missed: {hits:?}"
+                "fresh t{t} missed: {hits:?}"
             );
+            assert_eq!(hits, rebuilt.discover(&own, 50));
         }
         assert_eq!(engine.indexed_domains() as u64, domains);
-        // Every live partitioned domain was signed by a probe; a staged
-        // one waits for the rebalance that partitions it.
-        let staged = engine.ensemble.staged_keys().count() as u64;
-        assert!(staged > 0);
+    }
+
+    /// The sketch layout exists only between a sketch-route probe and the
+    /// next write: a build, an upsert, a removal and an exact-route query
+    /// leave none, and the first sketch answer after a write equals a
+    /// fresh build's.
+    #[test]
+    fn the_layout_lives_from_a_sketch_probe_to_the_next_write() {
+        let mut lake = hub_lake(24);
+        // Private tokens (mass 1) route exact, hub tokens (mass 24) route
+        // to the sketch.
+        let config = LshEnsembleConfig {
+            exact_mass_per_token: 2,
+            ..LshEnsembleConfig::default()
+        };
+        let mut engine = LshEnsembleDiscovery::build(&lake, config.clone());
+        let laid_out = |engine: &LshEnsembleDiscovery| engine.layout.get().is_some();
+        assert!(!laid_out(&engine), "the build laid out the sketch");
+        let rows = (1..8).map(|i| vec![Value::Text(format!("t3_v{i}"))]);
+        let exact =
+            TableQuery::with_column(Table::from_rows("q", &["k"], rows.collect()).unwrap(), 0);
+        let budget = crate::QueryBudget::unlimited();
+        let (hits, stats) = engine.discover_top_k_with_stats(&exact, 5, &budget);
+        assert!(stats.exact_path);
+        assert_eq!(hits[0].table, "t3");
+        assert!(
+            !laid_out(&engine),
+            "an exact-route query laid out the sketch"
+        );
+        let sketch = query_over(&lake, "t3", 10);
+        let (_, stats) = engine.discover_top_k_with_stats(&sketch, 5, &budget);
+        assert!(!stats.exact_path);
+        assert!(laid_out(&engine), "a sketch probe left no layout");
+        assert_eq!(engine.layout().len(), engine.indexed_domains());
+
+        let fresh = hub_table(24);
+        let slot = lake.add_table(fresh.clone()).unwrap();
+        engine.upsert_table(slot, &fresh);
+        assert!(!laid_out(&engine), "an upsert kept the layout");
+        let rebuilt = LshEnsembleDiscovery::build(&lake, config.clone());
+        assert_eq!(engine.discover(&sketch, 50), rebuilt.discover(&sketch, 50));
+        assert!(laid_out(&engine));
+
+        let (slot, _) = lake.remove_table("t3").unwrap();
+        engine.remove_table(slot);
+        assert!(!laid_out(&engine), "a removal kept the layout");
+        let rebuilt = LshEnsembleDiscovery::build(&lake, config);
         assert_eq!(
-            engine.ensemble.export_entries().len() as u64,
-            domains - staged
+            engine.discover_top_k_with_stats(&sketch, 5, &budget),
+            rebuilt.discover_top_k_with_stats(&sketch, 5, &budget)
+        );
+        assert_eq!(
+            engine.layout().partition_bounds(),
+            rebuilt.layout().partition_bounds()
         );
     }
 

@@ -22,20 +22,21 @@
 //!    answered exactly by one posting merge over its tokens (cheapest list
 //!    first, under the [`QueryBudget::postings`] cap); only a query heavy
 //!    enough that merging would cost more than hashing takes the sketch,
-//!    hashes its own column, and a partition's first probe signs its
-//!    domains from the store.
+//!    hashes its own column, lays the ensemble out over the store when no
+//!    sketch query has done so since the last write, and a partition's
+//!    first probe signs its domains from the store.
 //!
-//! The search keeps no state between queries. With an unlimited
-//! [`QueryBudget`] it returns exactly what the probe-all path returns
-//! (same tables, same scores, same tie-breaks) — pinned by tests — while
-//! probing a fraction of the partitions on skewed lakes. Budgets cap the
-//! partitions probed and candidates verified for latency-bound serving;
-//! budgeted results are best-effort but every reported score is still an
-//! exactly verified containment. Staged (fresh-churn) domains are always
-//! verified regardless of budget, preserving the "churn is never a false
-//! negative" guarantee.
+//! The search keeps no state between queries beyond that layout, which
+//! is a function of the store: a synced engine answers like a fresh
+//! build over the same lake. With an unlimited [`QueryBudget`] it returns
+//! exactly what the probe-all path returns (same tables, same scores,
+//! same tie-breaks) — pinned by tests — while probing a fraction of the
+//! partitions on skewed lakes. Budgets cap the partitions probed and
+//! candidates verified for latency-bound serving; budgeted results are
+//! best-effort but every reported score is still an exactly verified
+//! containment.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use crate::lshe::LshEnsembleDiscovery;
 use crate::retrieval::DomainKey;
@@ -52,11 +53,11 @@ use crate::types::{top_k, Discovered, TableQuery};
 /// would find.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryBudget {
-    /// Maximum LSH partitions probed (staged-domain verification and the
-    /// exact small-query path do not count against this).
+    /// Maximum LSH partitions probed (the exact small-query path does not
+    /// count against this).
     pub max_partitions: usize,
-    /// Maximum candidate domains verified against their token-id sets.
-    /// Staged (fresh-churn) domains are always verified and do not count.
+    /// Maximum candidate domains verified against their token-id sets on
+    /// the sketch path.
     pub max_verifications: usize,
     /// Maximum posting entries the exact path's merge may scan per query.
     /// Lists are merged cheapest first, and the merge stops before a list
@@ -348,15 +349,9 @@ impl LshEnsembleDiscovery {
         }
 
         let sig = self.hasher.signature(q_tokens.iter().map(String::as_str));
-
-        // Fresh-churn safety first: staged domains are verified exactly,
-        // always, outside any budget — a just-added table must never be a
-        // false negative.
         let mut best: HashMap<&str, f64> = HashMap::new();
-        let mut seen: HashSet<DomainKey> = self.ensemble.staged_keys().copied().collect();
-        self.verify_candidates(seen.iter().copied(), &q_ids, q_len, exclude, &mut best);
-
-        let plan = self.ensemble.probe_plan(q_len);
+        let layout = self.layout();
+        let plan = layout.probe_plan(q_len);
         let sign = |key: &DomainKey| self.sign(key);
         let mut remaining = plan.len();
         for probe in &plan {
@@ -385,21 +380,18 @@ impl LshEnsembleDiscovery {
             stats.partitions_probed += 1;
             remaining -= 1;
 
-            let mut fresh: Vec<DomainKey> = self
-                .ensemble
-                .query_partition(probe.partition, &sig, q_len, threshold, &sign)
-                .into_iter()
-                .filter(|key| seen.insert(*key))
-                .collect();
+            // Partitions are disjoint: no candidate repeats across probes.
+            let mut candidates =
+                layout.query_partition(probe.partition, &sig, q_len, threshold, &sign);
             let verify_left = budget
                 .max_verifications
                 .saturating_sub(stats.candidates_verified);
-            if fresh.len() > verify_left {
-                fresh.truncate(verify_left);
+            if candidates.len() > verify_left {
+                candidates.truncate(verify_left);
                 stats.budget_exhausted = true;
             }
             stats.candidates_verified +=
-                self.verify_candidates(fresh, &q_ids, q_len, exclude, &mut best);
+                self.verify_candidates(candidates, &q_ids, q_len, exclude, &mut best);
             if stats.budget_exhausted {
                 stats.partitions_pruned += remaining;
                 break;
@@ -509,7 +501,7 @@ mod tests {
         assert!(!stats.budget_exhausted);
         assert_eq!(
             stats.partitions_probed + stats.partitions_pruned,
-            engine.ensemble.partition_count()
+            engine.layout().partition_count()
         );
     }
 
@@ -526,6 +518,14 @@ mod tests {
         for d in &hits {
             assert!(d.score >= engine.config.threshold - 1e-12, "{d:?}");
         }
+        // A zero budget probes and verifies nothing: an empty answer, with
+        // every partition pruned.
+        let budget = budget.with_max_partitions(0).with_max_verifications(0);
+        let (hits, stats) = engine.discover_top_k_with_stats(&q, 5, &budget);
+        assert!(hits.is_empty(), "{hits:?}");
+        assert!(stats.budget_exhausted);
+        assert_eq!(stats.partitions_probed, 0);
+        assert_eq!(stats.partitions_pruned, engine.layout().partition_count());
     }
 
     #[test]
@@ -544,33 +544,6 @@ mod tests {
         assert!(!stats.exact_path);
         assert!(stats.candidates_verified <= 1, "{stats:?}");
         assert!(stats.budget_exhausted, "{stats:?}");
-    }
-
-    #[test]
-    fn staged_domains_are_verified_even_under_zero_budget() {
-        let (mut lake, q) = skewed_lake(10);
-        let engine_cfg = LshEnsembleConfig {
-            // Never auto-rebalance: the fresh table stays staged.
-            rebalance_dirtiness: f64::INFINITY,
-            ..sketch_config()
-        };
-        let mut engine = LshEnsembleDiscovery::build(&lake, engine_cfg);
-        let fresh_rows: Vec<Vec<Value>> = (0..70)
-            .map(|i| vec![Value::Text(format!("tok{i}"))])
-            .collect();
-        let fresh = Table::from_rows("fresh_superset", &["k"], fresh_rows).unwrap();
-        let slot = lake.add_table(fresh.clone()).unwrap();
-        engine.upsert_table(slot, &fresh);
-        let budget = QueryBudget::unlimited()
-            .with_max_partitions(0)
-            .with_max_verifications(0);
-        let (hits, stats) = engine.discover_top_k_with_stats(&q, 5, &budget);
-        assert!(!stats.exact_path);
-        assert!(
-            hits.iter()
-                .any(|d| d.table == "fresh_superset" && (d.score - 1.0).abs() < 1e-12),
-            "staged superset must surface despite a zero budget: {hits:?} {stats:?}"
-        );
     }
 
     #[test]

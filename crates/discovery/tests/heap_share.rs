@@ -12,12 +12,12 @@
 //!   two `String`s per token and a heap list per posting put the engine
 //!   near 3× the lake.
 //! * **Signatures on demand.** A standalone `LshEnsembleDiscovery` — the
-//!   same value store plus a few words per domain in its ensemble — holds
-//!   at most 1.5× the lake too, and neither it nor the `LakeIndex` has
-//!   computed a MinHash signature by the end of its build: a domain is
-//!   signed by the first sketch probe of its partition. Signing every
-//!   domain at build time (2 KiB per domain at 256 permutations) put the
-//!   leg near 2.8× the lake.
+//!   same value store and no ensemble layout, which the first sketch-route
+//!   query lays out — holds at most 1.5× the lake too, and neither it nor
+//!   the `LakeIndex` has computed a MinHash signature by the end of its
+//!   build: a domain is signed by the first sketch probe of its partition.
+//!   Signing every domain at build time (2 KiB per domain at 256
+//!   permutations) put the leg near 2.8× the lake.
 //!
 //! A counting global allocator measures each structure's live heap on a
 //! heterogeneous open-data lake and the test prints the table, with a

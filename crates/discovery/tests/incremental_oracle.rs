@@ -1,7 +1,6 @@
 //! Incremental-vs-rebuild oracle: a `LakeIndex` maintained through a random
 //! churn trace must answer discovery queries exactly like a fresh `build()`
-//! over the lake's final state — including after tombstone-triggered
-//! ensemble rebalances.
+//! over the lake's final state.
 //!
 //! Two regimes are pinned:
 //!
@@ -9,14 +8,14 @@
 //!   sketch bypassed (`exact_mass_per_token = usize::MAX`), discovery
 //!   output is a pure function of the maintained domain/annotation state,
 //!   so incremental and rebuilt indexes must agree bit-for-bit on keys
-//!   *and* scores. Any drift in tombstoning, pool interning, slot keying
-//!   or the SANTOS inverted index surfaces here.
-//! * **Sketch-path soundness**: with every query routed through the LSH
-//!   candidate path (`exact_mass_per_token = 0`), reported
-//!   results must still be a subset of the brute-force truth at exact
-//!   scores (candidates are verified), and a *freshly churned-in* table —
-//!   staged since the last rebalance — must never be a false negative for
-//!   a query it fully contains.
+//!   *and* scores. Any drift in domain retirement, pool interning, slot
+//!   keying or the SANTOS inverted index surfaces here.
+//! * **The sketch route** (`exact_mass_per_token = 0`, every query
+//!   through the LSH candidate path): reported results must be a subset
+//!   of the brute-force truth at exact scores (candidates are verified),
+//!   and a synced index must answer exactly like a fresh build — its
+//!   ensemble is laid out again over the store after every sync, so both
+//!   lay out the same partitions and sign the same domains.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,9 +43,6 @@ fn exact_config() -> LakeIndexConfig {
             // Bypass the sketch: every stored domain is verified exactly,
             // making discovery output deterministic given the lake state.
             exact_mass_per_token: usize::MAX,
-            // Tiny dirtiness budget → frequent tombstone-triggered
-            // rebalances inside the trace, exercising re-partitioning.
-            rebalance_dirtiness: 0.15,
             ..LshEnsembleConfig::default()
         },
         // Three legs: incremental maintenance of the metadata engine must
@@ -170,16 +166,11 @@ proptest! {
     /// small lakes takes the exact merge) and the sketch route
     /// (`exact_mass_per_token = 0`, every query hashes and probes). On
     /// each, an incrementally maintained `LakeIndex` (pool compaction
-    /// forced on) answers `discover_top_k` exactly like the probe-all
-    /// path, a repeat query answers like the first (the first probe of a
-    /// partition signs it, the repeat reads those signatures), and the
-    /// posting lists stay in lockstep with a fresh build's.
-    ///
-    /// Incremental == fresh build is pinned on the default route only: on
-    /// the sketch route an index synced through churn and one built over
-    /// the same lake lay their ensembles out differently, so their LSH
-    /// candidates — and answers — can differ (ROADMAP item 2, defect (b)
-    /// of live sync).
+    /// forced on) answers `discover_top_k` exactly like a fresh build and
+    /// like the probe-all path, a repeat query answers like the first (the
+    /// first probe of a partition signs it, the repeat reads those
+    /// signatures), and the posting lists stay in lockstep with a fresh
+    /// build's.
     #[test]
     fn planner_postings_and_cache_survive_churn(seed in any::<u64>(), ops in 12usize..32) {
         let trace = ChurnWorkload {
@@ -199,7 +190,6 @@ proptest! {
                 lshe: LshEnsembleConfig {
                     num_perm: 64,
                     num_partitions: 4,
-                    rebalance_dirtiness: 0.2,
                     // Compact on every overtake, so churn traces exercise
                     // the id-remap path (domains, postings, verification)
                     // often.
@@ -221,14 +211,13 @@ proptest! {
                     let (got, stats) = index.discover_top_k_with_stats(&query, 6, &budget);
                     prop_assert_eq!(stats.exact_path, !sketch_route);
                     prop_assert_eq!(index.sketch_work() > signed, sketch_route);
-                    if !sketch_route {
-                        prop_assert_eq!(
-                            &got,
-                            &fresh.discover_top_k(&query, 6, &budget),
-                            "incremental planner diverged from fresh build at query {}",
-                            compared
-                        );
-                    }
+                    prop_assert_eq!(
+                        &got,
+                        &fresh.discover_top_k(&query, 6, &budget),
+                        "incremental planner diverged from fresh build at query {} (sketch route: {})",
+                        compared,
+                        sketch_route
+                    );
                     prop_assert_eq!(
                         &got,
                         &index.lshe().discover(&query, 6),
@@ -287,7 +276,6 @@ proptest! {
             lshe: LshEnsembleConfig {
                 num_perm: 64,
                 num_partitions: 4,
-                rebalance_dirtiness: 0.2,
                 // Compact on every overtake: the id-remap path must not
                 // disturb (or double-count) telemetry.
                 pool_compact_min: 0,
@@ -365,7 +353,8 @@ proptest! {
     /// Sketch-path soundness under churn: with every query routed to the
     /// sketch, every reported table carries its exact brute-force
     /// containment score, nothing below the threshold is reported, and a
-    /// just-added full superset is found immediately.
+    /// query over a just-added table's keys is answered exactly like a
+    /// fresh build answers it.
     #[test]
     fn sketch_path_stays_sound_under_churn(seed in any::<u64>(), ops in 8usize..24) {
         let trace = ChurnWorkload {
@@ -382,7 +371,6 @@ proptest! {
             lshe: LshEnsembleConfig {
                 num_perm: 64,
                 num_partitions: 4,
-                rebalance_dirtiness: 0.3,
                 // Every query takes the sketch route: under the default
                 // mass router these small lakes would answer every query
                 // by the exact merge and leave the sketch untested.
@@ -428,22 +416,22 @@ proptest! {
                 ChurnOp::Add(t) => {
                     op.apply(&mut lake);
                     index.sync(&lake);
-                    // Churn safety: the new table fully contains a query
-                    // over its own keys; staged domains are exact-scanned,
-                    // so it must surface at containment 1.0 at once.
+                    // A query over the new table's keys, which it fully
+                    // contains: the synced index answers like a fresh
+                    // build over the same lake.
                     let probe = Table::from_rows(
-                        "staged_probe",
+                        "fresh_probe",
                         &["key"],
                         t.rows().map(|r| vec![r[0].clone()]).collect(),
                     )
                     .unwrap();
-                    let hits = sketched(&index, &TableQuery::with_column(probe, 0));
-                    prop_assert!(
-                        hits.iter()
-                            .any(|d| d.table == t.name() && (d.score - 1.0).abs() < 1e-12),
-                        "freshly added {} not discovered: {:?}",
-                        t.name(),
-                        hits
+                    let probe = TableQuery::with_column(probe, 0);
+                    let fresh = LakeIndex::build(&lake, kb.clone(), config.clone());
+                    prop_assert_eq!(
+                        sketched(&index, &probe),
+                        sketched(&fresh, &probe),
+                        "synced index diverged from a fresh build after adding {}",
+                        t.name()
                     );
                 }
                 _ => {
@@ -542,10 +530,68 @@ fn telemetry_lockstep_holds_under_concurrent_queries() {
     assert_eq!(got.santos_latency.samples, expected.santos_latency.samples);
 }
 
-/// Deterministic spot-check of the rebalance boundary: enough removals to
-/// trip the dirtiness budget repeatedly, then equality with a rebuild.
+/// The sketch-route config of `planner_postings_and_cache_survive_churn`.
+fn sketch_config() -> LakeIndexConfig {
+    LakeIndexConfig {
+        santos: SantosConfig::default(),
+        lshe: LshEnsembleConfig {
+            num_perm: 64,
+            num_partitions: 4,
+            pool_compact_min: 0,
+            exact_mass_per_token: 0,
+            ..LshEnsembleConfig::default()
+        },
+        metadata: None,
+    }
+}
+
+/// Deterministic pin of incremental == fresh build on the sketch route:
+/// the churn trace of seed 94, replayed with a sync after every mutation.
+/// At its query 3, two different partition layouts of the same lake
+/// surface different LSH candidates, so it fails unless the synced index
+/// lays out exactly what a fresh build lays out; the default proptest
+/// case count of `planner_postings_and_cache_survive_churn` does not
+/// reach this trace.
 #[test]
-fn tombstone_triggered_rebalance_matches_rebuild() {
+fn sketch_route_churn_trace_94_matches_fresh_builds() {
+    let trace = ChurnWorkload {
+        initial_tables: 8,
+        rows_per_table: 14,
+        vocab: 160,
+        ops: 29,
+        seed: 94,
+    }
+    .generate();
+    let kb = Arc::new(covid_kb());
+    let config = sketch_config();
+    let budget = QueryBudget::unlimited();
+    let mut lake = DataLake::from_tables(trace.initial).unwrap();
+    let mut index = LakeIndex::build(&lake, kb.clone(), config.clone());
+    let mut compared = 0usize;
+    for op in &trace.ops {
+        if let ChurnOp::Query(q) = op {
+            let fresh = LakeIndex::build(&lake, kb.clone(), config.clone());
+            let query = TableQuery::with_column(q.clone(), 0);
+            let (got, stats) = index.discover_top_k_with_stats(&query, 6, &budget);
+            assert!(!stats.exact_path);
+            assert_eq!(
+                got,
+                fresh.discover_top_k(&query, 6, &budget),
+                "diverged from fresh build at query {compared}"
+            );
+            compared += 1;
+        } else {
+            op.apply(&mut lake);
+            index.sync(&lake);
+        }
+    }
+    assert!(compared > 3, "the trace ran out before query 3");
+}
+
+/// Remove half the lake one table per sync, then compare every leg with a
+/// rebuild, on the exact route and on the sketch route.
+#[test]
+fn removals_one_sync_at_a_time_match_a_rebuild() {
     let trace = ChurnWorkload {
         initial_tables: 12,
         rows_per_table: 10,
@@ -555,22 +601,22 @@ fn tombstone_triggered_rebalance_matches_rebuild() {
     }
     .generate();
     let kb = Arc::new(covid_kb());
-    let config = exact_config();
-    let mut lake = DataLake::from_tables(trace.initial.clone()).unwrap();
-    let mut index = LakeIndex::build(&lake, kb.clone(), config.clone());
-
-    // Remove half the lake one table at a time (each sync applies one
-    // tombstone; the 0.15 budget forces several rebalances along the way).
-    let names: Vec<String> = lake.names().map(str::to_string).collect();
-    for name in names.iter().take(6) {
-        lake.remove(name).unwrap();
-        index.sync(&lake);
+    for config in [exact_config(), sketch_config()] {
+        let mut lake = DataLake::from_tables(trace.initial.clone()).unwrap();
+        let mut index = LakeIndex::build(&lake, kb.clone(), config.clone());
+        let probe = TableQuery::with_column(trace.initial[7].clone(), 0);
+        let names: Vec<String> = lake.names().map(str::to_string).collect();
+        for name in names.iter().take(6) {
+            lake.remove(name).unwrap();
+            index.sync(&lake);
+            // Lay the sketch out between removals, so each sync drops one.
+            probe_all(&index, &probe, 8);
+        }
+        let fresh = LakeIndex::build(&lake, kb.clone(), config);
+        assert_eq!(
+            probe_all(&index, &probe, 8),
+            probe_all(&fresh, &probe, 8),
+            "index after one-at-a-time removals must match a rebuild"
+        );
     }
-    let fresh = LakeIndex::build(&lake, kb, config);
-    let probe = TableQuery::with_column(trace.initial[7].clone(), 0);
-    assert_eq!(
-        probe_all(&index, &probe, 8),
-        probe_all(&fresh, &probe, 8),
-        "index after tombstone-triggered rebalances must match a rebuild"
-    );
 }

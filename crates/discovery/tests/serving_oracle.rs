@@ -42,7 +42,6 @@ fn exact_config() -> LakeIndexConfig {
             num_perm: 64,
             num_partitions: 4,
             exact_mass_per_token: usize::MAX,
-            rebalance_dirtiness: 0.15,
             ..LshEnsembleConfig::default()
         },
         // Serve all three legs: the metadata engine must stay coherent

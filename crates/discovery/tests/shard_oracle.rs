@@ -30,9 +30,8 @@ use proptest::prelude::*;
 
 /// Sketch-free config (the incremental oracle's): every stored domain is
 /// verified exactly, so discovery output is deterministic given the lake —
-/// the precondition for byte-identity across shardings. The tiny dirtiness
-/// budget forces tombstone-triggered rebalances inside the traces, and the
-/// metadata leg is enabled so the oracle covers the full three-leg stage.
+/// the precondition for byte-identity across shardings. The metadata leg
+/// is enabled so the oracle covers the full three-leg stage.
 fn exact_config() -> LakeIndexConfig {
     LakeIndexConfig {
         santos: SantosConfig::default(),
@@ -40,7 +39,6 @@ fn exact_config() -> LakeIndexConfig {
             num_perm: 64,
             num_partitions: 4,
             exact_mass_per_token: usize::MAX,
-            rebalance_dirtiness: 0.15,
             ..LshEnsembleConfig::default()
         },
         metadata: Some(MetadataConfig::default()),

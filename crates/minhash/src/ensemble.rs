@@ -1,47 +1,35 @@
-//! The LSH Ensemble containment-search index (Zhu et al., VLDB 2016),
-//! incrementally maintainable, with signatures computed on demand.
+//! The LSH Ensemble containment-search index (Zhu et al., VLDB 2016): an
+//! immutable layout, with signatures computed on demand.
 //!
 //! Domains (column value sets) are partitioned by set size (equi-depth),
-//! which needs only each domain's size: the index is built, grown and
-//! rebalanced from `(key, size)` entries. Each entry holds a **signature
-//! cell**, filled at most once and shared with the partition that holds
-//! the entry, so a computed signature survives every rebalance. A cell is
-//! filled either up front ([`LshEnsembleBuilder::insert_signed`], the
-//! eager reference the tests compare against) or by the **first probe of
-//! its partition**: the
-//! caller passes a *signer* with every probe, and a partition's first
-//! probe signs each member that is still current (neither removed nor
-//! re-inserted since the rebalance) whose cell is empty. An index that is
-//! never probed hashes nothing.
+//! which needs only each domain's size: [`LshEnsembleBuilder::build`] lays
+//! the index out from `(key, size)` entries sorted by `(size, key)`, so the
+//! layout is a function of the entries alone, whatever order they were
+//! inserted in. Each member holds a **signature cell**, filled at most
+//! once: either up front ([`LshEnsembleBuilder::insert_signed`], the eager
+//! reference the tests compare against) or by the **first probe of its
+//! partition**: the caller passes a *signer* with every probe, and a
+//! partition's first probe signs each member whose cell is empty. An index
+//! that is never probed hashes nothing.
 //!
 //! Each partition bands its domains for every power-of-two row count
 //! `r ≤ num_perm`, one `(band hash, domain)` array per band, sorted by
 //! hash and probed by binary search. A band table is **built on first
-//! probe** from the partition's signed cells, and kept until the next
-//! rebalance: queries read one `(b, r)` per probed partition, and most
-//! top-k queries take the exact path and probe none. Nothing here is
-//! persisted: an index is rebuilt from its domains' sizes, so the band
-//! hash can change freely. A containment query converts its threshold into a
-//! per-partition Jaccard threshold using the partition's upper size
-//! bound, picks the (near-)optimal `(b, r)` for that threshold among the
+//! probe** from the partition's signed cells and kept for the life of the
+//! index: queries read one `(b, r)` per probed partition, and most top-k
+//! queries take the exact path and probe none. Nothing here is persisted:
+//! an index is rebuilt from its domains' sizes, so the band hash can
+//! change freely. A containment query converts its threshold into a
+//! per-partition Jaccard threshold using the partition's upper size bound,
+//! picks the (near-)optimal `(b, r)` for that threshold among the
 //! power-of-two `r` values — searched once per distinct threshold and
 //! memoised — and probes `b` bands.
 //!
-//! **Mutation.** The built index supports churn without O(lake) rebuilds:
-//! [`LshEnsemble::insert`] stages a new domain without partitioning or
-//! signing it; the domain is verified via [`LshEnsemble::staged_keys`]
-//! (and returned by every [`LshEnsemble::query`]) until the next
-//! rebalance partitions it. [`LshEnsemble::remove`] tombstones a key.
-//! Partition candidates are only the members still current, so a removed
-//! or re-inserted key never surfaces from a band, however early or late
-//! the band was built. Both operations are `O(changed domain)`. Because
-//! staged inserts and tombstones slowly degrade the equi-depth layout, the
-//! index tracks a *dirtiness* count and re-partitions its retained `(key,
-//! size, cell)` entries once dirtiness exceeds a configurable fraction of
-//! the live domain count ([`LshEnsemble::set_rebalance_threshold`]). A
-//! rebalance bands and signs nothing and produces exactly the layout a
-//! fresh build over the live entries would — the canonical form the
-//! incremental-oracle tests pin.
+//! **No mutation.** A built index is never changed: a caller whose domains
+//! change lays out a new index over them (the discovery layer drops its
+//! layout on every write and builds the next one on its first sketch
+//! probe). An index therefore always answers exactly like a fresh build
+//! over the same domains.
 //!
 //! The index is generic over the domain **key type** `K` (default
 //! `String`): callers that identify domains structurally — e.g. the
@@ -52,18 +40,14 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::hasher::Signature;
 use crate::params::{containment_to_jaccard, optimal_params_restricted};
 
-/// Default fraction of live domains that may be dirty (staged or
-/// tombstoned) before a mutation triggers re-partitioning.
-pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 0.25;
-
-/// A domain's signature, filled at most once and shared by the live entry
-/// and the partition holding it.
-type SigCell = Arc<OnceLock<Signature>>;
+/// One domain handed to the builder: its key, its size and its signature
+/// when the caller computed it up front.
+type Entry<K> = (K, usize, Option<Signature>);
 
 /// Hash of a band from the hashes of its two halves: an odd-multiplier xor,
 /// then the SplitMix64 finaliser.
@@ -106,41 +90,45 @@ struct Partition<K> {
     upper: usize,
     lower: usize,
     keys: Vec<K>,
-    /// `cells[id]`: the cell `keys[id]` had when the partition was built.
-    /// A key re-inserted since has a new cell in the live entries; its old
-    /// one stays here, unsigned if it was never probed.
-    cells: Vec<SigCell>,
-    /// Set by the first probe, once every member current at that probe is
-    /// signed. Bands are built only after it.
+    /// `cells[id]`: the signature of `keys[id]`, filled by the builder or
+    /// by the partition's first probe.
+    cells: Vec<OnceLock<Signature>>,
+    /// Set by the first probe, once every member is signed. Bands are
+    /// built only after it.
     signed: OnceLock<()>,
     bands: Box<[OnceLock<Band>]>,
 }
 
-impl<K: Clone + Eq + Hash> Partition<K> {
+impl<K> Partition<K> {
     /// A partition over a non-empty `(size, key)`-sorted chunk, with
     /// `bands` band tables left to build on first probe.
-    fn build(chunk: &[(&K, usize, &SigCell)], bands: usize) -> Partition<K> {
+    fn build(chunk: Vec<Entry<K>>, bands: usize) -> Partition<K> {
+        let lower = chunk.first().map_or(0, |e| e.1);
+        let upper = chunk.last().map_or(0, |e| e.1);
+        let (keys, cells) = chunk
+            .into_iter()
+            .map(|(key, _, sig)| (key, sig.map_or_else(OnceLock::new, OnceLock::from)))
+            .unzip();
         Partition {
-            lower: chunk.first().map_or(0, |e| e.1),
-            upper: chunk.last().map_or(0, |e| e.1),
-            keys: chunk.iter().map(|e| e.0.clone()).collect(),
-            cells: chunk.iter().map(|e| Arc::clone(e.2)).collect(),
+            lower,
+            upper,
+            keys,
+            cells,
             signed: OnceLock::new(),
             bands: (0..bands).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    /// Fill the empty cell of every member `current` admits through
-    /// `sign`, on the first call only. Concurrent first probes block on
-    /// one signing pass. A member `sign` has no signature for stays
-    /// unsigned and is banded nowhere.
-    fn sign(&self, current: impl Fn(&K) -> bool, sign: &dyn Fn(&K) -> Option<Signature>) {
+    /// Fill every empty cell through `sign`, on the first call only.
+    /// Concurrent first probes block on one signing pass. A member `sign`
+    /// has no signature for stays unsigned and is banded nowhere.
+    fn sign(&self, sign: &dyn Fn(&K) -> Option<Signature>) {
         self.signed.get_or_init(|| {
             for (key, cell) in self.keys.iter().zip(&self.cells) {
-                if cell.get().is_none() && current(key) {
+                if cell.get().is_none() {
                     if let Some(sig) = sign(key) {
                         // Cells are filled only here, under `signed`, or
-                        // before the partition existed.
+                        // by the builder.
                         let _ = cell.set(sig);
                     }
                 }
@@ -170,7 +158,10 @@ impl<K: Clone + Eq + Hash> Partition<K> {
 
     /// Probe `b` bands of row count `r`, whose first band is flattened band
     /// `first_band`: per band, a binary search plus an equal-range scan.
-    fn query(&self, sig: &Signature, b: usize, r: usize, first_band: usize, hits: &mut HashSet<K>) {
+    fn query(&self, sig: &Signature, b: usize, r: usize, first_band: usize, hits: &mut HashSet<K>)
+    where
+        K: Clone + Eq + Hash,
+    {
         for band in 0..b {
             let lo = band * r;
             let h = band_hash(&sig.0[lo..lo + r]);
@@ -186,35 +177,28 @@ impl<K: Clone + Eq + Hash> Partition<K> {
     }
 }
 
-/// Equi-depth partitioning over `(key, size, cell)` entries, sorted here by
-/// `(size, key)` — shared by the builder and by incremental rebalances so
-/// both produce the identical canonical layout.
-fn partition_entries<'a, K: Clone + Eq + Hash + Ord + 'a>(
-    entries: impl Iterator<Item = (&'a K, usize, &'a SigCell)>,
+/// Equi-depth partitioning of the entries, sorted here by `(size, key)`:
+/// the layout depends on the entries alone, not on their order.
+fn partition_entries<K: Ord>(
+    mut entries: Vec<Entry<K>>,
     num_partitions: usize,
     bands: usize,
 ) -> Vec<Partition<K>> {
-    let mut sorted: Vec<(&K, usize, &SigCell)> = entries.collect();
-    sorted.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(b.0)));
-    if sorted.is_empty() {
-        return Vec::new();
-    }
-    let per = sorted.len().div_ceil(num_partitions.max(1));
-    sorted
-        .chunks(per)
-        .map(|chunk| Partition::build(chunk, bands))
-        .collect()
+    entries.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+    let per = entries.len().div_ceil(num_partitions.max(1)).max(1);
+    let mut entries = entries.into_iter();
+    std::iter::from_fn(|| {
+        let chunk: Vec<Entry<K>> = entries.by_ref().take(per).collect();
+        (!chunk.is_empty()).then(|| Partition::build(chunk, bands))
+    })
+    .collect()
 }
 
-/// A cell, filled when `sig` is given.
-fn cell(sig: Option<Signature>) -> SigCell {
-    Arc::new(sig.map_or_else(OnceLock::new, OnceLock::from))
-}
-
-/// Accumulates domains before partitioning. `K` is the domain key type.
+/// Accumulates domains before partitioning. `K` is the domain key type;
+/// keys are expected to be distinct.
 pub struct LshEnsembleBuilder<K = String> {
     num_perm: usize,
-    entries: Vec<(K, usize, SigCell)>,
+    entries: Vec<Entry<K>>,
 }
 
 impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
@@ -229,14 +213,14 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
     /// Stage a domain of `size` distinct tokens under `key`, unsigned: the
     /// first probe of its partition signs it.
     pub fn insert(&mut self, key: K, size: usize) {
-        self.entries.push((key, size, cell(None)));
+        self.entries.push((key, size, None));
     }
 
     /// Stage a domain with its signature already computed — the eager
     /// build the lazy one is tested against: probes never sign it again.
     pub fn insert_signed(&mut self, key: K, size: usize, sig: Signature) {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
-        self.entries.push((key, size, cell(Some(sig))));
+        self.entries.push((key, size, Some(sig)));
     }
 
     /// Number of staged domains.
@@ -252,28 +236,14 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsembleBuilder<K> {
     /// Partition (equi-depth by size); signatures and bands come on first
     /// probe.
     pub fn build(self, num_partitions: usize) -> LshEnsemble<K> {
-        let num_partitions = num_partitions.max(1);
         let rs: Vec<usize> = std::iter::successors(Some(1usize), |r| Some(r * 2))
             .take_while(|&r| r <= self.num_perm)
             .collect();
-        let partitions = partition_entries(
-            self.entries.iter().map(|(k, size, cell)| (k, *size, cell)),
-            num_partitions,
-            band_count(self.num_perm, &rs),
-        );
+        let bands = band_count(self.num_perm, &rs);
         LshEnsemble {
             num_perm: self.num_perm,
             allowed_r: rs,
-            num_partitions,
-            partitions,
-            entries: self
-                .entries
-                .into_iter()
-                .map(|(k, size, cell)| (k, (size, cell)))
-                .collect(),
-            staged: HashSet::new(),
-            tombstones: HashSet::new(),
-            rebalance_threshold: DEFAULT_REBALANCE_THRESHOLD,
+            partitions: partition_entries(self.entries, num_partitions, bands),
             banding: Mutex::new(HashMap::new()),
             #[cfg(test)]
             banding_searches: AtomicUsize::new(0),
@@ -289,30 +259,15 @@ fn band_count(num_perm: usize, rs: &[usize]) -> usize {
 /// The built containment index. Query with a signature from the hash
 /// family the signer uses, the query set's cardinality, a containment
 /// threshold and the signer that fills unsigned cells on first probe.
-/// Supports incremental [`insert`](LshEnsemble::insert) /
-/// [`remove`](LshEnsemble::remove) — see the module docs.
+/// Immutable — see the module docs.
 pub struct LshEnsemble<K = String> {
     num_perm: usize,
     allowed_r: Vec<usize>,
-    num_partitions: usize,
     partitions: Vec<Partition<K>>,
-    /// Live domains: `key → (size, signature cell)`. Retained so a
-    /// rebalance can re-partition without the caller replaying anything.
-    entries: HashMap<K, (usize, SigCell)>,
-    /// Keys inserted since the last (re)build. They are not banded: every
-    /// [`LshEnsemble::query`] returns them, and recall-critical callers
-    /// verify them exactly — [`LshEnsemble::staged_keys`] exposes the set.
-    staged: HashSet<K>,
-    /// Keys removed since the last (re)build; partitions may still hold
-    /// them, but never return them.
-    tombstones: HashSet<K>,
-    /// Dirtiness fraction that triggers re-partitioning.
-    rebalance_threshold: f64,
     /// The chosen `(b, r)` per converted Jaccard threshold, keyed on its
     /// bits. `num_perm` and `allowed_r` are fixed per ensemble, so the
     /// threshold alone decides `(b, r)` and a memoised answer is exact.
-    /// Cleared by [`LshEnsemble::rebalance`], which bounds it by the
-    /// distinct (query size, partition bound) pairs probed since.
+    /// Bounded by the distinct (query size, partition bound) pairs probed.
     banding: Mutex<HashMap<u64, (usize, usize)>>,
     /// Parameter searches run (memo misses), for tests.
     #[cfg(test)]
@@ -342,11 +297,11 @@ pub struct PartitionProbe {
 
 impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     /// Candidate keys whose domains likely contain at least `threshold` of
-    /// the query set. Candidates are *probabilistic* — callers verify exact
-    /// containment against the real token sets (the discovery layer does).
-    /// Every staged key is a candidate. `sign` computes the signature of a
-    /// member a partition's first probe finds unsigned; `None` leaves that
-    /// member out of every band.
+    /// the query set, sorted. Candidates are *probabilistic* — callers
+    /// verify exact containment against the real token sets (the discovery
+    /// layer does). `sign` computes the signature of a member a
+    /// partition's first probe finds unsigned; `None` leaves that member
+    /// out of every band.
     pub fn query(
         &self,
         sig: &Signature,
@@ -359,27 +314,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         for idx in 0..self.partitions.len() {
             self.probe_partition_into(idx, sig, query_size, threshold, sign, &mut hits);
         }
-        let mut hits = self.current_sorted(hits);
-        hits.extend(self.staged.iter().cloned());
-        hits.sort();
-        hits
-    }
-
-    /// Drop keys removed or re-inserted since the rebalance, and sort for
-    /// deterministic output.
-    fn current_sorted(&self, mut hits: HashSet<K>) -> Vec<K> {
-        if !self.staged.is_empty() || !self.tombstones.is_empty() {
-            hits.retain(|k| self.is_current(k));
-        }
-        let mut out: Vec<K> = hits.into_iter().collect();
-        out.sort();
-        out
-    }
-
-    /// Whether a partition member is still the live domain its partition
-    /// was built over: neither removed nor re-inserted since.
-    fn is_current(&self, key: &K) -> bool {
-        !self.staged.contains(key) && !self.tombstones.contains(key)
+        sorted(hits)
     }
 
     /// The query-time probe schedule for a query of `query_size` distinct
@@ -391,8 +326,8 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     /// k-th best *verified* score is provably unbeatable by any unprobed
     /// partition — the candidate-cap lever that turns a probe-all scan into
     /// a budgeted search. The candidates of all scheduled partitions
-    /// ([`LshEnsemble::query_partition`]) together with
-    /// [`LshEnsemble::staged_keys`] are exactly [`LshEnsemble::query`]'s.
+    /// ([`LshEnsemble::query_partition`]) are exactly
+    /// [`LshEnsemble::query`]'s.
     pub fn probe_plan(&self, query_size: usize) -> Vec<PartitionProbe> {
         let q = query_size.max(1) as f64;
         let mut plan: Vec<PartitionProbe> = self
@@ -414,11 +349,10 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
     }
 
     /// Probe a single partition (by [`PartitionProbe::partition`] index)
-    /// and return its banded candidate keys that are still current, sorted
-    /// for determinism. The `(b, r)` banding parameters and the signing
-    /// are exactly [`LshEnsemble::query`]'s for this partition. Staged
-    /// keys are never partition candidates, so the union of all
-    /// partitions' candidates and [`LshEnsemble::staged_keys`] equals the
+    /// and return its banded candidate keys, sorted for determinism. The
+    /// `(b, r)` banding parameters and the signing are exactly
+    /// [`LshEnsemble::query`]'s for this partition, and partitions are
+    /// disjoint, so the union of all partitions' candidates equals the
     /// probe-all result.
     pub fn query_partition(
         &self,
@@ -431,7 +365,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         assert_eq!(sig.len(), self.num_perm, "signature length mismatch");
         let mut hits = HashSet::new();
         self.probe_partition_into(partition, sig, query_size, threshold, sign, &mut hits);
-        self.current_sorted(hits)
+        sorted(hits)
     }
 
     /// Shared per-partition probe: sign the partition on its first probe,
@@ -456,7 +390,7 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
             return;
         };
         let first_band = band_count(self.num_perm, &self.allowed_r[..pos]);
-        p.sign(|key| self.is_current(key), sign);
+        p.sign(sign);
         p.query(sig, b.min(self.num_perm / r), r, first_band, hits);
     }
 
@@ -477,88 +411,6 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         br
     }
 
-    /// Insert (or replace) an unsigned domain of `size` distinct tokens in
-    /// the live index. The domain is marked *staged*: it is neither
-    /// partitioned nor signed until the next rebalance, and no partition
-    /// bound changes. `O(1)` partitions touched.
-    pub fn insert(&mut self, key: K, size: usize) {
-        if self.entries.contains_key(&key) {
-            self.remove(&key);
-        }
-        self.entries.insert(key.clone(), (size, cell(None)));
-        // A re-inserted key must not stay suppressed by its own tombstone;
-        // staged, it is no longer current in its old partition.
-        self.tombstones.remove(&key);
-        self.staged.insert(key);
-        if self.partitions.is_empty() {
-            self.rebalance();
-            return;
-        }
-        self.maybe_rebalance();
-    }
-
-    /// Tombstone a domain: it disappears from query results immediately;
-    /// its partition forgets it at the next rebalance. Returns `false` when
-    /// the key was not live.
-    pub fn remove(&mut self, key: &K) -> bool {
-        if self.entries.remove(key).is_none() {
-            return false;
-        }
-        // Staged keys flip straight to tombstones too: a partition may
-        // still hold the key from before its re-insert.
-        self.staged.remove(key);
-        self.tombstones.insert(key.clone());
-        self.maybe_rebalance();
-        true
-    }
-
-    /// Keys inserted since the last rebalance. They are not banded;
-    /// exact-verification layers scan them explicitly so a freshly added
-    /// domain can never be an LSH false negative.
-    pub fn staged_keys(&self) -> impl Iterator<Item = &K> {
-        self.staged.iter()
-    }
-
-    /// Staged inserts + tombstones since the last rebalance.
-    pub fn dirtiness(&self) -> usize {
-        self.staged.len() + self.tombstones.len()
-    }
-
-    /// Set the dirtiness fraction (of live domains) above which a mutation
-    /// triggers re-partitioning. `0.0` rebalances on every mutation;
-    /// `f64::INFINITY` never rebalances automatically.
-    pub fn set_rebalance_threshold(&mut self, fraction: f64) {
-        assert!(fraction >= 0.0, "rebalance threshold must be non-negative");
-        self.rebalance_threshold = fraction;
-    }
-
-    fn maybe_rebalance(&mut self) {
-        let budget = (self.entries.len() as f64 * self.rebalance_threshold).ceil();
-        if self.dirtiness() as f64 > budget {
-            self.rebalance();
-        }
-    }
-
-    /// Re-partition the live entries into the canonical equi-depth layout
-    /// (identical to a fresh build over the same entries), clearing all
-    /// staged/tombstone state and the `(b, r)` memo. The entries keep
-    /// their cells, signed or not. `O(live domains)`.
-    pub fn rebalance(&mut self) {
-        self.partitions = partition_entries(
-            self.entries
-                .iter()
-                .map(|(k, (size, cell))| (k, *size, cell)),
-            self.num_partitions,
-            band_count(self.num_perm, &self.allowed_r),
-        );
-        self.staged.clear();
-        self.tombstones.clear();
-        self.banding
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
-
     /// Number of partitions actually built.
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
@@ -569,31 +421,22 @@ impl<K: Clone + Eq + Hash + Ord> LshEnsemble<K> {
         self.partitions.iter().map(|p| (p.lower, p.upper)).collect()
     }
 
-    /// Total number of live (indexed, not tombstoned) domains.
+    /// Total number of indexed domains.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.partitions.iter().map(|p| p.keys.len()).sum()
     }
 
-    /// `true` when the index holds no live domains.
+    /// `true` when the index holds no domains.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.partitions.is_empty()
     }
+}
 
-    /// The live, **signed** `(key, size, signature)` entries in canonical
-    /// `(size, key)` order — what probes have signed so far. Feeding these back
-    /// through [`LshEnsembleBuilder::insert_signed`] (and the rest through
-    /// [`LshEnsembleBuilder::insert`]) reproduces this index's canonical
-    /// layout, and a probe then signs only what this index had not signed
-    /// either.
-    pub fn export_entries(&self) -> Vec<(K, usize, Signature)> {
-        let mut entries: Vec<(K, usize, Signature)> = self
-            .entries
-            .iter()
-            .filter_map(|(k, (size, cell))| Some((k.clone(), *size, cell.get()?.clone())))
-            .collect();
-        entries.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        entries
-    }
+/// Band hits in key order, for deterministic output.
+fn sorted<K: Ord>(hits: HashSet<K>) -> Vec<K> {
+    let mut out: Vec<K> = hits.into_iter().collect();
+    out.sort();
+    out
 }
 
 #[cfg(test)]
@@ -678,32 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn exported_sketches_rebuild_the_index_without_hashing() {
-        let (index, hasher) = build_demo();
-        let exported = index.export_entries();
-        assert_eq!(exported.len(), index.len());
-        // Canonical (size, key) order, the same order build() sorts into.
-        for w in exported.windows(2) {
-            assert!((w[0].1, &w[0].0) < (w[1].1, &w[1].0), "unsorted export");
-        }
-        // Rebuild purely from signatures: a probe that asked for one
-        // would panic…
-        let mut b: LshEnsembleBuilder<String> = LshEnsembleBuilder::new(256);
-        for (key, size, sig) in exported {
-            b.insert_signed(key, size, sig);
-        }
-        let rebuilt = b.build(index.partition_count());
-        // …and identical layout and query behavior.
-        assert_eq!(rebuilt.partition_bounds(), index.partition_bounds());
-        let q = toks("q", 0..50);
-        let sig = sig_of(&hasher, &q);
-        assert_eq!(
-            index.query(&sig, q.len(), 0.5, &presigned),
-            rebuilt.query(&sig, q.len(), 0.5, &presigned)
-        );
-    }
-
-    #[test]
     fn lower_threshold_also_finds_partial_container() {
         let (index, hasher) = build_demo();
         let q = toks("q", 0..50);
@@ -734,35 +551,59 @@ mod tests {
         let b = LshEnsembleBuilder::<String>::new(64);
         let index = b.build(4);
         assert!(index.is_empty());
+        assert_eq!(index.partition_count(), 0);
         let sig = MinHasher::new(64, 1).signature(["x"]);
         assert!(index.query(&sig, 1, 0.5, &presigned).is_empty());
     }
 
+    /// The builder counts both kinds of insert, and a probe asks the
+    /// signer only for the domain staged unsigned.
     #[test]
     fn builder_len_tracks_inserts() {
-        let mut b = LshEnsembleBuilder::new(64);
-        assert!(b.is_empty());
-        b.insert("a", 2);
-        b.insert_signed("b", 3, MinHasher::new(64, 1).signature(["x", "y", "z"]));
-        assert_eq!(b.len(), 2);
-        let index = b.build(8);
+        let hasher = MinHasher::new(64, 1);
+        let (a, b) = (["x", "y"], ["x", "y", "z"]);
+        let mut builder = LshEnsembleBuilder::new(64);
+        assert!(builder.is_empty());
+        builder.insert("a", a.len());
+        builder.insert_signed("b", b.len(), hasher.signature(b));
+        assert_eq!(builder.len(), 2);
+        let index = builder.build(8);
         assert_eq!(index.len(), 2);
-        // Only the signed domain has a signature to export.
-        let exported = index.export_entries();
-        assert_eq!(exported.len(), 1);
-        assert_eq!((exported[0].0, exported[0].1), ("b", 3));
+        let sign = |key: &&str| {
+            assert_eq!(*key, "a", "the pre-signed domain was signed again");
+            Some(hasher.signature(a))
+        };
+        let hits = index.query(&hasher.signature(b), b.len(), 0.9, &sign);
+        assert!(hits.contains(&"b"), "{hits:?}");
     }
 
+    /// The layout is a function of the entries: whatever order they are
+    /// inserted in, and whether they come pre-signed or are signed on
+    /// first probe, two builds lay out the same partitions and answer
+    /// every query alike.
     #[test]
     fn results_are_deterministic() {
-        let (i1, h1) = build_demo();
-        let (i2, _) = build_demo();
-        let q = toks("q", 0..50);
-        let sig = sig_of(&h1, &q);
-        assert_eq!(
-            i1.query(&sig, 50, 0.5, &presigned),
-            i2.query(&sig, 50, 0.5, &presigned)
-        );
+        let (eager, hasher) = build_demo();
+        let (lazy, domains) = build_lazy();
+        let mut reversed: Vec<(&String, &Vec<String>)> = domains.iter().collect();
+        reversed.sort_by(|a, b| (b.1.len(), b.0).cmp(&(a.1.len(), a.0)));
+        let mut builder = LshEnsembleBuilder::new(256);
+        for (key, tokens) in reversed {
+            builder.insert_signed(key.clone(), tokens.len(), sig_of(&hasher, tokens));
+        }
+        let backwards = builder.build(4);
+        assert_eq!(lazy.partition_bounds(), eager.partition_bounds());
+        assert_eq!(backwards.partition_bounds(), eager.partition_bounds());
+        let sign = |key: &String| domains.get(key).map(|tokens| sig_of(&hasher, tokens));
+        for n in [10, 50, 500] {
+            let q = toks("q", 0..n);
+            let sig = sig_of(&hasher, &q);
+            for t in [0.3, 0.5, 0.8] {
+                let want = eager.query(&sig, n, t, &presigned);
+                assert_eq!(lazy.query(&sig, n, t, &sign), want);
+                assert_eq!(backwards.query(&sig, n, t, &presigned), want);
+            }
+        }
     }
 
     #[test]
@@ -770,152 +611,6 @@ mod tests {
     fn mismatched_query_signature_panics() {
         let (index, _) = build_demo();
         index.query(&Signature(vec![0; 32]), 10, 0.5, &presigned);
-    }
-
-    #[test]
-    fn removed_key_disappears_from_queries_immediately() {
-        let (mut index, hasher) = build_demo();
-        let q = toks("q", 0..50);
-        let sig = sig_of(&hasher, &q);
-        assert!(index
-            .query(&sig, q.len(), 0.5, &presigned)
-            .iter()
-            .any(|h| h == "big_superset"));
-        let n = index.len();
-        assert!(index.remove(&"big_superset".to_string()));
-        assert!(!index.remove(&"big_superset".to_string()), "already gone");
-        assert_eq!(index.len(), n - 1);
-        assert!(
-            !index
-                .query(&sig, q.len(), 0.5, &presigned)
-                .iter()
-                .any(|h| h == "big_superset"),
-            "tombstoned key must not surface"
-        );
-    }
-
-    #[test]
-    fn inserted_key_is_queryable_without_rebuild() {
-        let (mut index, hasher) = build_demo();
-        index.set_rebalance_threshold(f64::INFINITY); // isolate the staged path
-        let fresh = toks("q", 0..50)
-            .into_iter()
-            .chain(toks("new", 0..80))
-            .collect::<Vec<_>>();
-        index.insert("fresh_superset".to_string(), fresh.len());
-        assert!(index.staged_keys().any(|k| k == "fresh_superset"));
-        assert_eq!(index.dirtiness(), 1);
-
-        let q = toks("q", 0..50);
-        let qsig = sig_of(&hasher, &q);
-        let hits = index.query(&qsig, q.len(), 0.5, &presigned);
-        assert!(
-            hits.iter().any(|h| h == "fresh_superset"),
-            "staged superset must be found: {hits:?}"
-        );
-    }
-
-    #[test]
-    fn rebalance_restores_canonical_layout_and_clears_dirtiness() {
-        let (mut index, hasher) = build_demo();
-        index.set_rebalance_threshold(f64::INFINITY);
-        // Churn: drop two noise domains, add one new one.
-        index.remove(&"noise0".to_string());
-        index.remove(&"noise1".to_string());
-        let newd = toks("nd", 0..40);
-        index.insert("newdom".to_string(), newd.len());
-        assert_eq!(index.dirtiness(), 3);
-        index.rebalance();
-        assert_eq!(index.dirtiness(), 0);
-
-        // Canonical form: identical to a fresh build over the same domains.
-        let mut b = LshEnsembleBuilder::new(256);
-        let mut domains = demo_domains();
-        domains.remove("noise0");
-        domains.remove("noise1");
-        domains.insert("newdom".to_string(), newd.clone());
-        for (key, tokens) in domains {
-            b.insert_signed(key, tokens.len(), sig_of(&hasher, &tokens));
-        }
-        let fresh = b.build(4);
-        assert_eq!(index.partition_bounds(), fresh.partition_bounds());
-        let q = toks("q", 0..50);
-        let qsig = sig_of(&hasher, &q);
-        // Only the staged domain, now partitioned, is unsigned.
-        let sign = |key: &String| (key == "newdom").then(|| sig_of(&hasher, &newd));
-        assert_eq!(
-            index.query(&qsig, q.len(), 0.4, &sign),
-            fresh.query(&qsig, q.len(), 0.4, &presigned),
-            "rebalanced index must answer like a fresh build"
-        );
-    }
-
-    /// An insert moves no partition bound, whatever its size, and a
-    /// rebalance then equals a fresh build over the live domains.
-    #[test]
-    fn insert_keeps_partition_bounds_and_rebalance_equals_a_fresh_build() {
-        let (mut index, hasher) = build_demo();
-        index.set_rebalance_threshold(f64::INFINITY);
-        let bounds = index.partition_bounds();
-        let mut domains = demo_domains();
-        for (key, n) in [("tiny", 1), ("huge", 5000), ("mid", 60)] {
-            index.insert(key.to_string(), n);
-            domains.insert(key.to_string(), toks(key, 0..n));
-            assert_eq!(index.partition_bounds(), bounds, "{key} moved a bound");
-        }
-        index.rebalance();
-        let mut b = LshEnsembleBuilder::new(256);
-        for (key, tokens) in &domains {
-            b.insert_signed(key.clone(), tokens.len(), sig_of(&hasher, tokens));
-        }
-        let fresh = b.build(4);
-        assert_eq!(index.partition_bounds(), fresh.partition_bounds());
-        assert_ne!(index.partition_bounds(), bounds);
-        let sign = |key: &String| domains.get(key).map(|tokens| sig_of(&hasher, tokens));
-        for n in [1, 50, 500] {
-            let q = toks("q", 0..n);
-            let qsig = sig_of(&hasher, &q);
-            for t in [0.3, 0.8] {
-                assert_eq!(
-                    index.query(&qsig, q.len(), t, &sign),
-                    fresh.query(&qsig, q.len(), t, &presigned)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn dirtiness_threshold_triggers_automatic_rebalance() {
-        let (mut index, _) = build_demo();
-        index.set_rebalance_threshold(0.1); // 22 domains → budget ⌈2.2⌉ = 3
-        for i in 0..3 {
-            index.insert(format!("auto{i}"), 30);
-        }
-        assert!(
-            index.dirtiness() <= 3,
-            "4th dirty op must have rebalanced, dirtiness {}",
-            index.dirtiness()
-        );
-    }
-
-    #[test]
-    fn replacing_a_key_keeps_one_live_copy() {
-        let (mut index, hasher) = build_demo();
-        index.set_rebalance_threshold(f64::INFINITY);
-        let n = index.len();
-        index.insert("half".to_string(), 50);
-        assert_eq!(index.len(), n, "replace keeps the live count");
-        let q = toks("q", 0..50);
-        let qsig = sig_of(&hasher, &q);
-        let hits = index.query(&qsig, q.len(), 0.9, &presigned);
-        assert!(
-            hits.iter().filter(|h| *h == "half").count() <= 1,
-            "stale copy must not resurface: {hits:?}"
-        );
-        assert!(
-            hits.iter().any(|h| h == "half"),
-            "the replacement (now a full superset) should be found: {hits:?}"
-        );
     }
 
     #[test]
@@ -939,15 +634,7 @@ mod tests {
 
     #[test]
     fn partitionwise_probing_equals_probe_all_query() {
-        let (mut index, hasher) = build_demo();
-        index.set_rebalance_threshold(f64::INFINITY);
-        // Add churn so tombstone filtering is exercised on both paths.
-        index.remove(&"noise3".to_string());
-        let fresh = toks("q", 0..50)
-            .into_iter()
-            .chain(toks("fp", 0..90))
-            .collect::<Vec<_>>();
-        index.insert("churned".to_string(), fresh.len());
+        let (index, hasher) = build_demo();
         let q = toks("q", 0..50);
         let sig = sig_of(&hasher, &q);
         for threshold in [0.3, 0.5, 0.8] {
@@ -957,10 +644,8 @@ mod tests {
                 .flat_map(|p| {
                     index.query_partition(p.partition, &sig, q.len(), threshold, &presigned)
                 })
-                .chain(index.staged_keys().cloned())
                 .collect();
             union.sort();
-            union.dedup();
             assert_eq!(
                 union,
                 index.query(&sig, q.len(), threshold, &presigned),
@@ -979,12 +664,15 @@ mod tests {
             .is_empty());
     }
 
+    /// One domain inserted into an empty builder lays out one partition,
+    /// which finds it.
     #[test]
     fn insert_into_empty_index_bootstraps_a_partition() {
         let hasher = MinHasher::new(64, 5);
-        let mut index = LshEnsembleBuilder::<String>::new(64).build(4);
+        let mut builder = LshEnsembleBuilder::<String>::new(64);
         let d = toks("x", 0..20);
-        index.insert("only".to_string(), d.len());
+        builder.insert("only".to_string(), d.len());
+        let index = builder.build(4);
         assert_eq!(index.len(), 1);
         assert_eq!(index.partition_count(), 1);
         let sign = |_: &String| Some(sig_of(&hasher, &d));
@@ -1006,12 +694,9 @@ mod tests {
 
     /// Sign and build every band table of every partition, as an index
     /// that signed and banded eagerly would hold them.
-    fn force_bands<K: Clone + Eq + Hash + Ord>(
-        index: &LshEnsemble<K>,
-        sign: &dyn Fn(&K) -> Option<Signature>,
-    ) {
+    fn force_bands<K>(index: &LshEnsemble<K>, sign: &dyn Fn(&K) -> Option<Signature>) {
         for p in &index.partitions {
-            p.sign(|key| index.is_current(key), sign);
+            p.sign(sign);
             let mut g = 0;
             for &r in &index.allowed_r {
                 for band in 0..index.num_perm / r {
@@ -1030,15 +715,16 @@ mod tests {
             let sigs: Vec<Signature> = (0..5)
                 .map(|i| sig_of(&hasher, &toks("v", i..i * 7 + 3)))
                 .collect();
-            let cells: Vec<SigCell> = sigs.iter().map(|sig| cell(Some(sig.clone()))).collect();
-            let keys: Vec<usize> = (0..sigs.len()).collect();
-            let chunk: Vec<(&usize, usize, &SigCell)> =
-                keys.iter().zip(&cells).map(|(k, c)| (k, 1, c)).collect();
+            let chunk: Vec<Entry<usize>> = sigs
+                .iter()
+                .enumerate()
+                .map(|(key, sig)| (key, 1, Some(sig.clone())))
+                .collect();
             let rs: Vec<usize> = [1, 2, 4, 8, 16, 32, 64]
                 .into_iter()
                 .filter(|&r| r <= num_perm)
                 .collect();
-            let p = Partition::build(&chunk, band_count(num_perm, &rs));
+            let p = Partition::build(chunk, band_count(num_perm, &rs));
             let n = sigs.len();
             let mut g = 0;
             for &r in &rs {
@@ -1074,86 +760,41 @@ mod tests {
         );
     }
 
-    /// A key re-inserted before the next rebalance is no partition's
-    /// candidate any more, whether its partition's bands were built
-    /// before the re-insert or after it: it is staged, and every query
-    /// returns it as such.
+    /// A lazy index signs a partition's members on its first probe only,
+    /// each exactly once; a member the signer does not know stays
+    /// unsigned and is never a candidate.
     #[test]
-    fn reinserted_key_is_staged_not_a_partition_candidate() {
-        let (mut cold, hasher) = build_demo();
-        let (mut forced, _) = build_demo();
-        force_bands(&forced, &presigned);
-        let key = "big_superset".to_string();
-        let disjoint = toks("gone", 0..200);
-        for index in [&mut cold, &mut forced] {
-            index.set_rebalance_threshold(f64::INFINITY);
-            index.insert(key.clone(), disjoint.len());
+    fn signatures_are_computed_on_first_probe_only() {
+        let (mut domains, hasher) = (demo_domains(), demo_hasher());
+        let mut builder = LshEnsembleBuilder::new(256);
+        for (key, tokens) in &domains {
+            builder.insert(key.clone(), tokens.len());
         }
-        let idx = cold
-            .partitions
-            .iter()
-            .position(|p| p.keys.contains(&key))
-            .expect("key partitioned at the build");
-        assert_eq!(built_bands(&cold)[idx], 0, "probed before the re-insert");
-        let q = toks("q", 0..50);
-        let sig = sig_of(&hasher, &q);
-        for index in [&cold, &forced] {
-            let hits = index.query_partition(idx, &sig, q.len(), 0.5, &presigned);
-            assert!(!hits.contains(&key), "the old domain surfaced: {hits:?}");
-            assert!(index.query(&sig, q.len(), 0.5, &presigned).contains(&key));
-        }
-        assert_eq!(
-            cold.query_partition(idx, &sig, q.len(), 0.5, &presigned),
-            forced.query_partition(idx, &sig, q.len(), 0.5, &presigned)
-        );
-    }
-
-    /// A lazy index signs a partition's current members on its first probe
-    /// only — never a staged or removed key — and keeps those signatures
-    /// across a rebalance; the export holds exactly the signed domains.
-    #[test]
-    fn signatures_are_computed_on_first_probe_and_survive_rebalance() {
-        let (mut index, domains) = build_lazy();
-        index.set_rebalance_threshold(f64::INFINITY);
-        let hasher = demo_hasher();
+        // The signer does not know `big_superset`.
+        domains.remove("big_superset");
+        let index = builder.build(4);
         let asked = Mutex::new(Vec::new());
         let sign = |key: &String| {
             asked.lock().unwrap().push(key.clone());
             domains.get(key).map(|tokens| sig_of(&hasher, tokens))
         };
         let calls = || asked.lock().unwrap().len();
-        assert!(index.export_entries().is_empty(), "the build signed");
-        let removed = index.partitions[0].keys[0].clone();
-        index.remove(&removed);
-        index.insert("staged".to_string(), 7);
         let q = toks("q", 0..50);
         let qsig = sig_of(&hasher, &q);
         index.query_partition(0, &qsig, q.len(), 0.5, &sign);
         let members = index.partitions[0].keys.len();
-        assert_eq!(calls(), members - 1, "signs the current members only");
-        assert!(!asked.lock().unwrap().contains(&removed));
+        assert_eq!(calls(), members, "signs the partition's members");
         index.query_partition(0, &qsig, q.len(), 0.9, &sign);
-        assert_eq!(calls(), members - 1, "a second probe signed again");
-        assert_eq!(index.export_entries().len(), members - 1);
+        assert_eq!(calls(), members, "a second probe signed again");
 
-        // Every partition once: the staged key is not partitioned.
-        index.query(&qsig, q.len(), 0.5, &sign);
-        assert_eq!(calls(), domains.len() - 1);
-        let signed: HashSet<String> = asked.lock().unwrap().iter().cloned().collect();
-        assert_eq!(signed.len(), domains.len() - 1, "a member was signed twice");
-
-        // A rebalance keeps every signature; only the staged key, now
-        // partitioned, is asked for by the next probe. The signer does not
-        // know it, so it stays unsigned and unbanded.
-        index.rebalance();
+        // Every partition once, every member once.
         let hits = index.query(&qsig, q.len(), 0.5, &sign);
-        assert_eq!(calls(), domains.len());
-        assert_eq!(asked.lock().unwrap().last(), Some(&"staged".to_string()));
-        assert!(hits.contains(&"big_superset".to_string()), "{hits:?}");
-        assert!(!hits.contains(&"staged".to_string()), "{hits:?}");
-        let exported: Vec<String> = index.export_entries().into_iter().map(|e| e.0).collect();
-        assert_eq!(exported.len(), domains.len() - 1);
-        assert!(!exported.contains(&"staged".to_string()));
+        assert_eq!(calls(), index.len());
+        let signed: HashSet<String> = asked.lock().unwrap().iter().cloned().collect();
+        assert_eq!(signed.len(), index.len(), "a member was signed twice");
+        assert!(signed.contains("big_superset"));
+        assert!(!hits.contains(&"big_superset".to_string()), "{hits:?}");
+        assert!(hits.contains(&"half".to_string()), "{hits:?}");
     }
 
     /// Domains over a small token universe, so bands genuinely collide.
@@ -1169,60 +810,40 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Every partition's candidates are exactly its live keys whose
+        /// Every partition's candidates are exactly its keys whose
         /// `r`-slot run equals the query's in one of the first `b` bands —
-        /// the band hash is exact on equality — after a fresh build and
-        /// after staged inserts plus removes followed by a rebalance. The
-        /// index is signed lazily.
+        /// the band hash is exact on equality. The index is signed lazily.
         #[test]
         fn candidates_are_exactly_the_slot_run_matches(
             num_perm in prop_oneof![Just(48usize), Just(64usize)],
             domains in small_domains(),
-            staged in small_domains(),
-            removes in prop::collection::vec(0usize..28, 0..6),
             query in prop::collection::hash_set(0u32..24, 1..16),
             parts in 1usize..5,
             t in 0.0f64..1.0,
         ) {
             let hasher = MinHasher::new(num_perm, 7);
-            let all: Vec<&HashSet<u32>> = domains.iter().chain(&staged).collect();
-            let sign = |key: &usize| Some(small_sig(&hasher, all[*key]));
-            let build = || {
-                let mut b = LshEnsembleBuilder::<usize>::new(num_perm);
-                for (key, d) in domains.iter().enumerate() {
-                    b.insert(key, d.len());
-                }
-                b.build(parts)
-            };
-            let fresh = build();
-            let mut churned = build();
-            churned.set_rebalance_threshold(f64::INFINITY);
-            for (key, d) in staged.iter().enumerate() {
-                churned.insert(domains.len() + key, d.len());
+            let sign = |key: &usize| Some(small_sig(&hasher, &domains[*key]));
+            let mut b = LshEnsembleBuilder::<usize>::new(num_perm);
+            for (key, d) in domains.iter().enumerate() {
+                b.insert(key, d.len());
             }
-            for key in &removes {
-                churned.remove(key);
-            }
-            churned.rebalance();
+            let index = b.build(parts);
             let qsig = small_sig(&hasher, &query);
             let q = query.len();
-            for index in [&fresh, &churned] {
-                for (idx, p) in index.partitions.iter().enumerate() {
-                    let j = containment_to_jaccard(t, q, p.upper);
-                    let (b, r) = optimal_params_restricted(j, num_perm, &index.allowed_r);
-                    let runs_match = |sig: &Signature| {
-                        (0..b).any(|band| sig.0[band * r..(band + 1) * r] == qsig.0[band * r..(band + 1) * r])
-                    };
-                    let mut expect: Vec<usize> = p
-                        .keys
-                        .iter()
-                        .filter(|k| index.entries.contains_key(k))
-                        .filter(|k| runs_match(&small_sig(&hasher, all[**k])))
-                        .copied()
-                        .collect();
-                    expect.sort_unstable();
-                    prop_assert_eq!(index.query_partition(idx, &qsig, q, t, &sign), expect);
-                }
+            for (idx, p) in index.partitions.iter().enumerate() {
+                let j = containment_to_jaccard(t, q, p.upper);
+                let (b, r) = optimal_params_restricted(j, num_perm, &index.allowed_r);
+                let runs_match = |sig: &Signature| {
+                    (0..b).any(|band| sig.0[band * r..(band + 1) * r] == qsig.0[band * r..(band + 1) * r])
+                };
+                let mut expect: Vec<usize> = p
+                    .keys
+                    .iter()
+                    .filter(|k| runs_match(&small_sig(&hasher, &domains[**k])))
+                    .copied()
+                    .collect();
+                expect.sort_unstable();
+                prop_assert_eq!(index.query_partition(idx, &qsig, q, t, &sign), expect);
             }
         }
     }
@@ -1232,81 +853,73 @@ mod tests {
 
         /// A lazily signed index answers every `query` and
         /// `query_partition` exactly like a pre-signed one whose band
-        /// tables are all built after every operation (so at every
-        /// rebalance), across insert / re-insert / remove / rebalance
-        /// sequences. Answers are compared only after some operations, so
-        /// many of the lazy index's partitions are first signed and banded
-        /// several mutations after the rebalance that laid them out.
+        /// tables are all built up front, over the domain sets an insert /
+        /// replace / remove sequence passes through: each step lays both
+        /// out afresh over the live domains. Answers are compared only
+        /// after some steps, and then partition by partition in the plan's
+        /// order, so the lazy index signs and bands its partitions in
+        /// varying orders.
         #[test]
         fn cold_bands_answer_like_forced_bands_under_churn(
             num_perm in prop_oneof![Just(48usize), Just(64usize)],
             domains in small_domains(),
             ops in prop::collection::vec(
-                (0u8..4, 0usize..20, prop::collection::hash_set(0u32..24, 1..16), 0u8..3),
+                (0u8..3, 0usize..20, prop::collection::hash_set(0u32..24, 1..16), 0u8..3),
                 0..24,
             ),
             queries in prop::collection::vec(prop::collection::hash_set(0u32..24, 1..16), 1..3),
             parts in 1usize..5,
-            threshold in prop_oneof![Just(0.0f64), Just(0.3f64), Just(f64::INFINITY)],
         ) {
             let hasher = MinHasher::new(num_perm, 7);
             let mut live: HashMap<usize, HashSet<u32>> = domains.iter().cloned().enumerate().collect();
-            let mut cold = LshEnsembleBuilder::<usize>::new(num_perm);
-            let mut forced = LshEnsembleBuilder::<usize>::new(num_perm);
-            for (key, d) in domains.iter().enumerate() {
-                cold.insert(key, d.len());
-                forced.insert_signed(key, d.len(), small_sig(&hasher, d));
-            }
-            let (mut cold, mut forced) = (cold.build(parts), forced.build(parts));
-            cold.set_rebalance_threshold(threshold);
-            forced.set_rebalance_threshold(threshold);
-            force_bands(&forced, &presigned);
             let qsigs: Vec<(Signature, usize)> =
                 queries.iter().map(|q| (small_sig(&hasher, q), q.len())).collect();
+            // The initial domains are compared too, then every step the
+            // draw or the end of the sequence picks.
             let last = ops.len();
-            for (step, (kind, key, d, check)) in ops.into_iter().enumerate() {
-                match kind {
-                    0 | 1 => {
-                        cold.insert(key, d.len());
-                        forced.insert(key, d.len());
+            let steps = std::iter::once(None).chain(ops.into_iter().map(Some));
+            for (step, op) in steps.enumerate() {
+                if let Some((kind, key, d, check)) = op {
+                    if kind == 2 {
+                        live.remove(&key);
+                    } else {
                         live.insert(key, d);
                     }
-                    2 => {
-                        cold.remove(&key);
-                        forced.remove(&key);
-                        live.remove(&key);
-                    }
-                    _ => {
-                        cold.rebalance();
-                        forced.rebalance();
+                    if check != 0 && step != last {
+                        continue;
                     }
                 }
-                let sign = |key: &usize| live.get(key).map(|d| small_sig(&hasher, d));
-                force_bands(&forced, &sign);
+                let (mut cold, mut forced) = (
+                    LshEnsembleBuilder::<usize>::new(num_perm),
+                    LshEnsembleBuilder::<usize>::new(num_perm),
+                );
+                for (&key, d) in &live {
+                    cold.insert(key, d.len());
+                    forced.insert_signed(key, d.len(), small_sig(&hasher, d));
+                }
+                let (cold, forced) = (cold.build(parts), forced.build(parts));
+                force_bands(&forced, &presigned);
                 prop_assert_eq!(cold.partition_bounds(), forced.partition_bounds());
-                if check != 0 && step + 1 != last {
-                    continue;
-                }
+                let sign = |key: &usize| live.get(key).map(|d| small_sig(&hasher, d));
                 for (qsig, q) in &qsigs {
                     for t in [0.2, 0.5, 0.9] {
+                        for probe in cold.probe_plan(*q) {
+                            prop_assert_eq!(
+                                cold.query_partition(probe.partition, qsig, *q, t, &sign),
+                                forced.query_partition(probe.partition, qsig, *q, t, &presigned)
+                            );
+                        }
                         prop_assert_eq!(
                             cold.query(qsig, *q, t, &sign),
                             forced.query(qsig, *q, t, &presigned)
                         );
-                        for idx in 0..cold.partition_count() {
-                            prop_assert_eq!(
-                                cold.query_partition(idx, qsig, *q, t, &sign),
-                                forced.query_partition(idx, qsig, *q, t, &presigned)
-                            );
-                        }
                     }
                 }
             }
         }
     }
 
-    /// Every `(threshold, query size, partition bound)` the grid converts,
-    /// probed twice and again after a rebalance.
+    /// Every `(threshold, query size, partition bound)` the grid converts.
     fn jaccard_grid() -> Vec<f64> {
         let mut grid = Vec::new();
         for t in [0.0, 0.3, 0.5, 0.8, 1.0] {
@@ -1319,10 +932,11 @@ mod tests {
         grid
     }
 
+    /// Probed twice: the memo answers the second pass.
     #[test]
     fn memoised_banding_equals_a_fresh_search() {
-        let (mut index, _) = build_demo();
-        let check = |index: &LshEnsemble<String>| {
+        let (index, _) = build_demo();
+        for _ in 0..2 {
             for j in jaccard_grid() {
                 assert_eq!(
                     index.banding_for(j),
@@ -1330,58 +944,35 @@ mod tests {
                     "j = {j}"
                 );
             }
-        };
-        check(&index);
-        check(&index);
-        index.rebalance();
-        check(&index);
+        }
     }
 
     #[test]
     fn repeated_probes_run_no_new_parameter_search() {
-        let (mut index, hasher) = build_demo();
+        let (index, hasher) = build_demo();
         let q = toks("q", 0..50);
         let sig = sig_of(&hasher, &q);
-        let searches = |index: &LshEnsemble<String>| index.banding_searches.load(Ordering::Relaxed);
-        let probe_all = |index: &LshEnsemble<String>| {
+        let searches = || index.banding_searches.load(Ordering::Relaxed);
+        let probe_all = || {
             for p in index.probe_plan(q.len()) {
                 index.query_partition(p.partition, &sig, q.len(), 0.5, &presigned);
             }
         };
-        probe_all(&index);
-        let first = searches(&index);
+        probe_all();
+        let first = searches();
         assert!(first >= 1 && first <= index.partition_count());
-        probe_all(&index);
+        probe_all();
         index.query(&sig, q.len(), 0.5, &presigned);
-        assert_eq!(searches(&index), first, "a repeated probe searched again");
-        // A rebalance forgets the memo: the next probe searches afresh.
-        index.rebalance();
-        probe_all(&index);
-        assert_eq!(searches(&index), 2 * first);
+        assert_eq!(searches(), first, "a repeated probe searched again");
     }
 
     #[test]
     fn band_tables_are_built_on_first_probe_only() {
-        let (mut index, hasher) = build_demo();
-        index.set_rebalance_threshold(f64::INFINITY);
-        let total = |index: &LshEnsemble<String>| built_bands(index).iter().sum::<usize>();
-        assert_eq!(total(&index), 0, "the build banded a table");
-        let inserted: HashMap<String, Vec<String>> = (0..3)
-            .map(|i| {
-                (
-                    format!("ins{i}"),
-                    toks(&format!("ins{i}_"), 0..(20 + 200 * i)),
-                )
-            })
-            .collect();
-        for (key, d) in &inserted {
-            index.insert(key.clone(), d.len());
-        }
-        let sign = |key: &String| inserted.get(key).map(|d| sig_of(&hasher, d));
-        assert_eq!(index.dirtiness(), 3);
-        assert_eq!(total(&index), 0, "a staged insert built a band table");
-        index.rebalance();
-        assert_eq!(total(&index), 0, "a rebalance built a band table");
+        let (index, domains) = build_lazy();
+        let hasher = demo_hasher();
+        let sign = |key: &String| domains.get(key).map(|d| sig_of(&hasher, d));
+        let total = || built_bands(&index).iter().sum::<usize>();
+        assert_eq!(total(), 0, "the build banded a table");
         // One probe builds exactly the `b` bands it reads, and a repeat
         // reuses them.
         let q = toks("q", 0..50);

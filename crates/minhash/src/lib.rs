@@ -26,8 +26,8 @@
 //!   parameters are chosen by minimizing the sum of false-positive and
 //!   false-negative probability integrals — the same construction as the
 //!   paper's optimal-parameter tuning — and memoised per threshold.
-//!   Domains inserted after the build are staged unbanded and returned by
-//!   every query until a rebalance partitions them.
+//!   A built index never changes: a caller whose domains change lays out
+//!   a new one, so an index always equals a fresh build over its domains.
 
 #![deny(missing_docs)]
 
@@ -35,6 +35,6 @@ mod ensemble;
 mod hasher;
 mod params;
 
-pub use ensemble::{LshEnsemble, LshEnsembleBuilder, PartitionProbe, DEFAULT_REBALANCE_THRESHOLD};
+pub use ensemble::{LshEnsemble, LshEnsembleBuilder, PartitionProbe};
 pub use hasher::{MinHasher, Signature};
 pub use params::{containment_to_jaccard, optimal_params, optimal_params_restricted};
