@@ -7,164 +7,131 @@
 //! cross product (the textbook natural-join degenerate case). Evaluation is
 //! left-to-right, which is exactly why outer join is not associative and
 //! loses derivable facts — the demo's motivating contrast with FD.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! All three run on the flat outer union (`Flat`); only returned rows are
+//! resolved to `Value`s and given a `BTreeSet<Tid>`.
 
 use dialite_align::Alignment;
-use dialite_table::{Table, ValueInterner};
+use dialite_table::{Table, Tid, ValueInterner};
 
 use crate::engine::{check_alignment, IntegrateError, Integrator};
 use crate::result::IntegratedTable;
-use crate::subsume::{dedup_content, remove_subsumed_indexed};
-use crate::tuple::{outer_union, AlignedTuple};
+use crate::subsume::remove_subsumed_indexed;
+use crate::tuple::{flat_union, outer_union, Flat, FlatUnion};
 
-/// One operand of a join chain: its aligned tuples plus the set of schema
-/// slots (integration IDs) its table covers.
-type Operand = (Vec<AlignedTuple>, HashSet<usize>);
-
-/// Per-table aligned tuples plus the set of schema slots the table covers.
-fn aligned_per_table(
-    tables: &[&Table],
-    alignment: &Alignment,
-) -> (Vec<String>, Vec<Operand>, ValueInterner) {
-    let (names, all, interner) = outer_union(tables, alignment);
-    // Recover the slot coverage of each table from the alignment.
-    let mut slot_of: HashMap<u32, usize> = HashMap::new();
-    {
-        let mut next = 0usize;
-        for (t, table) in tables.iter().enumerate() {
-            for c in 0..table.column_count() {
-                let id = alignment.id_of(t, c);
-                slot_of.entry(id).or_insert_with(|| {
-                    let s = next;
-                    next += 1;
-                    s
-                });
-            }
+impl Flat {
+    /// The output, deduplicated and ordered by one sort of tuple indices by
+    /// (each id's rank in `Value` order, insertion order). Equal ranks are
+    /// equal content (the null kinds share rank 0; distinct values never
+    /// compare equal), so each group of equal content keeps its first
+    /// tuple's values and smallest `(len, tids)` witness set (Fig. 8(b)),
+    /// in [`IntegratedTable::from_tuples`]' order.
+    fn finish(self, name: &str, columns: &[String], interner: &ValueInterner) -> IntegratedTable {
+        let mut ids: Vec<u32> = (ValueInterner::FIRST_VALUE_ID..interner.len() as u32).collect();
+        ids.sort_unstable_by(|&a, &b| interner.resolve(a).cmp(interner.resolve(b)));
+        let mut rank = vec![0u32; interner.len()];
+        for (r, &id) in (1u32..).zip(&ids) {
+            rank[id as usize] = r;
         }
+        let keys: Vec<u32> = self.values.iter().map(|&v| rank[v as usize]).collect();
+        let key = |i: u32| &keys[i as usize * self.width..(i as usize + 1) * self.width];
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+
+        let rows = order.chunk_by(|&a, &b| key(a) == key(b)).map(|group| {
+            let best = group.iter().map(|&i| i as usize).min_by(|&a, &b| {
+                let (ta, tb) = (self.tids(a), self.tids(b));
+                let by_len = ta.clone().count().cmp(&tb.clone().count());
+                by_len.then_with(|| ta.cmp(tb))
+            });
+            let head = self.values(group[0] as usize).iter();
+            let tids = self.tids(best.expect("groups are non-empty"));
+            let values = head.map(|&v| interner.resolve(v).clone()).collect();
+            (values, tids.map(|(t, r)| Tid::new(t, r)).collect())
+        });
+        IntegratedTable::from_rows(name, columns, rows)
     }
-    let mut per_table: Vec<Operand> = tables
-        .iter()
-        .enumerate()
-        .map(|(t, table)| {
-            let slots: HashSet<usize> = (0..table.column_count())
-                .map(|c| slot_of[&alignment.id_of(t, c)])
-                .collect();
-            (Vec::new(), slots)
-        })
-        .collect();
-    for tup in all {
-        let t = tup
-            .tids
-            .iter()
-            .next()
-            .expect("base tuple has one tid")
-            .table as usize;
-        per_table[t].0.push(tup);
-    }
-    (names, per_table, interner)
 }
 
-/// Join two aligned tuple sets naturally on `shared` slots.
-/// Returns (joined, matched_left_flags, matched_right_flags).
-fn natural_match(
-    left: &[AlignedTuple],
-    right: &[AlignedTuple],
-    shared: &[usize],
-) -> (Vec<AlignedTuple>, Vec<bool>, Vec<bool>) {
-    let mut joined = Vec::new();
-    let mut left_matched = vec![false; left.len()];
-    let mut right_matched = vec![false; right.len()];
-
-    if shared.is_empty() {
-        // Degenerate natural join: cross product.
-        for (i, l) in left.iter().enumerate() {
-            for (j, r) in right.iter().enumerate() {
-                joined.push(l.merge(r));
-                left_matched[i] = true;
-                right_matched[j] = true;
-            }
-        }
-        return (joined, left_matched, right_matched);
-    }
-
-    // Hash join keyed on the shared-slot value-ids; null-rejecting → tuples
-    // with any null in a shared slot never enter the hash table.
-    let key_of = |t: &AlignedTuple| -> Option<Vec<u32>> {
-        let mut key = Vec::with_capacity(shared.len());
-        for &s in shared {
-            if ValueInterner::is_null_id(t.values[s]) {
-                return None;
-            }
-            key.push(t.values[s]);
-        }
-        Some(key)
-    };
-    let mut table: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-    for (j, r) in right.iter().enumerate() {
-        if let Some(k) = key_of(r) {
-            table.entry(k).or_default().push(j);
-        }
-    }
-    for (i, l) in left.iter().enumerate() {
-        let Some(k) = key_of(l) else { continue };
-        if let Some(matches) = table.get(&k) {
-            for &j in matches {
-                joined.push(l.merge(&right[j]));
-                left_matched[i] = true;
-                right_matched[j] = true;
-            }
-        }
-    }
-    (joined, left_matched, right_matched)
+/// A tuple's value-ids at the `shared` slots: its natural-join key.
+fn shared_ids<'a>(shared: &'a [usize], values: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+    shared.iter().map(move |&s| values[s])
 }
 
+/// Left-to-right natural join of `tables` over their flat outer union,
+/// keeping the unmatched tuples of both operands at every step when
+/// `keep_unmatched` (outer join).
 fn join_chain(
     tables: &[&Table],
     alignment: &Alignment,
     keep_unmatched: bool,
-    op_symbol: &str,
-) -> Result<(String, Vec<String>, Vec<AlignedTuple>, ValueInterner), IntegrateError> {
+    display: &str,
+) -> Result<IntegratedTable, IntegrateError> {
     check_alignment(tables, alignment)?;
-    let (names, per_table, interner) = aligned_per_table(tables, alignment);
-    let mut iter = per_table.into_iter();
-    let Some((mut acc, mut present)) = iter.next() else {
-        let display = format!(
-            "{}()",
-            if keep_unmatched {
-                "OuterJoin"
-            } else {
-                "InnerJoin"
+    let FlatUnion {
+        names,
+        coverage,
+        tuples: base,
+        interner,
+    } = flat_union(tables, alignment);
+    let mut acc = Flat::new(base.width, base.tables);
+    let mut present = vec![false; names.len()];
+    let mut end = 0;
+    for (t, slots) in coverage.iter().enumerate() {
+        let shared: Vec<usize> = slots.iter().copied().filter(|&s| present[s]).collect();
+        for &s in slots {
+            present[s] = true;
+        }
+        let right = end..end + tables[t].row_count();
+        end = right.end;
+        if t == 0 {
+            right.for_each(|j| acc.push(&base, j, None));
+            continue;
+        }
+        // Null-rejecting natural join on the shared slots; with none it is
+        // the cross product. Right rows sorted by (key, row) give each left
+        // tuple its matches, in row order, by binary search.
+        let key = |j: usize| shared_ids(&shared, base.values(j));
+        let joins =
+            |values: &[u32]| shared_ids(&shared, values).all(|v| !ValueInterner::is_null_id(v));
+        let mut sorted: Vec<usize> = right.clone().filter(|&j| joins(base.values(j))).collect();
+        sorted.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+        let mut next = Flat::new(acc.width, acc.tables);
+        let mut left_matched = vec![false; acc.len()];
+        let mut right_matched = vec![false; right.len()];
+        for (i, matched) in left_matched.iter_mut().enumerate() {
+            let left = acc.values(i);
+            if !joins(left) {
+                continue;
             }
-        );
-        return Ok((display, names, Vec::new(), interner));
-    };
-    for (right, right_slots) in iter {
-        let shared: Vec<usize> = {
-            let mut s: Vec<usize> = present.intersection(&right_slots).copied().collect();
-            s.sort_unstable();
-            s
-        };
-        let (joined, lmat, rmat) = natural_match(&acc, &right, &shared);
-        let mut next = joined;
+            let lo = sorted.partition_point(|&j| key(j).lt(shared_ids(&shared, left)));
+            let hi = lo + sorted[lo..].partition_point(|&j| key(j).eq(shared_ids(&shared, left)));
+            for &j in &sorted[lo..hi] {
+                next.push(&acc, i, Some((&base, j)));
+                *matched = true;
+                right_matched[j - right.start] = true;
+            }
+        }
         if keep_unmatched {
-            for (i, m) in lmat.iter().enumerate() {
-                if !m {
-                    next.push(acc[i].clone());
-                }
+            for i in (0..acc.len()).filter(|&i| !left_matched[i]) {
+                next.push(&acc, i, None);
             }
-            for (j, m) in rmat.iter().enumerate() {
-                if !m {
-                    next.push(right[j].clone());
-                }
+            for j in right.clone().filter(|&j| !right_matched[j - right.start]) {
+                next.push(&base, j, None);
             }
         }
         acc = next;
-        present.extend(right_slots);
     }
-    let table_names: Vec<&str> = tables.iter().map(|t| t.name()).collect();
-    let display = table_names.join(&format!(" {op_symbol} "));
-    Ok((display, names, acc, interner))
+    Ok(acc.finish(display, &names, &interner))
+}
+
+/// `T1 ⟗ T2 ⟗ T3`, or `empty` for a chain of no tables.
+fn chain_name(tables: &[&Table], op: &str, empty: &str) -> String {
+    if tables.is_empty() {
+        return empty.to_string();
+    }
+    let names: Vec<&str> = tables.iter().map(|t| t.name()).collect();
+    names.join(&format!(" {op} "))
 }
 
 /// Left-to-right natural **full outer join** — the demo's user-defined
@@ -182,11 +149,8 @@ impl Integrator for OuterJoinIntegrator {
         tables: &[&Table],
         alignment: &Alignment,
     ) -> Result<IntegratedTable, IntegrateError> {
-        let (display, names, tuples, interner) = join_chain(tables, alignment, true, "⟗")?;
-        let tuples = dedup_content(tuples);
-        Ok(IntegratedTable::from_tuples(
-            &display, &names, tuples, &interner,
-        ))
+        let display = chain_name(tables, "⟗", "OuterJoin()");
+        join_chain(tables, alignment, true, &display)
     }
 }
 
@@ -205,11 +169,8 @@ impl Integrator for InnerJoinIntegrator {
         tables: &[&Table],
         alignment: &Alignment,
     ) -> Result<IntegratedTable, IntegrateError> {
-        let (display, names, tuples, interner) = join_chain(tables, alignment, false, "⋈")?;
-        let tuples = dedup_content(tuples);
-        Ok(IntegratedTable::from_tuples(
-            &display, &names, tuples, &interner,
-        ))
+        let display = chain_name(tables, "⋈", "InnerJoin()");
+        join_chain(tables, alignment, false, &display)
     }
 }
 
@@ -237,14 +198,14 @@ impl Integrator for OuterUnionIntegrator {
         alignment: &Alignment,
     ) -> Result<IntegratedTable, IntegrateError> {
         check_alignment(tables, alignment)?;
-        let (names, tuples, interner) = outer_union(tables, alignment);
-        let tuples = if self.subsume {
-            remove_subsumed_indexed(tuples)
-        } else {
-            dedup_content(tuples)
-        };
         let table_names: Vec<&str> = tables.iter().map(|t| t.name()).collect();
         let display = format!("OuterUnion({})", table_names.join(", "));
+        if !self.subsume {
+            let union = flat_union(tables, alignment);
+            return Ok(union.tuples.finish(&display, &union.names, &union.interner));
+        }
+        let (names, tuples, interner) = outer_union(tables, alignment);
+        let tuples = remove_subsumed_indexed(tuples);
         Ok(IntegratedTable::from_tuples(
             &display, &names, tuples, &interner,
         ))

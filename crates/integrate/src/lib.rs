@@ -46,10 +46,10 @@
 //! each distinct cell value once into a [`dialite_table::ValueInterner`]
 //! and emits [`AlignedTuple`]s of `u32` value-ids. Consistency,
 //! connection, merge and subsumption are integer compares; the inverted
-//! indexes key on packed `(column, id)` words; and content dedup hashes
-//! `Vec<u32>` rows. The [`Integrator`] engines and [`IntegratedTable`]
-//! results stay `Value`-typed — ids are resolved back at
-//! [`IntegratedTable::from_tuples`]. The lower-level tuple toolkit
+//! indexes key on packed `(column, id)` words; and content dedup is one
+//! sort. The joins chain over flat id arenas instead of tuples. Engines
+//! and [`IntegratedTable`] results stay `Value`-typed — ids are resolved
+//! back only for the rows returned. The lower-level tuple toolkit
 //! ([`outer_union`], [`AlignedTuple`], [`remove_subsumed_naive`],
 //! [`remove_subsumed_indexed`]) *is* id-typed and passes the interner
 //! explicitly; use it when composing custom operators.

@@ -5,7 +5,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use dialite_table::{Table, Tid, ValueInterner};
+use dialite_table::{Table, Tid, Value, ValueInterner};
 
 use crate::tuple::AlignedTuple;
 
@@ -31,6 +31,7 @@ impl IntegratedTable {
     /// then provenance: equal ids are the same interned `Value`, so only
     /// the first pair of differing ids needs resolving — and where those
     /// two values still compare equal (the two null kinds), the next pair.
+    /// (The join operators reach the same order by ranks, in `joins.rs`.)
     pub fn from_tuples(
         name: &str,
         columns: &[String],
@@ -48,15 +49,19 @@ impl IntegratedTable {
                 .then_with(|| a.values.len().cmp(&b.values.len()))
                 .then_with(|| a.tids.cmp(&b.tids))
         });
-        let mut table = Table::new(name, columns).expect("integration IDs are unique");
-        let mut provenance = Vec::with_capacity(tuples.len());
-        for t in tuples {
-            table
-                .push_row(t.resolve(interner))
-                .expect("aligned tuples have schema arity");
-            provenance.push(t.tids);
-        }
-        table.infer_types();
+        let rows = tuples.into_iter().map(|t| (t.resolve(interner), t.tids));
+        IntegratedTable::from_rows(name, columns, rows)
+    }
+
+    /// Assemble from rows already in output order, each with its witness
+    /// set; [`Table::from_rows`] infers the column types.
+    pub(crate) fn from_rows(
+        name: &str,
+        columns: &[String],
+        rows: impl Iterator<Item = (Vec<Value>, BTreeSet<Tid>)>,
+    ) -> IntegratedTable {
+        let (rows, provenance) = rows.unzip();
+        let table = Table::from_rows(name, columns, rows).expect("unique IDs, schema arity");
         IntegratedTable { table, provenance }
     }
 
@@ -123,7 +128,6 @@ impl fmt::Display for IntegratedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dialite_table::Value;
 
     fn tuples() -> (Vec<AlignedTuple>, ValueInterner) {
         let mut interner = ValueInterner::new();

@@ -2,34 +2,52 @@
 //!
 //! Two variants share semantics and differ in cost: a quadratic reference
 //! scan and ALITE's index-accelerated pass.
-//! Both operate on dictionary-encoded tuples: content dedup keys on
-//! `Vec<u32>` value-ids and the inverted index on packed `(col, id)` words,
-//! so neither pass touches a [`dialite_table::Value`].
+//! Both operate on dictionary-encoded tuples: content dedup sorts by
+//! value-ids and the inverted index keys on packed `(col, id)` words, so
+//! neither pass touches a [`dialite_table::Value`].
 
 use std::collections::HashMap;
 
 use crate::tuple::{slot_key, AlignedTuple};
 use dialite_table::ValueInterner;
 
-/// Deduplicate by content, keeping the smallest witness TID set
-/// (paper Fig. 8(b): `f12 = {t16}`, not `{t12, t16}`).
-pub(crate) fn dedup_content(tuples: Vec<AlignedTuple>) -> Vec<AlignedTuple> {
-    let mut by_content: HashMap<Vec<u32>, AlignedTuple> = HashMap::with_capacity(tuples.len());
-    for t in tuples {
-        use std::collections::hash_map::Entry;
-        match by_content.entry(t.content_key()) {
-            Entry::Occupied(mut e) => {
-                let existing = e.get_mut();
-                if (t.tids.len(), &t.tids) < (existing.tids.len(), &existing.tids) {
-                    existing.tids = t.tids;
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(t);
-            }
-        }
-    }
-    by_content.into_values().collect()
+/// A tuple's content: its value-ids with both null kinds as one id
+/// ([`AlignedTuple::content_key`], in the same order, without allocating).
+fn content(values: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    values.iter().map(|&v| v.max(ValueInterner::NULL_MISSING))
+}
+
+/// Deduplicate by content, keeping the first tuple's values and the
+/// smallest witness TID set (paper Fig. 8(b): `f12 = {t16}`, not
+/// `{t12, t16}`). One sort of tuple indices by (decreasing non-null count,
+/// content, insertion order) lays content-equal tuples side by side with
+/// the first-inserted at the head; the output keeps that order, which is
+/// the one the indexed pass probes in.
+pub(crate) fn dedup_content(mut tuples: Vec<AlignedTuple>) -> Vec<AlignedTuple> {
+    let non_null: Vec<usize> = tuples.iter().map(AlignedTuple::non_null_count).collect();
+    let mut order: Vec<usize> = (0..tuples.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        non_null[b]
+            .cmp(&non_null[a])
+            .then_with(|| content(&tuples[a].values).cmp(content(&tuples[b].values)))
+            .then(a.cmp(&b))
+    });
+    let kept: Vec<(usize, usize)> = order
+        .chunk_by(|&a, &b| content(&tuples[a].values).eq(content(&tuples[b].values)))
+        .map(|group| {
+            let best = group
+                .iter()
+                .min_by_key(|&&i| (tuples[i].tids.len(), &tuples[i].tids));
+            (group[0], *best.expect("groups are non-empty"))
+        })
+        .collect();
+    kept.into_iter()
+        .map(|(head, best)| {
+            let tids = std::mem::take(&mut tuples[best].tids);
+            let values = std::mem::take(&mut tuples[head].values);
+            AlignedTuple { values, tids }
+        })
+        .collect()
 }
 
 /// Quadratic reference implementation: keep `t` unless some other tuple with
@@ -56,12 +74,7 @@ pub fn remove_subsumed_naive(tuples: Vec<AlignedTuple>) -> Vec<AlignedTuple> {
 /// must appear in the posting list of any one of them — we probe the first.
 /// All-null tuples are subsumed by anything non-empty.
 pub fn remove_subsumed_indexed(tuples: Vec<AlignedTuple>) -> Vec<AlignedTuple> {
-    let mut tuples = dedup_content(tuples);
-    tuples.sort_by(|a, b| {
-        b.non_null_count()
-            .cmp(&a.non_null_count())
-            .then_with(|| a.values.cmp(&b.values))
-    });
+    let tuples = dedup_content(tuples);
     let mut kept: Vec<AlignedTuple> = Vec::with_capacity(tuples.len());
     let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
     for t in tuples {
@@ -147,6 +160,15 @@ mod tests {
         let a = tup(vec![vid(&it, 1), MISSING], &[(0, 0)]);
         let b = tup(vec![vid(&it, 1), PRODUCED], &[(1, 0)]);
         assert_eq!(dedup_content(vec![a, b]).len(), 1);
+    }
+
+    #[test]
+    fn dedup_keeps_first_values_with_the_smallest_witness_set() {
+        let it = interner();
+        let a = tup(vec![vid(&it, 1), MISSING], &[(0, 0), (1, 0)]);
+        let b = tup(vec![vid(&it, 1), PRODUCED], &[(2, 0)]);
+        let out = dedup_content(vec![a, b]);
+        assert_eq!(out, vec![tup(vec![vid(&it, 1), MISSING], &[(2, 0)])]);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! relations are then pure integer compares — no `Value` is cloned or
 //! hashed anywhere in the complementation fixpoint or the subsumption pass.
 //! Ids are resolved back to [`dialite_table::Value`]s only at the result
-//! boundary ([`crate::IntegratedTable::from_tuples`]), so the crate's public
-//! engine APIs stay `Value`-typed.
+//! boundary, so the crate's public engine APIs stay `Value`-typed. The
+//! join operators hold the same outer union as `Flat` arenas instead of
+//! [`AlignedTuple`]s: a left-to-right chain joins each table once.
 
 use std::collections::BTreeSet;
 
@@ -34,6 +35,17 @@ pub struct AlignedTuple {
 #[inline]
 pub(crate) fn slot_key(col: usize, vid: u32) -> u64 {
     ((col as u64) << 32) | u64::from(vid)
+}
+
+/// One slot of [`AlignedTuple::merge`]: a non-null `a` wins, else the
+/// larger id, so a missing null (`±`) dominates a produced one (`⊥`).
+#[inline]
+pub(crate) fn merge_id(a: u32, b: u32) -> u32 {
+    if ValueInterner::is_null_id(a) {
+        a.max(b)
+    } else {
+        a
+    }
 }
 
 impl AlignedTuple {
@@ -72,13 +84,7 @@ impl AlignedTuple {
             .values
             .iter()
             .zip(&other.values)
-            .map(|(&a, &b)| {
-                if ValueInterner::is_null_id(a) {
-                    a.max(b)
-                } else {
-                    a
-                }
-            })
+            .map(|(&a, &b)| merge_id(a, b))
             .collect();
         let tids = self.tids.union(&other.tids).copied().collect();
         AlignedTuple { values, tids }
@@ -138,6 +144,132 @@ impl AlignedTuple {
     }
 }
 
+/// Row slot of a table that did not contribute to a tuple.
+const ABSENT: u32 = u32::MAX;
+
+/// Tuples in two flat arenas: `width` value-ids and one row slot per input
+/// table each. An input row, or a tuple of a left-to-right join chain,
+/// holds at most one row of each table, so its slots *are* its witness set.
+pub(crate) struct Flat {
+    pub(crate) width: usize,
+    pub(crate) tables: usize,
+    pub(crate) values: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Flat {
+    pub(crate) fn new(width: usize, tables: usize) -> Flat {
+        Flat {
+            width,
+            tables: tables.max(1),
+            values: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len() / self.tables
+    }
+
+    pub(crate) fn values(&self, i: usize) -> &[u32] {
+        &self.values[i * self.width..(i + 1) * self.width]
+    }
+
+    fn slots(&self, i: usize) -> &[u32] {
+        &self.rows[i * self.tables..(i + 1) * self.tables]
+    }
+
+    /// The witness set of tuple `i` as ordered `(table, row)` pairs.
+    pub(crate) fn tids(&self, i: usize) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        let slots = (0u32..).zip(self.slots(i));
+        slots.filter(|&(_, &r)| r != ABSENT).map(|(t, &r)| (t, r))
+    }
+
+    /// Append tuple `i` of `from`, merged with tuple `j` of `with` when
+    /// given: [`AlignedTuple::merge`] without building either tuple. The
+    /// two witness sets are disjoint, so the slots merge by `min`.
+    pub(crate) fn push(&mut self, from: &Flat, i: usize, with: Option<(&Flat, usize)>) {
+        match with {
+            Some((other, j)) => {
+                let slots = from.slots(i).iter().zip(other.slots(j));
+                self.rows.extend(slots.map(|(&a, &b)| a.min(b)));
+                let values = from.values(i).iter().zip(other.values(j));
+                self.values.extend(values.map(|(&a, &b)| merge_id(a, b)));
+            }
+            None => {
+                self.rows.extend_from_slice(from.slots(i));
+                self.values.extend_from_slice(from.values(i));
+            }
+        }
+    }
+}
+
+/// The outer union laid out flat, before any [`AlignedTuple`] is built.
+pub(crate) struct FlatUnion {
+    /// Integrated column names: integration IDs by first appearance.
+    pub(crate) names: Vec<String>,
+    /// The schema slots each table covers.
+    pub(crate) coverage: Vec<Vec<usize>>,
+    /// One tuple per input row; tables in order, then rows.
+    pub(crate) tuples: Flat,
+    /// The dictionary the tuples' value-ids refer to.
+    pub(crate) interner: ValueInterner,
+}
+
+/// [`outer_union`], laid out flat and with each table's slot coverage.
+///
+/// # Panics
+/// If `alignment` does not cover exactly the given tables/columns.
+pub(crate) fn flat_union(tables: &[&Table], alignment: &Alignment) -> FlatUnion {
+    assert_eq!(
+        alignment.assignments().len(),
+        tables.len(),
+        "alignment covers a different number of tables"
+    );
+    // Order integration IDs by first appearance (paper figures' order).
+    let mut slot_of = vec![usize::MAX; alignment.num_ids()];
+    let mut names = Vec::new();
+    let mut coverage = Vec::with_capacity(tables.len());
+    for (t, table) in tables.iter().enumerate() {
+        assert_eq!(
+            alignment.assignments()[t].len(),
+            table.column_count(),
+            "alignment covers a different number of columns for table {t}"
+        );
+        let slots = (0..table.column_count()).map(|c| {
+            let id = alignment.id_of(t, c) as usize;
+            if slot_of[id] == usize::MAX {
+                slot_of[id] = names.len();
+                names.push(alignment.name_of(id as u32).to_string());
+            }
+            slot_of[id]
+        });
+        coverage.push(slots.collect());
+    }
+
+    let mut flat = Flat::new(names.len(), tables.len());
+    let mut interner = ValueInterner::new();
+    for (t, table) in tables.iter().enumerate() {
+        for (r, row) in table.rows().enumerate() {
+            let start = flat.values.len();
+            flat.values
+                .resize(start + flat.width, ValueInterner::NULL_PRODUCED);
+            for (c, v) in row.iter().enumerate() {
+                let slot = slot_of[alignment.id_of(t, c) as usize];
+                flat.values[start + slot] = interner.intern(v);
+            }
+            let slots = (0..flat.tables).map(|u| if u == t { r as u32 } else { ABSENT });
+            flat.rows.extend(slots);
+        }
+    }
+    FlatUnion {
+        names,
+        coverage,
+        tuples: flat,
+        interner,
+    }
+}
+
 /// Compute the outer union of an integration set over the aligned schema:
 /// every input row becomes an [`AlignedTuple`] with produced nulls in the
 /// attributes its table does not have. Returns the integrated column names
@@ -152,53 +284,15 @@ pub fn outer_union(
     tables: &[&Table],
     alignment: &Alignment,
 ) -> (Vec<String>, Vec<AlignedTuple>, ValueInterner) {
-    assert_eq!(
-        alignment.assignments().len(),
-        tables.len(),
-        "alignment covers a different number of tables"
-    );
-    // Order integration IDs by first appearance (paper figures' order).
-    let mut order: Vec<u32> = Vec::with_capacity(alignment.num_ids());
-    let mut seen = vec![false; alignment.num_ids()];
-    for (t, table) in tables.iter().enumerate() {
-        assert_eq!(
-            alignment.assignments()[t].len(),
-            table.column_count(),
-            "alignment covers a different number of columns for table {t}"
-        );
-        for c in 0..table.column_count() {
-            let id = alignment.id_of(t, c);
-            if !seen[id as usize] {
-                seen[id as usize] = true;
-                order.push(id);
-            }
-        }
-    }
-    let mut slot_of = vec![usize::MAX; alignment.num_ids()];
-    for (slot, &id) in order.iter().enumerate() {
-        slot_of[id as usize] = slot;
-    }
-    let names: Vec<String> = order
-        .iter()
-        .map(|&id| alignment.name_of(id).to_string())
+    let union = flat_union(tables, alignment);
+    let flat = &union.tuples;
+    let tuples = (0..flat.len())
+        .map(|i| AlignedTuple {
+            values: flat.values(i).to_vec(),
+            tids: flat.tids(i).map(|(t, r)| Tid::new(t, r)).collect(),
+        })
         .collect();
-
-    let width = order.len();
-    let mut interner = ValueInterner::new();
-    let mut tuples = Vec::new();
-    for (t, table) in tables.iter().enumerate() {
-        for (r, row) in table.rows().enumerate() {
-            let mut values = vec![ValueInterner::NULL_PRODUCED; width];
-            for (c, v) in row.iter().enumerate() {
-                let slot = slot_of[alignment.id_of(t, c) as usize];
-                values[slot] = interner.intern(v);
-            }
-            let mut tids = BTreeSet::new();
-            tids.insert(Tid::new(t as u32, r as u32));
-            tuples.push(AlignedTuple { values, tids });
-        }
-    }
-    (names, tuples, interner)
+    (union.names, tuples, union.interner)
 }
 
 #[cfg(test)]

@@ -21,17 +21,20 @@
 # BENCHMARK.json, or when head failed more ops than base. Raw run logs and a TSV of every
 # value stay in benchmark/out/compare/.
 #
-# With --layers, after the pairs it also makes one traced run
-# (`--trace 1`, seed 1) per side and workload, and prints every per-layer
-# metric of BENCHMARK.json whose value differs between the two runs as
-# base, head and head ÷ base. One run per side is no statistic, so only
-# work counts gate: it exits 1 when a per-layer metric with unit `count`
-# differs between the two traced runs on a workload in COUNT_GATED below,
-# except the metrics in COUNT_UNGATED. Those counts repeat exactly per
-# seed on a single-client workload, so any difference is a change in the
-# work done. serve-churn is left out because its two clients interleave
-# differently on every run, and minhash.signatures_per_table because it
-# grows with the passes a window fits.
+# With --layers, after the pairs it also makes two traced runs
+# (`--trace 1`, seed 1) per side and workload, alternating base, head,
+# head, base, and prints every per-layer metric of BENCHMARK.json whose
+# value is not the same in all four runs: both base readings, both head
+# readings, and head ÷ base of the two-run means. Two runs per side show
+# how far a reading moves between runs of the same code, but are no
+# statistic, so only work counts gate: it exits 1 when a per-layer metric
+# with unit `count` is not the same in all four traced runs on a workload
+# in COUNT_GATED below, except the metrics in COUNT_UNGATED. Those counts
+# repeat exactly per seed on a single-client workload, so any difference
+# is a change in the work done. serve-churn is left out because its two
+# clients interleave differently on every run, and
+# minhash.signatures_per_table because it grows with the passes a window
+# fits.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -75,13 +78,13 @@ traced="$out/layers-$sha-$stamp.tsv"
 : > "$runs"
 : > "$traced"
 # One run at `--trace TRACE`; appends `workload side pair metric value`
-# rows to TSV (pair is -1 for the traced run).
+# rows to TSV (pair is -1 or -2 for the traced runs).
 run_one() {
   local side=$1 w=$2 pair=$3 trace=$4 tsv=$5 dir log seed
   dir="$(side_dir "$side")"
   if [ "$trace" = 1 ]; then
     seed=1
-    log="$out/$side-$w-traced.log"
+    log="$out/$side-$w-traced$((-pair)).log"
   else
     seed=$((pair + 1))
     log="$out/$side-$w-$pair.log"
@@ -104,9 +107,10 @@ for w in $workloads; do
   done
 done
 if ((layers)); then
+  sides=(base head head base)
   for w in $workloads; do
-    for side in base head; do
-      run_one "$side" "$w" -1 1 "$traced"
+    for k in 0 1 2 3; do
+      run_one "${sides[k]}" "$w" $((-1 - k / 2)) 1 "$traced"
     done
   done
 fi
@@ -125,10 +129,10 @@ values = {}  # (workload, metric) -> side -> pair -> value
 for line in open(sys.argv[2]):
     w, side, pair, metric, value = line.rstrip("\n").split("\t")
     values.setdefault((w, metric), {}).setdefault(side, {})[int(pair)] = float(value)
-layers = {}  # (workload, metric) -> side -> value of the traced run
-for line in open(sys.argv[3]):
+layers = {}  # (workload, metric) -> side -> [traced run -1, traced run -2]
+for line in sorted(open(sys.argv[3]), key=lambda l: -int(l.split("\t")[2])):
     w, side, _, metric, value = line.rstrip("\n").split("\t")
-    layers.setdefault((w, metric), {})[side] = float(value)
+    layers.setdefault((w, metric), {}).setdefault(side, []).append(float(value))
 
 
 def quartiles(v):
@@ -173,18 +177,22 @@ for w in sorted({w for w, _ in values}, key=order.index):
               f"{f'  unresolved (base IQR/median {spread:.3f} > bound)' if unresolved else ''}"
               f"{'  WORSE than bound ' + str(m['bound']) if bad else ''}")
 for w in [w for w in order if any(lw == w for lw, _ in layers)]:
-    print(f"{w}: per-layer metrics that differ (one traced run per side, seed 1)")
+    print(f"{w}: per-layer metrics that differ (two traced runs per side, seed 1)")
     for m in bench["per_layer"]:
         sides = layers.get((w, m["name"]), {})
-        if "base" not in sides or "head" not in sides or sides["base"] == sides["head"]:
+        if "base" not in sides or "head" not in sides:
             continue
         b, h = sides["base"], sides["head"]
-        ratio = f"{h / b:7.3f}" if b else "      -"
+        if len(set(b + h)) == 1:
+            continue
+        bm, hm = statistics.mean(b), statistics.mean(h)
+        ratio = f"{hm / bm:7.3f}" if bm else "      -"
         gated = (m["unit"] == "count" and w in COUNT_GATED
                  and m["name"] not in COUNT_UNGATED)
         if gated:
             worse.append(f"{w} {m['name']} count")
-        print(f"  {m['name']:34} base {b:10.4g}  head {h:10.4g}  head/base {ratio}"
+        runs = lambda v: " ".join(f"{x:10.4g}" for x in v)
+        print(f"  {m['name']:34} base {runs(b)}  head {runs(h)}  head/base {ratio}"
               f"  ({m['unit']}, {m['better']} is better)"
               f"{'  COUNT CHANGED' if gated else ''}")
 if worse:
