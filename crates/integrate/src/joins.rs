@@ -8,46 +8,44 @@
 //! left-to-right, which is exactly why outer join is not associative and
 //! loses derivable facts — the demo's motivating contrast with FD.
 //!
-//! All three run on the flat outer union (`Flat`); only returned rows are
-//! resolved to `Value`s and given a `BTreeSet<Tid>`.
+//! The two joins run on the flat outer union (`Flat`); only returned rows
+//! are resolved to `Value`s and given a `BTreeSet<Tid>`. The outer union
+//! dedups [`crate::AlignedTuple`]s, as FD does. All three dedup with
+//! [`dedup_groups`] and order their output by [`value_ranks`].
 
 use dialite_align::Alignment;
 use dialite_table::{Table, Tid, ValueInterner};
 
 use crate::engine::{check_alignment, IntegrateError, Integrator};
-use crate::result::IntegratedTable;
-use crate::subsume::remove_subsumed_indexed;
+use crate::result::{value_ranks, IntegratedTable};
+use crate::subsume::{dedup_content, dedup_groups, remove_subsumed_indexed};
 use crate::tuple::{flat_union, outer_union, Flat, FlatUnion};
 
 impl Flat {
-    /// The output, deduplicated and ordered by one sort of tuple indices by
-    /// (each id's rank in `Value` order, insertion order). Equal ranks are
-    /// equal content (the null kinds share rank 0; distinct values never
-    /// compare equal), so each group of equal content keeps its first
-    /// tuple's values and smallest `(len, tids)` witness set (Fig. 8(b)),
-    /// in [`IntegratedTable::from_tuples`]' order.
+    /// The output: [`dedup_groups`] over the tuples' [`value_ranks`] rows,
+    /// which are equal exactly for equal content (the null kinds share rank
+    /// 0) and come out in [`IntegratedTable::from_tuples`]' order. Only the
+    /// kept rows are resolved and given a `BTreeSet<Tid>`.
     fn finish(self, name: &str, columns: &[String], interner: &ValueInterner) -> IntegratedTable {
-        let mut ids: Vec<u32> = (ValueInterner::FIRST_VALUE_ID..interner.len() as u32).collect();
-        ids.sort_unstable_by(|&a, &b| interner.resolve(a).cmp(interner.resolve(b)));
-        let mut rank = vec![0u32; interner.len()];
-        for (r, &id) in (1u32..).zip(&ids) {
-            rank[id as usize] = r;
-        }
+        let rank = value_ranks(&self.values, interner);
         let keys: Vec<u32> = self.values.iter().map(|&v| rank[v as usize]).collect();
-        let key = |i: u32| &keys[i as usize * self.width..(i as usize + 1) * self.width];
-        let mut order: Vec<u32> = (0..self.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
-
-        let rows = order.chunk_by(|&a, &b| key(a) == key(b)).map(|group| {
-            let best = group.iter().map(|&i| i as usize).min_by(|&a, &b| {
-                let (ta, tb) = (self.tids(a), self.tids(b));
-                let by_len = ta.clone().count().cmp(&tb.clone().count());
-                by_len.then_with(|| ta.cmp(tb))
-            });
-            let head = self.values(group[0] as usize).iter();
-            let tids = self.tids(best.expect("groups are non-empty"));
-            let values = head.map(|&v| interner.resolve(v).clone()).collect();
-            (values, tids.map(|(t, r)| Tid::new(t, r)).collect())
+        let key = |i: usize| &keys[i * self.width..(i + 1) * self.width];
+        let witness = |i: usize| (self.tids(i).count(), self.tids(i));
+        let kept = dedup_groups(
+            self.len(),
+            |a, b| key(a).cmp(key(b)),
+            |a, b| {
+                let ((la, ta), (lb, tb)) = (witness(a), witness(b));
+                la.cmp(&lb).then_with(|| ta.cmp(tb))
+            },
+        );
+        let rows = kept.into_iter().map(|(head, best)| {
+            let values = self.values(head).iter();
+            let values = values.map(|&v| interner.resolve(v).clone()).collect();
+            (
+                values,
+                self.tids(best).map(|(t, r)| Tid::new(t, r)).collect(),
+            )
         });
         IntegratedTable::from_rows(name, columns, rows)
     }
@@ -198,14 +196,14 @@ impl Integrator for OuterUnionIntegrator {
         alignment: &Alignment,
     ) -> Result<IntegratedTable, IntegrateError> {
         check_alignment(tables, alignment)?;
+        let (names, tuples, interner) = outer_union(tables, alignment);
+        let tuples = if self.subsume {
+            remove_subsumed_indexed(tuples)
+        } else {
+            dedup_content(tuples)
+        };
         let table_names: Vec<&str> = tables.iter().map(|t| t.name()).collect();
         let display = format!("OuterUnion({})", table_names.join(", "));
-        if !self.subsume {
-            let union = flat_union(tables, alignment);
-            return Ok(union.tuples.finish(&display, &union.names, &union.interner));
-        }
-        let (names, tuples, interner) = outer_union(tables, alignment);
-        let tuples = remove_subsumed_indexed(tuples);
         Ok(IntegratedTable::from_tuples(
             &display, &names, tuples, &interner,
         ))

@@ -1,13 +1,38 @@
 //! The output of an integration operator: an integrated table plus
 //! per-tuple provenance.
 
-use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
 use dialite_table::{Table, Tid, Value, ValueInterner};
 
 use crate::tuple::AlignedTuple;
+
+/// Each of the value-ids in `ids` mapped to its rank in `Value` order,
+/// indexed by id (ids not in `ids` read 0). Both null kinds rank 0, as
+/// `Value` orders them equal and below every value; distinct value-ids
+/// never compare equal, so they rank apart. Comparing two id rows by
+/// their ranks is then comparing their resolved rows, and only the
+/// distinct ids present are ever compared as `Value`s, once. The one
+/// output order of every integration operator.
+pub(crate) fn value_ranks<'a>(
+    ids: impl IntoIterator<Item = &'a u32>,
+    interner: &ValueInterner,
+) -> Vec<u32> {
+    let mut rank = vec![0u32; interner.len()];
+    let mut present = Vec::new();
+    for &v in ids {
+        if rank[v as usize] == 0 && !ValueInterner::is_null_id(v) {
+            rank[v as usize] = 1;
+            present.push(v);
+        }
+    }
+    present.sort_unstable_by(|&a, &b| interner.resolve(a).cmp(interner.resolve(b)));
+    for (r, &v) in (1u32..).zip(&present) {
+        rank[v as usize] = r;
+    }
+    rank
+}
 
 /// An integrated table: the data (a [`Table`] over the integration IDs) plus
 /// the witness TID set of every output tuple, as displayed in the paper's
@@ -26,28 +51,20 @@ impl IntegratedTable {
     /// ids leave the integration core — everything downstream is
     /// `Value`-typed.
     ///
-    /// Tuples are sorted while still ids, and each is resolved once, after.
-    /// The order is exactly that of sorting resolved rows by `Vec<Value>`
-    /// then provenance: equal ids are the same interned `Value`, so only
-    /// the first pair of differing ids needs resolving — and where those
-    /// two values still compare equal (the two null kinds), the next pair.
-    /// (The join operators reach the same order by ranks, in `joins.rs`.)
+    /// Tuples are sorted while still ids, by their ids' [`value_ranks`]
+    /// then provenance, and each is resolved once, after: exactly the order
+    /// of sorting resolved rows by `Vec<Value>` then provenance.
     pub fn from_tuples(
         name: &str,
         columns: &[String],
         mut tuples: Vec<AlignedTuple>,
         interner: &ValueInterner,
     ) -> IntegratedTable {
+        let rank = value_ranks(tuples.iter().flat_map(|t| &t.values), interner);
+        let key = |&v: &u32| rank[v as usize];
         tuples.sort_by(|a, b| {
-            a.values
-                .iter()
-                .zip(&b.values)
-                .filter(|(x, y)| x != y)
-                .map(|(&x, &y)| interner.resolve(x).cmp(interner.resolve(y)))
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
-                .then_with(|| a.values.len().cmp(&b.values.len()))
-                .then_with(|| a.tids.cmp(&b.tids))
+            let by_values = a.values.iter().map(key).cmp(b.values.iter().map(key));
+            by_values.then_with(|| a.tids.cmp(&b.tids))
         });
         let rows = tuples.into_iter().map(|t| (t.resolve(interner), t.tids));
         IntegratedTable::from_rows(name, columns, rows)

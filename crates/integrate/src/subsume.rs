@@ -6,6 +6,7 @@
 //! value-ids and the inverted index keys on packed `(col, id)` words, so
 //! neither pass touches a [`dialite_table::Value`].
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use crate::tuple::{slot_key, AlignedTuple};
@@ -17,30 +18,42 @@ fn content(values: &[u32]) -> impl Iterator<Item = u32> + '_ {
     values.iter().map(|&v| v.max(ValueInterner::NULL_MISSING))
 }
 
-/// Deduplicate by content, keeping the first tuple's values and the
-/// smallest witness TID set (paper Fig. 8(b): `f12 = {t16}`, not
-/// `{t12, t16}`). One sort of tuple indices by (decreasing non-null count,
-/// content, insertion order) lays content-equal tuples side by side with
-/// the first-inserted at the head; the output keeps that order, which is
-/// the one the indexed pass probes in.
+/// Content dedup by one sort (paper Fig. 8(b): `f12 = {t16}`, not
+/// `{t12, t16}`): tuple indices `0..n` sorted by `content`, then insertion
+/// order, lay content-equal tuples side by side with the first-inserted at
+/// the head. Each group yields `(head, best)`: the head keeps its values,
+/// and `best` is the tuple whose witness set is least by `witness`
+/// (smallest `(len, tids)`). Groups come out in `content` order.
+pub(crate) fn dedup_groups(
+    n: usize,
+    content: impl Fn(usize, usize) -> Ordering,
+    witness: impl Fn(usize, usize) -> Ordering,
+) -> Vec<(usize, usize)> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_unstable_by(|&a, &b| content(a, b).then(a.cmp(&b)));
+    order
+        .chunk_by(|&a, &b| content(a, b).is_eq())
+        .map(|group| {
+            let best = group.iter().copied().min_by(|&a, &b| witness(a, b));
+            (group[0], best.expect("groups are non-empty"))
+        })
+        .collect()
+}
+
+/// Deduplicate by content with [`dedup_groups`], ordered by decreasing
+/// non-null count first: the order the indexed pass probes in.
 pub(crate) fn dedup_content(mut tuples: Vec<AlignedTuple>) -> Vec<AlignedTuple> {
     let non_null: Vec<usize> = tuples.iter().map(AlignedTuple::non_null_count).collect();
-    let mut order: Vec<usize> = (0..tuples.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        non_null[b]
-            .cmp(&non_null[a])
-            .then_with(|| content(&tuples[a].values).cmp(content(&tuples[b].values)))
-            .then(a.cmp(&b))
-    });
-    let kept: Vec<(usize, usize)> = order
-        .chunk_by(|&a, &b| content(&tuples[a].values).eq(content(&tuples[b].values)))
-        .map(|group| {
-            let best = group
-                .iter()
-                .min_by_key(|&&i| (tuples[i].tids.len(), &tuples[i].tids));
-            (group[0], *best.expect("groups are non-empty"))
-        })
-        .collect();
+    let kept = dedup_groups(
+        tuples.len(),
+        |a, b| {
+            let by_content = || content(&tuples[a].values).cmp(content(&tuples[b].values));
+            non_null[b].cmp(&non_null[a]).then_with(by_content)
+        },
+        |a, b| {
+            (tuples[a].tids.len(), &tuples[a].tids).cmp(&(tuples[b].tids.len(), &tuples[b].tids))
+        },
+    );
     kept.into_iter()
         .map(|(head, best)| {
             let tids = std::mem::take(&mut tuples[best].tids);
