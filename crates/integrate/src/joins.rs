@@ -19,7 +19,7 @@ use dialite_table::{Table, Tid, ValueInterner};
 use crate::engine::{check_alignment, IntegrateError, Integrator};
 use crate::result::{value_ranks, IntegratedTable};
 use crate::subsume::{dedup_content, dedup_groups, remove_subsumed_indexed};
-use crate::tuple::{flat_union, outer_union, Flat, FlatUnion};
+use crate::tuple::{flat_union, outer_union, Flat};
 
 impl Flat {
     /// The output: [`dedup_groups`] over the tuples' [`value_ranks`] rows,
@@ -41,11 +41,8 @@ impl Flat {
         );
         let rows = kept.into_iter().map(|(head, best)| {
             let values = self.values(head).iter();
-            let values = values.map(|&v| interner.resolve(v).clone()).collect();
-            (
-                values,
-                self.tids(best).map(|(t, r)| Tid::new(t, r)).collect(),
-            )
+            let tids = self.tids(best).map(|(t, r)| Tid::new(t, r)).collect();
+            (values.map(|&v| interner.resolve(v).clone()).collect(), tids)
         });
         IntegratedTable::from_rows(name, columns, rows)
     }
@@ -66,12 +63,7 @@ fn join_chain(
     display: &str,
 ) -> Result<IntegratedTable, IntegrateError> {
     check_alignment(tables, alignment)?;
-    let FlatUnion {
-        names,
-        coverage,
-        tuples: base,
-        interner,
-    } = flat_union(tables, alignment);
+    let (names, coverage, base, interner) = flat_union(tables, alignment);
     let mut acc = Flat::new(base.width, base.tables);
     let mut present = vec![false; names.len()];
     let mut end = 0;

@@ -8,13 +8,11 @@ use dialite_table::{Table, Tid, Value, ValueInterner};
 
 use crate::tuple::AlignedTuple;
 
-/// Each of the value-ids in `ids` mapped to its rank in `Value` order,
-/// indexed by id (ids not in `ids` read 0). Both null kinds rank 0, as
-/// `Value` orders them equal and below every value; distinct value-ids
-/// never compare equal, so they rank apart. Comparing two id rows by
-/// their ranks is then comparing their resolved rows, and only the
-/// distinct ids present are ever compared as `Value`s, once. The one
-/// output order of every integration operator.
+/// The rank in `Value` order of each value-id in `ids`, indexed by id
+/// (others read 0): the one output order of every operator. Both null
+/// kinds rank 0, as `Value` orders them; distinct values never compare
+/// equal. Rank rows compare as the resolved rows do, and only the
+/// distinct ids present are compared as `Value`s, once.
 pub(crate) fn value_ranks<'a>(
     ids: impl IntoIterator<Item = &'a u32>,
     interner: &ValueInterner,

@@ -204,23 +204,16 @@ impl Flat {
     }
 }
 
-/// The outer union laid out flat, before any [`AlignedTuple`] is built.
-pub(crate) struct FlatUnion {
-    /// Integrated column names: integration IDs by first appearance.
-    pub(crate) names: Vec<String>,
-    /// The schema slots each table covers.
-    pub(crate) coverage: Vec<Vec<usize>>,
-    /// One tuple per input row; tables in order, then rows.
-    pub(crate) tuples: Flat,
-    /// The dictionary the tuples' value-ids refer to.
-    pub(crate) interner: ValueInterner,
-}
-
-/// [`outer_union`], laid out flat and with each table's slot coverage.
+/// [`outer_union`] laid out flat, before any [`AlignedTuple`] is built:
+/// the column names, the schema slots each table covers, one tuple per
+/// input row (tables in order, then rows), and the interner.
 ///
 /// # Panics
 /// If `alignment` does not cover exactly the given tables/columns.
-pub(crate) fn flat_union(tables: &[&Table], alignment: &Alignment) -> FlatUnion {
+pub(crate) fn flat_union(
+    tables: &[&Table],
+    alignment: &Alignment,
+) -> (Vec<String>, Vec<Vec<usize>>, Flat, ValueInterner) {
     assert_eq!(
         alignment.assignments().len(),
         tables.len(),
@@ -262,12 +255,7 @@ pub(crate) fn flat_union(tables: &[&Table], alignment: &Alignment) -> FlatUnion 
             flat.rows.extend(slots);
         }
     }
-    FlatUnion {
-        names,
-        coverage,
-        tuples: flat,
-        interner,
-    }
+    (names, coverage, flat, interner)
 }
 
 /// Compute the outer union of an integration set over the aligned schema:
@@ -284,15 +272,14 @@ pub fn outer_union(
     tables: &[&Table],
     alignment: &Alignment,
 ) -> (Vec<String>, Vec<AlignedTuple>, ValueInterner) {
-    let union = flat_union(tables, alignment);
-    let flat = &union.tuples;
+    let (names, _, flat, interner) = flat_union(tables, alignment);
     let tuples = (0..flat.len())
         .map(|i| AlignedTuple {
             values: flat.values(i).to_vec(),
             tids: flat.tids(i).map(|(t, r)| Tid::new(t, r)).collect(),
         })
         .collect();
-    (union.names, tuples, union.interner)
+    (names, tuples, interner)
 }
 
 #[cfg(test)]
