@@ -11,29 +11,27 @@
 //! The two joins run on the flat outer union (`Flat`); only returned rows
 //! are resolved to `Value`s and given a `BTreeSet<Tid>`. The outer union
 //! dedups [`crate::AlignedTuple`]s, as FD does. All three dedup with
-//! [`dedup_groups`] and order their output by [`value_ranks`].
+//! [`dedup_groups`] and order their output by [`cmp_rows`].
 
 use dialite_align::Alignment;
 use dialite_table::{Table, Tid, ValueInterner};
 
 use crate::engine::{check_alignment, IntegrateError, Integrator};
-use crate::result::{value_ranks, IntegratedTable};
+use crate::result::{cmp_rows, IntegratedTable};
 use crate::subsume::{dedup_content, dedup_groups, remove_subsumed_indexed};
 use crate::tuple::{flat_union, outer_union, Flat};
 
 impl Flat {
-    /// The output: [`dedup_groups`] over the tuples' [`value_ranks`] rows,
-    /// which are equal exactly for equal content (the null kinds share rank
-    /// 0) and come out in [`IntegratedTable::from_tuples`]' order. Only the
-    /// kept rows are resolved and given a `BTreeSet<Tid>`.
+    /// The output: [`dedup_groups`] by [`cmp_rows`], which calls rows
+    /// equal exactly for equal content (the null kinds compare equal,
+    /// distinct values never do) and orders groups as
+    /// [`IntegratedTable::from_tuples`] does. Only the kept rows are
+    /// resolved and given a `BTreeSet<Tid>`.
     fn finish(self, name: &str, columns: &[String], interner: &ValueInterner) -> IntegratedTable {
-        let rank = value_ranks(&self.values, interner);
-        let keys: Vec<u32> = self.values.iter().map(|&v| rank[v as usize]).collect();
-        let key = |i: usize| &keys[i * self.width..(i + 1) * self.width];
         let witness = |i: usize| (self.tids(i).count(), self.tids(i));
         let kept = dedup_groups(
             self.len(),
-            |a, b| key(a).cmp(key(b)),
+            |a, b| cmp_rows(self.values(a), self.values(b), interner),
             |a, b| {
                 let ((la, ta), (lb, tb)) = (witness(a), witness(b));
                 la.cmp(&lb).then_with(|| ta.cmp(tb))

@@ -1,6 +1,7 @@
 //! The output of an integration operator: an integrated table plus
 //! per-tuple provenance.
 
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -8,28 +9,18 @@ use dialite_table::{Table, Tid, Value, ValueInterner};
 
 use crate::tuple::AlignedTuple;
 
-/// The rank in `Value` order of each value-id in `ids`, indexed by id
-/// (others read 0): the one output order of every operator. Both null
-/// kinds rank 0, as `Value` orders them; distinct values never compare
-/// equal. Rank rows compare as the resolved rows do, and only the
-/// distinct ids present are compared as `Value`s, once.
-pub(crate) fn value_ranks<'a>(
-    ids: impl IntoIterator<Item = &'a u32>,
-    interner: &ValueInterner,
-) -> Vec<u32> {
-    let mut rank = vec![0u32; interner.len()];
-    let mut present = Vec::new();
-    for &v in ids {
-        if rank[v as usize] == 0 && !ValueInterner::is_null_id(v) {
-            rank[v as usize] = 1;
-            present.push(v);
-        }
-    }
-    present.sort_unstable_by(|&a, &b| interner.resolve(a).cmp(interner.resolve(b)));
-    for (r, &v) in (1u32..).zip(&present) {
-        rank[v as usize] = r;
-    }
-    rank
+/// The one output order of every operator: id rows compare as their
+/// resolved `Value` rows do. Equal ids are the same interned `Value`, so
+/// only differing id pairs are resolved; where those two values still
+/// compare equal (the two null kinds), the next pair decides.
+pub(crate) fn cmp_rows(a: &[u32], b: &[u32], interner: &ValueInterner) -> Ordering {
+    a.iter()
+        .zip(b)
+        .filter(|(x, y)| x != y)
+        .map(|(&x, &y)| interner.resolve(x).cmp(interner.resolve(y)))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+        .then(a.len().cmp(&b.len()))
 }
 
 /// An integrated table: the data (a [`Table`] over the integration IDs) plus
@@ -49,20 +40,16 @@ impl IntegratedTable {
     /// ids leave the integration core — everything downstream is
     /// `Value`-typed.
     ///
-    /// Tuples are sorted while still ids, by their ids' [`value_ranks`]
-    /// then provenance, and each is resolved once, after: exactly the order
-    /// of sorting resolved rows by `Vec<Value>` then provenance.
+    /// Tuples are sorted while still ids, by `cmp_rows` then provenance,
+    /// and each is resolved once, after.
     pub fn from_tuples(
         name: &str,
         columns: &[String],
         mut tuples: Vec<AlignedTuple>,
         interner: &ValueInterner,
     ) -> IntegratedTable {
-        let rank = value_ranks(tuples.iter().flat_map(|t| &t.values), interner);
-        let key = |&v: &u32| rank[v as usize];
         tuples.sort_by(|a, b| {
-            let by_values = a.values.iter().map(key).cmp(b.values.iter().map(key));
-            by_values.then_with(|| a.tids.cmp(&b.tids))
+            cmp_rows(&a.values, &b.values, interner).then_with(|| a.tids.cmp(&b.tids))
         });
         let rows = tuples.into_iter().map(|t| (t.resolve(interner), t.tids));
         IntegratedTable::from_rows(name, columns, rows)
