@@ -21,7 +21,7 @@ impl Alignment {
     /// # Panics
     /// If any assignment references an ID ≥ `names.len()`, or two columns of
     /// the same table share an ID (the cannot-link invariant).
-    pub fn new(assignments: Vec<Vec<u32>>, names: Vec<String>) -> Alignment {
+    pub(crate) fn new(assignments: Vec<Vec<u32>>, names: Vec<String>) -> Alignment {
         for (t, cols) in assignments.iter().enumerate() {
             let mut seen = std::collections::HashSet::new();
             for &id in cols {
@@ -101,19 +101,6 @@ impl Alignment {
     pub fn assignments(&self) -> &[Vec<u32>] {
         &self.assignments
     }
-
-    /// Number of integration IDs shared by at least two tables — a quick
-    /// connectivity measure used in reports.
-    pub fn shared_id_count(&self) -> usize {
-        (0..self.names.len() as u32)
-            .filter(|&id| {
-                let cols = self.columns_of(id);
-                let tables: std::collections::HashSet<usize> =
-                    cols.iter().map(|&(t, _)| t).collect();
-                tables.len() >= 2
-            })
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -129,7 +116,6 @@ mod tests {
         assert_eq!(al.id_of(0, 0), al.id_of(1, 0));
         assert_ne!(al.id_of(0, 1), al.id_of(1, 1));
         assert_eq!(al.num_ids(), 3);
-        assert_eq!(al.shared_id_count(), 1);
     }
 
     #[test]

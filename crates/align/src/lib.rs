@@ -36,6 +36,6 @@ mod signature;
 
 pub use alignment::Alignment;
 pub use cluster::{average_linkage_cluster, average_linkage_sweep, silhouette_score};
-pub use matcher::{HolisticMatcher, MatcherConfig};
-pub use semantic::{semantic_cosine, KbAnnotator, SemanticAnnotator};
-pub use signature::{column_signature, column_signature_with, ColumnRef, ColumnSignature};
+pub use matcher::HolisticMatcher;
+pub use semantic::{KbAnnotator, SemanticAnnotator};
+pub use signature::{ColumnRef, ColumnSignature};

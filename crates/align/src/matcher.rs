@@ -37,7 +37,7 @@ impl<'a> Prepared<'a> {
 
 /// Weights and cut policy of the holistic matcher.
 #[derive(Debug, Clone)]
-pub struct MatcherConfig {
+pub(crate) struct MatcherConfig {
     /// Weight of embedding-centroid cosine similarity.
     pub embedding_weight: f64,
     /// Weight of distinct-value Jaccard overlap.
@@ -94,32 +94,10 @@ impl std::fmt::Debug for HolisticMatcher {
 }
 
 impl HolisticMatcher {
-    /// Matcher with custom configuration (no semantic annotator).
-    pub fn new(config: MatcherConfig) -> HolisticMatcher {
-        HolisticMatcher {
-            config,
-            embedder: NgramEmbedder::default(),
-            annotator: None,
-        }
-    }
-
-    /// Matcher with a fixed clustering cut (no silhouette sweep).
-    pub fn with_threshold(threshold: f64) -> HolisticMatcher {
-        HolisticMatcher::new(MatcherConfig {
-            threshold: Some(threshold),
-            ..MatcherConfig::default()
-        })
-    }
-
     /// Attach a semantic annotator (builder style).
     pub fn with_annotator(mut self, annotator: Arc<dyn SemanticAnnotator>) -> HolisticMatcher {
         self.annotator = Some(annotator);
         self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MatcherConfig {
-        &self.config
     }
 
     /// Similarity of two column signatures in `[0, 1]` — the weighted
@@ -366,7 +344,13 @@ mod tests {
         // Two identical columns inside one table plus a matching one outside.
         let a = table! { "a"; ["x", "y"]; ["p", "p"], ["q", "q"] };
         let b = table! { "b"; ["z"]; ["p"], ["q"] };
-        let matcher = HolisticMatcher::with_threshold(0.1);
+        let matcher = HolisticMatcher {
+            config: MatcherConfig {
+                threshold: Some(0.1),
+                ..MatcherConfig::default()
+            },
+            ..HolisticMatcher::default()
+        };
         let al = matcher.align(&[&a, &b]);
         assert_ne!(al.id_of(0, 0), al.id_of(0, 1));
     }
@@ -434,10 +418,13 @@ mod tests {
     #[test]
     fn header_weight_zero_still_aligns_by_values() {
         let (t1, t2, _) = covid_tables();
-        let matcher = HolisticMatcher::new(MatcherConfig {
-            header_weight: 0.0,
-            ..MatcherConfig::default()
-        })
+        let matcher = HolisticMatcher {
+            config: MatcherConfig {
+                header_weight: 0.0,
+                ..MatcherConfig::default()
+            },
+            ..HolisticMatcher::default()
+        }
         .with_annotator(Arc::new(KbAnnotator::new(Arc::new(covid_kb()))));
         let al = matcher.align(&[&t1, &t2]);
         assert_eq!(al.id_of(0, 1), al.id_of(1, 1));

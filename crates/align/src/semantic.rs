@@ -24,16 +24,10 @@ pub trait SemanticAnnotator: Send + Sync {
     fn annotate(&self, tokens: &HashSet<String>) -> HashMap<String, f64>;
 }
 
-/// Cosine similarity of two `label → confidence` distributions. Every sum
-/// runs in label order, so the result does not depend on either map's
+/// A `label → confidence` distribution sorted by label, with its norm,
+/// built once per column by the matcher. [`SemanticVector::cosine`] runs
+/// every sum in label order, so the result does not depend on either map's
 /// iteration order.
-pub fn semantic_cosine(a: &HashMap<String, f64>, b: &HashMap<String, f64>) -> f64 {
-    SemanticVector::new(a).cosine(&SemanticVector::new(b))
-}
-
-/// A `label → confidence` distribution sorted by label, with its norm: the
-/// per-column half of [`semantic_cosine`], built once per column by the
-/// matcher.
 pub(crate) struct SemanticVector<'a> {
     entries: Vec<(&'a str, f64)>,
     norm: f64,
@@ -90,12 +84,6 @@ impl KbAnnotator {
             min_coverage: 0.5,
         }
     }
-
-    /// Override the minimum coverage gate.
-    pub fn with_min_coverage(mut self, min_coverage: f64) -> KbAnnotator {
-        self.min_coverage = min_coverage;
-        self
-    }
 }
 
 impl SemanticAnnotator for KbAnnotator {
@@ -128,6 +116,11 @@ impl SemanticAnnotator for KbAnnotator {
 mod tests {
     use super::*;
     use dialite_kb::curated::covid_kb;
+
+    /// Cosine similarity of two `label → confidence` distributions.
+    fn semantic_cosine(a: &HashMap<String, f64>, b: &HashMap<String, f64>) -> f64 {
+        SemanticVector::new(a).cosine(&SemanticVector::new(b))
+    }
 
     fn toks(items: &[&str]) -> HashSet<String> {
         items.iter().map(|s| s.to_lowercase()).collect()
@@ -165,7 +158,10 @@ mod tests {
         let sparse = ann.annotate(&toks(&["berlin", "aa", "bb", "cc"]));
         assert!(sparse.is_empty());
         // Lowering the gate admits it.
-        let lax = KbAnnotator::new(Arc::new(covid_kb())).with_min_coverage(0.2);
+        let lax = KbAnnotator {
+            min_coverage: 0.2,
+            ..KbAnnotator::new(Arc::new(covid_kb()))
+        };
         assert!(!lax
             .annotate(&toks(&["berlin", "aa", "bb", "cc"]))
             .is_empty());

@@ -43,9 +43,9 @@ pub struct ColumnSignature {
     pub non_null: usize,
 }
 
-/// Build the signature of table `t`'s column `c`. Pass an annotator to add
-/// the semantic type distribution (see [`crate::SemanticAnnotator`]).
-pub fn column_signature(
+/// [`column_signature_with`] without a semantic annotator.
+#[cfg(test)]
+pub(crate) fn column_signature(
     embedder: &NgramEmbedder,
     tables: &[&Table],
     table: usize,
@@ -54,8 +54,9 @@ pub fn column_signature(
     column_signature_with(embedder, None, tables, table, column)
 }
 
-/// [`column_signature`] with an optional semantic annotator.
-pub fn column_signature_with(
+/// Build the signature of table `t`'s column `c`. Pass an annotator to add
+/// the semantic type distribution (see [`crate::SemanticAnnotator`]).
+pub(crate) fn column_signature_with(
     embedder: &NgramEmbedder,
     annotator: Option<&dyn SemanticAnnotator>,
     tables: &[&Table],
@@ -99,7 +100,7 @@ pub fn column_signature_with(
 impl ColumnSignature {
     /// Overlap ratio of the two numeric ranges in [0, 1]
     /// (|intersection| / |union|; 1 when both are single points that agree).
-    pub fn range_overlap(&self, other: &ColumnSignature) -> f64 {
+    pub(crate) fn range_overlap(&self, other: &ColumnSignature) -> f64 {
         let (a_lo, a_hi) = self.range;
         let (b_lo, b_hi) = other.range;
         let inter = (a_hi.min(b_hi) - a_lo.max(b_lo)).max(0.0);

@@ -37,12 +37,12 @@ impl Gazetteer {
     }
 
     /// Register an alias → canonical pair.
-    pub fn add(&mut self, alias: &str, canonical: &str) {
+    pub(crate) fn add(&mut self, alias: &str, canonical: &str) {
         self.canon.insert(normalize(alias), normalize(canonical));
     }
 
     /// The COVID/geo gazetteer used by the demo scenarios.
-    pub fn covid_default() -> Gazetteer {
+    pub(crate) fn covid_default() -> Gazetteer {
         let mut g = Gazetteer::new();
         for (alias, canon) in [
             ("USA", "United States"),
@@ -63,19 +63,9 @@ impl Gazetteer {
     }
 
     /// Canonical form of a string (normalized; mapped if an alias).
-    pub fn canonical(&self, s: &str) -> String {
+    pub(crate) fn canonical(&self, s: &str) -> String {
         let n = normalize(s);
         self.canon.get(&n).cloned().unwrap_or(n)
-    }
-
-    /// Number of registered aliases.
-    pub fn len(&self) -> usize {
-        self.canon.len()
-    }
-
-    /// `true` when no alias is registered.
-    pub fn is_empty(&self) -> bool {
-        self.canon.is_empty()
     }
 }
 
@@ -121,15 +111,6 @@ impl ErResult {
     pub fn entity_count(&self) -> usize {
         self.clusters.len()
     }
-
-    /// Number of input rows that were merged with at least one other row.
-    pub fn resolved_rows(&self) -> usize {
-        self.clusters
-            .iter()
-            .filter(|c| c.len() > 1)
-            .map(|c| c.len())
-            .sum()
-    }
 }
 
 /// The entity resolver. See the module docs for the pipeline.
@@ -152,7 +133,7 @@ impl EntityResolver {
 
     /// Similarity of two cell values in `[0, 1]`; `None` when either is
     /// null (nulls neither support nor veto).
-    pub fn value_sim(&self, a: &Value, b: &Value) -> Option<f64> {
+    pub(crate) fn value_sim(&self, a: &Value, b: &Value) -> Option<f64> {
         if a.is_null() || b.is_null() {
             return None;
         }
@@ -206,7 +187,7 @@ impl EntityResolver {
     }
 
     /// The agree/conflict match rule over the key columns.
-    pub fn rows_match(&self, a: &[Value], b: &[Value], key_columns: &[usize]) -> bool {
+    pub(crate) fn rows_match(&self, a: &[Value], b: &[Value], key_columns: &[usize]) -> bool {
         let mut agreements = 0usize;
         for &c in key_columns {
             match self.value_sim(&a[c], &b[c]) {
@@ -474,7 +455,6 @@ mod tests {
         assert_eq!(g.canonical("USA"), g.canonical("United States"));
         assert_eq!(g.canonical("J&J"), g.canonical("JnJ"));
         assert_eq!(g.canonical("  pfizer "), "pfizer");
-        assert!(!g.is_empty());
     }
 
     #[test]

@@ -90,8 +90,12 @@ pub fn pearson(pairs: &[(f64, f64)]) -> Option<f64> {
 /// Pearson correlation of two table columns over *pairwise-complete*
 /// observations (rows where both values are numeric and non-null) — the
 /// paper's Example 3 runs exactly this over the integrated COVID table,
-/// where integration introduced nulls.
+/// where integration introduced nulls. `None` also when either column is
+/// out of range.
 pub fn pearson_columns(table: &Table, col_x: usize, col_y: usize) -> Option<f64> {
+    if col_x.max(col_y) >= table.column_count() {
+        return None;
+    }
     let pairs: Vec<(f64, f64)> = table
         .rows()
         .filter_map(|row| Some((row[col_x].as_f64()?, row[col_y].as_f64()?)))
@@ -165,8 +169,12 @@ pub fn describe(table: &Table) -> Table {
 
 /// The rows holding the minimum and maximum (numeric) value of a column —
 /// Example 3's "Boston is the city with the lowest vaccination rate and
-/// Toronto has the highest". Returns `(argmin_row, argmax_row)` indices.
+/// Toronto has the highest". Returns `(argmin_row, argmax_row)` indices;
+/// `None` when the column holds no number or is out of range.
 pub fn extremes(table: &Table, column: usize) -> Option<(usize, usize)> {
+    if column >= table.column_count() {
+        return None;
+    }
     let mut min: Option<(usize, f64)> = None;
     let mut max: Option<(usize, f64)> = None;
     for (i, row) in table.rows().enumerate() {
@@ -278,6 +286,20 @@ mod tests {
     fn extremes_none_for_non_numeric() {
         let t = table! { "t"; ["name"]; ["a"], ["b"] };
         assert_eq!(extremes(&t, 0), None);
+    }
+
+    #[test]
+    fn pearson_columns_none_for_out_of_range_column() {
+        let t = fig3_integrated();
+        let n = t.column_count();
+        assert_eq!(pearson_columns(&t, 2, n), None);
+        assert_eq!(pearson_columns(&t, n, 2), None);
+    }
+
+    #[test]
+    fn extremes_none_for_out_of_range_column() {
+        let t = fig3_integrated();
+        assert_eq!(extremes(&t, t.column_count()), None);
     }
 
     #[test]

@@ -338,12 +338,7 @@ impl Pipeline {
     /// println!("{}", telemetry.summary());
     /// ```
     pub fn telemetry(&self) -> Option<DiscoveryTelemetry> {
-        let guard = self
-            .indexed
-            .as_ref()?
-            .read()
-            .expect("indexed discovery lock");
-        guard.index.as_ref().map(ShardedLakeIndex::telemetry)
+        self.with_held_index(ShardedLakeIndex::telemetry)
     }
 
     /// The merged telemetry window as one JSON object
@@ -376,23 +371,46 @@ impl Pipeline {
     /// after [`Pipeline::open_durable`] and grows only with sketch-route
     /// queries.
     pub fn sketch_work(&self) -> Option<u64> {
-        let guard = self
-            .indexed
-            .as_ref()?
-            .read()
-            .expect("indexed discovery lock");
-        guard.index.as_ref().map(ShardedLakeIndex::sketch_work)
+        self.with_held_index(ShardedLakeIndex::sketch_work)
     }
 
     /// Zero the maintained index's telemetry window (no-op when no index
     /// exists yet).
     pub fn reset_telemetry(&self) {
-        if let Some(indexed) = &self.indexed {
-            let guard = indexed.read().expect("indexed discovery lock");
-            if let Some(index) = guard.index.as_ref() {
-                index.reset_telemetry();
-            }
+        self.with_held_index(ShardedLakeIndex::reset_telemetry);
+    }
+
+    /// `f` over the index the pipeline holds, as it stands (no catch-up
+    /// with the lake) under the read guard; `None` without indexed
+    /// discovery or before the first build.
+    fn with_held_index<R>(&self, f: impl FnOnce(&ShardedLakeIndex) -> R) -> Option<R> {
+        let guard = self
+            .indexed
+            .as_ref()?
+            .read()
+            .expect("indexed discovery lock");
+        guard.index.as_ref().map(f)
+    }
+
+    /// `f` over the index caught up with `lake`; `None` without indexed
+    /// discovery. Fast path: the index already matches the lake, so `f`
+    /// runs under the shared read guard and concurrent callers stay
+    /// parallel. Slow path after churn: take the write guard, catch up
+    /// (another thread may have done so meanwhile; `ensure_current` then
+    /// no-ops) and run `f` under it.
+    fn with_current_index<R>(
+        &self,
+        lake: &DataLake,
+        f: impl FnOnce(&ShardedLakeIndex) -> R,
+    ) -> Option<R> {
+        let indexed = self.indexed.as_ref()?;
+        let guard = indexed.read().expect("indexed discovery lock");
+        if let Some(index) = guard.current(lake) {
+            return Some(f(index));
         }
+        drop(guard);
+        let mut guard = indexed.write().expect("indexed discovery lock");
+        Some(f(guard.ensure_current(lake)))
     }
 
     /// Promote the pipeline's discovery stage to a standalone
@@ -448,21 +466,16 @@ impl Pipeline {
     /// curated COVID KB, KB-assisted holistic matching, ALITE FD as the
     /// integrator and outer join as the comparison alternative.
     pub fn demo_default(lake: &DataLake) -> Pipeline {
-        Pipeline::demo_sharded(lake, 1)
+        Pipeline::demo_configured(lake, 1, LakeIndexConfig::default())
     }
 
     /// [`Pipeline::demo_default`] with the maintained index striped across
     /// `shards` index shards ([`PipelineBuilder::shards`]; clamped to at
-    /// least 1) — what the CLI's `--shards` flag builds. `shards == 1` is
-    /// exactly [`Pipeline::demo_default`].
-    pub fn demo_sharded(lake: &DataLake, shards: usize) -> Pipeline {
-        Pipeline::demo_configured(lake, shards, LakeIndexConfig::default())
-    }
-
-    /// [`Pipeline::demo_sharded`] with an explicit index configuration —
-    /// what the CLI's `--metadata` flag builds (a third, header-matching
-    /// discovery leg via `LakeIndexConfig::metadata`). The default config
-    /// is exactly [`Pipeline::demo_sharded`].
+    /// least 1) and an explicit index configuration — what the CLI's
+    /// `--shards` and `--metadata` flags build (the latter a third,
+    /// header-matching discovery leg via `LakeIndexConfig::metadata`).
+    /// One shard and the default config are exactly
+    /// [`Pipeline::demo_default`].
     pub fn demo_configured(lake: &DataLake, shards: usize, config: LakeIndexConfig) -> Pipeline {
         let kb = Arc::new(covid_kb());
         let pipeline = Pipeline::builder()
@@ -508,20 +521,7 @@ impl Pipeline {
         index_config: LakeIndexConfig,
     ) -> io::Result<(Pipeline, DataLake, DurableLake)> {
         let (durable, recovery) = DurableLake::open(dir, config)?;
-        let kb = Arc::new(covid_kb());
-        let pipeline = Pipeline::builder()
-            .indexed_discovery(kb.clone(), index_config)
-            .shards(shards)
-            .matcher(HolisticMatcher::default().with_annotator(Arc::new(KbAnnotator::new(kb))))
-            .integrator(Box::new(AliteFd::default()))
-            .alternative(Box::new(OuterJoinIntegrator))
-            .build();
-        if let Some(indexed) = &pipeline.indexed {
-            indexed
-                .write()
-                .expect("fresh lock")
-                .ensure_current(&recovery.lake);
-        }
+        let pipeline = Pipeline::demo_configured(&recovery.lake, shards, index_config);
         Ok((pipeline, recovery.lake, durable))
     }
 
@@ -587,18 +587,9 @@ impl Pipeline {
         k: usize,
         budget: &QueryBudget,
     ) -> Vec<Discovered> {
-        let mut merged: Vec<Discovered> = Vec::new();
-        if let Some(indexed) = &self.indexed {
-            let guard = indexed.read().expect("indexed discovery lock");
-            match guard.current(lake) {
-                Some(index) => merged.extend(index.discover_top_k(query, k, budget)),
-                None => {
-                    drop(guard);
-                    let mut guard = indexed.write().expect("indexed discovery lock");
-                    merged.extend(guard.ensure_current(lake).discover_top_k(query, k, budget));
-                }
-            }
-        }
+        let mut merged: Vec<Discovered> = self
+            .with_current_index(lake, |index| index.discover_top_k(query, k, budget))
+            .unwrap_or_default();
         for engine in &self.discoveries {
             // The same sanitation `run` applies: rank + truncate each
             // engine's list before merging, so a table only a plain
@@ -632,24 +623,10 @@ impl Pipeline {
         query: &TableQuery,
     ) -> Vec<(String, Vec<Discovered>)> {
         let mut discovered = Vec::with_capacity(self.discoveries.len() + 2);
-        if let Some(indexed) = &self.indexed {
-            // Fast path: the index already matches the lake → query under
-            // the shared read guard, so concurrent runs stay parallel.
-            let guard = indexed.read().expect("indexed discovery lock");
-            match guard.current(lake) {
-                Some(index) => {
-                    discovered.extend(index.discover_all_budgeted(query, self.top_k, &self.budget))
-                }
-                None => {
-                    drop(guard);
-                    // Slow path after churn: take the write guard, catch
-                    // up (another thread may have done so meanwhile —
-                    // ensure_current then no-ops) and query under it.
-                    let mut guard = indexed.write().expect("indexed discovery lock");
-                    let index = guard.ensure_current(lake);
-                    discovered.extend(index.discover_all_budgeted(query, self.top_k, &self.budget));
-                }
-            }
+        if let Some(legs) = self.with_current_index(lake, |index| {
+            index.discover_all_budgeted(query, self.top_k, &self.budget)
+        }) {
+            discovered.extend(legs);
         }
         for engine in &self.discoveries {
             // Plain engines are trusted for *scores*, not for shape: the

@@ -624,16 +624,6 @@ pub struct ServingTrace {
     pub ops: Vec<ServingOp>,
 }
 
-impl ServingTrace {
-    /// Number of query ops in the trace.
-    pub fn query_count(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| matches!(op, ServingOp::Query(_)))
-            .count()
-    }
-}
-
 /// Sample from a zipfian rank distribution via precomputed cumulative
 /// weights `w(r) = 1 / (r + 1)^s` and a binary search per draw.
 struct ZipfRanks {
@@ -837,14 +827,6 @@ impl HeterogeneousLakeWorkload {
         format!("c{cluster}v{t}")
     }
 
-    /// The primary topical cluster of table `i` — re-derived from the
-    /// table's own seeded stream (the cluster is its *first* draw), so
-    /// callers can label any table without materializing it.
-    pub fn cluster_of(&self, i: usize) -> usize {
-        let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1 + i as u64));
-        ZipfRanks::new(self.clusters.max(1), self.zipf_s.max(0.0)).sample(&mut rng)
-    }
-
     /// The `i`-th lake table (`hetero_t<i>`), generated from its own
     /// seeded stream: same spec + same `i` → identical table, regardless
     /// of which other tables were ever materialized.
@@ -852,7 +834,7 @@ impl HeterogeneousLakeWorkload {
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(1 + i as u64));
         let clusters = self.clusters.max(1);
         let zipf_clusters = ZipfRanks::new(clusters, self.zipf_s.max(0.0));
-        // First draw: the primary cluster (the cluster_of contract).
+        // First draw: the primary cluster (tests re-derive it from here).
         let primary = zipf_clusters.sample(&mut rng);
         let secondary = if clusters > 1 && rng.gen_bool(0.3) {
             Some(zipf_clusters.sample(&mut rng))
@@ -1322,8 +1304,14 @@ mod tests {
         assert_eq!(a.initial.len(), 40);
         assert_eq!(a.pool.len(), 8);
         assert_eq!(a.ops.len(), 200);
-        assert_eq!(a.query_count(), 160, "read share is exact, not expected");
-        assert_eq!(a.query_count(), b.query_count());
+        let queries = |t: &ServingTrace| {
+            t.ops
+                .iter()
+                .filter(|op| matches!(op, ServingOp::Query(_)))
+                .count()
+        };
+        assert_eq!(queries(&a), 160, "read share is exact, not expected");
+        assert_eq!(queries(&a), queries(&b));
         for (x, y) in a.ops.iter().zip(&b.ops) {
             match (x, y) {
                 (ServingOp::Query(i), ServingOp::Query(j)) => assert_eq!(i, j),
@@ -1511,10 +1499,16 @@ mod tests {
 
     #[test]
     fn hetero_clusters_share_headers_and_cluster_of_matches_the_table() {
+        // The primary topical cluster of table `i`, re-derived from the
+        // table's own seeded stream (the cluster is its first draw).
+        let cluster_of = |spec: &HeterogeneousLakeWorkload, i: usize| {
+            let mut rng = StdRng::seed_from_u64(spec.seed.wrapping_add(1 + i as u64));
+            ZipfRanks::new(spec.clusters.max(1), spec.zipf_s.max(0.0)).sample(&mut rng)
+        };
         let spec = small_hetero();
         for i in 0..spec.tables {
             let t = spec.table(i);
-            let cluster = spec.cluster_of(i);
+            let cluster = cluster_of(&spec, i);
             let anchor = &t.schema().column(0).name;
             assert!(
                 anchor.starts_with(&format!("h{cluster}x")),
@@ -1523,7 +1517,7 @@ mod tests {
         }
         // Popular clusters are shared by many tables — header vocab overlaps.
         let head = (0..spec.tables)
-            .filter(|&i| spec.cluster_of(i) == 0)
+            .filter(|&i| cluster_of(&spec, i) == 0)
             .count();
         assert!(
             head >= spec.tables / 4,

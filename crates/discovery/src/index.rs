@@ -118,7 +118,7 @@ impl LakeIndex {
     /// leg; metadata keeps its header store. One pass tokenises each table
     /// once for the store and SANTOS annotation, and hashes nothing (see
     /// [`LshEnsembleDiscovery::build_scoped`]).
-    pub fn build_scoped(
+    pub(crate) fn build_scoped(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
         config: LakeIndexConfig,
@@ -153,25 +153,19 @@ impl LakeIndex {
         self.lshe.sketch_work()
     }
 
-    /// The slot stripe this index covers ([`ShardScope::all`] unless it
-    /// was built as a shard via [`LakeIndex::build_scoped`]).
-    pub fn scope(&self) -> ShardScope {
-        self.scope
-    }
-
     /// The lake version this index reflects.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.synced
     }
 
     /// The knowledge base the SANTOS engine annotates with — what a
     /// verifier needs to rebuild an equivalent index from scratch.
-    pub fn kb(&self) -> Arc<KnowledgeBase> {
+    pub(crate) fn kb(&self) -> Arc<KnowledgeBase> {
         Arc::clone(&self.kb)
     }
 
     /// The configuration the engines were built with.
-    pub fn config(&self) -> &LakeIndexConfig {
+    pub(crate) fn config(&self) -> &LakeIndexConfig {
         &self.config
     }
 
@@ -560,8 +554,7 @@ mod tests {
     fn assert_one_store(index: &LakeIndex, lake: &DataLake) {
         assert!(Arc::ptr_eq(&index.santos.tokens, &index.lshe.tokens));
         assert_eq!(Arc::strong_count(&index.lshe.tokens), 2, "a stray handle");
-        let fresh =
-            LakeIndex::build_scoped(lake, index.kb(), index.config().clone(), index.scope());
+        let fresh = LakeIndex::build_scoped(lake, index.kb(), index.config().clone(), index.scope);
         assert_eq!(index.lshe.posting_stats(), fresh.lshe.posting_stats());
         assert_eq!(index.lshe.pool_len(), fresh.lshe.pool_len());
     }

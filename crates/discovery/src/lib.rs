@@ -68,8 +68,8 @@
 //! probe-all `discover`.
 //!
 //! At lake scale the index itself shards: [`ShardedLakeIndex`] stripes
-//! the slot space across N scoped [`LakeIndex`] shards (routing in
-//! [`ShardRouter`]), probes the shards in order on the caller's thread
+//! the slot space across N scoped [`LakeIndex`] shards (slot `s` lives in
+//! shard `s % N`), probes the shards in order on the caller's thread
 //! with per-shard [`QueryBudget::split`] budget slices (sharding buys
 //! write-lock granularity, not read speed), re-ranks per-shard top-k with
 //! [`top_k_discovered`] and merges per-shard telemetry with
@@ -100,7 +100,7 @@ pub use santos::{SantosConfig, SantosDiscovery};
 pub use serving::{
     DiscoveryService, ServingConfig, ServingError, ServingResponse, ServingTelemetry,
 };
-pub use shard::{ShardRouter, ShardScope, ShardedLakeIndex};
+pub use shard::ShardedLakeIndex;
 pub use telemetry::{
     DiscoveryTelemetry, LatencyHistogram, LatencyPercentiles, RetrievalCounters, TopKCounters,
     LATENCY_BUCKET_BOUNDS_US,

@@ -124,7 +124,7 @@ impl LshEnsembleDiscovery {
     /// sketch-route query lays the ensemble out over the store, and a
     /// domain's MinHash signature is computed by the first sketch probe of
     /// its partition, from its run in the store.
-    pub fn build_scoped(
+    pub(crate) fn build_scoped(
         lake: &DataLake,
         config: LshEnsembleConfig,
         scope: ShardScope,
@@ -219,11 +219,6 @@ impl LshEnsembleDiscovery {
     pub(crate) fn routes_exact(&self, q_ids: &[u32], q_len: usize) -> bool {
         let line = self.config.exact_mass_per_token.saturating_mul(q_len);
         self.tokens.posting_mass(q_ids) < line
-    }
-
-    /// Number of indexed column domains.
-    pub fn indexed_domains(&self) -> usize {
-        self.tokens.domains().count()
     }
 
     /// Number of distinct tokens currently interned (live + not-yet-
@@ -413,6 +408,11 @@ mod tests {
     use super::*;
     use dialite_table::{table, Table, Value};
 
+    /// Number of column domains the engine's token store indexes.
+    fn indexed_domains(engine: &LshEnsembleDiscovery) -> usize {
+        engine.tokens.domains().count()
+    }
+
     fn city_table(name: &str, extra: &[&str]) -> Table {
         let mut rows: Vec<Vec<Value>> = ["berlin", "barcelona", "boston", "new delhi"]
             .iter()
@@ -532,7 +532,7 @@ mod tests {
         let mut lake = hub_lake(24);
         let mut engine = LshEnsembleDiscovery::build(&lake, sketch_config());
         let q = query_over(&lake, "t3", 10);
-        let domains = engine.indexed_domains() as u64;
+        let domains = indexed_domains(&engine) as u64;
         assert_eq!(sketched(&engine, &q).1, 1 + domains);
         assert_eq!(sketched(&engine, &q).1, 1, "a repeat probe signed again");
         for t in 24..30 {
@@ -566,7 +566,7 @@ mod tests {
             );
             assert_eq!(hits, rebuilt.discover(&own, 50));
         }
-        assert_eq!(engine.indexed_domains() as u64, domains);
+        assert_eq!(indexed_domains(&engine) as u64, domains);
     }
 
     /// The sketch layout exists only between a sketch-route probe and the
@@ -600,7 +600,7 @@ mod tests {
         let (_, stats) = engine.discover_top_k_with_stats(&sketch, 5, &budget);
         assert!(!stats.exact_path);
         assert!(laid_out(&engine), "a sketch probe left no layout");
-        assert_eq!(engine.layout().len(), engine.indexed_domains());
+        assert_eq!(engine.layout().len(), indexed_domains(&engine));
 
         let fresh = hub_table(24);
         let slot = lake.add_table(fresh.clone()).unwrap();
@@ -706,7 +706,7 @@ mod tests {
     #[test]
     fn empty_lake_and_empty_query_column() {
         let engine = LshEnsembleDiscovery::build(&DataLake::new(), LshEnsembleConfig::default());
-        assert_eq!(engine.indexed_domains(), 0);
+        assert_eq!(indexed_domains(&engine), 0);
         assert!(engine.discover(&query(), 5).is_empty());
 
         let engine = LshEnsembleDiscovery::build(&demo_lake(), LshEnsembleConfig::default());
@@ -735,10 +735,10 @@ mod tests {
     fn removed_table_stops_surfacing() {
         let mut lake = demo_lake();
         let mut engine = LshEnsembleDiscovery::build(&lake, LshEnsembleConfig::default());
-        let before = engine.indexed_domains();
+        let before = indexed_domains(&engine);
         let (slot, _) = lake.remove_table("cases_by_city").unwrap();
         engine.remove_table(slot);
-        assert!(engine.indexed_domains() < before);
+        assert!(indexed_domains(&engine) < before);
         let hits = engine.discover(&query(), 5);
         assert!(hits.iter().all(|d| d.table != "cases_by_city"), "{hits:?}");
         // Removing an unindexed slot is a no-op.

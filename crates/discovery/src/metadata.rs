@@ -54,11 +54,10 @@ impl Default for MetadataConfig {
 }
 
 /// The metadata-aware discovery engine. Build once per lake, then either
-/// query as-is or keep it warm across churn with
-/// [`MetadataDiscovery::upsert_table`] /
-/// [`MetadataDiscovery::remove_table`] — header metadata is independent
-/// per table, so incremental maintenance is exactly equivalent to a fresh
-/// build.
+/// query as-is or keep it warm across churn inside a
+/// [`LakeIndex`](crate::LakeIndex), which upserts and removes single
+/// tables — header metadata is independent per table, so incremental
+/// maintenance is exactly equivalent to a fresh build.
 pub struct MetadataDiscovery {
     config: MetadataConfig,
     /// Table names by the lake's stable slot index, iterated in slot
@@ -79,7 +78,7 @@ impl MetadataDiscovery {
     /// [`admits`](ShardScope::admits)). Header metadata is per-table, so a
     /// scoped build is exactly a full build restricted to the stripe;
     /// [`ShardScope::all`] reproduces [`MetadataDiscovery::build`].
-    pub fn build_scoped(
+    pub(crate) fn build_scoped(
         lake: &DataLake,
         config: MetadataConfig,
         scope: ShardScope,
@@ -97,14 +96,14 @@ impl MetadataDiscovery {
 
     /// Index (or re-index) one table's headers under its lake slot.
     /// `O(that table's schema)` — row data is never touched.
-    pub fn upsert_table(&mut self, slot: u32, table: &Table) {
+    pub(crate) fn upsert_table(&mut self, slot: u32, table: &Table) {
         self.remove_table(slot);
         self.headers.insert(slot, &header_tokens(table));
         self.tables.insert(slot, table.name().to_string());
     }
 
     /// Drop the header metadata of the table occupying a lake slot.
-    pub fn remove_table(&mut self, slot: u32) {
+    pub(crate) fn remove_table(&mut self, slot: u32) {
         self.tables.remove(slot);
         self.headers.remove(slot);
     }

@@ -855,7 +855,6 @@ mod tests {
     //! overlap counter against a naive `token → domains` oracle.
 
     use super::*;
-    use crate::shard::ShardRouter;
     use crate::types::top_k;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -1202,7 +1201,7 @@ mod tests {
             ops in churn(),
             query in prop::collection::vec(prop::collection::vec(0u32..10, 0..6), 1..3),
         ) {
-            for scope in [ShardScope::all(), ShardRouter::new(3).scope(1)] {
+            for scope in [ShardScope::all(), ShardScope::stripes(3).nth(1).unwrap()] {
                 for compact_min in [0, POOL_COMPACT_MIN] {
                     let mut store = TokenPostings::new(compact_min, scope);
                     let mut tables = Tables::new();
@@ -1239,7 +1238,7 @@ mod tests {
             headroom in 0u32..12,
         ) {
             let mut stores = Vec::new();
-            for (tables, scope) in [(&small, ShardScope::all()), (&large, ShardRouter::new(3).scope(2))] {
+            for (tables, scope) in [(&small, ShardScope::all()), (&large, ShardScope::stripes(3).nth(2).unwrap())] {
                 let mut store = TokenPostings::new(POOL_COMPACT_MIN, scope);
                 let mut oracle = Tables::new();
                 for (i, columns) in (0..).zip(tables) {
@@ -1308,7 +1307,7 @@ mod tests {
             ops in churn(),
             query in prop::collection::vec(prop::collection::vec(0u32..12, 0..6), 1..5),
         ) {
-            for scope in [ShardScope::all(), ShardRouter::new(3).scope(1)] {
+            for scope in [ShardScope::all(), ShardScope::stripes(3).nth(1).unwrap()] {
                 for compact_min in [0, POOL_COMPACT_MIN] {
                     let mut store = TokenPostings::new(compact_min, scope);
                     for (slot, op, columns) in &ops {
@@ -1397,7 +1396,7 @@ mod tests {
 
     #[test]
     fn a_slot_table_stores_its_stripe_densely_and_widens_for_a_stranger() {
-        let mut table: SlotTable<&str> = SlotTable::new(ShardRouter::new(4).scope(3));
+        let mut table: SlotTable<&str> = SlotTable::new(ShardScope::stripes(4).nth(3).unwrap());
         assert_eq!(table.insert(7, "seven"), None);
         assert_eq!(table.insert(3, "three"), None);
         assert_eq!(table.insert(7, "SEVEN"), Some("seven"));

@@ -129,7 +129,7 @@ impl SantosDiscovery {
     /// `scope` [`admits`](ShardScope::admits)). Annotations are per-table,
     /// so a scoped build is exactly a full build restricted to the stripe;
     /// [`ShardScope::all`] reproduces [`SantosDiscovery::build`].
-    pub fn build_scoped(
+    pub(crate) fn build_scoped(
         lake: &DataLake,
         kb: Arc<KnowledgeBase>,
         config: SantosConfig,
@@ -203,13 +203,9 @@ impl SantosDiscovery {
     }
 
     /// Number of indexed tables.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.tables.len()
-    }
-
-    /// `true` when no table is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
     }
 
     /// Similarity of two annotated columns: semantic type agreement when
@@ -1232,7 +1228,7 @@ mod tests {
             Arc::new(covid_kb()),
             SantosConfig::default(),
         );
-        assert!(engine.is_empty());
+        assert_eq!(engine.len(), 0);
         assert!(engine.discover(&query(), 5).is_empty());
     }
 }

@@ -131,8 +131,8 @@ pub struct ServingResponse {
 /// query/churn latency histograms ([`LatencyHistogram`], so tail
 /// percentiles export via [`LatencyHistogram::percentiles`]). Mergeable
 /// like [`DiscoveryTelemetry`](crate::DiscoveryTelemetry): per-thread
-/// shards (or per-replica windows) [`merge`](ServingTelemetry::merge)
-/// into one view.
+/// shards merge into the one view [`DiscoveryService::telemetry`]
+/// returns.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingTelemetry {
     /// Queries answered.
@@ -150,17 +150,12 @@ pub struct ServingTelemetry {
 
 impl ServingTelemetry {
     /// Add another window into this one.
-    pub fn merge(&mut self, other: &ServingTelemetry) {
+    pub(crate) fn merge(&mut self, other: &ServingTelemetry) {
         self.served += other.served;
         self.rejected += other.rejected;
         self.mutations += other.mutations;
         self.query_latency.merge(&other.query_latency);
         self.churn_latency.merge(&other.churn_latency);
-    }
-
-    /// Zero the window.
-    pub fn reset(&mut self) {
-        *self = ServingTelemetry::default();
     }
 
     /// Compact human-readable report: outcomes plus query tail latency.
@@ -188,10 +183,10 @@ impl Drop for AdmissionPermit<'_> {
 
 /// The concurrent discovery service — a shared, churn-following
 /// [`ShardedLakeIndex`] behind admission control, serving version-stamped
-/// budgeted queries from many threads at once. [`DiscoveryService::new`]
-/// serves a single shard (the plain [`LakeIndex`](crate::LakeIndex),
-/// byte-for-byte); [`DiscoveryService::with_shards`] stripes the lake
-/// across N shards so writers only write-lock one shard at a time; and
+/// budgeted queries from many threads at once.
+/// [`DiscoveryService::with_shards`] stripes the lake across N shards so
+/// writers only write-lock one shard at a time (one shard is the plain
+/// [`LakeIndex`](crate::LakeIndex), byte-for-byte); and
 /// [`DiscoveryService::from_index`] takes over an index the caller already
 /// built, so a process holds one index, not two.
 ///
@@ -203,11 +198,12 @@ impl Drop for AdmissionPermit<'_> {
 /// use dialite_kb::curated::covid_kb;
 /// use dialite_table::fixtures;
 ///
-/// let service = DiscoveryService::new(
+/// let service = DiscoveryService::with_shards(
 ///     fixtures::covid_lake(),
 ///     Arc::new(covid_kb()),
 ///     LakeIndexConfig::default(),
 ///     ServingConfig::default(),
+///     1,
 /// );
 ///
 /// let query = TableQuery::with_column(fixtures::fig2_query(), 1); // City
@@ -241,21 +237,11 @@ pub struct DiscoveryService {
 }
 
 impl DiscoveryService {
-    /// Build the service: index the lake eagerly and take ownership of
-    /// it. One storage shard — byte-for-byte the single-`LakeIndex`
-    /// service; use [`DiscoveryService::with_shards`] to stripe, or
-    /// [`DiscoveryService::from_index`] to serve an existing index.
-    pub fn new(
-        lake: DataLake,
-        kb: Arc<KnowledgeBase>,
-        index_config: LakeIndexConfig,
-        config: ServingConfig,
-    ) -> DiscoveryService {
-        DiscoveryService::with_shards(lake, kb, index_config, config, 1)
-    }
-
-    /// [`DiscoveryService::new`] with the lake striped across `shards`
-    /// index shards (0 is clamped to 1): a query probes the shards in
+    /// Build the service: index the lake eagerly, striped across `shards`
+    /// index shards (0 is clamped to 1), and take ownership of it. One
+    /// shard is byte-for-byte the single-`LakeIndex` service; use
+    /// [`DiscoveryService::from_index`] to serve an existing index. With
+    /// more than one shard a query probes the shards in
     /// order on its own thread, and mutations write-lock one shard at a
     /// time instead of the world — sharding buys write-lock granularity,
     /// not read speed. Builds the index and hands it to
@@ -307,16 +293,6 @@ impl DiscoveryService {
         self.index.version()
     }
 
-    /// Number of tables currently in the served lake.
-    pub fn len(&self) -> usize {
-        self.lake.read().expect("lake lock").len()
-    }
-
-    /// `true` when the served lake holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Try to take an in-flight permit; `None` means over capacity.
     fn try_admit(&self) -> Option<AdmissionPermit<'_>> {
         let mut current = self.in_flight.load(Ordering::Relaxed);
@@ -346,9 +322,9 @@ impl DiscoveryService {
     /// Admission control runs first: over capacity, the request is
     /// rejected with [`ServingError::Busy`] without touching any index
     /// shard or doing any engine work. Admitted requests fan out through
-    /// [`ShardedLakeIndex::discover_all_budgeted_versioned`] — never
-    /// taking the lake lock — and return results stamped with the version
-    /// of the consistent shard snapshot they saw.
+    /// [`ShardedLakeIndex::discover_all_budgeted`]'s consistent-snapshot
+    /// protocol — never taking the lake lock — and return results stamped
+    /// with the version of the shard snapshot they saw.
     pub fn query(
         &self,
         query: &TableQuery,
@@ -421,13 +397,6 @@ impl DiscoveryService {
         out
     }
 
-    /// Zero the serving telemetry window (all shards).
-    pub fn reset_telemetry(&self) {
-        for shard in &self.telemetry {
-            shard.lock().expect("serving telemetry").reset();
-        }
-    }
-
     /// Merged snapshot of the wrapped index's rolling
     /// [`DiscoveryTelemetry`](crate::DiscoveryTelemetry) across all
     /// storage shards.
@@ -444,11 +413,12 @@ mod tests {
     use std::time::Duration;
 
     fn service_with(config: ServingConfig) -> DiscoveryService {
-        DiscoveryService::new(
+        DiscoveryService::with_shards(
             fixtures::covid_lake(),
             Arc::new(covid_kb()),
             LakeIndexConfig::default(),
             config,
+            1,
         )
     }
 
@@ -517,8 +487,6 @@ mod tests {
         assert_eq!(t.churn_latency.samples, 1);
         assert!(t.query_latency.percentile(0.5).is_some());
         assert!(t.summary().contains("served 2"));
-        service.reset_telemetry();
-        assert_eq!(service.telemetry(), ServingTelemetry::default());
         // The inner discovery telemetry is its own window.
         assert_eq!(service.discovery_telemetry().topk.queries, 2);
     }
@@ -547,9 +515,10 @@ mod tests {
     #[test]
     fn len_and_is_empty_track_the_served_lake() {
         let service = service_with(ServingConfig::default());
-        let n = service.len();
-        assert!(n > 0 && !service.is_empty());
+        let served = || service.lake.read().expect("lake lock").len();
+        let n = served();
+        assert!(n > 0);
         service.mutate(|lake| lake.remove("animals"));
-        assert_eq!(service.len(), n - 1);
+        assert_eq!(served(), n - 1);
     }
 }

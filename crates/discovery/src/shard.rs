@@ -6,8 +6,8 @@
 //! exclusive critical section per sync. At open-data-lake scale the
 //! storage must be partitioned. This module splits the stack in two:
 //!
-//! * **Storage shards.** A [`ShardRouter`] stripes the lake's stable slot
-//!   space across N shards; each shard is a full [`LakeIndex`] scoped to
+//! * **Storage shards.** The lake's stable slot space is striped across
+//!   N shards (`ShardScope`); each shard is a full [`LakeIndex`] scoped to
 //!   its stripe (its own engines, pool, postings and telemetry window), maintained through the same incremental
 //!   [`sync`](LakeIndex::sync) contract — replaying only the changelog
 //!   events its stripe admits.
@@ -61,32 +61,43 @@ const CONSISTENT_RETRIES: usize = 8;
 /// [`admits`](ShardScope::admits) exactly the slots congruent to it
 /// modulo `of`. [`ShardScope::all`] (`0 of 1`) admits every slot and
 /// makes scoped builds identical to unscoped ones.
+///
+/// Routing is a pure function of the slot (`slot % of`), so changelog
+/// events, which for removals carry only the slot, reach the same stripe
+/// as the live entries they concern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardScope {
+pub(crate) struct ShardScope {
     shard: u32,
     of: u32,
 }
 
 impl ShardScope {
     /// The whole-lake scope: shard 0 of 1, admitting every slot.
-    pub fn all() -> ShardScope {
+    pub(crate) fn all() -> ShardScope {
         ShardScope { shard: 0, of: 1 }
     }
 
+    /// The `shards` stripes of the slot space in shard order; a count of
+    /// 0 is clamped to 1.
+    pub(crate) fn stripes(shards: usize) -> impl Iterator<Item = ShardScope> {
+        let of = u32::try_from(shards.max(1)).expect("shard count fits in u32");
+        (0..of).map(move |shard| ShardScope { shard, of })
+    }
+
     /// Which shard this scope is (`< of`).
-    pub fn shard(&self) -> u32 {
+    pub(crate) fn shard(&self) -> u32 {
         self.shard
     }
 
     /// Total shard count the stripe was cut from (`>= 1`).
-    pub fn of(&self) -> u32 {
+    pub(crate) fn of(&self) -> u32 {
         self.of
     }
 
     /// `true` when the slot belongs to this scope's stripe. The stripes
     /// of one shard count partition the slot space: every slot is
     /// admitted by exactly one of them.
-    pub fn admits(&self, slot: u32) -> bool {
+    pub(crate) fn admits(&self, slot: u32) -> bool {
         slot % self.of == self.shard
     }
 }
@@ -94,66 +105,6 @@ impl ShardScope {
 impl Default for ShardScope {
     fn default() -> Self {
         ShardScope::all()
-    }
-}
-
-/// The routing half of the sharded index: a pure `slot -> shard` function
-/// plus the per-shard [`ShardScope`]s it induces. Slot-striped
-/// (`slot % shards`) so that changelog events — which for removals carry
-/// only the slot — route identically to the live entries they concern.
-///
-/// ```
-/// use dialite_discovery::ShardRouter;
-///
-/// let router = ShardRouter::new(4);
-/// assert_eq!(router.shards(), 4);
-/// assert_eq!(router.route(6), 2);
-/// // Every slot lands in exactly the scope that admits it.
-/// for slot in 0..32 {
-///     let shard = router.route(slot);
-///     assert!(router.scope(shard).admits(slot));
-///     let owners = (0..4).filter(|&s| router.scope(s).admits(slot)).count();
-///     assert_eq!(owners, 1);
-/// }
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRouter {
-    shards: u32,
-}
-
-impl ShardRouter {
-    /// A router over `shards` stripes; a count of 0 is clamped to 1.
-    pub fn new(shards: usize) -> ShardRouter {
-        ShardRouter {
-            shards: u32::try_from(shards.max(1)).expect("shard count fits in u32"),
-        }
-    }
-
-    /// Number of shards routed across.
-    pub fn shards(&self) -> u32 {
-        self.shards
-    }
-
-    /// The shard owning a slot.
-    pub fn route(&self, slot: u32) -> u32 {
-        slot % self.shards
-    }
-
-    /// The slot stripe owned by one shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range.
-    pub fn scope(&self, shard: u32) -> ShardScope {
-        assert!(
-            shard < self.shards,
-            "shard {shard} out of range for {} shards",
-            self.shards
-        );
-        ShardScope {
-            shard,
-            of: self.shards,
-        }
     }
 }
 
@@ -191,7 +142,6 @@ impl ShardRouter {
 /// assert!(legs[1].1.iter().any(|d| d.table == "T3"));
 /// ```
 pub struct ShardedLakeIndex {
-    router: ShardRouter,
     /// One scoped [`LakeIndex`] per stripe. Shard locks are only ever
     /// taken after the churn lock (never the reverse), so the order is
     /// acyclic.
@@ -211,19 +161,17 @@ impl ShardedLakeIndex {
         config: LakeIndexConfig,
         shards: usize,
     ) -> ShardedLakeIndex {
-        let router = ShardRouter::new(shards);
-        let shards = (0..router.shards())
-            .map(|i| {
+        let shards = ShardScope::stripes(shards)
+            .map(|scope| {
                 RwLock::new(LakeIndex::build_scoped(
                     lake,
                     kb.clone(),
                     config.clone(),
-                    router.scope(i),
+                    scope,
                 ))
             })
             .collect();
         ShardedLakeIndex {
-            router,
             shards,
             churn: Mutex::new(()),
         }
@@ -243,11 +191,6 @@ impl ShardedLakeIndex {
         self.shards.len()
     }
 
-    /// The slot router the stripes were cut with.
-    pub fn router(&self) -> ShardRouter {
-        self.router
-    }
-
     /// The knowledge base every shard's SANTOS engine annotates with.
     pub fn kb(&self) -> Arc<KnowledgeBase> {
         self.shards[0].read().expect("shard lock").kb()
@@ -261,7 +204,7 @@ impl ShardedLakeIndex {
 
     /// The lake version the shards reflect. Taken under the churn lock,
     /// so mid-sync states (where stripes disagree) are never observed.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         let _churn = self.churn.lock().expect("churn lock");
         self.shards[0].read().expect("shard lock").version()
     }
@@ -356,7 +299,7 @@ impl ShardedLakeIndex {
     /// [`discover_all_budgeted`](Self::discover_all_budgeted) plus the
     /// lake version the consistent snapshot was taken at — what a serving
     /// layer needs to stamp responses without holding any lake lock.
-    pub fn discover_all_budgeted_versioned(
+    pub(crate) fn discover_all_budgeted_versioned(
         &self,
         query: &TableQuery,
         k: usize,
@@ -431,22 +374,38 @@ mod tests {
         .unwrap()
     }
 
+    /// Stripe `i` of `n` is shard `i` of `n` and owns exactly the slots
+    /// `≡ i (mod n)`: every slot lands in one stripe, slot 6 of four
+    /// stripes in stripe 2.
     #[test]
     fn scopes_partition_the_slot_space() {
-        for of in [1u32, 2, 3, 8] {
-            let router = ShardRouter::new(of as usize);
+        for of in [1u32, 2, 3, 4, 8] {
+            let stripes: Vec<ShardScope> = ShardScope::stripes(of as usize).collect();
+            for (i, scope) in stripes.iter().enumerate() {
+                assert_eq!((scope.shard(), scope.of()), (i as u32, of));
+            }
             for slot in 0..64 {
-                let owners = (0..of).filter(|&s| router.scope(s).admits(slot)).count();
-                assert_eq!(owners, 1, "slot {slot} must have exactly one owner");
-                assert!(router.scope(router.route(slot)).admits(slot));
+                let owners: Vec<u32> = stripes
+                    .iter()
+                    .filter(|s| s.admits(slot))
+                    .map(|s| s.shard())
+                    .collect();
+                assert_eq!(
+                    owners,
+                    vec![slot % of],
+                    "slot {slot} must have exactly one owner"
+                );
             }
         }
+        assert!(ShardScope::stripes(4).nth(2).unwrap().admits(6));
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
-        let router = ShardRouter::new(0);
-        assert_eq!(router.shards(), 1);
+        assert_eq!(
+            ShardScope::stripes(0).collect::<Vec<_>>(),
+            vec![ShardScope::all()]
+        );
         let index = ShardedLakeIndex::build(
             &lake_of(3),
             Arc::new(covid_kb()),

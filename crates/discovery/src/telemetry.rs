@@ -47,7 +47,7 @@ pub struct LatencyHistogram {
 
 impl LatencyHistogram {
     /// Fold one measured latency in.
-    pub fn record(&mut self, latency: Duration) {
+    pub(crate) fn record(&mut self, latency: Duration) {
         let us = latency.as_micros().min(u64::MAX as u128) as u64;
         let slot = LATENCY_BUCKET_BOUNDS_US
             .iter()
@@ -68,7 +68,7 @@ impl LatencyHistogram {
     }
 
     /// Add another histogram's samples into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets) {
             *mine += theirs;
         }
@@ -123,7 +123,7 @@ impl LatencyHistogram {
     /// The standard serving-tail snapshot: p50/p90/p99/p999 (see
     /// [`LatencyHistogram::percentile`]) plus mean and sample count. The
     /// histogram itself is the merge-compatible form — shard snapshots
-    /// [`merge`](LatencyHistogram::merge) first, *then* export percentiles
+    /// merge first, *then* export percentiles
     /// (percentiles of merged windows are not sums of per-window
     /// percentiles).
     ///
@@ -349,7 +349,7 @@ pub struct TopKCounters {
 
 impl TopKCounters {
     /// Fold one query's stats in.
-    pub fn record(&mut self, stats: &TopKStats) {
+    pub(crate) fn record(&mut self, stats: &TopKStats) {
         self.queries += 1;
         if stats.exact_path {
             self.exact_path += 1;
@@ -369,7 +369,7 @@ impl TopKCounters {
     }
 
     /// Add another window's counters into this one.
-    pub fn merge(&mut self, other: &TopKCounters) {
+    pub(crate) fn merge(&mut self, other: &TopKCounters) {
         self.queries += other.queries;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -420,7 +420,7 @@ pub struct RetrievalCounters {
 
 impl RetrievalCounters {
     /// Fold one query's stats in.
-    pub fn record(&mut self, stats: &RetrievalStats) {
+    pub(crate) fn record(&mut self, stats: &RetrievalStats) {
         self.queries += 1;
         self.candidates_retrieved += stats.candidates_retrieved as u64;
         self.candidates_scored += stats.candidates_scored as u64;
@@ -435,7 +435,7 @@ impl RetrievalCounters {
     }
 
     /// Add another window's counters into this one.
-    pub fn merge(&mut self, other: &RetrievalCounters) {
+    pub(crate) fn merge(&mut self, other: &RetrievalCounters) {
         self.queries += other.queries;
         self.candidates_retrieved += other.candidates_retrieved;
         self.candidates_scored += other.candidates_scored;

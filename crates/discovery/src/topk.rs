@@ -172,10 +172,12 @@ fn split_cap(cap: usize, shards: usize) -> usize {
 /// assert_eq!(exact.metadata_candidates, usize::MAX);
 ///
 /// // Budgets compose builder-style.
-/// let tight = DiscoveryBudget::default()
-///     .with_santos_candidates(32)
-///     .with_metadata_candidates(16)
-///     .with_joinable(QueryBudget::unlimited().with_max_partitions(2));
+/// let tight = DiscoveryBudget {
+///     metadata_candidates: 16,
+///     ..DiscoveryBudget::default()
+/// }
+/// .with_santos_candidates(32)
+/// .with_joinable(QueryBudget::unlimited().with_max_partitions(2));
 /// assert_eq!(tight.santos_candidates, 32);
 /// assert_eq!(tight.metadata_candidates, 16);
 /// assert_eq!(tight.joinable.max_partitions, 2);
@@ -234,12 +236,6 @@ impl DiscoveryBudget {
     /// Replace the SANTOS candidate cap.
     pub fn with_santos_candidates(mut self, cap: usize) -> DiscoveryBudget {
         self.santos_candidates = cap;
-        self
-    }
-
-    /// Replace the metadata (header-match) candidate cap.
-    pub fn with_metadata_candidates(mut self, cap: usize) -> DiscoveryBudget {
-        self.metadata_candidates = cap;
         self
     }
 

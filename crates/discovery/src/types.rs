@@ -39,7 +39,7 @@ impl TableQuery {
     }
 
     /// The effective query column (marked, or 0).
-    pub fn effective_column(&self) -> usize {
+    pub(crate) fn effective_column(&self) -> usize {
         self.column.unwrap_or(0)
     }
 }
@@ -324,10 +324,12 @@ mod tests {
             ) {
                 prop_assert_eq!(budget.split(1), budget);
                 prop_assert_eq!(budget.split(0), budget);
-                let stage = DiscoveryBudget::default()
-                    .with_joinable(budget)
-                    .with_santos_candidates(cap)
-                    .with_metadata_candidates(meta_cap);
+                let stage = DiscoveryBudget {
+                    metadata_candidates: meta_cap,
+                    ..DiscoveryBudget::default()
+                }
+                .with_joinable(budget)
+                .with_santos_candidates(cap);
                 prop_assert_eq!(stage.split(1), stage);
             }
 
@@ -381,10 +383,12 @@ mod tests {
                 metadata in cap(),
                 shards in 1usize..64,
             ) {
-                let stage = DiscoveryBudget::unlimited()
-                    .with_joinable(joinable)
-                    .with_santos_candidates(santos)
-                    .with_metadata_candidates(metadata);
+                let stage = DiscoveryBudget {
+                    metadata_candidates: metadata,
+                    ..DiscoveryBudget::unlimited()
+                }
+                .with_joinable(joinable)
+                .with_santos_candidates(santos);
                 let per_shard = stage.split(shards);
                 prop_assert_eq!(per_shard.joinable, joinable.split(shards));
                 check_cap(santos, per_shard.santos_candidates, shards);

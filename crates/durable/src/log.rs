@@ -106,7 +106,7 @@ impl EventLog {
     }
 
     /// Force everything appended so far to stable storage.
-    pub fn sync(&mut self) -> io::Result<()> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
         self.unsynced = 0;
         Ok(())
@@ -114,7 +114,7 @@ impl EventLog {
 
     /// Drop every record — called right after a snapshot has durably
     /// captured the state the log was protecting.
-    pub fn truncate(&mut self) -> io::Result<()> {
+    pub(crate) fn truncate(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.sync_data()?;
@@ -124,13 +124,8 @@ impl EventLog {
     }
 
     /// Number of records currently in the log (recovered + appended).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records
-    }
-
-    /// `true` when the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
     }
 }
 
@@ -205,7 +200,7 @@ mod tests {
     fn append_then_reopen_replays_everything() {
         let path = scratch("roundtrip");
         let (mut log, recovered) = EventLog::open(&path, 1).unwrap();
-        assert!(recovered.is_empty() && log.is_empty());
+        assert!(recovered.is_empty() && log.len() == 0);
         for (stamp, event, table) in sample_records(7) {
             log.append(stamp, event, table.as_ref()).unwrap();
         }
@@ -268,7 +263,7 @@ mod tests {
             log.append(stamp, event, table.as_ref()).unwrap();
         }
         log.truncate().unwrap();
-        assert!(log.is_empty());
+        assert_eq!(log.len(), 0);
         log.append(50, LakeEvent::Added(0), None).unwrap();
         drop(log);
         let (_, recovered) = EventLog::open(&path, 1).unwrap();

@@ -137,11 +137,6 @@ impl DurableLake {
     pub fn log_len(&self) -> usize {
         self.log.len()
     }
-
-    /// The data directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
 }
 
 #[cfg(test)]

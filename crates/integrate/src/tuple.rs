@@ -50,7 +50,7 @@ pub(crate) fn merge_id(a: u32, b: u32) -> u32 {
 
 impl AlignedTuple {
     /// Consistency: agree wherever both are non-null (nulls are wildcards).
-    pub fn consistent(&self, other: &AlignedTuple) -> bool {
+    pub(crate) fn consistent(&self, other: &AlignedTuple) -> bool {
         self.values
             .iter()
             .zip(&other.values)
@@ -59,7 +59,7 @@ impl AlignedTuple {
 
     /// Connection: at least one attribute where both are non-null and equal
     /// (null-rejecting equality, as in the join semantics of §3.2).
-    pub fn connected(&self, other: &AlignedTuple) -> bool {
+    pub(crate) fn connected(&self, other: &AlignedTuple) -> bool {
         self.values
             .iter()
             .zip(&other.values)
@@ -68,7 +68,7 @@ impl AlignedTuple {
 
     /// Complementable = consistent ∧ connected: the merge condition of
     /// ALITE's complementation step.
-    pub fn complementable(&self, other: &AlignedTuple) -> bool {
+    pub(crate) fn complementable(&self, other: &AlignedTuple) -> bool {
         self.consistent(other) && self.connected(other)
     }
 
@@ -122,17 +122,6 @@ impl AlignedTuple {
             .iter()
             .filter(|&&v| !ValueInterner::is_null_id(v))
             .count()
-    }
-
-    /// Bitmask of non-null positions (one `u64` word per 64 columns).
-    pub fn non_null_mask(&self) -> Vec<u64> {
-        let mut mask = vec![0u64; self.values.len().div_ceil(64)];
-        for (i, &v) in self.values.iter().enumerate() {
-            if !ValueInterner::is_null_id(v) {
-                mask[i / 64] |= 1 << (i % 64);
-            }
-        }
-        mask
     }
 
     /// Resolve the value-ids back to owned [`dialite_table::Value`]s.
@@ -403,11 +392,9 @@ mod tests {
             &[Value::Int(1), Value::null_missing(), Value::Int(3)],
         ));
         assert_eq!(t.non_null_count(), 2);
-        assert_eq!(t.non_null_mask(), vec![0b101]);
         let one = it.intern(&Value::Int(1));
         let wide = tup(vec![one; 65]);
-        assert_eq!(wide.non_null_mask().len(), 2);
-        assert_eq!(wide.non_null_mask()[1], 1);
+        assert_eq!(wide.non_null_count(), 65);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Confidence-weighted annotation of columns and column pairs — the KB-side
 //! half of SANTOS-style semantic table search.
 //!
-//! A *column annotation* scores each semantic type by the fraction of the
-//! column's values that the KB maps to it (after alias resolution and type
-//! hierarchy expansion). A *pair annotation* does the same for directed
-//! relationships over the rows of two columns, which is SANTOS's
-//! "relationship semantics" between a table's columns.
+//! A *pair annotation* scores each directed relationship by the fraction
+//! of the rows of two columns that exhibit it, which is SANTOS's
+//! "relationship semantics" between a table's columns. Column types are
+//! voted by the SANTOS engine itself, from the KB's leaf and parent types.
 
 use std::collections::HashMap;
 
-use crate::base::{KnowledgeBase, RelationId, TypeId};
+use crate::base::{KnowledgeBase, RelationId};
 
 /// Direction of a relationship between two columns (left column plays
 /// subject in `Forward`, object in `Backward`).
@@ -19,32 +18,6 @@ pub enum Direction {
     Forward,
     /// right → left facts.
     Backward,
-}
-
-/// Semantic types of a column with confidence scores.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnAnnotation {
-    /// `(type, confidence)` sorted by descending confidence, then type id.
-    /// Confidence is the fraction of *annotatable* values carrying the type.
-    pub scores: Vec<(TypeId, f64)>,
-    /// Fraction of non-empty values known to the KB at all.
-    pub coverage: f64,
-}
-
-impl ColumnAnnotation {
-    /// The highest-confidence type, if any.
-    pub fn top(&self) -> Option<(TypeId, f64)> {
-        self.scores.first().copied()
-    }
-
-    /// Confidence of a specific type (0.0 if absent).
-    pub fn confidence(&self, t: TypeId) -> f64 {
-        self.scores
-            .iter()
-            .find(|(id, _)| *id == t)
-            .map(|(_, c)| *c)
-            .unwrap_or(0.0)
-    }
 }
 
 /// Directed relationships between two columns with confidence scores.
@@ -66,48 +39,6 @@ impl PairAnnotation {
 }
 
 impl KnowledgeBase {
-    /// Annotate a column given its non-null values.
-    ///
-    /// Votes are counted per *distinct* value (SANTOS annotates the column's
-    /// domain, so a repeated value does not dominate the vote).
-    pub fn annotate_column<'a, I: IntoIterator<Item = &'a str>>(
-        &self,
-        values: I,
-    ) -> ColumnAnnotation {
-        let mut distinct: HashMap<String, ()> = HashMap::new();
-        for v in values {
-            if !v.trim().is_empty() {
-                distinct
-                    .entry(crate::base::normalize(v).into_owned())
-                    .or_insert(());
-            }
-        }
-        let total = distinct.len();
-        if total == 0 {
-            return ColumnAnnotation::default();
-        }
-        let mut votes: HashMap<TypeId, usize> = HashMap::new();
-        let mut known = 0usize;
-        for value in distinct.keys() {
-            let types = self.types_of(value);
-            if self.knows(value) {
-                known += 1;
-            }
-            for t in types {
-                *votes.entry(t).or_insert(0) += 1;
-            }
-        }
-        let mut scores: Vec<(TypeId, f64)> = votes
-            .into_iter()
-            .map(|(t, v)| (t, v as f64 / total as f64))
-            .collect();
-        scores.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        ColumnAnnotation {
-            scores,
-            coverage: known as f64 / total as f64,
-        }
-    }
-
     /// Annotate the relationship between two columns given their row-aligned
     /// value pairs (nulls should be filtered by the caller; empty strings
     /// are skipped here). Votes are per distinct pair.
@@ -176,38 +107,6 @@ mod tests {
         b.add_fact("berlin", "located_in", "germany");
         b.add_fact("barcelona", "located_in", "spain");
         b.build()
-    }
-
-    #[test]
-    fn column_annotation_scores_majority_type() {
-        let kb = kb();
-        let ann = kb.annotate_column(["Berlin", "Boston", "Barcelona", "Xyzzy"]);
-        let city = kb.type_id("city").unwrap();
-        let place = kb.type_id("place").unwrap();
-        assert!((ann.confidence(city) - 0.75).abs() < 1e-12);
-        assert!((ann.confidence(place) - 0.75).abs() < 1e-12);
-        assert!((ann.coverage - 0.75).abs() < 1e-12);
-        let (top, conf) = ann.top().unwrap();
-        assert!(top == city || top == place);
-        assert!((conf - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn duplicate_values_do_not_stack_votes() {
-        let kb = kb();
-        let ann = kb.annotate_column(["Berlin", "berlin", "BERLIN", "unknownville"]);
-        let city = kb.type_id("city").unwrap();
-        // distinct domain = {berlin, unknownville} → confidence 1/2.
-        assert!((ann.confidence(city) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_column_annotation_is_default() {
-        let kb = kb();
-        let ann = kb.annotate_column(["", "   "]);
-        assert!(ann.scores.is_empty());
-        assert_eq!(ann.coverage, 0.0);
-        assert!(ann.top().is_none());
     }
 
     #[test]

@@ -272,7 +272,7 @@ impl KnowledgeBase {
     }
 
     /// Directed relationships from `a` to `b` (after resolution).
-    pub fn relations_between(&self, a: &str, b: &str) -> HashSet<RelationId> {
+    pub(crate) fn relations_between(&self, a: &str, b: &str) -> HashSet<RelationId> {
         let (Some(ka), Some(kb)) = (self.resolve(a), self.resolve(b)) else {
             return HashSet::new();
         };
@@ -283,11 +283,6 @@ impl KnowledgeBase {
     /// Name of a type id.
     pub fn type_name(&self, id: TypeId) -> &str {
         &self.type_names[id.0 as usize]
-    }
-
-    /// Name of a relationship id.
-    pub fn relation_name(&self, id: RelationId) -> &str {
-        &self.rel_names[id.0 as usize]
     }
 
     /// Look up a type id by name.

@@ -18,5 +18,5 @@ mod annotate;
 mod base;
 pub mod curated;
 
-pub use annotate::{ColumnAnnotation, Direction, PairAnnotation};
+pub use annotate::{Direction, PairAnnotation};
 pub use base::{KbBuilder, KbStats, KnowledgeBase, RelationId, TypeId};

@@ -46,11 +46,6 @@ impl MinHasher {
         }
     }
 
-    /// Number of hash functions / signature length.
-    pub fn num_perm(&self) -> usize {
-        self.a.len()
-    }
-
     /// How many signatures this family has computed so far, counted across
     /// all clones of the family (clones share the counter). Tests use this
     /// to assert that building or recovering an index hashes nothing: a
@@ -116,13 +111,8 @@ impl Signature {
     }
 
     /// Signature length.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
-    }
-
-    /// `true` for a zero-length signature (never produced by [`MinHasher`]).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 

@@ -37,4 +37,3 @@ mod params;
 
 pub use ensemble::{LshEnsemble, LshEnsembleBuilder, PartitionProbe};
 pub use hasher::{MinHasher, Signature};
-pub use params::{containment_to_jaccard, optimal_params, optimal_params_restricted};

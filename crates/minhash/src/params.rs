@@ -30,30 +30,11 @@ fn integrate(lo: f64, hi: f64, f: impl Fn(f64) -> f64) -> f64 {
     acc * h
 }
 
-/// Find the `(b, r)` with `b * r ≤ num_perm` minimizing false-positive plus
-/// false-negative area at the given Jaccard `threshold`.
-pub fn optimal_params(threshold: f64, num_perm: usize) -> (usize, usize) {
-    let mut best = (1usize, 1usize);
-    let mut best_err = f64::INFINITY;
-    for r in 1..=num_perm {
-        let max_b = num_perm / r;
-        if max_b == 0 {
-            break;
-        }
-        for b in 1..=max_b {
-            let err = false_positive_area(threshold, b, r) + false_negative_area(threshold, b, r);
-            if err < best_err {
-                best_err = err;
-                best = (b, r);
-            }
-        }
-    }
-    best
-}
-
-/// Like [`optimal_params`] but restricted to row counts from `allowed_r`
-/// (the ensemble only materializes banding tables for power-of-two `r`).
-pub fn optimal_params_restricted(
+/// Find the `(b, r)` with `b * r ≤ num_perm` and `r` from `allowed_r`
+/// minimizing false-positive plus false-negative area at the given Jaccard
+/// `threshold` (the ensemble only materializes banding tables for
+/// power-of-two `r`).
+pub(crate) fn optimal_params_restricted(
     threshold: f64,
     num_perm: usize,
     allowed_r: &[usize],
@@ -80,7 +61,7 @@ pub fn optimal_params_restricted(
 /// partition whose domains have size at most `u` into the equivalent
 /// Jaccard threshold (LSH Ensemble, eq. 4):
 /// `j = t·q / (q + u − t·q)`.
-pub fn containment_to_jaccard(t: f64, q: usize, u: usize) -> f64 {
+pub(crate) fn containment_to_jaccard(t: f64, q: usize, u: usize) -> f64 {
     if q == 0 {
         return 0.0;
     }
@@ -107,10 +88,15 @@ mod tests {
         assert!(p1 < p2 && p2 < p3);
     }
 
+    /// Every row count `1..=num_perm`: the unrestricted search.
+    fn all_r(num_perm: usize) -> Vec<usize> {
+        (1..=num_perm).collect()
+    }
+
     #[test]
     fn optimal_params_fit_budget() {
         for &t in &[0.1, 0.5, 0.9] {
-            let (b, r) = optimal_params(t, 128);
+            let (b, r) = optimal_params_restricted(t, 128, &all_r(128));
             assert!(b * r <= 128, "b={b} r={r}");
             assert!(b >= 1 && r >= 1);
         }
@@ -119,8 +105,8 @@ mod tests {
     #[test]
     fn higher_threshold_prefers_more_rows() {
         // High thresholds need steep S-curves → larger r.
-        let (_, r_low) = optimal_params(0.2, 128);
-        let (_, r_high) = optimal_params(0.9, 128);
+        let (_, r_low) = optimal_params_restricted(0.2, 128, &all_r(128));
+        let (_, r_high) = optimal_params_restricted(0.9, 128, &all_r(128));
         assert!(
             r_high >= r_low,
             "expected r({r_high}) at t=0.9 ≥ r({r_low}) at t=0.2"

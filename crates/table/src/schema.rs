@@ -29,7 +29,7 @@ pub enum ColumnType {
 
 impl ColumnType {
     /// The type of a single value (`Unknown` for nulls).
-    pub fn of(v: &Value) -> ColumnType {
+    pub(crate) fn of(v: &Value) -> ColumnType {
         match v {
             Value::Null(_) => ColumnType::Unknown,
             Value::Bool(_) => ColumnType::Bool,
@@ -41,7 +41,7 @@ impl ColumnType {
 
     /// Combine the evidence of two observations.
     /// `Int ⊔ Float = Float`; any other mixture of distinct concrete types is `Mixed`.
-    pub fn merge(self, other: ColumnType) -> ColumnType {
+    pub(crate) fn merge(self, other: ColumnType) -> ColumnType {
         use ColumnType::*;
         match (self, other) {
             (Unknown, t) | (t, Unknown) => t,
@@ -57,7 +57,7 @@ impl ColumnType {
     }
 
     /// Infer the type of a column from an iterator of values.
-    pub fn infer<'a>(values: impl IntoIterator<Item = &'a Value>) -> ColumnType {
+    pub(crate) fn infer<'a>(values: impl IntoIterator<Item = &'a Value>) -> ColumnType {
         values
             .into_iter()
             .fold(ColumnType::Unknown, |acc, v| acc.merge(ColumnType::of(v)))
@@ -98,7 +98,7 @@ pub struct Schema {
 
 impl Schema {
     /// Build a schema from column names. Fails on duplicates.
-    pub fn new<S: AsRef<str>>(table: &str, names: &[S]) -> Result<Schema, TableError> {
+    pub(crate) fn new<S: AsRef<str>>(table: &str, names: &[S]) -> Result<Schema, TableError> {
         let mut columns = Vec::with_capacity(names.len());
         let mut by_name = HashMap::with_capacity(names.len());
         for (i, n) in names.iter().enumerate() {
@@ -138,7 +138,7 @@ impl Schema {
 
     /// Build a schema deduplicating repeated headers by suffixing `_2`, `_3`, …
     /// (real open-data CSVs do repeat headers).
-    pub fn new_deduped<S: AsRef<str>>(names: &[S]) -> Schema {
+    pub(crate) fn new_deduped<S: AsRef<str>>(names: &[S]) -> Schema {
         let mut seen: HashMap<String, usize> = HashMap::new();
         let mut columns = Vec::with_capacity(names.len());
         let mut by_name = HashMap::with_capacity(names.len());
@@ -176,7 +176,7 @@ impl Schema {
     }
 
     /// Position of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).copied()
     }
 
@@ -198,16 +198,6 @@ impl Schema {
     /// Set the inferred type of a column.
     pub(crate) fn set_type(&mut self, idx: usize, t: ColumnType) {
         self.columns[idx].ctype = t;
-    }
-
-    /// Rebuild the name index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
-        self.by_name = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.clone(), i))
-            .collect();
     }
 }
 

@@ -176,18 +176,6 @@ impl Table {
         Table::from_rows(name, &names, rows)
     }
 
-    /// Keep only rows matching a predicate.
-    pub fn filter<F: FnMut(&[Value]) -> bool>(&self, name: &str, mut pred: F) -> Table {
-        let mut t = Table::with_schema(name, self.schema.clone());
-        t.rows = self
-            .rows
-            .iter()
-            .filter(|r| pred(r.as_slice()))
-            .cloned()
-            .collect();
-        t
-    }
-
     /// Remove duplicate rows (content equality, so `±` and `⊥` coincide),
     /// preserving first occurrence order.
     pub fn distinct(&self) -> Table {
@@ -242,11 +230,6 @@ impl Table {
         a.sort();
         b.sort();
         a == b
-    }
-
-    /// Consume the table, yielding its rows.
-    pub fn into_rows(self) -> Vec<Vec<Value>> {
-        self.rows
     }
 }
 
@@ -354,13 +337,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(t.distinct().row_count(), 2);
-    }
-
-    #[test]
-    fn filter_keeps_matching_rows() {
-        let t = table! { "t"; ["x"]; [1], [2], [3] };
-        let f = t.filter("f", |r| r[0].as_int().unwrap() >= 2);
-        assert_eq!(f.row_count(), 2);
     }
 
     #[test]

@@ -70,38 +70,11 @@ impl Value {
         }
     }
 
-    /// Text view (only for `Text` values).
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
     /// Integer view (only for `Int` values).
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
             _ => None,
-        }
-    }
-
-    /// Boolean view (only for `Bool` values).
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// A short tag naming the value's type, used in error messages and stats.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null(_) => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Text(_) => "text",
         }
     }
 
@@ -142,12 +115,6 @@ impl Value {
             "false" => return Value::Bool(false),
             _ => {}
         }
-        if s == "±" {
-            return Value::null_missing();
-        }
-        if s == "⊥" {
-            return Value::null_produced();
-        }
         if let Ok(i) = s.parse::<i64>() {
             return Value::Int(i);
         }
@@ -155,21 +122,6 @@ impl Value {
             return Value::Float(f);
         }
         Value::Text(s.to_string())
-    }
-
-    /// Content equality treating *any* null as equal to any other null.
-    /// This is the same relation as `==`; the alias exists to make call
-    /// sites in the integration engines self-documenting.
-    #[inline]
-    pub fn content_eq(&self, other: &Value) -> bool {
-        self == other
-    }
-
-    /// Equality for *join purposes*: nulls never join with anything,
-    /// including other nulls (null-rejecting equality, paper §3.2).
-    #[inline]
-    pub fn join_eq(&self, other: &Value) -> bool {
-        !self.is_null() && !other.is_null() && self == other
     }
 }
 
@@ -349,14 +301,6 @@ mod tests {
             hash_of(&Value::null_missing()),
             hash_of(&Value::null_produced())
         );
-    }
-
-    #[test]
-    fn nulls_never_join() {
-        assert!(!Value::null_missing().join_eq(&Value::null_missing()));
-        assert!(!Value::null_missing().join_eq(&Value::Int(1)));
-        assert!(!Value::Int(1).join_eq(&Value::null_produced()));
-        assert!(Value::Int(1).join_eq(&Value::Int(1)));
     }
 
     #[test]

@@ -57,8 +57,10 @@ impl Default for NgramEmbedder {
 }
 
 impl NgramEmbedder {
-    /// Custom dimension and gram sizes.
-    pub fn new(dim: usize, gram_sizes: Vec<usize>, include_words: bool) -> NgramEmbedder {
+    /// Custom dimension and gram sizes, for the tests that pin the
+    /// streamed features against the string-building reference.
+    #[cfg(test)]
+    pub(crate) fn new(dim: usize, gram_sizes: Vec<usize>, include_words: bool) -> NgramEmbedder {
         assert!(dim > 0, "embedding dimension must be positive");
         assert!(!gram_sizes.is_empty(), "need at least one gram size");
         NgramEmbedder {
@@ -66,11 +68,6 @@ impl NgramEmbedder {
             gram_sizes,
             include_words,
         }
-    }
-
-    /// Output dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
     }
 
     /// Feature index and ±1 sign of one feature hash.
@@ -198,12 +195,6 @@ fn normalize(v: &mut [f32]) -> bool {
     }
     v.iter_mut().for_each(|x| *x /= norm);
     true
-}
-
-/// Convenience: embed a column's non-null value tokens with the default
-/// embedder configuration.
-pub fn column_embedding<'a, I: IntoIterator<Item = &'a str>>(values: I) -> Vec<f32> {
-    NgramEmbedder::default().embed_bag(values)
 }
 
 #[cfg(test)]
@@ -417,7 +408,7 @@ mod tests {
     #[test]
     fn custom_dim_is_respected() {
         let e = NgramEmbedder::new(64, vec![3], false);
-        assert_eq!(e.dim(), 64);
         assert_eq!(e.embed("abc").len(), 64);
+        assert_eq!(e.embed_bag(["abc", "de"]).len(), 64);
     }
 }

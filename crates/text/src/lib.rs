@@ -1,8 +1,8 @@
 //! # dialite-text
 //!
 //! Text and similarity toolkit shared by discovery, alignment and entity
-//! resolution: tokenizers, set/string/vector similarity measures, TF-IDF
-//! weighting and a deterministic *hashed character n-gram embedder*.
+//! resolution: tokenizers, set/string/vector similarity measures and a
+//! deterministic *hashed character n-gram embedder*.
 //!
 //! The embedder is this reproduction's substitute for the pretrained
 //! fastText/BERT embeddings used by ALITE's holistic schema matcher: it maps
@@ -14,15 +14,11 @@
 
 mod embed;
 mod sim;
-mod tfidf;
 mod tokenize;
-mod vector;
 
-pub use embed::{column_embedding, NgramEmbedder};
+pub use embed::NgramEmbedder;
 pub use sim::{
-    acronym_of, containment, cosine_dense, cosine_dense_normed, dense_norm, dice, jaccard,
-    levenshtein, levenshtein_sim, levenshtein_sim_chars, overlap_coefficient,
+    acronym_of, containment, cosine_dense, cosine_dense_normed, dense_norm, jaccard, levenshtein,
+    levenshtein_sim, levenshtein_sim_chars,
 };
-pub use tfidf::TfIdf;
 pub use tokenize::{char_ngrams, fnv1a64, qgrams_padded, word_tokens};
-pub use vector::SparseVector;

@@ -1,9 +1,8 @@
 //! Set, string and vector similarity measures.
 //!
-//! All set measures operate on [`HashSet<String>`]; the join/union search
+//! Both set measures operate on [`HashSet<String>`]; the join/union search
 //! literature conventions are followed: Jaccard = |∩|/|∪|, containment of
-//! `q` in `x` = |q ∩ x| / |q| (the measure LSH Ensemble indexes for),
-//! overlap coefficient = |∩| / min(|a|, |b|).
+//! `q` in `x` = |q ∩ x| / |q| (the measure LSH Ensemble indexes for).
 
 use std::collections::HashSet;
 
@@ -24,24 +23,6 @@ pub fn containment(q: &HashSet<String>, x: &HashSet<String>) -> f64 {
         return 1.0;
     }
     q.intersection(x).count() as f64 / q.len() as f64
-}
-
-/// Overlap coefficient |a ∩ b| / min(|a|, |b|); 1 if either set is empty.
-pub fn overlap_coefficient(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    if a.is_empty() || b.is_empty() {
-        return 1.0;
-    }
-    let inter = a.intersection(b).count();
-    inter as f64 / a.len().min(b.len()) as f64
-}
-
-/// Dice coefficient 2|a ∩ b| / (|a| + |b|); 1 if both sets are empty.
-pub fn dice(a: &HashSet<String>, b: &HashSet<String>) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 1.0;
-    }
-    let inter = a.intersection(b).count();
-    2.0 * inter as f64 / (a.len() + b.len()) as f64
 }
 
 /// Levenshtein edit distance (unit costs), O(|a|·|b|) time, O(min) space.
@@ -170,14 +151,6 @@ mod tests {
         assert_eq!(containment(&q, &x), 1.0);
         assert_eq!(containment(&x, &q), 0.5);
         assert_eq!(containment(&set(&[]), &x), 1.0);
-    }
-
-    #[test]
-    fn overlap_and_dice() {
-        let a = set(&["x", "y"]);
-        let b = set(&["y", "z", "w"]);
-        assert!((overlap_coefficient(&a, &b) - 0.5).abs() < 1e-12);
-        assert!((dice(&a, &b) - 2.0 / 5.0).abs() < 1e-12);
     }
 
     #[test]

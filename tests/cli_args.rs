@@ -106,7 +106,8 @@ fn overflowing_shards_is_a_usage_error() {
 #[test]
 fn shards_past_the_router_width_is_a_usage_error_not_a_panic() {
     // Fits in usize but not in the router's u32 shard ids — exactly the
-    // value that used to panic inside `ShardRouter::new`.
+    // value that used to panic where the shard count is cut into stripes
+    // (`ShardScope::stripes`).
     let lake = ScratchLake::new("shards_wide");
     assert_usage_error(
         &[
